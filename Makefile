@@ -1,18 +1,12 @@
 # Mantle build & test entry points. CI (.github/workflows/ci.yml) runs
 # fmt + vet + test-race; `make chaos` is the long lane it runs on push,
-# and `make bench`/`make bench-json` drive the perf-smoke lane and the
-# committed BENCH_PR<n>.json snapshots (see README).
+# and `make bench` / `make bench-compare` are the whole perf surface:
+# the canonical benchmark (benchmark/README.md) and its comparison
+# against the committed baseline.
 
 GO ?= go
 
-# Benchmark knobs. BENCH selects which benchmarks run (regexp);
-# BENCHTIME trades runtime for stability; CPUS exercises the parallel
-# benchmarks at several GOMAXPROCS values.
-BENCH     ?= .
-BENCHTIME ?= 400ms
-CPUS      ?= 1,4
-
-.PHONY: all build test test-race fmt vet chaos bench bench-json bench-pr6 bench-pr8 bench-skew heat-report bench-hotstat bench-pr9 bench-mem clean
+.PHONY: all build test test-race fmt vet chaos bench bench-compare heat-report clean
 
 all: build
 
@@ -20,9 +14,11 @@ build:
 	$(GO) build ./...
 
 # The short lane: unit, fault-injection, and partition tests. Experiment
-# smoke tests and the heaviest chaos runs are skipped via -short.
+# smoke tests and the heaviest chaos runs are skipped via -short. The
+# benchmark is a module of its own, so its smoke test runs separately.
 test:
 	$(GO) test -short -count=1 ./...
+	cd benchmark && $(GO) test -count=1 ./...
 
 test-race:
 	$(GO) test -race -short -count=1 ./...
@@ -41,127 +37,20 @@ vet:
 chaos:
 	$(GO) test -count=1 -timeout 20m ./...
 
-# All benchmarks — the root package hot-path and write-path suites plus
-# the layer micro-benchmarks in internal/bench — with allocation
-# accounting.
+# Every workload and layer probe of the canonical benchmark, once
+# (~3 min); the report lands under the git-ignored build directory.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -cpu $(CPUS) ./...
+	bash benchmark/run.sh -seed 1 -out .bench_build/run.json
 
-# Same run, parsed into a machine-readable snapshot (bench.json). The
-# committed perf trajectory (BENCH_PR<n>.json) is built from these
-# snapshots: run once on the base commit, once on the candidate, and
-# merge with `go run ./cmd/benchjson before=<old> after=<new>`.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -cpu $(CPUS) ./... | tee bench.out.txt
-	$(GO) run ./cmd/benchjson run=bench.out.txt > bench.json
-	@rm -f bench.out.txt
-	@echo "wrote bench.json"
-
-# Write-path benchmark selection: the end-to-end client suite
-# (bench_write_test.go) and the layer micro-benchmarks (internal/bench).
-WRITEBENCH = Write|WALGroupCommit|RaftProposeParallel|Batched2PC
-
-# Regenerate the committed write-path snapshot (BENCH_PR6.json, the
-# Figure 16 "+raftlogbatch" ablation). Two runs:
-#   ablation     — both batching modes at a stable benchtime; the
-#                  committed evidence for the >= 2x batched win and
-#                  sub-1 fsyncs/op (run on a quiet machine).
-#   batch-on-1x  — the batched side with the exact flags the write-perf
-#                  CI lane uses; the lane gates fresh allocs/op against
-#                  this run via cmd/benchgate.
-bench-pr6:
-	$(GO) test -run '^$$' -bench 'Write' -benchmem -benchtime 400ms -cpu 8 . | tee bench-ablation.txt
-	MANTLE_WRITE_BATCH=on $(GO) test -run '^$$' -bench '$(WRITEBENCH)' -benchmem -benchtime=1x -cpu 8 . ./internal/bench | tee bench-write-1x.txt
-	$(GO) run ./cmd/benchjson ablation=bench-ablation.txt batch-on-1x=bench-write-1x.txt > BENCH_PR6.json
-	@rm -f bench-ablation.txt bench-write-1x.txt
-	@echo "wrote BENCH_PR6.json"
-
-# Regenerate the committed skewed-read snapshot (BENCH_PR8.json, the
-# elastic hotspot management evidence): both hotspot modes at a stable
-# iteration count. The claim the snapshot carries: at Zipf s=1.2, hot-dir
-# p99 latency (p99-ns) and leader read share (leader-share) are both
-# >= 2x better with the hotspot tier on (run on a quiet machine).
-bench-pr8:
-	$(GO) test -run '^$$' -bench 'SkewLookupParallel' -benchmem -benchtime=16000x -cpu 4 . | tee bench-skew.txt
-	$(GO) run ./cmd/benchjson skew-16000x=bench-skew.txt > BENCH_PR8.json
-	@rm -f bench-skew.txt
-	@echo "wrote BENCH_PR8.json"
-
-# The skew gate exactly as the write-perf CI lane runs it: the hotspot=on
-# side's allocs/op and leader-share vs the committed BENCH_PR8.json
-# baseline (both count-based, so they gate without flaking on noisy
-# hardware; p99-ns is evidence in the snapshot, not a gate).
-bench-skew:
-	MANTLE_HOTSPOT=on $(GO) test -run '^$$' -bench 'SkewLookupParallel' -benchmem -benchtime=4000x -cpu 4 . | tee bench-skew-on.txt
-	$(GO) run ./cmd/benchjson skew-16000x=bench-skew-on.txt > bench-skew-on.json
-	$(GO) run ./cmd/benchgate \
-		-baseline BENCH_PR8.json -baseline-run skew-16000x \
-		-candidate bench-skew-on.json -candidate-run skew-16000x \
-		-metric allocs/op -match 'hotspot=on' -rel 0.25 -abs 8
-	$(GO) run ./cmd/benchgate \
-		-baseline BENCH_PR8.json -baseline-run skew-16000x \
-		-candidate bench-skew-on.json -candidate-run skew-16000x \
-		-metric leader-share -match 'skew=1.2/hotspot=on' -rel 0.5 -abs 0.03
-	@rm -f bench-skew-on.txt bench-skew-on.json
+# ok / worse / unresolved per metric against the committed baseline.
+bench-compare:
+	bash benchmark/run.sh -compare benchmark/results/baseline.json .bench_build/run.json
 
 # Run the Zipfian heat experiment and print the cluster heat-plane
 # report (hot dirs per layer, per-shard load table, slow-op captures).
 heat-report:
 	$(GO) run ./cmd/experiments -run heat -heat-out /dev/stdout
 
-# The hot-stat allocation gate exactly as the perf-smoke CI lane runs
-# it: allocs/op vs the committed hot-stat-2000x baseline, budget +1.
-bench-hotstat:
-	$(GO) test -run '^$$' -bench 'BenchmarkHotStatParallel$$' -benchmem -benchtime=2000x -cpu 4 . | tee bench-hotstat.txt
-	$(GO) run ./cmd/benchjson hot-stat-2000x=bench-hotstat.txt > bench-hotstat.json
-	$(GO) run ./cmd/benchgate \
-		-baseline BENCH_PR6.json -baseline-run hot-stat-2000x \
-		-candidate bench-hotstat.json -candidate-run hot-stat-2000x \
-		-metric allocs/op -match 'HotStatParallel' -rel 0 -abs 1
-	@rm -f bench-hotstat.txt bench-hotstat.json
-
-# Regenerate the committed namespace-scale snapshot (BENCH_PR9.json, the
-# Figure 19a flatness + memory-diet evidence). Two runs:
-#   scale-20000x — the 100K→1M→10M flatness sweep (per-op p50/p95/p99
-#                  at a simulated datacenter RTT, default 1ms via
-#                  MANTLE_SCALE_RTT; resident
-#                  bytes/entry from measured heap growth); the
-#                  committed claim is p99 flat within 20% across the
-#                  sweep. -count=3 takes three ~40s samples of every
-#                  size and benchjson keeps the per-metric median, so
-#                  one noisy co-tenant window cannot set a committed
-#                  quantile. Peak RSS ~1.5 GB;
-#                  allow ~10 minutes (populations are cached across
-#                  counts inside the one test process).
-#   footprint-1m — the packed-vs-boxed shard footprint pair at 1M
-#                  entries; the committed claim is >= 2x bytes/entry
-#                  reduction, and the gate lane below holds the packed
-#                  side's bytes/entry.
-bench-pr9:
-	MANTLE_SCALE_MAX=10000000 $(GO) test -run '^$$' -bench 'BenchmarkNamespaceScale' \
-		-benchmem -benchtime=20000x -count=3 -timeout 30m . | tee bench-scale.txt
-	$(GO) test -run '^$$' -bench 'ShardFootprint' -benchtime=100x . | tee bench-footprint.txt
-	$(GO) run ./cmd/benchjson scale-20000x=bench-scale.txt footprint-1m=bench-footprint.txt > BENCH_PR9.json
-	@rm -f bench-scale.txt bench-footprint.txt
-	@echo "wrote BENCH_PR9.json"
-
-# The namespace-memory gate as the perf-smoke CI lane runs it, both
-# halves count-based so they hold on shared runners:
-#   1. hot-stat allocs/op vs the committed BENCH_PR6.json baseline
-#      (unchanged budget: exact plus one) — proves the packed rows and
-#      interning added no allocations to the hot read path;
-#   2. packed bytes/entry vs the committed BENCH_PR9.json footprint
-#      snapshot (+10%, +4 bytes slack for allocator size-class jitter) —
-#      proves the resident cost of a namespace entry stays dieted.
-bench-mem: bench-hotstat
-	$(GO) test -run '^$$' -bench 'ShardFootprintPacked' -benchtime=100x . | tee bench-footprint-new.txt
-	$(GO) run ./cmd/benchjson footprint-1m=bench-footprint-new.txt > bench-footprint-new.json
-	$(GO) run ./cmd/benchgate \
-		-baseline BENCH_PR9.json -baseline-run footprint-1m \
-		-candidate bench-footprint-new.json -candidate-run footprint-1m \
-		-metric bytes/entry -match 'ShardFootprintPacked' -rel 0.10 -abs 4
-	@rm -f bench-footprint-new.txt bench-footprint-new.json
-
 clean:
 	$(GO) clean ./...
-	rm -f bench.json bench.out.txt
+	rm -rf .bench_build

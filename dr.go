@@ -36,6 +36,7 @@ func NewDR(cfg Config, dr DRConfig) (*DR, error) {
 	}
 	s, err := core.NewSites(core.SitesConfig{
 		Site:         cc,
+		RTT:          cfg.RTT,
 		WANRTT:       dr.WANRTT,
 		LinkInterval: dr.LinkInterval,
 		LinkBatchMax: dr.LinkBatchMax,

@@ -15,6 +15,7 @@
 package dbtable
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -318,7 +319,18 @@ func (s *Store) ApplyAtomic(op *rpc.Op, txnID string, pid types.InodeID,
 				s.rowPacer(m.Key).Charge(s.cfg.AtomicCost)
 			}
 		}
-		if err := p.Shard.Prepare(txnID, guards, muts); err != nil {
+		// Prepare is no-wait; a single-shard atomic update waits for the
+		// row instead, as it would on the shard's latch: the holder is
+		// another atomic apply between its prepare and commit, or a 2PC
+		// piece about to resolve.
+		var err error
+		for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
+			if err = p.Shard.Prepare(txnID, guards, muts); !errors.Is(err, types.ErrConflict) {
+				break
+			}
+			txn.Backoff(attempt, s.cfg.RetryBase, s.cfg.RetryMax)
+		}
+		if err != nil {
 			return err
 		}
 		p.Shard.Commit(txnID)

@@ -145,6 +145,36 @@ func TestApplyAtomicSerializesHotRow(t *testing.T) {
 	_ = a
 }
 
+// An atomic update that finds its row locked by an in-flight transaction
+// waits for the holder instead of failing with a conflict.
+func TestApplyAtomicWaitsForLockedRow(t *testing.T) {
+	s, caller := testStore(t)
+	seed(t, s)
+	key := types.Key{Pid: types.RootID, Name: "a"}
+	bump := []storage.Mutation{{
+		Kind: storage.MutDeltaAttr, Key: key,
+		Delta: storage.AttrDelta{LinkCount: 1}, MustExist: true,
+	}}
+	shard := s.ShardFor(types.RootID).Shard
+	if err := shard.Prepare("holder", nil, bump); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.ApplyAtomic(caller.Begin(), "waiter", types.RootID, nil, bump) }()
+	select {
+	case err := <-done:
+		t.Fatalf("atomic update did not wait for the lock holder: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	shard.Commit("holder")
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if row, _ := shard.Get(key); row.Entry.Attr.LinkCount != 3 { // +1 from seed
+		t.Fatalf("links = %d", row.Entry.Attr.LinkCount)
+	}
+}
+
 func TestScanChildrenCharged(t *testing.T) {
 	s, caller := testStore(t)
 	_, b := seed(t, s)

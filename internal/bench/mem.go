@@ -2,9 +2,9 @@ package bench
 
 import "runtime"
 
-// Heap accounting for namespace-scale benchmarks. Throughput and latency
+// Heap accounting for the namespace-scale sweep. Throughput and latency
 // say nothing about whether a 10M-entry namespace fits in a metadata
-// node's RAM; the scale sweep reports resident bytes per entry alongside
+// node's RAM; the sweep reports resident bytes per entry alongside
 // them. Samples force a collection first so the figures count reachable
 // memory, not garbage awaiting the next GC cycle.
 
@@ -40,33 +40,5 @@ func (a HeapSample) Sub(b HeapSample) HeapSample {
 		HeapAlloc:   sub(a.HeapAlloc, b.HeapAlloc),
 		HeapInuse:   sub(a.HeapInuse, b.HeapInuse),
 		HeapObjects: sub(a.HeapObjects, b.HeapObjects),
-	}
-}
-
-// metricReporter is the subset of *testing.B that ReportHeap needs, kept
-// as an interface so this package stays importable outside tests.
-type metricReporter interface {
-	ReportMetric(n float64, unit string)
-}
-
-// ReportHeap samples the heap, subtracts base (taken before the
-// structure under test was built), and reports the growth as benchmark
-// metrics: heap-bytes (live-object growth), heap-inuse-bytes (span
-// growth, the closer proxy for RSS), and — when entries > 0 — entries
-// and bytes/entry, the resident cost of one namespace entry. benchjson
-// carries all of these into the committed BENCH_PR<n>.json snapshots.
-func ReportHeap(b metricReporter, base HeapSample, entries int) {
-	ReportHeapGrowth(b, Heap().Sub(base), entries)
-}
-
-// ReportHeapGrowth reports an already-measured growth sample (for
-// callers that cache the structure under test across benchmark
-// invocations and must not re-measure against a since-polluted heap).
-func ReportHeapGrowth(b metricReporter, g HeapSample, entries int) {
-	b.ReportMetric(float64(g.HeapAlloc), "heap-bytes")
-	b.ReportMetric(float64(g.HeapInuse), "heap-inuse-bytes")
-	if entries > 0 {
-		b.ReportMetric(float64(entries), "entries")
-		b.ReportMetric(float64(g.HeapAlloc)/float64(entries), "bytes/entry")
 	}
 }

@@ -182,23 +182,3 @@ func TestStringKeys(t *testing.T) {
 		t.Fatalf("string scan = %v", got)
 	}
 }
-
-func BenchmarkPut(b *testing.B) {
-	tr := New[int, int](func(a, b int) bool { return a < b })
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Put(i, i)
-	}
-}
-
-func BenchmarkGet(b *testing.B) {
-	tr := New[int, int](func(a, b int) bool { return a < b })
-	for i := 0; i < 1<<16; i++ {
-		tr.Put(i, i)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Get(i & (1<<16 - 1))
-	}
-}

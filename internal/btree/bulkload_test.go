@@ -258,56 +258,3 @@ func TestCursorOnBulkLoaded(t *testing.T) {
 		t.Fatal("reset cursor still valid")
 	}
 }
-
-// The satellite's evidence benchmark: per-scan allocation of the closure
-// iterator vs a reused cursor over the same 64-entry range (a readdir-
-// sized window). Run with -benchmem: the closure side allocates per
-// scan, the cursor side is allocation-free.
-func BenchmarkRangeScanClosure(b *testing.B) {
-	tr := New[int, int](func(a, b int) bool { return a < b })
-	tr.BulkLoad(1<<16, func(i int) (int, int) { return i, i })
-	b.ReportAllocs()
-	b.ResetTimer()
-	sum := 0
-	for i := 0; i < b.N; i++ {
-		lo := (i * 61) & (1<<16 - 1)
-		tr.AscendRange(lo, lo+64, func(k, v int) bool { sum += v; return true })
-	}
-	sink = sum
-}
-
-func BenchmarkRangeScanCursor(b *testing.B) {
-	tr := New[int, int](func(a, b int) bool { return a < b })
-	tr.BulkLoad(1<<16, func(i int) (int, int) { return i, i })
-	var c Cursor[int, int]
-	b.ReportAllocs()
-	b.ResetTimer()
-	sum := 0
-	for i := 0; i < b.N; i++ {
-		lo := (i * 61) & (1<<16 - 1)
-		for c.Seek(tr, lo); c.Valid() && tr.Less(c.Key(), lo+64); c.Next() {
-			sum += c.Value()
-		}
-	}
-	sink = sum
-}
-
-func BenchmarkBulkLoad(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := New[int, int](func(a, b int) bool { return a < b })
-		tr.BulkLoad(1<<16, func(i int) (int, int) { return i, i })
-	}
-}
-
-func BenchmarkSequentialPut64K(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := New[int, int](func(a, b int) bool { return a < b })
-		for j := 0; j < 1<<16; j++ {
-			tr.Put(j, j)
-		}
-	}
-}
-
-var sink int

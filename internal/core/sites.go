@@ -20,6 +20,9 @@ type SitesConfig struct {
 	// fabric (shard/replica node names repeat across sites), so Fabric
 	// and the nested TafDB/Index fabrics are overridden.
 	Site Config
+	// RTT is the intra-site round trip each site's own fabric charges
+	// per RPC.
+	RTT time.Duration
 	// WANRTT is the inter-site round trip charged per shipped batch.
 	WANRTT time.Duration
 	// LinkCost is the CPU service time per applied batch on the
@@ -77,7 +80,7 @@ func NewSites(cfg SitesConfig) (*Sites, error) {
 	s := &Sites{shards: cfg.Site.TafDB.Shards}
 
 	priCfg := cfg.Site
-	priCfg.Fabric = netsim.NewFabric(netsim.Config{})
+	priCfg.Fabric = netsim.NewFabric(netsim.Config{RTT: cfg.RTT})
 	s.src = repl.NewSource(1, s.shards)
 	priCfg.TafDB.Repl = s.src
 	primary, err := New(priCfg)
@@ -87,7 +90,7 @@ func NewSites(cfg SitesConfig) (*Sites, error) {
 	s.Primary = primary
 
 	secCfg := cfg.Site
-	secCfg.Fabric = netsim.NewFabric(netsim.Config{})
+	secCfg.Fabric = netsim.NewFabric(netsim.Config{RTT: cfg.RTT})
 	secCfg.TafDB.Repl = nil
 	secondary, err := New(secCfg)
 	if err != nil {

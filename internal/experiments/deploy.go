@@ -50,7 +50,7 @@ type Params struct {
 	// Quick shrinks everything for smoke tests.
 	Quick bool
 	// ScaleEntries caps the namespace size of the "scale" flatness sweep
-	// (default 1M; the committed BENCH_PR9.json runs it at 10M).
+	// (default 1M; -entries 10000000 runs the full 10M sweep).
 	ScaleEntries int
 	// MetricsOut, when non-nil, receives a per-system observability dump
 	// (metrics registry, RPC counters, fabric edge registry) after each

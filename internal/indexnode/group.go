@@ -99,11 +99,6 @@ type Config struct {
 	Fabric *netsim.Fabric
 	// Name prefixes replica identifiers (one group per namespace).
 	Name string
-	// Nodes, when provided (length Voters+Learners), hosts the replicas
-	// on pre-existing CPU nodes instead of dedicated ones — the §7.2
-	// co-location deployment, where many namespaces' IndexNode replicas
-	// share a server pool (see internal/pool).
-	Nodes []*netsim.Node
 }
 
 func (c Config) withDefaults() Config {
@@ -275,12 +270,7 @@ func NewGroup(cfg Config) (*Group, error) {
 	raftCfgs := make([]raft.Config, n)
 	for i := 0; i < n; i++ {
 		rep := NewReplica(cfg.K, cfg.CacheEnabled)
-		var node *netsim.Node
-		if len(cfg.Nodes) == n {
-			node = cfg.Nodes[i]
-		} else {
-			node = netsim.NewNode(fmt.Sprintf("%s-%d", cfg.Name, i), cfg.Workers)
-		}
+		node := netsim.NewNode(fmt.Sprintf("%s-%d", cfg.Name, i), cfg.Workers)
 		if h := cfg.Fabric.Faults(); h != nil {
 			// A fault injector installed before deployment also governs
 			// replica-local execution (blackholed nodes refuse work).

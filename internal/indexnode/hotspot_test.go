@@ -54,8 +54,10 @@ func TestHotspotPromotionAndDemotion(t *testing.T) {
 	}
 	// Hot reads now serve at the bounded-stale point and still observe
 	// every settled write.
+	const hotLookups = 200
 	before := g.hotReads.Load()
-	for i := 0; i < 50; i++ {
+	l0, f0, n0 := g.ReadMix()
+	for i := 0; i < hotLookups; i++ {
 		res, err := g.Lookup(caller.Begin(), "/hot")
 		if err != nil || res.ID != 2 {
 			t.Fatalf("hot lookup = %+v err=%v", res, err)
@@ -63,6 +65,16 @@ func TestHotspotPromotionAndDemotion(t *testing.T) {
 	}
 	if got := g.hotReads.Load() - before; got == 0 {
 		t.Fatalf("no lookups took the hot path (stats %+v)", g.Hotspot())
+	}
+	// A promoted directory's reads leave the leader: only stale-point
+	// fallbacks may still land there. Uniform routing over this group
+	// would give the leader 0.25; the hotspot tier measured 0.037.
+	l1, f1, n1 := g.ReadMix()
+	if total := (l1 - l0) + (f1 - f0) + (n1 - n0); total != hotLookups {
+		t.Fatalf("read mix counted %d of %d hot-dir reads", total, hotLookups)
+	}
+	if share := float64(l1-l0) / hotLookups; share >= 0.2 {
+		t.Fatalf("leader served %.3f of hot-dir reads, want < 0.2 (stats %+v)", share, g.Hotspot())
 	}
 
 	// Silence: the decaying sketch must cool /hot below the demotion

@@ -610,46 +610,6 @@ func FuzzDecodeCmd(f *testing.F) {
 	})
 }
 
-func BenchmarkReplicaLookupCacheHit(b *testing.B) {
-	r := NewReplica(1, true)
-	defer r.Close()
-	buildTree(r.Table())
-	if _, err := r.Lookup("/a/b/c"); err != nil { // warm
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Lookup("/a/b/c"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReplicaLookupCacheMiss(b *testing.B) {
-	r := NewReplica(1, false) // cache disabled: full walk every time
-	defer r.Close()
-	buildTree(r.Table())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Lookup("/a/b/c"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCmdEncodeDecode(b *testing.B) {
-	c := Cmd{Kind: CmdRename, Pid: 1, Name: "src", ID: 9, DstPid: 3,
-		DstName: "dst", Path: "/a/b/src", LockID: "uuid-123"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeCmd(c.Encode()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestRacingRenameAbortKeepsProtection(t *testing.T) {
 	// Two renames race on the same source; the loser's unwind must not
 	// strip the winner's RemovalList registration (registrations are

@@ -140,24 +140,3 @@ func TestInternConcurrent(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkInternHit(b *testing.B) {
-	tb := NewTable()
-	tb.Intern("benchmark-component")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.Intern("benchmark-component")
-	}
-}
-
-func BenchmarkInternBytesHit(b *testing.B) {
-	tb := NewTable()
-	tb.Intern("benchmark-component")
-	buf := []byte("benchmark-component")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.InternBytes(buf)
-	}
-}

@@ -29,7 +29,6 @@ package netsim
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,15 +44,6 @@ type Config struct {
 	// Seed seeds the jitter source. Zero means a fixed default seed so
 	// runs are reproducible.
 	Seed int64
-	// Precise makes latency charges wait out their final stretch on a
-	// yield-spin loop instead of relying on time.Sleep alone. The
-	// default sleep-based wait inherits the host's timer granularity —
-	// virtualised kernels commonly round a 200µs sleep up past 1ms —
-	// which buries sub-millisecond RTTs in timer noise. Precise waiting
-	// burns CPU for the spun stretch, so it suits low-concurrency
-	// latency measurements (the namespace-scale sweep), not
-	// high-client-count throughput runs.
-	Precise bool
 }
 
 // FaultHook lets a fault injector intercept the fabric's message
@@ -76,10 +66,9 @@ type FaultHook interface {
 
 // Fabric is the shared network. It is safe for concurrent use.
 type Fabric struct {
-	rtt     time.Duration
-	jitter  float64
-	seed    int64
-	precise bool
+	rtt    time.Duration
+	jitter float64
+	seed   int64
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -99,11 +88,10 @@ func NewFabric(cfg Config) *Fabric {
 		seed = 42
 	}
 	return &Fabric{
-		rtt:     cfg.RTT,
-		jitter:  cfg.Jitter,
-		seed:    seed,
-		precise: cfg.Precise,
-		rng:     rand.New(rand.NewSource(seed)),
+		rtt:    cfg.RTT,
+		jitter: cfg.Jitter,
+		seed:   seed,
+		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -175,36 +163,8 @@ func (f *Fabric) Deliver(src, dst string) error {
 		d += time.Duration(float64(f.rtt) * frac)
 	}
 	edge.Latency.Observe(d)
-	f.wait(d)
+	time.Sleep(d)
 	return ferr
-}
-
-// wait charges d of latency. In precise mode the last stretch is waited
-// out on a yield-spin loop, so the charge honours d even when the host's
-// sleep granularity is coarser than d itself; sleeping still covers any
-// part the timer can resolve, keeping long waits cheap.
-func (f *Fabric) wait(d time.Duration) {
-	if !f.precise {
-		time.Sleep(d)
-		return
-	}
-	deadline := time.Now().Add(d)
-	// Granularity margin: only sleep for stretches a coarse virtual
-	// timer can still honour without overshooting the deadline.
-	const margin = 2 * time.Millisecond
-	for {
-		r := time.Until(deadline)
-		if r <= 0 {
-			return
-		}
-		if r > margin {
-			time.Sleep(r - margin)
-			continue
-		}
-		// Yield rather than hard-spin so background goroutines (raft
-		// ticks, compactors) still run on saturated GOMAXPROCS.
-		runtime.Gosched()
-	}
 }
 
 // RPCs returns the total number of round trips charged so far.

@@ -240,24 +240,6 @@ func FuzzClean(f *testing.F) {
 	})
 }
 
-func BenchmarkCleanCanonical(b *testing.B) {
-	p := "/mdt/c17/d3/d4/d5/d6/d7/d8/d9/work"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if Clean(p) != p {
-			b.Fatal("not canonical")
-		}
-	}
-}
-
-func BenchmarkCleanDirty(b *testing.B) {
-	p := "//mdt//c17/./d3/d4/"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = Clean(p)
-	}
-}
-
 func TestRelAndNextComponent(t *testing.T) {
 	cases := []struct {
 		p    string

@@ -68,50 +68,61 @@ func (r *Raft) applier() {
 			return
 		case <-r.applyCh:
 		}
-		for {
-			r.mu.Lock()
-			if r.lastApplied >= r.commitIndex {
-				r.mu.Unlock()
-				break
-			}
-			idx := r.lastApplied + 1
-			entry := r.entryAtLocked(idx)
-			r.mu.Unlock()
-
-			// No-op entries (leader-election barriers) skip the state
-			// machine.
-			if r.cfg.SM != nil && len(entry.Cmd) > 0 {
-				r.cfg.SM.Apply(entry.Index, entry.Cmd)
-			}
-
-			r.mu.Lock()
-			r.lastApplied = idx
-			var p *proposal
-			if r.pending != nil {
-				p = r.pending[idx]
-				delete(r.pending, idx)
-			}
-			r.applyCond.Broadcast()
-			r.mu.Unlock()
-			if p != nil {
-				now := time.Now()
-				r.metrics.mu.Lock()
-				r.metrics.IngestWait += p.appended.Sub(p.enqueued)
-				r.metrics.CommitWait += now.Sub(p.appended)
-				r.metrics.mu.Unlock()
-				if r.cfg.ProposeLatency != nil {
-					r.cfg.ProposeLatency.Observe(now.Sub(p.enqueued))
-				}
-				p.done <- proposalResult{index: idx}
-			}
+		for r.applyNext() {
 			r.maybeCompact()
 		}
 	}
 }
 
+// applyNext applies the next committed entry, if any, and completes its
+// pending proposal on the leader. It holds applyMu from reading the
+// entry to advancing lastApplied, so lastApplied only ever moves
+// forward by one here and a snapshot install waits its turn.
+func (r *Raft) applyNext() bool {
+	r.applyMu.Lock()
+	r.mu.Lock()
+	if r.lastApplied >= r.commitIndex {
+		r.mu.Unlock()
+		r.applyMu.Unlock()
+		return false
+	}
+	idx := r.lastApplied + 1
+	entry := r.entryAtLocked(idx)
+	r.mu.Unlock()
+
+	// No-op entries (leader-election barriers) skip the state machine.
+	if r.cfg.SM != nil && len(entry.Cmd) > 0 {
+		r.cfg.SM.Apply(entry.Index, entry.Cmd)
+	}
+
+	r.mu.Lock()
+	r.lastApplied = idx
+	var p *proposal
+	if r.pending != nil {
+		p = r.pending[idx]
+		delete(r.pending, idx)
+	}
+	r.applyCond.Broadcast()
+	r.mu.Unlock()
+	r.applyMu.Unlock()
+	if p != nil {
+		now := time.Now()
+		r.metrics.mu.Lock()
+		r.metrics.IngestWait += p.appended.Sub(p.enqueued)
+		r.metrics.CommitWait += now.Sub(p.appended)
+		r.metrics.mu.Unlock()
+		if r.cfg.ProposeLatency != nil {
+			r.cfg.ProposeLatency.Observe(now.Sub(p.enqueued))
+		}
+		p.done <- proposalResult{index: idx}
+	}
+	return true
+}
+
 // maybeCompact snapshots the state machine and truncates the applied log
-// prefix once it exceeds the configured threshold. Runs on the apply
-// goroutine, so Snapshot never races Apply.
+// prefix once it exceeds the configured threshold. The snapshot is taken
+// under applyMu, so it races neither Apply nor a snapshot install's
+// Restore, and lastApplied cannot move while it is cut.
 func (r *Raft) maybeCompact() {
 	if r.cfg.SnapshotThreshold <= 0 {
 		return
@@ -120,26 +131,20 @@ func (r *Raft) maybeCompact() {
 	if !ok {
 		return
 	}
+	r.applyMu.Lock()
 	r.mu.Lock()
 	applied := r.lastApplied
-	first := r.firstIndexLocked()
-	if applied-first < uint64(r.cfg.SnapshotThreshold) {
+	if applied-r.firstIndexLocked() < uint64(r.cfg.SnapshotThreshold) {
 		r.mu.Unlock()
+		r.applyMu.Unlock()
 		return
 	}
 	r.mu.Unlock()
 
-	// Snapshot outside r.mu: state-machine reads can be slow, and only
-	// this goroutine mutates the SM.
+	// Snapshot outside r.mu: state-machine reads can be slow.
 	data := sm.Snapshot()
 
 	r.mu.Lock()
-	// applied cannot have advanced (single apply goroutine), but a
-	// snapshot install could have; re-check.
-	if applied <= r.firstIndexLocked() {
-		r.mu.Unlock()
-		return
-	}
 	cutTerm := r.entryAtLocked(applied).Term
 	suffix := r.log[applied-r.firstIndexLocked()+1:]
 	newLog := make([]Entry, 0, len(suffix)+1)
@@ -148,6 +153,7 @@ func (r *Raft) maybeCompact() {
 	r.log = newLog
 	r.snapData = data
 	r.mu.Unlock()
+	r.applyMu.Unlock()
 	r.fsync() // persisting the snapshot costs a disk sync
 }
 

@@ -208,6 +208,12 @@ type Raft struct {
 	cfg Config
 	id  string
 
+	// applyMu serialises every state-machine access (Apply, Snapshot,
+	// Restore) together with the lastApplied move that goes with it, so
+	// a snapshot install cannot land between the applier reading an
+	// entry and recording it applied. Taken before mu, never under it.
+	applyMu sync.Mutex
+
 	mu          sync.Mutex
 	peers       map[string]*Raft // all other replicas (voters and learners)
 	voters      int              // number of voting members incl. self if voter

@@ -491,6 +491,8 @@ func (r *Raft) handleInstallSnapshot(term uint64, leader string, snapIdx, snapTe
 	if r.stopped() {
 		return false, 0
 	}
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	r.mu.Lock()
 	if term < r.term {
 		defer r.mu.Unlock()
@@ -522,6 +524,8 @@ func (r *Raft) handleInstallSnapshot(term uint64, leader string, snapIdx, snapTe
 	r.commitIndex = snapIdx
 	r.lastApplied = snapIdx
 	r.mu.Unlock()
+	// Still under applyMu: the applier cannot apply a pre-snapshot entry
+	// onto the restored state or rewind lastApplied behind the new log.
 	sm.Restore(data)
 	r.mu.Lock()
 	r.applyCond.Broadcast()

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"mantle/internal/faults"
+	"mantle/internal/netsim"
 )
 
 // snapRecorder is a Snapshotter state machine: an append-only string list.
@@ -192,6 +196,146 @@ func TestCompactionPreservesFollowerReads(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatalf("follower read after compaction: %v", err)
+		}
+	}
+}
+
+// gatedRecorder is a snapRecorder whose Apply parks until the gate is
+// closed, so a test can hold a replica's applier in the middle of an
+// entry.
+type gatedRecorder struct {
+	snapRecorder
+	entered chan struct{} // signalled (once is enough) when Apply is reached
+	gate    chan struct{}
+}
+
+func (g *gatedRecorder) Apply(index uint64, cmd []byte) {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.gate
+	g.snapRecorder.Apply(index, cmd)
+}
+
+// TestSnapshotInstallDoesNotRaceApplier holds a learner's applier inside
+// Apply, partitions the learner until the leader has compacted past it,
+// then heals under continuous proposals so an InstallSnapshot arrives
+// while the applier is still mid-entry. The install must wait for that
+// entry: otherwise the applier rewinds lastApplied below the restored
+// log's first index (index out of range) and re-applies a command the
+// snapshot already contains.
+func TestSnapshotInstallDoesNotRaceApplier(t *testing.T) {
+	const threshold = 8
+	inj := faults.New(1)
+	fabric := netsim.NewLocalFabric()
+	inj.Attach(fabric)
+	held := &gatedRecorder{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	sms := []Snapshotter{&snapRecorder{}, &snapRecorder{}, &snapRecorder{}, held}
+	cfgs := make([]Config, len(sms))
+	for i, sm := range sms {
+		cfgs[i] = Config{
+			ID:                fmt.Sprintf("r%d", i),
+			Learner:           i == 3,
+			Fabric:            fabric,
+			ElectionTimeout:   30 * time.Millisecond,
+			HeartbeatInterval: 10 * time.Millisecond,
+			SnapshotThreshold: threshold,
+			BatchEnabled:      true,
+			SM:                sm,
+		}
+	}
+	rs := NewGroup(cfgs)
+	var openGate sync.Once
+	t.Cleanup(func() {
+		openGate.Do(func() { close(held.gate) })
+		for _, r := range rs {
+			r.Stop()
+		}
+	})
+	leader, err := WaitLeader(rs, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaderRec *snapRecorder
+	for i, r := range rs {
+		if r == leader {
+			leaderRec = sms[i].(*snapRecorder)
+		}
+	}
+	learner := rs[3]
+
+	if _, err := leader.Propose([]byte("cmd0")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("learner never started applying cmd0")
+	}
+	pid := inj.Partition([]string{learner.ID()}, ids(rs, learner))
+
+	stop := make(chan struct{})
+	proposed := make(chan int, 1) // buffered: an early t.Fatal never reads it
+	go func() {
+		n := 1
+		for {
+			select {
+			case <-stop:
+				proposed <- n
+				return
+			default:
+			}
+			if _, err := leader.Propose([]byte(fmt.Sprintf("cmd%d", n))); err != nil {
+				t.Errorf("propose cmd%d: %v", n, err)
+				proposed <- n
+				return
+			}
+			n++
+		}
+	}()
+	waitFor := func(d time.Duration, cond func() bool) bool {
+		for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if cond() {
+				return true
+			}
+		}
+		return cond()
+	}
+	if !waitFor(5*time.Second, func() bool { return leader.SnapshotIndex() > learner.CommitIndex()+threshold }) {
+		t.Fatal("leader never compacted past the partitioned learner")
+	}
+	restores := func() int {
+		held.mu.Lock()
+		defer held.mu.Unlock()
+		return held.restores
+	}
+
+	// Heal with the applier still parked. Without the apply mutex the
+	// install lands within a heartbeat or two; with it, it cannot land
+	// until the gate opens, so this wait runs out.
+	inj.Heal(pid)
+	waitFor(100*time.Millisecond, func() bool { return restores() > 0 })
+	openGate.Do(func() { close(held.gate) })
+
+	if !waitFor(5*time.Second, func() bool { return restores() > 0 }) {
+		t.Fatal("learner caught up without InstallSnapshot")
+	}
+	close(stop)
+	n := <-proposed
+	if !waitFor(5*time.Second, func() bool { return learner.AppliedIndex() == leader.AppliedIndex() }) {
+		t.Fatalf("learner applied %d, leader %d", learner.AppliedIndex(), leader.AppliedIndex())
+	}
+	want, got := leaderRec.snapshot(), held.snapshot()
+	if len(want) != n {
+		t.Fatalf("leader applied %d commands, proposed %d", len(want), n)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("learner holds %d commands, leader %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("learner diverges at %d: %s vs %s", i, got[i], want[i])
 		}
 	}
 }

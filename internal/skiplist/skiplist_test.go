@@ -211,24 +211,3 @@ func TestQuickSetSemantics(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkContainsEmpty(b *testing.B) {
-	l := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.IsEmpty()
-	}
-}
-
-func BenchmarkInsertRemove(b *testing.B) {
-	l := New()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			k := fmt.Sprintf("/bench/%d", i%1024)
-			l.Insert(k)
-			l.Remove(k)
-			i++
-		}
-	})
-}

@@ -195,32 +195,3 @@ func TestShardBulkLoadRefusesWAL(t *testing.T) {
 		t.Fatalf("refused load still inserted %d rows", s.Len())
 	}
 }
-
-// BenchmarkShardScan64 measures the readdir-shaped range scan: 64 rows
-// per scan over a packed shard. The cursor-based Scan performs zero
-// allocations; before this change each Scan allocated its closure
-// adapter.
-func BenchmarkShardScan64(b *testing.B) {
-	s := NewShard("bench")
-	const n = 1 << 16
-	s.BulkLoad(n, func(i int) (types.Key, types.Entry) {
-		k := types.Key{Pid: types.InodeID(1 + i/256), Name: benchName(i % 256)}
-		return k, types.Entry{Pid: k.Pid, Name: k.Name, ID: types.InodeID(i + 2), Kind: types.KindObject}
-	})
-	lo, hi := benchName(64), benchName(128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	visit := func(r Row) bool { total += int(r.Entry.ID); return true }
-	for i := 0; i < b.N; i++ {
-		pid := types.InodeID(1 + i%(n/256))
-		s.Scan(types.Key{Pid: pid, Name: lo}, types.Key{Pid: pid, Name: hi}, visit)
-	}
-	benchSink = total
-}
-
-func benchName(i int) string {
-	return string([]byte{'f', byte('a' + i/26%26), byte('a' + i%26)})
-}
-
-var benchSink int

@@ -55,12 +55,6 @@ type Config struct {
 	// RTT injects a per-RPC network round-trip latency (0 = in-process
 	// speed; benchmarks use 200µs to model the paper's testbed).
 	RTT time.Duration
-	// PreciseRTT waits out each RTT charge's final stretch on a
-	// yield-spin loop instead of trusting time.Sleep, whose granularity
-	// on virtualised hosts is often coarser than the RTT itself. Costs
-	// CPU per in-flight RPC; meant for low-concurrency latency
-	// measurements like the namespace-scale sweep, not throughput runs.
-	PreciseRTT bool
 	// DeltaRecords selects the directory-attribute update strategy:
 	// "auto" (default; activate under contention), "always", or "off".
 	DeltaRecords string
@@ -156,7 +150,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc.Fabric = netsim.NewFabric(netsim.Config{RTT: cfg.RTT, Precise: cfg.PreciseRTT})
+	cc.Fabric = netsim.NewFabric(netsim.Config{RTT: cfg.RTT})
 	m, err := core.New(cc)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newCluster(t *testing.T, cfg Config) *Cluster {
@@ -99,6 +100,36 @@ func TestSingleRPCLookupVisibleInStats(t *testing.T) {
 	}
 	if st.RTTs != 1 {
 		t.Fatalf("depth-10 lookup used %d RTTs, want 1", st.RTTs)
+	}
+}
+
+// TestRTTChargedPerTrip checks that Config.RTT reaches the fabric of
+// every deployment shape: each round trip of an op costs at least RTT,
+// on a single-site cluster and on a DR primary alike.
+func TestRTTChargedPerTrip(t *testing.T) {
+	const rtt = 2 * time.Millisecond
+	dr, err := NewDR(Config{RTT: rtt}, DRConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dr.Stop)
+	for name, cl := range map[string]*Cluster{
+		"New":   newCluster(t, Config{RTT: rtt}),
+		"NewDR": dr.Primary(),
+	} {
+		c := cl.Client()
+		if _, err := c.Create("/obj", 1); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		start := time.Now()
+		_, st, err := c.StatWithStats("/obj")
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.RTTs < 1 || elapsed < time.Duration(st.RTTs)*rtt {
+			t.Errorf("%s: stat took %v over %d trips, want >= %v per trip", name, elapsed, st.RTTs, rtt)
+		}
 	}
 }
 
