@@ -45,8 +45,7 @@ type Config struct {
 	AtomicCost time.Duration
 	// Fabric supplies RPC latency.
 	Fabric *netsim.Fabric
-	// MaxRetries, RetryBase, RetryMax shape transactional retry.
-	MaxRetries          int
+	// RetryBase, RetryMax shape transactional retry backoff.
 	RetryBase, RetryMax time.Duration
 	// Name prefixes shard node names.
 	Name string
@@ -64,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AtomicCost <= 0 {
 		c.AtomicCost = 30 * time.Microsecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 10000
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 20 * time.Microsecond
@@ -144,25 +140,10 @@ func (s *Store) NewTxnID() string {
 // Retries returns cumulative transactional retries.
 func (s *Store) Retries() int64 { return s.retries.Load() }
 
-// NoteRetry counts a retry (services call this from their retry loops).
-func (s *Store) NoteRetry() { s.retries.Add(1) }
-
-// Config returns the store's effective configuration.
-func (s *Store) Config() Config { return s.cfg }
-
 // ShardFor maps a pid to its participant.
 func (s *Store) ShardFor(pid types.InodeID) *txn.Participant {
 	h := uint64(pid) * 0x9E3779B97F4A7C15
 	return s.parts[h%uint64(len(s.parts))]
-}
-
-// Participants returns all shards.
-func (s *Store) Participants() []*txn.Participant { return s.parts }
-
-// RowKey computes a directory or object's MetaTable key: its parent's ID
-// and its name; the root uses the synthetic rootKey.
-func RowKey(pid types.InodeID, name string) types.Key {
-	return types.Key{Pid: pid, Name: name}
 }
 
 // RootKey returns the synthetic root row key.
@@ -307,6 +288,9 @@ func (s *Store) ApplyRelaxed(op *rpc.Op, pid types.InodeID, muts []storage.Mutat
 	})
 }
 
+// maxRetries bounds transactional and atomic-apply retries.
+const maxRetries = 10000
+
 // ApplyAtomic performs a single-shard transaction in one RPC with
 // atomic-increment costing (the CFS strategy InfiniFS adopts): in-place
 // attribute updates serialise at the cheaper AtomicCost.
@@ -324,7 +308,7 @@ func (s *Store) ApplyAtomic(op *rpc.Op, txnID string, pid types.InodeID,
 		// another atomic apply between its prepare and commit, or a 2PC
 		// piece about to resolve.
 		var err error
-		for attempt := 0; attempt <= s.cfg.MaxRetries; attempt++ {
+		for attempt := 0; attempt <= maxRetries; attempt++ {
 			if err = p.Shard.Prepare(txnID, guards, muts); !errors.Is(err, types.ErrConflict) {
 				break
 			}
@@ -347,7 +331,7 @@ func (s *Store) RunTxn(op *rpc.Op, build func(attempt int) ([]txn.Piece, error))
 		}
 		return build(attempt)
 	}
-	return txn.RunWithRetry(op, s.NewTxnID(), s.cfg.MaxRetries, s.cfg.RetryBase, s.cfg.RetryMax, wrapped)
+	return txn.RunWithRetry(op, s.NewTxnID(), maxRetries, s.cfg.RetryBase, s.cfg.RetryMax, wrapped)
 }
 
 // BulkInsert loads rows directly (population).
@@ -361,15 +345,6 @@ func (s *Store) BulkInsert(entries []types.Entry) error {
 		}
 	}
 	return nil
-}
-
-// TotalRows counts rows across shards.
-func (s *Store) TotalRows() int {
-	n := 0
-	for _, p := range s.parts {
-		n += p.Shard.Len()
-	}
-	return n
 }
 
 // ScanChildren lists a directory's children in one charged RPC.

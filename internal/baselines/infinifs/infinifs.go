@@ -34,9 +34,8 @@ type Config struct {
 	Store dbtable.Config
 	// Fabric supplies RPC latency.
 	Fabric *netsim.Fabric
-	// CoordWorkers / CoordCost model the rename coordinator node.
+	// CoordWorkers is the rename coordinator node's CPU worker count.
 	CoordWorkers int
-	CoordCost    time.Duration
 	// AMCache enables the proxy-side metadata cache (Figure 20).
 	AMCache bool
 }
@@ -62,15 +61,11 @@ func New(cfg Config) *Service {
 	if cfg.Store.Name == "" {
 		cfg.Store.Name = "infinifs"
 	}
-	if cfg.CoordCost <= 0 {
-		cfg.CoordCost = 20 * time.Microsecond
-	}
 	s := &Service{
 		store:  dbtable.New(cfg.Store),
 		caller: rpc.NewCaller(cfg.Fabric),
 		coord: &coordinator{
 			node:  netsim.NewNode("infinifs-rename-coord", cfg.CoordWorkers),
-			cost:  cfg.CoordCost,
 			locks: make(map[types.InodeID]string),
 		},
 	}
@@ -85,9 +80,6 @@ func (s *Service) Name() string { return "infinifs" }
 
 // Caller implements api.Service.
 func (s *Service) Caller() *rpc.Caller { return s.caller }
-
-// Store exposes the substrate.
-func (s *Service) Store() *dbtable.Store { return s.store }
 
 // Stop implements api.Service.
 func (s *Service) Stop() {}
@@ -446,14 +438,16 @@ func (s *Service) Populate(dirs []api.PopDir, objects []api.PopObject) error {
 // walking the destination's ancestor chain.
 type coordinator struct {
 	node *netsim.Node
-	cost time.Duration
 
 	mu    sync.Mutex
 	locks map[types.InodeID]string
 }
 
+// coordCost is the coordinator's CPU charge per rename prepare.
+const coordCost = 20 * time.Microsecond
+
 func (c *coordinator) prepare(op *rpc.Op, srcID types.InodeID, srcPath, dstParentPath, uuid string) error {
-	return op.Call(c.node, c.cost, func() error {
+	return op.Call(c.node, coordCost, func() error {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if holder, held := c.locks[srcID]; held && holder != uuid {

@@ -79,9 +79,6 @@ func (s *Service) Name() string {
 // Caller implements api.Service.
 func (s *Service) Caller() *rpc.Caller { return s.caller }
 
-// Store exposes the DBtable substrate (stats).
-func (s *Service) Store() *dbtable.Store { return s.store }
-
 // Stop implements api.Service.
 func (s *Service) Stop() {}
 

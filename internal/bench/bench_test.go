@@ -134,25 +134,6 @@ func TestRunN(t *testing.T) {
 	}
 }
 
-func TestRunForStopsAtDeadline(t *testing.T) {
-	start := time.Now()
-	res := RunFor(8, 50*time.Millisecond, func(worker, seq int) (types.Result, error) {
-		time.Sleep(time.Millisecond)
-		return types.Result{}, nil
-	})
-	elapsed := time.Since(start)
-	if elapsed > 500*time.Millisecond {
-		t.Fatalf("RunFor overran: %v", elapsed)
-	}
-	if res.Ops == 0 {
-		t.Fatal("no ops completed")
-	}
-	perWorker := float64(res.Ops) / 8
-	if perWorker < 20 || perWorker > 80 {
-		t.Fatalf("per-worker ops = %.0f, expected ~50", perWorker)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	var buf bytes.Buffer
 	Table(&buf, "demo", []string{"sys", "thpt"}, [][]string{

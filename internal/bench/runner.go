@@ -106,68 +106,3 @@ func RunN(workers, perWorker int, fn OpFunc) RunResult {
 	}
 	return res
 }
-
-// RunFor drives fn with the given workers until the duration elapses
-// (each worker checks the deadline between ops). Used by scalability
-// sweeps where a fixed op count would over- or under-run.
-func RunFor(workers int, d time.Duration, fn OpFunc) RunResult {
-	res := RunResult{Workers: workers, Latency: &Histogram{}}
-	for p := range res.PerPhase {
-		res.PerPhase[p] = &Histogram{}
-	}
-	var mu sync.Mutex
-	var ops, errs, retries, rtts atomic.Int64
-	deadline := time.Now().Add(d)
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat := histPool.Get().(*Histogram)
-			*lat = Histogram{}
-			var phase [types.NumPhases]*Histogram
-			for p := range phase {
-				phase[p] = histPool.Get().(*Histogram)
-				*phase[p] = Histogram{}
-			}
-			for seq := 0; time.Now().Before(deadline); seq++ {
-				t0 := time.Now()
-				r, err := fn(w, seq)
-				dd := time.Since(t0)
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				ops.Add(1)
-				retries.Add(int64(r.Retries))
-				rtts.Add(int64(r.RTTs))
-				lat.Record(dd)
-				for p := 0; p < types.NumPhases; p++ {
-					phase[p].Record(r.Phases[types.Phase(p)])
-				}
-			}
-			mu.Lock()
-			res.Latency.Merge(lat)
-			for p := range phase {
-				res.PerPhase[p].Merge(phase[p])
-			}
-			mu.Unlock()
-			histPool.Put(lat)
-			for p := range phase {
-				histPool.Put(phase[p])
-			}
-		}(w)
-	}
-	wg.Wait()
-	res.Wall = time.Since(start)
-	res.Ops = ops.Load()
-	res.Errors = errs.Load()
-	res.Retries = retries.Load()
-	res.RTTs = rtts.Load()
-	if res.Wall > 0 {
-		res.Throughput = float64(res.Ops) / res.Wall.Seconds()
-	}
-	return res
-}

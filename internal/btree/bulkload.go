@@ -47,9 +47,6 @@ func (l *Loader[K, V]) Add(k K, v V) {
 	l.count++
 }
 
-// Len returns the number of entries added so far.
-func (l *Loader[K, V]) Len() int { return l.count }
-
 func (l *Loader[K, V]) closeInto(level int, child *node[K, V]) {
 	for level >= len(l.open) {
 		l.open = append(l.open, nil)

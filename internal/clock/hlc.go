@@ -88,9 +88,6 @@ func NewWithWall(site uint16, wall func() int64) *Clock {
 	return &Clock{site: site, wall: wall}
 }
 
-// Site returns the clock's site id.
-func (c *Clock) Site() uint16 { return c.site }
-
 // Now issues a timestamp for a local or send event. Successive calls
 // are strictly increasing even if the physical clock stalls or jumps
 // backwards: the logical component absorbs the difference.
@@ -129,13 +126,5 @@ func (c *Clock) Observe(remote Timestamp) Timestamp {
 		c.last.Logical++
 	}
 	c.last.Site = c.site
-	return c.last
-}
-
-// Last returns the most recent timestamp issued or observed, without
-// advancing the clock.
-func (c *Clock) Last() Timestamp {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.last
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mantle/internal/indexnode"
+	"mantle/internal/raft"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
 )
@@ -27,10 +28,12 @@ func TestChaosLeaderKillsUnderLoad(t *testing.T) {
 		// write-batching stack (raft batching + pipelining, WAL group
 		// commit, batched 2PC) stays on while leaders die under it.
 		c.Index = indexnode.Config{
-			Voters: 5, K: 2, CacheEnabled: true, BatchEnabled: true,
-			Pipeline: true, FsyncCost: 50 * time.Microsecond,
-			FollowerRead:    true,
-			ElectionTimeout: 300 * time.Millisecond,
+			Voters: 5, K: 2, CacheEnabled: true,
+			FollowerRead: true,
+			Raft: raft.Config{
+				BatchEnabled: true, Pipeline: true, FsyncCost: 50 * time.Microsecond,
+				ElectionTimeout: 300 * time.Millisecond,
+			},
 		}
 		c.TafDB = tafdb.Config{
 			Shards: 4, Delta: tafdb.DeltaAuto,

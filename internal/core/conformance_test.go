@@ -6,6 +6,7 @@ import (
 	"mantle/internal/api"
 	"mantle/internal/conformance"
 	"mantle/internal/indexnode"
+	"mantle/internal/raft"
 	"mantle/internal/tafdb"
 )
 
@@ -13,7 +14,7 @@ func TestConformance(t *testing.T) {
 	conformance.Run(t, conformance.Caps{LoopDetection: true}, func(t *testing.T) api.Service {
 		m, err := New(Config{
 			TafDB: tafdb.Config{Shards: 4, Delta: tafdb.DeltaAuto},
-			Index: indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, BatchEnabled: true},
+			Index: indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -28,7 +29,7 @@ func TestConformanceWithProxyCache(t *testing.T) {
 		m, err := New(Config{
 			ProxyCache: true,
 			TafDB:      tafdb.Config{Shards: 4, Delta: tafdb.DeltaAlways},
-			Index:      indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, BatchEnabled: true},
+			Index:      indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 		})
 		if err != nil {
 			t.Fatal(err)

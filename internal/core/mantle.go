@@ -57,20 +57,15 @@ type Config struct {
 	// caching (stateless proxies), and the single-RPC lookup leaves it
 	// little to save.
 	ProxyCache bool
-	// RenameRetries bounds dirrename retries on lock conflicts.
-	RenameRetries int
 	// RetryBase/RetryMax shape rename retry backoff.
 	RetryBase, RetryMax time.Duration
-	// Heat parameterises the heat plane (sketches, op sampling, flight
-	// recorder). The zero value gets production defaults.
+	// Heat parameterises the heat plane's op sampling. The zero value
+	// gets production defaults.
 	Heat HeatConfig
 }
 
 // HeatConfig parameterises the proxy's heat plane.
 type HeatConfig struct {
-	// TopK bounds the tracked keys in each heavy-hitter sketch
-	// (default 32).
-	TopK int
 	// SampleEvery head-samples one in N operations into a trace that is
 	// offered to the slow-op flight recorder on completion, amortising
 	// per-trace allocation cost below one alloc per op (default 64;
@@ -79,14 +74,16 @@ type HeatConfig struct {
 	// MinCount is the per-op observation floor before the recorder
 	// trusts the op's p99 as a slowness threshold (default 128).
 	MinCount int64
-	// RecorderSize is the flight-recorder ring capacity (default 64).
-	RecorderSize int
 }
 
+// The heat plane's fixed sizes: tracked keys per heavy-hitter sketch,
+// and the flight-recorder ring capacity.
+const (
+	heatTopK     = 32
+	recorderSize = 64
+)
+
 func (h HeatConfig) withDefaults() HeatConfig {
-	if h.TopK <= 0 {
-		h.TopK = 32
-	}
 	if h.SampleEvery == 0 {
 		h.SampleEvery = 64
 	} else if h.SampleEvery < 0 {
@@ -94,9 +91,6 @@ func (h HeatConfig) withDefaults() HeatConfig {
 	}
 	if h.MinCount <= 0 {
 		h.MinCount = 128
-	}
-	if h.RecorderSize <= 0 {
-		h.RecorderSize = 64
 	}
 	return h
 }
@@ -173,9 +167,6 @@ func NewWithDB(cfg Config, db *tafdb.DB) (*Mantle, error) {
 		cfg.Fabric = netsim.NewLocalFabric()
 	}
 	cfg.Index.Fabric = cfg.Fabric
-	if cfg.RenameRetries <= 0 {
-		cfg.RenameRetries = 10000
-	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 20 * time.Microsecond
 	}
@@ -197,10 +188,10 @@ func NewWithDB(cfg Config, db *tafdb.DB) (*Mantle, error) {
 		m.pcache = newProxyCache()
 	}
 	m.heatCfg = cfg.Heat.withDefaults()
-	m.dirHeat = heat.NewTopK[string](m.heatCfg.TopK)
-	m.missHeat = heat.NewTopK[string](m.heatCfg.TopK)
+	m.dirHeat = heat.NewTopK[string](heatTopK)
+	m.missHeat = heat.NewTopK[string](heatTopK)
 	m.opRate = heat.NewRate(0)
-	m.recorder = trace.NewFlightRecorder(m.heatCfg.RecorderSize)
+	m.recorder = trace.NewFlightRecorder(recorderSize)
 	m.ops = make(map[string]*opMetrics, len(opNames))
 	for _, op := range opNames {
 		m.ops[op] = &opMetrics{
@@ -244,7 +235,6 @@ func NewWithDB(cfg Config, db *tafdb.DB) (*Mantle, error) {
 	m.stats.Gauge("raft_batch_bytes", func() int64 { return idx.RaftBatchStats().BatchBytes })
 	m.stats.Gauge("raft_batch_syncs", func() int64 { return idx.RaftBatchStats().Syncs })
 	m.stats.Gauge("raft_flush_idle", func() int64 { return idx.RaftBatchStats().FlushIdle })
-	m.stats.Gauge("raft_flush_timer", func() int64 { return idx.RaftBatchStats().FlushTimer })
 	m.stats.Gauge("raft_flush_count", func() int64 { return idx.RaftBatchStats().FlushCount })
 	m.stats.Gauge("raft_flush_bytes", func() int64 { return idx.RaftBatchStats().FlushBytes })
 	m.stats.GaugeFloat("raft_batch_occupancy", func() float64 {
@@ -601,6 +591,9 @@ func (m *Mantle) invalidate(op *rpc.Op, path string) {
 	sp.End()
 }
 
+// renameRetries bounds dirrename retries on lock conflicts.
+const renameRetries = 10000
+
 // DirRename implements api.Service: the Figure 9 protocol. The lookup
 // phase is folded into loop detection (PrepareRename resolves both
 // paths), so — matching the paper's breakdown — lookup time is recorded
@@ -616,7 +609,7 @@ func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (res types.Resul
 	for attempt := 0; ; attempt++ {
 		prep, err := m.idx.PrepareRename(op, srcPath, dstParent, dstName, uuid)
 		if err != nil {
-			if errors.Is(err, types.ErrLocked) && attempt < m.cfg.RenameRetries {
+			if errors.Is(err, types.ErrLocked) && attempt < renameRetries {
 				totalRetries++
 				txn.Backoff(attempt, m.cfg.RetryBase, m.cfg.RetryMax)
 				continue
@@ -631,7 +624,7 @@ func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (res types.Resul
 		if err != nil {
 			_ = m.idx.AbortRename(op, prep.SrcID, srcPath, uuid)
 			t.Phase(types.PhaseExecute)
-			if errors.Is(err, types.ErrRetryExhausted) && attempt < m.cfg.RenameRetries {
+			if errors.Is(err, types.ErrRetryExhausted) && attempt < renameRetries {
 				totalRetries++
 				txn.Backoff(attempt, m.cfg.RetryBase, m.cfg.RetryMax)
 				continue

@@ -8,6 +8,7 @@ import (
 
 	"mantle/internal/api"
 	"mantle/internal/indexnode"
+	"mantle/internal/raft"
 	"mantle/internal/rpc"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
@@ -17,7 +18,7 @@ func newTestMantle(t *testing.T, mutate func(*Config)) *Mantle {
 	t.Helper()
 	cfg := Config{
 		TafDB: tafdb.Config{Shards: 4, Delta: tafdb.DeltaAuto},
-		Index: indexnode.Config{Voters: 3, K: 2, CacheEnabled: true, BatchEnabled: true},
+		Index: indexnode.Config{Voters: 3, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -10,6 +10,7 @@ import (
 	"mantle/internal/faults"
 	"mantle/internal/indexnode"
 	"mantle/internal/netsim"
+	"mantle/internal/raft"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
 )
@@ -38,18 +39,20 @@ func TestPartitionDegradedReadsAndFailFastWrites(t *testing.T) {
 			WALSyncCost: 50 * time.Microsecond, Batch2PC: true,
 		},
 		Index: indexnode.Config{
-			Voters:            3,
-			K:                 2,
-			CacheEnabled:      true,
-			BatchEnabled:      true,
-			Pipeline:          true,
-			FsyncCost:         50 * time.Microsecond,
-			FollowerRead:      true,
-			DegradedReads:     true,
-			ElectionTimeout:   50 * time.Millisecond,
-			HeartbeatInterval: 10 * time.Millisecond,
-			RetryWindow:       400 * time.Millisecond,
-			CallTimeout:       100 * time.Millisecond,
+			Voters:        3,
+			K:             2,
+			CacheEnabled:  true,
+			FollowerRead:  true,
+			DegradedReads: true,
+			Raft: raft.Config{
+				BatchEnabled:      true,
+				Pipeline:          true,
+				FsyncCost:         50 * time.Microsecond,
+				ElectionTimeout:   50 * time.Millisecond,
+				HeartbeatInterval: 10 * time.Millisecond,
+			},
+			RetryWindow: 400 * time.Millisecond,
+			CallTimeout: 100 * time.Millisecond,
 		},
 	}
 	m, err := New(cfg)
@@ -205,15 +208,17 @@ func TestPartitionedWritesDoNotDuplicateAfterHeal(t *testing.T) {
 			WALSyncCost: 50 * time.Microsecond, Batch2PC: true,
 		},
 		Index: indexnode.Config{
-			Voters:            3,
-			CacheEnabled:      true,
-			BatchEnabled:      true,
-			Pipeline:          true,
-			FsyncCost:         50 * time.Microsecond,
-			ElectionTimeout:   50 * time.Millisecond,
-			HeartbeatInterval: 10 * time.Millisecond,
-			RetryWindow:       300 * time.Millisecond,
-			CallTimeout:       100 * time.Millisecond,
+			Voters:       3,
+			CacheEnabled: true,
+			Raft: raft.Config{
+				BatchEnabled:      true,
+				Pipeline:          true,
+				FsyncCost:         50 * time.Microsecond,
+				ElectionTimeout:   50 * time.Millisecond,
+				HeartbeatInterval: 10 * time.Millisecond,
+			},
+			RetryWindow: 300 * time.Millisecond,
+			CallTimeout: 100 * time.Millisecond,
 		},
 	})
 	if err != nil {

@@ -137,17 +137,6 @@ func (c *proxyCache) invalidate(path string) {
 	}
 }
 
-// len returns the number of cached paths (tests).
-func (c *proxyCache) len() int {
-	n := 0
-	for i := range c.stripes {
-		c.stripes[i].mu.RLock()
-		n += len(c.stripes[i].m)
-		c.stripes[i].mu.RUnlock()
-	}
-	return n
-}
-
 // forEach visits every cached (path, result) pair (tests: the stress
 // suite audits cache contents against authoritative lookups).
 func (c *proxyCache) forEach(fn func(path string, res indexnode.LookupResult) bool) {

@@ -25,9 +25,6 @@ type SitesConfig struct {
 	RTT time.Duration
 	// WANRTT is the inter-site round trip charged per shipped batch.
 	WANRTT time.Duration
-	// LinkCost is the CPU service time per applied batch on the
-	// secondary's replication endpoint.
-	LinkCost time.Duration
 	// LinkInterval is the replication pump period (default 500µs).
 	LinkInterval time.Duration
 	// LinkBatchMax bounds records per shipped batch (default 256).
@@ -110,7 +107,6 @@ func NewSites(cfg SitesConfig) (*Sites, error) {
 		Fabric:   s.WAN,
 		Node:     s.replEndpoint,
 		SrcName:  PrimaryReplName,
-		Cost:     cfg.LinkCost,
 		Interval: cfg.LinkInterval,
 		BatchMax: cfg.LinkBatchMax,
 	}

@@ -57,9 +57,6 @@ func (m *Mantle) Status() Status {
 	}
 }
 
-// FlightRecorder exposes the slow-op flight recorder (tests, tools).
-func (m *Mantle) FlightRecorder() *trace.FlightRecorder { return m.recorder }
-
 // topN bounds a snapshot for human-readable rendering.
 func topN[K comparable](items []heat.Item[K], n int) []heat.Item[K] {
 	if len(items) > n {

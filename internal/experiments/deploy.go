@@ -29,6 +29,7 @@ import (
 	"mantle/internal/core"
 	"mantle/internal/indexnode"
 	"mantle/internal/netsim"
+	"mantle/internal/raft"
 	"mantle/internal/tafdb"
 	"mantle/internal/workload"
 )
@@ -148,8 +149,6 @@ type SystemOpts struct {
 	MantleProxyCache bool
 	// InfiniFS AM-Cache (Figure 20).
 	InfiniFSAMCache bool
-	// Tectonic legacy distributed-transaction mode (Figure 4).
-	TectonicLegacyTxn bool
 }
 
 // DefaultMantleOpts is the production Mantle configuration (§6.1): cache
@@ -194,11 +193,13 @@ func NewSystem(name string, fabric *netsim.Fabric, opts SystemOpts) (api.Service
 				Workers:        idxWorkers,
 				LookupBaseCost: idxBaseCost, LookupLevelCost: idxLevelCost,
 				WriteCost: idxWriteCost,
-				FsyncCost: fsyncCost, BatchEnabled: opts.MantleBatch, MaxBatch: raftBatch,
-				// "+raftlogbatch" is batching plus pipelined
-				// replication — the two halves of the paper's log
-				// batching optimisation.
-				Pipeline: opts.MantleBatch,
+				Raft: raft.Config{
+					FsyncCost: fsyncCost, BatchEnabled: opts.MantleBatch, MaxBatch: raftBatch,
+					// "+raftlogbatch" is batching plus pipelined
+					// replication — the two halves of the paper's log
+					// batching optimisation.
+					Pipeline: opts.MantleBatch,
+				},
 			},
 		})
 	case "tectonic", "dbtable":
@@ -210,7 +211,7 @@ func NewSystem(name string, fabric *netsim.Fabric, opts SystemOpts) (api.Service
 				RetryBase: retryBase, RetryMax: retryMax,
 				Name: name,
 			},
-			DistributedTxn: name == "dbtable" || opts.TectonicLegacyTxn,
+			DistributedTxn: name == "dbtable",
 			NameOverride:   name,
 		}), nil
 	case "infinifs":

@@ -10,6 +10,7 @@ import (
 	"mantle/internal/faults"
 	"mantle/internal/fsck"
 	"mantle/internal/indexnode"
+	"mantle/internal/raft"
 	"mantle/internal/rpc"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
@@ -27,7 +28,7 @@ func DR(p Params) error {
 	s, err := core.NewSites(core.SitesConfig{
 		Site: core.Config{
 			TafDB: tafdb.Config{Shards: 4, Delta: tafdb.DeltaAuto, WALSyncCost: 5 * time.Microsecond},
-			Index: indexnode.Config{Voters: 3, K: 2, CacheEnabled: true, BatchEnabled: true},
+			Index: indexnode.Config{Voters: 3, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 		},
 		LinkInterval: 200 * time.Microsecond,
 		LinkBatchMax: 128,

@@ -127,13 +127,6 @@ func (i *Injector) DropEdge(src, dst string, p float64) {
 	i.drops[edge{src, dst}] = min(p, 1)
 }
 
-// DropBetween installs symmetric drop rules on both directions of the
-// pair.
-func (i *Injector) DropBetween(a, b string, p float64) {
-	i.DropEdge(a, b, p)
-	i.DropEdge(b, a, p)
-}
-
 // DropAll loses every message, on any edge, with probability p — the
 // lossy-network baseline.
 func (i *Injector) DropAll(p float64) {

@@ -6,6 +6,7 @@ import (
 
 	"mantle/internal/core"
 	"mantle/internal/indexnode"
+	"mantle/internal/raft"
 	"mantle/internal/tafdb"
 	"mantle/internal/workload"
 )
@@ -23,7 +24,7 @@ import (
 func TestBulkLoadedNamespaceConsistent(t *testing.T) {
 	m, err := core.New(core.Config{
 		TafDB: tafdb.Config{Shards: 4, Delta: tafdb.DeltaAuto},
-		Index: indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, BatchEnabled: true},
+		Index: indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"mantle/internal/core"
 	"mantle/internal/faults"
 	"mantle/internal/indexnode"
+	"mantle/internal/raft"
 	"mantle/internal/repl"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
@@ -22,7 +23,7 @@ func newSites(t *testing.T, shards int, walCost time.Duration) *core.Sites {
 	s, err := core.NewSites(core.SitesConfig{
 		Site: core.Config{
 			TafDB: tafdb.Config{Shards: shards, Delta: tafdb.DeltaAuto, WALSyncCost: walCost},
-			Index: indexnode.Config{Voters: 3, K: 2, CacheEnabled: true, BatchEnabled: true},
+			Index: indexnode.Config{Voters: 3, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 		},
 		LinkInterval: 200 * time.Microsecond,
 		LinkBatchMax: 64,

@@ -7,6 +7,7 @@ import (
 
 	"mantle/internal/core"
 	"mantle/internal/indexnode"
+	"mantle/internal/raft"
 	"mantle/internal/rpc"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
@@ -16,7 +17,7 @@ func newMantle(t *testing.T, delta tafdb.DeltaMode) *core.Mantle {
 	t.Helper()
 	m, err := core.New(core.Config{
 		TafDB: tafdb.Config{Shards: 4, Delta: delta},
-		Index: indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, BatchEnabled: true},
+		Index: indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 	})
 	if err != nil {
 		t.Fatal(err)

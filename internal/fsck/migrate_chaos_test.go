@@ -10,6 +10,7 @@ import (
 
 	"mantle/internal/core"
 	"mantle/internal/indexnode"
+	"mantle/internal/raft"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
 )
@@ -31,7 +32,7 @@ func TestMigrationUnderChaos(t *testing.T) {
 			Shards: 4, Delta: tafdb.DeltaAuto,
 			WALSyncCost: 50 * time.Microsecond, Batch2PC: true,
 		},
-		Index: indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, BatchEnabled: true},
+		Index: indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 	})
 	if err != nil {
 		t.Fatal(err)

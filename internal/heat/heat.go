@@ -76,9 +76,6 @@ func NewTopKDecay[K comparable](k int, halfLife time.Duration) *TopK[K] {
 	return t
 }
 
-// K returns the sketch capacity.
-func (t *TopK[K]) K() int { return t.k }
-
 // Record counts one occurrence of key.
 func (t *TopK[K]) Record(key K) { t.RecordN(key, 1) }
 

@@ -39,26 +39,15 @@ type Config struct {
 	LookupLevelCost time.Duration
 	// WriteCost is the CPU charge for directory-modification RPCs.
 	WriteCost time.Duration
-	// FsyncCost, BatchEnabled, MaxBatch, MaxBatchBytes, MaxBatchDelay
-	// and Pipeline configure the Raft log ("+raftlogbatch" ablation):
-	// batching folds queued proposals into one append/fsync behind a
-	// count/byte/time window, and Pipeline streams AppendEntries while
-	// the leader's own fsync is in flight.
-	FsyncCost     time.Duration
-	BatchEnabled  bool
-	MaxBatch      int
-	MaxBatchBytes int
-	MaxBatchDelay time.Duration
-	Pipeline      bool
-	// SnapshotThreshold triggers Raft log compaction after this many
-	// applied entries (0 = default of 8192; negative disables).
-	SnapshotThreshold int
-	// ElectionTimeout overrides the Raft election timeout. In-process
-	// deployments under heavy simulated load raise it so scheduler
-	// starvation cannot masquerade as leader failure.
-	ElectionTimeout time.Duration
-	// HeartbeatInterval overrides the leader's idle heartbeat period.
-	HeartbeatInterval time.Duration
+	// Raft is the template every replica's raft.Config is cut from: log
+	// batching and pipelining ("+raftlogbatch" ablation), the simulated
+	// fsync cost, election and heartbeat timing, log compaction. NewGroup
+	// fills the per-replica fields (ID, Learner, Node, SM,
+	// ProposeLatency) and the Fabric. Defaults differ from raft's own:
+	// a 1s election timeout so scheduler starvation under heavy simulated
+	// load cannot masquerade as leader failure, a 50ms heartbeat, and a
+	// snapshot threshold of 8192 applied entries (negative disables).
+	Raft raft.Config
 	// RetryWindow bounds how long proxy-side calls chase a leader across
 	// elections (and partitions) before failing with ErrUnavailable.
 	// Default 5s; partition tests shrink it to fail fast.
@@ -77,13 +66,6 @@ type Config struct {
 	// HotThreshold is the decayed read count at which a path is
 	// promoted; demotion applies at half this (hysteresis). Default 512.
 	HotThreshold int64
-	// HotSetMax bounds the promoted set (default 32).
-	HotSetMax int
-	// HotMaxStale is the staleness bound for hot-set reads: a hot read
-	// reflects every write committed at the leader as of now−HotMaxStale.
-	// Default 4× HeartbeatInterval, so healthy heartbeats always satisfy
-	// the bound.
-	HotMaxStale time.Duration
 	// ShedThreshold, when positive, turns on backpressure: once every
 	// live replica's load hint (queue delay) exceeds it, lookups are
 	// shed with a typed ErrOverloaded + retry-after instead of queueing.
@@ -114,19 +96,17 @@ func (c Config) withDefaults() Config {
 	if c.Name == "" {
 		c.Name = "indexnode"
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
+	c.Raft.Fabric = c.Fabric
+	if c.Raft.SnapshotThreshold == 0 {
+		c.Raft.SnapshotThreshold = 8192
+	} else if c.Raft.SnapshotThreshold < 0 {
+		c.Raft.SnapshotThreshold = 0
 	}
-	if c.SnapshotThreshold == 0 {
-		c.SnapshotThreshold = 8192
-	} else if c.SnapshotThreshold < 0 {
-		c.SnapshotThreshold = 0
+	if c.Raft.ElectionTimeout <= 0 {
+		c.Raft.ElectionTimeout = time.Second
 	}
-	if c.ElectionTimeout <= 0 {
-		c.ElectionTimeout = time.Second
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 50 * time.Millisecond
+	if c.Raft.HeartbeatInterval <= 0 {
+		c.Raft.HeartbeatInterval = 50 * time.Millisecond
 	}
 	if c.RetryWindow <= 0 {
 		c.RetryWindow = 5 * time.Second
@@ -136,12 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HotThreshold <= 0 {
 		c.HotThreshold = 512
-	}
-	if c.HotSetMax <= 0 {
-		c.HotSetMax = 32
-	}
-	if c.HotMaxStale <= 0 {
-		c.HotMaxStale = 4 * c.HeartbeatInterval
 	}
 	return c
 }
@@ -253,6 +227,9 @@ func retryable(err error) bool {
 // NewGroup builds, starts, and elects the group.
 func NewGroup(cfg Config) (*Group, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Learners < 0 {
+		return nil, fmt.Errorf("indexnode: negative learner count %d", cfg.Learners)
+	}
 	g := &Group{
 		cfg:         cfg,
 		proposeLat:  &metrics.Latency{},
@@ -262,7 +239,7 @@ func NewGroup(cfg Config) (*Group, error) {
 		// The read-heat sketch decays with a half-life of two promotion
 		// intervals, so a shifted hotspot cools below the demotion
 		// threshold within a few loop ticks (the heat.TopK decay fix).
-		readHeat: heat.NewTopKDecay[string](4*cfg.HotSetMax, 2*cfg.HotPromoteInterval),
+		readHeat: heat.NewTopKDecay[string](4*hotSetMax, 2*cfg.HotPromoteInterval),
 		hotStop:  make(chan struct{}),
 	}
 	n := cfg.Voters + cfg.Learners
@@ -278,23 +255,13 @@ func NewGroup(cfg Config) (*Group, error) {
 		}
 		g.replicas = append(g.replicas, rep)
 		g.nodes = append(g.nodes, node)
-		raftCfgs[i] = raft.Config{
-			ID:                fmt.Sprintf("%s-%d", cfg.Name, i),
-			Learner:           i >= cfg.Voters,
-			Fabric:            cfg.Fabric,
-			Node:              node,
-			ElectionTimeout:   cfg.ElectionTimeout,
-			HeartbeatInterval: cfg.HeartbeatInterval,
-			FsyncCost:         cfg.FsyncCost,
-			BatchEnabled:      cfg.BatchEnabled,
-			MaxBatch:          cfg.MaxBatch,
-			MaxBatchBytes:     cfg.MaxBatchBytes,
-			MaxBatchDelay:     cfg.MaxBatchDelay,
-			Pipeline:          cfg.Pipeline,
-			SnapshotThreshold: cfg.SnapshotThreshold,
-			SM:                rep,
-			ProposeLatency:    g.proposeLat,
-		}
+		rc := cfg.Raft
+		rc.ID = node.Name()
+		rc.Learner = i >= cfg.Voters
+		rc.Node = node
+		rc.SM = rep
+		rc.ProposeLatency = g.proposeLat
+		raftCfgs[i] = rc
 	}
 	g.rafts = raft.NewGroup(raftCfgs)
 	if _, err := raft.WaitLeader(g.rafts, 10*time.Second); err != nil {
@@ -433,7 +400,7 @@ func (g *Group) Lookup(op *rpc.Op, path string) (LookupResult, error) {
 			var lerr error
 			var herr error
 			callErr := op.Do(node, 0, opts, func() error {
-				herr = rf.BoundedStaleRead(g.cfg.HotMaxStale, func() error {
+				herr = rf.BoundedStaleRead(g.hotMaxStale(), func() error {
 					res, lerr = rep.Lookup(path)
 					node.Charge(g.chargeFor(res))
 					return nil
@@ -705,7 +672,6 @@ func (g *Group) RaftBatchStats() raft.BatchStats {
 		out.Proposals += s.Proposals
 		out.BatchBytes += s.BatchBytes
 		out.FlushIdle += s.FlushIdle
-		out.FlushTimer += s.FlushTimer
 		out.FlushCount += s.FlushCount
 		out.FlushBytes += s.FlushBytes
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mantle/internal/netsim"
+	"mantle/internal/raft"
 	"mantle/internal/rpc"
 	"mantle/internal/types"
 )
@@ -24,6 +25,28 @@ func newTestGroup(t *testing.T, mutate func(*Config)) (*Group, *rpc.Caller) {
 	}
 	t.Cleanup(g.Stop)
 	return g, rpc.NewCaller(netsim.NewLocalFabric())
+}
+
+// TestZeroConfigGroupDefaults pins what a zero Config deploys: the
+// paper's three voters and k=3, and indexnode's own raft template
+// (callers such as mantle.New rely on these rather than repeat them).
+func TestZeroConfigGroupDefaults(t *testing.T) {
+	g, err := NewGroup(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Stop)
+	if len(g.rafts) != 3 || g.cfg.K != 3 {
+		t.Errorf("replicas = %d, k = %d; want 3, 3", len(g.rafts), g.cfg.K)
+	}
+	rc := g.cfg.Raft
+	if rc.ElectionTimeout != time.Second || rc.HeartbeatInterval != 50*time.Millisecond || rc.SnapshotThreshold != 8192 {
+		t.Errorf("raft template = %v election, %v heartbeat, %d snapshot threshold; want 1s, 50ms, 8192",
+			rc.ElectionTimeout, rc.HeartbeatInterval, rc.SnapshotThreshold)
+	}
+	if off := (Config{Raft: raft.Config{SnapshotThreshold: -1}}).withDefaults(); off.Raft.SnapshotThreshold != 0 {
+		t.Errorf("negative snapshot threshold = %d after defaulting, want 0 (off)", off.Raft.SnapshotThreshold)
+	}
 }
 
 func TestGroupMkdirLookup(t *testing.T) {
@@ -139,7 +162,7 @@ func TestGroupAbortRename(t *testing.T) {
 }
 
 func TestGroupConcurrentMkdirs(t *testing.T) {
-	g, caller := newTestGroup(t, func(c *Config) { c.BatchEnabled = true })
+	g, caller := newTestGroup(t, func(c *Config) { c.Raft.BatchEnabled = true })
 	const goroutines, each = 8, 25
 	var wg sync.WaitGroup
 	var idSeq atomic64
@@ -236,7 +259,7 @@ func TestGroupReadWriteRaceStress(t *testing.T) {
 	g, caller := newTestGroup(t, func(c *Config) {
 		c.FollowerRead = true
 		c.Learners = 1
-		c.BatchEnabled = true
+		c.Raft.BatchEnabled = true
 	})
 	must := func(err error) {
 		t.Helper()

@@ -50,7 +50,7 @@ func (g *Group) HotSet() []string {
 // HotPromoteInterval it snapshots the decaying read-heat sketch
 // (snapshotting folds the decay, so silent keys shrink) and rebuilds the
 // hot-set with hysteresis: promote at HotThreshold, demote only below
-// HotThreshold/2, bounded by HotSetMax entries.
+// HotThreshold/2, bounded by hotSetMax entries.
 func (g *Group) startHotspotLoop() {
 	g.hotWG.Add(1)
 	go func() {
@@ -68,13 +68,21 @@ func (g *Group) startHotspotLoop() {
 	}()
 }
 
+// hotSetMax bounds the promoted set.
+const hotSetMax = 32
+
+// hotMaxStale is the staleness bound for hot-set reads: a hot read
+// reflects every write committed at the leader as of now−hotMaxStale.
+// Four heartbeats, so healthy heartbeats always satisfy the bound.
+func (g *Group) hotMaxStale() time.Duration { return 4 * g.cfg.Raft.HeartbeatInterval }
+
 // refreshHotSet recomputes the hot-set from the current sketch state.
 func (g *Group) refreshHotSet() {
 	old := g.hotSet.Load()
 	items := g.readHeat.Snapshot() // sorted by descending decayed count
-	next := make(map[string]struct{}, g.cfg.HotSetMax)
+	next := make(map[string]struct{}, hotSetMax)
 	for _, it := range items {
-		if len(next) >= g.cfg.HotSetMax {
+		if len(next) >= hotSetMax {
 			break
 		}
 		keep := it.Count >= g.cfg.HotThreshold

@@ -23,7 +23,7 @@ func newHotspotGroup(t *testing.T, mutate func(*Config)) (*Group, *rpc.Caller) {
 		c.Hotspot = true
 		c.HotPromoteInterval = 10 * time.Millisecond
 		c.HotThreshold = 20
-		c.HeartbeatInterval = 10 * time.Millisecond
+		c.Raft.HeartbeatInterval = 10 * time.Millisecond
 		if mutate != nil {
 			mutate(c)
 		}
@@ -166,7 +166,7 @@ func TestHotspotReadMixAccounting(t *testing.T) {
 }
 
 // Bounded-staleness hot reads must never return a write older than the
-// promise: a value committed more than HotMaxStale ago is always
+// promise: a value committed more than hotMaxStale ago is always
 // visible, even while the path is being served from the hot-set.
 func TestHotspotStalenessPromise(t *testing.T) {
 	g, caller := newHotspotGroup(t, nil)
@@ -190,7 +190,7 @@ func TestHotspotStalenessPromise(t *testing.T) {
 		if err := g.AddDir(caller.Begin(), 2, name, id, types.PermAll, "/hot"); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(g.cfg.HotMaxStale)
+		time.Sleep(g.hotMaxStale())
 		res, err := g.Lookup(caller.Begin(), "/hot/"+name)
 		if err != nil || res.ID != id {
 			t.Fatalf("gen %d: hot read missed a write older than the bound: %+v err=%v (stats %+v)",

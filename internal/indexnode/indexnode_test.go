@@ -565,8 +565,8 @@ func TestReplicaSnapshotRoundTrip(t *testing.T) {
 
 func TestGroupLogCompactionUnderLoad(t *testing.T) {
 	g, caller := newTestGroup(t, func(c *Config) {
-		c.SnapshotThreshold = 32
-		c.BatchEnabled = true
+		c.Raft.SnapshotThreshold = 32
+		c.Raft.BatchEnabled = true
 	})
 	for i := 0; i < 150; i++ {
 		if err := g.AddDir(caller.Begin(), types.RootID, fmt.Sprintf("d%d", i),

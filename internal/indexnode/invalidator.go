@@ -44,8 +44,6 @@ type Invalidator struct {
 	wg       sync.WaitGroup
 	stopOnce sync.Once
 	stopCh   chan struct{}
-
-	processed atomic.Int64
 }
 
 // NewInvalidator creates an invalidator bound to cache and starts its
@@ -166,10 +164,6 @@ func (inv *Invalidator) NoteCached(prefix string) {
 	inv.prefix.Insert(pathutil.Clean(prefix))
 }
 
-// Processed returns how many invalidation requests the worker has
-// completed.
-func (inv *Invalidator) Processed() int64 { return inv.processed.Load() }
-
 // RemovalLen returns the RemovalList's current length.
 func (inv *Invalidator) RemovalLen() int { return inv.removal.Len() }
 
@@ -198,7 +192,6 @@ func (inv *Invalidator) invalidateNow(path string) {
 		inv.cache.Delete(p)
 	}
 	inv.release(path)
-	inv.processed.Add(1)
 }
 
 // WaitIdle blocks until the invalidation queue is drained and the

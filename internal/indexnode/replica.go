@@ -315,9 +315,6 @@ func (r *Replica) unlock(id types.InodeID, lockID string) bool {
 	return false
 }
 
-// Unlock releases the rename lock held by lockID on id.
-func (r *Replica) Unlock(id types.InodeID, lockID string) { _ = r.unlock(id, lockID) }
-
 // RenamePrep is the result of PrepareRename: everything the proxy needs
 // to run the commit transaction.
 type RenamePrep struct {

@@ -164,6 +164,3 @@ var Default = NewTable()
 
 // Intern interns s in the Default table.
 func Intern(s string) string { return Default.Intern(s) }
-
-// InternBytes interns b's content in the Default table.
-func InternBytes(b []byte) string { return Default.InternBytes(b) }

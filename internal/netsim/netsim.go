@@ -99,9 +99,6 @@ func NewFabric(cfg Config) *Fabric {
 // callers that only want RPC counting.
 func NewLocalFabric() *Fabric { return NewFabric(Config{}) }
 
-// RTT returns the configured round-trip time.
-func (f *Fabric) RTT() time.Duration { return f.rtt }
-
 // Seed returns the effective jitter seed (the configured seed, or the
 // fixed default when none was set). Tests include it in failure output
 // so a CI run's timing behaviour reproduces locally.

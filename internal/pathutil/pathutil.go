@@ -116,21 +116,6 @@ func NextComponent(rest string) (name, remainder string) {
 	return rest, ""
 }
 
-// Components calls fn for every component of the cleaned path in order,
-// with last marking the final component, and stops early if fn returns
-// false. It does not allocate for canonical inputs — this is the lookup
-// hot path's replacement for Split.
-func Components(p string, fn func(name string, last bool) bool) {
-	rest := Rel(p)
-	for rest != "" {
-		name, remainder := NextComponent(rest)
-		if !fn(name, remainder == "") {
-			return
-		}
-		rest = remainder
-	}
-}
-
 // Join builds a cleaned path from components.
 func Join(components ...string) string {
 	return Clean(strings.Join(components, "/"))
@@ -256,20 +241,4 @@ func LCA(a, b string) string {
 		i++
 	}
 	return Join(ca[:i]...)
-}
-
-// Prefixes returns every strict ancestor prefix of the cleaned path, from
-// the first component down to the parent. "/a/b/c" yields ["/a", "/a/b"].
-func Prefixes(p string) []string {
-	comps := Split(p)
-	if len(comps) <= 1 {
-		return nil
-	}
-	out := make([]string, 0, len(comps)-1)
-	cur := ""
-	for _, c := range comps[:len(comps)-1] {
-		cur = cur + "/" + c
-		out = append(out, cur)
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package pathutil
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -196,20 +195,6 @@ func TestLCAIsAncestorOfBoth(t *testing.T) {
 	}
 }
 
-func TestPrefixes(t *testing.T) {
-	got := Prefixes("/a/b/c")
-	want := []string{"/a", "/a/b"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Prefixes(/a/b/c) = %v, want %v", got, want)
-	}
-	if p := Prefixes("/a"); len(p) != 0 {
-		t.Errorf("Prefixes(/a) = %v, want empty", p)
-	}
-	if p := Prefixes("/"); len(p) != 0 {
-		t.Errorf("Prefixes(/) = %v, want empty", p)
-	}
-}
-
 func FuzzClean(f *testing.F) {
 	for _, seed := range []string{"", "/", "//", "/a/b/c", "a//b/", "/./a/./", "a/..", "日本/語"} {
 		f.Add(seed)
@@ -269,36 +254,6 @@ func TestRelAndNextComponent(t *testing.T) {
 	}
 }
 
-func TestComponentsMatchesSplit(t *testing.T) {
-	for _, p := range []string{"/", "/a", "/a/b/c/d", "//x/./y//"} {
-		var got []string
-		var lastSeen bool
-		Components(p, func(name string, last bool) bool {
-			got = append(got, name)
-			lastSeen = last
-			return true
-		})
-		want := Split(p)
-		if len(got) != len(want) {
-			t.Fatalf("Components(%q) = %v, Split = %v", p, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("Components(%q) = %v, Split = %v", p, got, want)
-			}
-		}
-		if len(want) > 0 && !lastSeen {
-			t.Fatalf("Components(%q): last flag never set", p)
-		}
-	}
-	// Early stop.
-	n := 0
-	Components("/a/b/c", func(string, bool) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d components, want 1", n)
-	}
-}
-
 func TestTruncateRelMatchesTruncatePrefix(t *testing.T) {
 	for _, p := range []string{"/", "/a", "/a/b", "/a/b/c/d/e/f"} {
 		for k := 0; k <= 7; k++ {
@@ -330,7 +285,9 @@ func TestComponentIterationZeroAlloc(t *testing.T) {
 	p := "/a/b/c/d/e/f/g/h"
 	allocs := testing.AllocsPerRun(100, func() {
 		n := 0
-		Components(p, func(string, bool) bool { n++; return true })
+		for rest := Rel(p); rest != ""; n++ {
+			_, rest = NextComponent(rest)
+		}
 		if n != 8 {
 			t.Fatal("bad count")
 		}

@@ -12,8 +12,7 @@
 //     describes) and waits until the local applyIndex catches up,
 //   - proposal batching: the leader groups queued proposals into one log
 //     append and one fsync per batch ("+raftlogbatch" in Figure 16),
-//     bounded by a count/byte/time window (MaxBatch, MaxBatchBytes,
-//     MaxBatchDelay),
+//     bounded by a count/byte window (MaxBatch, maxBatchBytes),
 //   - pipelined replication (Config.Pipeline): the leader streams
 //     AppendEntries as soon as entries are appended in memory and
 //     fsyncs them in a background sync stage; the commit rule counts
@@ -131,15 +130,6 @@ type Config struct {
 	BatchEnabled bool
 	// MaxBatch bounds the number of proposals folded into one append.
 	MaxBatch int
-	// MaxBatchBytes bounds the total command bytes folded into one
-	// append (default 1 MiB).
-	MaxBatchBytes int
-	// MaxBatchDelay is how long the leader holds an under-filled batch
-	// open waiting for more proposals. Zero (the default) closes the
-	// batch as soon as the ingest queue drains, so an idle group pays no
-	// added latency; batching still emerges under load because
-	// proposals queue behind the in-flight fsync.
-	MaxBatchDelay time.Duration
 	// Pipeline lets the leader stream AppendEntries to followers while
 	// its own log sync is still in flight. Appended entries are handed
 	// to a background sync stage that coalesces consecutive appends
@@ -170,9 +160,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.MaxBatch <= 0 {
 		out.MaxBatch = 256
-	}
-	if out.MaxBatchBytes <= 0 {
-		out.MaxBatchBytes = 1 << 20
 	}
 	if out.Fabric == nil {
 		out.Fabric = netsim.NewLocalFabric()
@@ -306,10 +293,9 @@ type Metrics struct {
 	// Appends; flush counters sum to the leader's Appends minus no-op
 	// barriers).
 	BatchBytes int64
-	FlushIdle  int64 // ingest queue drained (no delay window, or stop)
-	FlushTimer int64 // MaxBatchDelay expired
+	FlushIdle  int64 // ingest queue drained
 	FlushCount int64 // MaxBatch proposals reached
-	FlushBytes int64 // MaxBatchBytes reached
+	FlushBytes int64 // maxBatchBytes reached
 
 	// Cumulative proposal-stage wall time (observability): queue wait
 	// until log append, and append-to-apply completion.
@@ -322,7 +308,6 @@ type flushReason uint8
 
 const (
 	flushIdle flushReason = iota
-	flushTimer
 	flushCount
 	flushBytes
 )
@@ -335,8 +320,6 @@ func (m *Metrics) noteAppend(proposals, bytes int64, reason flushReason) {
 	m.Proposals += proposals
 	m.BatchBytes += bytes
 	switch reason {
-	case flushTimer:
-		m.FlushTimer++
 	case flushCount:
 		m.FlushCount++
 	case flushBytes:
@@ -354,7 +337,6 @@ type BatchStats struct {
 	Proposals  int64
 	BatchBytes int64
 	FlushIdle  int64
-	FlushTimer int64
 	FlushCount int64
 	FlushBytes int64
 }
@@ -369,7 +351,6 @@ func (m *Metrics) Batch() BatchStats {
 		Proposals:  m.Proposals,
 		BatchBytes: m.BatchBytes,
 		FlushIdle:  m.FlushIdle,
-		FlushTimer: m.FlushTimer,
 		FlushCount: m.FlushCount,
 		FlushBytes: m.FlushBytes,
 	}
@@ -497,9 +478,6 @@ func (r *Raft) ID() string { return r.id }
 
 // IsLearner reports whether the replica is a learner.
 func (r *Raft) IsLearner() bool { return r.cfg.Learner }
-
-// Node returns the netsim node modelling this replica's CPU.
-func (r *Raft) Node() *netsim.Node { return r.cfg.Node }
 
 // MetricsRef returns the replica's metrics counters.
 func (r *Raft) MetricsRef() *Metrics { return &r.metrics }

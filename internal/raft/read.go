@@ -169,64 +169,3 @@ func (r *Raft) BoundedStaleRead(maxStale time.Duration, fn func() error) error {
 	}
 	return fn()
 }
-
-// TransferLeadership asks the current leader to hand leadership to the
-// named peer (§7.2 of the paper rebalances namespace leaders across a
-// shared server pool, which needs exactly this). The leader waits
-// briefly for the target to be fully caught up, then tells it to campaign
-// immediately (the TimeoutNow message of Raft's leadership-transfer
-// extension). Returns types.ErrNotLeader when called on a non-leader, or
-// an error if the target is unknown, a learner, or cannot catch up.
-func (r *Raft) TransferLeadership(targetID string) error {
-	r.mu.Lock()
-	if r.role != Leader {
-		r.mu.Unlock()
-		return types.ErrNotLeader
-	}
-	target, ok := r.peers[targetID]
-	if !ok || target.IsLearner() {
-		r.mu.Unlock()
-		return fmt.Errorf("raft: transfer target %q unknown or learner", targetID)
-	}
-	term := r.term
-	r.mu.Unlock()
-
-	// Wait (bounded) for the target to match our log.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		r.mu.Lock()
-		last, _ := r.lastLogLocked()
-		caughtUp := r.matchIndex[targetID] >= last
-		stillLeader := r.role == Leader && r.term == term
-		r.mu.Unlock()
-		if !stillLeader {
-			return types.ErrNotLeader
-		}
-		if caughtUp {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("raft: transfer target %s cannot catch up", targetID)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := r.deliver(target); err != nil {
-		return fmt.Errorf("raft: transfer to %s: %w", targetID, err)
-	}
-	target.handleTimeoutNow(term)
-	return nil
-}
-
-// handleTimeoutNow makes the replica campaign immediately (leadership
-// transfer).
-func (r *Raft) handleTimeoutNow(term uint64) {
-	if r.stopped() || r.cfg.Learner {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if term < r.term {
-		return
-	}
-	r.startElectionLocked()
-}

@@ -131,51 +131,32 @@ func (r *Raft) leaderLoop(term uint64) {
 	}
 }
 
+// maxBatchBytes bounds the command bytes folded into one append.
+const maxBatchBytes = 1 << 20
+
 // collectBatch gathers the leader's next proposal batch behind the
-// configured count/byte/time window and reports why it was closed. The
-// delay window, when set, is measured from the first moment the queue
-// runs dry, so a batch is never held longer than MaxBatchDelay.
+// count/byte window and reports why it was closed. The batch closes as
+// soon as the ingest queue drains, so an idle group pays no added
+// latency; batching still emerges under load because proposals queue
+// behind the in-flight fsync.
 func (r *Raft) collectBatch(first *proposal) (batch []*proposal, bytes int, reason flushReason) {
 	batch = []*proposal{first}
 	bytes = len(first.cmd)
 	if !r.cfg.BatchEnabled {
 		return batch, bytes, flushIdle
 	}
-	var timer *time.Timer
-	var timeout <-chan time.Time
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		if len(batch) >= r.cfg.MaxBatch {
 			return batch, bytes, flushCount
 		}
-		if bytes >= r.cfg.MaxBatchBytes {
+		if bytes >= maxBatchBytes {
 			return batch, bytes, flushBytes
 		}
 		select {
 		case q := <-r.proposeCh:
 			batch = append(batch, q)
 			bytes += len(q.cmd)
-			continue
 		default:
-		}
-		if r.cfg.MaxBatchDelay <= 0 {
-			return batch, bytes, flushIdle
-		}
-		if timeout == nil {
-			timer = time.NewTimer(r.cfg.MaxBatchDelay)
-			timeout = timer.C
-		}
-		select {
-		case q := <-r.proposeCh:
-			batch = append(batch, q)
-			bytes += len(q.cmd)
-		case <-timeout:
-			return batch, bytes, flushTimer
-		case <-r.stopCh:
 			return batch, bytes, flushIdle
 		}
 	}

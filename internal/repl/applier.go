@@ -91,9 +91,6 @@ func NewApplier(site uint16, shards int, apply func(shard int, muts []storage.Mu
 	return a
 }
 
-// Clock exposes the secondary's site clock.
-func (a *Applier) Clock() *clock.Clock { return a.clk }
-
 // SetCursor positions shard's apply frontier just past seq — the
 // snapshot-bootstrap entry point: after loading a cut that covers
 // sequence seq, replication resumes at seq+1.

@@ -20,14 +20,12 @@ type LinkConfig struct {
 	// Fabric is the inter-site network the shipped batches cross; the
 	// chaos tests install fault injectors on it.
 	Fabric *netsim.Fabric
-	// Node is the secondary's replication endpoint: batches are charged
-	// as CPU service time there, and its name is fault-targetable.
+	// Node is the secondary's replication endpoint: batches execute
+	// there (at no CPU charge), and its name is fault-targetable.
 	Node *netsim.Node
 	// SrcName names the primary's sending endpoint for edge-scoped
 	// fault rules (blackholing it severs the link).
 	SrcName string
-	// Cost is the CPU service time per shipped batch on Node.
-	Cost time.Duration
 	// BatchMax bounds records per shipped batch (default 256).
 	BatchMax int
 	// Interval is the pump period (default 500µs).
@@ -125,7 +123,7 @@ func (l *Link) pumpOnce() {
 			for i := range recs {
 				bytes += int64(recs[i].Bytes)
 			}
-			err := l.caller.Do(l.cfg.Node, l.cfg.Cost,
+			err := l.caller.Do(l.cfg.Node, 0,
 				rpc.CallOpts{Src: l.cfg.SrcName, Bytes: bytes},
 				func() error { return l.cfg.Offer(recs) })
 			if err != nil {

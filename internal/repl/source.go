@@ -47,9 +47,6 @@ func NewSource(site uint16, shards int) *Source {
 	return s
 }
 
-// Clock exposes the site clock.
-func (s *Source) Clock() *clock.Clock { return s.clk }
-
 // Shards returns the shard count.
 func (s *Source) Shards() int { return len(s.logs) }
 

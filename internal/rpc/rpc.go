@@ -5,10 +5,11 @@
 // the target node. A per-operation Tracker counts round trips so the
 // harness can report #RTTs per lookup (Table 1) and per op.
 //
-// The layer is failure-aware: calls may carry a per-call deadline and a
-// RetryPolicy (capped exponential backoff with seeded jitter). Fabric
-// errors — messages lost to injected drops, partitions, or blackholes,
-// all wrapping types.ErrUnreachable — are retried within the budget;
+// The layer is failure-aware: calls may carry a per-call deadline, and
+// the caller's RetryPolicy (capped exponential backoff with seeded
+// jitter) applies to every call. Fabric errors — messages lost to
+// injected drops, partitions, or blackholes, all wrapping
+// types.ErrUnreachable — are retried within the budget;
 // application errors returned by the handler are never retried. With no
 // fault hook installed on the fabric, no deadline, and the default
 // policy, a call costs exactly what it did before this layer existed.
@@ -97,8 +98,6 @@ type CallOpts struct {
 	// uses the caller's default; the caller default zero means no
 	// deadline.
 	Deadline time.Duration
-	// Retry overrides the caller's retry policy for this call.
-	Retry *RetryPolicy
 	// Bytes is the approximate payload size of the call, charged (plus
 	// MsgOverheadBytes) to the trace's byte accounting per attempt.
 	// Zero charges only the framing overhead.
@@ -194,10 +193,6 @@ func (c *Caller) do(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts
 	if op != nil && op.ctx != nil {
 		ctx = op.ctx
 	}
-	policy := c.policy
-	if opts.Retry != nil {
-		policy = *opts.Retry
-	}
 	deadline := opts.Deadline
 	if deadline == 0 {
 		deadline = time.Duration(c.deadline.Load())
@@ -206,12 +201,12 @@ func (c *Caller) do(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts
 	if deadline > 0 {
 		start = time.Now()
 	}
-	budget := policy.attempts()
+	budget := c.policy.attempts()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if attempt > 1 {
 			c.retries.Add(1)
-			if d := policy.backoff(attempt-1, c.jitterFrac()); d > 0 {
+			if d := c.policy.backoff(attempt-1, c.jitterFrac()); d > 0 {
 				time.Sleep(d)
 			}
 		}

@@ -606,18 +606,6 @@ func (s *Shard) LockedKeys() int {
 	return len(s.locks)
 }
 
-// CurrentSeq returns the shard's latest assigned batch sequence: the
-// WAL staged sequence with a WAL attached, the relaxed commit counter
-// otherwise.
-func (s *Shard) CurrentSeq() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.wal != nil {
-		return s.wal.StagedSeq()
-	}
-	return s.commitSeq
-}
-
 // SnapshotRows captures a consistent cut of the shard: every committed
 // row, plus the batch sequence number the cut covers — the snapshot-
 // bootstrap source for a new replication secondary (a secondary loaded

@@ -304,29 +304,6 @@ func (db *DB) RenameDir(op *rpc.Op, srcParent types.InodeID, srcName string,
 	})
 }
 
-// SetDirAttr replaces directory dir's attribute record in place (setattr)
-// and returns retries consumed.
-func (db *DB) SetDirAttr(op *rpc.Op, dir types.InodeID, attr types.Attr) (int, error) {
-	return db.runTxn(op, dir, func(int) ([]txn.Piece, error) {
-		p := db.shardFor(dir)
-		row, ok := p.Shard.Get(attrKey(dir))
-		if !ok {
-			return nil, fmt.Errorf("setattr %d: %w", dir, types.ErrNotFound)
-		}
-		e := row.Entry
-		e.Attr = attr
-		return []txn.Piece{{
-			P: p,
-			Guards: []storage.Guard{{
-				Key: attrKey(dir), Kind: storage.GuardVersion, Version: row.Version,
-			}},
-			Muts: []storage.Mutation{
-				{Kind: storage.MutPut, Key: attrKey(dir), Entry: e},
-			},
-		}}, nil
-	})
-}
-
 // SetDirPerm changes directory dir's permission transactionally in both
 // places TafDB records it: the access row under the parent (what
 // lookups and fsck read) and the primary attribute row (what a restored

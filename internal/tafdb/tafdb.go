@@ -127,11 +127,6 @@ type Config struct {
 	Fabric *netsim.Fabric
 	// Delta selects the attribute-update strategy.
 	Delta DeltaMode
-	// DeltaThreshold is the number of recent conflicts on a directory
-	// that activates delta mode under DeltaAuto.
-	DeltaThreshold int
-	// CompactInterval is the delta compactor's period.
-	CompactInterval time.Duration
 	// WALSyncCost, when positive, attaches a write-ahead log to every
 	// shard: committed transactions are logged (group commit) before
 	// they apply, and crashed shards recover by replay. Zero disables
@@ -146,14 +141,9 @@ type Config struct {
 	// coordinator: independent transactions with the same participant
 	// set share one prepare round and one commit round.
 	Batch2PC bool
-	// Batch2PCMax bounds transactions folded into one shared round
-	// (default 64).
-	Batch2PCMax int
 	// Repl, when non-nil, receives every committed mutation batch — the
 	// feed for asynchronous site replication.
 	Repl ReplSink
-	// MaxRetries bounds transaction retries per operation.
-	MaxRetries int
 	// RetryBase/RetryMax shape the retry backoff.
 	RetryBase, RetryMax time.Duration
 }
@@ -167,15 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Fabric == nil {
 		c.Fabric = netsim.NewLocalFabric()
-	}
-	if c.DeltaThreshold <= 0 {
-		c.DeltaThreshold = 3
-	}
-	if c.CompactInterval <= 0 {
-		c.CompactInterval = 10 * time.Millisecond
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 10000
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 20 * time.Microsecond
@@ -246,7 +227,7 @@ func New(cfg Config) *DB {
 	db.nextID.Store(uint64(types.RootID))
 	db.runner = txn.Direct{}
 	if cfg.Batch2PC {
-		db.runner = txn.NewBatcher(cfg.Batch2PCMax)
+		db.runner = txn.NewBatcher(0) // the batcher's own bound, 64 per round
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		shard := storage.NewShard(fmt.Sprintf("tafdb-%d", i))
@@ -419,6 +400,10 @@ func (db *DB) deltaModeFor(dir types.InodeID) bool {
 	return db.deltaOn[dir]
 }
 
+// deltaThreshold is the number of recent conflicts on a directory that
+// activates delta mode under DeltaAuto.
+const deltaThreshold = 3
+
 // noteConflict records a transaction conflict on dir's attribute row and
 // activates delta mode once the threshold is reached (DeltaAuto).
 func (db *DB) noteConflict(dir types.InodeID) {
@@ -432,7 +417,7 @@ func (db *DB) noteConflict(dir types.InodeID) {
 		return
 	}
 	db.conflicts[dir]++
-	if db.conflicts[dir] >= db.cfg.DeltaThreshold {
+	if db.conflicts[dir] >= deltaThreshold {
 		db.deltaOn[dir] = true
 		delete(db.conflicts, dir)
 	}
@@ -473,11 +458,14 @@ func (db *DB) parentAttrMutation(dir types.InodeID, delta storage.AttrDelta, now
 	}, guard
 }
 
+// compactInterval is the delta compactor's period.
+const compactInterval = 10 * time.Millisecond
+
 // compactLoop periodically folds delta records into primary attribute
 // rows for every directory with delta mode active.
 func (db *DB) compactLoop() {
 	defer db.wg.Done()
-	ticker := time.NewTicker(db.cfg.CompactInterval)
+	ticker := time.NewTicker(compactInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -555,6 +543,9 @@ func compactShardDeltas(s *storage.Shard) int {
 	return total
 }
 
+// maxRetries bounds transaction retries per operation.
+const maxRetries = 10000
+
 // runTxn executes build as a retried transaction, recording contention
 // against contendedDir on each retry. The whole transaction — all
 // retries included — is one txn-commit span and one txnLat observation.
@@ -587,7 +578,7 @@ func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, build func(attempt 
 	if db.cfg.Batch2PC {
 		sp.SetAttr("2pc", "batched")
 	}
-	retries, err := txn.RunnerWithRetry(gatedRunner{db}, op, id, db.cfg.MaxRetries,
+	retries, err := txn.RunnerWithRetry(gatedRunner{db}, op, id, maxRetries,
 		db.cfg.RetryBase, db.cfg.RetryMax, wrapped)
 	if db.cfg.Repl != nil {
 		// Committed stamps were consumed piece by piece; this clears the
@@ -652,16 +643,6 @@ func (db *DB) ApplyToShard(i int, muts []storage.Mutation) error {
 	return p.Node.Exec(p.Cost, func() error {
 		return p.Shard.Apply(muts)
 	})
-}
-
-// CurrentSeqs returns every shard's current commit sequence — the
-// primary-side replication tip vector.
-func (db *DB) CurrentSeqs() []uint64 {
-	out := make([]uint64, len(db.parts))
-	for i, p := range db.parts {
-		out[i] = p.Shard.CurrentSeq()
-	}
-	return out
 }
 
 // ReplayShard iterates shard i's WAL batches in commit order — the

@@ -366,25 +366,6 @@ func TestBulkInsertVisible(t *testing.T) {
 	}
 }
 
-func TestSetDirAttr(t *testing.T) {
-	db, caller := testDB(t, DeltaOff)
-	id := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "d", id, types.PermAll); err != nil {
-		t.Fatal(err)
-	}
-	attr := types.Attr{Owner: 42, MTime: time.Now()}
-	if _, err := db.SetDirAttr(caller.Begin(), id, attr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.StatDir(caller.Begin(), id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Attr.Owner != 42 {
-		t.Fatalf("owner = %d", got.Attr.Owner)
-	}
-}
-
 func TestSingleShardFastPathRTTs(t *testing.T) {
 	db, caller := testDB(t, DeltaOff)
 	op := caller.Begin()

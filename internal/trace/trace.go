@@ -130,13 +130,6 @@ func (t *Trace) Finish() {
 	root.End()
 }
 
-// Root returns the root span.
-func (t *Trace) Root() *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spans[0]
-}
-
 // SetAttr annotates the span. Nil-safe.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {

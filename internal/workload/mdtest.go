@@ -27,13 +27,6 @@ func LookupOp(s api.Service, ns *Namespace) bench.OpFunc {
 	}
 }
 
-// LookupPathOp resolves a fixed path (the depth sweep).
-func LookupPathOp(s api.Service, path string) bench.OpFunc {
-	return func(w, seq int) (types.Result, error) {
-		return s.Lookup(s.Caller().Begin(), path)
-	}
-}
-
 // CreateOp creates distinct objects in the worker's working directory;
 // round disambiguates repeated runs.
 func CreateOp(s api.Service, ns *Namespace, round string) bench.OpFunc {

@@ -230,12 +230,6 @@ func (ns *Namespace) AddObjects(dir string, n int, size int64) []string {
 	return out
 }
 
-// DirID returns the populated inode ID of a directory path.
-func (ns *Namespace) DirID(path string) (types.InodeID, bool) {
-	id, ok := ns.pathID[pathutil.Clean(path)]
-	return id, ok
-}
-
 // Populate loads the namespace into a service.
 func (ns *Namespace) Populate(s api.Service) error {
 	return s.Populate(ns.Dirs, ns.Objects)

@@ -9,6 +9,7 @@ import (
 	"mantle/internal/core"
 	"mantle/internal/indexnode"
 	"mantle/internal/pathutil"
+	"mantle/internal/raft"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
 )
@@ -69,7 +70,7 @@ func newMantle(t *testing.T) api.Service {
 	t.Helper()
 	m, err := core.New(core.Config{
 		TafDB: tafdb.Config{Shards: 4, Delta: tafdb.DeltaAuto},
-		Index: indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, BatchEnabled: true},
+		Index: indexnode.Config{Voters: 1, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -31,6 +31,7 @@ import (
 	"mantle/internal/indexnode"
 	"mantle/internal/netsim"
 	"mantle/internal/pathutil"
+	"mantle/internal/raft"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
 )
@@ -100,14 +101,8 @@ type Cluster struct {
 // configuration. The Fabric field is left nil: single-site New installs
 // one fabric, while the DR constructor gives each site its own.
 func coreConfig(cfg Config) (core.Config, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
 	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
-	}
-	if cfg.K <= 0 {
-		cfg.K = 3
+		cfg.Replicas = 1 // indexnode's own default is the paper's 3
 	}
 	var delta tafdb.DeltaMode
 	switch cfg.DeltaRecords {
@@ -135,9 +130,11 @@ func coreConfig(cfg Config) (core.Config, error) {
 			K:            cfg.K,
 			CacheEnabled: !cfg.DisableCache,
 			FollowerRead: cfg.FollowerRead,
-			FsyncCost:    cfg.FsyncCost,
-			BatchEnabled: !cfg.DisableWriteBatch,
-			Pipeline:     !cfg.DisableWriteBatch,
+			Raft: raft.Config{
+				FsyncCost:    cfg.FsyncCost,
+				BatchEnabled: !cfg.DisableWriteBatch,
+				Pipeline:     !cfg.DisableWriteBatch,
+			},
 			Hotspot:      cfg.Hotspot,
 			HotThreshold: cfg.HotThreshold,
 		},

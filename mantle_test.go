@@ -86,6 +86,115 @@ func TestPublicAPIErrors(t *testing.T) {
 	if _, err := New(Config{DeltaRecords: "bogus"}); err == nil {
 		t.Fatal("bogus delta mode accepted")
 	}
+	// Reachable from `mantled -learners -3`.
+	if _, err := New(Config{Learners: -3}); err == nil {
+		t.Fatal("negative learner count accepted")
+	}
+}
+
+// TestConfigOptionsObserved turns on each documented Config option that
+// nothing else in the repository sets and observes its effect through
+// New, and pins the defaults the internal layers (not coreConfig) supply.
+func TestConfigOptionsObserved(t *testing.T) {
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// renameStorm moves eight directories between parents concurrently
+	// and returns how many cross-shard transactions the batching 2PC
+	// coordinator saw.
+	renameStorm := func(t *testing.T, cl *Cluster) int64 {
+		c := cl.Client()
+		for i := 0; i < 8; i++ {
+			must(t, c.MkdirAll(fmt.Sprintf("/src%d/d", i)))
+			must(t, c.Mkdir(fmt.Sprintf("/dst%d", i)))
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if err := c.Rename(fmt.Sprintf("/src%d/d", i), fmt.Sprintf("/dst%d/d", i)); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		txns, _, _ := cl.Core().DB().Batch2PCStats()
+		return txns
+	}
+	// secondStatRTTs stats one object twice and returns the round trips
+	// of the repeat.
+	secondStatRTTs := func(t *testing.T, cl *Cluster) int {
+		c := cl.Client()
+		must(t, c.MkdirAll("/d"))
+		_, err := c.Create("/d/obj", 1)
+		must(t, err)
+		_, _, err = c.StatWithStats("/d/obj")
+		must(t, err)
+		_, st, err := c.StatWithStats("/d/obj")
+		must(t, err)
+		return st.RTTs
+	}
+	// cachedPrefixes looks up four depth-5 directories that share their
+	// top three levels and returns how many prefixes that added to
+	// TopDirPathCache: k=3 truncates all four to /r/s, k=1 to four
+	// distinct parents.
+	cachedPrefixes := func(t *testing.T, cl *Cluster) int {
+		c := cl.Client()
+		for i := 0; i < 4; i++ {
+			must(t, c.MkdirAll(fmt.Sprintf("/r/s/t/a%d/leaf", i)))
+		}
+		before, _, _, _ := cl.Core().Index().CacheStats()
+		for i := 0; i < 4; i++ {
+			_, err := c.Lookup(fmt.Sprintf("/r/s/t/a%d/leaf", i))
+			must(t, err)
+		}
+		after, _, _, _ := cl.Core().Index().CacheStats()
+		return after - before
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		check func(t *testing.T, cl *Cluster)
+	}{
+		{"defaults", Config{}, func(t *testing.T, cl *Cluster) {
+			if n := cl.Core().DB().Shards(); n != 4 {
+				t.Errorf("shards = %d, want 4", n)
+			}
+			if n := len(cl.Core().Index().Rafts()); n != 1 {
+				t.Errorf("replicas = %d, want 1", n)
+			}
+			if n := cachedPrefixes(t, cl); n != 1 {
+				t.Errorf("cached prefixes = %d, want 1 (k=3)", n)
+			}
+			if n := secondStatRTTs(t, cl); n != 2 {
+				t.Errorf("repeated stat = %d RPCs, want 2", n)
+			}
+			if n := renameStorm(t, cl); n == 0 {
+				t.Error("no cross-shard transaction went through the batching coordinator")
+			}
+		}},
+		{"DisableWriteBatch", Config{DisableWriteBatch: true}, func(t *testing.T, cl *Cluster) {
+			if n := renameStorm(t, cl); n != 0 {
+				t.Errorf("batching coordinator saw %d transactions, want 0", n)
+			}
+		}},
+		{"ProxyCache", Config{ProxyCache: true}, func(t *testing.T, cl *Cluster) {
+			if n := secondStatRTTs(t, cl); n != 1 {
+				t.Errorf("repeated stat = %d RPCs, want 1", n)
+			}
+		}},
+		{"K=1", Config{K: 1}, func(t *testing.T, cl *Cluster) {
+			if n := cachedPrefixes(t, cl); n != 4 {
+				t.Errorf("cached prefixes = %d, want 4", n)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.check(t, newCluster(t, tc.cfg)) })
+	}
 }
 
 func TestSingleRPCLookupVisibleInStats(t *testing.T) {
