@@ -159,7 +159,10 @@ func main() {
 	//	GET  /admin/migrate/plan?max=N        propose up to N moves
 	//	POST /admin/migrate?path=/d&shard=2   move /d's row range to shard 2
 	mux.HandleFunc("/admin/migrate/plan", func(w http.ResponseWriter, r *http.Request) {
-		max, _ := strconv.Atoi(r.URL.Query().Get("max"))
+		max, ok := intParam(w, r, "max")
+		if !ok {
+			return
+		}
 		plans := cl.PlanMigrations(max)
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -267,8 +270,11 @@ func (s *server) handle(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		switch {
 		case r.URL.Query().Get("list") != "":
-			if limStr := r.URL.Query().Get("limit"); limStr != "" {
-				limit, _ := strconv.Atoi(limStr)
+			if r.URL.Query().Get("limit") != "" {
+				limit, ok := intParam(w, r, "limit")
+				if !ok {
+					return
+				}
 				var page []mantle.Info
 				var next string
 				page, next, err = c.ListPage(path, r.URL.Query().Get("after"), limit)
@@ -319,6 +325,22 @@ func (s *server) handle(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(payload)
 }
 
+// intParam parses the optional integer query parameter name (absent
+// means 0). A value that is not an integer is answered with 400 and
+// ok=false rather than silently read as the default.
+func intParam(w http.ResponseWriter, r *http.Request, name string) (n int, ok bool) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		http.Error(w, name+" must be an integer", http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
+}
+
 func statusOf(err error) int {
 	switch {
 	case errors.Is(err, mantle.ErrNotFound):
@@ -344,7 +366,10 @@ func (s *server) registerAdmin(mux *http.ServeMux) {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		rounds, _ := strconv.Atoi(r.URL.Query().Get("rounds"))
+		rounds, ok := intParam(w, r, "rounds")
+		if !ok {
+			return
+		}
 		rep := fsck.Scrub(s.active().Core(), rounds)
 		w.Header().Set("Content-Type", "application/json")
 		if !rep.OK() {

@@ -23,6 +23,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	s := &server{cl: cl}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ns/", s.handle)
+	s.registerAdmin(mux)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
@@ -128,6 +129,15 @@ func TestGatewayErrors(t *testing.T) {
 	resp, _ = do(t, http.MethodPost, base+"/d?op=rename&dst=/d/sub/x", "")
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("loop rename = %d", resp.StatusCode)
+	}
+	// Malformed integer parameters are rejected, not read as the default.
+	resp, _ = do(t, http.MethodGet, base+"/d?list=1&limit=abc", "")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("list limit=abc = %d", resp.StatusCode)
+	}
+	resp, _ = do(t, http.MethodPost, ts.URL+"/admin/scrub?rounds=two", "")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("scrub rounds=two = %d", resp.StatusCode)
 	}
 }
 

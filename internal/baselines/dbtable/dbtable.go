@@ -43,8 +43,6 @@ type Config struct {
 	// AtomicCost is the serialised cost of a single-shard atomic
 	// increment (InfiniFS/CFS-style); cheaper than a latch-held update.
 	AtomicCost time.Duration
-	// Fabric supplies RPC latency.
-	Fabric *netsim.Fabric
 	// RetryBase, RetryMax shape transactional retry backoff.
 	RetryBase, RetryMax time.Duration
 	// Name prefixes shard node names.
@@ -54,9 +52,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
-	}
-	if c.Fabric == nil {
-		c.Fabric = netsim.NewLocalFabric()
 	}
 	if c.LatchCost <= 0 {
 		c.LatchCost = 150 * time.Microsecond
@@ -145,9 +140,6 @@ func (s *Store) ShardFor(pid types.InodeID) *txn.Participant {
 	h := uint64(pid) * 0x9E3779B97F4A7C15
 	return s.parts[h%uint64(len(s.parts))]
 }
-
-// RootKey returns the synthetic root row key.
-func RootKey() types.Key { return rootKey }
 
 // GetDirect reads a row without RPC charging (modelling helpers and
 // population checks).
@@ -260,9 +252,9 @@ func (s *Store) ResolvePathParallel(op *rpc.Op, path string) (types.Entry, types
 	return entries[len(entries)-1], perm, nil
 }
 
-// rowPacer returns the per-row serialisation pacer for key, creating it
+// RowPacer returns the per-row serialisation pacer for key, creating it
 // on first use.
-func (s *Store) rowPacer(k types.Key) *netsim.Node {
+func (s *Store) RowPacer(k types.Key) *netsim.Node {
 	s.latchMu.Lock()
 	defer s.latchMu.Unlock()
 	n, ok := s.latches[k]
@@ -281,7 +273,7 @@ func (s *Store) ApplyRelaxed(op *rpc.Op, pid types.InodeID, muts []storage.Mutat
 	return op.Call(p.Node, p.Cost, func() error {
 		for _, m := range muts {
 			if m.Kind == storage.MutDeltaAttr {
-				s.rowPacer(m.Key).Charge(s.cfg.LatchCost)
+				s.RowPacer(m.Key).Charge(s.cfg.LatchCost)
 			}
 		}
 		return p.Shard.Apply(muts)
@@ -294,13 +286,12 @@ const maxRetries = 10000
 // ApplyAtomic performs a single-shard transaction in one RPC with
 // atomic-increment costing (the CFS strategy InfiniFS adopts): in-place
 // attribute updates serialise at the cheaper AtomicCost.
-func (s *Store) ApplyAtomic(op *rpc.Op, txnID string, pid types.InodeID,
-	guards []storage.Guard, muts []storage.Mutation) error {
-	p := s.ShardFor(pid)
+func (s *Store) ApplyAtomic(op *rpc.Op, pid types.InodeID, muts []storage.Mutation) error {
+	p, txnID := s.ShardFor(pid), s.NewTxnID()
 	return op.Call(p.Node, p.Cost, func() error {
 		for _, m := range muts {
 			if m.Kind == storage.MutDeltaAttr {
-				s.rowPacer(m.Key).Charge(s.cfg.AtomicCost)
+				s.RowPacer(m.Key).Charge(s.cfg.AtomicCost)
 			}
 		}
 		// Prepare is no-wait; a single-shard atomic update waits for the
@@ -309,7 +300,7 @@ func (s *Store) ApplyAtomic(op *rpc.Op, txnID string, pid types.InodeID,
 		// piece about to resolve.
 		var err error
 		for attempt := 0; attempt <= maxRetries; attempt++ {
-			if err = p.Shard.Prepare(txnID, guards, muts); !errors.Is(err, types.ErrConflict) {
+			if err = p.Shard.Prepare(txnID, nil, muts); !errors.Is(err, types.ErrConflict) {
 				break
 			}
 			txn.Backoff(attempt, s.cfg.RetryBase, s.cfg.RetryMax)
@@ -323,15 +314,17 @@ func (s *Store) ApplyAtomic(op *rpc.Op, txnID string, pid types.InodeID,
 }
 
 // RunTxn executes a distributed transaction with retry-on-conflict, as
-// the legacy DBtable service and InfiniFS renames do.
+// the legacy DBtable service and InfiniFS renames do. build lists one
+// piece per row group; pieces sharing a shard are merged here.
 func (s *Store) RunTxn(op *rpc.Op, build func(attempt int) ([]txn.Piece, error)) (int, error) {
 	wrapped := func(attempt int) ([]txn.Piece, error) {
 		if attempt > 0 {
 			s.retries.Add(1)
 		}
-		return build(attempt)
+		pieces, err := build(attempt)
+		return txn.Merge(pieces), err
 	}
-	return txn.RunWithRetry(op, s.NewTxnID(), maxRetries, s.cfg.RetryBase, s.cfg.RetryMax, wrapped)
+	return txn.RunWithRetry(txn.Direct{}, op, s.NewTxnID(), maxRetries, s.cfg.RetryBase, s.cfg.RetryMax, wrapped)
 }
 
 // BulkInsert loads rows directly (population).

@@ -2,7 +2,6 @@ package dbtable
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -123,7 +122,7 @@ func TestApplyAtomicSerializesHotRow(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := s.ApplyAtomic(caller.Begin(), fmt.Sprintf("t%d", i), types.RootID, nil,
+			err := s.ApplyAtomic(caller.Begin(), types.RootID,
 				[]storage.Mutation{{
 					Kind: storage.MutDeltaAttr, Key: key,
 					Delta: storage.AttrDelta{LinkCount: 1}, MustExist: true,
@@ -160,7 +159,7 @@ func TestApplyAtomicWaitsForLockedRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- s.ApplyAtomic(caller.Begin(), "waiter", types.RootID, nil, bump) }()
+	go func() { done <- s.ApplyAtomic(caller.Begin(), types.RootID, bump) }()
 	select {
 	case err := <-done:
 		t.Fatalf("atomic update did not wait for the lock holder: %v", err)

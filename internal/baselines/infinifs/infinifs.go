@@ -40,10 +40,13 @@ type Config struct {
 	AMCache bool
 }
 
-// Service is the InfiniFS-style baseline. Implements api.Service.
+// Service is the InfiniFS-style baseline. Implements api.Service: the
+// dbtable.Service frame with parallel resolution and the CFS link —
+// txn1 writes the child row, txn2 atomically updates the parent's
+// attribute row; both are single-shard, so contention never aborts, it
+// only serialises on the atomic update — plus the ops that are its own.
 type Service struct {
-	store  *dbtable.Store
-	caller *rpc.Caller
+	*dbtable.Service
 	coord  *coordinator
 	uuidSq atomic.Uint64
 
@@ -54,35 +57,20 @@ var _ api.Service = (*Service)(nil)
 
 // New builds the service.
 func New(cfg Config) *Service {
-	if cfg.Fabric == nil {
-		cfg.Fabric = netsim.NewLocalFabric()
-	}
-	cfg.Store.Fabric = cfg.Fabric
-	if cfg.Store.Name == "" {
-		cfg.Store.Name = "infinifs"
-	}
 	s := &Service{
-		store:  dbtable.New(cfg.Store),
-		caller: rpc.NewCaller(cfg.Fabric),
+		Service: dbtable.NewService("infinifs", cfg.Fabric, cfg.Store),
 		coord: &coordinator{
 			node:  netsim.NewNode("infinifs-rename-coord", cfg.CoordWorkers),
 			locks: make(map[types.InodeID]string),
 		},
 	}
+	s.Resolve = s.resolve
+	s.Link = s.Store.LinkAtomic
 	if cfg.AMCache {
 		s.amCache = newAMCache()
 	}
 	return s
 }
-
-// Name implements api.Service.
-func (s *Service) Name() string { return "infinifs" }
-
-// Caller implements api.Service.
-func (s *Service) Caller() *rpc.Caller { return s.caller }
-
-// Stop implements api.Service.
-func (s *Service) Stop() {}
 
 // resolve resolves a directory path: AM-Cache hit, else parallel
 // speculative resolution (with cache fill).
@@ -96,242 +84,75 @@ func (s *Service) resolve(op *rpc.Op, dirPath string) (types.Entry, types.Perm, 
 			return e, perm, nil
 		}
 	}
-	e, perm, err := s.store.ResolvePathParallel(op.WithContext(ctx), dirPath)
+	e, perm, err := s.Store.ResolvePathParallel(op.WithContext(ctx), dirPath)
 	if err == nil && s.amCache != nil {
 		s.amCache.put(dirPath, e, perm)
 	}
 	return e, perm, err
 }
 
-// Lookup implements api.Service.
-func (s *Service) Lookup(op *rpc.Op, dirPath string) (types.Result, error) {
-	t := api.NewTimer()
-	e, perm, err := s.resolve(op, dirPath)
-	t.Phase(types.PhaseLookup)
-	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
-	}
-	e.Perm = perm
-	return t.Done(op, 0, e), nil
-}
-
-func parentRowKey(e types.Entry) types.Key {
-	if e.ID == types.RootID {
-		return dbtable.RootKey()
-	}
-	return types.Key{Pid: e.Pid, Name: e.Name}
-}
-
-// Create implements api.Service: CFS strategy — txn1 inserts the object
-// row; txn2 atomically updates the parent's attribute row. Both are
-// single-shard, so contention never aborts, it only serialises on the
-// atomic update.
-func (s *Service) Create(op *rpc.Op, objPath string, size int64) (types.Result, error) {
-	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
-	t := api.NewTimer()
-	parent, perm, err := s.resolve(op, dir)
-	t.Phase(types.PhaseLookup)
-	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
-	}
-	if !perm.Allows(types.PermWrite | types.PermLookup) {
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("create %s: %w", objPath, types.ErrPermission)
-	}
-	entry := types.Entry{
-		Pid: parent.ID, Name: name, ID: s.store.NewID(), Kind: types.KindObject,
-		Perm: types.PermAll, Attr: types.Attr{Size: size, MTime: time.Now()},
-	}
-	err = s.store.ApplyAtomic(op, s.store.NewTxnID(), parent.ID, nil, []storage.Mutation{{
-		Kind: storage.MutPut, Key: types.Key{Pid: parent.ID, Name: name},
-		Entry: entry, IfAbsent: true,
-	}})
-	if err == nil {
-		pk := parentRowKey(parent)
-		err = s.store.ApplyAtomic(op, s.store.NewTxnID(), pk.Pid, nil, []storage.Mutation{{
-			Kind: storage.MutDeltaAttr, Key: pk,
-			Delta: storage.AttrDelta{LinkCount: 1, Size: size}, MustExist: true,
-		}})
-	}
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, 0, entry), err
-}
-
-// Delete implements api.Service.
-func (s *Service) Delete(op *rpc.Op, objPath string) (types.Result, error) {
-	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
-	t := api.NewTimer()
-	parent, perm, err := s.resolve(op, dir)
-	t.Phase(types.PhaseLookup)
-	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
-	}
-	if !perm.Allows(types.PermWrite | types.PermLookup) {
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("delete %s: %w", objPath, types.ErrPermission)
-	}
-	err = s.store.ApplyAtomic(op, s.store.NewTxnID(), parent.ID, nil, []storage.Mutation{{
-		Kind: storage.MutDelete, Key: types.Key{Pid: parent.ID, Name: name},
-		MustExist: true, WantKind: types.KindObject,
-	}})
-	if err == nil {
-		pk := parentRowKey(parent)
-		err = s.store.ApplyAtomic(op, s.store.NewTxnID(), pk.Pid, nil, []storage.Mutation{{
-			Kind: storage.MutDeltaAttr, Key: pk,
-			Delta: storage.AttrDelta{LinkCount: -1}, MustExist: true,
-		}})
-	}
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, 0, types.Entry{}), err
-}
-
 // ObjStat implements api.Service. InfiniFS resolves the object's own
 // metadata within the parallel lookup round (the paper notes it bypasses
 // the execute phase for objstat), so the final component's query is part
-// of the fan-out.
+// of the fan-out and of the lookup phase.
 func (s *Service) ObjStat(op *rpc.Op, objPath string) (types.Result, error) {
 	t := api.NewTimer()
-	e, perm, err := s.resolveObject(op, objPath)
-	t.Phase(types.PhaseLookup)
-	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
+	parent, name, err := s.Enter(t, op, "objstat", objPath, types.PermLookup)
+	var e types.Entry
+	if err == nil {
+		e, err = s.Store.ResolveStep(op, parent.ID, name)
+		t.Phase(types.PhaseLookup)
 	}
-	if !perm.Allows(types.PermLookup) {
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("objstat %s: %w", objPath, types.ErrPermission)
+	if err == nil && e.IsDir() {
+		err = fmt.Errorf("objstat %s: %w", objPath, types.ErrIsDir)
 	}
-	if e.IsDir() {
-		return t.Done(op, 0, e), fmt.Errorf("objstat %s: %w", objPath, types.ErrIsDir)
-	}
-	return t.Done(op, 0, e), nil
+	return t.Done(op, 0, e), err
 }
 
-// resolveObject resolves a full object path in one parallel round: the
-// directory chain plus the object row itself.
-func (s *Service) resolveObject(op *rpc.Op, objPath string) (types.Entry, types.Perm, error) {
-	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
-	if s.amCache != nil {
-		if pe, perm, ok := s.amCache.get(dir); ok {
-			e, err := s.store.ResolveStep(op, pe.ID, name)
-			return e, perm, err
-		}
-	}
-	pe, perm, err := s.store.ResolvePathParallel(op, dir)
-	if err != nil {
-		return types.Entry{}, 0, err
-	}
-	if s.amCache != nil {
-		s.amCache.put(dir, pe, perm)
-	}
-	e, err := s.store.ResolveStep(op, pe.ID, name)
-	return e, perm, err
-}
-
-// DirStat implements api.Service.
+// DirStat implements api.Service: the directory's own row is the last
+// query of the parallel round, never served from the AM-Cache (its
+// attributes change with every child).
 func (s *Service) DirStat(op *rpc.Op, dirPath string) (types.Result, error) {
 	t := api.NewTimer()
-	e, perm, err := s.store.ResolvePathParallel(op, dirPath)
+	e, _, err := s.Store.ResolvePathParallel(op, dirPath)
 	t.Phase(types.PhaseLookup)
-	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
-	}
-	_ = perm
-	return t.Done(op, 0, e), nil
-}
-
-// ReadDir implements api.Service.
-func (s *Service) ReadDir(op *rpc.Op, dirPath string) (types.Result, []types.Entry, error) {
-	t := api.NewTimer()
-	e, perm, err := s.resolve(op, dirPath)
-	t.Phase(types.PhaseLookup)
-	if err != nil {
-		return t.Done(op, 0, types.Entry{}), nil, err
-	}
-	if !perm.Allows(types.PermLookup | types.PermRead) {
-		return t.Done(op, 0, types.Entry{}), nil, fmt.Errorf("readdir %s: %w", dirPath, types.ErrPermission)
-	}
-	entries, err := s.store.ScanChildren(op, e.ID)
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, 0, types.Entry{}), entries, err
-}
-
-// Mkdir implements api.Service: CFS two single-shard transactions.
-func (s *Service) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
-	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
-	t := api.NewTimer()
-	pe, perm, err := s.resolve(op, parent)
-	t.Phase(types.PhaseLookup)
-	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
-	}
-	if !perm.Allows(types.PermWrite | types.PermLookup) {
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("mkdir %s: %w", dirPath, types.ErrPermission)
-	}
-	entry := types.Entry{
-		Pid: pe.ID, Name: name, ID: s.store.NewID(), Kind: types.KindDir,
-		Perm: types.PermAll, Attr: types.Attr{MTime: time.Now()},
-	}
-	err = s.store.ApplyAtomic(op, s.store.NewTxnID(), pe.ID, nil, []storage.Mutation{{
-		Kind: storage.MutPut, Key: types.Key{Pid: pe.ID, Name: name},
-		Entry: entry, IfAbsent: true,
-	}})
-	if err == nil {
-		pk := parentRowKey(pe)
-		err = s.store.ApplyAtomic(op, s.store.NewTxnID(), pk.Pid, nil, []storage.Mutation{{
-			Kind: storage.MutDeltaAttr, Key: pk,
-			Delta: storage.AttrDelta{LinkCount: 1}, MustExist: true,
-		}})
-	}
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, 0, entry), err
+	return t.Done(op, 0, e), err
 }
 
 // Rmdir implements api.Service: an emptiness-guarded delete (2PC across
 // the child-range shard and the row shard when they differ) plus the
 // atomic parent update.
 func (s *Service) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
-	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
 	t := api.NewTimer()
-	pe, perm, err := s.resolve(op, parent)
-	t.Phase(types.PhaseLookup)
+	pe, name, err := s.Enter(t, op, "rmdir", dirPath, types.PermWrite|types.PermLookup)
 	if err != nil {
 		return t.Done(op, 0, types.Entry{}), err
 	}
-	if !perm.Allows(types.PermWrite | types.PermLookup) {
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("rmdir %s: %w", dirPath, types.ErrPermission)
+	de, err := s.Store.ResolveStep(op, pe.ID, name)
+	if err == nil && !de.IsDir() {
+		err = fmt.Errorf("rmdir %s: %w", dirPath, types.ErrNotDir)
 	}
-	de, err := s.store.ResolveStep(op, pe.ID, name)
-	if err != nil {
-		t.Phase(types.PhaseExecute)
-		return t.Done(op, 0, types.Entry{}), err
-	}
-	if !de.IsDir() {
-		t.Phase(types.PhaseExecute)
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("rmdir %s: %w", dirPath, types.ErrNotDir)
-	}
-	rowShard := s.store.ShardFor(pe.ID)
-	childShard := s.store.ShardFor(de.ID)
-	retries, err := s.store.RunTxn(op, func(int) ([]txn.Piece, error) {
-		rowPiece := txn.Piece{
-			P: rowShard,
-			Muts: []storage.Mutation{{
-				Kind: storage.MutDelete, Key: types.Key{Pid: pe.ID, Name: name}, MustExist: true,
-			}},
-		}
-		guard := storage.Guard{
-			Kind:  storage.GuardRangeEmpty,
-			Key:   types.Key{Pid: de.ID, Name: ""},
-			KeyHi: types.Key{Pid: de.ID + 1, Name: ""},
-		}
-		if rowShard == childShard {
-			rowPiece.Guards = append(rowPiece.Guards, guard)
-			return []txn.Piece{rowPiece}, nil
-		}
-		return []txn.Piece{rowPiece, {P: childShard, Guards: []storage.Guard{guard}}}, nil
-	})
+	var retries int
 	if err == nil {
-		pk := parentRowKey(pe)
-		err = s.store.ApplyAtomic(op, s.store.NewTxnID(), pk.Pid, nil, []storage.Mutation{{
-			Kind: storage.MutDeltaAttr, Key: pk,
-			Delta: storage.AttrDelta{LinkCount: -1}, MustExist: true,
-		}})
+		retries, err = s.Store.RunTxn(op, func(int) ([]txn.Piece, error) {
+			return []txn.Piece{{
+				P: s.Store.ShardFor(pe.ID),
+				Muts: []storage.Mutation{{
+					Kind: storage.MutDelete, Key: types.Key{Pid: pe.ID, Name: name}, MustExist: true,
+				}},
+			}, {
+				P: s.Store.ShardFor(de.ID),
+				Guards: []storage.Guard{{
+					Kind:  storage.GuardRangeEmpty,
+					Key:   types.Key{Pid: de.ID, Name: ""},
+					KeyHi: types.Key{Pid: de.ID + 1, Name: ""},
+				}},
+			}}, nil
+		})
+	}
+	if err == nil {
+		attr := dbtable.AttrUpdate(pe, storage.AttrDelta{LinkCount: -1})
+		err = s.Store.ApplyAtomic(op, attr.Key.Pid, []storage.Mutation{attr})
 	}
 	if err == nil && s.amCache != nil {
 		s.amCache.invalidate(dirPath)
@@ -345,92 +166,40 @@ func (s *Service) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
 // the source and destination parents' shards with in-place attribute
 // updates — the contended path that collapses in dirrename-s.
 func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, error) {
-	srcParent, srcName := pathutil.Dir(srcPath), pathutil.Base(srcPath)
-	dstParent, dstName := pathutil.Dir(dstPath), pathutil.Base(dstPath)
 	uuid := fmt.Sprintf("inf-%d", s.uuidSq.Add(1))
 	t := api.NewTimer()
-	spe, sperm, err := s.resolve(op, srcParent)
+	spe, srcName, err := s.Enter(t, op, "rename", srcPath, types.PermWrite)
 	if err != nil {
-		t.Phase(types.PhaseLookup)
 		return t.Done(op, 0, types.Entry{}), err
 	}
-	dpe, dperm, err := s.resolve(op, dstParent)
+	dpe, dstName, err := s.Enter(t, op, "rename", dstPath, types.PermWrite)
+	if err != nil {
+		return t.Done(op, 0, types.Entry{}), err
+	}
+	moved, err := s.Store.ResolveStep(op, spe.ID, srcName)
+	if err == nil && !moved.IsDir() {
+		err = fmt.Errorf("rename %s: %w", srcPath, types.ErrNotDir)
+	}
 	t.Phase(types.PhaseLookup)
 	if err != nil {
 		return t.Done(op, 0, types.Entry{}), err
 	}
-	if !sperm.Allows(types.PermWrite) || !dperm.Allows(types.PermWrite) {
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("rename %s: %w", srcPath, types.ErrPermission)
-	}
-	se, err := s.store.ResolveStep(op, spe.ID, srcName)
-	if err != nil {
-		t.Phase(types.PhaseLookup)
-		return t.Done(op, 0, types.Entry{}), err
-	}
-	if !se.IsDir() {
-		t.Phase(types.PhaseLookup)
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("rename %s: %w", srcPath, types.ErrNotDir)
-	}
 
 	// Loop detection + rename lock on the coordinator.
-	if err := s.coord.prepare(op, se.ID, srcPath, dstParent, uuid); err != nil {
-		t.Phase(types.PhaseLoopDetect)
+	err = s.coord.prepare(op, moved.ID, srcPath, pathutil.Dir(dstPath), uuid)
+	t.Phase(types.PhaseLoopDetect)
+	if err != nil {
 		return t.Done(op, 0, types.Entry{}), err
 	}
-	t.Phase(types.PhaseLoopDetect)
-	defer s.coord.release(se.ID, uuid)
+	defer s.coord.release(moved.ID, uuid)
 
-	moved := se
-	moved.Pid = dpe.ID
-	moved.Name = dstName
-	srcShard := s.store.ShardFor(spe.ID)
-	dstShard := s.store.ShardFor(dpe.ID)
-	sk, dk := parentRowKey(spe), parentRowKey(dpe)
-	skShard, dkShard := s.store.ShardFor(sk.Pid), s.store.ShardFor(dk.Pid)
-	retries, err := s.store.RunTxn(op, func(int) ([]txn.Piece, error) {
-		byShard := map[*txn.Participant]*txn.Piece{}
-		add := func(p *txn.Participant, g []storage.Guard, m []storage.Mutation) {
-			piece, ok := byShard[p]
-			if !ok {
-				piece = &txn.Piece{P: p}
-				byShard[p] = piece
-			}
-			piece.Guards = append(piece.Guards, g...)
-			piece.Muts = append(piece.Muts, m...)
-		}
-		add(srcShard, nil, []storage.Mutation{{
-			Kind: storage.MutDelete, Key: types.Key{Pid: spe.ID, Name: srcName}, MustExist: true,
-		}})
-		add(dstShard, nil, []storage.Mutation{{
-			Kind: storage.MutPut, Key: types.Key{Pid: dpe.ID, Name: dstName},
-			Entry: moved, IfAbsent: true,
-		}})
-		if spe.ID != dpe.ID {
-			add(skShard, nil, []storage.Mutation{{
-				Kind: storage.MutDeltaAttr, Key: sk,
-				Delta: storage.AttrDelta{LinkCount: -1}, MustExist: true,
-			}})
-			add(dkShard, nil, []storage.Mutation{{
-				Kind: storage.MutDeltaAttr, Key: dk,
-				Delta: storage.AttrDelta{LinkCount: 1}, MustExist: true,
-			}})
-		}
-		pieces := make([]txn.Piece, 0, len(byShard))
-		for _, p := range byShard {
-			pieces = append(pieces, *p)
-		}
-		return pieces, nil
-	})
+	moved.Pid, moved.Name = dpe.ID, dstName
+	retries, err := s.Store.MoveTxn(op, spe, dpe, srcName, moved)
 	if err == nil && s.amCache != nil {
 		s.amCache.invalidate(srcPath)
 	}
 	t.Phase(types.PhaseExecute)
 	return t.Done(op, retries, types.Entry{}), err
-}
-
-// Populate implements api.Service.
-func (s *Service) Populate(dirs []api.PopDir, objects []api.PopObject) error {
-	return dbtable.Populate(s.store, dirs, objects)
 }
 
 // coordinator is InfiniFS's dedicated rename coordination node: it

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mantle/internal/api"
@@ -58,11 +57,6 @@ type Service struct {
 	rafts    []*raft.Raft
 	states   []*dirState
 	nodes    []*netsim.Node
-
-	latchMu sync.Mutex
-	latches map[types.Key]*netsim.Node
-
-	idSeq atomic.Uint64
 }
 
 var _ api.Service = (*Service)(nil)
@@ -72,7 +66,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Fabric == nil {
 		cfg.Fabric = netsim.NewLocalFabric()
 	}
-	cfg.ObjStore.Fabric = cfg.Fabric
 	if cfg.ObjStore.Name == "" {
 		cfg.ObjStore.Name = "locofs-obj"
 	}
@@ -86,9 +79,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:      cfg,
 		objStore: dbtable.New(cfg.ObjStore),
 		caller:   rpc.NewCaller(cfg.Fabric),
-		latches:  make(map[types.Key]*netsim.Node),
 	}
-	s.idSeq.Store(uint64(types.RootID))
 	raftCfgs := make([]raft.Config, cfg.Voters)
 	for i := 0; i < cfg.Voters; i++ {
 		st := newDirState()
@@ -128,8 +119,6 @@ func (s *Service) Stop() {
 	}
 }
 
-func (s *Service) newID() types.InodeID { return types.InodeID(s.idSeq.Add(1)) }
-
 func (s *Service) leader() (int, error) {
 	for i, r := range s.rafts {
 		if role, _, _ := r.Status(); role == raft.Leader {
@@ -139,21 +128,27 @@ func (s *Service) leader() (int, error) {
 	return -1, types.ErrNotLeader
 }
 
-// rowLatch returns the per-key pacer serialising same-key updates.
-func (s *Service) rowLatch(k types.Key) *netsim.Node {
-	s.latchMu.Lock()
-	defer s.latchMu.Unlock()
-	n, ok := s.latches[k]
-	if !ok {
-		n = netsim.NewNode(fmt.Sprintf("locofs-latch-%s", k), 1)
-		s.latches[k] = n
-	}
-	return n
+// latch serialises an update of directory e's key on the per-row pacer
+// (the object store's latch map, which the directory keys share).
+func (s *Service) latch(e dirEnt) {
+	s.objStore.RowPacer(types.Key{Pid: e.Pid, Name: e.Name}).Charge(s.cfg.LatchCost)
 }
 
 // resolveCost is the directory server's CPU charge for a walk of levels.
 func (s *Service) resolveCost(levels int) time.Duration {
 	return s.cfg.ResolveBaseCost + time.Duration(levels)*s.cfg.ResolveLevelCost
+}
+
+// resolveOn walks dir on the directory server's state, charging the walk
+// to its node, and requires need of the aggregated path permission;
+// verb and path label the permission error.
+func (s *Service) resolveOn(st *dirState, node *netsim.Node, verb, path, dir string, need types.Perm) (dirEnt, error) {
+	e, perm, levels, err := st.resolve(dir)
+	node.Charge(s.resolveCost(levels))
+	if err == nil && !perm.Allows(need) {
+		err = fmt.Errorf("%s %s: %w", verb, path, types.ErrPermission)
+	}
+	return e, err
 }
 
 // dirCall performs one RPC to the directory server leader, retrying
@@ -208,8 +203,7 @@ func (s *Service) Lookup(op *rpc.Op, dirPath string) (types.Result, error) {
 	sp.SetAttr("mode", "dir-server-local")
 	var out types.Entry
 	err := s.dirCall(op.WithContext(ctx), func(st *dirState, node *netsim.Node) error {
-		e, _, levels, err := st.resolve(dirPath)
-		node.Charge(s.resolveCost(levels))
+		e, err := s.resolveOn(st, node, "lookup", dirPath, dirPath, 0)
 		if err != nil {
 			return err
 		}
@@ -228,26 +222,19 @@ func (s *Service) Create(op *rpc.Op, objPath string, size int64) (types.Result, 
 	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
 	t := api.NewTimer()
 	var parentID types.InodeID
-	var parentKey types.Key
 	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		e, perm, levels, err := st.resolve(dir)
-		node.Charge(s.resolveCost(levels))
+		e, err := s.resolveOn(st, node, "create", objPath, dir, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
-		if !perm.Allows(types.PermWrite | types.PermLookup) {
-			return fmt.Errorf("create %s: %w", objPath, types.ErrPermission)
-		}
 		parentID = e.ID
-		parentKey = types.Key{Pid: e.Pid, Name: e.Name}
-		// Duplicate name check against the object store (the dir node
-		// owns naming).
-		if _, exists := s.objStore.GetDirect(types.Key{Pid: e.ID, Name: name}); exists {
+		// Duplicate name check (the dir node owns naming) against both
+		// halves of the namespace: objects and subdirectories.
+		if s.nameTaken(st, e.ID, name) {
 			return fmt.Errorf("create %s: %w", objPath, types.ErrExists)
 		}
 		// Parent update: in-memory on the dir node, serialised per key.
-		s.rowLatch(parentKey).Charge(s.cfg.LatchCost)
-		st.bumpLink(parentID, 1)
+		s.latch(e)
 		return nil
 	})
 	t.Phase(types.PhaseLookup)
@@ -255,15 +242,12 @@ func (s *Service) Create(op *rpc.Op, objPath string, size int64) (types.Result, 
 		return t.Done(op, 0, types.Entry{}), err
 	}
 	entry := types.Entry{
-		Pid: parentID, Name: name, ID: s.newID(), Kind: types.KindObject,
+		Pid: parentID, Name: name, ID: s.objStore.NewID(), Kind: types.KindObject,
 		Perm: types.PermAll, Attr: types.Attr{Size: size, MTime: time.Now()},
 	}
-	p := s.objStore.ShardFor(parentID)
-	err = op.Call(p.Node, p.Cost, func() error {
-		return p.Shard.Apply([]storage.Mutation{{
-			Kind: storage.MutPut, Key: types.Key{Pid: parentID, Name: name},
-			Entry: entry, IfAbsent: true,
-		}})
+	err = s.objWrite(op, parentID, 1, storage.Mutation{
+		Kind: storage.MutPut, Key: types.Key{Pid: parentID, Name: name},
+		Entry: entry, IfAbsent: true,
 	})
 	t.Phase(types.PhaseExecute)
 	return t.Done(op, 0, entry), err
@@ -275,31 +259,48 @@ func (s *Service) Delete(op *rpc.Op, objPath string) (types.Result, error) {
 	t := api.NewTimer()
 	var parentID types.InodeID
 	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		e, perm, levels, err := st.resolve(dir)
-		node.Charge(s.resolveCost(levels))
+		e, err := s.resolveOn(st, node, "delete", objPath, dir, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
-		if !perm.Allows(types.PermWrite | types.PermLookup) {
-			return fmt.Errorf("delete %s: %w", objPath, types.ErrPermission)
-		}
 		parentID = e.ID
-		s.rowLatch(types.Key{Pid: e.Pid, Name: e.Name}).Charge(s.cfg.LatchCost)
-		st.bumpLink(parentID, -1)
+		s.latch(e)
 		return nil
 	})
 	t.Phase(types.PhaseLookup)
 	if err != nil {
 		return t.Done(op, 0, types.Entry{}), err
 	}
-	p := s.objStore.ShardFor(parentID)
-	err = op.Call(p.Node, p.Cost, func() error {
-		return p.Shard.Apply([]storage.Mutation{{
-			Kind: storage.MutDelete, Key: types.Key{Pid: parentID, Name: name}, MustExist: true,
-		}})
+	err = s.objWrite(op, parentID, -1, storage.Mutation{
+		Kind: storage.MutDelete, Key: types.Key{Pid: parentID, Name: name}, MustExist: true,
 	})
 	t.Phase(types.PhaseExecute)
 	return t.Done(op, 0, types.Entry{}), err
+}
+
+// nameTaken reports whether name exists under dir as a subdirectory or
+// as an object.
+func (s *Service) nameTaken(st *dirState, dir types.InodeID, name string) bool {
+	if _, ok := st.get(dir, name); ok {
+		return true
+	}
+	_, ok := s.objStore.GetDirect(types.Key{Pid: dir, Name: name})
+	return ok
+}
+
+// objWrite applies one object-row mutation under parent in the object
+// store (one RPC) and, only once it has succeeded, moves the parent's
+// link count by delta on the directory replicas — a failed write leaves
+// no trace in the count Rmdir's emptiness check reads.
+func (s *Service) objWrite(op *rpc.Op, parent types.InodeID, delta int64, m storage.Mutation) error {
+	p := s.objStore.ShardFor(parent)
+	err := op.Call(p.Node, p.Cost, func() error { return p.Shard.Apply([]storage.Mutation{m}) })
+	if err == nil {
+		for _, st := range s.states {
+			st.bumpLink(parent, delta)
+		}
+	}
+	return err
 }
 
 // ObjStat implements api.Service.
@@ -308,13 +309,9 @@ func (s *Service) ObjStat(op *rpc.Op, objPath string) (types.Result, error) {
 	t := api.NewTimer()
 	var parentID types.InodeID
 	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		e, perm, levels, err := st.resolve(dir)
-		node.Charge(s.resolveCost(levels))
+		e, err := s.resolveOn(st, node, "objstat", objPath, dir, types.PermLookup)
 		if err != nil {
 			return err
-		}
-		if !perm.Allows(types.PermLookup) {
-			return fmt.Errorf("objstat %s: %w", objPath, types.ErrPermission)
 		}
 		parentID = e.ID
 		return nil
@@ -344,8 +341,7 @@ func (s *Service) DirStat(op *rpc.Op, dirPath string) (types.Result, error) {
 	t := api.NewTimer()
 	var out types.Entry
 	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		e, _, levels, err := st.resolve(dirPath)
-		node.Charge(s.resolveCost(levels))
+		e, err := s.resolveOn(st, node, "dirstat", dirPath, dirPath, 0)
 		if err != nil {
 			return err
 		}
@@ -363,13 +359,9 @@ func (s *Service) ReadDir(op *rpc.Op, dirPath string) (types.Result, []types.Ent
 	var dirID types.InodeID
 	var subdirs []types.Entry
 	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		e, perm, levels, err := st.resolve(dirPath)
-		node.Charge(s.resolveCost(levels))
+		e, err := s.resolveOn(st, node, "readdir", dirPath, dirPath, types.PermLookup|types.PermRead)
 		if err != nil {
 			return err
-		}
-		if !perm.Allows(types.PermLookup | types.PermRead) {
-			return fmt.Errorf("readdir %s: %w", dirPath, types.ErrPermission)
 		}
 		dirID = e.ID
 		subdirs = st.children(e.ID)
@@ -389,22 +381,18 @@ func (s *Service) ReadDir(op *rpc.Op, dirPath string) (types.Result, []types.Ent
 // LocoFS's directory throughput.
 func (s *Service) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
-	id := s.newID()
+	id := s.objStore.NewID()
 	t := api.NewTimer()
 	var entry types.Entry
 	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		pe, perm, levels, err := st.resolve(parent)
-		node.Charge(s.resolveCost(levels))
+		pe, err := s.resolveOn(st, node, "mkdir", dirPath, parent, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
-		if !perm.Allows(types.PermWrite | types.PermLookup) {
-			return fmt.Errorf("mkdir %s: %w", dirPath, types.ErrPermission)
-		}
-		if _, ok := st.get(pe.ID, name); ok {
+		if s.nameTaken(st, pe.ID, name) {
 			return fmt.Errorf("mkdir %s: %w", dirPath, types.ErrExists)
 		}
-		s.rowLatch(types.Key{Pid: pe.Pid, Name: pe.Name}).Charge(s.cfg.LatchCost)
+		s.latch(pe)
 		entry = types.Entry{
 			Pid: pe.ID, Name: name, ID: id, Kind: types.KindDir,
 			Perm: types.PermAll, Attr: types.Attr{MTime: time.Now()},
@@ -420,13 +408,9 @@ func (s *Service) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
 	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
 	t := api.NewTimer()
 	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		pe, perm, levels, err := st.resolve(parent)
-		node.Charge(s.resolveCost(levels))
+		pe, err := s.resolveOn(st, node, "rmdir", dirPath, parent, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
-		}
-		if !perm.Allows(types.PermWrite | types.PermLookup) {
-			return fmt.Errorf("rmdir %s: %w", dirPath, types.ErrPermission)
 		}
 		de, ok := st.get(pe.ID, name)
 		if !ok {
@@ -435,7 +419,7 @@ func (s *Service) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
 		if st.linkCount(de.ID) > 0 || st.subdirCount(de.ID) > 0 {
 			return fmt.Errorf("rmdir %s: %w", dirPath, types.ErrNotEmpty)
 		}
-		s.rowLatch(types.Key{Pid: pe.Pid, Name: pe.Name}).Charge(s.cfg.LatchCost)
+		s.latch(pe)
 		return s.propose(dirCmd{Kind: cmdRmdir, Pid: pe.ID, Name: name, ID: de.ID})
 	})
 	t.Phase(types.PhaseExecute)
@@ -476,7 +460,7 @@ func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, 
 		if loop {
 			return fmt.Errorf("rename %s under %s: %w", srcPath, dstPath, types.ErrLoop)
 		}
-		s.rowLatch(types.Key{Pid: dpe.Pid, Name: dpe.Name}).Charge(s.cfg.LatchCost)
+		s.latch(dpe)
 		return s.propose(dirCmd{
 			Kind: cmdRename, Pid: spe.ID, Name: srcName, ID: se.ID, Perm: se.Perm,
 			DstPid: dpe.ID, DstName: dstName,
@@ -488,25 +472,16 @@ func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, 
 
 // Populate implements api.Service.
 func (s *Service) Populate(dirs []api.PopDir, objects []api.PopObject) error {
-	maxID := uint64(types.RootID)
 	for _, st := range s.states {
 		st.bulkAdd(dirs)
 	}
 	entries := make([]types.Entry, 0, len(objects))
 	for _, d := range dirs {
-		if uint64(d.ID) > maxID {
-			maxID = uint64(d.ID)
-		}
-	}
-	for {
-		cur := s.idSeq.Load()
-		if cur >= maxID || s.idSeq.CompareAndSwap(cur, maxID) {
-			break
-		}
+		s.objStore.ReserveIDs(d.ID)
 	}
 	for _, o := range objects {
 		entries = append(entries, types.Entry{
-			Pid: o.Pid, Name: o.Name, ID: s.newID(), Kind: types.KindObject,
+			Pid: o.Pid, Name: o.Name, ID: s.objStore.NewID(), Kind: types.KindObject,
 			Perm: types.PermAll, Attr: types.Attr{Size: o.Size},
 		})
 		for _, st := range s.states {

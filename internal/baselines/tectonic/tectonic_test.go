@@ -35,16 +35,13 @@ func TestMultiRPCLookupCost(t *testing.T) {
 // only its concurrency control differs.
 func TestConformanceLegacyTxn(t *testing.T) {
 	conformance.Run(t, conformance.Caps{LoopDetection: false}, func(t *testing.T) api.Service {
-		return New(Config{
-			Store:          dbtable.Config{Shards: 4},
-			DistributedTxn: true,
-			NameOverride:   "dbtable",
-		})
+		return New(Config{Store: dbtable.Config{Shards: 4}, Legacy: true})
 	})
 }
 
+// The legacy service's name is derived from the switch, not configured.
 func TestLegacyNameOverride(t *testing.T) {
-	s := New(Config{Store: dbtable.Config{Shards: 2}, DistributedTxn: true, NameOverride: "dbtable"})
+	s := New(Config{Store: dbtable.Config{Shards: 2}, Legacy: true})
 	defer s.Stop()
 	if s.Name() != "dbtable" {
 		t.Fatalf("name = %s", s.Name())

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"mantle/internal/metrics"
 	"mantle/internal/types"
 )
 
@@ -90,5 +91,5 @@ func CDFSummary(w io.Writer, title string, series []NamedHist) {
 // NamedHist pairs a label with a histogram.
 type NamedHist struct {
 	Name string
-	Hist *Histogram
+	Hist *metrics.Latency
 }

@@ -1,3 +1,8 @@
+// Package bench is the measurement harness for the evaluation: a
+// fixed-work concurrent load runner (mdtest-style: N workers ×
+// ops-per-worker) with per-phase latency aggregation over
+// metrics.Latency histograms, and table/CDF printers used by
+// cmd/experiments to regenerate the paper's figures.
 package bench
 
 import (
@@ -5,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mantle/internal/metrics"
 	"mantle/internal/types"
 )
 
@@ -19,10 +25,11 @@ type RunResult struct {
 	Errors     int64
 	Wall       time.Duration
 	Throughput float64 // successful ops per second
-	Latency    *Histogram
-	// PerPhase holds per-phase latency histograms (lookup / loopdetect /
-	// execute), feeding the breakdown figures.
-	PerPhase [types.NumPhases]*Histogram
+	Latency    *metrics.Latency
+	// PerPhase is the time successful ops spent in each phase (lookup /
+	// loopdetect / execute), summed — the breakdown figures report its
+	// mean per op.
+	PerPhase [types.NumPhases]time.Duration
 	// Retries is the total transaction/lock retries across ops.
 	Retries int64
 	// RTTs is the total RPC round trips across ops.
@@ -31,7 +38,10 @@ type RunResult struct {
 
 // MeanPhase returns the mean latency of phase p across ops.
 func (r RunResult) MeanPhase(p types.Phase) time.Duration {
-	return r.PerPhase[p].Mean()
+	if r.Ops == 0 {
+		return 0
+	}
+	return r.PerPhase[p] / time.Duration(r.Ops)
 }
 
 // MeanRTTs returns the average round trips per successful op.
@@ -47,12 +57,9 @@ func (r RunResult) MeanRTTs() float64 {
 // per rank). Latency is the op's own wall time; throughput is total
 // successful ops over the run's wall time.
 func RunN(workers, perWorker int, fn OpFunc) RunResult {
-	res := RunResult{Workers: workers, Latency: &Histogram{}}
-	for p := range res.PerPhase {
-		res.PerPhase[p] = &Histogram{}
-	}
-	var mu sync.Mutex
+	res := RunResult{Workers: workers, Latency: &metrics.Latency{}}
 	var ops, errs, retries, rtts atomic.Int64
+	var phases [types.NumPhases]atomic.Int64
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -60,13 +67,6 @@ func RunN(workers, perWorker int, fn OpFunc) RunResult {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lat := histPool.Get().(*Histogram)
-			*lat = Histogram{}
-			var phase [types.NumPhases]*Histogram
-			for p := range phase {
-				phase[p] = histPool.Get().(*Histogram)
-				*phase[p] = Histogram{}
-			}
 			for seq := 0; seq < perWorker; seq++ {
 				t0 := time.Now()
 				r, err := fn(w, seq)
@@ -78,20 +78,10 @@ func RunN(workers, perWorker int, fn OpFunc) RunResult {
 				ops.Add(1)
 				retries.Add(int64(r.Retries))
 				rtts.Add(int64(r.RTTs))
-				lat.Record(d)
-				for p := 0; p < types.NumPhases; p++ {
-					phase[p].Record(r.Phases[types.Phase(p)])
+				res.Latency.Observe(d)
+				for p := range phases {
+					phases[p].Add(int64(r.Phases[p]))
 				}
-			}
-			mu.Lock()
-			res.Latency.Merge(lat)
-			for p := range phase {
-				res.PerPhase[p].Merge(phase[p])
-			}
-			mu.Unlock()
-			histPool.Put(lat)
-			for p := range phase {
-				histPool.Put(phase[p])
 			}
 		}(w)
 	}
@@ -101,6 +91,9 @@ func RunN(workers, perWorker int, fn OpFunc) RunResult {
 	res.Errors = errs.Load()
 	res.Retries = retries.Load()
 	res.RTTs = rtts.Load()
+	for p := range phases {
+		res.PerPhase[p] = time.Duration(phases[p].Load())
+	}
 	if res.Wall > 0 {
 		res.Throughput = float64(res.Ops) / res.Wall.Seconds()
 	}

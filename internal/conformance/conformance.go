@@ -126,6 +126,45 @@ func Run(t *testing.T, caps Caps, factory func(t *testing.T) api.Service) {
 		}
 	})
 
+	// Rejected mutations must not move the link count that Rmdir's
+	// emptiness check reads, nor claim a name in the other half of the
+	// namespace (objects vs directories).
+	sub("FailedOpsLeaveNoTrace", func(t *testing.T, s api.Service) {
+		mustMkdirAll(t, s, "/d/sub")
+		if _, err := s.Create(begin(s), "/d/o", 1); err != nil {
+			t.Fatal(err)
+		}
+		failures := []struct {
+			name string
+			run  func() (types.Result, error)
+			want error
+		}{
+			{"delete missing", func() (types.Result, error) { return s.Delete(begin(s), "/d/missing") }, types.ErrNotFound},
+			{"duplicate create", func() (types.Result, error) { return s.Create(begin(s), "/d/o", 1) }, types.ErrExists},
+			{"mkdir over object", func() (types.Result, error) { return s.Mkdir(begin(s), "/d/o") }, types.ErrExists},
+			{"create over directory", func() (types.Result, error) { return s.Create(begin(s), "/d/sub", 1) }, types.ErrExists},
+			{"rmdir missing", func() (types.Result, error) { return s.Rmdir(begin(s), "/d/missing") }, types.ErrNotFound},
+		}
+		for _, f := range failures {
+			if _, err := f.run(); !errors.Is(err, f.want) {
+				t.Fatalf("%s: err = %v, want %v", f.name, err, f.want)
+			}
+		}
+		if _, err := s.Rmdir(begin(s), "/d/sub"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.DirStat(begin(s), "/d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Entry.Attr.LinkCount != 1 {
+			t.Fatalf("links after failed ops = %d, want 1 (the object)", res.Entry.Attr.LinkCount)
+		}
+		if _, err := s.Rmdir(begin(s), "/d"); !errors.Is(err, types.ErrNotEmpty) {
+			t.Fatalf("rmdir of a directory still holding an object: %v", err)
+		}
+	})
+
 	sub("RenameMovesSubtree", func(t *testing.T, s api.Service) {
 		mustMkdirAll(t, s, "/src/job/deep")
 		mustMkdirAll(t, s, "/dst")

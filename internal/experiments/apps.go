@@ -6,6 +6,7 @@ import (
 
 	"mantle/internal/bench"
 	"mantle/internal/dataservice"
+	"mantle/internal/metrics"
 	"mantle/internal/netsim"
 	"mantle/internal/workload"
 )
@@ -115,7 +116,7 @@ func Fig10(p Params) error {
 // dirrename for Analytics, objstat and create for Audio.
 func Fig11(p Params) error {
 	p = p.WithDefaults()
-	hists := map[string]map[string]*bench.Histogram{} // op -> system -> hist
+	hists := map[string]map[string]*metrics.Latency{} // op -> system -> hist
 	for _, name := range Systems {
 		opts := SystemOpts{}
 		if name == "mantle" {
@@ -128,7 +129,7 @@ func Fig11(p Params) error {
 		for op, h := range an.Ops {
 			if op == "mkdir" || op == "dirrename" {
 				if hists[op] == nil {
-					hists[op] = map[string]*bench.Histogram{}
+					hists[op] = map[string]*metrics.Latency{}
 				}
 				hists[op][name] = h
 			}
@@ -137,7 +138,7 @@ func Fig11(p Params) error {
 			if op == "objstat" || op == "create" {
 				key := "audio-" + op
 				if hists[key] == nil {
-					hists[key] = map[string]*bench.Histogram{}
+					hists[key] = map[string]*metrics.Latency{}
 				}
 				hists[key][name] = h
 			}

@@ -209,10 +209,8 @@ func NewSystem(name string, fabric *netsim.Fabric, opts SystemOpts) (api.Service
 				Shards: dbShardsTectonic, Workers: dbWorkers, OpCost: dbOpCost,
 				LatchCost: dbLatchCost, AtomicCost: dbAtomicCost,
 				RetryBase: retryBase, RetryMax: retryMax,
-				Name: name,
 			},
-			DistributedTxn: name == "dbtable",
-			NameOverride:   name,
+			Legacy: name == "dbtable",
 		}), nil
 	case "infinifs":
 		return infinifs.New(infinifs.Config{

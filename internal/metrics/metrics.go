@@ -130,13 +130,17 @@ func (l *Latency) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (l *Latency) Count() int64 { return l.count.Load() }
 
+// Mean returns the average observation.
+func (l *Latency) Mean() time.Duration {
+	if count := l.count.Load(); count > 0 {
+		return time.Duration(l.sum.Load() / count)
+	}
+	return 0
+}
+
 // Snapshot returns count, mean, and max.
 func (l *Latency) Snapshot() (count int64, mean, max time.Duration) {
-	count = l.count.Load()
-	if count > 0 {
-		mean = time.Duration(l.sum.Load() / count)
-	}
-	return count, mean, time.Duration(l.max.Load())
+	return l.Count(), l.Mean(), l.Max()
 }
 
 // Max returns the largest observation (exact, not bucketed).

@@ -262,7 +262,7 @@ func (db *DB) MigrateDir(op *rpc.Op, dir types.InodeID, dst int) (int, error) {
 	// unbatched (txn.Direct) and ungated — the migration's own pieces
 	// touch the gated pid by design.
 	var keys []types.Key
-	_, err = txn.RunnerWithRetry(txn.Direct{}, op, db.newTxnID(), maxRetries,
+	_, err = txn.RunWithRetry(txn.Direct{}, op, db.newTxnID(), maxRetries,
 		db.cfg.RetryBase, db.cfg.RetryMax, func(int) ([]txn.Piece, error) {
 			if pSrc.Shard.Crashed() || pDst.Shard.Crashed() {
 				return nil, fmt.Errorf("tafdb: migrate dir %d: participant shard down: %w",

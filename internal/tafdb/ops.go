@@ -181,25 +181,19 @@ func (db *DB) Mkdir(op *rpc.Op, parent types.InodeID, name string, id types.Inod
 		pParent := db.shardFor(parent)
 		pDir := db.shardFor(id)
 		mut, guard := db.parentAttrMutation(parent, storage.AttrDelta{LinkCount: 1}, time.Now())
-		parentPiece := txn.Piece{
+		return []txn.Piece{{
 			P:      pParent,
 			Guards: []storage.Guard{guard},
 			Muts: []storage.Mutation{
 				{Kind: storage.MutPut, Key: types.Key{Pid: parent, Name: name}, Entry: access, IfAbsent: true},
 				mut,
 			},
-		}
-		dirPiece := txn.Piece{
+		}, {
 			P: pDir,
 			Muts: []storage.Mutation{
 				{Kind: storage.MutPut, Key: attrKey(id), Entry: primary, IfAbsent: true},
 			},
-		}
-		if pParent == pDir {
-			parentPiece.Muts = append(parentPiece.Muts, dirPiece.Muts...)
-			return []txn.Piece{parentPiece}, nil
-		}
-		return []txn.Piece{parentPiece, dirPiece}, nil
+		}}, nil
 	})
 	if err != nil {
 		return types.Entry{}, retries, err
@@ -221,15 +215,14 @@ func (db *DB) Rmdir(op *rpc.Op, parent types.InodeID, name string, dir types.Ino
 		pParent := db.shardFor(parent)
 		pDir := db.shardFor(dir)
 		mut, guard := db.parentAttrMutation(parent, storage.AttrDelta{LinkCount: -1}, time.Now())
-		parentPiece := txn.Piece{
+		return []txn.Piece{{
 			P:      pParent,
 			Guards: []storage.Guard{guard},
 			Muts: []storage.Mutation{
 				{Kind: storage.MutDelete, Key: types.Key{Pid: parent, Name: name}, MustExist: true},
 				mut,
 			},
-		}
-		dirPiece := txn.Piece{
+		}, {
 			P: pDir,
 			Guards: []storage.Guard{{
 				Kind:  storage.GuardRangeEmpty,
@@ -239,13 +232,7 @@ func (db *DB) Rmdir(op *rpc.Op, parent types.InodeID, name string, dir types.Ino
 			Muts: []storage.Mutation{
 				{Kind: storage.MutDelete, Key: attrKey(dir), MustExist: true},
 			},
-		}
-		if pParent == pDir {
-			parentPiece.Guards = append(parentPiece.Guards, dirPiece.Guards...)
-			parentPiece.Muts = append(parentPiece.Muts, dirPiece.Muts...)
-			return []txn.Piece{parentPiece}, nil
-		}
-		return []txn.Piece{parentPiece, dirPiece}, nil
+		}}, nil
 	})
 }
 
@@ -287,20 +274,14 @@ func (db *DB) RenameDir(op *rpc.Op, srcParent types.InodeID, srcName string,
 			return []txn.Piece{srcPiece}, nil
 		}
 		dstMut, dstGuard := db.parentAttrMutation(dstParent, storage.AttrDelta{LinkCount: 1}, now)
-		dstPiece := txn.Piece{
+		return []txn.Piece{srcPiece, {
 			P:      pDst,
 			Guards: []storage.Guard{dstGuard},
 			Muts: []storage.Mutation{
 				{Kind: storage.MutPut, Key: types.Key{Pid: dstParent, Name: dstName}, Entry: access, IfAbsent: true},
 				dstMut,
 			},
-		}
-		if pSrc == pDst {
-			srcPiece.Guards = append(srcPiece.Guards, dstPiece.Guards...)
-			srcPiece.Muts = append(srcPiece.Muts, dstPiece.Muts...)
-			return []txn.Piece{srcPiece}, nil
-		}
-		return []txn.Piece{srcPiece, dstPiece}, nil
+		}}, nil
 	})
 }
 
@@ -343,7 +324,7 @@ func (db *DB) SetDirPerm(op *rpc.Op, parent types.InodeID, name string, dir type
 		}
 		accEntry := accRow.Entry
 		accEntry.Perm = perm
-		accPiece := txn.Piece{
+		return []txn.Piece{{
 			P: pAcc,
 			Guards: []storage.Guard{{
 				Key: accKey, Kind: storage.GuardVersion, Version: accRow.Version,
@@ -351,13 +332,7 @@ func (db *DB) SetDirPerm(op *rpc.Op, parent types.InodeID, name string, dir type
 			Muts: []storage.Mutation{
 				{Kind: storage.MutPut, Key: accKey, Entry: accEntry},
 			},
-		}
-		if pAcc == pDir {
-			accPiece.Guards = append(accPiece.Guards, attrPiece.Guards...)
-			accPiece.Muts = append(accPiece.Muts, attrPiece.Muts...)
-			return []txn.Piece{accPiece}, nil
-		}
-		return []txn.Piece{accPiece, attrPiece}, nil
+		}, attrPiece}, nil
 	})
 }
 

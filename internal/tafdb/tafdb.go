@@ -566,6 +566,7 @@ func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, build func(attempt 
 		}
 		pieces, err := build(attempt)
 		if err == nil {
+			pieces = txn.Merge(pieces)
 			db.notePieces(pieces)
 			if db.cfg.Repl != nil && len(pieces) > 1 {
 				// Pre-register the cross-shard group before the 2PC
@@ -578,7 +579,7 @@ func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, build func(attempt 
 	if db.cfg.Batch2PC {
 		sp.SetAttr("2pc", "batched")
 	}
-	retries, err := txn.RunnerWithRetry(gatedRunner{db}, op, id, maxRetries,
+	retries, err := txn.RunWithRetry(gatedRunner{db}, op, id, maxRetries,
 		db.cfg.RetryBase, db.cfg.RetryMax, wrapped)
 	if db.cfg.Repl != nil {
 		// Committed stamps were consumed piece by piece; this clears the

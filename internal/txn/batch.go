@@ -1,7 +1,6 @@
 package txn
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -9,32 +8,6 @@ import (
 
 	"mantle/internal/rpc"
 )
-
-// Runner executes distributed transactions. The package-level Run
-// function (wrapped by Direct) runs each transaction on its own 2PC
-// rounds; Batcher groups independent cross-shard transactions with the
-// same participant set into shared rounds.
-type Runner interface {
-	// Run has the same contract as the package-level Run function.
-	Run(op *rpc.Op, txnID string, pieces []Piece) error
-}
-
-// Direct is the unbatched Runner: one 2PC round pair per transaction.
-type Direct struct{}
-
-// Run implements Runner.
-func (Direct) Run(op *rpc.Op, txnID string, pieces []Piece) error {
-	return Run(op, txnID, pieces)
-}
-
-// batchTxn is one transaction waiting in (or executing under) a batch
-// group.
-type batchTxn struct {
-	op     *rpc.Op
-	id     string
-	pieces []Piece
-	done   chan error
-}
 
 // batchGroup accumulates transactions with one participant signature.
 type batchGroup struct {
@@ -98,7 +71,7 @@ func signature(pieces []Piece) string {
 // Run implements Runner.
 func (b *Batcher) Run(op *rpc.Op, txnID string, pieces []Piece) error {
 	if len(pieces) < 2 {
-		return Run(op, txnID, pieces)
+		return Direct{}.Run(op, txnID, pieces)
 	}
 	b.txns.Add(1)
 	t := &batchTxn{op: op, id: txnID, pieces: pieces, done: make(chan error, 1)}
@@ -126,147 +99,17 @@ func (b *Batcher) Run(op *rpc.Op, txnID string, pieces []Piece) error {
 		}
 		g.pending = rest
 		b.mu.Unlock()
-		b.runBatch(batch)
+		b.rounds.Add(1)
+		if len(batch) > 1 {
+			b.batched.Add(int64(len(batch)))
+		}
+		for j, err := range rounds(batch) {
+			batch[j].done <- err
+		}
 		b.mu.Lock()
 	}
 	g.running = false
 	delete(b.groups, key)
 	b.mu.Unlock()
 	return <-t.done
-}
-
-// pieceOn returns t's piece landing on participant p. Every transaction
-// in a batch has exactly one (the signature guarantees the same
-// participant set).
-func pieceOn(t *batchTxn, p *Participant) Piece {
-	for _, pc := range t.pieces {
-		if pc.P == p {
-			return pc
-		}
-	}
-	// Same shard ID reached through a distinct Participant value: fall
-	// back to matching by shard identity.
-	for _, pc := range t.pieces {
-		if pc.P.Shard == p.Shard {
-			return pc
-		}
-	}
-	return Piece{P: p}
-}
-
-// runBatch executes one shared 2PC round pair. Each participant
-// receives one prepare RPC carrying every transaction's guards and
-// mutations and one commit/abort RPC resolving each; within the RPC
-// the per-transaction work runs concurrently (so WAL group commit
-// coalesces the batch onto few syncs) and each transaction past the
-// first charges its own CPU service time on the node, keeping the cost
-// model honest — the saving is round trips and fsyncs, not CPU.
-func (b *Batcher) runBatch(batch []*batchTxn) {
-	b.rounds.Add(1)
-	if len(batch) > 1 {
-		b.batched.Add(int64(len(batch)))
-	}
-	lead := batch[0].op
-	parts := make([]*Participant, len(batch[0].pieces))
-	for i, pc := range batch[0].pieces {
-		parts[i] = pc.P
-	}
-
-	// Prepare round: one RPC per participant, all transactions inside.
-	var wg sync.WaitGroup
-	prepErrs := make([][]error, len(parts))
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *Participant) {
-			defer wg.Done()
-			row := make([]error, len(batch))
-			rpcErr := lead.Call(p.Node, p.Cost, func() error {
-				var iwg sync.WaitGroup
-				for j, t := range batch {
-					iwg.Add(1)
-					go func(j int, t *batchTxn) {
-						defer iwg.Done()
-						if j > 0 {
-							p.Node.Charge(p.Cost)
-						}
-						pc := pieceOn(t, p)
-						row[j] = p.Shard.Prepare(t.id, pc.Guards, pc.Muts)
-					}(j, t)
-				}
-				iwg.Wait()
-				return nil
-			})
-			if rpcErr != nil {
-				// The RPC itself failed (fabric fault): the whole round
-				// is unknown on this participant; fail every slot so
-				// each transaction aborts and retries.
-				for j := range row {
-					row[j] = rpcErr
-				}
-			}
-			prepErrs[i] = row
-		}(i, p)
-	}
-	wg.Wait()
-
-	// A transaction commits iff every participant prepared it.
-	outcome := make([]error, len(batch))
-	for j := range batch {
-		for i := range parts {
-			if err := prepErrs[i][j]; err != nil {
-				outcome[j] = err
-				break
-			}
-		}
-	}
-
-	// Commit/abort round: again one RPC per participant. Abort of a
-	// transaction that never prepared on a participant is a no-op.
-	commitErrs := make([][]error, len(parts))
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *Participant) {
-			defer wg.Done()
-			row := make([]error, len(batch))
-			rpcErr := lead.Call(p.Node, p.Cost, func() error {
-				var iwg sync.WaitGroup
-				for j, t := range batch {
-					iwg.Add(1)
-					go func(j int, t *batchTxn) {
-						defer iwg.Done()
-						if j > 0 {
-							p.Node.Charge(p.Cost)
-						}
-						if outcome[j] != nil {
-							p.Shard.Abort(t.id)
-						} else {
-							p.Shard.Commit(t.id)
-						}
-					}(j, t)
-				}
-				iwg.Wait()
-				return nil
-			})
-			if rpcErr != nil {
-				for j := range row {
-					row[j] = rpcErr
-				}
-			}
-			commitErrs[i] = row
-		}(i, p)
-	}
-	wg.Wait()
-
-	for j, t := range batch {
-		err := outcome[j]
-		if err == nil {
-			for i := range parts {
-				if commitErrs[i][j] != nil {
-					err = fmt.Errorf("txn %s commit: %w", t.id, commitErrs[i][j])
-					break
-				}
-			}
-		}
-		t.done <- err
-	}
 }

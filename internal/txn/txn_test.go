@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func put(pid uint64, name string, id uint64) storage.Mutation {
 func TestSingleShardFastPath(t *testing.T) {
 	caller, parts := testRig(1)
 	op := caller.Begin()
-	err := Run(op, "t1", []Piece{{P: parts[0], Muts: []storage.Mutation{put(1, "a", 10)}}})
+	err := Direct{}.Run(op, "t1", []Piece{{P: parts[0], Muts: []storage.Mutation{put(1, "a", 10)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestSingleShardFastPath(t *testing.T) {
 func TestTwoPhaseCommitTwoShards(t *testing.T) {
 	caller, parts := testRig(2)
 	op := caller.Begin()
-	err := Run(op, "t1", []Piece{
+	err := Direct{}.Run(op, "t1", []Piece{
 		{P: parts[0], Muts: []storage.Mutation{put(1, "a", 10)}},
 		{P: parts[1], Muts: []storage.Mutation{put(2, "b", 20)}},
 	})
@@ -80,7 +81,7 @@ func TestPrepareFailureAbortsAll(t *testing.T) {
 	conflicting := put(2, "b", 20)
 	conflicting.IfAbsent = true
 	op := caller.Begin()
-	err := Run(op, "t1", []Piece{
+	err := Direct{}.Run(op, "t1", []Piece{
 		{P: parts[0], Muts: []storage.Mutation{put(1, "a", 10)}},
 		{P: parts[1], Muts: []storage.Mutation{conflicting}},
 	})
@@ -107,7 +108,7 @@ func TestConflictIsRetryable(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := RunWithRetry(op, "t2", 50, time.Microsecond, time.Millisecond,
+		_, err := RunWithRetry(Direct{}, op, "t2", 50, time.Microsecond, time.Millisecond,
 			func(attempt int) ([]Piece, error) {
 				attempts++
 				return []Piece{{P: parts[0], Muts: []storage.Mutation{put(1, "hot", 2)}}}, nil
@@ -135,7 +136,7 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 	defer parts[0].Shard.Abort("holder")
 	op := caller.Begin()
-	retries, err := RunWithRetry(op, "t2", 3, 0, 0, func(int) ([]Piece, error) {
+	retries, err := RunWithRetry(Direct{}, op, "t2", 3, 0, 0, func(int) ([]Piece, error) {
 		return []Piece{{P: parts[0], Muts: []storage.Mutation{put(1, "hot", 2)}}}, nil
 	})
 	if !errors.Is(err, types.ErrRetryExhausted) {
@@ -150,7 +151,7 @@ func TestBuildErrorAborts(t *testing.T) {
 	caller, _ := testRig(1)
 	op := caller.Begin()
 	sentinel := errors.New("boom")
-	_, err := RunWithRetry(op, "t", 5, 0, 0, func(int) ([]Piece, error) {
+	_, err := RunWithRetry(Direct{}, op, "t", 5, 0, 0, func(int) ([]Piece, error) {
 		return nil, sentinel
 	})
 	if !errors.Is(err, sentinel) {
@@ -174,7 +175,7 @@ func TestConcurrentContendedCounter(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				op := caller.Begin()
-				_, err := RunWithRetry(op, fmt.Sprintf("c%d-%d", g, i), 10000,
+				_, err := RunWithRetry(Direct{}, op, fmt.Sprintf("c%d-%d", g, i), 10000,
 					time.Microsecond, 100*time.Microsecond,
 					func(int) ([]Piece, error) {
 						return []Piece{
@@ -205,5 +206,142 @@ func TestConcurrentContendedCounter(t *testing.T) {
 	}
 	if parts[0].Shard.LockedKeys() != 0 || parts[1].Shard.LockedKeys() != 0 {
 		t.Fatal("locks leaked")
+	}
+}
+
+// TestRunnersOneTable drives Direct and Batcher through the same
+// commit / abort / conflict scenarios: both are the one round driver, so
+// outcomes, RPC counts and lock hygiene must agree.
+func TestRunnersOneTable(t *testing.T) {
+	dup := put(2, "b", 20)
+	dup.IfAbsent = true
+	scenarios := []struct {
+		name string
+		// setup prepares shard state and returns a cleanup.
+		setup   func(parts []*Participant) func()
+		second  storage.Mutation // the piece on shard 1
+		wantErr error
+		applied bool // shard 0's row exists afterwards
+	}{
+		{name: "commit", second: put(2, "b", 20), applied: true},
+		{
+			name: "abort",
+			setup: func(parts []*Participant) func() {
+				_ = parts[1].Shard.Apply([]storage.Mutation{put(2, "b", 99)})
+				return func() {}
+			},
+			second: dup, wantErr: types.ErrExists,
+		},
+		{
+			name: "conflict",
+			setup: func(parts []*Participant) func() {
+				if err := parts[1].Shard.Prepare("holder", nil, []storage.Mutation{put(2, "b", 1)}); err != nil {
+					panic(err)
+				}
+				return func() { parts[1].Shard.Abort("holder") }
+			},
+			second: put(2, "b", 20), wantErr: types.ErrConflict,
+		},
+	}
+	runners := map[string]func() Runner{
+		"direct":  func() Runner { return Direct{} },
+		"batcher": func() Runner { return NewBatcher(0) },
+	}
+	for rname, mk := range runners {
+		for _, sc := range scenarios {
+			t.Run(rname+"/"+sc.name, func(t *testing.T) {
+				caller, parts := testRig(2)
+				cleanup := func() {}
+				if sc.setup != nil {
+					cleanup = sc.setup(parts)
+				}
+				op := caller.Begin()
+				err := mk().Run(op, "t1", []Piece{
+					{P: parts[0], Muts: []storage.Mutation{put(1, "a", 10)}},
+					{P: parts[1], Muts: []storage.Mutation{sc.second}},
+				})
+				if !errors.Is(err, sc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, sc.wantErr)
+				}
+				// One prepare and one commit/abort RPC per participant,
+				// whatever the outcome.
+				if op.RTTs() != 4 {
+					t.Fatalf("RTTs = %d, want 4", op.RTTs())
+				}
+				if _, ok := parts[0].Shard.Get(types.Key{Pid: 1, Name: "a"}); ok != sc.applied {
+					t.Fatalf("shard0 row present = %v, want %v", ok, sc.applied)
+				}
+				cleanup()
+				if parts[0].Shard.LockedKeys() != 0 || parts[1].Shard.LockedKeys() != 0 {
+					t.Fatal("locks leaked")
+				}
+			})
+		}
+	}
+}
+
+func TestMerge(t *testing.T) {
+	_, parts := testRig(3)
+	a, b, c := parts[0], parts[1], parts[2]
+	g := func(name string) storage.Guard {
+		return storage.Guard{Key: types.Key{Pid: 1, Name: name}, Kind: storage.GuardExists}
+	}
+	m := func(name string) storage.Mutation { return put(1, name, 1) }
+	cases := []struct {
+		name string
+		in   []Piece
+		want []Piece
+	}{
+		{"empty", nil, nil},
+		{"distinct", []Piece{{P: a, Muts: []storage.Mutation{m("x")}}, {P: b, Muts: []storage.Mutation{m("y")}}},
+			[]Piece{{P: a, Muts: []storage.Mutation{m("x")}}, {P: b, Muts: []storage.Mutation{m("y")}}}},
+		{"pair", []Piece{
+			{P: a, Guards: []storage.Guard{g("g1")}, Muts: []storage.Mutation{m("x"), m("y")}},
+			{P: a, Guards: []storage.Guard{g("g2")}, Muts: []storage.Mutation{m("z")}},
+		}, []Piece{
+			{P: a, Guards: []storage.Guard{g("g1"), g("g2")}, Muts: []storage.Mutation{m("x"), m("y"), m("z")}},
+		}},
+		{"first-seen order", []Piece{
+			{P: b, Muts: []storage.Mutation{m("1")}},
+			{P: a, Muts: []storage.Mutation{m("2")}},
+			{P: b, Guards: []storage.Guard{g("g")}},
+			{P: c, Muts: []storage.Mutation{m("3")}},
+			{P: a, Muts: []storage.Mutation{m("4")}},
+		}, []Piece{
+			{P: b, Guards: []storage.Guard{g("g")}, Muts: []storage.Mutation{m("1")}},
+			{P: a, Muts: []storage.Mutation{m("2"), m("4")}},
+			{P: c, Muts: []storage.Mutation{m("3")}},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := Merge(tc.in)
+			if len(got) != len(tc.want) {
+				t.Fatalf("%d pieces, want %d", len(got), len(tc.want))
+			}
+			for i := range got {
+				if got[i].P != tc.want[i].P || !reflect.DeepEqual(got[i].Guards, tc.want[i].Guards) ||
+					!reflect.DeepEqual(got[i].Muts, tc.want[i].Muts) {
+					t.Errorf("piece %d = %+v, want %+v", i, got[i], tc.want[i])
+				}
+			}
+		})
+	}
+
+	// No duplicates: the same slice back, nothing allocated.
+	distinct := []Piece{{P: a, Muts: []storage.Mutation{m("x")}}, {P: b}, {P: c}}
+	if got := Merge(distinct); &got[0] != &distinct[0] || len(got) != 3 {
+		t.Fatal("Merge copied a duplicate-free slice")
+	}
+	if n := testing.AllocsPerRun(100, func() { Merge(distinct) }); n != 0 {
+		t.Fatalf("Merge of distinct participants allocates %.0f times", n)
+	}
+
+	// Merging never writes into a builder's arrays past their length.
+	shared := make([]storage.Mutation, 1, 4)
+	shared[0] = m("x")
+	Merge([]Piece{{P: a, Muts: shared}, {P: a, Muts: []storage.Mutation{m("y")}}})
+	if spare := shared[:2][1]; spare.Key.Name != "" {
+		t.Fatalf("Merge scribbled on the builder's spare capacity: %+v", spare)
 	}
 }

@@ -3,52 +3,53 @@ package workload
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mantle/internal/api"
-	"mantle/internal/bench"
 	"mantle/internal/dataservice"
+	"mantle/internal/metrics"
 )
 
 // AppReport is the outcome of one application run: job completion time
 // plus per-operation latency histograms (the Figure 11 CDFs).
 type AppReport struct {
 	Completion time.Duration
-	Ops        map[string]*bench.Histogram
+	Ops        map[string]*metrics.Latency
 	Errors     int64
 }
 
-func newReport() *AppReport {
-	return &AppReport{Ops: map[string]*bench.Histogram{}}
-}
-
-func (r *AppReport) record(op string, d time.Duration) {
-	h, ok := r.Ops[op]
-	if !ok {
-		h = &bench.Histogram{}
-		r.Ops[op] = h
-	}
-	h.Record(d)
-}
-
-// appRecorder collects latencies concurrently.
+// appRecorder collects latencies concurrently: the op set is fixed at
+// construction, so workers only read the map and observe lock-free.
 type appRecorder struct {
-	mu  sync.Mutex
-	rep *AppReport
+	rep  *AppReport
+	errs atomic.Int64
+}
+
+func newRecorder(ops ...string) *appRecorder {
+	rep := &AppReport{Ops: make(map[string]*metrics.Latency, len(ops))}
+	for _, op := range ops {
+		rep.Ops[op] = &metrics.Latency{}
+	}
+	return &appRecorder{rep: rep}
 }
 
 func (a *appRecorder) time(op string, fn func() error) error {
 	t0 := time.Now()
 	err := fn()
-	d := time.Since(t0)
-	a.mu.Lock()
 	if err != nil {
-		a.rep.Errors++
+		a.errs.Add(1)
 	} else {
-		a.rep.record(op, d)
+		a.rep.Ops[op].Observe(time.Since(t0))
 	}
-	a.mu.Unlock()
 	return err
+}
+
+// report closes the run that began at start.
+func (a *appRecorder) report(start time.Time) *AppReport {
+	a.rep.Completion = time.Since(start)
+	a.rep.Errors = a.errs.Load()
+	return a.rep
 }
 
 // AnalyticsConfig parameterises the Spark-style interactive analytics
@@ -93,7 +94,7 @@ func (c AnalyticsConfig) withDefaults() AnalyticsConfig {
 // completion time and op latency distributions.
 func RunAnalytics(s api.Service, cfg AnalyticsConfig) (*AppReport, error) {
 	cfg = cfg.withDefaults()
-	rec := &appRecorder{rep: newReport()}
+	rec := newRecorder("mkdir", "create", "dirrename")
 
 	// Setup (untimed): the job's directory skeleton.
 	setup := []string{"/analytics", "/analytics/tmp", "/analytics/out"}
@@ -149,8 +150,7 @@ func RunAnalytics(s api.Service, cfg AnalyticsConfig) (*AppReport, error) {
 		}()
 	}
 	wg.Wait()
-	rec.rep.Completion = time.Since(start)
-	return rec.rep, nil
+	return rec.report(start), nil
 }
 
 // AudioConfig parameterises the AI audio pre-processing workload (§6.2):
@@ -202,7 +202,7 @@ func RunAudio(s api.Service, cfg AudioConfig) (*AppReport, error) {
 	if ns == nil {
 		return nil, fmt.Errorf("audio: namespace with populated inputs required")
 	}
-	rec := &appRecorder{rep: newReport()}
+	rec := newRecorder("objstat", "create")
 
 	// Setup (untimed): per-worker output dirs under the working dirs.
 	outDirs := make([]string, cfg.Workers)
@@ -256,6 +256,5 @@ func RunAudio(s api.Service, cfg AudioConfig) (*AppReport, error) {
 		}(w)
 	}
 	wg.Wait()
-	rec.rep.Completion = time.Since(start)
-	return rec.rep, nil
+	return rec.report(start), nil
 }
