@@ -1,12 +1,13 @@
 # Mantle build & test entry points. CI (.github/workflows/ci.yml) runs
-# fmt + vet + test-race; `make chaos` is the long lane it runs on push,
-# and `make bench` / `make bench-compare` are the whole perf surface:
+# fmt + vet + test-race + test-readpath; `make chaos` is the long lane it
+# runs on push, and `make bench` / `make bench-compare` are the whole
+# perf surface:
 # the canonical benchmark (benchmark/README.md) and its comparison
 # against the committed baseline.
 
 GO ?= go
 
-.PHONY: all build test test-race fmt vet loc chaos bench bench-compare heat-report clean
+.PHONY: all build test test-race test-readpath fmt vet loc chaos bench bench-compare heat-report clean
 
 all: build
 
@@ -22,6 +23,13 @@ test:
 
 test-race:
 	$(GO) test -race -short -count=1 ./...
+
+# The follower read path (raft ReadIndex rounds, reply-driven commit
+# advance, bounded-staleness reads, indexnode follower lookups) twenty
+# times under the race detector: its inline-round / queued-round hand-off
+# has to hold under many schedules, not one.
+test-readpath:
+	$(GO) test -race -count=20 -run 'ReadIndex|FollowerRead|BoundedStale|ReadAfterWrite' ./internal/raft/ ./internal/indexnode/
 
 fmt:
 	@out="$$(gofmt -l .)"; \

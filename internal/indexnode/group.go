@@ -204,7 +204,7 @@ func (g *Group) noteRead(idx int, rf *raft.Raft) {
 		g.learnerReads.Add(1)
 		return
 	}
-	if role, _, _ := rf.Status(); role == raft.Leader {
+	if rf.Role() == raft.Leader {
 		g.leaderReads.Add(1)
 	} else {
 		g.followerReads.Add(1)
@@ -291,7 +291,7 @@ func (g *Group) leaderIndex() int {
 		if r.Stopped() {
 			continue
 		}
-		if role, _, _ := r.Status(); role == raft.Leader {
+		if r.Role() == raft.Leader {
 			return i
 		}
 	}

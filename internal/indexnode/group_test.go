@@ -102,6 +102,44 @@ func TestGroupFollowerReadsSeeWrites(t *testing.T) {
 	}
 }
 
+// Under the paper's FollowerRead deployment a lookup that follows a
+// mkdir costs one ReadIndex trip on whichever replica serves it, not a
+// wait for the next heartbeat to tell that replica the mkdir committed.
+func TestGroupFollowerReadAfterWrite(t *testing.T) {
+	g, caller := newTestGroup(t, func(c *Config) {
+		c.FollowerRead = true
+		c.Learners = 1
+		c.Raft.ElectionTimeout = 10 * time.Second
+		c.Raft.HeartbeatInterval = time.Second
+	})
+	replicas := len(g.Replicas())
+	for round := 0; round < 4; round++ {
+		name := fmt.Sprintf("d%d", round)
+		id := types.InodeID(10 + round)
+		if err := g.AddDir(caller.Begin(), types.RootID, name, id, types.PermAll, ""); err != nil {
+			t.Fatal(err)
+		}
+		// Round-robin routing: one lookup per voter and learner.
+		for i := 0; i < replicas; i++ {
+			start := time.Now()
+			res, err := g.Lookup(caller.Begin(), "/"+name)
+			d := time.Since(start)
+			if err != nil || res.ID != id {
+				t.Fatalf("round %d lookup %d = %+v, %v", round, i, res, err)
+			}
+			// Round 0 introduces the leader to its followers (the first
+			// AppendEntries) and is not timed.
+			if round > 0 && d > 10*time.Millisecond {
+				t.Fatalf("round %d lookup %d after mkdir took %v with a %v heartbeat",
+					round, i, d, g.cfg.Raft.HeartbeatInterval)
+			}
+		}
+	}
+	if leader, follower, learner := g.ReadMix(); leader == 0 || follower == 0 || learner == 0 {
+		t.Fatalf("read mix leader=%d follower=%d learner=%d: some replica kind served nothing", leader, follower, learner)
+	}
+}
+
 func TestGroupRenameFlow(t *testing.T) {
 	g, caller := newTestGroup(t, nil)
 	// Build /a/b and /x via Raft.

@@ -157,41 +157,33 @@ func (r *Raft) maybeCompact() {
 	r.fsync() // persisting the snapshot costs a disk sync
 }
 
-// WaitApplied blocks until the replica has applied at least index, or the
-// replica stops.
-func (r *Raft) WaitApplied(index uint64) error {
+// waitApplied blocks until the replica has applied at least index. It
+// gives up with types.ErrTimeout after d, so a partitioned replica does
+// not hold its readers forever, and with types.ErrStopped when the
+// replica stops. The common case — a caught-up replica — returns without
+// arming anything; a waiter parks on applyCond and is woken by the
+// applier, by Stop, or by its own deadline.
+func (r *Raft) waitApplied(index uint64, d time.Duration) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.lastApplied >= index {
+		return nil
+	}
+	deadline := time.Now().Add(d)
+	wake := time.AfterFunc(d, func() {
+		r.mu.Lock()
+		r.applyCond.Broadcast()
+		r.mu.Unlock()
+	})
+	defer wake.Stop()
 	for r.lastApplied < index {
 		if r.stopped() {
 			return types.ErrStopped
 		}
+		if !time.Now().Before(deadline) {
+			return fmt.Errorf("raft: index %d not applied within %s: %w", index, d, types.ErrTimeout)
+		}
 		r.applyCond.Wait()
 	}
 	return nil
-}
-
-// waitAppliedTimeout is WaitApplied with a deadline, used by follower
-// reads so a partitioned replica does not block readers forever.
-func (r *Raft) waitAppliedTimeout(index uint64, d time.Duration) error {
-	// Fast path: on a caught-up replica (every consistent read whose
-	// apply already landed — the overwhelmingly common case) the index
-	// is already applied, so skip the goroutine + channel + timer that
-	// the slow path spends per call.
-	r.mu.Lock()
-	if r.lastApplied >= index {
-		r.mu.Unlock()
-		return nil
-	}
-	r.mu.Unlock()
-	done := make(chan error, 1)
-	go func() { done <- r.WaitApplied(index) }()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-t.C:
-		return types.ErrStopped
-	}
 }

@@ -11,31 +11,22 @@ import (
 	"mantle/internal/types"
 )
 
+// faultGroup is newTestGroup on a fabric with inj attached.
+func faultGroup(t *testing.T, inj *faults.Injector, voters, learners int, mutate func(*Config)) ([]*Raft, []*recorder) {
+	t.Helper()
+	fabric := netsim.NewLocalFabric()
+	inj.Attach(fabric)
+	return newTestGroup(t, voters, learners, func(c *Config) {
+		c.Fabric = fabric
+		mutate(c)
+	})
+}
+
 // newPartitionGroup builds a 3-voter group on a fabric with the given
 // fault injector attached. Raft IDs are r0..r2.
 func newPartitionGroup(t *testing.T, inj *faults.Injector) ([]*Raft, []*recorder) {
 	t.Helper()
-	fabric := netsim.NewLocalFabric()
-	inj.Attach(fabric)
-	cfgs := make([]Config, 3)
-	recs := make([]*recorder, 3)
-	for i := range cfgs {
-		recs[i] = &recorder{}
-		cfgs[i] = Config{
-			ID:                fmt.Sprintf("r%d", i),
-			Fabric:            fabric,
-			ElectionTimeout:   40 * time.Millisecond,
-			HeartbeatInterval: 10 * time.Millisecond,
-			SM:                recs[i],
-		}
-	}
-	rs := NewGroup(cfgs)
-	t.Cleanup(func() {
-		for _, r := range rs {
-			r.Stop()
-		}
-	})
-	return rs, recs
+	return faultGroup(t, inj, 3, 0, func(c *Config) { c.ElectionTimeout = 40 * time.Millisecond })
 }
 
 func ids(rs []*Raft, except *Raft) []string {

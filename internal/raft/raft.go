@@ -7,9 +7,11 @@
 //     (read replicas, as added in §5.1.3 to scale lookups),
 //   - a state machine apply loop on every replica,
 //   - ReadIndex-based consistent reads on followers and learners: the
-//     replica queries the leader for its commitIndex (queries from
-//     concurrent readers are batched into one RPC, as the paper
-//     describes) and waits until the local applyIndex catches up,
+//     reader queries the leader for its commitIndex on its own goroutine
+//     (readers that arrive meanwhile are batched into one later RPC, as
+//     the paper describes), the reply advances the replica's own commit
+//     index over the log prefix that leader has verified, and the reader
+//     waits until the local applyIndex catches up (read.go),
 //   - proposal batching: the leader groups queued proposals into one log
 //     append and one fsync per batch ("+raftlogbatch" in Figure 16),
 //     bounded by a count/byte window (MaxBatch, maxBatchBytes),
@@ -42,6 +44,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mantle/internal/metrics"
@@ -204,7 +207,7 @@ type Raft struct {
 	mu          sync.Mutex
 	peers       map[string]*Raft // all other replicas (voters and learners)
 	voters      int              // number of voting members incl. self if voter
-	role        Role
+	role        Role             // written only by setRoleLocked
 	term        uint64
 	votedFor    string
 	leaderID    string
@@ -235,11 +238,18 @@ type Raft struct {
 	stopOnce  sync.Once
 	wg        sync.WaitGroup
 
-	// applyWait broadcasts when lastApplied advances (ReadIndex waits).
+	// applyCond broadcasts when lastApplied advances (waitApplied).
 	applyCond *sync.Cond
+
+	// roleMirror publishes role for lock-free readers (Role).
+	roleMirror atomic.Uint32
 
 	// reads batches follower-read commitIndex queries to the leader.
 	reads readState
+
+	// view is what the current term's leader has verified of this
+	// replica's log and reported committed (follower side; see read.go).
+	view leaderView
 
 	// Bounded-staleness read point (BoundedStaleRead): the highest
 	// leader commit index advertised by an AppendEntries/heartbeat
@@ -400,7 +410,6 @@ func NewGroup(cfgs []Config) []*Raft {
 			id:         cc.ID,
 			peers:      make(map[string]*Raft),
 			voters:     voters,
-			role:       Follower,
 			log:        []Entry{{}},
 			nextIndex:  make(map[string]uint64),
 			matchIndex: make(map[string]uint64),
@@ -410,7 +419,7 @@ func NewGroup(cfgs []Config) []*Raft {
 			stopCh:     make(chan struct{}),
 		}
 		if cc.Learner {
-			r.role = LearnerRole
+			r.setRoleLocked(LearnerRole) // r is not shared yet
 		}
 		r.applyCond = sync.NewCond(&r.mu)
 		replicas[i] = r
@@ -489,6 +498,26 @@ func (r *Raft) Status() (Role, uint64, string) {
 	return r.role, r.term, r.leaderID
 }
 
+// Role returns the replica's current role without taking the replica's
+// lock: a per-request routing or accounting decision needs only the
+// role, not Status's consistent (role, term, leader) triple.
+func (r *Raft) Role() Role { return Role(r.roleMirror.Load()) }
+
+// setRoleLocked changes the role and publishes it to Role. Caller holds
+// r.mu.
+func (r *Raft) setRoleLocked(role Role) {
+	r.role = role
+	r.roleMirror.Store(uint32(role))
+}
+
+// kickApplier wakes the applier after commitIndex moved.
+func (r *Raft) kickApplier() {
+	select {
+	case r.applyCh <- struct{}{}:
+	default:
+	}
+}
+
 // CommitIndex returns the replica's commit index.
 func (r *Raft) CommitIndex() uint64 {
 	r.mu.Lock()
@@ -528,7 +557,7 @@ func (r *Raft) electionLoop() {
 // startElectionLocked transitions to candidate and solicits votes.
 // Caller holds r.mu.
 func (r *Raft) startElectionLocked() {
-	r.role = Candidate
+	r.setRoleLocked(Candidate)
 	r.term++
 	r.votedFor = r.id
 	r.leaderID = ""
@@ -576,9 +605,9 @@ func (r *Raft) startElectionLocked() {
 func (r *Raft) becomeFollowerLocked(term uint64, leader string) {
 	wasLeader := r.role == Leader
 	if r.cfg.Learner {
-		r.role = LearnerRole
+		r.setRoleLocked(LearnerRole)
 	} else {
-		r.role = Follower
+		r.setRoleLocked(Follower)
 	}
 	r.term = term
 	r.votedFor = ""
@@ -608,7 +637,7 @@ func (r *Raft) becomeLeaderLocked() {
 	if r.role == Leader {
 		return
 	}
-	r.role = Leader
+	r.setRoleLocked(Leader)
 	r.leaderID = r.id
 	lastIdx, _ := r.lastLogLocked()
 	r.lastContact = make(map[string]time.Time, len(r.peers))
@@ -696,7 +725,7 @@ func WaitLeader(rs []*Raft, timeout time.Duration) (*Raft, error) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		for _, r := range rs {
-			if role, _, _ := r.Status(); role == Leader {
+			if r.Role() == Leader {
 				return r, nil
 			}
 		}

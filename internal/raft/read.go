@@ -8,6 +8,35 @@ import (
 	"mantle/internal/types"
 )
 
+// Consistent reads (§5.1.3).
+//
+// A read is served at a read index: an index such that state applied up
+// to it reflects every write acknowledged before the read began.
+//
+// On the leader the read index is its current commit index, returned
+// without a round of heartbeats. That is linearisable only while the
+// replica really is the leader of the latest term. The fabric can
+// partition (internal/faults), and an isolated leader keeps its role
+// until check-quorum steps it down — up to 2× its election timeout —
+// while the majority side may elect and commit after one timeout, so in
+// that window the minority-side leader answers ReadIndex (its own and
+// its followers') from a commit index that no longer covers the latest
+// acknowledged write. A leader that has not yet committed its own
+// term's no-op may likewise report a commit index below its
+// predecessor's. Both gaps stay open (ROADMAP, linearizability item);
+// nothing below narrows or widens them.
+//
+// On a follower or learner the read costs exactly one round trip to the
+// leader and, uncontended, nothing else: the calling goroutine asks the
+// leader for its (term, commitIndex) itself. Readers that arrive while
+// that query is in flight queue behind it and share one later query —
+// the paper's "queries for the commitIndex are batched". The reply also
+// advances the follower: within one term the leader's log is
+// append-only and the follower has matched a prefix of it (leaderView),
+// so everything the leader reports committed inside that prefix is
+// committed here too, and the reader need not wait for the next
+// heartbeat to be told so.
+
 var readWaitTimeout = 5 * time.Second
 
 type readResult struct {
@@ -15,47 +44,80 @@ type readResult struct {
 	err error
 }
 
-// readState batches concurrent follower-read index queries into one
-// leader RPC per round, as §5.1.3 describes ("queries for the commitIndex
-// are batched"): readers that arrive while a query is in flight join the
-// next round rather than each issuing their own RPC.
+// readState batches concurrent follower-read index queries: at most one
+// leader query (a round) is in flight per replica, and a reader is only
+// ever served by a round whose query started after the reader arrived.
 type readState struct {
 	mu      sync.Mutex
-	waiters []chan readResult
-	running bool
+	running bool              // a round is in flight
+	waiters []chan readResult // readers waiting for the next round
+}
+
+// leaderView is what a follower has learnt from the leader of one term:
+// the prefix of its log that an AppendEntries or InstallSnapshot of that
+// term matched against the leader's, and the highest commit index that
+// leader has reported, by those or by a ReadIndex reply. The leader's
+// log is append-only for the term, so min(commit, verified) is committed
+// on this replica. Nothing carries over to another term: a prefix
+// matched against one leader says nothing about what a different
+// leader's commit index covers.
+type leaderView struct {
+	term     uint64
+	verified uint64
+	commit   uint64
+}
+
+// learnLocked folds a report from the leader of term into the view and
+// raises commitIndex to what the view proves committed. A report from
+// any term but the replica's current one is dropped. Caller holds r.mu.
+func (r *Raft) learnLocked(term, verified, commit uint64) {
+	if term != r.term {
+		return
+	}
+	if r.view.term != term {
+		r.view = leaderView{term: term}
+	}
+	r.view.verified = max(r.view.verified, verified)
+	r.view.commit = max(r.view.commit, commit)
+	if c := min(r.view.commit, r.view.verified); c > r.commitIndex {
+		r.commitIndex = c
+		r.kickApplier()
+	}
 }
 
 // ReadIndex returns an index such that any read of state applied up to it
-// is linearisable at the time of the call.
-//
-// On the leader this is the current commit index. (A production
-// implementation confirms leadership with a heartbeat round first; in
-// this single-process reproduction there are no network partitions, so a
-// deposed leader observes its own step-down before serving — the
-// simplification is documented in DESIGN.md.)
-//
-// On a follower or learner the replica queries the leader for its commit
-// index through the read batcher; the caller then waits for local apply
-// to catch up via WaitApplied.
+// observes every write acknowledged before the call (see the file
+// comment for what the leader path leaves open). On the leader it is the
+// commit index; on a follower or learner it is the leader's commit
+// index, fetched by this goroutine or shared with a batch of readers.
+// The caller then waits for local apply to reach it (ConsistentRead).
 func (r *Raft) ReadIndex() (uint64, error) {
 	if r.stopped() {
 		return 0, types.ErrStopped
 	}
-	r.mu.Lock()
-	if r.role == Leader {
-		idx := r.commitIndex
-		r.mu.Unlock()
-		return idx, nil
+	if r.Role() == Leader {
+		return r.CommitIndex(), nil
 	}
-	r.mu.Unlock()
 
-	ch := make(chan readResult, 1)
 	r.reads.mu.Lock()
-	r.reads.waiters = append(r.reads.waiters, ch)
 	if !r.reads.running {
+		// Uncontended: run the round on this goroutine.
 		r.reads.running = true
-		go r.serveReadBatches()
+		r.reads.mu.Unlock()
+		res := r.queryLeaderCommit()
+		r.reads.mu.Lock()
+		if len(r.reads.waiters) == 0 {
+			r.reads.running = false
+		} else {
+			// Readers queued behind this round: their query must start
+			// after they arrived, so they get rounds of their own.
+			go r.serveReadBatches()
+		}
+		r.reads.mu.Unlock()
+		return res.idx, res.err
 	}
+	ch := make(chan readResult, 1)
+	r.reads.waiters = append(r.reads.waiters, ch)
 	r.reads.mu.Unlock()
 
 	select {
@@ -67,7 +129,9 @@ func (r *Raft) ReadIndex() (uint64, error) {
 }
 
 // serveReadBatches drains waiter rounds: one leader RPC per round, shared
-// by every waiter that had arrived by the time the round started.
+// by every waiter that had arrived by the time the round started. It is
+// started by the inline round that found readers queued behind it, and
+// owns reads.running until the queue is empty.
 func (r *Raft) serveReadBatches() {
 	for {
 		r.reads.mu.Lock()
@@ -87,15 +151,24 @@ func (r *Raft) serveReadBatches() {
 	}
 }
 
+// handleReadIndex is the leader side of the ReadIndex RPC: role, term
+// and commit index read under one lock acquisition, so the reply cannot
+// pair one term's commit index with another's term.
+func (r *Raft) handleReadIndex() (term, commit uint64, ok bool) {
+	if r.stopped() {
+		return 0, 0, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.term, r.commitIndex, r.role == Leader
+}
+
 // queryLeaderCommit issues one RPC to the current leader for its commit
-// index.
+// index and folds the reply into this replica's view of that leader.
 func (r *Raft) queryLeaderCommit() readResult {
 	r.mu.Lock()
 	leaderID := r.leaderID
 	r.mu.Unlock()
-	if leaderID == "" {
-		return readResult{err: types.ErrNotLeader}
-	}
 	leader, ok := r.peers[leaderID]
 	if !ok {
 		return readResult{err: types.ErrNotLeader}
@@ -106,13 +179,14 @@ func (r *Raft) queryLeaderCommit() readResult {
 		// cut off" and degrade accordingly.
 		return readResult{err: err}
 	}
-	if leader.stopped() {
+	term, commit, ok := leader.handleReadIndex()
+	if !ok {
 		return readResult{err: types.ErrNotLeader}
 	}
-	if role, _, _ := leader.Status(); role != Leader {
-		return readResult{err: types.ErrNotLeader}
-	}
-	return readResult{idx: leader.CommitIndex()}
+	r.mu.Lock()
+	r.learnLocked(term, 0, commit)
+	r.mu.Unlock()
+	return readResult{idx: commit}
 }
 
 // ConsistentRead performs fn once the replica is read-consistent: it
@@ -123,7 +197,7 @@ func (r *Raft) ConsistentRead(fn func() error) error {
 	if err != nil {
 		return err
 	}
-	if err := r.waitAppliedTimeout(idx, readWaitTimeout); err != nil {
+	if err := r.waitApplied(idx, readWaitTimeout); err != nil {
 		return err
 	}
 	return fn()
@@ -164,7 +238,7 @@ func (r *Raft) BoundedStaleRead(maxStale time.Duration, fn func() error) error {
 		idx = r.staleCommit
 	}
 	r.mu.Unlock()
-	if err := r.waitAppliedTimeout(idx, readWaitTimeout); err != nil {
+	if err := r.waitApplied(idx, readWaitTimeout); err != nil {
 		return err
 	}
 	return fn()

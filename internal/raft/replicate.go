@@ -367,10 +367,7 @@ func (r *Raft) maybeAdvanceCommit(term uint64) {
 	n := matches[quorum-1]
 	if n > r.commitIndex && n >= r.firstIndexLocked() && r.entryAtLocked(n).Term == term {
 		r.commitIndex = n
-		select {
-		case r.applyCh <- struct{}{}:
-		default:
-		}
+		r.kickApplier()
 	}
 	r.mu.Unlock()
 }
@@ -401,6 +398,9 @@ func (r *Raft) handleAppendEntries(term uint64, leader string, prevIdx, prevTerm
 	}
 	r.staleContact = time.Now()
 
+	// Once the consistency check below passes, the log matches the
+	// leader's through the last entry of this message.
+	verified := prevIdx + uint64(len(entries))
 	lastIdx, _ := r.lastLogLocked()
 	first := r.firstIndexLocked()
 	if prevIdx > lastIdx {
@@ -444,14 +444,10 @@ func (r *Raft) handleAppendEntries(term uint64, leader string, prevIdx, prevTerm
 		lastIdx = e.Index
 		appended = true
 	}
-	if leaderCommit > r.commitIndex {
-		lastIdx, _ = r.lastLogLocked()
-		r.commitIndex = min(leaderCommit, lastIdx)
-		select {
-		case r.applyCh <- struct{}{}:
-		default:
-		}
-	}
+	// Commit what this leader has reported committed — here or in an
+	// earlier ReadIndex reply that ran ahead of these entries — within
+	// the prefix it has verified.
+	r.learnLocked(term, verified, leaderCommit)
 	newLast := lastIdx
 	curTerm := r.term
 	r.mu.Unlock()
@@ -504,6 +500,8 @@ func (r *Raft) handleInstallSnapshot(term uint64, leader string, snapIdx, snapTe
 	r.snapData = data
 	r.commitIndex = snapIdx
 	r.lastApplied = snapIdx
+	// The log is now exactly the leader's committed prefix up to snapIdx.
+	r.view = leaderView{term: r.term, verified: snapIdx, commit: snapIdx}
 	r.mu.Unlock()
 	// Still under applyMu: the applier cannot apply a pre-snapshot entry
 	// onto the restored state or rewind lastApplied behind the new log.

@@ -294,15 +294,7 @@ func TestSnapshotInstallDoesNotRaceApplier(t *testing.T) {
 			n++
 		}
 	}()
-	waitFor := func(d time.Duration, cond func() bool) bool {
-		for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if cond() {
-				return true
-			}
-		}
-		return cond()
-	}
-	if !waitFor(5*time.Second, func() bool { return leader.SnapshotIndex() > learner.CommitIndex()+threshold }) {
+	if !waitUntil(5*time.Second, func() bool { return leader.SnapshotIndex() > learner.CommitIndex()+threshold }) {
 		t.Fatal("leader never compacted past the partitioned learner")
 	}
 	restores := func() int {
@@ -315,15 +307,15 @@ func TestSnapshotInstallDoesNotRaceApplier(t *testing.T) {
 	// install lands within a heartbeat or two; with it, it cannot land
 	// until the gate opens, so this wait runs out.
 	inj.Heal(pid)
-	waitFor(100*time.Millisecond, func() bool { return restores() > 0 })
+	waitUntil(100*time.Millisecond, func() bool { return restores() > 0 })
 	openGate.Do(func() { close(held.gate) })
 
-	if !waitFor(5*time.Second, func() bool { return restores() > 0 }) {
+	if !waitUntil(5*time.Second, func() bool { return restores() > 0 }) {
 		t.Fatal("learner caught up without InstallSnapshot")
 	}
 	close(stop)
 	n := <-proposed
-	if !waitFor(5*time.Second, func() bool { return learner.AppliedIndex() == leader.AppliedIndex() }) {
+	if !waitUntil(5*time.Second, func() bool { return learner.AppliedIndex() == leader.AppliedIndex() }) {
 		t.Fatalf("learner applied %d, leader %d", learner.AppliedIndex(), leader.AppliedIndex())
 	}
 	want, got := leaderRec.snapshot(), held.snapshot()
