@@ -13,10 +13,6 @@ type DRConfig struct {
 	// WANRTT is the inter-site round trip charged per shipped oplog
 	// batch (0 = in-process speed).
 	WANRTT time.Duration
-	// LinkInterval is the replication pump period (default 500µs).
-	LinkInterval time.Duration
-	// LinkBatchMax bounds oplog records per shipped batch (default 256).
-	LinkBatchMax int
 }
 
 // DR is a two-site disaster-recovery deployment: a primary cluster
@@ -35,11 +31,9 @@ func NewDR(cfg Config, dr DRConfig) (*DR, error) {
 		return nil, err
 	}
 	s, err := core.NewSites(core.SitesConfig{
-		Site:         cc,
-		RTT:          cfg.RTT,
-		WANRTT:       dr.WANRTT,
-		LinkInterval: dr.LinkInterval,
-		LinkBatchMax: dr.LinkBatchMax,
+		Site:   cc,
+		RTT:    cfg.RTT,
+		WANRTT: dr.WANRTT,
 	})
 	if err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ package api
 import (
 	"time"
 
+	"mantle/internal/pathutil"
 	"mantle/internal/rpc"
 	"mantle/internal/types"
 )
@@ -60,6 +61,16 @@ type PopDir struct {
 	ID   types.InodeID
 	Pid  types.InodeID
 	Perm types.Perm
+}
+
+// Access is the directory's access entry: its name is the path's last
+// component, and an unset permission means PermAll.
+func (d PopDir) Access() types.AccessEntry {
+	e := types.AccessEntry{Pid: d.Pid, Name: pathutil.Base(d.Path), ID: d.ID, Perm: d.Perm}
+	if e.Perm == 0 {
+		e.Perm = types.PermAll
+	}
+	return e
 }
 
 // PopObject describes one object for bulk population.

@@ -17,13 +17,10 @@ func Populate(s *Store, dirs []api.PopDir, objects []api.PopObject) error {
 	links := make(map[types.InodeID]int64)
 	maxID := uint64(types.RootID)
 	for _, d := range dirs {
-		perm := d.Perm
-		if perm == 0 {
-			perm = types.PermAll
-		}
+		a := d.Access()
 		entries = append(entries, types.Entry{
-			Pid: d.Pid, Name: pathutil.Base(d.Path), ID: d.ID,
-			Kind: types.KindDir, Perm: perm, Attr: types.Attr{MTime: time.Now()},
+			Pid: a.Pid, Name: a.Name, ID: a.ID,
+			Kind: types.KindDir, Perm: a.Perm, Attr: types.Attr{MTime: time.Now()},
 		})
 		links[d.Pid]++
 		if uint64(d.ID) > maxID {

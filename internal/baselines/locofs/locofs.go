@@ -7,11 +7,16 @@
 // Raft group without log batching — the "throttled by the Raft
 // throughput" behaviour of Figure 14 — and updates to the same key in
 // the sub-directory list serialise on a per-key latch.
+//
+// The directory server's tree is Mantle's own IndexNode replica with the
+// TopDirPathCache off, fed indexnode.Cmd log entries (Mantle-base in the
+// paper's Fig 16 is this directory server). What is LocoFS's own is
+// everything around it: one dirCall RPC per directory operation that
+// resolves, checks and proposes on the leader, the per-level resolve and
+// per-key latch charges, leader-only reads, and the unbatched log.
 package locofs
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -19,6 +24,7 @@ import (
 
 	"mantle/internal/api"
 	"mantle/internal/baselines/dbtable"
+	"mantle/internal/indexnode"
 	"mantle/internal/netsim"
 	"mantle/internal/pathutil"
 	"mantle/internal/raft"
@@ -55,8 +61,9 @@ type Service struct {
 	objStore *dbtable.Store
 	caller   *rpc.Caller
 	rafts    []*raft.Raft
-	states   []*dirState
+	reps     []*indexnode.Replica
 	nodes    []*netsim.Node
+	counts   dirCounts
 }
 
 var _ api.Service = (*Service)(nil)
@@ -79,12 +86,13 @@ func New(cfg Config) (*Service, error) {
 		cfg:      cfg,
 		objStore: dbtable.New(cfg.ObjStore),
 		caller:   rpc.NewCaller(cfg.Fabric),
+		counts:   dirCounts{m: make(map[types.InodeID]dirCount)},
 	}
 	raftCfgs := make([]raft.Config, cfg.Voters)
 	for i := 0; i < cfg.Voters; i++ {
-		st := newDirState()
+		rep := indexnode.NewReplica(0, false)
 		node := netsim.NewNode(fmt.Sprintf("locofs-dir-%d", i), cfg.DirWorkers)
-		s.states = append(s.states, st)
+		s.reps = append(s.reps, rep)
 		s.nodes = append(s.nodes, node)
 		raftCfgs[i] = raft.Config{
 			ID:              fmt.Sprintf("locofs-dir-%d", i),
@@ -95,7 +103,7 @@ func New(cfg Config) (*Service, error) {
 			// LocoFS does not batch its directory-server log writes —
 			// the paper attributes its mkdir throughput ceiling to this.
 			BatchEnabled: false,
-			SM:           st,
+			SM:           rep,
 		}
 	}
 	s.rafts = raft.NewGroup(raftCfgs)
@@ -117,21 +125,25 @@ func (s *Service) Stop() {
 	for _, r := range s.rafts {
 		r.Stop()
 	}
+	for _, rep := range s.reps {
+		rep.Close()
+	}
 }
 
 func (s *Service) leader() (int, error) {
 	for i, r := range s.rafts {
-		if role, _, _ := r.Status(); role == raft.Leader {
+		if !r.Stopped() && r.Role() == raft.Leader {
 			return i, nil
 		}
 	}
 	return -1, types.ErrNotLeader
 }
 
-// latch serialises an update of directory e's key on the per-row pacer
-// (the object store's latch map, which the directory keys share).
-func (s *Service) latch(e dirEnt) {
-	s.objStore.RowPacer(types.Key{Pid: e.Pid, Name: e.Name}).Charge(s.cfg.LatchCost)
+// latch serialises an update of the key of directory dir (as resolved to
+// res) on the per-row pacer (the object store's latch map, which the
+// directory keys share).
+func (s *Service) latch(res indexnode.LookupResult, dir string) {
+	s.objStore.RowPacer(types.Key{Pid: res.ParentID, Name: pathutil.Base(dir)}).Charge(s.cfg.LatchCost)
 }
 
 // resolveCost is the directory server's CPU charge for a walk of levels.
@@ -139,21 +151,22 @@ func (s *Service) resolveCost(levels int) time.Duration {
 	return s.cfg.ResolveBaseCost + time.Duration(levels)*s.cfg.ResolveLevelCost
 }
 
-// resolveOn walks dir on the directory server's state, charging the walk
-// to its node, and requires need of the aggregated path permission;
-// verb and path label the permission error.
-func (s *Service) resolveOn(st *dirState, node *netsim.Node, verb, path, dir string, need types.Perm) (dirEnt, error) {
-	e, perm, levels, err := st.resolve(dir)
-	node.Charge(s.resolveCost(levels))
-	if err == nil && !perm.Allows(need) {
+// resolveOn walks dir on the directory server's replica (no cache: every
+// level from the root), charging the walk to its node, and requires need
+// of the aggregated path permission; verb and path label the permission
+// error.
+func (s *Service) resolveOn(rep *indexnode.Replica, node *netsim.Node, verb, path, dir string, need types.Perm) (indexnode.LookupResult, error) {
+	res, err := rep.Lookup(dir)
+	node.Charge(s.resolveCost(res.Levels))
+	if err == nil && !res.Perm.Allows(need) {
 		err = fmt.Errorf("%s %s: %w", verb, path, types.ErrPermission)
 	}
-	return e, err
+	return res, err
 }
 
 // dirCall performs one RPC to the directory server leader, retrying
 // briefly across elections.
-func (s *Service) dirCall(op *rpc.Op, fn func(st *dirState, node *netsim.Node) error) error {
+func (s *Service) dirCall(op *rpc.Op, fn func(rep *indexnode.Replica, node *netsim.Node) error) error {
 	var lastErr error
 	deadline := time.Now().Add(5 * time.Second)
 	for attempt := 0; attempt == 0 || time.Now().Before(deadline); attempt++ {
@@ -164,15 +177,15 @@ func (s *Service) dirCall(op *rpc.Op, fn func(st *dirState, node *netsim.Node) e
 			continue
 		}
 		return op.Call(s.nodes[li], 0, func() error {
-			return fn(s.states[li], s.nodes[li])
+			return fn(s.reps[li], s.nodes[li])
 		})
 	}
 	return fmt.Errorf("locofs dir server: %w", lastErr)
 }
 
 // propose replicates a directory mutation through Raft.
-func (s *Service) propose(c dirCmd) error {
-	payload := c.encode()
+func (s *Service) propose(c indexnode.Cmd) error {
+	payload := c.Encode()
 	var lastErr error
 	deadline := time.Now().Add(5 * time.Second)
 	for attempt := 0; attempt == 0 || time.Now().Before(deadline); attempt++ {
@@ -195,21 +208,32 @@ func (s *Service) propose(c dirCmd) error {
 	return fmt.Errorf("locofs propose: %w", lastErr)
 }
 
+// statDir is the body Lookup and DirStat share: one RPC in which the
+// directory server resolves dirPath and returns its entry with the
+// (weakly consistent) object link count.
+func (s *Service) statDir(op *rpc.Op, verb, dirPath string) (types.Entry, error) {
+	var out types.Entry
+	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
+		res, err := s.resolveOn(rep, node, verb, dirPath, dirPath, 0)
+		if err != nil {
+			return err
+		}
+		out = types.Entry{
+			Pid: res.ParentID, Name: pathutil.Base(dirPath), ID: res.ID, Kind: types.KindDir,
+			Perm: res.Perm, Attr: types.Attr{LinkCount: s.counts.of(res.ID).links},
+		}
+		return nil
+	})
+	return out, err
+}
+
 // Lookup implements api.Service: one RPC; resolution is local to the
 // directory server.
 func (s *Service) Lookup(op *rpc.Op, dirPath string) (types.Result, error) {
 	t := api.NewTimer()
 	ctx, sp := trace.Start(op.Context(), "path-resolve")
 	sp.SetAttr("mode", "dir-server-local")
-	var out types.Entry
-	err := s.dirCall(op.WithContext(ctx), func(st *dirState, node *netsim.Node) error {
-		e, err := s.resolveOn(st, node, "lookup", dirPath, dirPath, 0)
-		if err != nil {
-			return err
-		}
-		out = e.entry()
-		return nil
-	})
+	out, err := s.statDir(op.WithContext(ctx), "lookup", dirPath)
 	sp.End()
 	t.Phase(types.PhaseLookup)
 	return t.Done(op, 0, out), err
@@ -222,19 +246,19 @@ func (s *Service) Create(op *rpc.Op, objPath string, size int64) (types.Result, 
 	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
 	t := api.NewTimer()
 	var parentID types.InodeID
-	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		e, err := s.resolveOn(st, node, "create", objPath, dir, types.PermWrite|types.PermLookup)
+	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
+		res, err := s.resolveOn(rep, node, "create", objPath, dir, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
-		parentID = e.ID
+		parentID = res.ID
 		// Duplicate name check (the dir node owns naming) against both
 		// halves of the namespace: objects and subdirectories.
-		if s.nameTaken(st, e.ID, name) {
+		if s.nameTaken(rep, res.ID, name) {
 			return fmt.Errorf("create %s: %w", objPath, types.ErrExists)
 		}
 		// Parent update: in-memory on the dir node, serialised per key.
-		s.latch(e)
+		s.latch(res, dir)
 		return nil
 	})
 	t.Phase(types.PhaseLookup)
@@ -258,13 +282,13 @@ func (s *Service) Delete(op *rpc.Op, objPath string) (types.Result, error) {
 	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
 	t := api.NewTimer()
 	var parentID types.InodeID
-	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		e, err := s.resolveOn(st, node, "delete", objPath, dir, types.PermWrite|types.PermLookup)
+	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
+		res, err := s.resolveOn(rep, node, "delete", objPath, dir, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
-		parentID = e.ID
-		s.latch(e)
+		parentID = res.ID
+		s.latch(res, dir)
 		return nil
 	})
 	t.Phase(types.PhaseLookup)
@@ -280,8 +304,8 @@ func (s *Service) Delete(op *rpc.Op, objPath string) (types.Result, error) {
 
 // nameTaken reports whether name exists under dir as a subdirectory or
 // as an object.
-func (s *Service) nameTaken(st *dirState, dir types.InodeID, name string) bool {
-	if _, ok := st.get(dir, name); ok {
+func (s *Service) nameTaken(rep *indexnode.Replica, dir types.InodeID, name string) bool {
+	if _, ok := rep.Table().Get(dir, name); ok {
 		return true
 	}
 	_, ok := s.objStore.GetDirect(types.Key{Pid: dir, Name: name})
@@ -290,15 +314,13 @@ func (s *Service) nameTaken(st *dirState, dir types.InodeID, name string) bool {
 
 // objWrite applies one object-row mutation under parent in the object
 // store (one RPC) and, only once it has succeeded, moves the parent's
-// link count by delta on the directory replicas — a failed write leaves
-// no trace in the count Rmdir's emptiness check reads.
+// link count by delta — a failed write leaves no trace in the count
+// Rmdir's emptiness check reads.
 func (s *Service) objWrite(op *rpc.Op, parent types.InodeID, delta int64, m storage.Mutation) error {
 	p := s.objStore.ShardFor(parent)
 	err := op.Call(p.Node, p.Cost, func() error { return p.Shard.Apply([]storage.Mutation{m}) })
 	if err == nil {
-		for _, st := range s.states {
-			st.bumpLink(parent, delta)
-		}
+		s.counts.add(parent, delta, 0)
 	}
 	return err
 }
@@ -308,13 +330,10 @@ func (s *Service) ObjStat(op *rpc.Op, objPath string) (types.Result, error) {
 	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
 	t := api.NewTimer()
 	var parentID types.InodeID
-	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		e, err := s.resolveOn(st, node, "objstat", objPath, dir, types.PermLookup)
-		if err != nil {
-			return err
-		}
-		parentID = e.ID
-		return nil
+	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
+		res, err := s.resolveOn(rep, node, "objstat", objPath, dir, types.PermLookup)
+		parentID = res.ID
+		return err
 	})
 	t.Phase(types.PhaseLookup)
 	if err != nil {
@@ -339,15 +358,7 @@ func (s *Service) ObjStat(op *rpc.Op, objPath string) (types.Result, error) {
 // for LocoFS directory operations).
 func (s *Service) DirStat(op *rpc.Op, dirPath string) (types.Result, error) {
 	t := api.NewTimer()
-	var out types.Entry
-	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		e, err := s.resolveOn(st, node, "dirstat", dirPath, dirPath, 0)
-		if err != nil {
-			return err
-		}
-		out = e.entry()
-		return nil
-	})
+	out, err := s.statDir(op, "dirstat", dirPath)
 	t.Phase(types.PhaseExecute)
 	return t.Done(op, 0, out), err
 }
@@ -358,13 +369,18 @@ func (s *Service) ReadDir(op *rpc.Op, dirPath string) (types.Result, []types.Ent
 	t := api.NewTimer()
 	var dirID types.InodeID
 	var subdirs []types.Entry
-	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		e, err := s.resolveOn(st, node, "readdir", dirPath, dirPath, types.PermLookup|types.PermRead)
+	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
+		res, err := s.resolveOn(rep, node, "readdir", dirPath, dirPath, types.PermLookup|types.PermRead)
 		if err != nil {
 			return err
 		}
-		dirID = e.ID
-		subdirs = st.children(e.ID)
+		dirID = res.ID
+		rep.Table().ForEach(func(e types.AccessEntry) bool {
+			if e.Pid == dirID {
+				subdirs = append(subdirs, types.Entry{Pid: e.Pid, Name: e.Name, ID: e.ID, Kind: types.KindDir, Perm: e.Perm})
+			}
+			return true
+		})
 		return nil
 	})
 	t.Phase(types.PhaseLookup)
@@ -384,20 +400,24 @@ func (s *Service) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 	id := s.objStore.NewID()
 	t := api.NewTimer()
 	var entry types.Entry
-	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		pe, err := s.resolveOn(st, node, "mkdir", dirPath, parent, types.PermWrite|types.PermLookup)
+	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
+		pres, err := s.resolveOn(rep, node, "mkdir", dirPath, parent, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
-		if s.nameTaken(st, pe.ID, name) {
+		if s.nameTaken(rep, pres.ID, name) {
 			return fmt.Errorf("mkdir %s: %w", dirPath, types.ErrExists)
 		}
-		s.latch(pe)
+		s.latch(pres, parent)
 		entry = types.Entry{
-			Pid: pe.ID, Name: name, ID: id, Kind: types.KindDir,
+			Pid: pres.ID, Name: name, ID: id, Kind: types.KindDir,
 			Perm: types.PermAll, Attr: types.Attr{MTime: time.Now()},
 		}
-		return s.propose(dirCmd{Kind: cmdMkdir, Pid: pe.ID, Name: name, ID: id, Perm: types.PermAll})
+		err = s.propose(indexnode.Cmd{Kind: indexnode.CmdAddDir, Pid: pres.ID, Name: name, ID: id, Perm: types.PermAll})
+		if err == nil {
+			s.counts.add(pres.ID, 0, 1)
+		}
+		return err
 	})
 	t.Phase(types.PhaseExecute)
 	return t.Done(op, 0, entry), err
@@ -407,20 +427,25 @@ func (s *Service) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 func (s *Service) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
 	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
 	t := api.NewTimer()
-	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		pe, err := s.resolveOn(st, node, "rmdir", dirPath, parent, types.PermWrite|types.PermLookup)
+	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
+		pres, err := s.resolveOn(rep, node, "rmdir", dirPath, parent, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
-		de, ok := st.get(pe.ID, name)
+		de, ok := rep.Table().Get(pres.ID, name)
 		if !ok {
 			return fmt.Errorf("rmdir %s: %w", dirPath, types.ErrNotFound)
 		}
-		if st.linkCount(de.ID) > 0 || st.subdirCount(de.ID) > 0 {
+		if c := s.counts.of(de.ID); c.links > 0 || c.subs > 0 {
 			return fmt.Errorf("rmdir %s: %w", dirPath, types.ErrNotEmpty)
 		}
-		s.latch(pe)
-		return s.propose(dirCmd{Kind: cmdRmdir, Pid: pe.ID, Name: name, ID: de.ID})
+		s.latch(pres, parent)
+		err = s.propose(indexnode.Cmd{Kind: indexnode.CmdRemoveDir, Pid: pres.ID, Name: name, ID: de.ID, Path: dirPath})
+		if err == nil {
+			s.counts.add(pres.ID, 0, -1)
+			s.counts.forget(de.ID)
+		}
+		return err
 	})
 	t.Phase(types.PhaseExecute)
 	return t.Done(op, 0, types.Entry{}), err
@@ -433,38 +458,44 @@ func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, 
 	srcParent, srcName := pathutil.Dir(srcPath), pathutil.Base(srcPath)
 	dstParent, dstName := pathutil.Dir(dstPath), pathutil.Base(dstPath)
 	t := api.NewTimer()
-	err := s.dirCall(op, func(st *dirState, node *netsim.Node) error {
-		spe, sperm, slev, err := st.resolve(srcParent)
+	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
+		sres, err := rep.Lookup(srcParent)
 		if err != nil {
-			node.Charge(s.resolveCost(slev))
+			node.Charge(s.resolveCost(sres.Levels))
 			return err
 		}
-		dpe, dperm, dlev, err := st.resolve(dstParent)
-		node.Charge(s.resolveCost(slev + dlev))
+		dres, err := rep.Lookup(dstParent)
+		node.Charge(s.resolveCost(sres.Levels + dres.Levels))
 		if err != nil {
 			return err
 		}
-		if !sperm.Allows(types.PermWrite) || !dperm.Allows(types.PermWrite) {
+		if !sres.Perm.Allows(types.PermWrite) || !dres.Perm.Allows(types.PermWrite) {
 			return fmt.Errorf("rename %s: %w", srcPath, types.ErrPermission)
 		}
-		se, ok := st.get(spe.ID, srcName)
+		table := rep.Table()
+		se, ok := table.Get(sres.ID, srcName)
 		if !ok {
 			return fmt.Errorf("rename src %s: %w", srcPath, types.ErrNotFound)
 		}
-		if _, exists := st.get(dpe.ID, dstName); exists {
+		if _, exists := table.Get(dres.ID, dstName); exists {
 			return fmt.Errorf("rename dst %s: %w", dstPath, types.ErrExists)
 		}
-		// Loop detection: local ancestor walk, charged per level.
-		levels, loop := st.wouldLoop(se.ID, dpe.ID)
-		node.Charge(time.Duration(levels) * s.cfg.ResolveLevelCost)
-		if loop {
+		// Loop detection: a local ancestor walk from the destination
+		// parent towards the root, charged per level.
+		node.Charge(time.Duration(dres.Levels) * s.cfg.ResolveLevelCost)
+		if table.IsAncestorID(se.ID, dres.ID) {
 			return fmt.Errorf("rename %s under %s: %w", srcPath, dstPath, types.ErrLoop)
 		}
-		s.latch(dpe)
-		return s.propose(dirCmd{
-			Kind: cmdRename, Pid: spe.ID, Name: srcName, ID: se.ID, Perm: se.Perm,
-			DstPid: dpe.ID, DstName: dstName,
+		s.latch(dres, dstParent)
+		err = s.propose(indexnode.Cmd{
+			Kind: indexnode.CmdRename, Pid: sres.ID, Name: srcName, ID: se.ID, Perm: se.Perm,
+			DstPid: dres.ID, DstName: dstName, Path: srcPath,
 		})
+		if err == nil {
+			s.counts.add(sres.ID, 0, -1)
+			s.counts.add(dres.ID, 0, 1)
+		}
+		return err
 	})
 	t.Phase(types.PhaseExecute)
 	return t.Done(op, 0, types.Entry{}), err
@@ -472,221 +503,54 @@ func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, 
 
 // Populate implements api.Service.
 func (s *Service) Populate(dirs []api.PopDir, objects []api.PopObject) error {
-	for _, st := range s.states {
-		st.bulkAdd(dirs)
-	}
-	entries := make([]types.Entry, 0, len(objects))
+	access := make([]types.AccessEntry, 0, len(dirs))
 	for _, d := range dirs {
+		access = append(access, d.Access())
+		s.counts.add(d.Pid, 0, 1)
 		s.objStore.ReserveIDs(d.ID)
 	}
+	for _, rep := range s.reps {
+		rep.BulkAdd(access)
+	}
+	entries := make([]types.Entry, 0, len(objects))
 	for _, o := range objects {
 		entries = append(entries, types.Entry{
 			Pid: o.Pid, Name: o.Name, ID: s.objStore.NewID(), Kind: types.KindObject,
 			Perm: types.PermAll, Attr: types.Attr{Size: o.Size},
 		})
-		for _, st := range s.states {
-			st.bumpLink(o.Pid, 1)
-		}
+		s.counts.add(o.Pid, 1, 0)
 	}
 	return s.objStore.BulkInsert(entries)
 }
 
-// --- directory server state machine ---
+// dirCount is one directory's bookkeeping beside the replicated tree:
+// how many objects link to it and how many subdirectories it holds.
+type dirCount struct{ links, subs int64 }
 
-type cmdKind uint8
-
-const (
-	cmdMkdir cmdKind = iota + 1
-	cmdRmdir
-	cmdRename
-)
-
-type dirCmd struct {
-	Kind    cmdKind
-	Pid     types.InodeID
-	Name    string
-	ID      types.InodeID
-	Perm    types.Perm
-	DstPid  types.InodeID
-	DstName string
+// dirCounts is the directory server's weakly consistent side map — what
+// DirStat's link count and Rmdir's emptiness check read. The service
+// moves a count once the write it describes has succeeded; the counts
+// never ride the log.
+type dirCounts struct {
+	mu sync.Mutex
+	m  map[types.InodeID]dirCount
 }
 
-func (c dirCmd) encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+func (c *dirCounts) add(dir types.InodeID, links, subs int64) {
+	c.mu.Lock()
+	v := c.m[dir]
+	c.m[dir] = dirCount{v.links + links, v.subs + subs}
+	c.mu.Unlock()
 }
 
-func decodeDirCmd(b []byte) dirCmd {
-	var c dirCmd
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
-		panic(err)
-	}
-	return c
+func (c *dirCounts) of(dir types.InodeID) dirCount {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m[dir]
 }
 
-type dirEnt struct {
-	Pid  types.InodeID
-	Name string
-	ID   types.InodeID
-	Perm types.Perm
-	Attr types.Attr
-}
-
-func (e *dirEnt) entry() types.Entry {
-	return types.Entry{Pid: e.Pid, Name: e.Name, ID: e.ID, Kind: types.KindDir, Perm: e.Perm, Attr: e.Attr}
-}
-
-// dirState is one replica's in-memory directory tree.
-type dirState struct {
-	mu    sync.RWMutex
-	byKey map[types.Key]*dirEnt
-	byID  map[types.InodeID]*dirEnt
-	links map[types.InodeID]int64 // object link counts (weakly consistent)
-	nsubs map[types.InodeID]int   // subdirectory counts
-}
-
-func newDirState() *dirState {
-	return &dirState{
-		byKey: make(map[types.Key]*dirEnt),
-		byID:  make(map[types.InodeID]*dirEnt),
-		links: make(map[types.InodeID]int64),
-		nsubs: make(map[types.InodeID]int),
-	}
-}
-
-// Apply implements raft.StateMachine.
-func (st *dirState) Apply(_ uint64, cmd []byte) {
-	c := decodeDirCmd(cmd)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	switch c.Kind {
-	case cmdMkdir:
-		e := &dirEnt{Pid: c.Pid, Name: c.Name, ID: c.ID, Perm: c.Perm,
-			Attr: types.Attr{MTime: time.Now()}}
-		st.byKey[types.Key{Pid: c.Pid, Name: c.Name}] = e
-		st.byID[c.ID] = e
-		st.nsubs[c.Pid]++
-	case cmdRmdir:
-		delete(st.byKey, types.Key{Pid: c.Pid, Name: c.Name})
-		delete(st.byID, c.ID)
-		delete(st.links, c.ID)
-		delete(st.nsubs, c.ID)
-		st.nsubs[c.Pid]--
-	case cmdRename:
-		k := types.Key{Pid: c.Pid, Name: c.Name}
-		e, ok := st.byKey[k]
-		if !ok {
-			return
-		}
-		delete(st.byKey, k)
-		e.Pid, e.Name = c.DstPid, c.DstName
-		st.byKey[types.Key{Pid: c.DstPid, Name: c.DstName}] = e
-		st.nsubs[c.Pid]--
-		st.nsubs[c.DstPid]++
-	}
-}
-
-func (st *dirState) get(pid types.InodeID, name string) (dirEnt, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	e, ok := st.byKey[types.Key{Pid: pid, Name: name}]
-	if !ok {
-		return dirEnt{}, false
-	}
-	return *e, true
-}
-
-// resolve walks path locally, returning the final entry, aggregated
-// permission, and levels walked.
-func (st *dirState) resolve(path string) (dirEnt, types.Perm, int, error) {
-	comps := pathutil.Split(path)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	cur := dirEnt{ID: types.RootID, Perm: types.PermAll}
-	perm := types.PermAll
-	levels := 0
-	for i, name := range comps {
-		e, ok := st.byKey[types.Key{Pid: cur.ID, Name: name}]
-		if !ok {
-			return dirEnt{}, 0, levels, fmt.Errorf("locofs resolve %s at %q: %w", path, name, types.ErrNotFound)
-		}
-		levels++
-		perm = perm.Intersect(e.Perm)
-		if i < len(comps)-1 && !perm.Allows(types.PermLookup) {
-			return dirEnt{}, 0, levels, fmt.Errorf("locofs resolve %s: %w", path, types.ErrPermission)
-		}
-		cur = *e
-	}
-	out := cur
-	if lc, ok := st.links[out.ID]; ok {
-		out.Attr.LinkCount += lc
-	}
-	return out, perm, levels, nil
-}
-
-func (st *dirState) children(dir types.InodeID) []types.Entry {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var out []types.Entry
-	for k, e := range st.byKey {
-		if k.Pid == dir {
-			out = append(out, e.entry())
-		}
-	}
-	return out
-}
-
-func (st *dirState) bumpLink(dir types.InodeID, d int64) {
-	st.mu.Lock()
-	st.links[dir] += d
-	st.mu.Unlock()
-}
-
-func (st *dirState) linkCount(dir types.InodeID) int64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.links[dir]
-}
-
-func (st *dirState) subdirCount(dir types.InodeID) int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.nsubs[dir]
-}
-
-func (st *dirState) wouldLoop(srcID, dstParentID types.InodeID) (int, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	cur := dstParentID
-	levels := 0
-	for cur != types.RootID {
-		if cur == srcID {
-			return levels, true
-		}
-		e, ok := st.byID[cur]
-		if !ok {
-			break
-		}
-		cur = e.Pid
-		levels++
-	}
-	return levels, false
-}
-
-func (st *dirState) bulkAdd(dirs []api.PopDir) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, d := range dirs {
-		perm := d.Perm
-		if perm == 0 {
-			perm = types.PermAll
-		}
-		e := &dirEnt{Pid: d.Pid, Name: pathutil.Base(d.Path), ID: d.ID, Perm: perm}
-		st.byKey[types.Key{Pid: d.Pid, Name: pathutil.Base(d.Path)}] = e
-		st.byID[d.ID] = e
-		st.nsubs[d.Pid]++
-	}
+func (c *dirCounts) forget(dir types.InodeID) {
+	c.mu.Lock()
+	delete(c.m, dir)
+	c.mu.Unlock()
 }

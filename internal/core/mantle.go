@@ -622,8 +622,13 @@ func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (res types.Resul
 		retries, err := m.db.RenameDir(op, prep.SrcPid, prep.SrcName, prep.DstPid, dstName, prep.SrcID, prep.SrcPerm)
 		totalRetries += retries
 		if err != nil {
-			_ = m.idx.AbortRename(op, prep.SrcID, srcPath, uuid)
+			aerr := m.idx.AbortRename(op, prep, srcPath, uuid)
 			t.Phase(types.PhaseExecute)
+			if aerr != nil {
+				// The preparing replica may still hold the lock and the
+				// RemovalList entry: report it, do not retry against it.
+				return t.Done(op, totalRetries, types.Entry{}), errors.Join(err, aerr)
+			}
 			if errors.Is(err, types.ErrRetryExhausted) && attempt < renameRetries {
 				totalRetries++
 				txn.Backoff(attempt, m.cfg.RetryBase, m.cfg.RetryMax)
@@ -668,17 +673,9 @@ func (m *Mantle) Populate(dirs []api.PopDir, objects []api.PopObject) error {
 	access := make([]types.AccessEntry, 0, len(dirs))
 	maxID := uint64(types.RootID)
 	for _, d := range dirs {
-		perm := d.Perm
-		if perm == 0 {
-			perm = types.PermAll
-		}
-		entries = append(entries, types.Entry{
-			Pid: d.Pid, Name: pathutil.Base(d.Path), ID: d.ID,
-			Kind: types.KindDir, Perm: perm,
-		})
-		access = append(access, types.AccessEntry{
-			Pid: d.Pid, Name: pathutil.Base(d.Path), ID: d.ID, Perm: perm,
-		})
+		a := d.Access()
+		entries = append(entries, types.Entry{Pid: a.Pid, Name: a.Name, ID: a.ID, Kind: types.KindDir, Perm: a.Perm})
+		access = append(access, a)
 		if uint64(d.ID) > maxID {
 			maxID = uint64(d.ID)
 		}

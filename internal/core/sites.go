@@ -25,10 +25,10 @@ type SitesConfig struct {
 	RTT time.Duration
 	// WANRTT is the inter-site round trip charged per shipped batch.
 	WANRTT time.Duration
-	// LinkInterval is the replication pump period (default 500µs).
-	LinkInterval time.Duration
-	// LinkBatchMax bounds records per shipped batch (default 256).
-	LinkBatchMax int
+	// Link is the replication link's configuration; callers set its
+	// tuning (Interval, BatchMax), NewSites fills the endpoints (Source,
+	// Offer, Fabric, Node, SrcName).
+	Link repl.LinkConfig
 }
 
 // Sites is a primary/secondary pair joined by an asynchronous
@@ -101,15 +101,12 @@ func NewSites(cfg SitesConfig) (*Sites, error) {
 	})
 	s.WAN = netsim.NewFabric(netsim.Config{RTT: cfg.WANRTT})
 	s.replEndpoint = netsim.NewNode(SecondaryReplName, 0)
-	s.linkCfg = repl.LinkConfig{
-		Source:   s.src,
-		Offer:    s.app.Offer,
-		Fabric:   s.WAN,
-		Node:     s.replEndpoint,
-		SrcName:  PrimaryReplName,
-		Interval: cfg.LinkInterval,
-		BatchMax: cfg.LinkBatchMax,
-	}
+	s.linkCfg = cfg.Link
+	s.linkCfg.Source = s.src
+	s.linkCfg.Offer = s.app.Offer
+	s.linkCfg.Fabric = s.WAN
+	s.linkCfg.Node = s.replEndpoint
+	s.linkCfg.SrcName = PrimaryReplName
 	s.registerMetrics()
 	return s, nil
 }

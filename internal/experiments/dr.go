@@ -11,6 +11,7 @@ import (
 	"mantle/internal/fsck"
 	"mantle/internal/indexnode"
 	"mantle/internal/raft"
+	"mantle/internal/repl"
 	"mantle/internal/rpc"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
@@ -30,8 +31,7 @@ func DR(p Params) error {
 			TafDB: tafdb.Config{Shards: 4, Delta: tafdb.DeltaAuto, WALSyncCost: 5 * time.Microsecond},
 			Index: indexnode.Config{Voters: 3, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 		},
-		LinkInterval: 200 * time.Microsecond,
-		LinkBatchMax: 128,
+		Link: repl.LinkConfig{Interval: 200 * time.Microsecond, BatchMax: 128},
 	})
 	if err != nil {
 		return err

@@ -25,8 +25,7 @@ func newSites(t *testing.T, shards int, walCost time.Duration) *core.Sites {
 			TafDB: tafdb.Config{Shards: shards, Delta: tafdb.DeltaAuto, WALSyncCost: walCost},
 			Index: indexnode.Config{Voters: 3, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 		},
-		LinkInterval: 200 * time.Microsecond,
-		LinkBatchMax: 64,
+		Link: repl.LinkConfig{Interval: 200 * time.Microsecond, BatchMax: 64},
 	})
 	if err != nil {
 		t.Fatal(err)

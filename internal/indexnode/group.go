@@ -477,35 +477,32 @@ func (g *Group) Lookup(op *rpc.Op, path string) (LookupResult, error) {
 	return res, fmt.Errorf("indexnode lookup %s: %w: %w", path, types.ErrUnavailable, lastErr)
 }
 
-// propose submits a command through the current leader with retry across
-// leader changes. One proxy RPC per attempt. Each attempt's commit wait
-// is bounded by the remaining retry window, so a partitioned group makes
-// propose fail fast with ErrUnavailable instead of hanging on an entry
-// that can never commit.
-func (g *Group) propose(op *rpc.Op, c Cmd) error {
-	g.proposeRate.Add(1)
-	ctx, sp := trace.Start(op.Context(), "raft-propose")
-	sp.Annotate("cmd", "%d", c.Kind)
-	defer sp.End()
-	op = op.WithContext(ctx)
-	payload := c.Encode()
+// anyLeader targets whichever replica leads when an attempt starts.
+const anyLeader = -1
+
+// call runs fn as one proxy RPC per attempt on replica target — or, with
+// anyLeader, on the current leader — and owns what the write-side calls
+// share: the retry window, the back-off while no leader is elected, the
+// retryable classification (leadership churn, crash-stop and fabric loss
+// are retried; application errors return at once) and the ErrUnavailable
+// wrap when the window closes. fn learns the replica index it runs on and
+// the window's deadline.
+func (g *Group) call(op *rpc.Op, what string, target int, cost time.Duration, fn func(i int, deadline time.Time) error) error {
 	var lastErr error
 	opts := g.callOpts()
 	deadline := time.Now().Add(g.cfg.RetryWindow)
 	for attempt := 0; attempt == 0 || time.Now().Before(deadline); attempt++ {
-		li := g.leaderIndex()
-		if li < 0 {
-			time.Sleep(5 * time.Millisecond)
-			lastErr = types.ErrNotLeader
-			continue
-		}
-		remaining := time.Until(deadline)
-		if remaining < 10*time.Millisecond {
-			remaining = 10 * time.Millisecond // first attempt always gets a slice
+		i := target
+		if i == anyLeader {
+			if i = g.leaderIndex(); i < 0 {
+				time.Sleep(5 * time.Millisecond)
+				lastErr = types.ErrNotLeader
+				continue
+			}
 		}
 		var err error
-		callErr := op.Do(g.nodes[li], g.cfg.WriteCost, opts, func() error {
-			_, err = g.rafts[li].ProposeTimeout(payload, remaining)
+		callErr := op.Do(g.nodes[i], cost, opts, func() error {
+			err = fn(i, deadline)
 			return nil
 		})
 		if callErr != nil {
@@ -515,21 +512,37 @@ func (g *Group) propose(op *rpc.Op, c Cmd) error {
 			}
 			return callErr
 		}
-		if err == nil {
-			return nil
+		if err == nil || !retryable(err) {
+			return err
 		}
-		if retryable(err) {
-			// Leadership moved (or the old leader crashed or was cut
-			// off): find the new leader and retry. Commands are
-			// idempotent at the state-machine level (puts/deletes of
-			// specific entries).
-			lastErr = err
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		return err
+		// Leadership moved (or the old leader crashed or was cut off):
+		// find the new leader and retry.
+		lastErr = err
+		time.Sleep(5 * time.Millisecond)
 	}
-	return fmt.Errorf("indexnode propose: %w: %w", types.ErrUnavailable, lastErr)
+	return fmt.Errorf("indexnode %s: %w: %w", what, types.ErrUnavailable, lastErr)
+}
+
+// propose submits a command through the current leader with retry across
+// leader changes (commands are idempotent at the state-machine level:
+// puts/deletes of specific entries). Each attempt's commit wait is bounded
+// by the remaining retry window, so a partitioned group makes propose
+// fail fast with ErrUnavailable instead of hanging on an entry that can
+// never commit.
+func (g *Group) propose(op *rpc.Op, c Cmd) error {
+	g.proposeRate.Add(1)
+	ctx, sp := trace.Start(op.Context(), "raft-propose")
+	sp.Annotate("cmd", "%d", c.Kind)
+	defer sp.End()
+	payload := c.Encode()
+	return g.call(op.WithContext(ctx), "propose", anyLeader, g.cfg.WriteCost, func(li int, deadline time.Time) error {
+		remaining := time.Until(deadline)
+		if remaining < 10*time.Millisecond {
+			remaining = 10 * time.Millisecond // first attempt always gets a slice
+		}
+		_, err := g.rafts[li].ProposeTimeout(payload, remaining)
+		return err
+	})
 }
 
 // KillLeader crash-stops the current leader replica (failure injection;
@@ -570,44 +583,20 @@ func (g *Group) SetPerm(op *rpc.Op, id types.InodeID, perm types.Perm, path stri
 // window; application errors (lock conflicts, loops) return immediately.
 func (g *Group) PrepareRename(op *rpc.Op, srcPath, dstParentPath, dstName, lockID string) (RenamePrep, error) {
 	var prep RenamePrep
-	var lastErr error
-	opts := g.callOpts()
-	deadline := time.Now().Add(g.cfg.RetryWindow)
-	for attempt := 0; attempt == 0 || time.Now().Before(deadline); attempt++ {
-		li := g.leaderIndex()
-		if li < 0 {
-			time.Sleep(5 * time.Millisecond)
-			lastErr = types.ErrNotLeader
-			continue
-		}
-		rep, rf, node := g.replicas[li], g.rafts[li], g.nodes[li]
+	err := g.call(op, "prepare rename", anyLeader, 0, func(li int, _ time.Time) error {
+		rep, node := g.replicas[li], g.nodes[li]
 		var err error
-		callErr := op.Do(node, 0, opts, func() error {
-			cerr := rf.ConsistentRead(func() error {
-				prep, err = rep.PrepareRename(srcPath, dstParentPath, dstName, lockID)
-				node.Charge(g.lookupCost(prep.Levels))
-				return nil
-			})
-			if cerr != nil {
-				err = cerr
-			}
+		if cerr := g.rafts[li].ConsistentRead(func() error {
+			prep, err = rep.PrepareRename(srcPath, dstParentPath, dstName, lockID)
+			node.Charge(g.lookupCost(prep.Levels))
 			return nil
-		})
-		if callErr != nil {
-			if retryable(callErr) {
-				lastErr = callErr
-				continue
-			}
-			return prep, callErr
+		}); cerr != nil {
+			return cerr
 		}
-		if err != nil && retryable(err) {
-			lastErr = err
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		return prep, err
-	}
-	return prep, fmt.Errorf("indexnode prepare rename: %w: %w", types.ErrUnavailable, lastErr)
+		prep.Replica = li
+		return err
+	})
+	return prep, err
 }
 
 // CommitRename replicates the rename through Raft: every replica moves
@@ -623,14 +612,16 @@ func (g *Group) CommitRename(op *rpc.Op, prep RenamePrep, dstName, srcPath, lock
 	})
 }
 
-// AbortRename unwinds a prepared rename on the leader (one RPC).
-func (g *Group) AbortRename(op *rpc.Op, srcID types.InodeID, srcPath, lockID string) error {
-	li := g.leaderIndex()
-	if li < 0 {
-		return types.ErrNotLeader
+// AbortRename unwinds a prepared rename (one RPC) on the replica that
+// prepared it: the lock and the RemovalList registration live there, and
+// leadership may have moved since. A crash-stopped replica needs no
+// abort — its volatile locks went with it and it never leads again.
+func (g *Group) AbortRename(op *rpc.Op, prep RenamePrep, srcPath, lockID string) error {
+	if g.rafts[prep.Replica].Stopped() {
+		return nil
 	}
-	return op.Do(g.nodes[li], g.cfg.WriteCost, g.callOpts(), func() error {
-		g.replicas[li].AbortRename(srcID, srcPath, lockID)
+	return g.call(op, "abort rename", prep.Replica, g.cfg.WriteCost, func(i int, _ time.Time) error {
+		g.replicas[i].AbortRename(prep.SrcID, srcPath, lockID)
 		return nil
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mantle/internal/faults"
 	"mantle/internal/netsim"
 	"mantle/internal/raft"
 	"mantle/internal/rpc"
@@ -187,7 +188,7 @@ func TestGroupAbortRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AbortRename(op, prep.SrcID, "/a", "u1"); err != nil {
+	if err := g.AbortRename(op, prep, "/a", "u1"); err != nil {
 		t.Fatal(err)
 	}
 	// Source stays where it was and is rename-able again.
@@ -196,6 +197,64 @@ func TestGroupAbortRename(t *testing.T) {
 	}
 	if _, err := g.PrepareRename(caller.Begin(), "/a", "/x", "a3", "u2"); err != nil {
 		t.Fatalf("after abort: %v", err)
+	}
+}
+
+// TestGroupAbortRenameReachesPreparingReplica: the rename lock and the
+// RemovalList registration live on the replica that ran PrepareRename. If
+// it is deposed before the abort, the abort must still land there — sent
+// to the new leader it would clear nothing, and the old one would keep
+// the lock for good.
+func TestGroupAbortRenameReachesPreparingReplica(t *testing.T) {
+	fabric := netsim.NewLocalFabric()
+	inj := faults.New(17)
+	inj.Attach(fabric)
+	g, caller := newTestGroup(t, func(c *Config) {
+		c.Fabric = fabric
+		c.Raft.ElectionTimeout = 50 * time.Millisecond
+		c.Raft.HeartbeatInterval = 10 * time.Millisecond
+	})
+	if err := g.AddDir(caller.Begin(), types.RootID, "a", 2, types.PermAll, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddDir(caller.Begin(), types.RootID, "x", 5, types.PermAll, ""); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := g.PrepareRename(caller.Begin(), "/a", "/x", "a2", "u1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := g.replicas[prep.Replica]
+	if g.Leader() != old || !old.IsLocked(prep.SrcID, "other") {
+		t.Fatalf("prep.Replica = %d is not the leader holding the lock", prep.Replica)
+	}
+
+	// Cut the preparing leader off until the other two elect a successor.
+	members := g.MemberIDs()
+	var rest []string
+	for i, id := range members {
+		if i != prep.Replica {
+			rest = append(rest, id)
+		}
+	}
+	inj.Partition([]string{members[prep.Replica]}, rest)
+	deadline := time.Now().Add(5 * time.Second)
+	for li := g.leaderIndex(); li < 0 || li == prep.Replica; li = g.leaderIndex() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no successor elected (injector seed %d)", inj.Seed())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	inj.HealAll()
+
+	if err := g.AbortRename(caller.Begin(), prep, "/a", "u1"); err != nil {
+		t.Fatal(err)
+	}
+	if old.IsLocked(prep.SrcID, "other") {
+		t.Fatal("deposed leader still holds the rename lock after the abort")
+	}
+	if n := old.Invalidator().RemovalLen(); n != 0 {
+		t.Fatalf("deposed leader's RemovalList len = %d after the abort", n)
 	}
 }
 

@@ -7,16 +7,16 @@ import (
 
 	"mantle/internal/pathutil"
 	"mantle/internal/radix"
-	"mantle/internal/skiplist"
 )
 
 // Invalidator coordinates lookups with directory modifications (§5.1.2).
 // It owns three structures:
 //
-//   - RemovalList: a concurrent skiplist of the full paths of directories
-//     currently being modified. Every lookup scans it (an O(1) emptiness
-//     check in the common case) and bypasses TopDirPathCache for paths
-//     under a listed prefix.
+//   - RemovalList: the full paths of directories currently being
+//     modified, as a refcounted set whose keys are published as an
+//     immutable snapshot. Every lookup loads the snapshot (nil — one
+//     atomic load — in the common case) and bypasses TopDirPathCache for
+//     paths under a listed prefix.
 //   - PrefixTree: a path radix tree mirroring every cached prefix, so an
 //     invalidation can find the affected cache range — hash tables cannot
 //     answer range queries.
@@ -28,17 +28,19 @@ import (
 // mechanism": lookups snapshot the epoch before resolving and only cache
 // their result if no modification intervened.
 type Invalidator struct {
-	cache   *TopDirPathCache
-	removal *skiplist.List
-	prefix  *radix.Tree
-	epoch   atomic.Uint64
+	cache  *TopDirPathCache
+	prefix *radix.Tree
+	epoch  atomic.Uint64
 
-	// refs counts concurrent registrations per path: two renames racing
-	// on the same source must not strip each other's RemovalList
-	// protection when one aborts. The skiplist stays the lock-free read
-	// structure; refs is touched only on (rare) modifications.
-	refMu sync.Mutex
-	refs  map[string]int
+	// refs is the RemovalList. It counts concurrent registrations per
+	// path: two renames racing on the same source must not strip each
+	// other's protection when one aborts. Writers (rare: rename
+	// prepare/commit/abort, setperm) update it under refMu and publish its
+	// keys through removal, which readers load without blocking; a
+	// published slice is never mutated, and nil means empty.
+	refMu   sync.Mutex
+	refs    map[string]int
+	removal atomic.Pointer[[]string]
 
 	queue    chan string
 	wg       sync.WaitGroup
@@ -50,12 +52,11 @@ type Invalidator struct {
 // background worker.
 func NewInvalidator(cache *TopDirPathCache) *Invalidator {
 	inv := &Invalidator{
-		cache:   cache,
-		removal: skiplist.New(),
-		prefix:  radix.New(),
-		refs:    make(map[string]int),
-		queue:   make(chan string, 1024),
-		stopCh:  make(chan struct{}),
+		cache:  cache,
+		prefix: radix.New(),
+		refs:   make(map[string]int),
+		queue:  make(chan string, 1024),
+		stopCh: make(chan struct{}),
 	}
 	inv.wg.Add(1)
 	go inv.worker()
@@ -82,37 +83,41 @@ func (inv *Invalidator) BumpEpoch() { inv.epoch.Add(1) }
 // cannot strip each other's protection. Reports whether the path was
 // newly inserted into the RemovalList.
 func (inv *Invalidator) BeginModification(path string) bool {
-	path = pathutil.Clean(path)
 	inv.BumpEpoch()
-	inv.refMu.Lock()
-	inv.refs[path]++
-	fresh := inv.refs[path] == 1
-	inv.refMu.Unlock()
-	if fresh {
-		return inv.removal.Insert(path)
-	}
-	return false
+	return inv.ref(pathutil.Clean(path), 1)
 }
 
 // AbortModification releases one registration of path without
 // invalidating anything (the modification did not happen).
 func (inv *Invalidator) AbortModification(path string) {
-	inv.release(pathutil.Clean(path))
+	inv.ref(pathutil.Clean(path), -1)
 }
 
-// release drops one reference; the last one removes the RemovalList
-// entry.
-func (inv *Invalidator) release(path string) {
+// ref moves path's registration count by delta; a count that reaches
+// zero leaves the RemovalList. When the set of listed paths changed it
+// publishes a fresh snapshot and reports true.
+func (inv *Invalidator) ref(path string, delta int) bool {
 	inv.refMu.Lock()
-	inv.refs[path]--
-	gone := inv.refs[path] <= 0
-	if gone {
+	defer inv.refMu.Unlock()
+	before := len(inv.refs)
+	if n := inv.refs[path] + delta; n > 0 {
+		inv.refs[path] = n
+	} else {
 		delete(inv.refs, path)
 	}
-	inv.refMu.Unlock()
-	if gone {
-		inv.removal.Remove(path)
+	if len(inv.refs) == before {
+		return false
 	}
+	var snap *[]string
+	if len(inv.refs) > 0 {
+		paths := make([]string, 0, len(inv.refs))
+		for p := range inv.refs {
+			paths = append(paths, p)
+		}
+		snap = &paths
+	}
+	inv.removal.Store(snap)
+	return true
 }
 
 // Invalidate enqueues asynchronous invalidation of every cached prefix
@@ -137,25 +142,21 @@ func (inv *Invalidator) InvalidateExact(path string) {
 	inv.cache.Delete(path)
 }
 
-// Blocked reports whether path (or any of its ancestors) appears in the
-// RemovalList, meaning the lookup must bypass TopDirPathCache. The empty
-// check is wait-free and is the common case.
+// Blocked reports whether path or one of its ancestors is in the
+// RemovalList, meaning the lookup must bypass TopDirPathCache. It is
+// wait-free: one atomic load (nil while nothing is being modified, the
+// common case), then a scan of the handful of in-flight paths.
 func (inv *Invalidator) Blocked(path string) bool {
-	if inv.removal.IsEmpty() {
+	snap := inv.removal.Load()
+	if snap == nil {
 		return false
 	}
-	blocked := false
-	inv.removal.Range(func(p string) bool {
+	for _, p := range *snap {
 		if pathutil.IsAncestor(p, path, true) {
-			blocked = true
-			return false
+			return true
 		}
-		// Keys are sorted; once past path lexically there can still be
-		// shorter ancestors later? No: an ancestor of path is a strict
-		// string prefix, so it sorts <= path. Stop once beyond.
-		return p <= path
-	})
-	return blocked
+	}
+	return false
 }
 
 // NoteCached records a freshly cached prefix in the PrefixTree (the
@@ -165,7 +166,12 @@ func (inv *Invalidator) NoteCached(prefix string) {
 }
 
 // RemovalLen returns the RemovalList's current length.
-func (inv *Invalidator) RemovalLen() int { return inv.removal.Len() }
+func (inv *Invalidator) RemovalLen() int {
+	if snap := inv.removal.Load(); snap != nil {
+		return len(*snap)
+	}
+	return 0
+}
 
 func (inv *Invalidator) worker() {
 	defer inv.wg.Done()
@@ -191,14 +197,14 @@ func (inv *Invalidator) invalidateNow(path string) {
 	for _, p := range inv.prefix.RemoveSubtree(path) {
 		inv.cache.Delete(p)
 	}
-	inv.release(path)
+	inv.ref(path, -1)
 }
 
 // WaitIdle blocks until the invalidation queue is drained and the
 // RemovalList is empty. Test helper.
 func (inv *Invalidator) WaitIdle() {
 	for {
-		if len(inv.queue) == 0 && inv.removal.IsEmpty() {
+		if len(inv.queue) == 0 && inv.removal.Load() == nil {
 			return
 		}
 		select {

@@ -324,6 +324,10 @@ type RenamePrep struct {
 	SrcPerm types.Perm
 	DstPid  types.InodeID // resolved destination parent
 	Levels  int           // IndexTable levels walked (CPU cost)
+	// Replica is the group index of the replica that prepared — the one
+	// holding the lock and the RemovalList registration (set by
+	// Group.PrepareRename; an abort goes there, not to whoever leads now).
+	Replica int
 }
 
 // PrepareRename executes Figure 9 steps 1–7 locally on the leader in one
@@ -427,10 +431,13 @@ func (r *Replica) PrepareRename(srcPath, dstParentPath, dstName, lockID string) 
 }
 
 // AbortRename unwinds a prepared rename that failed downstream (TafDB
-// transaction conflict): clears the lock and the RemovalList entry.
+// transaction conflict): clears the lock and, only if this replica
+// actually held it for lockID, the RemovalList registration taken with
+// it — a stray abort must not strip another request's protection.
 func (r *Replica) AbortRename(srcID types.InodeID, srcPath, lockID string) {
-	r.unlock(srcID, lockID)
-	r.inv.AbortModification(srcPath)
+	if r.unlock(srcID, lockID) {
+		r.inv.AbortModification(srcPath)
+	}
 }
 
 // Snapshot serialises the replica's IndexTable for Raft log compaction
