@@ -24,13 +24,15 @@ test-race:
 	$(GO) test -race -short -count=1 ./...
 
 # The follower read path (raft ReadIndex rounds, reply-driven commit
-# advance, bounded-staleness reads, indexnode follower lookups) and the
-# RemovalList's wait-free read against rename prepare/commit/abort, twenty
-# times under the race detector: the inline-round / queued-round hand-off
-# and the published-snapshot hand-off have to hold under many schedules,
-# not one.
+# advance, bounded-staleness reads, indexnode follower lookups), the
+# RemovalList's wait-free read against rename prepare/commit/abort, and
+# the path cache's fill-vs-invalidate ordering (radix.Cache and its three
+# users: TopDirPathCache, the proxy cache, InfiniFS's AM-Cache), twenty
+# times under the race detector: the inline-round / queued-round hand-off,
+# the published-snapshot hand-off and the epoch-guarded fill have to hold
+# under many schedules, not one.
 test-readpath:
-	$(GO) test -race -count=20 -run 'ReadIndex|FollowerRead|BoundedStale|ReadAfterWrite|Invalidator|RacingRename|AbortRename|LookupDuringModification' ./internal/raft/ ./internal/indexnode/
+	$(GO) test -race -count=20 -run 'ReadIndex|FollowerRead|BoundedStale|ReadAfterWrite|Invalidator|RacingRename|AbortRename|LookupDuringModification|Cache|ProxyCache|AMCache|Fill|InvalidationStress' ./internal/raft/ ./internal/indexnode/ ./internal/radix/ ./internal/core/ ./internal/baselines/infinifs/
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -50,7 +52,7 @@ loc:
 # lowered it. A PR that shrinks the tree lowers LOC_CEILING to its own
 # result; one that has to grow it raises the ceiling on purpose, in the
 # diff, where a reviewer sees it.
-LOC_CEILING = 20693
+LOC_CEILING = 20409
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

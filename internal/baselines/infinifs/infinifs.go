@@ -50,7 +50,16 @@ type Service struct {
 	coord  *coordinator
 	uuidSq atomic.Uint64
 
-	amCache *amCache
+	// amCache is the proxy-side AM-Cache: directory path → resolution
+	// result, invalidated by subtree on rename and rmdir. Nil when off.
+	amCache *radix.Cache[resolved]
+}
+
+// resolved is a directory path's resolution: its entry and the aggregated
+// permission of the path.
+type resolved struct {
+	e    types.Entry
+	perm types.Perm
 }
 
 var _ api.Service = (*Service)(nil)
@@ -67,26 +76,31 @@ func New(cfg Config) *Service {
 	s.Resolve = s.resolve
 	s.Link = s.Store.LinkAtomic
 	if cfg.AMCache {
-		s.amCache = newAMCache()
+		s.amCache = radix.NewCache[resolved]()
 	}
 	return s
 }
 
 // resolve resolves a directory path: AM-Cache hit, else parallel
-// speculative resolution (with cache fill).
+// speculative resolution and a fill guarded by the epoch captured before
+// the resolution began (radix.Cache), so a rename that lands while the
+// queries are in flight cannot leave its stale result behind.
 func (s *Service) resolve(op *rpc.Op, dirPath string) (types.Entry, types.Perm, error) {
 	ctx, sp := trace.Start(op.Context(), "path-resolve")
 	sp.SetAttr("mode", "parallel")
 	defer sp.End()
-	if s.amCache != nil {
-		if e, perm, ok := s.amCache.get(dirPath); ok {
-			sp.SetAttr("cache", "am-hit")
-			return e, perm, nil
-		}
+	if s.amCache == nil {
+		return s.Store.ResolvePathParallel(op.WithContext(ctx), dirPath)
 	}
-	e, perm, err := s.Store.ResolvePathParallel(op.WithContext(ctx), dirPath)
-	if err == nil && s.amCache != nil {
-		s.amCache.put(dirPath, e, perm)
+	path := pathutil.Clean(dirPath)
+	epoch0 := s.amCache.Epoch()
+	if r, ok := s.amCache.Get(path); ok {
+		sp.SetAttr("cache", "am-hit")
+		return r.e, r.perm, nil
+	}
+	e, perm, err := s.Store.ResolvePathParallel(op.WithContext(ctx), path)
+	if err == nil {
+		s.amCache.Fill(path, resolved{e, perm}, epoch0)
 	}
 	return e, perm, err
 }
@@ -155,7 +169,7 @@ func (s *Service) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
 		err = s.Store.ApplyAtomic(op, attr.Key.Pid, []storage.Mutation{attr})
 	}
 	if err == nil && s.amCache != nil {
-		s.amCache.invalidate(dirPath)
+		s.amCache.InvalidateSubtree(pathutil.Clean(dirPath))
 	}
 	t.Phase(types.PhaseExecute)
 	return t.Done(op, retries, types.Entry{}), err
@@ -196,7 +210,7 @@ func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, 
 	moved.Pid, moved.Name = dpe.ID, dstName
 	retries, err := s.Store.MoveTxn(op, spe, dpe, srcName, moved)
 	if err == nil && s.amCache != nil {
-		s.amCache.invalidate(srcPath)
+		s.amCache.InvalidateSubtree(pathutil.Clean(srcPath))
 	}
 	t.Phase(types.PhaseExecute)
 	return t.Done(op, retries, types.Entry{}), err
@@ -240,52 +254,5 @@ func (c *coordinator) release(srcID types.InodeID, uuid string) {
 	defer c.mu.Unlock()
 	if holder, held := c.locks[srcID]; held && holder == uuid {
 		delete(c.locks, srcID)
-	}
-}
-
-// amCache is the proxy-side AM-Cache: directory path → resolution
-// result, with subtree invalidation on rename/rmdir.
-type amCache struct {
-	mu     sync.RWMutex
-	m      map[string]amEntry
-	prefix *radix.Tree
-	hits   atomic.Int64
-}
-
-type amEntry struct {
-	e    types.Entry
-	perm types.Perm
-}
-
-func newAMCache() *amCache {
-	return &amCache{m: make(map[string]amEntry), prefix: radix.New()}
-}
-
-func (c *amCache) get(path string) (types.Entry, types.Perm, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ent, ok := c.m[pathutil.Clean(path)]
-	if ok {
-		c.hits.Add(1)
-	}
-	return ent.e, ent.perm, ok
-}
-
-func (c *amCache) put(path string, e types.Entry, perm types.Perm) {
-	path = pathutil.Clean(path)
-	if path == "/" {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[path] = amEntry{e: e, perm: perm}
-	c.prefix.Insert(path)
-}
-
-func (c *amCache) invalidate(path string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, p := range c.prefix.RemoveSubtree(pathutil.Clean(path)) {
-		delete(c.m, p)
 	}
 }

@@ -8,16 +8,16 @@
 // throughput" behaviour of Figure 14 — and updates to the same key in
 // the sub-directory list serialise on a per-key latch.
 //
-// The directory server's tree is Mantle's own IndexNode replica with the
-// TopDirPathCache off, fed indexnode.Cmd log entries (Mantle-base in the
-// paper's Fig 16 is this directory server). What is LocoFS's own is
+// The directory server is Mantle's own IndexNode group with the
+// TopDirPathCache, follower reads and log batching off (Mantle-base in the
+// paper's Fig 16 is this directory server), which also owns finding the
+// leader and retrying across elections. What is LocoFS's own is
 // everything around it: one dirCall RPC per directory operation that
 // resolves, checks and proposes on the leader, the per-level resolve and
-// per-key latch charges, leader-only reads, and the unbatched log.
+// per-key latch charges, and the side counters.
 package locofs
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -60,9 +60,7 @@ type Service struct {
 	cfg      Config
 	objStore *dbtable.Store
 	caller   *rpc.Caller
-	rafts    []*raft.Raft
-	reps     []*indexnode.Replica
-	nodes    []*netsim.Node
+	dir      *indexnode.Group
 	counts   dirCounts
 }
 
@@ -82,36 +80,25 @@ func New(cfg Config) (*Service, error) {
 	if cfg.LatchCost <= 0 {
 		cfg.LatchCost = 120 * time.Microsecond
 	}
-	s := &Service{
+	dir, err := indexnode.NewGroup(indexnode.Config{
+		Name: "locofs-dir", Voters: cfg.Voters, Workers: cfg.DirWorkers, Fabric: cfg.Fabric,
+		// CacheEnabled, FollowerRead and Raft.BatchEnabled stay off: no
+		// prefix cache, leader-only reads, and an unbatched log — the
+		// paper attributes LocoFS's mkdir throughput ceiling to the last.
+		// The log is never compacted and the heartbeat is raft's own
+		// default for a 1s election timeout, not the group's.
+		Raft: raft.Config{FsyncCost: cfg.FsyncCost, HeartbeatInterval: 200 * time.Millisecond, SnapshotThreshold: -1},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Service{
 		cfg:      cfg,
 		objStore: dbtable.New(cfg.ObjStore),
 		caller:   rpc.NewCaller(cfg.Fabric),
+		dir:      dir,
 		counts:   dirCounts{m: make(map[types.InodeID]dirCount)},
-	}
-	raftCfgs := make([]raft.Config, cfg.Voters)
-	for i := 0; i < cfg.Voters; i++ {
-		rep := indexnode.NewReplica(0, false)
-		node := netsim.NewNode(fmt.Sprintf("locofs-dir-%d", i), cfg.DirWorkers)
-		s.reps = append(s.reps, rep)
-		s.nodes = append(s.nodes, node)
-		raftCfgs[i] = raft.Config{
-			ID:              fmt.Sprintf("locofs-dir-%d", i),
-			Fabric:          cfg.Fabric,
-			Node:            node,
-			ElectionTimeout: time.Second,
-			FsyncCost:       cfg.FsyncCost,
-			// LocoFS does not batch its directory-server log writes —
-			// the paper attributes its mkdir throughput ceiling to this.
-			BatchEnabled: false,
-			SM:           rep,
-		}
-	}
-	s.rafts = raft.NewGroup(raftCfgs)
-	if _, err := raft.WaitLeader(s.rafts, 10*time.Second); err != nil {
-		s.Stop()
-		return nil, err
-	}
-	return s, nil
+	}, nil
 }
 
 // Name implements api.Service.
@@ -121,23 +108,7 @@ func (s *Service) Name() string { return "locofs" }
 func (s *Service) Caller() *rpc.Caller { return s.caller }
 
 // Stop implements api.Service.
-func (s *Service) Stop() {
-	for _, r := range s.rafts {
-		r.Stop()
-	}
-	for _, rep := range s.reps {
-		rep.Close()
-	}
-}
-
-func (s *Service) leader() (int, error) {
-	for i, r := range s.rafts {
-		if !r.Stopped() && r.Role() == raft.Leader {
-			return i, nil
-		}
-	}
-	return -1, types.ErrNotLeader
-}
+func (s *Service) Stop() { s.dir.Stop() }
 
 // latch serialises an update of the key of directory dir (as resolved to
 // res) on the per-row pacer (the object store's latch map, which the
@@ -151,61 +122,40 @@ func (s *Service) resolveCost(levels int) time.Duration {
 	return s.cfg.ResolveBaseCost + time.Duration(levels)*s.cfg.ResolveLevelCost
 }
 
-// resolveOn walks dir on the directory server's replica (no cache: every
-// level from the root), charging the walk to its node, and requires need
-// of the aggregated path permission; verb and path label the permission
-// error.
-func (s *Service) resolveOn(rep *indexnode.Replica, node *netsim.Node, verb, path, dir string, need types.Perm) (indexnode.LookupResult, error) {
-	res, err := rep.Lookup(dir)
-	node.Charge(s.resolveCost(res.Levels))
+// leader is the directory server as one dirCall finds it: the replica the
+// RPC landed on, its CPU node and its log.
+type leader struct {
+	rep  *indexnode.Replica
+	node *netsim.Node
+	log  *raft.Raft
+}
+
+// resolve walks dir on the directory server (no cache: every level from
+// the root), charging the walk to its node, and requires need of the
+// aggregated path permission; verb and path label the permission error.
+func (s *Service) resolve(d leader, verb, path, dir string, need types.Perm) (indexnode.LookupResult, error) {
+	res, err := d.rep.Lookup(dir)
+	d.node.Charge(s.resolveCost(res.Levels))
 	if err == nil && !res.Perm.Allows(need) {
 		err = fmt.Errorf("%s %s: %w", verb, path, types.ErrPermission)
 	}
 	return res, err
 }
 
-// dirCall performs one RPC to the directory server leader, retrying
-// briefly across elections.
-func (s *Service) dirCall(op *rpc.Op, fn func(rep *indexnode.Replica, node *netsim.Node) error) error {
-	var lastErr error
-	deadline := time.Now().Add(5 * time.Second)
-	for attempt := 0; attempt == 0 || time.Now().Before(deadline); attempt++ {
-		li, err := s.leader()
-		if err != nil {
-			lastErr = err
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		return op.Call(s.nodes[li], 0, func() error {
-			return fn(s.reps[li], s.nodes[li])
-		})
-	}
-	return fmt.Errorf("locofs dir server: %w", lastErr)
+// dirCall performs one RPC to the directory server's leader; a call that
+// finds leadership moved (ErrNotLeader from propose included) is retried
+// there.
+func (s *Service) dirCall(op *rpc.Op, fn func(d leader) error) error {
+	return s.dir.Call(op, "call", indexnode.AnyLeader, 0, func(i int, _ time.Time) error {
+		return fn(leader{s.dir.Replicas()[i], s.dir.Nodes()[i], s.dir.Rafts()[i]})
+	})
 }
 
-// propose replicates a directory mutation through Raft.
-func (s *Service) propose(c indexnode.Cmd) error {
-	payload := c.Encode()
-	var lastErr error
-	deadline := time.Now().Add(5 * time.Second)
-	for attempt := 0; attempt == 0 || time.Now().Before(deadline); attempt++ {
-		li, err := s.leader()
-		if err != nil {
-			lastErr = err
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		if _, err := s.rafts[li].Propose(payload); err == nil {
-			return nil
-		} else if errors.Is(err, types.ErrNotLeader) {
-			lastErr = err
-			time.Sleep(time.Millisecond)
-			continue
-		} else {
-			return err
-		}
-	}
-	return fmt.Errorf("locofs propose: %w", lastErr)
+// propose replicates a directory mutation through the log of the leader
+// the RPC is running on.
+func (d leader) propose(c indexnode.Cmd) error {
+	_, err := d.log.Propose(c.Encode())
+	return err
 }
 
 // statDir is the body Lookup and DirStat share: one RPC in which the
@@ -213,8 +163,8 @@ func (s *Service) propose(c indexnode.Cmd) error {
 // (weakly consistent) object link count.
 func (s *Service) statDir(op *rpc.Op, verb, dirPath string) (types.Entry, error) {
 	var out types.Entry
-	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
-		res, err := s.resolveOn(rep, node, verb, dirPath, dirPath, 0)
+	err := s.dirCall(op, func(d leader) error {
+		res, err := s.resolve(d, verb, dirPath, dirPath, 0)
 		if err != nil {
 			return err
 		}
@@ -246,15 +196,15 @@ func (s *Service) Create(op *rpc.Op, objPath string, size int64) (types.Result, 
 	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
 	t := api.NewTimer()
 	var parentID types.InodeID
-	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
-		res, err := s.resolveOn(rep, node, "create", objPath, dir, types.PermWrite|types.PermLookup)
+	err := s.dirCall(op, func(d leader) error {
+		res, err := s.resolve(d, "create", objPath, dir, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
 		parentID = res.ID
 		// Duplicate name check (the dir node owns naming) against both
 		// halves of the namespace: objects and subdirectories.
-		if s.nameTaken(rep, res.ID, name) {
+		if s.nameTaken(d.rep, res.ID, name) {
 			return fmt.Errorf("create %s: %w", objPath, types.ErrExists)
 		}
 		// Parent update: in-memory on the dir node, serialised per key.
@@ -282,8 +232,8 @@ func (s *Service) Delete(op *rpc.Op, objPath string) (types.Result, error) {
 	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
 	t := api.NewTimer()
 	var parentID types.InodeID
-	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
-		res, err := s.resolveOn(rep, node, "delete", objPath, dir, types.PermWrite|types.PermLookup)
+	err := s.dirCall(op, func(d leader) error {
+		res, err := s.resolve(d, "delete", objPath, dir, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
@@ -330,8 +280,8 @@ func (s *Service) ObjStat(op *rpc.Op, objPath string) (types.Result, error) {
 	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
 	t := api.NewTimer()
 	var parentID types.InodeID
-	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
-		res, err := s.resolveOn(rep, node, "objstat", objPath, dir, types.PermLookup)
+	err := s.dirCall(op, func(d leader) error {
+		res, err := s.resolve(d, "objstat", objPath, dir, types.PermLookup)
 		parentID = res.ID
 		return err
 	})
@@ -369,13 +319,13 @@ func (s *Service) ReadDir(op *rpc.Op, dirPath string) (types.Result, []types.Ent
 	t := api.NewTimer()
 	var dirID types.InodeID
 	var subdirs []types.Entry
-	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
-		res, err := s.resolveOn(rep, node, "readdir", dirPath, dirPath, types.PermLookup|types.PermRead)
+	err := s.dirCall(op, func(d leader) error {
+		res, err := s.resolve(d, "readdir", dirPath, dirPath, types.PermLookup|types.PermRead)
 		if err != nil {
 			return err
 		}
 		dirID = res.ID
-		rep.Table().ForEach(func(e types.AccessEntry) bool {
+		d.rep.Table().ForEach(func(e types.AccessEntry) bool {
 			if e.Pid == dirID {
 				subdirs = append(subdirs, types.Entry{Pid: e.Pid, Name: e.Name, ID: e.ID, Kind: types.KindDir, Perm: e.Perm})
 			}
@@ -400,12 +350,12 @@ func (s *Service) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 	id := s.objStore.NewID()
 	t := api.NewTimer()
 	var entry types.Entry
-	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
-		pres, err := s.resolveOn(rep, node, "mkdir", dirPath, parent, types.PermWrite|types.PermLookup)
+	err := s.dirCall(op, func(d leader) error {
+		pres, err := s.resolve(d, "mkdir", dirPath, parent, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
-		if s.nameTaken(rep, pres.ID, name) {
+		if s.nameTaken(d.rep, pres.ID, name) {
 			return fmt.Errorf("mkdir %s: %w", dirPath, types.ErrExists)
 		}
 		s.latch(pres, parent)
@@ -413,7 +363,7 @@ func (s *Service) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 			Pid: pres.ID, Name: name, ID: id, Kind: types.KindDir,
 			Perm: types.PermAll, Attr: types.Attr{MTime: time.Now()},
 		}
-		err = s.propose(indexnode.Cmd{Kind: indexnode.CmdAddDir, Pid: pres.ID, Name: name, ID: id, Perm: types.PermAll})
+		err = d.propose(indexnode.Cmd{Kind: indexnode.CmdAddDir, Pid: pres.ID, Name: name, ID: id, Perm: types.PermAll})
 		if err == nil {
 			s.counts.add(pres.ID, 0, 1)
 		}
@@ -427,12 +377,12 @@ func (s *Service) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 func (s *Service) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
 	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
 	t := api.NewTimer()
-	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
-		pres, err := s.resolveOn(rep, node, "rmdir", dirPath, parent, types.PermWrite|types.PermLookup)
+	err := s.dirCall(op, func(d leader) error {
+		pres, err := s.resolve(d, "rmdir", dirPath, parent, types.PermWrite|types.PermLookup)
 		if err != nil {
 			return err
 		}
-		de, ok := rep.Table().Get(pres.ID, name)
+		de, ok := d.rep.Table().Get(pres.ID, name)
 		if !ok {
 			return fmt.Errorf("rmdir %s: %w", dirPath, types.ErrNotFound)
 		}
@@ -440,7 +390,7 @@ func (s *Service) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
 			return fmt.Errorf("rmdir %s: %w", dirPath, types.ErrNotEmpty)
 		}
 		s.latch(pres, parent)
-		err = s.propose(indexnode.Cmd{Kind: indexnode.CmdRemoveDir, Pid: pres.ID, Name: name, ID: de.ID, Path: dirPath})
+		err = d.propose(indexnode.Cmd{Kind: indexnode.CmdRemoveDir, Pid: pres.ID, Name: name, ID: de.ID, Path: dirPath})
 		if err == nil {
 			s.counts.add(pres.ID, 0, -1)
 			s.counts.forget(de.ID)
@@ -458,21 +408,21 @@ func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, 
 	srcParent, srcName := pathutil.Dir(srcPath), pathutil.Base(srcPath)
 	dstParent, dstName := pathutil.Dir(dstPath), pathutil.Base(dstPath)
 	t := api.NewTimer()
-	err := s.dirCall(op, func(rep *indexnode.Replica, node *netsim.Node) error {
-		sres, err := rep.Lookup(srcParent)
+	err := s.dirCall(op, func(d leader) error {
+		sres, err := d.rep.Lookup(srcParent)
 		if err != nil {
-			node.Charge(s.resolveCost(sres.Levels))
+			d.node.Charge(s.resolveCost(sres.Levels))
 			return err
 		}
-		dres, err := rep.Lookup(dstParent)
-		node.Charge(s.resolveCost(sres.Levels + dres.Levels))
+		dres, err := d.rep.Lookup(dstParent)
+		d.node.Charge(s.resolveCost(sres.Levels + dres.Levels))
 		if err != nil {
 			return err
 		}
 		if !sres.Perm.Allows(types.PermWrite) || !dres.Perm.Allows(types.PermWrite) {
 			return fmt.Errorf("rename %s: %w", srcPath, types.ErrPermission)
 		}
-		table := rep.Table()
+		table := d.rep.Table()
 		se, ok := table.Get(sres.ID, srcName)
 		if !ok {
 			return fmt.Errorf("rename src %s: %w", srcPath, types.ErrNotFound)
@@ -482,12 +432,12 @@ func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, 
 		}
 		// Loop detection: a local ancestor walk from the destination
 		// parent towards the root, charged per level.
-		node.Charge(time.Duration(dres.Levels) * s.cfg.ResolveLevelCost)
+		d.node.Charge(time.Duration(dres.Levels) * s.cfg.ResolveLevelCost)
 		if table.IsAncestorID(se.ID, dres.ID) {
 			return fmt.Errorf("rename %s under %s: %w", srcPath, dstPath, types.ErrLoop)
 		}
 		s.latch(dres, dstParent)
-		err = s.propose(indexnode.Cmd{
+		err = d.propose(indexnode.Cmd{
 			Kind: indexnode.CmdRename, Pid: sres.ID, Name: srcName, ID: se.ID, Perm: se.Perm,
 			DstPid: dres.ID, DstName: dstName, Path: srcPath,
 		})
@@ -509,9 +459,7 @@ func (s *Service) Populate(dirs []api.PopDir, objects []api.PopObject) error {
 		s.counts.add(d.Pid, 0, 1)
 		s.objStore.ReserveIDs(d.ID)
 	}
-	for _, rep := range s.reps {
-		rep.BulkAdd(access)
-	}
+	s.dir.BulkAdd(access)
 	entries := make([]types.Entry, 0, len(objects))
 	for _, o := range objects {
 		entries = append(entries, types.Entry{

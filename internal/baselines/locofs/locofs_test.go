@@ -53,7 +53,7 @@ func tableEntries(rep *indexnode.Replica) map[string]types.InodeID {
 }
 
 // TestReplicasConvergeAndSurviveLeaderStop: the directory server's tree
-// is a replicated indexnode.Replica. After a mkdir / rename / rmdir mix
+// is a replicated indexnode.Group. After a mkdir / rename / rmdir mix
 // every replica holds the same entries, the side counters agree with the
 // tree, and the namespace keeps serving once the leader is stopped.
 func TestReplicasConvergeAndSurviveLeaderStop(t *testing.T) {
@@ -82,16 +82,13 @@ func TestReplicasConvergeAndSurviveLeaderStop(t *testing.T) {
 	}
 
 	// Followers apply behind the leader: wait for every log to drain.
-	li, err := s.leader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tableEntries(s.reps[li])
+	lead := s.dir.Leader()
+	want := tableEntries(lead)
 	if len(want) != 6 { // a, d, x, y, b2 (was b), c
 		t.Fatalf("leader table = %v, want 6 entries", want)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for i, rep := range s.reps {
+	for i, rep := range s.dir.Replicas() {
 		for !reflect.DeepEqual(tableEntries(rep), want) {
 			if time.Now().After(deadline) {
 				t.Fatalf("replica %d table = %v, leader has %v", i, tableEntries(rep), want)
@@ -101,7 +98,7 @@ func TestReplicasConvergeAndSurviveLeaderStop(t *testing.T) {
 	}
 	// The side counters describe the same tree.
 	subs := map[types.InodeID]int64{}
-	s.reps[li].Table().ForEach(func(e types.AccessEntry) bool {
+	lead.Table().ForEach(func(e types.AccessEntry) bool {
 		subs[e.Pid]++
 		return true
 	})
@@ -123,12 +120,12 @@ func TestReplicasConvergeAndSurviveLeaderStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.rafts[li].Stop()
+	s.dir.KillLeader()
 	after, err := s.Lookup(begin(), "/x/y/b2/c")
 	if err != nil {
 		t.Fatalf("lookup after leader stop: %v", err)
 	}
-	if nl, _ := s.leader(); nl == li {
+	if s.dir.Leader() == lead {
 		t.Fatal("stopped replica still serves as leader")
 	}
 	if after.Entry != before.Entry {

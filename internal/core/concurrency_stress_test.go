@@ -13,23 +13,14 @@ import (
 	"mantle/internal/types"
 )
 
-// TestProxyCacheCleansPathsOnGet is the regression test for the
-// path-cleaning asymmetry the striped rewrite fixed: put and invalidate
-// always cleaned their paths, but get did not, so an un-cleaned caller
-// path ("//pc//a/" vs "/pc/a") missed the cache every time and paid the
-// lookup RPC the cache had already absorbed. get now cleans internally.
+// TestProxyCacheCleansPathsOnGet is the regression test for a
+// path-cleaning asymmetry: fills and invalidations used cleaned paths but
+// the probe did not, so an un-cleaned caller path ("//pc//a/" vs "/pc/a")
+// missed the cache every time and paid the lookup RPC the cache had
+// already absorbed. radix.Cache keys are cleaned paths and Mantle.lookup
+// cleans once for probe, flight key and fill alike: a messy path must hit
+// the entry filled by the canonical one (stat = 1 RPC, the TafDB read).
 func TestProxyCacheCleansPathsOnGet(t *testing.T) {
-	c := newProxyCache()
-	res := indexnode.LookupResult{ID: 42, ParentID: 7, Perm: types.PermAll}
-	c.put("/pc/a", res, c.epoch.Load())
-	for _, messy := range []string{"//pc//a", "/pc/a/", "/pc/./a", "//pc/./a//"} {
-		got, ok := c.get(messy)
-		if !ok || got.ID != 42 {
-			t.Fatalf("get(%q) = (%+v, %v), want the /pc/a entry", messy, got, ok)
-		}
-	}
-	// End to end: a messy path must hit the proxy cache filled by the
-	// canonical one (second stat = 1 RPC, the TafDB read only).
 	m := newTestMantle(t, func(c *Config) { c.ProxyCache = true })
 	for _, p := range []string{"/pc", "/pc/a"} {
 		if _, err := m.Mkdir(op(m), p); err != nil {
@@ -42,12 +33,14 @@ func TestProxyCacheCleansPathsOnGet(t *testing.T) {
 	if _, err := m.ObjStat(op(m), "/pc/a/o"); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m.ObjStat(op(m), "//pc//a/o")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.RTTs != 1 {
-		t.Fatalf("messy-path cached objstat RTTs = %d, want 1 (proxy cache missed)", r2.RTTs)
+	for _, messy := range []string{"//pc//a/o", "/pc/a//o", "/pc/./a/o", "//pc/./a//o"} {
+		r2, err := m.ObjStat(op(m), messy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r2.RTTs != 1 {
+			t.Fatalf("cached objstat %q RTTs = %d, want 1 (proxy cache missed)", messy, r2.RTTs)
+		}
 	}
 }
 
@@ -69,7 +62,7 @@ func TestLookupMissStormCoalesces(t *testing.T) {
 		}
 	}
 	// Drop the fills the mkdirs left behind so every racer misses.
-	m.pcache.invalidate("/storm")
+	m.pcache.InvalidateSubtree("/storm")
 
 	const racers = 8
 	start := make(chan struct{})
@@ -108,7 +101,7 @@ func TestLookupMissStormCoalesces(t *testing.T) {
 //     post-invalidation hit: the old path fails, the new path resolves),
 //   - a writer's SetPerm is visible to its own next lookup,
 //   - at quiesce, every surviving proxy-cache entry agrees with the
-//     authoritative IndexNode resolution (model check via forEach).
+//     authoritative IndexNode resolution (model check via Range).
 //
 // Run with -race: the striped cache, singleflight groups, and shard
 // RWMutex all get exercised concurrently here.
@@ -257,7 +250,7 @@ func TestConcurrentInvalidationStress(t *testing.T) {
 	// Quiesce model check: every entry left in the proxy cache must
 	// agree with the authoritative IndexNode resolution of its path.
 	audited := 0
-	m.pcache.forEach(func(path string, cached indexnode.LookupResult) bool {
+	m.pcache.Range(func(path string, cached indexnode.LookupResult) bool {
 		authoritative, err := m.idx.Lookup(op(m), path)
 		if err != nil {
 			t.Errorf("cached path %q no longer resolves: %v", path, err)

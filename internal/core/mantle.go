@@ -370,16 +370,16 @@ func (m *Mantle) lookup(op *rpc.Op, dirPath string) (indexnode.LookupResult, err
 		return res, err
 	}
 	path := pathutil.Clean(dirPath)
-	if res, ok := m.pcache.get(path); ok {
+	if res, ok := m.pcache.Get(path); ok {
 		sp.SetAttr("cache", "proxy-hit")
 		return res, nil
 	}
-	epoch0 := m.pcache.epoch.Load()
+	epoch0 := m.pcache.Epoch()
 	res, err, shared := m.pcache.flight.Do(pcFlightKey{path, epoch0}, func() (indexnode.LookupResult, error) {
 		m.missHeat.Record(path)
 		res, err := m.idx.Lookup(op.WithContext(ctx), path)
 		if err == nil {
-			m.pcache.put(path, res, epoch0)
+			m.pcache.Fill(path, res, epoch0)
 		}
 		return res, err
 	})
@@ -587,7 +587,7 @@ func (m *Mantle) invalidate(op *rpc.Op, path string) {
 	}
 	_, sp := trace.Start(op.Context(), "cache-invalidate")
 	sp.SetAttr("path", path)
-	m.pcache.invalidate(path)
+	m.pcache.InvalidateSubtree(pathutil.Clean(path))
 	sp.End()
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mantle/internal/rpc"
 	"mantle/internal/trace"
 	"mantle/internal/types"
 )
@@ -80,8 +81,8 @@ func TestTraceCreateSpanTree(t *testing.T) {
 	if tr.Trips() == 0 || int(tr.Trips()) != op.RTTs() || res.RTTs != op.RTTs() {
 		t.Fatalf("trips = %d, op RTTs = %d, res RTTs = %d", tr.Trips(), op.RTTs(), res.RTTs)
 	}
-	if tr.Bytes() == 0 || tr.Bytes() != op.Bytes() {
-		t.Fatalf("bytes = %d, op bytes = %d", tr.Bytes(), op.Bytes())
+	if want := tr.Trips() * rpc.MsgOverheadBytes; tr.Bytes() != want {
+		t.Fatalf("bytes = %d, want framing for %d trips = %d", tr.Bytes(), tr.Trips(), want)
 	}
 
 	// The Chrome export is a valid trace_event array covering every span.

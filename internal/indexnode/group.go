@@ -477,23 +477,25 @@ func (g *Group) Lookup(op *rpc.Op, path string) (LookupResult, error) {
 	return res, fmt.Errorf("indexnode lookup %s: %w: %w", path, types.ErrUnavailable, lastErr)
 }
 
-// anyLeader targets whichever replica leads when an attempt starts.
-const anyLeader = -1
+// AnyLeader, as Call's target, means whichever replica leads when an
+// attempt starts.
+const AnyLeader = -1
 
-// call runs fn as one proxy RPC per attempt on replica target — or, with
-// anyLeader, on the current leader — and owns what the write-side calls
-// share: the retry window, the back-off while no leader is elected, the
-// retryable classification (leadership churn, crash-stop and fabric loss
-// are retried; application errors return at once) and the ErrUnavailable
-// wrap when the window closes. fn learns the replica index it runs on and
-// the window's deadline.
-func (g *Group) call(op *rpc.Op, what string, target int, cost time.Duration, fn func(i int, deadline time.Time) error) error {
+// Call runs fn as one proxy RPC per attempt on replica target — or, with
+// AnyLeader, on the current leader — and owns what the write-side calls
+// (and LocoFS's directory-server calls) share: the retry window, the
+// back-off while no leader is elected, the retryable classification
+// (leadership churn, crash-stop and fabric loss are retried; application
+// errors return at once) and the ErrUnavailable wrap when the window
+// closes. fn learns the replica index it runs on and the window's
+// deadline.
+func (g *Group) Call(op *rpc.Op, what string, target int, cost time.Duration, fn func(i int, deadline time.Time) error) error {
 	var lastErr error
 	opts := g.callOpts()
 	deadline := time.Now().Add(g.cfg.RetryWindow)
 	for attempt := 0; attempt == 0 || time.Now().Before(deadline); attempt++ {
 		i := target
-		if i == anyLeader {
+		if i == AnyLeader {
 			if i = g.leaderIndex(); i < 0 {
 				time.Sleep(5 * time.Millisecond)
 				lastErr = types.ErrNotLeader
@@ -520,7 +522,7 @@ func (g *Group) call(op *rpc.Op, what string, target int, cost time.Duration, fn
 		lastErr = err
 		time.Sleep(5 * time.Millisecond)
 	}
-	return fmt.Errorf("indexnode %s: %w: %w", what, types.ErrUnavailable, lastErr)
+	return fmt.Errorf("%s %s: %w: %w", g.cfg.Name, what, types.ErrUnavailable, lastErr)
 }
 
 // propose submits a command through the current leader with retry across
@@ -535,7 +537,7 @@ func (g *Group) propose(op *rpc.Op, c Cmd) error {
 	sp.Annotate("cmd", "%d", c.Kind)
 	defer sp.End()
 	payload := c.Encode()
-	return g.call(op.WithContext(ctx), "propose", anyLeader, g.cfg.WriteCost, func(li int, deadline time.Time) error {
+	return g.Call(op.WithContext(ctx), "propose", AnyLeader, g.cfg.WriteCost, func(li int, deadline time.Time) error {
 		remaining := time.Until(deadline)
 		if remaining < 10*time.Millisecond {
 			remaining = 10 * time.Millisecond // first attempt always gets a slice
@@ -583,7 +585,7 @@ func (g *Group) SetPerm(op *rpc.Op, id types.InodeID, perm types.Perm, path stri
 // window; application errors (lock conflicts, loops) return immediately.
 func (g *Group) PrepareRename(op *rpc.Op, srcPath, dstParentPath, dstName, lockID string) (RenamePrep, error) {
 	var prep RenamePrep
-	err := g.call(op, "prepare rename", anyLeader, 0, func(li int, _ time.Time) error {
+	err := g.Call(op, "prepare rename", AnyLeader, 0, func(li int, _ time.Time) error {
 		rep, node := g.replicas[li], g.nodes[li]
 		var err error
 		if cerr := g.rafts[li].ConsistentRead(func() error {
@@ -620,7 +622,7 @@ func (g *Group) AbortRename(op *rpc.Op, prep RenamePrep, srcPath, lockID string)
 	if g.rafts[prep.Replica].Stopped() {
 		return nil
 	}
-	return g.call(op, "abort rename", prep.Replica, g.cfg.WriteCost, func(i int, _ time.Time) error {
+	return g.Call(op, "abort rename", prep.Replica, g.cfg.WriteCost, func(i int, _ time.Time) error {
 		g.replicas[i].AbortRename(prep.SrcID, srcPath, lockID)
 		return nil
 	})

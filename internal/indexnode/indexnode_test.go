@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mantle/internal/radix"
 	"mantle/internal/types"
 )
 
@@ -176,6 +177,11 @@ func TestReplicaLookup(t *testing.T) {
 	if !res2.Hit || res2.Levels != 1 || res2.ID != 4 {
 		t.Fatalf("second lookup = %+v", res2)
 	}
+	// One cold and one warm lookup are one miss and one hit: the miss path
+	// does not probe the prefix a second time.
+	if h, m := r.cache.Stats(); h != 1 || m != 1 {
+		t.Fatalf("cache stats after cold+warm lookup: hits=%d misses=%d, want 1 and 1", h, m)
+	}
 	// Root lookup.
 	resRoot, err := r.Lookup("/")
 	if err != nil || resRoot.ID != types.RootID {
@@ -282,9 +288,9 @@ func TestEpochCheckPreventsStaleCaching(t *testing.T) {
 	// resolution and caching by doing it from inside the table walk is
 	// not possible here, so emulate the check directly: a lookup that
 	// observes a changed epoch must not leave a cache entry behind.
-	epoch0 := r.inv.Epoch()
-	r.inv.BumpEpoch()
-	if r.inv.Epoch() == epoch0 {
+	epoch0 := r.cache.Epoch()
+	r.cache.Bump()
+	if r.cache.Epoch() == epoch0 {
 		t.Fatal("epoch did not advance")
 	}
 	// Lookup now caches (fresh epoch snapshot) — but an immediately
@@ -418,7 +424,7 @@ func TestAbortRenameUnwinds(t *testing.T) {
 }
 
 func TestInvalidatorBlocked(t *testing.T) {
-	cache := NewTopDirPathCache()
+	cache := radix.NewCache[CacheEntry]()
 	inv := NewInvalidator(cache)
 	defer inv.Stop()
 	if inv.Blocked("/a/b") {
@@ -442,12 +448,11 @@ func TestInvalidatorBlocked(t *testing.T) {
 }
 
 func TestInvalidatorSubtreeEviction(t *testing.T) {
-	cache := NewTopDirPathCache()
+	cache := radix.NewCache[CacheEntry]()
 	inv := NewInvalidator(cache)
 	defer inv.Stop()
 	for _, p := range []string{"/a/b", "/a/b/c", "/a/d", "/x/y"} {
-		cache.Put(p, CacheEntry{ID: 1})
-		inv.NoteCached(p)
+		cache.Fill(p, CacheEntry{ID: 1}, cache.Epoch())
 	}
 	inv.BeginModification("/a/b")
 	inv.Invalidate("/a/b")
@@ -463,30 +468,6 @@ func TestInvalidatorSubtreeEviction(t *testing.T) {
 	}
 	if _, ok := cache.Get("/x/y"); !ok {
 		t.Fatal("/x/y evicted wrongly")
-	}
-}
-
-func TestCacheStatsAndMemory(t *testing.T) {
-	c := NewTopDirPathCache()
-	c.Put("/a/b", CacheEntry{ID: 1})
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	if _, ok := c.Get("/a/b"); !ok {
-		t.Fatal("miss on present key")
-	}
-	if _, ok := c.Get("/zz"); ok {
-		t.Fatal("hit on absent key")
-	}
-	h, m := c.Stats()
-	if h != 1 || m != 1 {
-		t.Fatalf("stats = %d, %d", h, m)
-	}
-	if c.MemoryBytes() <= 0 {
-		t.Fatal("memory estimate not positive")
-	}
-	if !c.Delete("/a/b") || c.Delete("/a/b") {
-		t.Fatal("delete semantics")
 	}
 }
 

@@ -10,27 +10,22 @@ import (
 )
 
 // Invalidator coordinates lookups with directory modifications (§5.1.2).
-// It owns three structures:
+// The cache finds and removes what a modification made stale; the
+// Invalidator owns when:
 //
 //   - RemovalList: the full paths of directories currently being
 //     modified, as a refcounted set whose keys are published as an
 //     immutable snapshot. Every lookup loads the snapshot (nil — one
 //     atomic load — in the common case) and bypasses TopDirPathCache for
 //     paths under a listed prefix.
-//   - PrefixTree: a path radix tree mirroring every cached prefix, so an
-//     invalidation can find the affected cache range — hash tables cannot
-//     answer range queries.
-//   - a background worker that drains invalidation requests: it removes
-//     the affected subtree from PrefixTree and TopDirPathCache, then
-//     deletes the path from RemovalList.
+//   - a background worker that drains invalidation requests: it sweeps
+//     the affected subtree out of the cache, then deletes the path from
+//     RemovalList.
 //
-// A modification epoch implements the paper's "conventional timestamp
-// mechanism": lookups snapshot the epoch before resolving and only cache
-// their result if no modification intervened.
+// Every registration and every applied modification bumps the cache's
+// epoch at once, so a lookup that raced it cannot fill (radix.Cache).
 type Invalidator struct {
-	cache  *TopDirPathCache
-	prefix *radix.Tree
-	epoch  atomic.Uint64
+	cache *radix.Cache[CacheEntry]
 
 	// refs is the RemovalList. It counts concurrent registrations per
 	// path: two renames racing on the same source must not strip each
@@ -50,10 +45,9 @@ type Invalidator struct {
 
 // NewInvalidator creates an invalidator bound to cache and starts its
 // background worker.
-func NewInvalidator(cache *TopDirPathCache) *Invalidator {
+func NewInvalidator(cache *radix.Cache[CacheEntry]) *Invalidator {
 	inv := &Invalidator{
 		cache:  cache,
-		prefix: radix.New(),
 		refs:   make(map[string]int),
 		queue:  make(chan string, 1024),
 		stopCh: make(chan struct{}),
@@ -69,13 +63,6 @@ func (inv *Invalidator) Stop() {
 	inv.wg.Wait()
 }
 
-// Epoch returns the current modification epoch.
-func (inv *Invalidator) Epoch() uint64 { return inv.epoch.Load() }
-
-// BumpEpoch advances the modification epoch (called by every applied
-// directory modification).
-func (inv *Invalidator) BumpEpoch() { inv.epoch.Add(1) }
-
 // BeginModification registers path as being modified: lookups under it
 // bypass the cache until a matching Invalidate or AbortModification.
 // Registrations are reference-counted, so concurrent modifications of
@@ -83,7 +70,7 @@ func (inv *Invalidator) BumpEpoch() { inv.epoch.Add(1) }
 // cannot strip each other's protection. Reports whether the path was
 // newly inserted into the RemovalList.
 func (inv *Invalidator) BeginModification(path string) bool {
-	inv.BumpEpoch()
+	inv.cache.Bump()
 	return inv.ref(pathutil.Clean(path), 1)
 }
 
@@ -123,23 +110,12 @@ func (inv *Invalidator) ref(path string, delta int) bool {
 // Invalidate enqueues asynchronous invalidation of every cached prefix
 // under path (inclusive), then removal of path from the RemovalList.
 func (inv *Invalidator) Invalidate(path string) {
-	inv.BumpEpoch()
+	inv.cache.Bump()
 	select {
 	case inv.queue <- pathutil.Clean(path):
 	case <-inv.stopCh:
 		inv.invalidateNow(pathutil.Clean(path))
 	}
-}
-
-// InvalidateExact synchronously removes the exact cache entry for path —
-// the rmdir fast path (§5.1.2): an empty directory cannot be a strict
-// prefix of any other cached path, so no range scan or RemovalList
-// round trip is needed.
-func (inv *Invalidator) InvalidateExact(path string) {
-	path = pathutil.Clean(path)
-	inv.BumpEpoch()
-	inv.prefix.Remove(path)
-	inv.cache.Delete(path)
 }
 
 // Blocked reports whether path or one of its ancestors is in the
@@ -157,12 +133,6 @@ func (inv *Invalidator) Blocked(path string) bool {
 		}
 	}
 	return false
-}
-
-// NoteCached records a freshly cached prefix in the PrefixTree (the
-// synchronous mirror update of §5.1.2).
-func (inv *Invalidator) NoteCached(prefix string) {
-	inv.prefix.Insert(pathutil.Clean(prefix))
 }
 
 // RemovalLen returns the RemovalList's current length.
@@ -194,9 +164,7 @@ func (inv *Invalidator) worker() {
 }
 
 func (inv *Invalidator) invalidateNow(path string) {
-	for _, p := range inv.prefix.RemoveSubtree(path) {
-		inv.cache.Delete(p)
-	}
+	inv.cache.InvalidateSubtree(path)
 	inv.ref(path, -1)
 }
 

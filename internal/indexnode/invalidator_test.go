@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mantle/internal/pathutil"
+	"mantle/internal/radix"
 )
 
 // modelBlocked is the RemovalList's specification: a path is blocked iff
@@ -29,7 +30,7 @@ func TestInvalidatorMatchesModel(t *testing.T) {
 	universe := []string{"/", "/a", "/a/b", "/a/b/c", "/a/bb", "/a/b/c/d", "/x", "/x/y", "/x/y/z", "/ab"}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		inv := NewInvalidator(NewTopDirPathCache())
+		inv := NewInvalidator(radix.NewCache[CacheEntry]())
 		model := map[string]int{}
 		release := func(p string) {
 			if model[p] > 0 {
@@ -89,7 +90,7 @@ func TestInvalidatorMatchesModel(t *testing.T) {
 // snapshot, a never-registered one must not, and under -race a snapshot
 // mutated after publication is a reported data race.
 func TestInvalidatorBlockedDuringChurn(t *testing.T) {
-	inv := NewInvalidator(NewTopDirPathCache())
+	inv := NewInvalidator(radix.NewCache[CacheEntry]())
 	defer inv.Stop()
 	inv.BeginModification("/pin")
 	stop := make(chan struct{})

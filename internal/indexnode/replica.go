@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"mantle/internal/pathutil"
+	"mantle/internal/radix"
 	"mantle/internal/singleflight"
 	"mantle/internal/types"
 )
@@ -20,7 +21,7 @@ import (
 // UUID (§5.3).
 type Replica struct {
 	table atomic.Pointer[IndexTable]
-	cache *TopDirPathCache
+	cache *radix.Cache[CacheEntry]
 	inv   *Invalidator
 
 	// k is the TopDirPathCache truncation distance (§5.1.1).
@@ -43,6 +44,20 @@ type Replica struct {
 	flight singleflight.Group[lookupFlight, LookupResult]
 }
 
+// CacheEntry is a TopDirPathCache value: the resolution result for a
+// truncated path prefix — the directory's ID and the aggregated
+// permission mask of the whole prefix, intersected per the Lazy-Hybrid
+// approach (§5.1.1). TopDirPathCache itself is a radix.Cache: static
+// entries keyed by full path prefix (Figure 6), removed only by
+// invalidation; the k-truncation rule (callers cache only prefixes ending
+// at least k levels above the leaf) keeps the cached region of the
+// namespace stable, because production renames concentrate near the
+// leaves.
+type CacheEntry struct {
+	ID   types.InodeID
+	Perm types.Perm
+}
+
 // lookupFlight keys a coalesced walk: same path AND same applied-state
 // sequence. Serial lookups never overlap, so they never coalesce.
 type lookupFlight struct {
@@ -52,7 +67,7 @@ type lookupFlight struct {
 
 // NewReplica builds an empty replica with truncation distance k.
 func NewReplica(k int, cacheEnabled bool) *Replica {
-	cache := NewTopDirPathCache()
+	cache := radix.NewCache[CacheEntry]()
 	r := &Replica{
 		cache:        cache,
 		inv:          NewInvalidator(cache),
@@ -71,7 +86,7 @@ func (r *Replica) Close() { r.inv.Stop() }
 func (r *Replica) Table() *IndexTable { return r.table.Load() }
 
 // Cache exposes the TopDirPathCache.
-func (r *Replica) Cache() *TopDirPathCache { return r.cache }
+func (r *Replica) Cache() *radix.Cache[CacheEntry] { return r.cache }
 
 // Invalidator exposes the invalidator.
 func (r *Replica) Invalidator() *Invalidator { return r.inv }
@@ -100,7 +115,7 @@ func (r *Replica) Apply(_ uint64, cmd []byte) {
 	case CmdRemoveDir:
 		r.table.Load().Delete(c.Pid, c.Name, c.ID)
 		// rmdir fast path: exact-entry invalidation, no RemovalList.
-		r.inv.InvalidateExact(c.Path)
+		r.cache.Delete(pathutil.Clean(c.Path))
 	case CmdRename:
 		r.inv.BeginModification(c.Path)
 		r.table.Load().Rename(c.Pid, c.Name, c.ID, c.DstPid, c.DstName, c.Perm)
@@ -140,17 +155,25 @@ type LookupResult struct {
 }
 
 // Lookup resolves an absolute directory path against local state,
-// following the Figure 7 workflow (see resolve). Concurrent lookups of
-// the same path against the same applied state coalesce into one walk;
-// a lookup that begins after any applied mutation keys a fresh flight
-// and therefore always observes that mutation.
+// following the Figure 7 workflow:
+//
+//  1. scan RemovalList; under an in-flight modification, bypass the cache,
+//  2. otherwise consult TopDirPathCache with the k-truncated prefix,
+//  3. resolve the remaining levels through IndexTable,
+//  4. on a miss, offer the prefix to the cache, which keeps it only if no
+//     modification raced this lookup (radix.Cache.Fill).
 //
 // A TopDirPathCache hit bypasses the flight entirely: the remaining
 // suffix is at most k cheap IndexTable gets, not worth the flight's
 // per-call allocation and registry churn. Only the full walk — the
-// expensive case a miss storm multiplies — coalesces.
+// expensive case a miss storm multiplies — coalesces: concurrent misses
+// of the same path against the same applied state share one walk, and a
+// lookup that begins after any applied mutation keys a fresh flight and
+// therefore always observes that mutation.
 func (r *Replica) Lookup(path string) (LookupResult, error) {
 	path = pathutil.Clean(path)
+	epoch0 := r.cache.Epoch()
+	fill := ""
 	if r.cacheEnabled && !r.inv.Blocked(path) {
 		if prefix, suffix := pathutil.TruncateRel(path, r.k); prefix != "/" {
 			if e, ok := r.cache.Get(prefix); ok {
@@ -158,10 +181,11 @@ func (r *Replica) Lookup(path string) (LookupResult, error) {
 				err := r.walk(path, suffix, e.ID, e.Perm, &res)
 				return res, err
 			}
+			fill = prefix
 		}
 	}
 	res, err, shared := r.flight.Do(lookupFlight{path, r.applySeq.Load()}, func() (LookupResult, error) {
-		return r.resolve(path)
+		return r.resolve(path, fill, epoch0)
 	})
 	if shared {
 		res.Coalesced = true
@@ -173,58 +197,17 @@ func (r *Replica) Lookup(path string) (LookupResult, error) {
 // walk instead of walking the IndexTable themselves.
 func (r *Replica) CoalescedLookups() int64 { return r.flight.Coalesced() }
 
-// resolve performs the actual Figure 7 local resolution on a cleaned
-// path:
-//
-//  1. scan RemovalList; under an in-flight modification, bypass the cache,
-//  2. otherwise consult TopDirPathCache with the k-truncated prefix,
-//  3. resolve the remaining levels through IndexTable,
-//  4. cache the truncated prefix if it was a miss and no modification
-//     raced this lookup (epoch check).
-func (r *Replica) resolve(path string) (LookupResult, error) {
+// resolve is Lookup's miss path: the full walk from the root, then — when
+// Lookup probed the cache for prefix fill and missed — the fill, guarded
+// by the epoch Lookup captured before it looked at anything.
+func (r *Replica) resolve(path, fill string, epoch0 uint64) (LookupResult, error) {
 	var res LookupResult
-
-	epoch0 := r.inv.Epoch()
-	blocked := r.inv.Blocked(path)
-
-	startID := types.RootID
-	startPerm := types.PermAll
-	rest := pathutil.Rel(path)
-	cachePrefix := ""
-
-	if r.cacheEnabled && !blocked {
-		prefix, suffix := pathutil.TruncateRel(path, r.k)
-		if prefix != "/" {
-			if e, ok := r.cache.Get(prefix); ok {
-				res.Hit = true
-				startID, startPerm = e.ID, e.Perm
-				rest = suffix
-			} else {
-				cachePrefix = prefix
-			}
-		}
-	}
-
-	if err := r.walk(path, rest, startID, startPerm, &res); err != nil {
+	if err := r.walk(path, pathutil.Rel(path), types.RootID, types.PermAll, &res); err != nil {
 		return res, err
 	}
-
-	// Condition (a): prefix not cached; condition (b): no modification
-	// raced this lookup (timestamp check). Resolve the prefix's own
-	// aggregate from the walk we just did: the prefix is the whole path
-	// minus the last k components, so re-derive its ID/perm by walking
-	// the cached-levels boundary. We already walked from the root in the
-	// miss case, so recompute cheaply.
-	if cachePrefix != "" && r.inv.Epoch() == epoch0 {
-		if pe, pperm, ok := r.resolvePrefix(cachePrefix); ok {
-			r.inv.NoteCached(cachePrefix)
-			r.cache.Put(cachePrefix, CacheEntry{ID: pe, Perm: pperm})
-			// Re-check the epoch: if a modification slipped in between
-			// the check and the insert, conservatively drop the entry.
-			if r.inv.Epoch() != epoch0 {
-				r.cache.Delete(cachePrefix)
-				r.inv.prefix.Remove(cachePrefix)
-			}
+	if fill != "" {
+		if id, perm, ok := r.resolvePrefix(fill); ok {
+			r.cache.Fill(fill, CacheEntry{ID: id, Perm: perm}, epoch0)
 		}
 	}
 	return res, nil
@@ -493,8 +476,5 @@ func (r *Replica) Restore(data []byte) {
 	// Swap in the rebuilt table, then invalidate every cached resolution.
 	r.table.Store(table)
 	r.applySeq.Add(1)
-	r.inv.BumpEpoch()
-	for _, p := range r.inv.prefix.RemoveSubtree("/") {
-		r.cache.Delete(p)
-	}
+	r.cache.InvalidateSubtree("/")
 }

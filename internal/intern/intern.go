@@ -36,8 +36,8 @@ const MaxLen = 64
 const shards = 64
 
 // Table is a sharded intern table. The zero value is not usable; create
-// tables with NewTable. Most callers use the package-level Intern /
-// InternBytes on the shared Default table.
+// tables with NewTable. Most callers use the package-level Intern on the
+// shared Default table.
 type Table struct {
 	shards [shards]shard
 
@@ -60,8 +60,9 @@ func NewTable() *Table {
 	return t
 }
 
-// fnv1a hashes s for shard selection.
-func fnv1a(s string) uint64 {
+// Hash is 64-bit FNV-1a, the shard selector here and the stripe selector
+// of radix.Cache.
+func Hash(s string) uint64 {
 	var h uint64 = 14695981039346656037
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -77,7 +78,7 @@ func (t *Table) Intern(s string) string {
 	if len(s) == 0 || len(s) > MaxLen {
 		return s
 	}
-	sh := &t.shards[fnv1a(s)%shards]
+	sh := &t.shards[Hash(s)%shards]
 	sh.mu.RLock()
 	c, ok := sh.m[s]
 	sh.mu.RUnlock()
@@ -98,32 +99,6 @@ func (t *Table) Intern(s string) string {
 	}
 	sh.mu.Unlock()
 	return c
-}
-
-// InternBytes returns the canonical string for the byte content of b
-// without allocating on the hit path (the map lookup by string(b) is
-// allocation-free in Go).
-func (t *Table) InternBytes(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if len(b) > MaxLen {
-		return string(b)
-	}
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	sh := &t.shards[h%shards]
-	sh.mu.RLock()
-	c, ok := sh.m[string(b)]
-	sh.mu.RUnlock()
-	if ok {
-		t.hits.Add(1)
-		return c
-	}
-	return t.Intern(string(b))
 }
 
 // Len returns the number of distinct interned strings.

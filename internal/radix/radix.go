@@ -1,13 +1,14 @@
-// Package radix implements the path-component prefix tree backing
-// IndexNode's Invalidator (§5.1.2 of the paper). TopDirPathCache is a hash
-// table and cannot answer "which cached prefixes lie under directory D?";
-// the PrefixTree mirrors every cached path so that a directory
-// modification can find the affected range with one subtree walk.
+// Package radix is the prefix-invalidated path cache (§5.1.1–5.1.2 of the
+// paper): Cache, in cache.go, and the path-component prefix tree it keeps
+// as its private index. A hash table cannot answer "which cached paths lie
+// under directory D?"; the Tree mirrors every cached path so that a
+// directory modification can find the affected range with one subtree
+// walk.
 //
 // The paper describes the structure as a lock-free radix tree. This
 // implementation substitutes a component-trie under a read-write mutex:
 // it is touched only on cache fill and invalidation (never on the lookup
-// fast path, which goes through the hash-table cache), so mutex
+// fast path, which goes through the cache's hash table), so mutex
 // contention is negligible; the behavioural contract — efficient range
 // queries for invalidation — is identical. The substitution is recorded
 // in DESIGN.md.

@@ -217,7 +217,6 @@ func (c *Caller) do(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts
 		}
 		if op != nil {
 			op.state.rtts.Add(1)
-			op.state.bytes.Add(opts.Bytes + MsgOverheadBytes)
 		}
 		_, sp := trace.Start(ctx, "rpc")
 		sp.SetAttr("dst", node.Name())
@@ -249,8 +248,7 @@ func (c *Caller) do(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts
 // opState is the shared accounting of one metadata operation, common
 // to every context-derived view of the op.
 type opState struct {
-	rtts  atomic.Int32
-	bytes atomic.Int64
+	rtts atomic.Int32
 }
 
 // Op tracks the RPCs issued on behalf of one metadata operation and
@@ -284,7 +282,7 @@ func (o *Op) Context() context.Context { return o.ctx }
 
 // WithContext returns a derived Op whose RPCs record against ctx —
 // typically a child span started from o.Context() — while sharing the
-// original op's RTT and byte counters.
+// original op's RTT counter.
 func (o *Op) WithContext(ctx context.Context) *Op {
 	if ctx == nil {
 		ctx = context.Background()
@@ -331,7 +329,3 @@ func (o *Op) Parallel(calls []func(op *Op) error) error {
 
 // RTTs returns the number of round trips the operation has issued.
 func (o *Op) RTTs() int { return int(o.state.rtts.Load()) }
-
-// Bytes returns the message bytes the operation has put on the wire
-// (payload plus per-attempt framing overhead).
-func (o *Op) Bytes() int64 { return o.state.bytes.Load() }

