@@ -1,12 +1,13 @@
 # Mantle build & test entry points. CI (.github/workflows/ci.yml) runs
-# fmt + vet + loc-check + test-race + test-readpath; `make chaos` is the
-# long lane it runs on push, and `make bench` / `make bench-compare` are
-# the whole perf surface: the canonical benchmark (benchmark/README.md)
-# and its comparison against the committed baseline.
+# fmt + vet + loc-check + test-race + test-readpath + test-frontdoor;
+# `make chaos` is the long lane it runs on push, and `make bench` /
+# `make bench-compare` are the whole perf surface: the canonical
+# benchmark (benchmark/README.md) and its comparison against the
+# committed baseline.
 
 GO ?= go
 
-.PHONY: all build test test-race test-readpath fmt vet loc loc-check chaos bench bench-compare heat-report clean
+.PHONY: all build test test-race test-readpath test-frontdoor fmt vet loc loc-check chaos bench bench-compare heat-report clean
 
 all: build
 
@@ -34,6 +35,13 @@ test-race:
 test-readpath:
 	$(GO) test -race -count=20 -run 'ReadIndex|FollowerRead|BoundedStale|ReadAfterWrite|Invalidator|RacingRename|AbortRename|LookupDuringModification|Cache|ProxyCache|AMCache|Fill|InvalidationStress' ./internal/raft/ ./internal/indexnode/ ./internal/radix/ ./internal/core/ ./internal/baselines/infinifs/
 
+# The front door under the race detector, five times: one dispatcher
+# (Cluster.exec) is shared by every TCP connection's goroutine and the
+# HTTP handler, and DR.Serve re-reads the active site per request while a
+# failover flips it.
+test-frontdoor:
+	$(GO) test -race -count=5 -run 'Remote|Gateway|ErrorKind|DRServe|ClientMethodSets' . ./cmd/mantled/
+
 fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
@@ -52,7 +60,7 @@ loc:
 # lowered it. A PR that shrinks the tree lowers LOC_CEILING to its own
 # result; one that has to grow it raises the ceiling on purpose, in the
 # diff, where a reviewer sees it.
-LOC_CEILING = 20409
+LOC_CEILING = 20234
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -25,7 +25,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -96,7 +95,6 @@ func main() {
 		defer cl.Stop()
 		s.cl = cl
 	}
-	cl := s.cl
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ns/", s.handle)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -154,40 +152,6 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		log.Printf("mantled: pprof enabled on %s/debug/pprof/", *addr)
 	}
-	// Admin surface for online subtree migration:
-	//
-	//	GET  /admin/migrate/plan?max=N        propose up to N moves
-	//	POST /admin/migrate?path=/d&shard=2   move /d's row range to shard 2
-	mux.HandleFunc("/admin/migrate/plan", func(w http.ResponseWriter, r *http.Request) {
-		max, ok := intParam(w, r, "max")
-		if !ok {
-			return
-		}
-		plans := cl.PlanMigrations(max)
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(plans)
-	})
-	mux.HandleFunc("/admin/migrate", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		path := r.URL.Query().Get("path")
-		shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
-		if path == "" || err != nil {
-			http.Error(w, "migrate requires path and shard", http.StatusBadRequest)
-			return
-		}
-		moved, err := cl.MigrateDir(path, shard)
-		if err != nil {
-			http.Error(w, err.Error(), statusOf(err))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"path": path, "shard": shard, "rows": moved})
-	})
 	mux.HandleFunc("/fsck", func(w http.ResponseWriter, r *http.Request) {
 		rep := fsck.Check(s.active().Core())
 		w.Header().Set("Content-Type", "application/json")
@@ -196,8 +160,10 @@ func main() {
 		}
 		_ = json.NewEncoder(w).Encode(rep)
 	})
-	// Disaster-recovery ops suite:
+	// Admin surface, all against the site currently serving traffic:
 	//
+	//	GET  /admin/migrate/plan?max=N        propose up to N moves
+	//	POST /admin/migrate?path=/d&shard=2   move /d's row range to shard 2
 	//	POST /admin/scrub?rounds=N     online consistency scrub (default 2
 	//	                               rounds; transient in-flight states
 	//	                               are intersected away)
@@ -214,7 +180,11 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("mantled: binary protocol on %s", *rpcAddr)
-		go func() { log.Println("rpc server:", mantle.Serve(l, cl)) }()
+		serve := func() error { return mantle.Serve(l, s.cl) }
+		if s.dr != nil {
+			serve = func() error { return s.dr.Serve(l) } // follows /admin/failover
+		}
+		go func() { log.Println("rpc server:", serve()) }()
 	}
 	mode := "single-site"
 	if *drOn {
@@ -341,26 +311,58 @@ func intParam(w http.ResponseWriter, r *http.Request, name string) (n int, ok bo
 	return n, true
 }
 
+// statusOf maps an error's kind — the classification remote clients see
+// — onto its HTTP status.
 func statusOf(err error) int {
-	switch {
-	case errors.Is(err, mantle.ErrNotFound):
+	switch mantle.ErrorKind(err) {
+	case "notfound":
 		return http.StatusNotFound
-	case errors.Is(err, mantle.ErrExists):
+	case "exists", "notempty", "loop":
 		return http.StatusConflict
-	case errors.Is(err, mantle.ErrNotEmpty), errors.Is(err, mantle.ErrLoop):
-		return http.StatusConflict
-	case errors.Is(err, mantle.ErrPermission):
+	case "permission":
 		return http.StatusForbidden
-	case errors.Is(err, mantle.ErrOverloaded):
+	case "overloaded":
 		return http.StatusTooManyRequests
 	default:
 		return http.StatusInternalServerError
 	}
 }
 
-// registerAdmin installs the disaster-recovery ops suite (scrub,
-// rebuild-index, oplog gc, failover) on mux.
+// registerAdmin installs the admin surface on mux: online subtree
+// migration and the disaster-recovery ops suite (scrub, rebuild-index,
+// oplog gc, failover). Every handler acts on s.active(), so after a
+// failover none of them touches the demoted primary.
 func (s *server) registerAdmin(mux *http.ServeMux) {
+	mux.HandleFunc("/admin/migrate/plan", func(w http.ResponseWriter, r *http.Request) {
+		max, ok := intParam(w, r, "max")
+		if !ok {
+			return
+		}
+		plans := s.active().PlanMigrations(max)
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(plans)
+	})
+	mux.HandleFunc("/admin/migrate", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST required", http.StatusMethodNotAllowed)
+			return
+		}
+		path := r.URL.Query().Get("path")
+		shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
+		if path == "" || err != nil {
+			http.Error(w, "migrate requires path and shard", http.StatusBadRequest)
+			return
+		}
+		moved, err := s.active().MigrateDir(path, shard)
+		if err != nil {
+			http.Error(w, err.Error(), statusOf(err))
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(map[string]any{"path": path, "shard": shard, "rows": moved})
+	})
 	mux.HandleFunc("/admin/scrub", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)

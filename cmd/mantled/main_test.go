@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"mantle"
+	"mantle/internal/types"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -361,5 +363,103 @@ func TestGatewayDR(t *testing.T) {
 	}
 	if resp, _ := do(t, "POST", ts.URL+"/ns/post-failover?op=mkdir", ""); resp.StatusCode != 200 {
 		t.Fatalf("promoted site rejects writes: %d", resp.StatusCode)
+	}
+	// The admin surface follows the failover too: a directory that exists
+	// only on the promoted site can be planned for and migrated.
+	if resp, _ := do(t, "GET", ts.URL+"/admin/migrate/plan?max=1", ""); resp.StatusCode != 200 {
+		t.Fatalf("migrate plan after failover: %d", resp.StatusCode)
+	}
+	resp, payload = do(t, "POST", ts.URL+"/admin/migrate?path=/post-failover&shard=1", "")
+	if resp.StatusCode != 200 {
+		t.Fatalf("migrate of a post-failover directory: %d (the demoted primary has no such path)", resp.StatusCode)
+	}
+	if payload["path"] != "/post-failover" {
+		t.Fatalf("migrate payload = %v", payload)
+	}
+}
+
+// TestErrorKindEverywhere: one failure is one kind wherever it surfaces —
+// the in-process Client's error, the RemoteClient's rebuilt error and the
+// gateway's HTTP status all derive from mantle.ErrorKind.
+func TestErrorKindEverywhere(t *testing.T) {
+	cl, err := mantle.New(mantle.Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	s := &server{cl: cl}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/ns/", s.handle)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() { _ = mantle.Serve(l, cl) }()
+	rc, err := mantle.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rc.Close() })
+
+	local := cl.Client()
+	for _, dir := range []string{"/d/sub", "/ro"} {
+		if err := local.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := local.Create("/d/o", 1); err != nil {
+		t.Fatal(err)
+	}
+	core := cl.Core()
+	if _, err := core.SetPerm(core.Caller().Begin(), "/ro", types.PermLookup|types.PermRead); err != nil {
+		t.Fatal(err)
+	}
+
+	stat := func(p string) func(*mantle.Client) error {
+		return func(c *mantle.Client) error { _, err := c.Stat(p); return err }
+	}
+	create := func(p string) func(*mantle.Client) error {
+		return func(c *mantle.Client) error { _, err := c.Create(p, 1); return err }
+	}
+	for _, row := range []struct {
+		name, kind  string
+		status      int
+		call        func(*mantle.Client) error
+		method, url string
+	}{
+		{"not found", "notfound", 404, stat("/missing"), "GET", "/ns/missing"},
+		{"stat of a directory (ErrIsDir)", "notfound", 404, stat("/d"), "GET", "/ns/d"},
+		{"delete of a directory (ErrIsDir)", "notfound", 404,
+			func(c *mantle.Client) error { return c.Delete("/d") }, "DELETE", "/ns/d"},
+		{"lookup through an object", "notfound", 404, stat("/d/o/x"), "GET", "/ns/d/o/x"},
+		{"exists", "exists", 409, create("/d/o"), "PUT", "/ns/d/o"},
+		{"not empty", "notempty", 409,
+			func(c *mantle.Client) error { return c.Rmdir("/d") }, "DELETE", "/ns/d?dir=1"},
+		{"loop", "loop", 409,
+			func(c *mantle.Client) error { return c.Rename("/d", "/d/sub/x") }, "POST", "/ns/d?op=rename&dst=/d/sub/x"},
+		{"permission", "permission", 403, create("/ro/x"), "PUT", "/ns/ro/x"},
+	} {
+		if got := mantle.ErrorKind(row.call(local)); got != row.kind {
+			t.Errorf("%s: in-process kind %q, want %q", row.name, got, row.kind)
+		}
+		if got := mantle.ErrorKind(row.call(&rc.Client)); got != row.kind {
+			t.Errorf("%s: remote kind %q, want %q", row.name, got, row.kind)
+		}
+		if resp, _ := do(t, row.method, ts.URL+row.url, "x"); resp.StatusCode != row.status {
+			t.Errorf("%s: HTTP %d, want %d", row.name, resp.StatusCode, row.status)
+		}
+	}
+	// Shedding cannot be provoked through the public API; its kind and
+	// status are checked on the error itself (the wire round trip is
+	// TestRemoteOverloadedTravelsTheWire's).
+	shed := types.Overloaded(time.Millisecond)
+	if mantle.ErrorKind(shed) != "overloaded" || statusOf(shed) != http.StatusTooManyRequests {
+		t.Errorf("overloaded: kind %q, HTTP %d", mantle.ErrorKind(shed), statusOf(shed))
+	}
+	if statusOf(fmt.Errorf("disk on fire")) != http.StatusInternalServerError {
+		t.Error("an unclassified error is not a 500")
 	}
 }

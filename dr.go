@@ -1,6 +1,7 @@
 package mantle
 
 import (
+	"net"
 	"time"
 
 	"mantle/internal/core"
@@ -60,6 +61,11 @@ func (d *DR) Active() *Cluster {
 	}
 	return d.primary
 }
+
+// Serve is Serve against the active site: a request that arrives after
+// Failover — on a new connection or one accepted before it — is executed
+// by the promoted secondary.
+func (d *DR) Serve(l net.Listener) error { return serve(l, d.Active) }
 
 // Sites exposes the underlying two-site bundle (chaos tests, fsck).
 func (d *DR) Sites() *core.Sites { return d.sites }

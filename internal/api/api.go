@@ -93,11 +93,14 @@ func NewTimer() *Timer {
 	return &Timer{start: now, last: now}
 }
 
-// Phase records the elapsed time since the previous mark under phase p.
-func (t *Timer) Phase(p types.Phase) {
+// Phase records the elapsed time since the previous mark under phase p
+// and returns it.
+func (t *Timer) Phase(p types.Phase) time.Duration {
 	now := time.Now()
-	t.res.Phases = t.res.Phases.Add(p, now.Sub(t.last))
+	d := now.Sub(t.last)
+	t.res.Phases = t.res.Phases.Add(p, d)
 	t.last = now
+	return d
 }
 
 // Done finalises the result with the op's RPC count and retries.

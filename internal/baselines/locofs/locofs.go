@@ -267,8 +267,7 @@ func (s *Service) nameTaken(rep *indexnode.Replica, dir types.InodeID, name stri
 // link count by delta — a failed write leaves no trace in the count
 // Rmdir's emptiness check reads.
 func (s *Service) objWrite(op *rpc.Op, parent types.InodeID, delta int64, m storage.Mutation) error {
-	p := s.objStore.ShardFor(parent)
-	err := op.Call(p.Node, p.Cost, func() error { return p.Shard.Apply([]storage.Mutation{m}) })
+	err := s.objStore.ApplyRelaxed(op, parent, []storage.Mutation{m})
 	if err == nil {
 		s.counts.add(parent, delta, 0)
 	}
@@ -289,16 +288,7 @@ func (s *Service) ObjStat(op *rpc.Op, objPath string) (types.Result, error) {
 	if err != nil {
 		return t.Done(op, 0, types.Entry{}), err
 	}
-	var out types.Entry
-	p := s.objStore.ShardFor(parentID)
-	err = op.Call(p.Node, p.Cost, func() error {
-		row, ok := p.Shard.Get(types.Key{Pid: parentID, Name: name})
-		if !ok {
-			return fmt.Errorf("objstat %s: %w", objPath, types.ErrNotFound)
-		}
-		out = row.Entry
-		return nil
-	})
+	out, err := s.objStore.ResolveStep(op, parentID, name)
 	t.Phase(types.PhaseExecute)
 	return t.Done(op, 0, out), err
 }

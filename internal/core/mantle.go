@@ -22,8 +22,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -108,10 +110,10 @@ type Mantle struct {
 	ownsDB bool
 	pcache *proxyCache // nil unless Config.ProxyCache
 	stats  *metrics.Registry
-	// ops holds pre-resolved metric handles for every operation name, so
-	// record() on the hot path neither concatenates strings nor takes the
-	// registry lock.
-	ops map[string]*opMetrics
+	// ops holds pre-resolved metric handles for every operation kind, so
+	// the op frame neither concatenates strings nor takes the registry
+	// lock on the hot path.
+	ops [numOps]opMetrics
 	// resolveLatency is the latency_resolve histogram, pre-resolved so
 	// the hot lookup path never takes the registry lock.
 	resolveLatency *metrics.Latency
@@ -192,14 +194,12 @@ func NewWithDB(cfg Config, db *tafdb.DB) (*Mantle, error) {
 	m.missHeat = heat.NewTopK[string](heatTopK)
 	m.opRate = heat.NewRate(0)
 	m.recorder = trace.NewFlightRecorder(recorderSize)
-	m.ops = make(map[string]*opMetrics, len(opNames))
-	for _, op := range opNames {
-		m.ops[op] = &opMetrics{
-			ops:     m.stats.Counter("ops_" + op),
-			errors:  m.stats.Counter("errors_" + op),
-			retries: m.stats.Counter("retries_" + op),
-			latency: m.stats.Latency("latency_" + op),
-		}
+	for kind, op := range opNames {
+		om := &m.ops[kind]
+		om.ops = m.stats.Counter("ops_" + op)
+		om.errors = m.stats.Counter("errors_" + op)
+		om.retries = m.stats.Counter("retries_" + op)
+		om.latency = m.stats.Latency("latency_" + op)
 	}
 	m.resolveLatency = m.stats.Latency("latency_resolve")
 	m.coalescedRPC = m.stats.Counter("lookup_coalesced_rpc")
@@ -287,61 +287,114 @@ func NewWithDB(cfg Config, db *tafdb.DB) (*Mantle, error) {
 // gateway's /metrics endpoint renders it).
 func (m *Mantle) Metrics() *metrics.Registry { return m.stats }
 
-// opNames enumerates every operation record() is called with; each gets
-// its metric handles pre-resolved at construction.
-var opNames = []string{
+// opKind indexes an operation's pre-resolved metric handles.
+type opKind uint8
+
+const (
+	opLookup opKind = iota
+	opCreate
+	opDelete
+	opObjStat
+	opDirStat
+	opReadDir
+	opMkdir
+	opRmdir
+	opDirRename
+	opSetPerm
+	opReadDirPage
+	numOps
+)
+
+// opNames are the metric-name suffixes, span names and flight-recorder
+// keys of the operations, by kind.
+var opNames = [numOps]string{
 	"lookup", "create", "delete", "objstat", "dirstat", "readdir",
 	"mkdir", "rmdir", "dirrename", "setperm", "readdirpage",
 }
 
-// sampleOp head-samples one in every SampleEvery calls of the named
-// operation into a fresh trace, returning the op re-bound to the trace
-// context. Unsampled calls (and calls already carrying a caller trace)
-// pass through untouched, keeping the hot path allocation-free.
-func (m *Mantle) sampleOp(op *rpc.Op, name string) (*rpc.Op, *trace.Trace) {
-	every := uint64(m.heatCfg.SampleEvery)
-	if every == 0 || trace.FromContext(op.Context()) != nil {
-		return op, nil
-	}
-	om := m.ops[name]
-	if om.tick.Add(1)%every != 0 {
-		return op, nil
-	}
-	tr, ctx := trace.New(name)
-	return op.WithContext(ctx), tr
+// frame is one operation from entry to result: the Fig 7 preamble every
+// op shares (sample, time, resolve, check the aggregated permission) and
+// the single place its outcome is accounted. Op methods hold it on the
+// stack: begin, then enter for everything that resolves a path first,
+// then done exactly once.
+type frame struct {
+	m    *Mantle
+	kind opKind
+	tr   *trace.Trace // the head-sampled trace, nil for most calls
+	t    api.Timer
+	// executing is set once the op is past its lookup phase, so done
+	// charges the time since to PhaseExecute only for ops that got there.
+	executing bool
 }
 
-// record accounts one completed operation. A sampled trace is finished
-// here and offered to the flight recorder against the op's live p99 —
-// tail sampling: only spans of ops slower than their own distribution's
-// tail are retained.
-func (m *Mantle) record(op string, tr *trace.Trace, res types.Result, err error) {
-	om := m.ops[op]
+// begin head-samples one in every SampleEvery calls of this kind into a
+// fresh trace, returning the op re-bound to the trace context, and starts
+// the op's timer. Unsampled calls (and calls already carrying a caller
+// trace) pass through untouched, keeping the hot path allocation-free —
+// which is also why the op travels beside the frame, not in it: the
+// frame's trace outlives the call in the flight recorder, and an op
+// stored next to it would be heap-allocated by every caller.
+func (m *Mantle) begin(op *rpc.Op, kind opKind) (frame, *rpc.Op) {
+	f := frame{m: m, kind: kind}
+	every := uint64(m.heatCfg.SampleEvery)
+	if every != 0 && trace.FromContext(op.Context()) == nil && m.ops[kind].tick.Add(1)%every == 0 {
+		var ctx context.Context
+		f.tr, ctx = trace.New(opNames[kind])
+		op = op.WithContext(ctx)
+	}
+	// The clock starts after sampling: a sampled op that paid for its own
+	// trace inside its latency would look slower than its unsampled peers
+	// and be over-retained by the tail-sampling recorder.
+	f.t = *api.NewTimer()
+	return f, op
+}
+
+// enter resolves dir in the single IndexNode RPC, closes the lookup
+// phase — which is also the latency_resolve observation — and checks the
+// aggregated path permission against what the op needs (0 = no check).
+func (f *frame) enter(op *rpc.Op, dir, verb, path string, need types.Perm) (indexnode.LookupResult, error) {
+	lres, err := f.m.lookup(op, dir)
+	f.m.resolveLatency.Observe(f.t.Phase(types.PhaseLookup))
+	if err == nil && !lres.Perm.Allows(need) {
+		err = fmt.Errorf("%s %s: %w", verb, path, types.ErrPermission)
+	}
+	f.executing = err == nil
+	return lres, err
+}
+
+// done closes the execute phase and accounts the completed operation. A
+// sampled trace is finished here and offered to the flight recorder
+// against the op's live p99 — tail sampling: only spans of ops slower
+// than their own distribution's tail are retained.
+func (f *frame) done(op *rpc.Op, retries int, entry types.Entry, err error) (types.Result, error) {
+	if f.executing {
+		f.t.Phase(types.PhaseExecute)
+	}
+	res := f.t.Done(op, retries, entry)
+	om := &f.m.ops[f.kind]
 	om.ops.Inc()
-	m.opRate.Add(1)
+	f.m.opRate.Add(1)
+	if f.tr != nil {
+		f.tr.Finish()
+	}
 	if err != nil {
-		if tr != nil {
-			tr.Finish()
-		}
 		om.errors.Inc()
-		return
+		return res, err
 	}
 	d := res.Phases.Total()
 	om.latency.Observe(d)
-	if res.Retries > 0 {
-		om.retries.Add(int64(res.Retries))
+	if retries > 0 {
+		om.retries.Add(int64(retries))
 	}
-	if tr != nil {
-		tr.Finish()
-		if om.latency.Count() >= m.heatCfg.MinCount {
-			m.recorder.Offer(op, tr, d, om.latency.Quantile(0.99))
-		}
+	if f.tr != nil && om.latency.Count() >= f.m.heatCfg.MinCount {
+		f.m.recorder.Offer(opNames[f.kind], f.tr, d, om.latency.Quantile(0.99))
 	}
+	return res, nil
 }
 
 // lookup resolves dirPath, consulting the optional proxy-side cache
 // before issuing the IndexNode RPC. The whole resolution is one
-// path-resolve span and one latency_resolve observation.
+// path-resolve span.
 //
 // The miss path is singleflight-coalesced: concurrent misses of the
 // same path in the same invalidation epoch share one IndexNode RPC, so
@@ -351,41 +404,32 @@ func (m *Mantle) record(op string, tr *trace.Trace, res types.Result, err error)
 // invalidation never receives a pre-invalidation result; a serial
 // (non-overlapping) lookup never coalesces, so the paper's
 // one-RPC-per-lookup trip accounting (Table 1) is unchanged.
-func (m *Mantle) lookup(op *rpc.Op, dirPath string) (indexnode.LookupResult, error) {
+func (m *Mantle) lookup(op *rpc.Op, dirPath string) (res indexnode.LookupResult, err error) {
 	ctx, sp := trace.Start(op.Context(), "path-resolve")
-	start := time.Now()
-	defer func() {
-		m.resolveLatency.Observe(time.Since(start))
-		sp.End()
-	}()
+	defer sp.End()
 	m.dirHeat.Record(dirPath)
 	if m.pcache == nil {
-		res, err := m.idx.Lookup(op.WithContext(ctx), dirPath)
-		if err == nil {
-			if res.Hit {
-				sp.SetAttr("cache", "topdir-hit")
+		res, err = m.idx.Lookup(op.WithContext(ctx), dirPath)
+	} else {
+		path := pathutil.Clean(dirPath)
+		if res, ok := m.pcache.Get(path); ok {
+			sp.SetAttr("cache", "proxy-hit")
+			return res, nil
+		}
+		epoch0 := m.pcache.Epoch()
+		var shared bool
+		res, err, shared = m.pcache.flight.Do(pcFlightKey{path, epoch0}, func() (indexnode.LookupResult, error) {
+			m.missHeat.Record(path)
+			res, err := m.idx.Lookup(op.WithContext(ctx), path)
+			if err == nil {
+				m.pcache.Fill(path, res, epoch0)
 			}
-			sp.Annotate("levels", "%d", res.Levels)
+			return res, err
+		})
+		if shared {
+			m.coalescedRPC.Inc()
+			sp.SetAttr("coalesced", "rpc")
 		}
-		return res, err
-	}
-	path := pathutil.Clean(dirPath)
-	if res, ok := m.pcache.Get(path); ok {
-		sp.SetAttr("cache", "proxy-hit")
-		return res, nil
-	}
-	epoch0 := m.pcache.Epoch()
-	res, err, shared := m.pcache.flight.Do(pcFlightKey{path, epoch0}, func() (indexnode.LookupResult, error) {
-		m.missHeat.Record(path)
-		res, err := m.idx.Lookup(op.WithContext(ctx), path)
-		if err == nil {
-			m.pcache.Fill(path, res, epoch0)
-		}
-		return res, err
-	})
-	if shared {
-		m.coalescedRPC.Inc()
-		sp.SetAttr("coalesced", "rpc")
 	}
 	if err == nil {
 		if res.Hit {
@@ -421,130 +465,99 @@ func (m *Mantle) newUUID() string {
 }
 
 // Lookup implements api.Service: a single-RPC path resolution.
-func (m *Mantle) Lookup(op *rpc.Op, dirPath string) (res types.Result, err error) {
-	op, tr := m.sampleOp(op, "lookup")
-	defer func() { m.record("lookup", tr, res, err) }()
-	t := api.NewTimer()
-	lres, lerr := m.lookup(op, dirPath)
-	t.Phase(types.PhaseLookup)
-	if lerr != nil {
-		return t.Done(op, 0, types.Entry{}), lerr
+func (m *Mantle) Lookup(op *rpc.Op, dirPath string) (types.Result, error) {
+	f, op := m.begin(op, opLookup)
+	lres, err := f.enter(op, dirPath, "lookup", dirPath, 0)
+	if err != nil {
+		return f.done(op, 0, types.Entry{}, err)
 	}
-	return t.Done(op, 0, types.Entry{
+	return f.done(op, 0, types.Entry{
 		ID: lres.ID, Pid: lres.ParentID, Kind: types.KindDir, Perm: lres.Perm,
-	}), nil
+	}, nil)
 }
 
 // Create implements api.Service.
-func (m *Mantle) Create(op *rpc.Op, objPath string, size int64) (res types.Result, err error) {
-	op, tr := m.sampleOp(op, "create")
-	defer func() { m.record("create", tr, res, err) }()
-	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
-	t := api.NewTimer()
-	lres, err := m.lookup(op, dir)
-	t.Phase(types.PhaseLookup)
+func (m *Mantle) Create(op *rpc.Op, objPath string, size int64) (types.Result, error) {
+	f, op := m.begin(op, opCreate)
+	lres, err := f.enter(op, pathutil.Dir(objPath), "create", objPath, types.PermWrite|types.PermLookup)
 	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
+		return f.done(op, 0, types.Entry{}, err)
 	}
-	if !lres.Perm.Allows(types.PermWrite | types.PermLookup) {
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("create %s: %w", objPath, types.ErrPermission)
-	}
-	entry, retries, err := m.db.CreateObject(op, lres.ID, name, size)
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, retries, entry), err
+	entry, retries, err := m.db.CreateObject(op, lres.ID, pathutil.Base(objPath), size)
+	return f.done(op, retries, entry, err)
 }
 
 // Delete implements api.Service.
-func (m *Mantle) Delete(op *rpc.Op, objPath string) (res types.Result, err error) {
-	op, tr := m.sampleOp(op, "delete")
-	defer func() { m.record("delete", tr, res, err) }()
-	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
-	t := api.NewTimer()
-	lres, err := m.lookup(op, dir)
-	t.Phase(types.PhaseLookup)
+func (m *Mantle) Delete(op *rpc.Op, objPath string) (types.Result, error) {
+	f, op := m.begin(op, opDelete)
+	lres, err := f.enter(op, pathutil.Dir(objPath), "delete", objPath, types.PermWrite|types.PermLookup)
 	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
+		return f.done(op, 0, types.Entry{}, err)
 	}
-	if !lres.Perm.Allows(types.PermWrite | types.PermLookup) {
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("delete %s: %w", objPath, types.ErrPermission)
-	}
-	retries, err := m.db.DeleteObject(op, lres.ID, name)
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, retries, types.Entry{}), err
+	retries, err := m.db.DeleteObject(op, lres.ID, pathutil.Base(objPath))
+	return f.done(op, retries, types.Entry{}, err)
 }
 
 // ObjStat implements api.Service.
-func (m *Mantle) ObjStat(op *rpc.Op, objPath string) (res types.Result, err error) {
-	op, tr := m.sampleOp(op, "objstat")
-	defer func() { m.record("objstat", tr, res, err) }()
-	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
-	t := api.NewTimer()
-	lres, err := m.lookup(op, dir)
-	t.Phase(types.PhaseLookup)
+func (m *Mantle) ObjStat(op *rpc.Op, objPath string) (types.Result, error) {
+	f, op := m.begin(op, opObjStat)
+	lres, err := f.enter(op, pathutil.Dir(objPath), "objstat", objPath, types.PermLookup)
 	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
+		return f.done(op, 0, types.Entry{}, err)
 	}
-	if !lres.Perm.Allows(types.PermLookup) {
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("objstat %s: %w", objPath, types.ErrPermission)
-	}
-	entry, err := m.db.StatObject(op, lres.ID, name)
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, 0, entry), err
+	entry, err := m.db.StatObject(op, lres.ID, pathutil.Base(objPath))
+	return f.done(op, 0, entry, err)
 }
 
 // DirStat implements api.Service.
-func (m *Mantle) DirStat(op *rpc.Op, dirPath string) (res types.Result, err error) {
-	op, tr := m.sampleOp(op, "dirstat")
-	defer func() { m.record("dirstat", tr, res, err) }()
-	t := api.NewTimer()
-	lres, err := m.lookup(op, dirPath)
-	t.Phase(types.PhaseLookup)
+func (m *Mantle) DirStat(op *rpc.Op, dirPath string) (types.Result, error) {
+	f, op := m.begin(op, opDirStat)
+	lres, err := f.enter(op, dirPath, "dirstat", dirPath, 0)
 	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
+		return f.done(op, 0, types.Entry{}, err)
 	}
 	entry, err := m.db.StatDir(op, lres.ID)
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, 0, entry), err
+	return f.done(op, 0, entry, err)
 }
 
-// ReadDir implements api.Service.
-func (m *Mantle) ReadDir(op *rpc.Op, dirPath string) (res types.Result, entries []types.Entry, err error) {
-	op, tr := m.sampleOp(op, "readdir")
-	defer func() { m.record("readdir", tr, res, err) }()
-	t := api.NewTimer()
-	lres, err := m.lookup(op, dirPath)
-	t.Phase(types.PhaseLookup)
-	if err != nil {
-		return t.Done(op, 0, types.Entry{}), nil, err
+// ReadDir implements api.Service: the whole listing, as one unlimited
+// page.
+func (m *Mantle) ReadDir(op *rpc.Op, dirPath string) (types.Result, []types.Entry, error) {
+	res, entries, _, err := m.readDirPage(opReadDir, op, dirPath, "", math.MaxInt)
+	return res, entries, err
+}
+
+// ReadDirPage implements paginated listing: up to limit entries with
+// names after startAfter, plus the continuation token for the next page.
+func (m *Mantle) ReadDirPage(op *rpc.Op, dirPath, startAfter string, limit int) (types.Result, []types.Entry, string, error) {
+	return m.readDirPage(opReadDirPage, op, dirPath, startAfter, limit)
+}
+
+func (m *Mantle) readDirPage(kind opKind, op *rpc.Op, dirPath, startAfter string, limit int) (types.Result, []types.Entry, string, error) {
+	f, op := m.begin(op, kind)
+	lres, err := f.enter(op, dirPath, "list", dirPath, types.PermLookup|types.PermRead)
+	var entries []types.Entry
+	var next string
+	if err == nil {
+		entries, next, err = m.db.ReadDirPage(op, lres.ID, startAfter, limit)
 	}
-	if !lres.Perm.Allows(types.PermLookup | types.PermRead) {
-		return t.Done(op, 0, types.Entry{}), nil, fmt.Errorf("readdir %s: %w", dirPath, types.ErrPermission)
-	}
-	entries, err = m.db.ReadDir(op, lres.ID)
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, 0, types.Entry{}), entries, err
+	res, err := f.done(op, 0, types.Entry{}, err)
+	return res, entries, next, err
 }
 
 // Mkdir implements api.Service: TafDB transaction, then the replicated
 // IndexNode access-metadata insert.
-func (m *Mantle) Mkdir(op *rpc.Op, dirPath string) (res types.Result, err error) {
-	op, tr := m.sampleOp(op, "mkdir")
-	defer func() { m.record("mkdir", tr, res, err) }()
+func (m *Mantle) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
+	f, op := m.begin(op, opMkdir)
 	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
-	t := api.NewTimer()
-	lres, err := m.lookup(op, parent)
-	t.Phase(types.PhaseLookup)
+	lres, err := f.enter(op, parent, "mkdir", dirPath, types.PermWrite)
 	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
-	}
-	if !lres.Perm.Allows(types.PermWrite) {
-		return t.Done(op, 0, types.Entry{}), fmt.Errorf("mkdir %s: %w", dirPath, types.ErrPermission)
+		return f.done(op, 0, types.Entry{}, err)
 	}
 	id := m.db.NewID()
 	entry, retries, err := m.db.Mkdir(op, lres.ID, name, id, types.PermAll)
 	if err != nil {
-		t.Phase(types.PhaseExecute)
-		return t.Done(op, retries, types.Entry{}), err
+		return f.done(op, retries, types.Entry{}, err)
 	}
 	err = m.idx.AddDir(op, lres.ID, name, id, types.PermAll, parent)
 	if errors.Is(err, types.ErrUnavailable) {
@@ -553,30 +566,24 @@ func (m *Mantle) Mkdir(op *rpc.Op, dirPath string) (res types.Result, err error)
 		// torn state and a post-heal retry starts clean.
 		_, _ = m.db.Rmdir(op, lres.ID, name, id)
 	}
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, retries, entry), err
+	return f.done(op, retries, entry, err)
 }
 
 // Rmdir implements api.Service.
-func (m *Mantle) Rmdir(op *rpc.Op, dirPath string) (res types.Result, err error) {
-	op, tr := m.sampleOp(op, "rmdir")
-	defer func() { m.record("rmdir", tr, res, err) }()
-	name := pathutil.Base(dirPath)
-	t := api.NewTimer()
-	lres, err := m.lookup(op, dirPath)
-	t.Phase(types.PhaseLookup)
+func (m *Mantle) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
+	f, op := m.begin(op, opRmdir)
+	lres, err := f.enter(op, dirPath, "rmdir", dirPath, 0)
 	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
+		return f.done(op, 0, types.Entry{}, err)
 	}
+	name := pathutil.Base(dirPath)
 	retries, err := m.db.Rmdir(op, lres.ParentID, name, lres.ID)
 	if err != nil {
-		t.Phase(types.PhaseExecute)
-		return t.Done(op, retries, types.Entry{}), err
+		return f.done(op, retries, types.Entry{}, err)
 	}
 	err = m.idx.RemoveDir(op, lres.ParentID, name, lres.ID, dirPath)
 	m.invalidate(op, dirPath)
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, retries, types.Entry{}), err
+	return f.done(op, retries, types.Entry{}, err)
 }
 
 // invalidate drops proxy-cache state under path (no-op without the
@@ -599,12 +606,10 @@ const renameRetries = 10000
 // paths), so — matching the paper's breakdown — lookup time is recorded
 // as zero and the PrepareRename RPC is charged to the loop-detection
 // phase.
-func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (res types.Result, err error) {
-	op, tr := m.sampleOp(op, "dirrename")
-	defer func() { m.record("dirrename", tr, res, err) }()
+func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, error) {
+	f, op := m.begin(op, opDirRename)
 	dstParent, dstName := pathutil.Dir(dstPath), pathutil.Base(dstPath)
 	uuid := m.newUUID()
-	t := api.NewTimer()
 	var totalRetries int
 	for attempt := 0; ; attempt++ {
 		prep, err := m.idx.PrepareRename(op, srcPath, dstParent, dstName, uuid)
@@ -614,56 +619,51 @@ func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (res types.Resul
 				txn.Backoff(attempt, m.cfg.RetryBase, m.cfg.RetryMax)
 				continue
 			}
-			t.Phase(types.PhaseLoopDetect)
-			return t.Done(op, totalRetries, types.Entry{}), err
+			f.t.Phase(types.PhaseLoopDetect)
+			return f.done(op, totalRetries, types.Entry{}, err)
 		}
-		t.Phase(types.PhaseLoopDetect)
+		f.t.Phase(types.PhaseLoopDetect)
+		f.executing = true
 
 		retries, err := m.db.RenameDir(op, prep.SrcPid, prep.SrcName, prep.DstPid, dstName, prep.SrcID, prep.SrcPerm)
 		totalRetries += retries
 		if err != nil {
 			aerr := m.idx.AbortRename(op, prep, srcPath, uuid)
-			t.Phase(types.PhaseExecute)
+			f.t.Phase(types.PhaseExecute)
 			if aerr != nil {
 				// The preparing replica may still hold the lock and the
 				// RemovalList entry: report it, do not retry against it.
-				return t.Done(op, totalRetries, types.Entry{}), errors.Join(err, aerr)
+				return f.done(op, totalRetries, types.Entry{}, errors.Join(err, aerr))
 			}
 			if errors.Is(err, types.ErrRetryExhausted) && attempt < renameRetries {
 				totalRetries++
 				txn.Backoff(attempt, m.cfg.RetryBase, m.cfg.RetryMax)
 				continue
 			}
-			return t.Done(op, totalRetries, types.Entry{}), err
+			return f.done(op, totalRetries, types.Entry{}, err)
 		}
 		err = m.idx.CommitRename(op, prep, dstName, srcPath, uuid)
 		m.invalidate(op, srcPath)
-		t.Phase(types.PhaseExecute)
-		return t.Done(op, totalRetries, types.Entry{}), err
+		return f.done(op, totalRetries, types.Entry{}, err)
 	}
 }
 
 // SetPerm changes a directory's permission, updating TafDB and the
 // replicated IndexNode entry (which invalidates affected cache ranges on
 // every replica).
-func (m *Mantle) SetPerm(op *rpc.Op, dirPath string, perm types.Perm) (res types.Result, err error) {
-	op, tr := m.sampleOp(op, "setperm")
-	defer func() { m.record("setperm", tr, res, err) }()
-	t := api.NewTimer()
-	lres, err := m.lookup(op, dirPath)
-	t.Phase(types.PhaseLookup)
+func (m *Mantle) SetPerm(op *rpc.Op, dirPath string, perm types.Perm) (types.Result, error) {
+	f, op := m.begin(op, opSetPerm)
+	lres, err := f.enter(op, dirPath, "setperm", dirPath, 0)
 	if err != nil {
-		return t.Done(op, 0, types.Entry{}), err
+		return f.done(op, 0, types.Entry{}, err)
 	}
 	retries, err := m.db.SetDirPerm(op, lres.ParentID, pathutil.Base(dirPath), lres.ID, perm)
 	if err != nil {
-		t.Phase(types.PhaseExecute)
-		return t.Done(op, retries, types.Entry{}), err
+		return f.done(op, retries, types.Entry{}, err)
 	}
 	err = m.idx.SetPerm(op, lres.ID, perm, dirPath)
 	m.invalidate(op, dirPath)
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, retries, types.Entry{}), err
+	return f.done(op, retries, types.Entry{}, err)
 }
 
 // Populate implements api.Service: bulk-load dirs and objects into TafDB
@@ -692,23 +692,4 @@ func (m *Mantle) Populate(dirs []api.PopDir, objects []api.PopObject) error {
 	}
 	m.idx.BulkAdd(access)
 	return nil
-}
-
-// ReadDirPage implements paginated listing: up to limit entries with
-// names after startAfter, plus the continuation token for the next page.
-func (m *Mantle) ReadDirPage(op *rpc.Op, dirPath, startAfter string, limit int) (res types.Result, entries []types.Entry, next string, err error) {
-	op, tr := m.sampleOp(op, "readdirpage")
-	defer func() { m.record("readdirpage", tr, res, err) }()
-	t := api.NewTimer()
-	lres, err := m.lookup(op, dirPath)
-	t.Phase(types.PhaseLookup)
-	if err != nil {
-		return t.Done(op, 0, types.Entry{}), nil, "", err
-	}
-	if !lres.Perm.Allows(types.PermLookup | types.PermRead) {
-		return t.Done(op, 0, types.Entry{}), nil, "", fmt.Errorf("list %s: %w", dirPath, types.ErrPermission)
-	}
-	entries, next, err = m.db.ReadDirPage(op, lres.ID, startAfter, limit)
-	t.Phase(types.PhaseExecute)
-	return t.Done(op, 0, types.Entry{}), entries, next, err
 }

@@ -1,0 +1,112 @@
+package core
+
+import (
+	"testing"
+
+	"mantle/internal/types"
+)
+
+// TestOpFrameRecordsOnce pins the accounting every operation gets from
+// the op frame: one call moves ops_<op> by exactly one, errors_<op> by
+// one only when it failed, latency_<op> by one only when it succeeded,
+// and latency_resolve by one for every op that resolves a path first
+// (dirrename folds resolution into PrepareRename and observes none).
+func TestOpFrameRecordsOnce(t *testing.T) {
+	m := newTestMantle(t, nil)
+	for _, dir := range []string{"/d", "/d/sub", "/mv"} {
+		if _, err := m.Mkdir(op(m), dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Create(op(m), "/d/keep", 1); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		resolves int64
+		ok, fail func() error
+	}{
+		{"lookup", 1,
+			func() error { _, err := m.Lookup(op(m), "/d"); return err },
+			func() error { _, err := m.Lookup(op(m), "/missing"); return err }},
+		{"create", 1,
+			func() error { _, err := m.Create(op(m), "/d/o", 7); return err },
+			func() error { _, err := m.Create(op(m), "/missing/o", 7); return err }},
+		{"objstat", 1,
+			func() error { _, err := m.ObjStat(op(m), "/d/o"); return err },
+			func() error { _, err := m.ObjStat(op(m), "/d/missing"); return err }},
+		{"delete", 1,
+			func() error { _, err := m.Delete(op(m), "/d/o"); return err },
+			func() error { _, err := m.Delete(op(m), "/d/missing"); return err }},
+		{"dirstat", 1,
+			func() error { _, err := m.DirStat(op(m), "/d"); return err },
+			func() error { _, err := m.DirStat(op(m), "/missing"); return err }},
+		{"readdir", 1,
+			func() error { _, _, err := m.ReadDir(op(m), "/d"); return err },
+			func() error { _, _, err := m.ReadDir(op(m), "/missing"); return err }},
+		{"readdirpage", 1,
+			func() error { _, _, _, err := m.ReadDirPage(op(m), "/d", "", 10); return err },
+			func() error { _, _, _, err := m.ReadDirPage(op(m), "/missing", "", 10); return err }},
+		{"mkdir", 1,
+			func() error { _, err := m.Mkdir(op(m), "/d/new"); return err },
+			func() error { _, err := m.Mkdir(op(m), "/d/sub"); return err }},
+		{"rmdir", 1,
+			func() error { _, err := m.Rmdir(op(m), "/d/new"); return err },
+			func() error { _, err := m.Rmdir(op(m), "/d"); return err }},
+		{"dirrename", 0,
+			func() error { _, err := m.DirRename(op(m), "/d/sub", "/mv/sub"); return err },
+			func() error { _, err := m.DirRename(op(m), "/missing", "/mv/x"); return err }},
+		{"setperm", 1,
+			func() error { _, err := m.SetPerm(op(m), "/mv", types.PermAll); return err },
+			func() error { _, err := m.SetPerm(op(m), "/missing", types.PermAll); return err }},
+	}
+	reg := m.Metrics()
+	type snap struct{ ops, errs, lat, resolve int64 }
+	read := func(name string) snap {
+		return snap{
+			reg.Counter("ops_" + name).Value(), reg.Counter("errors_" + name).Value(),
+			reg.Latency("latency_" + name).Count(), reg.Latency("latency_resolve").Count(),
+		}
+	}
+	for _, c := range cases {
+		before := read(c.name)
+		if err := c.ok(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		mid := read(c.name)
+		if got, want := (snap{mid.ops - before.ops, mid.errs - before.errs, mid.lat - before.lat, mid.resolve - before.resolve}),
+			(snap{1, 0, 1, c.resolves}); got != want {
+			t.Errorf("%s ok: moved %+v, want %+v", c.name, got, want)
+		}
+		if err := c.fail(); err == nil {
+			t.Fatalf("%s: failing call succeeded", c.name)
+		}
+		after := read(c.name)
+		if got, want := (snap{after.ops - mid.ops, after.errs - mid.errs, after.lat - mid.lat, after.resolve - mid.resolve}),
+			(snap{1, 1, 0, c.resolves}); got != want {
+			t.Errorf("%s fail: moved %+v, want %+v", c.name, got, want)
+		}
+	}
+}
+
+// TestOpFrameAllocs holds the stat_hot path to the two allocations a warm
+// ObjStat made before the op frame (the rpc.Op of Begin and its state):
+// none for the frame, none for TafDB's read helper. Head sampling is off
+// so the figure is exact.
+func TestOpFrameAllocs(t *testing.T) {
+	m := newTestMantle(t, func(c *Config) { c.Heat.SampleEvery = -1 })
+	if _, err := m.Mkdir(op(m), "/d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create(op(m), "/d/o", 1); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(2000, func() {
+		if _, err := m.ObjStat(op(m), "/d/o"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 2 {
+		t.Fatalf("warm ObjStat allocates %.2f times, want <= 2", got)
+	}
+}

@@ -1,8 +1,11 @@
 package indexnode
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -541,6 +544,53 @@ func TestReplicaSnapshotRoundTrip(t *testing.T) {
 	r.Restore(data)
 	if r.Cache().Len() != 0 {
 		t.Fatalf("cache kept %d entries across restore", r.Cache().Len())
+	}
+}
+
+// TestRestoreRejectsTruncatedSnapshot: a snapshot that does not decode
+// exactly is state divergence, as a corrupt command is in Apply. Restore
+// panics naming the offset and leaves the replica's table as it was; it
+// must not install the prefix it could read.
+func TestRestoreRejectsTruncatedSnapshot(t *testing.T) {
+	src := NewReplica(1, false)
+	defer src.Close()
+	src.BulkAdd([]types.AccessEntry{
+		{Pid: types.RootID, Name: "a", ID: 2, Perm: types.PermAll},
+		{Pid: 2, Name: "b", ID: 3, Perm: types.PermAll},
+		{Pid: 3, Name: "c", ID: 4, Perm: types.PermAll},
+	})
+	good := src.Snapshot()
+	overcounted := bytes.Clone(good)
+	binary.LittleEndian.PutUint64(overcounted, 4)
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"last byte missing", "truncated at offset", good[:len(good)-1]},
+		{"count says 4, holds 3", fmt.Sprintf("entry 3 of 4 truncated at offset %d", len(good)), overcounted},
+		{"trailing byte", fmt.Sprintf("trailing bytes at offset %d", len(good)), append(bytes.Clone(good), 0)},
+		{"no header", "truncated entry count at offset 0", good[:5]},
+	} {
+		r := NewReplica(1, false)
+		r.BulkAdd([]types.AccessEntry{{Pid: types.RootID, Name: "keep", ID: 9, Perm: types.PermAll}})
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			r.Restore(c.data)
+			return ""
+		}()
+		if !strings.Contains(msg, "indexnode: restore: ") || !strings.Contains(msg, c.want) {
+			t.Errorf("%s: Restore said %q (table now %d entries), want a panic with %q", c.name, msg, r.Table().Len(), c.want)
+		}
+		if _, ok := r.Table().Get(types.RootID, "keep"); !ok || r.Table().Len() != 1 {
+			t.Errorf("%s: a rejected snapshot replaced the table (%d entries)", c.name, r.Table().Len())
+		}
+		r.Close()
+	}
+	dst := NewReplica(1, false)
+	defer dst.Close()
+	dst.Restore(good)
+	if dst.Table().Len() != 3 {
+		t.Fatalf("intact snapshot restored %d entries, want 3", dst.Table().Len())
 	}
 }
 

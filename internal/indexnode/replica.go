@@ -178,7 +178,7 @@ func (r *Replica) Lookup(path string) (LookupResult, error) {
 		if prefix, suffix := pathutil.TruncateRel(path, r.k); prefix != "/" {
 			if e, ok := r.cache.Get(prefix); ok {
 				res := LookupResult{Hit: true}
-				err := r.walk(path, suffix, e.ID, e.Perm, &res)
+				err := r.walk(path, suffix, e.ID, e.Perm, &res, nil)
 				return res, err
 			}
 			fill = prefix
@@ -202,23 +202,31 @@ func (r *Replica) CoalescedLookups() int64 { return r.flight.Coalesced() }
 // by the epoch Lookup captured before it looked at anything.
 func (r *Replica) resolve(path, fill string, epoch0 uint64) (LookupResult, error) {
 	var res LookupResult
-	if err := r.walk(path, pathutil.Rel(path), types.RootID, types.PermAll, &res); err != nil {
-		return res, err
+	// The walk passes through fill on its way down: have it report what it
+	// held there, with only the suffix below fill (path = fill + "/" +
+	// suffix, k >= 1) left to resolve. Without a fill nothing matches.
+	at := fillPoint{rest: len(path) - len(fill) - 1}
+	err := r.walk(path, pathutil.Rel(path), types.RootID, types.PermAll, &res, &at)
+	if err == nil && fill != "" {
+		r.cache.Fill(fill, at.CacheEntry, epoch0)
 	}
-	if fill != "" {
-		if id, perm, ok := r.resolvePrefix(fill); ok {
-			r.cache.Fill(fill, CacheEntry{ID: id, Perm: perm}, epoch0)
-		}
-	}
-	return res, nil
+	return res, err
+}
+
+// fillPoint asks walk for the directory it stands in when rest bytes of
+// the path remain unresolved.
+type fillPoint struct {
+	rest int
+	CacheEntry
 }
 
 // walk resolves rest (a relative component sequence, possibly empty)
 // starting at (startID, startPerm), accumulating levels walked and the
 // final (ID, ParentID, Perm) into res. It iterates components in place
 // (pathutil.NextComponent) — the hottest loop in the service — and
-// allocates nothing.
-func (r *Replica) walk(path, rest string, startID types.InodeID, startPerm types.Perm, res *LookupResult) error {
+// allocates nothing. A non-nil at receives the (ID, aggregated Perm)
+// reached at its boundary.
+func (r *Replica) walk(path, rest string, startID types.InodeID, startPerm types.Perm, res *LookupResult, at *fillPoint) error {
 	id, perm := startID, startPerm
 	parent := types.RootID
 	table := r.table.Load()
@@ -239,29 +247,13 @@ func (r *Replica) walk(path, rest string, startID types.InodeID, startPerm types
 		if remainder != "" && !perm.Allows(types.PermLookup) {
 			return fmt.Errorf("lookup %s at %q: %w", path, name, types.ErrPermission)
 		}
+		if at != nil && len(remainder) == at.rest {
+			at.CacheEntry = CacheEntry{ID: id, Perm: perm}
+		}
 		rest = remainder
 	}
 	res.ID, res.ParentID, res.Perm = id, parent, perm
 	return nil
-}
-
-// resolvePrefix walks prefix from the root through IndexTable.
-func (r *Replica) resolvePrefix(prefix string) (types.InodeID, types.Perm, bool) {
-	id := types.RootID
-	perm := types.PermAll
-	table := r.table.Load()
-	rest := pathutil.Rel(prefix)
-	for rest != "" {
-		var name string
-		name, rest = pathutil.NextComponent(rest)
-		e, ok := table.Get(id, name)
-		if !ok {
-			return 0, 0, false
-		}
-		id = e.ID
-		perm = perm.Intersect(e.Perm)
-	}
-	return id, perm, true
 }
 
 // TryLock sets the rename lock bit on directory id for request lockID.
@@ -450,28 +442,39 @@ func (r *Replica) Snapshot() []byte {
 }
 
 // Restore replaces the replica's state from a snapshot (raft.Snapshotter)
-// and drops all cached resolution state.
+// and drops all cached resolution state. A snapshot that does not decode
+// exactly — short, over-counted, or with bytes left over — is, like a
+// corrupt command in Apply, unrecoverable state divergence: installing
+// the readable part would silently drop directories.
 func (r *Replica) Restore(data []byte) {
+	corrupt := func(off int, what string) {
+		panic(fmt.Sprintf("indexnode: restore: %s at offset %d of %d", what, off, len(data)))
+	}
+	if len(data) < 8 {
+		corrupt(0, "truncated entry count")
+	}
 	table := NewIndexTable()
-	if len(data) >= 8 {
-		n := binary.LittleEndian.Uint64(data)
-		data = data[8:]
-		for i := uint64(0); i < n && len(data) >= 22; i++ {
-			pid := binary.LittleEndian.Uint64(data)
-			id := binary.LittleEndian.Uint64(data[8:])
-			perm := binary.LittleEndian.Uint16(data[16:])
-			nameLen := binary.LittleEndian.Uint32(data[18:])
-			data = data[22:]
-			if uint32(len(data)) < nameLen {
-				break
-			}
-			name := string(data[:nameLen])
-			data = data[nameLen:]
-			table.Put(types.AccessEntry{
-				Pid: types.InodeID(pid), ID: types.InodeID(id),
-				Perm: types.Perm(perm), Name: name,
-			})
+	n := binary.LittleEndian.Uint64(data)
+	off := 8
+	for i := uint64(0); i < n; i++ {
+		rec := data[off:]
+		if len(rec) < 22 {
+			corrupt(off, fmt.Sprintf("entry %d of %d truncated", i, n))
 		}
+		nameLen := int(binary.LittleEndian.Uint32(rec[18:]))
+		if len(rec)-22 < nameLen {
+			corrupt(off, fmt.Sprintf("name of entry %d of %d truncated", i, n))
+		}
+		table.Put(types.AccessEntry{
+			Pid:  types.InodeID(binary.LittleEndian.Uint64(rec)),
+			ID:   types.InodeID(binary.LittleEndian.Uint64(rec[8:])),
+			Perm: types.Perm(binary.LittleEndian.Uint16(rec[16:])),
+			Name: string(rec[22 : 22+nameLen]),
+		})
+		off += 22 + nameLen
+	}
+	if off != len(data) {
+		corrupt(off, "trailing bytes")
 	}
 	// Swap in the rebuilt table, then invalidate every cached resolution.
 	r.table.Store(table)

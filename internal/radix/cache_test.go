@@ -86,8 +86,8 @@ func TestCacheMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: Get(%s) = (%d, %v), model (%d, %v)", seed, step, q, got, ok, want, wok)
 				}
 			}
-			if c.Len() != len(model) || c.index.Len() != len(model) {
-				t.Fatalf("seed %d step %d: Len = %d, index %d, model %d", seed, step, c.Len(), c.index.Len(), len(model))
+			if c.Len() != len(model) || len(indexed(c)) != len(model) {
+				t.Fatalf("seed %d step %d: Len = %d, index %d, model %d", seed, step, c.Len(), len(indexed(c)), len(model))
 			}
 		}
 		seen := 0
@@ -130,12 +130,12 @@ func TestCacheFillRacesInvalidation(t *testing.T) {
 			c.InvalidateSubtree("/a")
 		}()
 		wg.Wait()
-		if c.Len() != 1 || c.index.Len() != 1 {
+		if c.Len() != 1 || len(indexed(c)) != 1 {
 			c.Range(func(p string, v int) bool {
 				t.Errorf("round %d: %s = %d survived", round, p, v)
 				return true
 			})
-			t.Fatalf("round %d: Len = %d, index %d, want the one sibling", round, c.Len(), c.index.Len())
+			t.Fatalf("round %d: Len = %d, index %d, want the one sibling", round, c.Len(), len(indexed(c)))
 		}
 	}
 	if v, ok := c.Get("/ab/keep"); !ok || v != -1 {

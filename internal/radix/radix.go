@@ -6,7 +6,7 @@
 // walk.
 //
 // The paper describes the structure as a lock-free radix tree. This
-// implementation substitutes a component-trie under a read-write mutex:
+// implementation substitutes a component-trie under a mutex:
 // it is touched only on cache fill and invalidation (never on the lookup
 // fast path, which goes through the cache's hash table), so mutex
 // contention is negligible; the behavioural contract — efficient range
@@ -30,20 +30,12 @@ func newNode() *node { return &node{children: make(map[string]*node)} }
 // Tree is a set of slash-separated paths supporting subtree queries.
 // Safe for concurrent use.
 type Tree struct {
-	mu   sync.RWMutex
+	mu   sync.Mutex
 	root *node
-	size int
 }
 
 // New returns an empty tree.
 func New() *Tree { return &Tree{root: newNode()} }
-
-// Len returns the number of inserted paths.
-func (t *Tree) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.size
-}
 
 // Insert adds path to the set, reporting whether it was newly added.
 func (t *Tree) Insert(path string) bool {
@@ -66,24 +58,7 @@ func (t *Tree) Insert(path string) bool {
 		return false
 	}
 	n.terminal = true
-	t.size++
 	return true
-}
-
-// Contains reports whether path was inserted (exact match).
-func (t *Tree) Contains(path string) bool {
-	comps := pathutil.Split(path)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.root
-	for _, c := range comps {
-		child, ok := n.children[c]
-		if !ok {
-			return false
-		}
-		n = child
-	}
-	return n.terminal
 }
 
 // Remove deletes an exact path from the set, pruning now-empty interior
@@ -101,7 +76,6 @@ func (t *Tree) remove(n *node, comps []string) bool {
 			return false
 		}
 		n.terminal = false
-		t.size--
 		return true
 	}
 	child, ok := n.children[comps[0]]
@@ -115,27 +89,9 @@ func (t *Tree) remove(n *node, comps []string) bool {
 	return removed
 }
 
-// Subtree returns every inserted path that has dir as an ancestor or is
-// equal to dir — the invalidation range for a modification of dir.
-func (t *Tree) Subtree(dir string) []string {
-	comps := pathutil.Split(dir)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.root
-	for _, c := range comps {
-		child, ok := n.children[c]
-		if !ok {
-			return nil
-		}
-		n = child
-	}
-	var out []string
-	collect(n, pathutil.Join(comps...), &out)
-	return out
-}
-
-// RemoveSubtree deletes every path under (or equal to) dir and returns
-// the removed paths.
+// RemoveSubtree deletes every inserted path that has dir as an ancestor or
+// is equal to dir — the invalidation range for a modification of dir —
+// and returns the removed paths.
 func (t *Tree) RemoveSubtree(dir string) []string {
 	comps := pathutil.Split(dir)
 	t.mu.Lock()
@@ -152,7 +108,6 @@ func (t *Tree) RemoveSubtree(dir string) []string {
 	}
 	var out []string
 	collect(n, pathutil.Join(comps...), &out)
-	t.size -= len(out)
 	if len(comps) == 0 {
 		// Clearing the whole tree.
 		t.root = newNode()
@@ -175,30 +130,4 @@ func collect(n *node, prefix string, out *[]string) {
 		}
 		collect(child, p, out)
 	}
-}
-
-// Walk calls fn for every inserted path (order unspecified) until fn
-// returns false.
-func (t *Tree) Walk(fn func(path string) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	walk(t.root, "/", fn)
-}
-
-func walk(n *node, prefix string, fn func(string) bool) bool {
-	if n.terminal && !fn(prefix) {
-		return false
-	}
-	for c, child := range n.children {
-		p := prefix
-		if p == "/" {
-			p = "/" + c
-		} else {
-			p = p + "/" + c
-		}
-		if !walk(child, p, fn) {
-			return false
-		}
-	}
-	return true
 }

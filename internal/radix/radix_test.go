@@ -11,76 +11,108 @@ import (
 	"mantle/internal/pathutil"
 )
 
-func TestInsertContainsRemove(t *testing.T) {
-	tr := New()
-	if tr.Contains("/a") {
-		t.Fatal("empty tree contains /a")
-	}
-	if !tr.Insert("/a/b/c") {
-		t.Fatal("insert failed")
-	}
-	if tr.Insert("/a/b/c") {
-		t.Fatal("duplicate insert succeeded")
-	}
-	if !tr.Contains("/a/b/c") {
-		t.Fatal("Contains false after insert")
-	}
-	// Interior nodes are not terminal.
-	if tr.Contains("/a/b") || tr.Contains("/a") {
-		t.Fatal("interior path reported as contained")
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if !tr.Remove("/a/b/c") {
-		t.Fatal("remove failed")
-	}
-	if tr.Remove("/a/b/c") {
-		t.Fatal("double remove succeeded")
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d after remove", tr.Len())
+// indexed lists the paths in c's private index. Every test below reaches
+// the Tree the way production does — through the Cache — and uses this
+// only to check that the index and the hash table agree.
+func indexed[V any](c *Cache[V]) []string {
+	c.index.mu.Lock()
+	defer c.index.mu.Unlock()
+	var out []string
+	collect(c.index.root, "/", &out)
+	sort.Strings(out)
+	return out
+}
+
+// cached lists c's keys as Range yields them.
+func cached[V any](c *Cache[V]) []string {
+	var out []string
+	c.Range(func(p string, _ V) bool { out = append(out, p); return true })
+	sort.Strings(out)
+	return out
+}
+
+func fill(c *Cache[int], paths ...string) {
+	for i, p := range paths {
+		c.Fill(p, i, c.Epoch())
 	}
 }
 
+func TestInsertContainsRemove(t *testing.T) {
+	c := NewCache[int]()
+	if _, ok := c.Get("/a"); ok {
+		t.Fatal("empty cache holds /a")
+	}
+	fill(c, "/a/b/c", "/a/b/c") // the second fill overwrites, it does not add
+	if v, ok := c.Get("/a/b/c"); !ok || v != 1 {
+		t.Fatalf("Get after fill = (%d, %v)", v, ok)
+	}
+	// Interior nodes are not entries.
+	for _, p := range []string{"/a/b", "/a"} {
+		if _, ok := c.Get(p); ok {
+			t.Fatalf("interior path %s reported as cached", p)
+		}
+	}
+	if c.Len() != 1 || len(indexed(c)) != 1 {
+		t.Fatalf("Len = %d, index %v", c.Len(), indexed(c))
+	}
+	if !c.Delete("/a/b/c") {
+		t.Fatal("delete failed")
+	}
+	if c.Delete("/a/b/c") {
+		t.Fatal("double delete succeeded")
+	}
+	if c.Len() != 0 || len(indexed(c)) != 0 {
+		t.Fatalf("Len = %d, index %v after delete", c.Len(), indexed(c))
+	}
+}
+
+// An exact Delete prunes only its own leaf: the sibling stays cached and,
+// because the index still holds it, is still found by a later sweep.
 func TestRemoveKeepsSiblings(t *testing.T) {
-	tr := New()
-	tr.Insert("/a/b")
-	tr.Insert("/a/c")
-	tr.Remove("/a/b")
-	if !tr.Contains("/a/c") {
+	c := NewCache[int]()
+	fill(c, "/a/b", "/a/c")
+	c.Delete("/a/b")
+	if _, ok := c.Get("/a/c"); !ok {
 		t.Fatal("sibling removed")
+	}
+	c.InvalidateSubtree("/a")
+	if _, ok := c.Get("/a/c"); ok || c.Len() != 0 {
+		t.Fatal("sibling lost from the index: the sweep missed it")
 	}
 }
 
 func TestRemoveKeepsAncestorTerminal(t *testing.T) {
-	tr := New()
-	tr.Insert("/a")
-	tr.Insert("/a/b")
-	tr.Remove("/a/b")
-	if !tr.Contains("/a") {
-		t.Fatal("ancestor terminal lost")
+	c := NewCache[int]()
+	fill(c, "/a", "/a/b")
+	c.Delete("/a/b")
+	if _, ok := c.Get("/a"); !ok {
+		t.Fatal("ancestor entry lost")
+	}
+	if got := indexed(c); fmt.Sprint(got) != "[/a]" {
+		t.Fatalf("index = %v, want [/a]", got)
 	}
 }
 
+// The invalidation range of a directory is itself plus everything that
+// has it as an ancestor — by component, not by string prefix.
 func TestSubtree(t *testing.T) {
-	tr := New()
-	paths := []string{"/a", "/a/b", "/a/b/c", "/a/d", "/x/y", "/x"}
-	for _, p := range paths {
-		tr.Insert(p)
+	c := NewCache[int]()
+	fill(c, "/a", "/a/b", "/a/b/c", "/a/d", "/ab", "/x/y", "/x")
+	c.InvalidateSubtree("/nope")
+	if c.Len() != 7 {
+		t.Fatalf("InvalidateSubtree(/nope) removed something: %v", cached(c))
 	}
-	got := tr.Subtree("/a")
-	sort.Strings(got)
-	want := []string{"/a", "/a/b", "/a/b/c", "/a/d"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("Subtree(/a) = %v, want %v", got, want)
+	c.InvalidateSubtree("/a")
+	want := []string{"/ab", "/x", "/x/y"}
+	if got := cached(c); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after InvalidateSubtree(/a): %v, want %v", got, want)
 	}
-	if got := tr.Subtree("/nope"); got != nil {
-		t.Fatalf("Subtree(/nope) = %v", got)
+	if got := indexed(c); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("index after InvalidateSubtree(/a): %v, want %v", got, want)
 	}
-	all := tr.Subtree("/")
-	if len(all) != len(paths) {
-		t.Fatalf("Subtree(/) = %v", all)
+	c.InvalidateSubtree("/")
+	if c.Len() != 0 || len(indexed(c)) != 0 {
+		t.Fatalf("InvalidateSubtree(/) left %v", cached(c))
 	}
 }
 
@@ -93,35 +125,30 @@ func TestRemoveSubtree(t *testing.T) {
 	if len(removed) != 4 {
 		t.Fatalf("removed = %v", removed)
 	}
-	if tr.Len() != 1 || !tr.Contains("/x/y") {
-		t.Fatalf("Len=%d after RemoveSubtree", tr.Len())
+	if again := tr.RemoveSubtree("/a"); again != nil {
+		t.Fatalf("second sweep of /a = %v", again)
 	}
-	for _, p := range removed {
-		if tr.Contains(p) {
-			t.Fatalf("%s still present", p)
-		}
-	}
-	// Removing the root clears everything.
+	// Removing the root clears everything that was left.
 	tr.Insert("/q")
 	all := tr.RemoveSubtree("/")
-	if len(all) != 2 || tr.Len() != 0 {
-		t.Fatalf("RemoveSubtree(/) = %v, Len=%d", all, tr.Len())
+	sort.Strings(all)
+	if fmt.Sprint(all) != "[/q /x/y]" {
+		t.Fatalf("RemoveSubtree(/) = %v", all)
+	}
+	if left := tr.RemoveSubtree("/"); left != nil {
+		t.Fatalf("tree not empty after clearing: %v", left)
 	}
 }
 
+// Range visits every entry once, and stops when told to.
 func TestWalk(t *testing.T) {
-	tr := New()
-	for _, p := range []string{"/a", "/b/c", "/d"} {
-		tr.Insert(p)
-	}
-	var got []string
-	tr.Walk(func(p string) bool { got = append(got, p); return true })
-	sort.Strings(got)
-	if fmt.Sprint(got) != fmt.Sprint([]string{"/a", "/b/c", "/d"}) {
-		t.Fatalf("Walk = %v", got)
+	c := NewCache[int]()
+	fill(c, "/a", "/b/c", "/d")
+	if got := cached(c); fmt.Sprint(got) != fmt.Sprint([]string{"/a", "/b/c", "/d"}) {
+		t.Fatalf("Range = %v", got)
 	}
 	n := 0
-	tr.Walk(func(string) bool { n++; return false })
+	c.Range(func(string, int) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d", n)
 	}
@@ -150,7 +177,7 @@ func TestQuickSubtreeMatchesIsAncestor(t *testing.T) {
 			set[p] = true
 		}
 		dir := mk(q)
-		got := tr.Subtree(dir)
+		got := tr.RemoveSubtree(dir)
 		want := 0
 		for p := range set {
 			if pathutil.IsAncestor(dir, p, true) {
@@ -172,8 +199,10 @@ func TestQuickSubtreeMatchesIsAncestor(t *testing.T) {
 	}
 }
 
+// Goroutines fill, delete, read and sweep their own subtrees of one cache
+// concurrently; at quiesce the hash table, Range and the index agree.
 func TestConcurrentAccess(t *testing.T) {
-	tr := New()
+	c := NewCache[int]()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -182,25 +211,23 @@ func TestConcurrentAccess(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 3000; i++ {
 				p := fmt.Sprintf("/g%d/x%d", g, r.Intn(50))
-				switch r.Intn(4) {
-				case 0:
-					tr.Insert(p)
-				case 1:
-					tr.Remove(p)
-				case 2:
-					tr.Contains(p)
-				case 3:
-					tr.Subtree(fmt.Sprintf("/g%d", g))
+				switch r.Intn(8) {
+				case 0, 1, 2:
+					c.Fill(p, i, c.Epoch())
+				case 3, 4:
+					c.Delete(p)
+				case 5, 6:
+					c.Get(p)
+				case 7:
+					c.InvalidateSubtree(fmt.Sprintf("/g%d", g))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Sanity: Len matches a full walk.
-	n := 0
-	tr.Walk(func(string) bool { n++; return true })
-	if n != tr.Len() {
-		t.Fatalf("walk count %d != Len %d", n, tr.Len())
+	got, idx := cached(c), indexed(c)
+	if len(got) != c.Len() || fmt.Sprint(got) != fmt.Sprint(idx) {
+		t.Fatalf("Len %d, Range %d keys, index %d keys", c.Len(), len(got), len(idx))
 	}
 }
 
@@ -272,12 +299,7 @@ func TestRemoveSubtreeConcurrentInsert(t *testing.T) {
 			t.Fatalf("path %q removed %d times but never recorded as inserted", p, n)
 		}
 	}
-	if got := tr.Subtree("/a"); len(got) != 0 {
-		t.Fatalf("subtree /a not empty after final sweep: %v", got)
-	}
-	n := 0
-	tr.Walk(func(string) bool { n++; return true })
-	if n != tr.Len() {
-		t.Fatalf("walk count %d != Len %d", n, tr.Len())
+	if got := tr.RemoveSubtree("/"); len(got) != 0 {
+		t.Fatalf("tree not empty after final sweep: %v", got)
 	}
 }

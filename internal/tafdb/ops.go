@@ -2,6 +2,7 @@ package tafdb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -28,21 +29,29 @@ func (db *DB) CreateRoot(root types.InodeID) error {
 	}})
 }
 
+// read runs fn against pid's home shard as one RPC: the routing retry, the
+// shard's read-heat accounting and the call charge every read shares. fn
+// may run twice when a migration flips the routing mid-read, so it
+// overwrites (never accumulates into) what it returns through.
+func (db *DB) read(op *rpc.Op, pid types.InodeID, fn func(s *storage.Shard) error) error {
+	return db.readRetry(pid, func(si int) error {
+		p := db.parts[si]
+		db.noteRead(si, pid)
+		return op.Call(p.Node, db.cfg.OpCost, func() error { return fn(p.Shard) })
+	})
+}
+
 // GetAccess reads the access row (pid, name): the id/kind/permission of
 // the named child. One RPC to the owning shard.
 func (db *DB) GetAccess(op *rpc.Op, pid types.InodeID, name string) (types.Entry, error) {
 	var out types.Entry
-	err := db.readRetry(pid, func(si int) error {
-		p := db.parts[si]
-		db.noteRead(si, pid)
-		return op.Call(p.Node, db.cfg.OpCost, func() error {
-			row, ok := p.Shard.Get(types.Key{Pid: pid, Name: name})
-			if !ok {
-				return fmt.Errorf("get %d/%s: %w", pid, name, types.ErrNotFound)
-			}
-			out = row.Entry
-			return nil
-		})
+	err := db.read(op, pid, func(s *storage.Shard) error {
+		row, ok := s.Get(types.Key{Pid: pid, Name: name})
+		if !ok {
+			return fmt.Errorf("get %d/%s: %w", pid, name, types.ErrNotFound)
+		}
+		out = row.Entry
+		return nil
 	})
 	return out, err
 }
@@ -64,53 +73,28 @@ func (db *DB) StatObject(op *rpc.Op, pid types.InodeID, name string) (types.Entr
 // delta design (§5.2.1). One RPC (primary row and deltas colocate).
 func (db *DB) StatDir(op *rpc.Op, dir types.InodeID) (types.Entry, error) {
 	var out types.Entry
-	err := db.readRetry(dir, func(si int) error {
-		p := db.parts[si]
-		db.noteRead(si, dir)
-		return op.Call(p.Node, db.cfg.OpCost, func() error {
-			row, ok := p.Shard.Get(attrKey(dir))
-			if !ok {
-				return fmt.Errorf("dirstat %d: %w", dir, types.ErrNotFound)
-			}
-			out = row.Entry
-			p.Shard.Scan(
-				types.Key{Pid: dir, Name: deltaPrefix},
-				types.Key{Pid: dir, Name: childrenLo},
-				func(r storage.Row) bool {
-					foldDelta(&out, r.Entry)
-					return true
-				})
-			return nil
-		})
+	err := db.read(op, dir, func(s *storage.Shard) error {
+		row, ok := s.Get(attrKey(dir))
+		if !ok {
+			return fmt.Errorf("dirstat %d: %w", dir, types.ErrNotFound)
+		}
+		out = row.Entry
+		s.Scan(
+			types.Key{Pid: dir, Name: deltaPrefix},
+			types.Key{Pid: dir, Name: childrenLo},
+			func(r storage.Row) bool {
+				foldDelta(&out, r.Entry)
+				return true
+			})
+		return nil
 	})
 	return out, err
 }
 
-// ReadDir lists directory dir's children in name order. Internal
-// attribute and delta rows are excluded. One RPC.
+// ReadDir lists all of directory dir's children in name order: one
+// unlimited page.
 func (db *DB) ReadDir(op *rpc.Op, dir types.InodeID) ([]types.Entry, error) {
-	var out []types.Entry
-	err := db.readRetry(dir, func(si int) error {
-		p := db.parts[si]
-		db.noteRead(si, dir)
-		out = nil
-		return op.Call(p.Node, db.cfg.OpCost, func() error {
-			// The parent's attribute row tracks its child count (LinkCount),
-			// so the result slice can be sized once instead of grown
-			// append-by-append across a large listing.
-			if row, ok := p.Shard.Get(attrKey(dir)); ok && row.Entry.Attr.LinkCount > 0 {
-				out = make([]types.Entry, 0, row.Entry.Attr.LinkCount)
-			}
-			p.Shard.Scan(
-				types.Key{Pid: dir, Name: childrenLo},
-				types.Key{Pid: dir + 1, Name: ""},
-				func(r storage.Row) bool {
-					out = append(out, r.Entry)
-					return true
-				})
-			return nil
-		})
-	})
+	out, _, err := db.ReadDirPage(op, dir, "", math.MaxInt)
 	return out, err
 }
 
@@ -450,9 +434,10 @@ func (db *DB) DeleteRowDirect(pid types.InodeID, name string) {
 }
 
 // ReadDirPage lists up to limit children of dir with names greater than
-// startAfter — the COSS ListObjects continuation pattern. It returns the
-// page and the name to pass as the next page's startAfter ("" when the
-// listing is complete). One RPC.
+// startAfter, in name order — the COSS ListObjects continuation pattern.
+// Internal attribute and delta rows are excluded. It returns the page and
+// the name to pass as the next page's startAfter ("" when the listing is
+// complete). One RPC.
 func (db *DB) ReadDirPage(op *rpc.Op, dir types.InodeID, startAfter string, limit int) ([]types.Entry, string, error) {
 	if limit <= 0 {
 		limit = 1000
@@ -463,33 +448,27 @@ func (db *DB) ReadDirPage(op *rpc.Op, dir types.InodeID, startAfter string, limi
 	if startAfter != "" {
 		lo = startAfter + "\x00" // strictly after startAfter
 	}
-	err := db.readRetry(dir, func(si int) error {
-		p := db.parts[si]
-		db.noteRead(si, dir)
+	err := db.read(op, dir, func(s *storage.Shard) error {
+		// Size the page once: the directory's attribute row tracks its
+		// child count (LinkCount), and the page holds at most limit.
 		out, more = nil, false
-		return op.Call(p.Node, db.cfg.OpCost, func() error {
-			// Size the page once: the directory holds at most LinkCount
-			// children, and the page at most limit entries.
-			hint := limit
-			if row, ok := p.Shard.Get(attrKey(dir)); ok && row.Entry.Attr.LinkCount < int64(hint) {
-				hint = int(row.Entry.Attr.LinkCount)
-			}
-			if hint > 0 {
+		if row, ok := s.Get(attrKey(dir)); ok {
+			if hint := min(row.Entry.Attr.LinkCount, int64(limit)); hint > 0 {
 				out = make([]types.Entry, 0, hint)
 			}
-			p.Shard.Scan(
-				types.Key{Pid: dir, Name: lo},
-				types.Key{Pid: dir + 1, Name: ""},
-				func(r storage.Row) bool {
-					if len(out) == limit {
-						more = true
-						return false
-					}
-					out = append(out, r.Entry)
-					return true
-				})
-			return nil
-		})
+		}
+		s.Scan(
+			types.Key{Pid: dir, Name: lo},
+			types.Key{Pid: dir + 1, Name: ""},
+			func(r storage.Row) bool {
+				if len(out) == limit {
+					more = true
+					return false
+				}
+				out = append(out, r.Entry)
+				return true
+			})
+		return nil
 	})
 	next := ""
 	if more && len(out) > 0 {

@@ -3,6 +3,8 @@ package tafdb
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -429,5 +431,48 @@ func TestShardCrashRecoveryEndToEnd(t *testing.T) {
 	// The recovered DB accepts new transactions.
 	if _, _, err := db.CreateObject(caller.Begin(), ids[0], "post-crash", 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadDirIsUnpagedReadDirPage: on a directory past the 1,000-entry
+// default page, ReadDir is the one unlimited page — the same entries the
+// default-size pages add up to, in the same order, in one RPC.
+func TestReadDirIsUnpagedReadDirPage(t *testing.T) {
+	db, caller := testDB(t, DeltaOff)
+	dir := db.NewID()
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "big", dir, types.PermAll); err != nil {
+		t.Fatal(err)
+	}
+	const children = 2500
+	entries := make([]types.Entry, children)
+	for i := range entries {
+		entries[i] = types.Entry{Pid: dir, Name: fmt.Sprintf("o%05d", i), ID: db.NewID(), Kind: types.KindObject, Perm: types.PermAll}
+	}
+	if err := db.BulkInsert(entries); err != nil {
+		t.Fatal(err)
+	}
+	op := caller.Begin()
+	all, err := db.ReadDir(op, dir)
+	if err != nil || len(all) != children || op.RTTs() != 1 {
+		t.Fatalf("ReadDir = %d entries in %d RPCs, err %v", len(all), op.RTTs(), err)
+	}
+	unpaged, next, err := db.ReadDirPage(caller.Begin(), dir, "", math.MaxInt)
+	if err != nil || next != "" || !slices.Equal(unpaged, all) {
+		t.Fatalf("unpaged ReadDirPage = %d entries, next %q, err %v; differs from ReadDir", len(unpaged), next, err)
+	}
+	var paged []types.Entry
+	pages := 0
+	for after := ""; ; pages++ {
+		page, next, err := db.ReadDirPage(caller.Begin(), dir, after, 0) // 0 = the 1,000 default
+		if err != nil {
+			t.Fatal(err)
+		}
+		paged = append(paged, page...)
+		if after = next; next == "" {
+			break
+		}
+	}
+	if pages != 2 || !slices.Equal(paged, all) {
+		t.Fatalf("default pages: %d continuations, %d entries; want 2 and ReadDir's %d", pages, len(paged), len(all))
 	}
 }

@@ -25,6 +25,7 @@ package mantle
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"mantle/internal/core"
@@ -160,7 +161,7 @@ func (c *Cluster) Stop() { c.m.Stop() }
 
 // Client returns a stateless client handle (the proxy-layer view).
 // Clients are cheap; any number may be used concurrently.
-func (c *Cluster) Client() *Client { return &Client{m: c.m} }
+func (c *Cluster) Client() *Client { return &Client{do: c.exec} }
 
 // Info describes an entry.
 type Info struct {
@@ -171,9 +172,9 @@ type Info struct {
 	ModTime time.Time
 }
 
-// OpStats reports the cost of the last call on a Client obtained from
-// Client.Stats: RPC round trips and retries (useful in examples to show
-// the single-RPC lookup property).
+// OpStats reports the cost of one call, returned by the *WithStats
+// variants: RPC round trips and retries (useful in examples to show the
+// single-RPC lookup property).
 type OpStats struct {
 	RTTs    int
 	Retries int
@@ -183,8 +184,12 @@ type OpStats struct {
 
 // Client issues metadata operations. Safe for concurrent use; per-call
 // stats are returned by the *WithStats variants.
+//
+// Every method builds one request and hands it to do: Cluster.exec for a
+// client of an in-process deployment, whose errors are the core's own
+// chains, and RemoteClient's TCP round trip for a dialled one.
 type Client struct {
-	m *core.Mantle
+	do func(*remoteRequest) (*remoteResponse, error)
 }
 
 // Sentinel errors surfaced by the client.
@@ -199,6 +204,41 @@ var (
 	ErrOverloaded = types.ErrOverloaded
 )
 
+// errorKinds is the one classification of the errors a deployment
+// returns: the stable kind string that crosses the wire and selects
+// mantled's HTTP status, and — first row of each kind — the sentinel a
+// remote client's error is rebuilt around. A path that names an entry of
+// the wrong type is, to a caller, a path that is not there.
+var errorKinds = []struct {
+	kind string
+	err  error
+}{
+	{"notfound", types.ErrNotFound},
+	{"notfound", types.ErrNotDir},
+	{"notfound", types.ErrIsDir},
+	{"exists", types.ErrExists},
+	{"notempty", types.ErrNotEmpty},
+	{"loop", types.ErrLoop},
+	{"permission", types.ErrPermission},
+	{"overloaded", types.ErrOverloaded},
+}
+
+// ErrorKind classifies an error returned by a Client or RemoteClient:
+// "" for nil, then "notfound", "exists", "notempty", "loop",
+// "permission" or "overloaded" for the sentinels above, and "internal"
+// for everything else.
+func ErrorKind(err error) string {
+	if err == nil {
+		return ""
+	}
+	for _, k := range errorKinds {
+		if errors.Is(err, k.err) {
+			return k.kind
+		}
+	}
+	return "internal"
+}
+
 func info(path string, e types.Entry) Info {
 	out := Info{Path: pathutil.Clean(path), IsDir: e.Kind == types.KindDir, ModTime: e.Attr.MTime}
 	if out.IsDir {
@@ -209,108 +249,162 @@ func info(path string, e types.Entry) Info {
 	return out
 }
 
-func stats(r types.Result) OpStats {
-	return OpStats{
+// exec runs one request against the deployment: the one place an op name
+// meets the core. It returns the core's error unchanged, so an in-process
+// caller can match anything the core can return.
+func (c *Cluster) exec(req *remoteRequest) (*remoteResponse, error) {
+	m := c.m
+	op := m.Caller().Begin()
+	resp := &remoteResponse{}
+	var r types.Result
+	var err error
+	switch req.Op {
+	case "create":
+		r, err = m.Create(op, req.Path, req.Size)
+		resp.Info = info(req.Path, r.Entry)
+	case "delete":
+		r, err = m.Delete(op, req.Path)
+	case "stat":
+		r, err = m.ObjStat(op, req.Path)
+		resp.Info = info(req.Path, r.Entry)
+	case "statdir":
+		r, err = m.DirStat(op, req.Path)
+		resp.Info = info(req.Path, r.Entry)
+	case "mkdir":
+		r, err = m.Mkdir(op, req.Path)
+	case "mkdirall":
+		cur := ""
+		for _, comp := range pathutil.Split(req.Path) {
+			cur += "/" + comp
+			if r, err = m.Mkdir(m.Caller().Begin(), cur); err != nil && ErrorKind(err) != "exists" {
+				return resp, err
+			}
+		}
+		err = nil
+	case "rmdir":
+		r, err = m.Rmdir(op, req.Path)
+	case "rename":
+		r, err = m.DirRename(op, req.Path, req.Dst)
+	case "list", "listpage":
+		limit := req.Limit
+		if req.Op == "list" {
+			limit = math.MaxInt
+		}
+		var entries []types.Entry
+		r, entries, resp.Next, err = m.ReadDirPage(op, req.Path, req.After, limit)
+		if err == nil {
+			dir := pathutil.Clean(req.Path)
+			resp.Infos = make([]Info, 0, len(entries))
+			for _, e := range entries {
+				resp.Infos = append(resp.Infos, info(dir+"/"+e.Name, e))
+			}
+		}
+	case "lookup":
+		r, err = m.Lookup(op, req.Path)
+	default:
+		return resp, fmt.Errorf("remote: unknown op %q", req.Op)
+	}
+	resp.Stats = OpStats{
 		RTTs:    r.RTTs,
 		Retries: r.Retries,
 		Lookup:  r.Phases[types.PhaseLookup] + r.Phases[types.PhaseLoopDetect],
 		Execute: r.Phases[types.PhaseExecute],
 	}
+	return resp, err
+}
+
+// path issues the request shape most operations share: an op on one path.
+func (c *Client) path(op, path string) (*remoteResponse, error) {
+	return c.do(&remoteRequest{Op: op, Path: path})
 }
 
 // Create inserts an object of the given size.
 func (c *Client) Create(path string, size int64) (Info, error) {
-	r, err := c.m.Create(c.m.Caller().Begin(), path, size)
-	return info(path, r.Entry), err
+	inf, _, err := c.CreateWithStats(path, size)
+	return inf, err
 }
 
 // CreateWithStats is Create returning per-op cost.
 func (c *Client) CreateWithStats(path string, size int64) (Info, OpStats, error) {
-	r, err := c.m.Create(c.m.Caller().Begin(), path, size)
-	return info(path, r.Entry), stats(r), err
+	resp, err := c.do(&remoteRequest{Op: "create", Path: path, Size: size})
+	return resp.Info, resp.Stats, err
 }
 
 // Delete removes an object.
 func (c *Client) Delete(path string) error {
-	_, err := c.m.Delete(c.m.Caller().Begin(), path)
+	_, err := c.path("delete", path)
 	return err
 }
 
 // Stat returns an object's metadata.
 func (c *Client) Stat(path string) (Info, error) {
-	r, err := c.m.ObjStat(c.m.Caller().Begin(), path)
-	return info(path, r.Entry), err
+	inf, _, err := c.StatWithStats(path)
+	return inf, err
 }
 
 // StatWithStats is Stat returning per-op cost.
 func (c *Client) StatWithStats(path string) (Info, OpStats, error) {
-	r, err := c.m.ObjStat(c.m.Caller().Begin(), path)
-	return info(path, r.Entry), stats(r), err
+	resp, err := c.path("stat", path)
+	return resp.Info, resp.Stats, err
 }
 
 // StatDir returns a directory's metadata (merging live delta records).
 func (c *Client) StatDir(path string) (Info, error) {
-	r, err := c.m.DirStat(c.m.Caller().Begin(), path)
-	return info(path, r.Entry), err
+	resp, err := c.path("statdir", path)
+	return resp.Info, err
 }
 
 // Mkdir creates a directory; the parent must exist.
 func (c *Client) Mkdir(path string) error {
-	_, err := c.m.Mkdir(c.m.Caller().Begin(), path)
+	_, err := c.path("mkdir", path)
 	return err
 }
 
 // MkdirAll creates a directory and any missing ancestors.
 func (c *Client) MkdirAll(path string) error {
-	comps := pathutil.Split(path)
-	cur := ""
-	for _, comp := range comps {
-		cur += "/" + comp
-		err := c.Mkdir(cur)
-		if err != nil && !errors.Is(err, types.ErrExists) {
-			return err
-		}
-	}
-	return nil
+	_, err := c.path("mkdirall", path)
+	return err
 }
 
 // Rmdir removes an empty directory.
 func (c *Client) Rmdir(path string) error {
-	_, err := c.m.Rmdir(c.m.Caller().Begin(), path)
+	_, err := c.path("rmdir", path)
 	return err
 }
 
 // Rename moves directory src (and its subtree) to dst atomically,
 // running the paper's single-RPC loop-detection protocol on IndexNode.
 func (c *Client) Rename(src, dst string) error {
-	_, err := c.m.DirRename(c.m.Caller().Begin(), src, dst)
+	_, err := c.RenameWithStats(src, dst)
 	return err
 }
 
 // RenameWithStats is Rename returning per-op cost.
 func (c *Client) RenameWithStats(src, dst string) (OpStats, error) {
-	r, err := c.m.DirRename(c.m.Caller().Begin(), src, dst)
-	return stats(r), err
+	resp, err := c.do(&remoteRequest{Op: "rename", Path: src, Dst: dst})
+	return resp.Stats, err
 }
 
 // List returns a directory's children.
 func (c *Client) List(path string) ([]Info, error) {
-	_, entries, err := c.m.ReadDir(c.m.Caller().Begin(), path)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Info, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, info(pathutil.Clean(path)+"/"+e.Name, e))
-	}
-	return out, nil
+	resp, err := c.path("list", path)
+	return resp.Infos, err
+}
+
+// ListPage returns up to limit children of path whose names sort after
+// the continuation token `after` (empty to start). The second return is
+// the token for the next page, empty when the listing is complete —
+// the COSS ListObjects pagination contract.
+func (c *Client) ListPage(path, after string, limit int) ([]Info, string, error) {
+	resp, err := c.do(&remoteRequest{Op: "listpage", Path: path, After: after, Limit: limit})
+	return resp.Infos, resp.Next, err
 }
 
 // Lookup resolves a directory path in a single IndexNode RPC and reports
 // the op's cost.
 func (c *Client) Lookup(path string) (OpStats, error) {
-	r, err := c.m.Lookup(c.m.Caller().Begin(), path)
-	return stats(r), err
+	resp, err := c.path("lookup", path)
+	return resp.Stats, err
 }
 
 // Core exposes the underlying deployment for advanced use (experiments,
@@ -336,20 +430,4 @@ func (c *Cluster) MigrateDir(path string, shard int) (int, error) {
 // to MigrateDir to execute it.
 func (c *Cluster) PlanMigrations(max int) []tafdb.MigrationPlan {
 	return c.m.DB().PlanMigrations(max)
-}
-
-// ListPage returns up to limit children of path whose names sort after
-// the continuation token `after` (empty to start). The second return is
-// the token for the next page, empty when the listing is complete —
-// the COSS ListObjects pagination contract.
-func (c *Client) ListPage(path, after string, limit int) ([]Info, string, error) {
-	_, entries, next, err := c.m.ReadDirPage(c.m.Caller().Begin(), path, after, limit)
-	if err != nil {
-		return nil, "", err
-	}
-	out := make([]Info, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, info(pathutil.Clean(path)+"/"+e.Name, e))
-	}
-	return out, next, nil
 }

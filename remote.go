@@ -17,14 +17,15 @@ import (
 // gob-encoded request/response stream over TCP, so clients in other
 // processes can drive a Mantle deployment without the HTTP gateway's
 // overhead. Serve attaches a listener to a Cluster; Dial returns a
-// RemoteClient with the same operations as Client.
+// RemoteClient, which is a Client whose requests travel that stream.
 //
 // The protocol is one request, one response, in order, per connection;
 // a RemoteClient serialises calls per connection and can be pooled by
-// the application. Errors travel as stable kind strings so sentinel
-// matching (errors.Is) survives the wire.
+// the application. Errors travel as stable kind strings (ErrorKind) so
+// sentinel matching (errors.Is) survives the wire.
 
-// remoteRequest is the wire request.
+// remoteRequest is one operation as every Client states it — handed to
+// Cluster.exec directly in process, gob-encoded by a RemoteClient.
 type remoteRequest struct {
 	Op    string // create|delete|stat|statdir|mkdir|mkdirall|rmdir|rename|list|listpage|lookup
 	Path  string
@@ -34,7 +35,8 @@ type remoteRequest struct {
 	Limit int
 }
 
-// remoteResponse is the wire response. Load and RetryAfter were added
+// remoteResponse is exec's reply; ErrKind, ErrMsg, Load and RetryAfter
+// are filled only on the wire. Load and RetryAfter were added
 // after the first protocol revision; gob ignores fields the peer does
 // not know, so old clients and servers interoperate with new ones (see
 // TestRemoteEnvelopeGobCompat).
@@ -54,77 +56,59 @@ type remoteResponse struct {
 	RetryAfter int64
 }
 
-// errKind maps an error to its stable wire kind.
-func errKind(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, types.ErrNotFound), errors.Is(err, types.ErrNotDir),
-		errors.Is(err, types.ErrIsDir):
-		return "notfound"
-	case errors.Is(err, types.ErrExists):
-		return "exists"
-	case errors.Is(err, types.ErrNotEmpty):
-		return "notempty"
-	case errors.Is(err, types.ErrLoop):
-		return "loop"
-	case errors.Is(err, types.ErrPermission):
-		return "permission"
-	case errors.Is(err, types.ErrOverloaded):
-		return "overloaded"
-	default:
-		return "internal"
-	}
-}
-
-// kindErr reconstructs a sentinel-wrapped error from the wire kind.
+// kindErr rebuilds a sentinel-wrapped error from its wire kind: the
+// inverse of ErrorKind over the same table.
 func kindErr(kind, msg string, retryAfter time.Duration) error {
-	var base error
 	switch kind {
 	case "":
 		return nil
 	case "overloaded":
 		return fmt.Errorf("%s: %w", msg, types.Overloaded(retryAfter))
-	case "notfound":
-		base = ErrNotFound
-	case "exists":
-		base = ErrExists
-	case "notempty":
-		base = ErrNotEmpty
-	case "loop":
-		base = ErrLoop
-	case "permission":
-		base = ErrPermission
-	default:
-		return errors.New(msg)
 	}
-	return fmt.Errorf("%s: %w", msg, base)
+	for _, k := range errorKinds {
+		if k.kind == kind {
+			return fmt.Errorf("%s: %w", msg, k.err)
+		}
+	}
+	return errors.New(msg)
 }
 
 // Serve accepts remote-protocol connections on l and dispatches them
 // against the cluster until l is closed. It returns the listener's
 // accept error (net.ErrClosed after a clean shutdown).
 func Serve(l net.Listener, cl *Cluster) error {
+	return serve(l, func() *Cluster { return cl })
+}
+
+// serve is Serve against whichever cluster active names when a request
+// arrives, so connections accepted before a failover follow it.
+func serve(l net.Listener, active func() *Cluster) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return err
 		}
-		go serveConn(conn, cl)
+		go serveConn(conn, active)
 	}
 }
 
-func serveConn(conn net.Conn, cl *Cluster) {
+func serveConn(conn net.Conn, active func() *Cluster) {
 	defer conn.Close()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
-	c := cl.Client()
 	for {
 		var req remoteRequest
 		if err := dec.Decode(&req); err != nil {
 			return // EOF or broken peer
 		}
-		resp := dispatch(c, &req)
+		cl := active()
+		resp, err := cl.exec(&req)
+		// The one place an error is flattened: its kind, text and backoff
+		// hint cross the wire and call rebuilds it on the far side.
+		if err != nil {
+			resp.ErrKind, resp.ErrMsg = ErrorKind(err), err.Error()
+			resp.RetryAfter = int64(types.RetryAfter(err))
+		}
 		resp.Load = int64(cl.m.Index().LoadHint())
 		if err := enc.Encode(resp); err != nil {
 			return
@@ -132,62 +116,12 @@ func serveConn(conn net.Conn, cl *Cluster) {
 	}
 }
 
-func dispatch(c *Client, req *remoteRequest) *remoteResponse {
-	resp := &remoteResponse{}
-	fail := func(err error) *remoteResponse {
-		resp.ErrKind = errKind(err)
-		if err != nil {
-			resp.ErrMsg = err.Error()
-			resp.RetryAfter = int64(types.RetryAfter(err))
-		}
-		return resp
-	}
-	switch req.Op {
-	case "create":
-		inf, st, err := c.CreateWithStats(req.Path, req.Size)
-		resp.Info, resp.Stats = inf, st
-		return fail(err)
-	case "delete":
-		return fail(c.Delete(req.Path))
-	case "stat":
-		inf, st, err := c.StatWithStats(req.Path)
-		resp.Info, resp.Stats = inf, st
-		return fail(err)
-	case "statdir":
-		inf, err := c.StatDir(req.Path)
-		resp.Info = inf
-		return fail(err)
-	case "mkdir":
-		return fail(c.Mkdir(req.Path))
-	case "mkdirall":
-		return fail(c.MkdirAll(req.Path))
-	case "rmdir":
-		return fail(c.Rmdir(req.Path))
-	case "rename":
-		st, err := c.RenameWithStats(req.Path, req.Dst)
-		resp.Stats = st
-		return fail(err)
-	case "list":
-		infos, err := c.List(req.Path)
-		resp.Infos = infos
-		return fail(err)
-	case "listpage":
-		infos, next, err := c.ListPage(req.Path, req.After, req.Limit)
-		resp.Infos, resp.Next = infos, next
-		return fail(err)
-	case "lookup":
-		st, err := c.Lookup(req.Path)
-		resp.Stats = st
-		return fail(err)
-	default:
-		return fail(fmt.Errorf("remote: unknown op %q", req.Op))
-	}
-}
-
-// RemoteClient drives a Mantle deployment over the remote protocol. Safe
-// for concurrent use; calls serialise on the single connection (pool
+// RemoteClient is a Client whose requests cross a TCP connection to a
+// Serve endpoint: same operations, same sentinel errors. Safe for
+// concurrent use; calls serialise on the single connection (pool
 // RemoteClients for parallelism).
 type RemoteClient struct {
+	Client
 	mu   sync.Mutex
 	conn net.Conn
 	enc  *gob.Encoder
@@ -201,31 +135,35 @@ func Dial(addr string) (*RemoteClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteClient{
+	r := &RemoteClient{
 		conn: conn,
 		enc:  gob.NewEncoder(conn),
 		dec:  gob.NewDecoder(conn),
-	}, nil
+	}
+	r.do = r.call
+	return r, nil
 }
 
 // Close tears the connection down.
 func (r *RemoteClient) Close() error { return r.conn.Close() }
 
+// call is the transport: one request out, one response back, the error
+// rebuilt from its kind. The response is never nil.
 func (r *RemoteClient) call(req *remoteRequest) (*remoteResponse, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	resp := &remoteResponse{}
 	if err := r.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("remote send: %w", err)
+		return resp, fmt.Errorf("remote send: %w", err)
 	}
-	var resp remoteResponse
-	if err := r.dec.Decode(&resp); err != nil {
+	if err := r.dec.Decode(resp); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("remote: connection closed: %w", err)
+			return resp, fmt.Errorf("remote: connection closed: %w", err)
 		}
-		return nil, fmt.Errorf("remote recv: %w", err)
+		return resp, fmt.Errorf("remote recv: %w", err)
 	}
 	r.load.Store(resp.Load)
-	return &resp, kindErr(resp.ErrKind, resp.ErrMsg, time.Duration(resp.RetryAfter))
+	return resp, kindErr(resp.ErrKind, resp.ErrMsg, time.Duration(resp.RetryAfter))
 }
 
 // LoadHint returns the server's load estimate piggybacked on the most
@@ -234,88 +172,4 @@ func (r *RemoteClient) call(req *remoteRequest) (*remoteResponse, error) {
 // least-loaded endpoint and to pace retries after ErrOverloaded.
 func (r *RemoteClient) LoadHint() time.Duration {
 	return time.Duration(r.load.Load())
-}
-
-// Create inserts an object.
-func (r *RemoteClient) Create(path string, size int64) (Info, error) {
-	resp, err := r.call(&remoteRequest{Op: "create", Path: path, Size: size})
-	if resp == nil {
-		return Info{}, err
-	}
-	return resp.Info, err
-}
-
-// Delete removes an object.
-func (r *RemoteClient) Delete(path string) error {
-	_, err := r.call(&remoteRequest{Op: "delete", Path: path})
-	return err
-}
-
-// Stat returns an object's metadata.
-func (r *RemoteClient) Stat(path string) (Info, error) {
-	resp, err := r.call(&remoteRequest{Op: "stat", Path: path})
-	if resp == nil {
-		return Info{}, err
-	}
-	return resp.Info, err
-}
-
-// StatDir returns a directory's metadata.
-func (r *RemoteClient) StatDir(path string) (Info, error) {
-	resp, err := r.call(&remoteRequest{Op: "statdir", Path: path})
-	if resp == nil {
-		return Info{}, err
-	}
-	return resp.Info, err
-}
-
-// Mkdir creates a directory.
-func (r *RemoteClient) Mkdir(path string) error {
-	_, err := r.call(&remoteRequest{Op: "mkdir", Path: path})
-	return err
-}
-
-// MkdirAll creates a directory and missing ancestors.
-func (r *RemoteClient) MkdirAll(path string) error {
-	_, err := r.call(&remoteRequest{Op: "mkdirall", Path: path})
-	return err
-}
-
-// Rmdir removes an empty directory.
-func (r *RemoteClient) Rmdir(path string) error {
-	_, err := r.call(&remoteRequest{Op: "rmdir", Path: path})
-	return err
-}
-
-// Rename moves a directory subtree atomically.
-func (r *RemoteClient) Rename(src, dst string) error {
-	_, err := r.call(&remoteRequest{Op: "rename", Path: src, Dst: dst})
-	return err
-}
-
-// List returns a directory's children.
-func (r *RemoteClient) List(path string) ([]Info, error) {
-	resp, err := r.call(&remoteRequest{Op: "list", Path: path})
-	if resp == nil {
-		return nil, err
-	}
-	return resp.Infos, err
-}
-
-// ListPage returns a page of children plus a continuation token.
-func (r *RemoteClient) ListPage(path, after string, limit int) ([]Info, string, error) {
-	resp, err := r.call(&remoteRequest{Op: "listpage", Path: path, After: after, Limit: limit})
-	if resp == nil {
-		return nil, "", err
-	}
-	return resp.Infos, resp.Next, err
-}
-
-// Lookup resolves a directory path, returning the op's cost stats.
-func (r *RemoteClient) Lookup(path string) (OpStats, error) {
-	resp, err := r.call(&remoteRequest{Op: "lookup", Path: path})
-	if resp == nil {
-		return OpStats{}, err
-	}
-	return resp.Stats, err
 }

@@ -68,9 +68,9 @@ func TestRemoteOverloadedTravelsTheWire(t *testing.T) {
 	// The kind mapping round-trips the typed shed error with its
 	// retry-after hint intact.
 	orig := types.Overloaded(5 * time.Millisecond)
-	kind := errKind(orig)
+	kind := ErrorKind(orig)
 	if kind != "overloaded" {
-		t.Fatalf("errKind(Overloaded) = %q", kind)
+		t.Fatalf("ErrorKind(Overloaded) = %q", kind)
 	}
 	back := kindErr(kind, orig.Error(), types.RetryAfter(orig))
 	if !errors.Is(back, ErrOverloaded) {
