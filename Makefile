@@ -37,10 +37,10 @@ test-readpath:
 
 # The front door under the race detector, five times: one dispatcher
 # (Cluster.exec) is shared by every TCP connection's goroutine and the
-# HTTP handler, and DR.Serve re-reads the active site per request while a
-# failover flips it.
+# HTTP handler, DR.Serve re-reads the active site per request while a
+# failover flips it, and /metrics scrapes race the op path and that flip.
 test-frontdoor:
-	$(GO) test -race -count=5 -run 'Remote|Gateway|ErrorKind|DRServe|ClientMethodSets' . ./cmd/mantled/
+	$(GO) test -race -count=5 -run 'Remote|Gateway|ErrorKind|DRServe|ClientMethodSets|Metrics|Status|Admin' . ./cmd/mantled/
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -60,7 +60,7 @@ loc:
 # lowered it. A PR that shrinks the tree lowers LOC_CEILING to its own
 # result; one that has to grow it raises the ceiling on purpose, in the
 # diff, where a reviewer sees it.
-LOC_CEILING = 20234
+LOC_CEILING = 20130
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

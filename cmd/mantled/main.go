@@ -95,52 +95,7 @@ func main() {
 		defer cl.Stop()
 		s.cl = cl
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ns/", s.handle)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		core := s.active().Core()
-		if r.URL.Query().Get("format") == "prometheus" {
-			// Prometheus text exposition: counters/gauges as untyped
-			// samples, latency histograms as cumulative histogram series.
-			_ = core.Metrics().WritePrometheus(w)
-			return
-		}
-		_ = core.Metrics().Write(w)
-		_ = core.WriteHeatMetrics(w)
-		_ = core.Caller().Fabric().WriteMetrics(w)
-		for _, n := range core.Index().Nodes() {
-			_ = n.WriteMetrics(w)
-		}
-		if s.dr != nil {
-			// The standby's registry (repl_applied, repl_conflicts, …)
-			// is not reachable through the active gateway otherwise.
-			_ = s.dr.Secondary().Core().Metrics().Write(w)
-		}
-	})
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		core := s.active().Core()
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain")
-			core.WriteStatus(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if s.dr != nil {
-			_ = enc.Encode(map[string]any{
-				"site": core.Status(),
-				"repl": s.dr.ReplStatus(),
-			})
-			return
-		}
-		_ = enc.Encode(core.Status())
-	})
-	mux.HandleFunc("/trace", s.traceOp)
+	mux := s.routes()
 	if *pprofOn {
 		// Profiling is opt-in: the pprof handlers expose stack and heap
 		// internals, so they stay off unless explicitly requested (see
@@ -152,28 +107,6 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		log.Printf("mantled: pprof enabled on %s/debug/pprof/", *addr)
 	}
-	mux.HandleFunc("/fsck", func(w http.ResponseWriter, r *http.Request) {
-		rep := fsck.Check(s.active().Core())
-		w.Header().Set("Content-Type", "application/json")
-		if !rep.OK() {
-			w.WriteHeader(http.StatusConflict)
-		}
-		_ = json.NewEncoder(w).Encode(rep)
-	})
-	// Admin surface, all against the site currently serving traffic:
-	//
-	//	GET  /admin/migrate/plan?max=N        propose up to N moves
-	//	POST /admin/migrate?path=/d&shard=2   move /d's row range to shard 2
-	//	POST /admin/scrub?rounds=N     online consistency scrub (default 2
-	//	                               rounds; transient in-flight states
-	//	                               are intersected away)
-	//	POST /admin/rebuild-index      rebuild the IndexNode table from
-	//	                               TafDB rows on the active site
-	//	POST /admin/oplog/gc           trim replication oplogs past the
-	//	                               acknowledged watermark (-dr only)
-	//	POST /admin/failover           promote the secondary (-dr only);
-	//	                               the gateway reroutes to it
-	s.registerAdmin(mux)
 	if *rpcAddr != "" {
 		l, err := net.Listen("tcp", *rpcAddr)
 		if err != nil {
@@ -193,6 +126,117 @@ func main() {
 	log.Printf("mantled: %d shards, %d replicas (+%d learners), %s, listening on %s",
 		*shards, *replicas, *learners, mode, *addr)
 	log.Fatal(http.ListenAndServe(*addr, mux))
+}
+
+// routes builds the gateway's whole HTTP surface, every handler acting on
+// s.active(), so after a failover none of them touches the demoted
+// primary. The admin routes:
+//
+//	GET  /admin/migrate/plan?max=N        propose up to N moves
+//	POST /admin/migrate?path=/d&shard=2   move /d's row range to shard 2
+//	POST /admin/scrub?rounds=N     online consistency scrub (default 2
+//	                               rounds; transient in-flight states
+//	                               are intersected away)
+//	POST /admin/rebuild-index      rebuild the IndexNode table from
+//	                               TafDB rows on the active site
+//	POST /admin/oplog/gc           trim replication oplogs past the
+//	                               acknowledged watermark (-dr only)
+//	POST /admin/failover           promote the secondary (-dr only);
+//	                               the gateway reroutes to it
+func (s *server) routes() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/ns/", s.handle)
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, "ok") })
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		// One registry, two renderings: grep-able "name value" text, or
+		// with ?format=prometheus the 0.0.4 exposition a scraper ingests.
+		w.Header().Set("Content-Type", "text/plain")
+		reg := s.active().Core().Metrics()
+		if r.URL.Query().Get("format") == "prometheus" {
+			_ = reg.WritePrometheus(w)
+			return
+		}
+		_ = reg.Write(w)
+	})
+	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+		core := s.active().Core()
+		switch {
+		case r.URL.Query().Get("format") == "text":
+			w.Header().Set("Content-Type", "text/plain")
+			core.WriteStatus(w)
+		case s.dr != nil:
+			writeJSON(w, http.StatusOK, map[string]any{"site": core.Status(), "repl": s.dr.ReplStatus()})
+		default:
+			writeJSON(w, http.StatusOK, core.Status())
+		}
+	})
+	mux.HandleFunc("/trace", s.traceOp)
+	mux.HandleFunc("/fsck", func(w http.ResponseWriter, r *http.Request) {
+		writeReport(w, fsck.Check(s.active().Core()))
+	})
+	mux.HandleFunc("GET /admin/migrate/plan", func(w http.ResponseWriter, r *http.Request) {
+		if max, ok := intParam(w, r, "max"); ok {
+			writeJSON(w, http.StatusOK, s.active().PlanMigrations(max))
+		}
+	})
+	mux.HandleFunc("POST /admin/migrate", func(w http.ResponseWriter, r *http.Request) {
+		path := r.URL.Query().Get("path")
+		shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
+		if path == "" || err != nil {
+			http.Error(w, "migrate requires path and shard", http.StatusBadRequest)
+			return
+		}
+		moved, err := s.active().MigrateDir(path, shard)
+		if err != nil {
+			http.Error(w, err.Error(), statusOf(err))
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"path": path, "shard": shard, "rows": moved})
+	})
+	mux.HandleFunc("POST /admin/scrub", func(w http.ResponseWriter, r *http.Request) {
+		if rounds, ok := intParam(w, r, "rounds"); ok {
+			writeReport(w, fsck.Scrub(s.active().Core(), rounds))
+		}
+	})
+	mux.HandleFunc("POST /admin/rebuild-index", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"entries": s.active().Core().RebuildIndex()})
+	})
+	mux.HandleFunc("POST /admin/oplog/gc", func(w http.ResponseWriter, r *http.Request) {
+		if s.dr == nil {
+			http.Error(w, "oplog gc requires -dr", http.StatusBadRequest)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"trimmed": s.dr.GCOplog()})
+	})
+	mux.HandleFunc("POST /admin/failover", func(w http.ResponseWriter, r *http.Request) {
+		if s.dr == nil {
+			http.Error(w, "failover requires -dr", http.StatusBadRequest)
+			return
+		}
+		rep := s.dr.Failover()
+		log.Printf("mantled: secondary promoted (discarded %d records, %d index entries)",
+			rep.Discarded, rep.IndexEntries)
+		writeJSON(w, http.StatusOK, rep)
+	})
+	return mux
+}
+
+// writeJSON is the tail of every JSON answer outside /ns/.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// writeReport answers a consistency report: 409 when it found issues.
+func writeReport(w http.ResponseWriter, rep *fsck.Report) {
+	status := http.StatusOK
+	if !rep.OK() {
+		status = http.StatusConflict
+	}
+	writeJSON(w, status, rep)
 }
 
 // traceOp runs one traced lookup against ?path= (default "/") and
@@ -326,95 +370,4 @@ func statusOf(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-// registerAdmin installs the admin surface on mux: online subtree
-// migration and the disaster-recovery ops suite (scrub, rebuild-index,
-// oplog gc, failover). Every handler acts on s.active(), so after a
-// failover none of them touches the demoted primary.
-func (s *server) registerAdmin(mux *http.ServeMux) {
-	mux.HandleFunc("/admin/migrate/plan", func(w http.ResponseWriter, r *http.Request) {
-		max, ok := intParam(w, r, "max")
-		if !ok {
-			return
-		}
-		plans := s.active().PlanMigrations(max)
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(plans)
-	})
-	mux.HandleFunc("/admin/migrate", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		path := r.URL.Query().Get("path")
-		shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
-		if path == "" || err != nil {
-			http.Error(w, "migrate requires path and shard", http.StatusBadRequest)
-			return
-		}
-		moved, err := s.active().MigrateDir(path, shard)
-		if err != nil {
-			http.Error(w, err.Error(), statusOf(err))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"path": path, "shard": shard, "rows": moved})
-	})
-	mux.HandleFunc("/admin/scrub", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		rounds, ok := intParam(w, r, "rounds")
-		if !ok {
-			return
-		}
-		rep := fsck.Scrub(s.active().Core(), rounds)
-		w.Header().Set("Content-Type", "application/json")
-		if !rep.OK() {
-			w.WriteHeader(http.StatusConflict)
-		}
-		_ = json.NewEncoder(w).Encode(rep)
-	})
-	mux.HandleFunc("/admin/rebuild-index", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		n := s.active().Core().RebuildIndex()
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"entries": n})
-	})
-	mux.HandleFunc("/admin/oplog/gc", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		if s.dr == nil {
-			http.Error(w, "oplog gc requires -dr", http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"trimmed": s.dr.GCOplog()})
-	})
-	mux.HandleFunc("/admin/failover", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		if s.dr == nil {
-			http.Error(w, "failover requires -dr", http.StatusBadRequest)
-			return
-		}
-		rep := s.dr.Failover()
-		log.Printf("mantled: secondary promoted (discarded %d records, %d index entries)",
-			rep.Discarded, rep.IndexEntries)
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rep)
-	})
 }

@@ -15,20 +15,51 @@ import (
 	"mantle/internal/types"
 )
 
-func newTestServer(t *testing.T) *httptest.Server {
+// newGateway serves the shipped mux — routes(), what main() listens on —
+// over a fresh cluster.
+func newGateway(t *testing.T, shards int) (*httptest.Server, *mantle.Cluster) {
 	t.Helper()
-	cl, err := mantle.New(mantle.Config{Shards: 4})
+	cl, err := mantle.New(mantle.Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Stop)
-	s := &server{cl: cl}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ns/", s.handle)
-	s.registerAdmin(mux)
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer((&server{cl: cl}).routes())
 	t.Cleanup(ts.Close)
+	return ts, cl
+}
+
+// newDRGateway is newGateway over a -dr pair.
+func newDRGateway(t *testing.T) (*httptest.Server, *mantle.DR) {
+	t.Helper()
+	dr, err := mantle.NewDR(mantle.Config{Shards: 4, WALSyncCost: 2 * time.Microsecond}, mantle.DRConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dr.Stop)
+	ts := httptest.NewServer((&server{cl: dr.Primary(), dr: dr}).routes())
+	t.Cleanup(ts.Close)
+	return ts, dr
+}
+
+func newTestServer(t *testing.T) *httptest.Server {
+	ts, _ := newGateway(t, 4)
 	return ts
+}
+
+// get returns the body of a GET.
+func get(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 func do(t *testing.T, method, url, body string) (*http.Response, map[string]any) {
@@ -144,68 +175,19 @@ func TestGatewayErrors(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	cl, err := mantle.New(mantle.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Stop)
-	s := &server{cl: cl}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ns/", s.handle)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		_ = cl.Core().Metrics().Write(w)
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-
+	ts, _ := newGateway(t, 2)
 	do(t, http.MethodPost, ts.URL+"/ns/m?op=mkdir", "")
 	do(t, http.MethodPut, ts.URL+"/ns/m/o", "data")
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
+	body := get(t, ts.URL+"/metrics")
 	for _, want := range []string{"ops_create 1", "ops_mkdir 1", "latency_create_count 1", "tafdb_rows"} {
-		if !strings.Contains(string(body), want) {
+		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
 }
 
 func TestStatusAndPrometheusEndpoints(t *testing.T) {
-	cl, err := mantle.New(mantle.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Stop)
-	s := &server{cl: cl}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ns/", s.handle)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		core := cl.Core()
-		if r.URL.Query().Get("format") == "prometheus" {
-			_ = core.Metrics().WritePrometheus(w)
-			return
-		}
-		_ = core.Metrics().Write(w)
-		_ = core.WriteHeatMetrics(w)
-	})
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		core := cl.Core()
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain")
-			core.WriteStatus(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(core.Status())
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-
+	ts, _ := newGateway(t, 2)
 	do(t, http.MethodPost, ts.URL+"/ns/hot?op=mkdir", "")
 	for i := 0; i < 20; i++ {
 		do(t, http.MethodGet, ts.URL+"/ns/hot?dir=1", "")
@@ -241,38 +223,23 @@ func TestStatusAndPrometheusEndpoints(t *testing.T) {
 		t.Fatalf("status shards = %+v", st.Shards)
 	}
 
-	resp2, err := http.Get(ts.URL + "/status?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	text, _ := io.ReadAll(resp2.Body)
+	text := get(t, ts.URL+"/status?format=text")
 	for _, want := range []string{"== proxy ==", "/hot", "== tafdb =="} {
-		if !strings.Contains(string(text), want) {
+		if !strings.Contains(text, want) {
 			t.Fatalf("text status missing %q:\n%s", want, text)
 		}
 	}
 
-	resp3, err := http.Get(ts.URL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	prom, _ := io.ReadAll(resp3.Body)
+	prom := get(t, ts.URL+"/metrics?format=prometheus")
 	for _, want := range []string{"# TYPE latency_dirstat histogram", "latency_dirstat_bucket{le=\"+Inf\"}", "ops_mkdir 1"} {
-		if !strings.Contains(string(prom), want) {
+		if !strings.Contains(prom, want) {
 			t.Fatalf("prometheus exposition missing %q:\n%s", want, prom)
 		}
 	}
 
-	resp4, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp4.Body.Close()
-	plain, _ := io.ReadAll(resp4.Body)
-	for _, want := range []string{"heat_proxy_dir{/hot}", "heat_slowop_sampled"} {
-		if !strings.Contains(string(plain), want) {
+	plain := get(t, ts.URL+"/metrics")
+	for _, want := range []string{`heat_proxy_dir{path="/hot"}`, "heat_slowop_sampled"} {
+		if !strings.Contains(plain, want) {
 			t.Fatalf("text metrics missing heat section %q:\n%s", want, plain)
 		}
 	}
@@ -309,18 +276,7 @@ func TestGatewayPagination(t *testing.T) {
 // which the same /ns/ gateway serves reads of the replicated namespace
 // and accepts new writes.
 func TestGatewayDR(t *testing.T) {
-	dr, err := mantle.NewDR(mantle.Config{Shards: 4, WALSyncCost: 2 * time.Microsecond}, mantle.DRConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(dr.Stop)
-	s := &server{cl: dr.Primary(), dr: dr}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ns/", s.handle)
-	s.registerAdmin(mux)
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-
+	ts, dr := newDRGateway(t)
 	for i := 0; i < 8; i++ {
 		if resp, _ := do(t, "POST", fmt.Sprintf("%s/ns/dr%d?op=mkdir", ts.URL, i), ""); resp.StatusCode != 200 {
 			t.Fatalf("mkdir: %d", resp.StatusCode)
@@ -337,15 +293,7 @@ func TestGatewayDR(t *testing.T) {
 		t.Fatalf("GET failover: %d", resp.StatusCode)
 	}
 
-	// Wait for the link to drain before promoting.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		st := dr.LinkStats()
-		if st.Shipped > 0 && st.LagEntries == 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitDrained(t, dr) // before promoting
 	if resp, payload := do(t, "POST", ts.URL+"/admin/oplog/gc", ""); resp.StatusCode != 200 {
 		t.Fatalf("oplog gc: %d %v", resp.StatusCode, payload)
 	}
@@ -382,16 +330,7 @@ func TestGatewayDR(t *testing.T) {
 // the in-process Client's error, the RemoteClient's rebuilt error and the
 // gateway's HTTP status all derive from mantle.ErrorKind.
 func TestErrorKindEverywhere(t *testing.T) {
-	cl, err := mantle.New(mantle.Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Stop)
-	s := &server{cl: cl}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ns/", s.handle)
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
+	ts, cl := newGateway(t, 4)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -183,9 +183,9 @@ func main() {
 		experiments.DumpSystem(os.Stdout, *system, s)
 	}
 	if *heatRep {
-		if hr, ok := s.(interface{ WriteHeatReport(io.Writer) }); ok {
+		if hr, ok := s.(interface{ WriteStatus(io.Writer) }); ok {
 			fmt.Println("\nheat report:")
-			hr.WriteHeatReport(os.Stdout)
+			hr.WriteStatus(os.Stdout)
 		} else {
 			fmt.Fprintf(os.Stderr, "mdtest: -heat-report: %s exposes no heat plane\n", *system)
 		}

@@ -90,12 +90,7 @@ func (d *DR) ReplStatus() map[string]core.ReplStatus {
 }
 
 // LinkStats returns the shipping-side link statistics.
-func (d *DR) LinkStats() repl.LinkStats {
-	if l := d.sites.Link(); l != nil {
-		return l.Stats()
-	}
-	return repl.LinkStats{}
-}
+func (d *DR) LinkStats() repl.LinkStats { return d.sites.LinkStats() }
 
 // Stop tears down the link and both sites.
 func (d *DR) Stop() { d.sites.Stop() }

@@ -93,12 +93,12 @@ func TestHeatPlaneEndToEnd(t *testing.T) {
 		}
 	}
 	b.Reset()
-	if err := m.WriteHeatMetrics(&b); err != nil {
+	if err := m.Metrics().Write(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"heat_proxy_dir{/hot}", "heat_shard_0_reads", "heat_slowop_captured"} {
+	for _, want := range []string{`heat_proxy_dir{path="/hot"}`, `heat_shard_reads{shard="0"}`, "heat_slowop_captured"} {
 		if !strings.Contains(b.String(), want) {
-			t.Fatalf("WriteHeatMetrics missing %q:\n%s", want, b.String())
+			t.Fatalf("metrics missing %q:\n%s", want, b.String())
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -203,82 +204,23 @@ func NewWithDB(cfg Config, db *tafdb.DB) (*Mantle, error) {
 	}
 	m.resolveLatency = m.stats.Latency("latency_resolve")
 	m.coalescedRPC = m.stats.Counter("lookup_coalesced_rpc")
-	m.stats.Gauge("indexnode_lookup_coalesced", idx.CoalescedWalks)
-	m.stats.Gauge("tafdb_rows", func() int64 { return int64(db.TotalRows()) })
-	m.stats.Gauge("tafdb_txn_retries", db.Retries)
-	m.stats.Gauge("indexnode_cache_entries", func() int64 {
-		n, _, _, _ := idx.CacheStats()
-		return int64(n)
-	})
-	m.stats.Gauge("indexnode_cache_hits", func() int64 {
-		_, _, h, _ := idx.CacheStats()
-		return h
-	})
-	// Fault-path observability: RPC retries/timeouts/drops and the
-	// whole-call latency histogram from this namespace's caller,
-	// degraded (stale-fallback) reads served by the IndexNode group,
-	// and — when a fault injector is installed on the fabric — its
-	// delivery counters.
+	// Every layer registers what it owns on the deployment's registry:
+	// this namespace's caller (fault-path counters, whole-call latency),
+	// the fabric with every IndexNode and TafDB node, the IndexNode group,
+	// TafDB, the heat plane, and — when a fault injector is installed on
+	// the fabric — its delivery counters.
 	m.caller.RegisterMetrics(m.stats)
-	m.stats.Gauge("indexnode_fallback_reads", idx.FallbackReads)
-	// Component-owned latency histograms, exposed under the service
-	// registry: transaction commits (TafDB, retries included) and raft
-	// proposals (IndexNode group, enqueue → applied).
-	m.stats.AttachLatency("latency_txn_commit", db.TxnLatency())
-	m.stats.AttachLatency("latency_raft_propose", idx.ProposeLatency())
-	// Write-path batching observability: raft log-batch counters and
-	// flush reasons, WAL group-commit sync accounting, and the batched
-	// 2PC coordinator — plus the derived occupancy/fan-in ratios the
-	// ablation analysis reads directly.
-	m.stats.Gauge("raft_batch_appends", func() int64 { return idx.RaftBatchStats().Appends })
-	m.stats.Gauge("raft_batch_proposals", func() int64 { return idx.RaftBatchStats().Proposals })
-	m.stats.Gauge("raft_batch_bytes", func() int64 { return idx.RaftBatchStats().BatchBytes })
-	m.stats.Gauge("raft_batch_syncs", func() int64 { return idx.RaftBatchStats().Syncs })
-	m.stats.Gauge("raft_flush_idle", func() int64 { return idx.RaftBatchStats().FlushIdle })
-	m.stats.Gauge("raft_flush_count", func() int64 { return idx.RaftBatchStats().FlushCount })
-	m.stats.Gauge("raft_flush_bytes", func() int64 { return idx.RaftBatchStats().FlushBytes })
-	m.stats.GaugeFloat("raft_batch_occupancy", func() float64 {
-		s := idx.RaftBatchStats()
-		if s.Appends == 0 {
-			return 0
-		}
-		return float64(s.Proposals) / float64(s.Appends)
-	})
-	// Elastic hotspot management observability: hot-set churn and the
-	// read/shed split on IndexNode, plus TafDB's migration accounting.
-	m.stats.Gauge("hotspot_promotions", func() int64 { return idx.Hotspot().Promotions })
-	m.stats.Gauge("hotspot_demotions", func() int64 { return idx.Hotspot().Demotions })
-	m.stats.Gauge("hotspot_hot_reads", func() int64 { return idx.Hotspot().HotReads })
-	m.stats.Gauge("hotspot_stale_fallbacks", func() int64 { return idx.Hotspot().StaleFalls })
-	m.stats.Gauge("hotspot_sheds", func() int64 { return idx.Hotspot().Sheds })
-	m.stats.Gauge("migrations", func() int64 { return db.Migrations().Migrations })
-	m.stats.Gauge("migration_rows", func() int64 { return db.Migrations().Rows })
-	m.stats.Gauge("migration_aborts", func() int64 { return db.Migrations().Aborts })
-	m.stats.Gauge("wal_syncs", func() int64 { return db.WALStats().Syncs })
-	m.stats.Gauge("wal_syncs_solo", func() int64 { return db.WALStats().SoloSyncs })
-	m.stats.Gauge("wal_syncs_group", func() int64 { return db.WALStats().GroupSyncs })
-	m.stats.Gauge("wal_batches_covered", func() int64 { return db.WALStats().Covered })
-	m.stats.GaugeFloat("wal_group_fanin", func() float64 {
-		s := db.WALStats()
-		if s.Syncs == 0 {
-			return 0
-		}
-		return float64(s.Covered) / float64(s.Syncs)
-	})
-	m.stats.Gauge("txn_batch_txns", func() int64 { t, _, _ := db.Batch2PCStats(); return t })
-	m.stats.Gauge("txn_batch_batched", func() int64 { _, n, _ := db.Batch2PCStats(); return n })
-	m.stats.Gauge("txn_batch_rounds", func() int64 { _, _, r := db.Batch2PCStats(); return r })
-	m.stats.GaugeFloat("txn_batch_fanin", func() float64 {
-		t, _, r := db.Batch2PCStats()
-		if r == 0 {
-			return 0
-		}
-		return float64(t) / float64(r)
-	})
-	if s, ok := cfg.Fabric.Faults().(interface{ Stats() faults.Stats }); ok {
-		m.stats.Gauge("fault_delivered", func() int64 { return s.Stats().Delivered })
-		m.stats.Gauge("fault_dropped", func() int64 { return s.Stats().Dropped })
-		m.stats.Gauge("fault_delayed", func() int64 { return s.Stats().Delayed })
+	cfg.Fabric.RegisterMetrics(m.stats, slices.Concat(idx.Nodes(), db.Nodes())...)
+	idx.RegisterMetrics(m.stats)
+	db.RegisterMetrics(m.stats)
+	m.stats.Collect(m.collectHeat)
+	if inj, ok := cfg.Fabric.Faults().(interface{ Stats() faults.Stats }); ok {
+		m.stats.Collect(func(e *metrics.Emitter) {
+			s := inj.Stats()
+			e.Int("fault_delivered", s.Delivered)
+			e.Int("fault_dropped", s.Dropped)
+			e.Int("fault_delayed", s.Delayed)
+		})
 	}
 	return m, nil
 }

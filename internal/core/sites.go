@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mantle/internal/indexnode"
+	"mantle/internal/metrics"
 	"mantle/internal/netsim"
 	"mantle/internal/repl"
 	"mantle/internal/storage"
@@ -256,32 +257,47 @@ func (s *Sites) Stop() {
 	s.Secondary.Stop()
 }
 
-// registerMetrics exports the replication plane on both sites'
-// registries: the primary carries the source/link view (oplog size,
-// shipped counts, lag), the secondary the applier view (applied
-// watermarks, conflicts, discards).
+// registerMetrics exports the replication plane on the registry of the
+// site serving traffic: the primary until Failover, whose exposition also
+// carries the standby's whole registry under a standby_ prefix, and the
+// promoted secondary after it (the demoted primary is nobody's standby).
 func (s *Sites) registerMetrics() {
-	pm := s.Primary.Metrics()
-	pm.Gauge("repl_oplog_records", func() int64 { return int64(s.src.Stats().Records) })
-	pm.Gauge("repl_oplog_bytes", func() int64 { return s.src.Stats().Bytes })
-	pm.Gauge("repl_oplog_trimmed", func() int64 { return s.src.Stats().Trimmed })
-	pm.Gauge("repl_shipped", func() int64 { return s.linkStats().Shipped })
-	pm.Gauge("repl_shipped_bytes", func() int64 { return s.linkStats().ShippedBytes })
-	pm.Gauge("repl_ship_failures", func() int64 { return s.linkStats().Failures })
-	pm.Gauge("repl_lag_entries", func() int64 { return s.linkStats().LagEntries })
-	pm.Gauge("repl_lag_bytes", func() int64 { return s.linkStats().LagBytes })
-
-	sm := s.Secondary.Metrics()
-	sm.Gauge("repl_applied", func() int64 { return s.app.Watermarks().Applied })
-	sm.Gauge("repl_applied_muts", func() int64 { return s.app.Watermarks().Muts })
-	sm.Gauge("repl_conflicts", func() int64 { return s.app.Watermarks().Conflicts })
-	sm.Gauge("repl_pending_txns", func() int64 { return int64(s.app.Watermarks().Pending) })
-	sm.Gauge("repl_discarded", func() int64 { return s.app.Watermarks().Discarded })
-	sm.Gauge("repl_applied_hlc_wall", func() int64 { return s.app.Watermarks().AppliedHLC.Wall })
+	s.Primary.Metrics().Collect(func(e *metrics.Emitter) {
+		if !s.Promoted() {
+			s.collectRepl(e)
+			e.Include("standby_", s.Secondary.Metrics())
+		}
+	})
+	s.Secondary.Metrics().Collect(func(e *metrics.Emitter) {
+		if s.Promoted() {
+			s.collectRepl(e)
+		}
+	})
 }
 
-// linkStats snapshots the link accounting, zero when stopped.
-func (s *Sites) linkStats() repl.LinkStats {
+// collectRepl emits the repl_* family from one ReplStatus snapshot: the
+// source/link view (oplog size, shipped counts, lag) and the applier view
+// (applied watermarks, conflicts, discards).
+func (s *Sites) collectRepl(e *metrics.Emitter) {
+	st := s.ReplStatus("")
+	e.Int("repl_oplog_records", int64(st.Oplog.Records))
+	e.Int("repl_oplog_bytes", st.Oplog.Bytes)
+	e.Int("repl_oplog_trimmed", st.Oplog.Trimmed)
+	e.Int("repl_shipped", st.Lag.Shipped)
+	e.Int("repl_shipped_bytes", st.Lag.ShippedBytes)
+	e.Int("repl_ship_failures", st.Lag.Failures)
+	e.Int("repl_lag_entries", st.Lag.LagEntries)
+	e.Int("repl_lag_bytes", st.Lag.LagBytes)
+	e.Int("repl_applied", st.Watermarks.Applied)
+	e.Int("repl_applied_muts", st.Watermarks.Muts)
+	e.Int("repl_conflicts", st.Watermarks.Conflicts)
+	e.Int("repl_pending_txns", int64(st.Watermarks.Pending))
+	e.Int("repl_discarded", st.Watermarks.Discarded)
+	e.Int("repl_applied_hlc_wall", st.Watermarks.AppliedHLC.Wall)
+}
+
+// LinkStats snapshots the link accounting, zero when stopped.
+func (s *Sites) LinkStats() repl.LinkStats {
 	if l := s.Link(); l != nil {
 		return l.Stats()
 	}
@@ -300,7 +316,7 @@ type ReplStatus struct {
 func (s *Sites) ReplStatus(role string) ReplStatus {
 	return ReplStatus{
 		Role:       role,
-		Lag:        s.linkStats(),
+		Lag:        s.LinkStats(),
 		Oplog:      s.src.Stats(),
 		Watermarks: s.app.Watermarks(),
 	}

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"mantle/internal/heat"
 	"mantle/internal/indexnode"
+	"mantle/internal/metrics"
 	"mantle/internal/tafdb"
 	"mantle/internal/trace"
 	"mantle/internal/types"
@@ -126,49 +128,37 @@ func writeHotDirs(w io.Writer, label string, items []heat.Item[string]) {
 	}
 }
 
-// WriteHeatMetrics appends the heat plane to a text /metrics exposition
-// in the same "name value" shape as metrics.Registry.Write.
-func (m *Mantle) WriteHeatMetrics(w io.Writer) error {
+// collectHeat exports the heat plane on /metrics from one Status
+// snapshot; per-key series carry the key as their label.
+func (m *Mantle) collectHeat(e *metrics.Emitter) {
 	s := m.Status()
-	if _, err := fmt.Fprintf(w, "heat_proxy_ops_per_sec %.3f\n", s.Proxy.OpsPerSec); err != nil {
-		return err
-	}
+	e.Float("heat_proxy_ops_per_sec", s.Proxy.OpsPerSec)
 	for _, it := range s.Proxy.HotDirs {
-		fmt.Fprintf(w, "heat_proxy_dir{%s} %d\n", it.Key, it.Count)
+		e.Label("path", it.Key).Int("heat_proxy_dir", it.Count)
 	}
 	for _, it := range s.Proxy.HotMisses {
-		fmt.Fprintf(w, "heat_proxy_miss{%s} %d\n", it.Key, it.Count)
+		e.Label("path", it.Key).Int("heat_proxy_miss", it.Count)
 	}
-	fmt.Fprintf(w, "heat_index_lookups_per_sec %.3f\n", s.Index.LookupsPerSec)
-	fmt.Fprintf(w, "heat_index_proposes_per_sec %.3f\n", s.Index.ProposesPerSec)
-	fmt.Fprintf(w, "heat_index_leader_reads %d\n", s.Index.LeaderReads)
-	fmt.Fprintf(w, "heat_index_follower_reads %d\n", s.Index.FollowerReads)
-	fmt.Fprintf(w, "heat_index_learner_reads %d\n", s.Index.LearnerReads)
-	fmt.Fprintf(w, "heat_index_hot_reads %d\n", s.Index.Hotspot.HotReads)
-	fmt.Fprintf(w, "heat_index_hot_paths %d\n", int64(len(s.Index.Hotspot.HotSet)))
-	fmt.Fprintf(w, "heat_index_sheds %d\n", s.Index.Hotspot.Sheds)
-	fmt.Fprintf(w, "heat_migrations %d\n", s.Migration.Migrations)
-	fmt.Fprintf(w, "heat_migration_rows %d\n", s.Migration.Rows)
-	fmt.Fprintf(w, "heat_routing_epoch %d\n", s.Migration.Epoch)
+	e.Float("heat_index_lookups_per_sec", s.Index.LookupsPerSec)
+	e.Float("heat_index_proposes_per_sec", s.Index.ProposesPerSec)
+	e.Int("heat_index_leader_reads", s.Index.LeaderReads)
+	e.Int("heat_index_follower_reads", s.Index.FollowerReads)
+	e.Int("heat_index_learner_reads", s.Index.LearnerReads)
+	e.Int("heat_index_hot_paths", int64(len(s.Index.Hotspot.HotSet)))
 	for _, it := range s.Index.HotWriteDirs {
-		fmt.Fprintf(w, "heat_index_write_dir{%s} %d\n", it.Key, it.Count)
+		e.Label("path", it.Key).Int("heat_index_write_dir", it.Count)
 	}
+	e.Int("heat_routing_epoch", int64(s.Migration.Epoch))
 	for _, sl := range s.Shards {
-		fmt.Fprintf(w, "heat_shard_%d_reads %d\n", sl.Shard, sl.Reads)
-		fmt.Fprintf(w, "heat_shard_%d_pieces %d\n", sl.Shard, sl.TxnPieces)
-		fmt.Fprintf(w, "heat_shard_%d_2pc %d\n", sl.Shard, sl.TwoPC)
-		fmt.Fprintf(w, "heat_shard_%d_per_sec %.3f\n", sl.Shard, sl.PerSecond)
+		l := e.Label("shard", strconv.Itoa(sl.Shard))
+		l.Int("heat_shard_reads", sl.Reads)
+		l.Int("heat_shard_pieces", sl.TxnPieces)
+		l.Int("heat_shard_2pc", sl.TwoPC)
+		l.Float("heat_shard_per_sec", sl.PerSecond)
 	}
 	for _, it := range s.DBDirs {
-		fmt.Fprintf(w, "heat_db_dir{%d} %d\n", it.Key, it.Count)
+		e.Label("pid", strconv.FormatUint(uint64(it.Key), 10)).Int("heat_db_dir", it.Count)
 	}
-	fmt.Fprintf(w, "heat_slowop_sampled %d\n", s.SlowOps.Sampled)
-	_, err := fmt.Fprintf(w, "heat_slowop_captured %d\n", s.SlowOps.Captured)
-	return err
-}
-
-// WriteHeatReport renders the full heat report (status text) — the
-// mdtest -heat-report and experiments -heat-out surface.
-func (m *Mantle) WriteHeatReport(w io.Writer) {
-	m.WriteStatus(w)
+	e.Int("heat_slowop_sampled", s.SlowOps.Sampled)
+	e.Int("heat_slowop_captured", s.SlowOps.Captured)
 }

@@ -9,20 +9,21 @@ import (
 )
 
 // DumpSystem writes one system's observability evidence to w after a
-// measurement: the service metrics registry when the system exposes one
-// (Mantle's includes the latency_resolve / latency_txn_commit /
-// latency_raft_propose percentile histograms), the RPC caller's
-// fault-handling counters, and the fabric's per-edge trip/loss/latency
-// registry. Every figure regeneration run with Params.MetricsOut thus
+// measurement: its metrics registry. Mantle's own carries every layer
+// (latency_resolve / latency_txn_commit / latency_raft_propose
+// histograms, the fabric's per-edge trips, per-node queue waits); a
+// baseline gets a throwaway one on which its RPC caller and fabric
+// register. Every figure regeneration run with Params.MetricsOut thus
 // also emits tail-latency and trip-count evidence.
 func DumpSystem(w io.Writer, name string, s api.Service) {
 	fmt.Fprintf(w, "# system: %s\n", name)
+	reg := metrics.NewRegistry()
 	if m, ok := s.(interface{ Metrics() *metrics.Registry }); ok {
-		_ = m.Metrics().Write(w)
+		reg = m.Metrics()
 	} else {
-		retries, timeouts, drops := s.Caller().Stats()
-		fmt.Fprintf(w, "rpc_retries %d\nrpc_timeouts %d\nrpc_drops %d\n", retries, timeouts, drops)
+		s.Caller().RegisterMetrics(reg)
+		s.Caller().Fabric().RegisterMetrics(reg)
 	}
-	_ = s.Caller().Fabric().WriteMetrics(w)
+	_ = reg.Write(w)
 	fmt.Fprintln(w)
 }

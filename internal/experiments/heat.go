@@ -42,7 +42,7 @@ func Heat(p Params) error {
 		st.SlowOps.Sampled, st.SlowOps.Captured)
 
 	if p.HeatOut != nil {
-		m.WriteHeatReport(p.HeatOut)
+		m.WriteStatus(p.HeatOut)
 	}
 	return nil
 }

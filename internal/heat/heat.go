@@ -20,8 +20,6 @@
 package heat
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -204,18 +202,6 @@ func (t *TopK[K]) Reset() {
 	t.mu.Lock()
 	t.m = make(map[K]*cell, t.k)
 	t.mu.Unlock()
-}
-
-// WriteTopK renders a sketch in the flat exposition format used by
-// metrics.Registry: one "name{key} count" line per tracked item in
-// descending count order, keys rendered by format.
-func WriteTopK[K comparable](w io.Writer, name string, t *TopK[K], format func(K) string) error {
-	for _, it := range t.Snapshot() {
-		if _, err := fmt.Fprintf(w, "%s{%s} %d\n", name, format(it.Key), it.Count); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Rate tracks an exponentially weighted moving average of an event

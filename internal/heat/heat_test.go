@@ -1,7 +1,6 @@
 package heat
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -129,20 +128,6 @@ func TestTopKReset(t *testing.T) {
 	tk.Reset()
 	if tk.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", tk.Len())
-	}
-}
-
-func TestWriteTopK(t *testing.T) {
-	tk := NewTopK[string](4)
-	tk.RecordN("/hot", 9)
-	tk.Record("/cool")
-	var b strings.Builder
-	if err := WriteTopK(&b, "heat_proxy_lookup", tk, func(s string) string { return s }); err != nil {
-		t.Fatal(err)
-	}
-	want := "heat_proxy_lookup{/hot} 9\nheat_proxy_lookup{/cool} 1\n"
-	if b.String() != want {
-		t.Fatalf("exposition = %q, want %q", b.String(), want)
 	}
 }
 

@@ -671,6 +671,35 @@ func (g *Group) RaftBatchStats() raft.BatchStats {
 	return out
 }
 
+// RegisterMetrics exposes the group on reg: the TopDirPathCache and
+// degraded-read counters, the raft log-batching family (one BatchStats
+// snapshot, so raft_batch_occupancy is the proposals/appends printed
+// beside it), the hot-set tier's counters, and the propose histogram.
+func (g *Group) RegisterMetrics(reg *metrics.Registry) {
+	reg.AttachLatency("latency_raft_propose", g.proposeLat)
+	reg.Collect(func(e *metrics.Emitter) {
+		entries, _, hits, _ := g.CacheStats()
+		e.Int("indexnode_cache_entries", int64(entries))
+		e.Int("indexnode_cache_hits", hits)
+		e.Int("indexnode_lookup_coalesced", g.CoalescedWalks())
+		e.Int("indexnode_fallback_reads", g.FallbackReads())
+		b := g.RaftBatchStats()
+		e.Int("raft_batch_appends", b.Appends)
+		e.Int("raft_batch_proposals", b.Proposals)
+		e.Int("raft_batch_bytes", b.BatchBytes)
+		e.Int("raft_batch_syncs", b.Syncs)
+		e.Int("raft_flush_idle", b.FlushIdle)
+		e.Int("raft_flush_count", b.FlushCount)
+		e.Int("raft_flush_bytes", b.FlushBytes)
+		e.Ratio("raft_batch_occupancy", b.Proposals, b.Appends)
+		e.Int("hotspot_promotions", g.promotions.Load())
+		e.Int("hotspot_demotions", g.demotions.Load())
+		e.Int("hotspot_hot_reads", g.hotReads.Load())
+		e.Int("hotspot_stale_fallbacks", g.staleFalls.Load())
+		e.Int("hotspot_sheds", g.sheds.Load())
+	})
+}
+
 // MemberIDs returns the replica identifiers (raft IDs, which are also
 // the netsim node names) — the handles fault injectors partition on.
 func (g *Group) MemberIDs() []string {

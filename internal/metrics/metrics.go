@@ -14,9 +14,11 @@
 package metrics
 
 import (
+	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -138,11 +140,6 @@ func (l *Latency) Mean() time.Duration {
 	return 0
 }
 
-// Snapshot returns count, mean, and max.
-func (l *Latency) Snapshot() (count int64, mean, max time.Duration) {
-	return l.Count(), l.Mean(), l.Max()
-}
-
 // Max returns the largest observation (exact, not bucketed).
 func (l *Latency) Max() time.Duration { return time.Duration(l.max.Load()) }
 
@@ -228,11 +225,10 @@ func (l *Latency) Buckets() [NumBuckets]int64 {
 // Registry holds named metrics. The zero value is not usable; create
 // registries with NewRegistry.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	latencies map[string]*Latency
-	gauges    map[string]func() int64
-	fgauges   map[string]func() float64
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	latencies  map[string]*Latency
+	collectors []func(*Emitter)
 }
 
 // NewRegistry creates an empty registry.
@@ -240,8 +236,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:  make(map[string]*Counter),
 		latencies: make(map[string]*Latency),
-		gauges:    make(map[string]func() int64),
-		fgauges:   make(map[string]func() float64),
 	}
 }
 
@@ -280,188 +274,174 @@ func (r *Registry) AttachLatency(name string, l *Latency) {
 	r.latencies[name] = l
 }
 
-// Gauge registers a callback sampled at exposition time.
-func (r *Registry) Gauge(name string, fn func() int64) {
+// Collect registers fn to run at every exposition: a component's gauges.
+// It is how state only known at scrape time is exported — a family whose
+// members come and go (one series per fabric edge, node, shard or hot
+// key), or several series that must come from one snapshot so that a
+// ratio agrees with the counts printed beside it. fn runs outside the
+// registry lock, so it may read other metrics or another registry.
+func (r *Registry) Collect(fn func(*Emitter)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.gauges[name] = fn
+	r.collectors = append(r.collectors, fn)
 }
 
-// GaugeFloat registers a float-valued callback sampled at exposition
-// time — ratios like batch occupancy or group-commit fan-in, which an
-// integer gauge would truncate to meaninglessness.
-func (r *Registry) GaugeFloat(name string, fn func() float64) {
+// series names one exposed time series: a static metric name and at most
+// one label, already rendered as key="value" ("" for none).
+type series struct{ name, label string }
+
+// render is the series' exposition identifier with suffix appended to the
+// name and extra (a second rendered label, or "") joined to its own.
+func (s series) render(suffix, extra string) string {
+	switch {
+	case s.label == "" && extra == "":
+		return s.name + suffix
+	case s.label != "" && extra != "":
+		extra = "," + extra
+	}
+	return s.name + suffix + "{" + s.label + extra + "}"
+}
+
+type histogram struct {
+	series
+	l *Latency
+}
+
+// snapshot is one collection pass over a registry: every scalar sample as
+// a rendered "series value" line, and every histogram, both sorted.
+type snapshot struct {
+	scalars []string
+	hists   []histogram
+}
+
+// Emitter receives the samples of one collection pass.
+type Emitter struct {
+	label string
+	out   *snapshot
+}
+
+// Label returns an emitter whose samples carry key="value".
+func (e *Emitter) Label(key, value string) *Emitter {
+	return &Emitter{label: key + "=" + strconv.Quote(value), out: e.out}
+}
+
+func (e *Emitter) scalar(name, value string) {
+	e.out.scalars = append(e.out.scalars, series{name, e.label}.render("", "")+" "+value)
+}
+
+// Int emits an integer sample.
+func (e *Emitter) Int(name string, v int64) { e.scalar(name, strconv.FormatInt(v, 10)) }
+
+// Float emits a float sample at full precision.
+func (e *Emitter) Float(name string, v float64) {
+	e.scalar(name, strconv.FormatFloat(v, 'g', -1, 64))
+}
+
+// Ratio emits num/den as a float sample, 0 while den is 0.
+func (e *Emitter) Ratio(name string, num, den int64) {
+	if den == 0 {
+		num, den = 0, 1
+	}
+	e.Float(name, float64(num)/float64(den))
+}
+
+// Latency emits a histogram.
+func (e *Emitter) Latency(name string, l *Latency) {
+	e.out.hists = append(e.out.hists, histogram{series{name, e.label}, l})
+}
+
+// Include emits everything r exposes with prefix prepended to each metric
+// name: a second registry (a standby site's) seen through this one.
+func (e *Emitter) Include(prefix string, r *Registry) {
+	s := r.snapshot()
+	for _, line := range s.scalars {
+		e.out.scalars = append(e.out.scalars, prefix+line)
+	}
+	for _, h := range s.hists {
+		h.name = prefix + h.name
+		e.out.hists = append(e.out.hists, h)
+	}
+}
+
+// snapshot is the one collection pass behind both renderers. Collectors
+// are copied under the registry lock but invoked outside it, so one may
+// safely read other metrics (or another registry) without deadlocking.
+func (r *Registry) snapshot() snapshot {
+	var s snapshot
+	e := &Emitter{out: &s}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.fgauges[name] = fn
+	for name, c := range r.counters {
+		e.Int(name, c.Value())
+	}
+	for name, l := range r.latencies {
+		e.Latency(name, l)
+	}
+	collectors := slices.Clone(r.collectors)
+	r.mu.Unlock()
+	for _, fn := range collectors {
+		fn(e)
+	}
+	slices.Sort(s.scalars)
+	slices.SortFunc(s.hists, func(a, b histogram) int {
+		return cmp.Or(cmp.Compare(a.name, b.name), cmp.Compare(a.label, b.label))
+	})
+	return s
 }
 
-// Write renders the registry in a flat "name value" text format, sorted
-// by name. Latency histograms expand to _count/_mean_us/_p50_us/
-// _p95_us/_p99_us/_max_us. Gauge callbacks are snapshotted under the
-// registry lock but invoked outside it, so a gauge may safely read
-// other metrics (or another registry) without deadlocking.
+// Write renders the registry in a flat "name value" text format: scalar
+// samples sorted by name, then each Latency as _count/_mean_us/_p50_us/
+// _p95_us/_p99_us/_max_us lines.
 func (r *Registry) Write(w io.Writer) error {
-	r.mu.Lock()
-	lines := make([]string, 0, len(r.counters)+6*len(r.latencies)+len(r.gauges))
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, c.Value()))
-	}
-	lats := make(map[string]*Latency, len(r.latencies))
-	for name, l := range r.latencies {
-		lats[name] = l
-	}
-	type gauge struct {
-		name string
-		fn   func() int64
-	}
-	gauges := make([]gauge, 0, len(r.gauges))
-	for name, fn := range r.gauges {
-		gauges = append(gauges, gauge{name, fn})
-	}
-	type fgauge struct {
-		name string
-		fn   func() float64
-	}
-	fgauges := make([]fgauge, 0, len(r.fgauges))
-	for name, fn := range r.fgauges {
-		fgauges = append(fgauges, fgauge{name, fn})
-	}
-	r.mu.Unlock()
-	for name, l := range lats {
-		count, mean, max := l.Snapshot()
-		lines = append(lines,
-			fmt.Sprintf("%s_count %d", name, count),
-			fmt.Sprintf("%s_mean_us %d", name, mean.Microseconds()),
-			fmt.Sprintf("%s_p50_us %d", name, l.Quantile(0.50).Microseconds()),
-			fmt.Sprintf("%s_p95_us %d", name, l.Quantile(0.95).Microseconds()),
-			fmt.Sprintf("%s_p99_us %d", name, l.Quantile(0.99).Microseconds()),
-			fmt.Sprintf("%s_max_us %d", name, max.Microseconds()),
-		)
-	}
-	for _, g := range gauges {
-		lines = append(lines, fmt.Sprintf("%s %d", g.name, g.fn()))
-	}
-	for _, g := range fgauges {
-		lines = append(lines, fmt.Sprintf("%s %.3f", g.name, g.fn()))
-	}
-	sort.Strings(lines)
-	for _, line := range lines {
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.write(w, func(b *bufio.Writer, h histogram) {
+		line := func(suffix string, v int64) { fmt.Fprintf(b, "%s %d\n", h.render(suffix, ""), v) }
+		line("_count", h.l.Count())
+		line("_mean_us", h.l.Mean().Microseconds())
+		line("_p50_us", h.l.Quantile(0.50).Microseconds())
+		line("_p95_us", h.l.Quantile(0.95).Microseconds())
+		line("_p99_us", h.l.Quantile(0.99).Microseconds())
+		line("_max_us", h.l.Max().Microseconds())
+	})
 }
 
-// promName sanitises a metric name for the Prometheus exposition
-// format: any character outside [a-zA-Z0-9_:] becomes '_'. Registry
-// names already conform; this keeps a stray name from corrupting a
-// scrape.
-func promName(name string) string {
-	ok := true
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == ':') {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		return name
-	}
-	b := []byte(name)
-	for i, c := range b {
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == ':') {
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}
-
-// WritePrometheus renders the registry in the Prometheus text
-// exposition format (version 0.0.4), so real scrapers can ingest what
-// the flat format already collects: counters and gauges as untyped
-// samples, and every Latency as a cumulative histogram — one
+// WritePrometheus renders the registry in the Prometheus text exposition
+// format (version 0.0.4): the same scalar lines as Write (untyped
+// samples), and every Latency as a cumulative histogram — one
 // `_bucket{le="<seconds>"}` series per finite bucket bound plus the
-// `le="+Inf"` total, `_sum` in seconds, and `_count`.
+// `le="+Inf"` total, `_sum` in seconds, and `_count`. Buckets snapshot
+// before count, so a concurrent Observe can at worst make count exceed
+// the +Inf bucket — never undershoot it — keeping the series monotone.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	samples := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.fgauges))
-	for name, c := range r.counters {
-		samples = append(samples, fmt.Sprintf("%s %d", promName(name), c.Value()))
-	}
-	lats := make(map[string]*Latency, len(r.latencies))
-	for name, l := range r.latencies {
-		lats[name] = l
-	}
-	type g64 struct {
-		name string
-		fn   func() int64
-	}
-	gauges := make([]g64, 0, len(r.gauges))
-	for name, fn := range r.gauges {
-		gauges = append(gauges, g64{name, fn})
-	}
-	type gf struct {
-		name string
-		fn   func() float64
-	}
-	fgauges := make([]gf, 0, len(r.fgauges))
-	for name, fn := range r.fgauges {
-		fgauges = append(fgauges, gf{name, fn})
-	}
-	r.mu.Unlock()
-	// Gauge callbacks run outside the lock, as in Write.
-	for _, g := range gauges {
-		samples = append(samples, fmt.Sprintf("%s %d", promName(g.name), g.fn()))
-	}
-	for _, g := range fgauges {
-		samples = append(samples, fmt.Sprintf("%s %g", promName(g.name), g.fn()))
-	}
-	sort.Strings(samples)
-	for _, s := range samples {
-		if _, err := fmt.Fprintln(w, s); err != nil {
-			return err
+	typed := ""
+	return r.write(w, func(b *bufio.Writer, h histogram) {
+		if h.name != typed {
+			typed = h.name
+			fmt.Fprintf(b, "# TYPE %s histogram\n", h.name)
 		}
-	}
-	names := make([]string, 0, len(lats))
-	for name := range lats {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := writePromHistogram(w, promName(name), lats[name]); err != nil {
-			return err
+		buckets := h.l.Buckets()
+		var cum int64
+		for i, n := range buckets[:NumBuckets-1] {
+			cum += n
+			le := strconv.FormatFloat(bucketBounds[i].Seconds(), 'g', -1, 64)
+			fmt.Fprintf(b, "%s %d\n", h.render("_bucket", `le="`+le+`"`), cum)
 		}
-	}
-	return nil
+		cum += buckets[NumBuckets-1]
+		fmt.Fprintf(b, "%s %d\n", h.render("_bucket", `le="+Inf"`), cum)
+		fmt.Fprintf(b, "%s %g\n", h.render("_sum", ""), time.Duration(h.l.sum.Load()).Seconds())
+		fmt.Fprintf(b, "%s %d\n", h.render("_count", ""), cum)
+	})
 }
 
-// writePromHistogram renders one Latency as a cumulative Prometheus
-// histogram. Buckets snapshot before count, so a concurrent Observe
-// can at worst make count exceed the +Inf bucket — never undershoot
-// it — keeping the series monotone for scrapers.
-func writePromHistogram(w io.Writer, name string, l *Latency) error {
-	buckets := l.Buckets()
-	var cum int64
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-		return err
+// write is the shared frame of the two renderers, which differ only in
+// how a histogram is printed.
+func (r *Registry) write(w io.Writer, hist func(*bufio.Writer, histogram)) error {
+	s := r.snapshot()
+	b := bufio.NewWriter(w)
+	for _, line := range s.scalars {
+		b.WriteString(line)
+		b.WriteByte('\n')
 	}
-	for i := 0; i < NumBuckets-1; i++ {
-		cum += buckets[i]
-		le := strconv.FormatFloat(bucketBounds[i].Seconds(), 'g', -1, 64)
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum); err != nil {
-			return err
-		}
+	for _, h := range s.hists {
+		hist(b, h)
 	}
-	cum += buckets[NumBuckets-1]
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %g\n", name, time.Duration(l.sum.Load()).Seconds()); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, cum)
-	return err
+	return b.Flush()
 }

@@ -20,7 +20,7 @@ func TestCounterAndGauge(t *testing.T) {
 	if r.Counter("ops") != c {
 		t.Fatal("counter identity lost")
 	}
-	r.Gauge("live", func() int64 { return 42 })
+	r.Collect(func(e *Emitter) { e.Int("live", 42) })
 	var buf bytes.Buffer
 	if err := r.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestLatency(t *testing.T) {
 	l := r.Latency("lookup")
 	l.Observe(10 * time.Millisecond)
 	l.Observe(30 * time.Millisecond)
-	count, mean, max := l.Snapshot()
+	count, mean, max := l.Count(), l.Mean(), l.Max()
 	if count != 2 || mean != 20*time.Millisecond || max != 30*time.Millisecond {
 		t.Fatalf("snapshot = %d %v %v", count, mean, max)
 	}
@@ -68,7 +68,7 @@ func TestConcurrentObservations(t *testing.T) {
 	if r.Counter("c").Value() != 8000 {
 		t.Fatalf("counter = %d", r.Counter("c").Value())
 	}
-	count, _, max := r.Latency("l").Snapshot()
+	count, max := r.Latency("l").Count(), r.Latency("l").Max()
 	if count != 8000 || max != 999*time.Microsecond {
 		t.Fatalf("latency = %d %v", count, max)
 	}
@@ -230,7 +230,7 @@ func TestGaugeMayReadRegistryDuringWrite(t *testing.T) {
 	// registry mutex, deadlocking any gauge that reads another metric.
 	r := NewRegistry()
 	r.Counter("inner").Add(7)
-	r.Gauge("derived", func() int64 { return r.Counter("inner").Value() + 1 })
+	r.Collect(func(e *Emitter) { e.Int("derived", r.Counter("inner").Value()+1) })
 	done := make(chan error, 1)
 	go func() {
 		var buf bytes.Buffer

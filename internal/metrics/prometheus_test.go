@@ -41,8 +41,10 @@ func TestQuantileOverflowClampsToMax(t *testing.T) {
 func TestWritePrometheusSamples(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ops_total").Add(42)
-	r.Gauge("rows", func() int64 { return 7 })
-	r.GaugeFloat("occupancy", func() float64 { return 0.5 })
+	r.Collect(func(e *Emitter) {
+		e.Int("rows", 7)
+		e.Float("occupancy", 0.5)
+	})
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

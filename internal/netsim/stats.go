@@ -1,9 +1,6 @@
 package netsim
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"sync/atomic"
 
 	"mantle/internal/metrics"
@@ -73,27 +70,26 @@ func (f *Fabric) Edges() map[string]*EdgeStats {
 	return out
 }
 
-// WriteMetrics renders the fabric's per-edge registry in the flat
-// "name value" exposition format used by metrics.Registry, sorted by
-// name: edge_<src->dst>_{trips,losses,p50_us,p99_us,max_us}.
-func (f *Fabric) WriteMetrics(w io.Writer) error {
-	lines := []string{fmt.Sprintf("fabric_rpcs %d", f.RPCs())}
-	for key, e := range f.Edges() {
-		lines = append(lines,
-			fmt.Sprintf("edge_%s_trips %d", key, e.Trips.Load()),
-			fmt.Sprintf("edge_%s_losses %d", key, e.Losses.Load()),
-			fmt.Sprintf("edge_%s_p50_us %d", key, e.Latency.Quantile(0.50).Microseconds()),
-			fmt.Sprintf("edge_%s_p99_us %d", key, e.Latency.Quantile(0.99).Microseconds()),
-			fmt.Sprintf("edge_%s_max_us %d", key, e.Latency.Max().Microseconds()),
-		)
-	}
-	sort.Strings(lines)
-	for _, line := range lines {
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
+// RegisterMetrics exposes on reg the fabric's delivery accounting
+// (fabric_rpcs, and edge_trips / edge_losses / edge_latency per
+// edge="src->dst") and the service accounting of nodes (node_ops /
+// node_busy_us / node_queue_wait per node="<name>").
+func (f *Fabric) RegisterMetrics(reg *metrics.Registry, nodes ...*Node) {
+	reg.Collect(func(e *metrics.Emitter) {
+		e.Int("fabric_rpcs", f.RPCs())
+		for key, s := range f.Edges() {
+			l := e.Label("edge", key)
+			l.Int("edge_trips", s.Trips.Load())
+			l.Int("edge_losses", s.Losses.Load())
+			l.Latency("edge_latency", &s.Latency)
 		}
-	}
-	return nil
+		for _, n := range nodes {
+			l := e.Label("node", n.name)
+			l.Int("node_ops", n.Ops())
+			l.Int("node_busy_us", n.BusyTime().Microseconds())
+			l.Latency("node_queue_wait", n.QueueWait())
+		}
+	})
 }
 
 // nodeStats is the per-node instrumentation shared by all nodes.
@@ -106,23 +102,3 @@ type nodeStats struct {
 // (zero on an unsaturated node). Tail growth here is the signature of
 // a saturated metadata server (§6.3 of the paper).
 func (n *Node) QueueWait() *metrics.Latency { return &n.stats.queueWait }
-
-// WriteMetrics renders the node's counters and queue-delay histogram in
-// the flat exposition format, prefixed node_<name>_.
-func (n *Node) WriteMetrics(w io.Writer) error {
-	q := n.QueueWait()
-	lines := []string{
-		fmt.Sprintf("node_%s_ops %d", n.name, n.Ops()),
-		fmt.Sprintf("node_%s_busy_us %d", n.name, n.BusyTime().Microseconds()),
-		fmt.Sprintf("node_%s_queue_wait_p50_us %d", n.name, q.Quantile(0.50).Microseconds()),
-		fmt.Sprintf("node_%s_queue_wait_p99_us %d", n.name, q.Quantile(0.99).Microseconds()),
-		fmt.Sprintf("node_%s_queue_wait_max_us %d", n.name, q.Max().Microseconds()),
-	}
-	sort.Strings(lines)
-	for _, line := range lines {
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
-}

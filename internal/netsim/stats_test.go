@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mantle/internal/metrics"
 )
 
 func TestEdgeRegistry(t *testing.T) {
@@ -21,11 +23,13 @@ func TestEdgeRegistry(t *testing.T) {
 	if e := edges["proxy->idx-1"]; e == nil || e.Trips.Load() != 1 {
 		t.Fatalf("edges = %v", edges)
 	}
+	reg := metrics.NewRegistry()
+	f.RegisterMetrics(reg)
 	var buf bytes.Buffer
-	if err := f.WriteMetrics(&buf); err != nil {
+	if err := reg.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fabric_rpcs 4", "edge_proxy->idx-0_trips 3", "edge_proxy->idx-0_p99_us"} {
+	for _, want := range []string{"fabric_rpcs 4", `edge_trips{edge="proxy->idx-0"} 3`, `edge_latency_p99_us{edge="proxy->idx-0"}`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("missing %q:\n%s", want, buf.String())
 		}
@@ -46,11 +50,13 @@ func TestNodeQueueWaitHistogram(t *testing.T) {
 	if q.Max() < time.Millisecond {
 		t.Fatalf("queue wait max = %v, want >= 1ms", q.Max())
 	}
+	reg := metrics.NewRegistry()
+	NewLocalFabric().RegisterMetrics(reg, n)
 	var buf bytes.Buffer
-	if err := n.WriteMetrics(&buf); err != nil {
+	if err := reg.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"node_srv_ops 4", "node_srv_queue_wait_p99_us", "node_srv_busy_us 8000"} {
+	for _, want := range []string{`node_ops{node="srv"} 4`, `node_queue_wait_p99_us{node="srv"}`, `node_busy_us{node="srv"} 8000`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("missing %q:\n%s", want, buf.String())
 		}

@@ -151,16 +151,17 @@ func (c *Caller) Stats() (retries, timeouts, drops int64) {
 	return c.retries.Load(), c.timeouts.Load(), c.drops.Load()
 }
 
-// RegisterMetrics exposes the caller's fault-handling counters as
-// gauges (rpc_retries, rpc_timeouts, rpc_drops) and attaches a
-// whole-call latency histogram as latency_rpc, so chaos-lane runs
-// report retry storms and call tails in the standard metrics dump.
+// RegisterMetrics exposes the caller's fault-handling counters
+// (rpc_retries, rpc_timeouts, rpc_drops) and attaches a whole-call
+// latency histogram as latency_rpc, so chaos-lane runs report retry
+// storms and call tails in the standard metrics dump.
 func (c *Caller) RegisterMetrics(reg *metrics.Registry) {
-	reg.Gauge("rpc_retries", func() int64 { return c.retries.Load() })
-	reg.Gauge("rpc_timeouts", func() int64 { return c.timeouts.Load() })
-	reg.Gauge("rpc_drops", func() int64 { return c.drops.Load() })
-	l := reg.Latency("latency_rpc")
-	c.lat.Store(l)
+	reg.Collect(func(e *metrics.Emitter) {
+		e.Int("rpc_retries", c.retries.Load())
+		e.Int("rpc_timeouts", c.timeouts.Load())
+		e.Int("rpc_drops", c.drops.Load())
+	})
+	c.lat.Store(reg.Latency("latency_rpc"))
 }
 
 func (c *Caller) jitterFrac() float64 {

@@ -617,6 +617,33 @@ func (db *DB) Batch2PCStats() (txns, batched, rounds int64) {
 // (whole transactions, retries included).
 func (db *DB) TxnLatency() *metrics.Latency { return &db.txnLat }
 
+// RegisterMetrics exposes the database on reg: row and retry counts, the
+// migration accounting, the WAL group-commit and batched-2PC families
+// (one snapshot each, so wal_group_fanin and txn_batch_fanin are the
+// ratios of the counts printed beside them), and the commit histogram.
+func (db *DB) RegisterMetrics(reg *metrics.Registry) {
+	reg.AttachLatency("latency_txn_commit", &db.txnLat)
+	reg.Collect(func(e *metrics.Emitter) {
+		e.Int("tafdb_rows", int64(db.TotalRows()))
+		e.Int("tafdb_txn_retries", db.Retries())
+		mig := db.Migrations()
+		e.Int("migrations", mig.Migrations)
+		e.Int("migration_rows", mig.Rows)
+		e.Int("migration_aborts", mig.Aborts)
+		wal := db.WALStats()
+		e.Int("wal_syncs", wal.Syncs)
+		e.Int("wal_syncs_solo", wal.SoloSyncs)
+		e.Int("wal_syncs_group", wal.GroupSyncs)
+		e.Int("wal_batches_covered", wal.Covered)
+		e.Ratio("wal_group_fanin", wal.Covered, wal.Syncs)
+		txns, batched, rounds := db.Batch2PCStats()
+		e.Int("txn_batch_txns", txns)
+		e.Int("txn_batch_batched", batched)
+		e.Int("txn_batch_rounds", rounds)
+		e.Ratio("txn_batch_fanin", txns, rounds)
+	})
+}
+
 // CrashShard crash-stops shard i (failure injection): its in-memory
 // state is discarded; only WAL-logged commits survive.
 func (db *DB) CrashShard(i int) {
