@@ -39,8 +39,10 @@ test-readpath:
 # (Cluster.exec) is shared by every TCP connection's goroutine and the
 # HTTP handler, DR.Serve re-reads the active site per request while a
 # failover flips it, and /metrics scrapes race the op path and that flip.
+# With them the remote wire format: codec round trips, the compat rule,
+# the poisoned-client and malformed-frame tests, and internal/wire.
 test-frontdoor:
-	$(GO) test -race -count=5 -run 'Remote|Gateway|ErrorKind|DRServe|ClientMethodSets|Metrics|Status|Admin' . ./cmd/mantled/
+	$(GO) test -race -count=5 -run 'Remote|Gateway|ErrorKind|DRServe|ClientMethodSets|Metrics|Status|Admin|Wire|Frame|Compat|Poisoned|Malformed' . ./cmd/mantled/ ./internal/wire/
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -60,7 +62,7 @@ loc:
 # lowered it. A PR that shrinks the tree lowers LOC_CEILING to its own
 # result; one that has to grow it raises the ceiling on purpose, in the
 # diff, where a reviewer sees it.
-LOC_CEILING = 20130
+LOC_CEILING = 20331
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mantle/internal/types"
+	"mantle/internal/wire"
 )
 
 // CmdKind discriminates the replicated IndexNode commands.
@@ -64,62 +65,17 @@ func (c Cmd) Encode() []byte {
 
 // DecodeCmd parses an encoded command.
 func DecodeCmd(b []byte) (Cmd, error) {
-	var c Cmd
-	if len(b) < 1 {
-		return c, fmt.Errorf("indexnode: empty command")
+	r := wire.NewReader(b)
+	c := Cmd{
+		Kind:   CmdKind(r.Byte()),
+		Pid:    types.InodeID(r.U64()),
+		ID:     types.InodeID(r.U64()),
+		DstPid: types.InodeID(r.U64()),
+		Perm:   types.Perm(r.U16()),
 	}
-	c.Kind = CmdKind(b[0])
-	b = b[1:]
-	readU64 := func() (uint64, error) {
-		if len(b) < 8 {
-			return 0, fmt.Errorf("indexnode: truncated command")
-		}
-		v := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		return v, nil
-	}
-	readStr := func() (string, error) {
-		if len(b) < 4 {
-			return "", fmt.Errorf("indexnode: truncated command")
-		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < n {
-			return "", fmt.Errorf("indexnode: truncated string")
-		}
-		s := string(b[:n])
-		b = b[n:]
-		return s, nil
-	}
-	pid, err := readU64()
-	if err != nil {
-		return c, err
-	}
-	id, err := readU64()
-	if err != nil {
-		return c, err
-	}
-	dstPid, err := readU64()
-	if err != nil {
-		return c, err
-	}
-	if len(b) < 2 {
-		return c, fmt.Errorf("indexnode: truncated command")
-	}
-	c.Perm = types.Perm(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	c.Pid, c.ID, c.DstPid = types.InodeID(pid), types.InodeID(id), types.InodeID(dstPid)
-	if c.Name, err = readStr(); err != nil {
-		return c, err
-	}
-	if c.DstName, err = readStr(); err != nil {
-		return c, err
-	}
-	if c.Path, err = readStr(); err != nil {
-		return c, err
-	}
-	if c.LockID, err = readStr(); err != nil {
-		return c, err
+	c.Name, c.DstName, c.Path, c.LockID = r.String32(), r.String32(), r.String32(), r.String32()
+	if err := r.Err(); err != nil {
+		return c, fmt.Errorf("indexnode: command: %w", err)
 	}
 	return c, nil
 }

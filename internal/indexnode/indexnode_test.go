@@ -3,6 +3,7 @@ package indexnode
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -614,6 +615,57 @@ func TestGroupLogCompactionUnderLoad(t *testing.T) {
 	}
 }
 
+// TestCmdAndSnapshotGoldenBytes pins the two layouts that outlive a
+// process: a command is in the raft log and a snapshot replaces it, so a
+// build must decode what an earlier build encoded, byte for byte.
+func TestCmdAndSnapshotGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		cmd    Cmd
+		golden string
+	}{
+		{Cmd{Kind: CmdAddDir, Pid: 1, Name: "logs", ID: 42, Perm: types.PermAll},
+			"0101000000000000002a0000000000000000000000000000000700040000006c6f6773000000000000000000000000"},
+		{Cmd{Kind: CmdRemoveDir, Pid: 42, Name: "tmp", ID: 77, Path: "/logs/tmp"},
+			"022a000000000000004d000000000000000000000000000000000003000000746d7000000000090000002f6c6f67732f746d7000000000"},
+		{Cmd{Kind: CmdRename, Pid: 1, Name: "a", ID: 300, DstPid: 42, DstName: "bé", Path: "/a", LockID: "req-7"},
+			"0301000000000000002c010000000000002a00000000000000000001000000610300000062c3a9020000002f61050000007265712d37"},
+		{Cmd{Kind: CmdSetPerm, Pid: 1, Name: "logs", ID: 42, Perm: types.PermRead, Path: "/logs"},
+			"0401000000000000002a0000000000000000000000000000000200040000006c6f677300000000050000002f6c6f677300000000"},
+	} {
+		if got := hex.EncodeToString(c.cmd.Encode()); got != c.golden {
+			t.Errorf("kind %d: Encode = %s, want %s", c.cmd.Kind, got, c.golden)
+		}
+		raw, _ := hex.DecodeString(c.golden)
+		if got, err := DecodeCmd(raw); err != nil || got != c.cmd {
+			t.Errorf("kind %d: DecodeCmd = %+v, %v; want %+v", c.cmd.Kind, got, err, c.cmd)
+		}
+	}
+
+	const snap = "020000000000000001000000000000000200000000000000070001000000610200000000000000030000000000000002000300000062c3a9"
+	entries := []types.AccessEntry{
+		{Pid: types.RootID, Name: "a", ID: 2, Perm: types.PermAll},
+		{Pid: 2, Name: "bé", ID: 3, Perm: types.PermRead},
+	}
+	src := NewReplica(1, false)
+	defer src.Close()
+	src.BulkAdd(entries)
+	if got := hex.EncodeToString(src.Snapshot()); got != snap {
+		t.Errorf("Snapshot = %s, want %s", got, snap)
+	}
+	dst := NewReplica(1, false)
+	defer dst.Close()
+	raw, _ := hex.DecodeString(snap)
+	dst.Restore(raw)
+	for _, e := range entries {
+		if got, ok := dst.Table().Get(e.Pid, e.Name); !ok || got != e {
+			t.Errorf("restored %d/%q = %+v, %v; want %+v", e.Pid, e.Name, got, ok, e)
+		}
+	}
+	if dst.Table().Len() != len(entries) {
+		t.Errorf("restored %d entries, want %d", dst.Table().Len(), len(entries))
+	}
+}
+
 func FuzzDecodeCmd(f *testing.F) {
 	// Seed with valid encodings and mutations thereof.
 	for _, c := range []Cmd{
@@ -638,6 +690,44 @@ func FuzzDecodeCmd(f *testing.F) {
 		if c2 != c {
 			t.Fatalf("re-decode mismatch: %+v vs %+v", c2, c)
 		}
+	})
+}
+
+// FuzzRestore: a snapshot that does not decode exactly panics with
+// Restore's own message — never a runtime out-of-range — and one that
+// does restores the same table its own snapshot restores.
+func FuzzRestore(f *testing.F) {
+	src := NewReplica(1, false)
+	src.BulkAdd([]types.AccessEntry{
+		{Pid: types.RootID, Name: "a", ID: 2, Perm: types.PermAll},
+		{Pid: 2, Name: "bé", ID: 3, Perm: types.PermRead},
+	})
+	f.Add(src.Snapshot())
+	src.Close()
+	f.Add(make([]byte, 8)) // no entries
+	f.Add([]byte{})
+	f.Add(append(binary.LittleEndian.AppendUint64(nil, 1<<60), 1, 2, 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewReplica(1, false)
+		defer r.Close()
+		defer func() {
+			if p := recover(); p != nil && !strings.HasPrefix(fmt.Sprint(p), "indexnode: restore: ") {
+				panic(p)
+			}
+		}()
+		r.Restore(data)
+		again := NewReplica(1, false)
+		defer again.Close()
+		again.Restore(r.Snapshot())
+		if again.Table().Len() != r.Table().Len() {
+			t.Fatalf("snapshot of %d entries restored %d", r.Table().Len(), again.Table().Len())
+		}
+		r.Table().ForEach(func(e types.AccessEntry) bool {
+			if got, ok := again.Table().Get(e.Pid, e.Name); !ok || got != e {
+				t.Fatalf("entry %+v came back as %+v, %v", e, got, ok)
+			}
+			return true
+		})
 	})
 }
 

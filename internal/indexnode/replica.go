@@ -1,7 +1,6 @@
 package indexnode
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"mantle/internal/radix"
 	"mantle/internal/singleflight"
 	"mantle/internal/types"
+	"mantle/internal/wire"
 )
 
 // Replica is one IndexNode replica: the IndexTable, TopDirPathCache, and
@@ -420,25 +420,18 @@ func (r *Replica) AbortRename(srcID types.InodeID, srcPath, lockID string) {
 // structures, and rename locks — is intentionally excluded: caches
 // rebuild on demand and locks are leader-volatile by design (§5.3).
 func (r *Replica) Snapshot() []byte {
-	var buf bytes.Buffer
-	var tmp [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf.Write(tmp[:])
-	}
-	n := uint64(r.table.Load().Len())
-	writeU64(n)
-	r.table.Load().ForEach(func(e types.AccessEntry) bool {
-		writeU64(uint64(e.Pid))
-		writeU64(uint64(e.ID))
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(e.Perm))
-		buf.Write(tmp[:2])
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(e.Name)))
-		buf.Write(tmp[:4])
-		buf.WriteString(e.Name)
+	table := r.table.Load()
+	le := binary.LittleEndian
+	out := le.AppendUint64(nil, uint64(table.Len()))
+	table.ForEach(func(e types.AccessEntry) bool {
+		out = le.AppendUint64(out, uint64(e.Pid))
+		out = le.AppendUint64(out, uint64(e.ID))
+		out = le.AppendUint16(out, uint16(e.Perm))
+		out = le.AppendUint32(out, uint32(len(e.Name)))
+		out = append(out, e.Name...)
 		return true
 	})
-	return buf.Bytes()
+	return out
 }
 
 // Restore replaces the replica's state from a snapshot (raft.Snapshotter)
@@ -450,31 +443,27 @@ func (r *Replica) Restore(data []byte) {
 	corrupt := func(off int, what string) {
 		panic(fmt.Sprintf("indexnode: restore: %s at offset %d of %d", what, off, len(data)))
 	}
-	if len(data) < 8 {
+	rd := wire.NewReader(data)
+	n := rd.U64()
+	if rd.Err() != nil {
 		corrupt(0, "truncated entry count")
 	}
 	table := NewIndexTable()
-	n := binary.LittleEndian.Uint64(data)
-	off := 8
 	for i := uint64(0); i < n; i++ {
-		rec := data[off:]
-		if len(rec) < 22 {
+		off := rd.Offset()
+		e := types.AccessEntry{
+			Pid:  types.InodeID(rd.U64()),
+			ID:   types.InodeID(rd.U64()),
+			Perm: types.Perm(rd.U16()),
+			Name: rd.String32(),
+		}
+		if rd.Err() != nil {
 			corrupt(off, fmt.Sprintf("entry %d of %d truncated", i, n))
 		}
-		nameLen := int(binary.LittleEndian.Uint32(rec[18:]))
-		if len(rec)-22 < nameLen {
-			corrupt(off, fmt.Sprintf("name of entry %d of %d truncated", i, n))
-		}
-		table.Put(types.AccessEntry{
-			Pid:  types.InodeID(binary.LittleEndian.Uint64(rec)),
-			ID:   types.InodeID(binary.LittleEndian.Uint64(rec[8:])),
-			Perm: types.Perm(binary.LittleEndian.Uint16(rec[16:])),
-			Name: string(rec[22 : 22+nameLen]),
-		})
-		off += 22 + nameLen
+		table.Put(e)
 	}
-	if off != len(data) {
-		corrupt(off, "trailing bytes")
+	if rd.Len() != 0 {
+		corrupt(rd.Offset(), "trailing bytes")
 	}
 	// Swap in the rebuilt table, then invalidate every cached resolution.
 	r.table.Store(table)

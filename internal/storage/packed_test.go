@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -132,6 +133,55 @@ func TestWALCodecRoundTripQuick(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWALBatchGoldenBytes pins the WAL record layout: a record logged by
+// an earlier build must replay, so encodeBatch's bytes may not move.
+func TestWALBatchGoldenBytes(t *testing.T) {
+	const golden = "020001002a066f626a2dc3a9ac0202070902aab4aed8c7bfce972f0702020101046c6f677302ff3f"
+	in := []Mutation{
+		{Kind: MutPut, Key: types.Key{Pid: 42, Name: "obj-é"}, IfAbsent: true,
+			Entry: types.Entry{Pid: 42, Name: "obj-é", ID: 300, Kind: types.KindObject, Perm: types.PermAll,
+				Attr: types.Attr{Size: -5, LinkCount: 1, MTime: time.Unix(0, 1700000000123456789), Owner: 7}}},
+		{Kind: MutDeltaAttr, Key: types.Key{Pid: 1, Name: "logs"}, MustExist: true, WantKind: types.KindDir,
+			Delta: AttrDelta{LinkCount: 1, Size: -4096}},
+	}
+	if got := hex.EncodeToString(encodeBatch(in)); got != golden {
+		t.Fatalf("encodeBatch = %s\n          want %s", got, golden)
+	}
+	rec, _ := hex.DecodeString(golden)
+	var out []Mutation
+	if err := decodeBatch(rec, func(m Mutation) { out = append(out, m) }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("decodeBatch = %+v\n       want %+v", out, in)
+	}
+}
+
+// FuzzDecodeBatch: a record that does not decode is an error, never an
+// out-of-range panic, and one that does survives a re-encode.
+func FuzzDecodeBatch(f *testing.F) {
+	k := types.Key{Pid: 42, Name: "o"}
+	f.Add(encodeBatch([]Mutation{
+		{Kind: MutPut, Key: k, IfAbsent: true, Entry: types.Entry{Pid: 42, Name: "o", ID: 300, Kind: types.KindObject,
+			Attr: types.Attr{Size: -5, LinkCount: 1, MTime: time.Unix(0, 1700000000123456789), Owner: 7}}},
+		{Kind: MutDeltaAttr, Key: types.Key{Pid: 1, Name: "logs"}, MustExist: true, Delta: AttrDelta{LinkCount: 1, Size: -4096}},
+		{Kind: MutDelete, Key: k, WantKind: types.KindObject},
+	}))
+	f.Add(encodeBatch(nil))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1}) // a count far beyond the record
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var muts []Mutation
+		if decodeBatch(data, func(m Mutation) { muts = append(muts, m) }) != nil {
+			return
+		}
+		var again []Mutation
+		if err := decodeBatch(encodeBatch(muts), func(m Mutation) { again = append(again, m) }); err != nil || !reflect.DeepEqual(again, muts) {
+			t.Fatalf("re-decode = %+v, %v; want %+v", again, err, muts)
+		}
+	})
 }
 
 func TestShardBulkLoad(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mantle/internal/types"
+	"mantle/internal/wire"
 )
 
 // WAL record codec: mutation batches are stored as packed bytes — a
@@ -96,85 +97,37 @@ func BatchBytes(muts []Mutation) int {
 // order. Records are produced by encodeBatch within the same process, so
 // malformed input is a programming error, reported as one.
 func decodeBatch(rec []byte, apply func(Mutation)) error {
-	n, off := binary.Uvarint(rec)
-	if off <= 0 {
-		return fmt.Errorf("wal record: bad batch count")
-	}
-	rec = rec[off:]
+	r := wire.NewReader(rec)
+	n := r.Uvarint()
 	for i := uint64(0); i < n; i++ {
-		var m Mutation
-		if len(rec) < 3 {
-			return fmt.Errorf("wal record: truncated header at mutation %d", i)
-		}
-		m.Kind = MutKind(rec[0])
-		m.IfAbsent = rec[1]&mutFlagIfAbsent != 0
-		m.MustExist = rec[1]&mutFlagMustExist != 0
-		m.WantKind = types.EntryKind(rec[2])
-		rec = rec[3:]
-		pid, off := binary.Uvarint(rec)
-		if off <= 0 {
-			return fmt.Errorf("wal record: bad pid at mutation %d", i)
-		}
-		rec = rec[off:]
-		nameLen, off := binary.Uvarint(rec)
-		if off <= 0 || uint64(len(rec)-off) < nameLen {
-			return fmt.Errorf("wal record: bad name at mutation %d", i)
-		}
-		name := string(rec[off : off+int(nameLen)])
-		rec = rec[off+int(nameLen):]
-		m.Key = types.Key{Pid: types.InodeID(pid), Name: name}
-
+		m := Mutation{Kind: MutKind(r.Byte())}
+		flags := r.Byte()
+		m.IfAbsent = flags&mutFlagIfAbsent != 0
+		m.MustExist = flags&mutFlagMustExist != 0
+		m.WantKind = types.EntryKind(r.Byte())
+		m.Key = types.Key{Pid: types.InodeID(r.Uvarint()), Name: r.String()}
 		switch m.Kind {
 		case MutPut:
-			id, off := binary.Uvarint(rec)
-			if off <= 0 || len(rec) < off+1 {
-				return fmt.Errorf("wal record: bad put at mutation %d", i)
-			}
-			kind := types.EntryKind(rec[off])
-			rec = rec[off+1:]
-			perm, off := binary.Uvarint(rec)
-			if off <= 0 {
-				return fmt.Errorf("wal record: bad perm at mutation %d", i)
-			}
-			rec = rec[off:]
-			var size, link, mtime int64
-			for _, dst := range []*int64{&size, &link, &mtime} {
-				v, off := binary.Varint(rec)
-				if off <= 0 {
-					return fmt.Errorf("wal record: bad attr at mutation %d", i)
-				}
-				*dst = v
-				rec = rec[off:]
-			}
-			owner, off := binary.Uvarint(rec)
-			if off <= 0 {
-				return fmt.Errorf("wal record: bad owner at mutation %d", i)
-			}
-			rec = rec[off:]
 			m.Entry = types.Entry{
 				Pid:  m.Key.Pid,
 				Name: m.Key.Name,
-				ID:   types.InodeID(id),
-				Kind: kind,
-				Perm: types.Perm(perm),
+				ID:   types.InodeID(r.Uvarint()),
+				Kind: types.EntryKind(r.Byte()),
+				Perm: types.Perm(r.Uvarint()),
 				Attr: types.Attr{
-					Size:      size,
-					LinkCount: link,
-					MTime:     unpackTime(mtime),
-					Owner:     uint32(owner),
+					Size:      r.Varint(),
+					LinkCount: r.Varint(),
+					MTime:     unpackTime(r.Varint()),
+					Owner:     uint32(r.Uvarint()),
 				},
 			}
 		case MutDeltaAttr:
-			for _, dst := range []*int64{&m.Delta.LinkCount, &m.Delta.Size} {
-				v, off := binary.Varint(rec)
-				if off <= 0 {
-					return fmt.Errorf("wal record: bad delta at mutation %d", i)
-				}
-				*dst = v
-				rec = rec[off:]
-			}
+			m.Delta = AttrDelta{LinkCount: r.Varint(), Size: r.Varint()}
+		}
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("wal record: mutation %d of %d: %w", i, n, err)
 		}
 		apply(m)
 	}
-	return nil
+	return r.Err() // a batch count that did not decode
 }

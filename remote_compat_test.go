@@ -2,31 +2,30 @@ package mantle
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"mantle/internal/types"
+	"mantle/internal/wire"
 )
 
-// legacyResponse is the wire response as it existed before the Load /
-// RetryAfter piggyback fields. Gob matches struct fields by name and
-// silently skips fields unknown to the receiver, which is exactly the
-// compatibility contract the protocol relies on; this test pins it.
-type legacyResponse struct {
-	ErrKind string
-	ErrMsg  string
-	Info    Info
-	Infos   []Info
-	Next    string
-	Stats   OpStats
+// respBody is resp as appendResponse frames it, without the length prefix.
+func respBody(resp *remoteResponse) []byte {
+	var w wire.Writer
+	w.BeginFrame()
+	appendResponse(&w, resp)
+	return bytes.Clone(w.Frame()[4:])
 }
 
-func TestRemoteEnvelopeGobCompat(t *testing.T) {
-	// New server → old client: the extra Load/RetryAfter fields must not
-	// break a decoder compiled against the legacy envelope.
-	newResp := remoteResponse{
+// TestRemoteEnvelopeCompat pins how the wire format evolves: fields are
+// only ever appended, a decoder ignores bytes after the last field it
+// knows, and Load / RetryAfter — added after the first revision — are an
+// optional tail that decodes to zero when the frame ends before them.
+func TestRemoteEnvelopeCompat(t *testing.T) {
+	full := remoteResponse{
 		ErrKind:    "overloaded",
 		ErrMsg:     "shed",
 		Next:       "tok",
@@ -34,33 +33,58 @@ func TestRemoteEnvelopeGobCompat(t *testing.T) {
 		Load:       int64(3 * time.Millisecond),
 		RetryAfter: int64(time.Millisecond),
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&newResp); err != nil {
-		t.Fatal(err)
-	}
-	var old legacyResponse
-	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-		t.Fatalf("old client rejected new envelope: %v", err)
-	}
-	if old.ErrKind != "overloaded" || old.Next != "tok" || old.Stats.Retries != 2 {
-		t.Fatalf("shared fields corrupted: %+v", old)
+	body := respBody(&full)
+	loadLen := len(binary.AppendVarint(nil, full.Load))
+	retryLen := len(binary.AppendVarint(nil, full.RetryAfter))
+
+	// Old server → new client: the frame ends before the tail, or between
+	// its two fields. Absent fields are zero (idle load, no retry hint),
+	// not an error, and the shared fields are intact.
+	for _, c := range []struct {
+		cut        int
+		load, wait int64
+	}{
+		{loadLen + retryLen, 0, 0},
+		{retryLen, full.Load, 0},
+	} {
+		var got remoteResponse
+		if err := decodeResponse(body[:len(body)-c.cut], &got); err != nil {
+			t.Fatalf("new client rejected a frame %d bytes short of the tail: %v", c.cut, err)
+		}
+		if got.ErrKind != "overloaded" || got.Next != "tok" || got.Stats.Retries != 2 {
+			t.Fatalf("shared fields corrupted: %+v", got)
+		}
+		if got.Load != c.load || got.RetryAfter != c.wait {
+			t.Fatalf("tail cut by %d: load=%d retryAfter=%d, want %d and %d", c.cut, got.Load, got.RetryAfter, c.load, c.wait)
+		}
 	}
 
-	// Old server → new client: absent fields decode to their zero values
-	// (idle load, no retry hint), not an error.
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&legacyResponse{ErrKind: "exists", ErrMsg: "dup", Next: "n"}); err != nil {
+	// New server → old client: bytes after the last known field belong to
+	// fields this build has not heard of, and must not break it.
+	var got remoteResponse
+	if err := decodeResponse(append(bytes.Clone(body), 0xde, 0xad, 0xbe, 0xef), &got); err != nil {
+		t.Fatalf("trailing bytes rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, full) {
+		t.Fatalf("trailing bytes changed the decode:\n got %+v\nwant %+v", got, full)
+	}
+	var w wire.Writer
+	w.BeginFrame()
+	req := remoteRequest{Op: "listpage", Path: "/a", After: "k", Limit: 5}
+	if err := appendRequest(&w, &req); err != nil {
 		t.Fatal(err)
 	}
-	var fresh remoteResponse
-	if err := gob.NewDecoder(&buf).Decode(&fresh); err != nil {
-		t.Fatalf("new client rejected legacy envelope: %v", err)
+	var gotReq remoteRequest
+	if err := decodeRequest(append(bytes.Clone(w.Frame()[4:]), 1, 2, 3), &gotReq); err != nil || gotReq != req {
+		t.Fatalf("request with trailing bytes = %+v, %v; want %+v", gotReq, err, req)
 	}
-	if fresh.ErrKind != "exists" || fresh.Next != "n" {
-		t.Fatalf("shared fields corrupted: %+v", fresh)
-	}
-	if fresh.Load != 0 || fresh.RetryAfter != 0 {
-		t.Fatalf("absent fields not zero: load=%d retryAfter=%d", fresh.Load, fresh.RetryAfter)
+
+	// Only the tail is optional: a frame cut inside a required field is an
+	// error, never a response with zeros in it.
+	for cut := loadLen + retryLen + 1; cut <= len(body); cut++ {
+		if err := decodeResponse(body[:len(body)-cut], &got); err == nil {
+			t.Fatalf("frame cut %d bytes short decoded: %+v", cut, got)
+		}
 	}
 }
 
