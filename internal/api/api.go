@@ -13,6 +13,7 @@ package api
 import (
 	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/pathutil"
 	"mantle/internal/rpc"
 	"mantle/internal/types"
@@ -82,22 +83,18 @@ type PopObject struct {
 
 // Timer measures operation phases.
 type Timer struct {
-	start time.Time
-	last  time.Time
-	res   types.Result
+	last time.Duration // clock.Mono at the previous mark
+	res  types.Result
 }
 
 // NewTimer starts a phase timer.
-func NewTimer() *Timer {
-	now := time.Now()
-	return &Timer{start: now, last: now}
-}
+func NewTimer() *Timer { return &Timer{last: clock.Mono()} }
 
 // Phase records the elapsed time since the previous mark under phase p
 // and returns it.
 func (t *Timer) Phase(p types.Phase) time.Duration {
-	now := time.Now()
-	d := now.Sub(t.last)
+	now := clock.Mono()
+	d := now - t.last
 	t.res.Phases = t.res.Phases.Add(p, d)
 	t.last = now
 	return d

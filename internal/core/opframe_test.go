@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"mantle/internal/types"
@@ -91,22 +92,33 @@ func TestOpFrameRecordsOnce(t *testing.T) {
 
 // TestOpFrameAllocs holds the stat_hot path to the two allocations a warm
 // ObjStat made before the op frame (the rpc.Op of Begin and its state):
-// none for the frame, none for TafDB's read helper. Head sampling is off
-// so the figure is exact.
+// none for the frame, none for TafDB's read helper, and none for the heat
+// sketches — also when the stats go round 2*heatTopK directories, so that
+// every other Record in the proxy's and TafDB's sketch evicts. Head
+// sampling is off so the figure is exact.
 func TestOpFrameAllocs(t *testing.T) {
 	m := newTestMantle(t, func(c *Config) { c.Heat.SampleEvery = -1 })
-	if _, err := m.Mkdir(op(m), "/d"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Create(op(m), "/d/o", 1); err != nil {
-		t.Fatal(err)
-	}
-	got := testing.AllocsPerRun(2000, func() {
-		if _, err := m.ObjStat(op(m), "/d/o"); err != nil {
-			t.Fatal(err)
+	for _, dirs := range []int{1, 2 * heatTopK} {
+		paths := make([]string, dirs)
+		for i := range paths {
+			dir := fmt.Sprintf("/d%d-%d", dirs, i)
+			paths[i] = dir + "/o"
+			if _, err := m.Mkdir(op(m), dir); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Create(op(m), paths[i], 1); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if got > 2 {
-		t.Fatalf("warm ObjStat allocates %.2f times, want <= 2", got)
+		i := 0
+		got := testing.AllocsPerRun(2000, func() {
+			if _, err := m.ObjStat(op(m), paths[i%dirs]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if got > 2 {
+			t.Fatalf("warm ObjStat over %d directories allocates %.2f times, want <= 2", dirs, got)
+		}
 	}
 }

@@ -13,10 +13,15 @@
 // item the true frequency lies in [Count-Err, Count], and any key whose
 // true count exceeds the smallest tracked count is guaranteed present.
 //
-// Hot-path cost: recording a tracked key is a read-locked map probe
-// plus one atomic add — no allocation — so instrumented operations stay
-// inside the ~3 allocs/op hot-stat budget. Only the first sighting of
-// an untracked key takes the write lock and allocates its cell.
+// Hot-path cost. A hit (the key is tracked) is a read-locked map probe
+// and one atomic add on the key's slot. A miss takes the write lock; on
+// a full sketch it scans the k contiguous counters for the minimum and
+// re-keys that slot in place — one map delete, one map insert, no
+// allocation, no map iteration, and no clock read unless the sketch
+// decays. A stream spread uniformly over more than k keys (a stat mix
+// over 64 directories against k = 32, or a 1 M-entry namespace) misses
+// on most records, so the miss is as much the hot path as the hit: it
+// is O(k) under the write lock, which serialises concurrent recorders.
 package heat
 
 import (
@@ -27,10 +32,12 @@ import (
 	"time"
 )
 
-// cell is one tracked key's counter. count is atomic so read-locked
-// recorders can bump it concurrently; err is written only under the
-// sketch's write lock (at insert/evict) and read under either lock.
-type cell struct {
+// cell is one slot of the sketch: a tracked key and its counter. count
+// is atomic so read-locked recorders can bump it concurrently; key and
+// err are written only under the sketch's write lock (insert, evict,
+// fold) and read under either lock.
+type cell[K comparable] struct {
+	key   K
 	count atomic.Int64
 	err   int64
 }
@@ -47,8 +54,9 @@ type TopK[K comparable] struct {
 	k        int
 	halfLife time.Duration // 0 = cumulative (no decay)
 	mu       sync.RWMutex
-	m        map[K]*cell
-	lastFold time.Time // last decay fold (guarded by mu in write mode)
+	cells    []cell[K]   // tracked slots; cap k, allocated once, never moved
+	idx      map[K]int32 // key -> its slot in cells
+	lastFold time.Time   // last decay fold (guarded by mu in write mode)
 }
 
 // NewTopK creates a sketch tracking at most k keys (minimum 1).
@@ -56,7 +64,7 @@ func NewTopK[K comparable](k int) *TopK[K] {
 	if k < 1 {
 		k = 1
 	}
-	return &TopK[K]{k: k, m: make(map[K]*cell, k)}
+	return &TopK[K]{k: k, cells: make([]cell[K], 0, k), idx: make(map[K]int32, k)}
 }
 
 // NewTopKDecay creates a sketch whose counts decay with the given
@@ -79,15 +87,15 @@ func (t *TopK[K]) Record(key K) { t.RecordN(key, 1) }
 
 // RecordN counts n occurrences of key. Tracked keys pay a read-locked
 // map probe and one atomic add; untracked keys take the write lock and
-// either occupy a free slot or evict the current minimum, inheriting
+// either occupy a free slot or take over the minimum's slot, inheriting
 // its count as their error bound (the space-saving rule).
 func (t *TopK[K]) RecordN(key K, n int64) {
 	if n <= 0 {
 		return
 	}
 	t.mu.RLock()
-	if c, ok := t.m[key]; ok {
-		c.count.Add(n)
+	if i, ok := t.idx[key]; ok {
+		t.cells[i].count.Add(n)
 		t.mu.RUnlock()
 		return
 	}
@@ -95,33 +103,38 @@ func (t *TopK[K]) RecordN(key K, n int64) {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c, ok := t.m[key]; ok { // raced with another inserter
-		c.count.Add(n)
+	if i, ok := t.idx[key]; ok { // raced with another inserter
+		t.cells[i].count.Add(n)
 		return
 	}
 	// Fold decay before an eviction decision so the minimum reflects
 	// current (decayed) heat, not a stale peak.
-	t.foldLocked(time.Now())
-	if len(t.m) < t.k {
-		c := &cell{}
-		c.count.Store(n)
-		t.m[key] = c
-		return
+	if t.halfLife > 0 {
+		t.foldLocked(time.Now())
 	}
-	// Evict the minimum-count key; the newcomer inherits its count as
-	// an overestimate bound. O(k) scan — k is small (tens), and this
-	// path only runs on first sightings once the sketch is full.
-	var minKey K
-	minCount := int64(math.MaxInt64)
-	for k2, c := range t.m {
-		if v := c.count.Load(); v < minCount {
-			minCount, minKey = v, k2
+	slot, inherited := len(t.cells), int64(0)
+	if slot < t.k {
+		t.cells = t.cells[:slot+1]
+	} else {
+		// Take over the minimum-count slot; the newcomer inherits its
+		// count as an overestimate bound.
+		slot, inherited = 0, t.cells[0].count.Load()
+		for i := 1; i < len(t.cells); i++ {
+			if v := t.cells[i].count.Load(); v < inherited {
+				slot, inherited = i, v
+			}
 		}
+		delete(t.idx, t.cells[slot].key)
 	}
-	delete(t.m, minKey)
-	c := &cell{err: minCount}
-	c.count.Store(minCount + n)
-	t.m[key] = c
+	t.setSlot(slot, key, inherited+n, inherited)
+}
+
+// setSlot makes cells[slot] track key. Caller holds t.mu in write mode.
+func (t *TopK[K]) setSlot(slot int, key K, count, err int64) {
+	c := &t.cells[slot]
+	c.key, c.err = key, err
+	c.count.Store(count)
+	t.idx[key] = int32(slot)
 }
 
 // Item is one reported heavy hitter. Count overestimates the key's true
@@ -132,9 +145,11 @@ type Item[K comparable] struct {
 	Err   int64 `json:"err"`
 }
 
-// Snapshot returns the tracked keys sorted by descending count. On a
-// decaying sketch it first folds the elapsed decay, so counts shrink —
-// and fully-cooled keys disappear — even when nothing records.
+// Snapshot returns the tracked keys sorted by descending count, keys of
+// equal count in slot order, so an unchanged sketch renders the same way
+// on every scrape. On a decaying sketch it first folds the elapsed
+// decay, so counts shrink — and fully-cooled keys disappear — even when
+// nothing records.
 func (t *TopK[K]) Snapshot() []Item[K] {
 	return t.snapshotAt(time.Now())
 }
@@ -144,49 +159,49 @@ func (t *TopK[K]) snapshotAt(now time.Time) []Item[K] {
 	if t.halfLife > 0 {
 		t.mu.Lock()
 		t.foldLocked(now)
-		out := make([]Item[K], 0, len(t.m))
-		for k2, c := range t.m {
-			out = append(out, Item[K]{Key: k2, Count: c.count.Load(), Err: c.err})
-		}
 		t.mu.Unlock()
-		sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-		return out
 	}
 	t.mu.RLock()
-	out := make([]Item[K], 0, len(t.m))
-	for k2, c := range t.m {
-		out = append(out, Item[K]{Key: k2, Count: c.count.Load(), Err: c.err})
+	out := make([]Item[K], len(t.cells))
+	for i := range t.cells {
+		c := &t.cells[i]
+		out[i] = Item[K]{Key: c.key, Count: c.count.Load(), Err: c.err}
 	}
 	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
 	return out
 }
 
 // foldLocked applies the decay accumulated since the last fold:
 // every count (and its error bound) is scaled by 2^(-dt/halfLife), and
-// cells that decay below one event are dropped so the sketch frees
-// slots for current traffic. Caller holds t.mu in write mode. No-op on
-// cumulative sketches or inside the minFold window.
+// slots that decay below one event are swap-removed so the sketch frees
+// them for current traffic. Caller holds t.mu in write mode on a
+// decaying sketch (halfLife > 0). No-op inside the minFold window.
 func (t *TopK[K]) foldLocked(now time.Time) {
-	if t.halfLife <= 0 {
-		return
-	}
 	dt := now.Sub(t.lastFold)
 	if dt < minFold {
 		return
 	}
 	t.lastFold = now
 	factor := math.Exp2(-dt.Seconds() / t.halfLife.Seconds())
-	for k2, c := range t.m {
+	for i := 0; i < len(t.cells); {
+		c := &t.cells[i]
 		// Load+store is safe: writers that could race the fold hold the
 		// read lock, which t.mu excludes here.
-		v := int64(float64(c.count.Load()) * factor)
-		if v < 1 {
-			delete(t.m, k2)
+		if v := int64(float64(c.count.Load()) * factor); v >= 1 {
+			c.count.Store(v)
+			c.err = int64(float64(c.err) * factor)
+			i++
 			continue
 		}
-		c.count.Store(v)
-		c.err = int64(float64(c.err) * factor)
+		delete(t.idx, c.key)
+		last := len(t.cells) - 1
+		if l := &t.cells[last]; i != last {
+			t.setSlot(i, l.key, l.count.Load(), l.err)
+		}
+		var zero K
+		t.cells[last].key = zero // a vacated slot must not pin a string key
+		t.cells = t.cells[:last]
 	}
 }
 
@@ -194,13 +209,15 @@ func (t *TopK[K]) foldLocked(now time.Time) {
 func (t *TopK[K]) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.m)
+	return len(t.cells)
 }
 
 // Reset clears the sketch.
 func (t *TopK[K]) Reset() {
 	t.mu.Lock()
-	t.m = make(map[K]*cell, t.k)
+	clear(t.cells)
+	t.cells = t.cells[:0]
+	clear(t.idx)
 	t.mu.Unlock()
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/heat"
 	"mantle/internal/metrics"
 	"mantle/internal/netsim"
@@ -368,6 +369,8 @@ func (g *Group) pickReadTarget(scratch []int) int {
 // leader, or the leader unreachable across a partition — and
 // DegradedReads is on, the replica falls back to its local (possibly
 // stale) state so lookups keep serving while writes are unavailable.
+// Failed attempts are retried for RetryWindow, measured from the first
+// failure (Call measures its window from entry).
 func (g *Group) Lookup(op *rpc.Op, path string) (LookupResult, error) {
 	g.lookupRate.Add(1)
 	var res LookupResult
@@ -382,8 +385,17 @@ func (g *Group) Lookup(op *rpc.Op, path string) (LookupResult, error) {
 		}
 		hot = g.isHot(path)
 	}
-	deadline := time.Now().Add(g.cfg.RetryWindow)
-	for attempt := 0; attempt == 0 || time.Now().Before(deadline); attempt++ {
+	// Set when the first failed attempt comes back around: a lookup that
+	// succeeds first time reads no clock for its retry window.
+	var deadline time.Duration // a clock.Mono reading
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			if now := clock.Mono(); deadline == 0 {
+				deadline = now + g.cfg.RetryWindow
+			} else if now >= deadline {
+				break
+			}
+		}
 		if hot {
 			// Hot-set path: a non-leader replica serves at the bounded
 			// staleness read point — one RPC, no leader round trip. A

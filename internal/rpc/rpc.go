@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/metrics"
 	"mantle/internal/netsim"
 	"mantle/internal/trace"
@@ -187,20 +188,30 @@ func (c *Caller) Do(node *netsim.Node, cost time.Duration, opts CallOpts, fn fun
 // and supplies the trace context: each attempt records an "rpc" span
 // and charges one trip plus message bytes to the trace.
 func (c *Caller) do(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts, fn func() error) error {
-	if l := c.lat.Load(); l != nil {
-		defer func(st time.Time) { l.Observe(time.Since(st)) }(time.Now())
-	}
-	ctx := context.Background()
-	if op != nil && op.ctx != nil {
-		ctx = op.ctx
-	}
 	deadline := opts.Deadline
 	if deadline == 0 {
 		deadline = time.Duration(c.deadline.Load())
 	}
-	var start time.Time
-	if deadline > 0 {
-		start = time.Now()
+	// One reading on entry serves both latency_rpc and the deadline; a
+	// call with neither reads no clock at all.
+	lat := c.lat.Load()
+	var start time.Duration
+	if lat != nil || deadline > 0 {
+		start = clock.Mono()
+	}
+	err := c.attempts(op, node, cost, opts, fn, deadline, start)
+	if lat != nil {
+		lat.Observe(clock.Mono() - start)
+	}
+	return err
+}
+
+// attempts is do's retry loop. start is the clock.Mono reading deadline
+// counts from.
+func (c *Caller) attempts(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts, fn func() error, deadline, start time.Duration) error {
+	ctx := context.Background()
+	if op != nil && op.ctx != nil {
+		ctx = op.ctx
 	}
 	budget := c.policy.attempts()
 	var lastErr error
@@ -210,11 +221,13 @@ func (c *Caller) do(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts
 			if d := c.policy.backoff(attempt-1, c.jitterFrac()); d > 0 {
 				time.Sleep(d)
 			}
-		}
-		if deadline > 0 && time.Since(start) >= deadline {
-			c.timeouts.Add(1)
-			return fmt.Errorf("rpc to %s: %w after %d attempt(s) (last: %v)",
-				node.Name(), types.ErrTimeout, attempt-1, lastErr)
+			// Checked before a retry only: before the first attempt no
+			// time has passed.
+			if deadline > 0 && clock.Mono()-start >= deadline {
+				c.timeouts.Add(1)
+				return fmt.Errorf("rpc to %s: %w after %d attempt(s) (last: %v)",
+					node.Name(), types.ErrTimeout, attempt-1, lastErr)
+			}
 		}
 		if op != nil {
 			op.state.rtts.Add(1)
