@@ -61,8 +61,9 @@ loc:
 # The ratchet: `make loc` may not exceed the figure of the last PR that
 # lowered it. A PR that shrinks the tree lowers LOC_CEILING to its own
 # result; one that has to grow it raises the ceiling on purpose, in the
-# diff, where a reviewer sees it.
-LOC_CEILING = 20382
+# diff, where a reviewer sees it. PR 23 raised it by 109 for the
+# reference-sorting, shard-parallel bulk loader.
+LOC_CEILING = 20491
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -629,9 +629,13 @@ func (m *Mantle) Populate(dirs []api.PopDir, objects []api.PopObject) error {
 			Perm: types.PermAll, Attr: types.Attr{Size: o.Size},
 		})
 	}
-	if err := m.db.BulkInsert(entries); err != nil {
-		return err
-	}
-	m.idx.BulkAdd(access)
-	return nil
+	// The IndexNode replicas load alongside TafDB's shards.
+	indexed := make(chan struct{})
+	go func() {
+		m.idx.BulkAdd(access)
+		close(indexed)
+	}()
+	err := m.db.BulkInsert(entries)
+	<-indexed
+	return err
 }

@@ -314,11 +314,18 @@ func (g *Group) Replicas() []*Replica { return g.replicas }
 func (g *Group) Nodes() []*netsim.Node { return g.nodes }
 
 // BulkAdd populates every replica's IndexTable directly (experiment
-// setup; bypasses Raft deterministically on all replicas).
+// setup; bypasses Raft deterministically on all replicas). The replicas
+// load concurrently.
 func (g *Group) BulkAdd(entries []types.AccessEntry) {
+	var wg sync.WaitGroup
 	for _, rep := range g.replicas {
-		rep.BulkAdd(entries)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep.BulkAdd(entries)
+		}()
 	}
+	wg.Wait()
 }
 
 // lookupCost computes the CPU charge for a resolution that walked the

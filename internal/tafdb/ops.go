@@ -1,9 +1,14 @@
 package tafdb
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"mantle/internal/intern"
@@ -320,92 +325,185 @@ func (db *DB) SetDirPerm(op *rpc.Op, parent types.InodeID, name string, dir type
 	})
 }
 
+// rowRef names one row of a BulkInsert batch without copying it: ref is
+// the entry's index<<1, plus 1 for a directory's primary attribute row,
+// and pid is the row key's pid.
+type rowRef struct {
+	pid types.InodeID
+	ref uint32
+}
+
+// walChunk bounds the mutations per logged Apply when a WAL shard takes a
+// bulk load: one WAL record and one sync wait per chunk, not per row.
+const walChunk = 256
+
 // BulkInsert loads entries directly into the shards without transactions
 // or RPC charging — the mdtest-style population step used to build
 // billion-scale (scaled-down) namespaces before experiments.
 //
-// Rows are grouped per shard, sorted, and handed to Shard.BulkLoad,
-// which rebuilds each shard's B-tree bottom-up at ~97% node occupancy
-// (sequential Apply leaves nodes half full). Component names are
-// interned first: population is where nearly every name string enters
-// the process, so deduplicating here collapses the popular components
-// ("logs", "part-00042", ...) to one allocation namespace-wide.
-// Shards with a WAL attached refuse the unlogged fast path (a crash
-// would silently lose the rows) and fall back to logged Apply.
+// One counting pass interns the entries' names in place (population is
+// where nearly every name enters the process, so popular components
+// collapse to one allocation namespace-wide) and sizes every shard's
+// slice of one rowRef array: rows are referenced, never copied, until
+// Shard.BulkLoad rebuilds each B-tree bottom-up at ~97% node occupancy.
+// Each shard sorts and dedupes its own references (the last write of a
+// key wins, as with Apply); up to GOMAXPROCS shards load at once.
+//
+// A directory's link count gains the distinct keys under it that its
+// shard did not already hold: on top of the primary row the batch
+// replaces, or as a bump when the primary row is outside the batch (the
+// bootstrap root, an existing directory). A primary row and its children
+// share the directory's pid, so each count is local to one shard.
+//
+// Shards with a WAL attached refuse the unlogged fast path (a crash would
+// silently lose the rows) and apply the same rows logged, walChunk per
+// Apply. Run it on a quiesced namespace.
 func (db *DB) BulkInsert(entries []types.Entry) error {
-	type rowKV struct {
-		k types.Key
-		e types.Entry
+	if len(entries) > math.MaxUint32>>1 {
+		return fmt.Errorf("bulk insert: %d entries overflow a 32-bit row reference", len(entries))
 	}
-	rows := make([][]rowKV, len(db.parts))
-	add := func(k types.Key, e types.Entry) {
-		si := db.shardIdx(k.Pid)
-		rows[si] = append(rows[si], rowKV{k, e})
-	}
-	// Child counts per directory, so primary attribute rows carry the
-	// link count the mutation path would have accumulated (fsck checks
-	// link count == children; the logged path bumps it per insert).
-	children := make(map[types.InodeID]int64, len(entries)/8+1)
-	for _, e := range entries {
-		children[e.Pid]++
-	}
-	for _, e := range entries {
+	rt := db.routing.Load()
+	// off[si]..off[si+1] is shard si's slice of one reference array.
+	off := make([]int, len(db.parts)+1)
+	for i := range entries {
+		e := &entries[i]
 		e.Name = intern.Intern(e.Name)
-		add(types.Key{Pid: e.Pid, Name: e.Name}, e)
+		off[rt.shardIdx(db, e.Pid)+1]++
 		if e.IsDir() {
-			primary := e
-			primary.Pid = e.ID
-			primary.Name = attrName
-			primary.Attr.LinkCount = children[e.ID]
-			add(attrKey(e.ID), primary)
+			off[rt.shardIdx(db, e.ID)+1]++
 		}
 	}
-	for si, rs := range rows {
-		if len(rs) == 0 {
+	for si := range db.parts {
+		off[si+1] += off[si]
+	}
+	refs := make([]rowRef, off[len(db.parts)])
+	fill := slices.Clone(off[:len(db.parts)])
+	for i := range entries {
+		e := &entries[i]
+		si := rt.shardIdx(db, e.Pid)
+		refs[fill[si]] = rowRef{pid: e.Pid, ref: uint32(i) << 1}
+		fill[si]++
+		if e.IsDir() {
+			si = rt.shardIdx(db, e.ID)
+			refs[fill[si]] = rowRef{pid: e.ID, ref: uint32(i)<<1 | 1}
+			fill[si]++
+		}
+	}
+	errs := make([]error, len(db.parts))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for si, p := range db.parts {
+		if off[si] == off[si+1] {
 			continue
 		}
-		sort.SliceStable(rs, func(i, j int) bool { return rs[i].k.Less(rs[j].k) })
-		// Drop duplicate keys keeping the last occurrence (Apply
-		// semantics); BulkLoad requires strictly ascending keys.
-		w := 0
-		for r := 0; r < len(rs); r++ {
-			if r+1 < len(rs) && !rs[r].k.Less(rs[r+1].k) {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			errs[si] = loadShard(p.Shard, entries, refs[off[si]:off[si+1]])
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// loadShard sorts, dedupes and loads one shard's share of a BulkInsert
+// batch, then bumps the link counts of its out-of-batch parents.
+func loadShard(s *storage.Shard, entries []types.Entry, refs []rowRef) error {
+	name := func(r rowRef) string {
+		if r.ref&1 != 0 {
+			return attrName
+		}
+		return entries[r.ref>>1].Name
+	}
+	slices.SortFunc(refs, func(a, b rowRef) int {
+		return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.ref, b.ref))
+	})
+	// Name-sort each pid run, ties on input position, so the last of a
+	// run of equal keys is the last write, and keep that one. A primary
+	// row heads its run ("\x00attr" sorts below every name): it gets the
+	// link count of the row it replaces plus the run's children the shard
+	// did not hold; without one, those children bump the parent.
+	byName := func(a, b rowRef) int {
+		return cmp.Or(strings.Compare(name(a), name(b)), cmp.Compare(a.ref, b.ref))
+	}
+	check := s.Len() > 0 // only a non-empty shard can hold a batch key
+	links := map[types.InodeID]int64{}
+	var bumps []storage.Mutation
+	w := 0
+	for lo := 0; lo < len(refs); {
+		pid, hi := refs[lo].pid, lo+1
+		for hi < len(refs) && refs[hi].pid == pid {
+			hi++
+		}
+		run := refs[lo:hi]
+		slices.SortFunc(run, byName)
+		head, n := w, int64(0)
+		for i, r := range run {
+			if i+1 < len(run) && name(run[i+1]) == name(r) {
 				continue
 			}
-			rs[w] = rs[r]
+			var old storage.Row
+			held := false
+			if check {
+				old, held = s.Get(types.Key{Pid: pid, Name: name(r)})
+			}
+			switch {
+			case r.ref&1 != 0:
+				n += old.Entry.Attr.LinkCount
+			case !held:
+				n++
+			}
+			refs[w] = r
 			w++
 		}
-		rs = rs[:w]
-		s := db.parts[si].Shard
-		if s.BulkLoad(len(rs), func(i int) (types.Key, types.Entry) { return rs[i].k, rs[i].e }) {
-			continue
+		if refs[head].ref&1 != 0 {
+			links[pid] = n
+		} else if n > 0 {
+			bumps = append(bumps, storage.Mutation{
+				Kind: storage.MutDeltaAttr, Key: attrKey(pid),
+				Delta: storage.AttrDelta{LinkCount: n},
+			})
 		}
-		for _, r := range rs {
-			if err := s.Apply([]storage.Mutation{{
-				Kind: storage.MutPut, Key: r.k, Entry: r.e,
-			}}); err != nil {
-				return err
+		lo = hi
+	}
+	refs = refs[:w]
+	row := func(i int) (types.Key, types.Entry) {
+		r := refs[i]
+		e := entries[r.ref>>1]
+		if r.ref&1 != 0 {
+			e.Pid, e.Name, e.Attr.LinkCount = e.ID, attrName, links[e.ID]
+		}
+		return types.Key{Pid: e.Pid, Name: e.Name}, e
+	}
+	if s.BulkLoad(len(refs), row) {
+		if len(bumps) == 0 {
+			return nil
+		}
+		return s.Apply(bumps)
+	}
+	// Logged: the rows, then the bumps, walChunk mutations per Apply (a
+	// fresh slice each, since the replication hook may keep it).
+	total := len(refs) + len(bumps)
+	for lo := 0; lo < total; lo += walChunk {
+		chunk := make([]storage.Mutation, 0, min(walChunk, total-lo))
+		for j := lo; j < lo+cap(chunk); j++ {
+			if j >= len(refs) {
+				chunk = append(chunk, bumps[j-len(refs)])
+				continue
 			}
+			k, e := row(j)
+			chunk = append(chunk, storage.Mutation{Kind: storage.MutPut, Key: k, Entry: e})
 		}
-	}
-	// Parents outside this batch — the bootstrap root, or pre-existing
-	// directories gaining bulk-loaded children — get their link counts
-	// bumped through the delta path instead.
-	inBatch := make(map[types.InodeID]bool, len(children))
-	for _, e := range entries {
-		if e.IsDir() {
-			inBatch[e.ID] = true
-		}
-	}
-	for pid, n := range children {
-		if !inBatch[pid] {
-			db.BumpLink(pid, n)
+		if err := s.Apply(chunk); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// BumpLink adjusts a directory's link count directly (population helper).
+// BumpLink adjusts a directory's link count directly, bypassing
+// transactions — link-count drift injection for fsck tests.
 func (db *DB) BumpLink(dir types.InodeID, delta int64) {
 	p := db.shardFor(dir)
 	_ = p.Shard.Apply([]storage.Mutation{{
