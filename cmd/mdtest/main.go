@@ -22,7 +22,6 @@ import (
 
 	"mantle/internal/bench"
 	"mantle/internal/experiments"
-	"mantle/internal/netsim"
 	"mantle/internal/trace"
 	"mantle/internal/types"
 	"mantle/internal/workload"
@@ -46,6 +45,10 @@ func main() {
 		heatRep  = flag.Bool("heat-report", false, "print the system's heat-plane report after the run (mantle only)")
 	)
 	flag.Parse()
+	shared := *conflict == "shared"
+	if *op == "rmdir" && shared {
+		fatal(fmt.Errorf("rmdir -conflict shared is not supported (paper omits rmdir-s)"))
+	}
 
 	p := experiments.Params{
 		RTT: *rtt, Clients: *clients, PerClient: *per,
@@ -67,29 +70,13 @@ func main() {
 		if *op != "objstat" && *op != "lookup" {
 			fatal(fmt.Errorf("-entries supports only -op objstat or lookup (got %q)", *op))
 		}
-		fabric := netsim.NewFabric(netsim.Config{RTT: p.RTT})
-		s, err := experiments.NewSystem(*system, fabric, opts)
+		pt, err := experiments.RunScale(p, *system, opts, *entries, *op)
 		if err != nil {
 			fatal(err)
 		}
-		defer s.Stop()
-		sn := workload.BuildScale(*entries)
-		heap0 := bench.Heap()
-		popStart := time.Now()
-		if err := sn.Populate(s); err != nil {
-			fatal(err)
-		}
-		grown := bench.Heap().Sub(heap0)
 		fmt.Printf("populated %d entries in %v (%.0f resident bytes/entry)\n",
-			sn.Entries(), time.Since(popStart).Round(time.Millisecond),
-			float64(grown.HeapAlloc)/float64(sn.Entries()))
-		fn := sn.StatOp(s)
-		if *op == "lookup" {
-			fn = sn.LookupOp(s)
-		}
-		_ = bench.RunN(p.Clients, 2, fn) // warm round
-		res := bench.RunN(p.Clients, p.PerClient, fn)
-		printRun(*system, *op, "-scale", p, res)
+			pt.Entries, pt.Populate.Round(time.Millisecond), pt.BytesPerEntry)
+		printRun(*system, *op, "-scale", p, pt.Result)
 		return
 	}
 
@@ -99,7 +86,6 @@ func main() {
 	}
 	defer s.Stop()
 
-	shared := *conflict == "shared"
 	var fn bench.OpFunc
 	switch *op {
 	case "lookup":
@@ -131,20 +117,11 @@ func main() {
 			fn = workload.MkdirEOp(s, ns, "cli")
 		}
 	case "rmdir":
-		var mk bench.OpFunc
-		if shared {
-			mk = workload.MkdirSOp(s, ns, "cli")
-		} else {
-			mk = workload.MkdirEOp(s, ns, "cli")
-		}
-		pre := bench.RunN(p.Clients, p.PerClient, mk)
+		pre := bench.RunN(p.Clients, p.PerClient, workload.MkdirEOp(s, ns, "cli"))
 		if pre.Errors > 0 {
 			fatal(fmt.Errorf("pre-mkdir for rmdir: %d errors", pre.Errors))
 		}
 		fn = workload.RmdirEOp(s, ns, "cli") // rmdir targets are the created dirs
-		if shared {
-			fatal(fmt.Errorf("rmdir -conflict shared is not supported (paper omits rmdir-s)"))
-		}
 	case "dirrename":
 		if err := workload.PrepareRenamePingPong(s, ns, p.Clients, "cli"); err != nil {
 			fatal(err)

@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
-
-	"mantle/internal/metrics"
-	"mantle/internal/types"
 )
 
 // Kops formats a throughput in Kop/s as the paper reports.
@@ -54,42 +50,4 @@ func Table(w io.Writer, title string, header []string, rows [][]string) {
 	for _, r := range rows {
 		line(r)
 	}
-}
-
-// BreakdownRow formats a result's phase breakdown (mean µs per phase),
-// as in Figures 13 and 15.
-func BreakdownRow(r RunResult) []string {
-	return []string{
-		fmt.Sprintf("%.0f", us(r.MeanPhase(types.PhaseLookup))),
-		fmt.Sprintf("%.0f", us(r.MeanPhase(types.PhaseLoopDetect))),
-		fmt.Sprintf("%.0f", us(r.MeanPhase(types.PhaseExecute))),
-		fmt.Sprintf("%.0f", us(r.Latency.Mean())),
-	}
-}
-
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// CDFSummary prints quantile rows for a set of named histograms — the
-// textual rendering of a CDF figure.
-func CDFSummary(w io.Writer, title string, series []NamedHist) {
-	header := []string{"system", "p10", "p50", "p90", "p99", "p999", "max"}
-	rows := make([][]string, 0, len(series))
-	for _, s := range series {
-		rows = append(rows, []string{
-			s.Name,
-			s.Hist.Quantile(0.10).Round(time.Microsecond).String(),
-			s.Hist.Quantile(0.50).Round(time.Microsecond).String(),
-			s.Hist.Quantile(0.90).Round(time.Microsecond).String(),
-			s.Hist.Quantile(0.99).Round(time.Microsecond).String(),
-			s.Hist.Quantile(0.999).Round(time.Microsecond).String(),
-			s.Hist.Max().Round(time.Microsecond).String(),
-		})
-	}
-	Table(w, title, header, rows)
-}
-
-// NamedHist pairs a label with a histogram.
-type NamedHist struct {
-	Name string
-	Hist *metrics.Latency
 }

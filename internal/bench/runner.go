@@ -1,8 +1,8 @@
 // Package bench is the measurement harness for the evaluation: a
 // fixed-work concurrent load runner (mdtest-style: N workers ×
 // ops-per-worker) with per-phase latency aggregation over
-// metrics.Latency histograms, and table/CDF printers used by
-// cmd/experiments to regenerate the paper's figures.
+// metrics.Latency histograms, and the aligned-table printer the
+// experiment renderer uses.
 package bench
 
 import (

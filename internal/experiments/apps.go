@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"mantle/internal/bench"
+	"mantle/internal/api"
 	"mantle/internal/dataservice"
 	"mantle/internal/metrics"
-	"mantle/internal/netsim"
 	"mantle/internal/workload"
 )
 
@@ -35,132 +34,74 @@ func appScale(p Params) (analytics workload.AnalyticsConfig, audio workload.Audi
 }
 
 // runApps executes both applications on the named system, optionally with
-// data access, returning the two reports.
-func runApps(p Params, name string, opts SystemOpts, data bool) (*workload.AppReport, *workload.AppReport, error) {
-	fabric := netsim.NewFabric(netsim.Config{RTT: p.RTT})
-	s, err := NewSystem(name, fabric, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer s.Stop()
-	ns := workload.Build(workload.TreeSpec{
-		Clients: p.Clients, Depth: p.Depth, ObjectsPerClient: p.ObjectsPerClient,
+// data access, and fails if any of their operations failed.
+func runApps(p Params, name string, opts SystemOpts, data bool) (an, au *workload.AppReport, err error) {
+	ns := mdtestTree(p)
+	err = withSystem(p, name, opts, ns.Populate, func(s api.Service) (err error) {
+		anCfg, auCfg := appScale(p)
+		if data {
+			ds := dataservice.New(dataservice.Config{
+				Fabric: s.Caller().Fabric(), Nodes: 8, Workers: 16,
+				BaseCost: 400 * time.Microsecond, PerMB: 3 * time.Millisecond,
+			})
+			anCfg.Data = ds
+			auCfg.Data = ds
+		}
+		auCfg.Namespace = ns
+		if an, err = workload.RunAnalytics(s, anCfg); err != nil {
+			return err
+		}
+		if au, err = workload.RunAudio(s, auCfg); err != nil {
+			return err
+		}
+		if an.Errors > 0 || au.Errors > 0 {
+			return fmt.Errorf("app errors: analytics %d, audio %d", an.Errors, au.Errors)
+		}
+		return nil
 	})
-	if err := ns.Populate(s); err != nil {
-		return nil, nil, err
-	}
-	anCfg, auCfg := appScale(p)
-	if data {
-		ds := dataservice.New(dataservice.Config{
-			Fabric: fabric, Nodes: 8, Workers: 16,
-			BaseCost: 400 * time.Microsecond, PerMB: 3 * time.Millisecond,
-		})
-		anCfg.Data = ds
-		auCfg.Data = ds
-	}
-	auCfg.Namespace = ns
-	an, err := workload.RunAnalytics(s, anCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	au, err := workload.RunAudio(s, auCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return an, au, nil
+	return an, au, err
 }
 
 // Fig10 reports application completion times, metadata-only (a) and with
-// data access enabled (b) — paper Figure 10.
-func Fig10(p Params) error {
-	p = p.WithDefaults()
-	type row struct{ analytics, audio [2]time.Duration }
-	results := map[string]*row{}
+// data access enabled (b) — paper Figure 10 — and, from the
+// metadata-only runs, the latency CDFs of the applications'
+// representative operations (paper Figure 11): mkdir and dirrename for
+// Analytics, objstat and create for Audio.
+func Fig10(p Params) ([]Row, error) {
+	var rows []Row
+	cdfOps := []string{"mkdir", "dirrename", "audio-objstat", "audio-create"}
+	cdfs := make([][]Row, len(cdfOps)) // Figure 11 rows grouped by op
 	for _, name := range Systems {
-		opts := SystemOpts{}
-		if name == "mantle" {
-			opts = DefaultMantleOpts()
-		}
-		r := &row{}
-		for i, data := range []bool{false, true} {
-			an, au, err := runApps(p, name, opts, data)
+		for _, data := range []bool{false, true} {
+			an, au, err := runApps(p, name, systemOpts(name), data)
 			if err != nil {
-				return fmt.Errorf("%s (data=%v): %w", name, data, err)
+				return nil, fmt.Errorf("%s (data=%v): %w", name, data, err)
 			}
-			if an.Errors > 0 || au.Errors > 0 {
-				return fmt.Errorf("%s (data=%v): app errors an=%d au=%d", name, data, an.Errors, au.Errors)
+			mode := "(meta only)"
+			if data {
+				mode = "(+data)"
 			}
-			r.analytics[i] = an.Completion
-			r.audio[i] = au.Completion
-		}
-		results[name] = r
-	}
-	rows := [][]string{}
-	for _, name := range Systems {
-		r := results[name]
-		rows = append(rows, []string{
-			name,
-			r.analytics[0].Round(time.Millisecond).String(),
-			r.audio[0].Round(time.Millisecond).String(),
-			r.analytics[1].Round(time.Millisecond).String(),
-			r.audio[1].Round(time.Millisecond).String(),
-		})
-	}
-	bench.Table(p.Out, "Figure 10: application completion time",
-		[]string{"system", "analytics (meta only)", "audio (meta only)", "analytics (+data)", "audio (+data)"}, rows)
-	return nil
-}
-
-// Fig11 reports the latency CDFs of the representative metadata
-// operations in the two applications (paper Figure 11): mkdir and
-// dirrename for Analytics, objstat and create for Audio.
-func Fig11(p Params) error {
-	p = p.WithDefaults()
-	hists := map[string]map[string]*metrics.Latency{} // op -> system -> hist
-	for _, name := range Systems {
-		opts := SystemOpts{}
-		if name == "mantle" {
-			opts = DefaultMantleOpts()
-		}
-		an, au, err := runApps(p, name, opts, false)
-		if err != nil {
-			return err
-		}
-		for op, h := range an.Ops {
-			if op == "mkdir" || op == "dirrename" {
-				if hists[op] == nil {
-					hists[op] = map[string]*metrics.Latency{}
-				}
-				hists[op][name] = h
+			rows = append(rows,
+				Row{"fig10", name, "analytics " + mode, micros(an.Completion), Micros},
+				Row{"fig10", name, "audio " + mode, micros(au.Completion), Micros})
+			if data {
+				continue
 			}
-		}
-		for op, h := range au.Ops {
-			if op == "objstat" || op == "create" {
-				key := "audio-" + op
-				if hists[key] == nil {
-					hists[key] = map[string]*metrics.Latency{}
-				}
-				hists[key][name] = h
+			for i, h := range []*metrics.Latency{an.Ops["mkdir"], an.Ops["dirrename"], au.Ops["objstat"], au.Ops["create"]} {
+				cdfs[i] = append(cdfs[i], quantiles("fig11", cdfOps[i]+" "+name, h)...)
 			}
 		}
 	}
-	for _, op := range []string{"mkdir", "dirrename", "audio-objstat", "audio-create"} {
-		series := []bench.NamedHist{}
-		for _, name := range Systems {
-			if h, ok := hists[op][name]; ok {
-				series = append(series, bench.NamedHist{Name: name, Hist: h})
-			}
-		}
-		bench.CDFSummary(p.Out, fmt.Sprintf("Figure 11: latency CDF of %s", op), series)
+	for _, c := range cdfs {
+		rows = append(rows, c...)
 	}
-	return nil
+	return rows, nil
 }
 
 // Fig20 evaluates adding metadata caching (paper Figure 20): InfiniFS ±
 // AM-Cache and Mantle (whose TopDirPathCache plays the same role — we
 // contrast Mantle-base vs full Mantle) on both applications.
-func Fig20(p Params) error {
-	p = p.WithDefaults()
+func Fig20(p Params) ([]Row, error) {
 	configs := []struct {
 		label string
 		name  string
@@ -175,19 +116,15 @@ func Fig20(p Params) error {
 			return o
 		}()},
 	}
-	rows := [][]string{}
+	var rows []Row
 	for _, c := range configs {
 		an, au, err := runApps(p, c.name, c.opts, false)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.label, err)
+			return nil, fmt.Errorf("%s: %w", c.label, err)
 		}
-		rows = append(rows, []string{
-			c.label,
-			an.Completion.Round(time.Millisecond).String(),
-			au.Completion.Round(time.Millisecond).String(),
-		})
+		rows = append(rows,
+			Row{"fig20", c.label, "analytics", micros(an.Completion), Micros},
+			Row{"fig20", c.label, "audio", micros(au.Completion), Micros})
 	}
-	bench.Table(p.Out, "Figure 20: impact of adding metadata caching (completion time)",
-		[]string{"config", "analytics", "audio"}, rows)
-	return nil
+	return rows, nil
 }

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§3 and §6) against the four metadata services. Each
-// experiment prints the rows/series the paper reports; EXPERIMENTS.md
-// records paper-vs-measured shapes.
+// experiment returns the cells the paper reports as Rows, which Run
+// prints through one renderer; EXPERIMENTS.md records paper-vs-measured
+// shapes.
 //
 // The simulated deployment mirrors Table 2 on the netsim fabric:
 //
@@ -26,6 +27,7 @@ import (
 	"mantle/internal/baselines/infinifs"
 	"mantle/internal/baselines/locofs"
 	"mantle/internal/baselines/tectonic"
+	"mantle/internal/bench"
 	"mantle/internal/core"
 	"mantle/internal/indexnode"
 	"mantle/internal/netsim"
@@ -242,20 +244,105 @@ func NewSystem(name string, fabric *netsim.Fabric, opts SystemOpts) (api.Service
 // Systems is the comparison order used throughout the evaluation.
 var Systems = []string{"tectonic", "infinifs", "locofs", "mantle"}
 
+// systemOpts is the configuration a comparison figure runs name with:
+// production Mantle, the baselines as they are.
+func systemOpts(name string) SystemOpts {
+	if name == "mantle" {
+		return DefaultMantleOpts()
+	}
+	return SystemOpts{}
+}
+
+// mdtestTree is the mdtest namespace Params describes.
+func mdtestTree(p Params) *workload.Namespace {
+	return workload.Build(workload.TreeSpec{
+		Clients: p.Clients, Depth: p.Depth, ObjectsPerClient: p.ObjectsPerClient,
+	})
+}
+
+// build constructs the named system on a fresh fabric and loads pop
+// into it.
+func build(name string, p Params, opts SystemOpts, pop func(api.Service) error) (api.Service, error) {
+	s, err := NewSystem(name, netsim.NewFabric(netsim.Config{RTT: p.RTT}), opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := pop(s); err != nil {
+		s.Stop()
+		return nil, fmt.Errorf("%s: populate: %w", name, err)
+	}
+	return s, nil
+}
+
 // BuildPopulated constructs the named system with a populated mdtest
 // namespace.
 func BuildPopulated(name string, p Params, opts SystemOpts) (api.Service, *workload.Namespace, error) {
-	fabric := netsim.NewFabric(netsim.Config{RTT: p.RTT})
-	s, err := NewSystem(name, fabric, opts)
+	ns := mdtestTree(p)
+	s, err := build(name, p, opts, ns.Populate)
+	return s, ns, err
+}
+
+// withSystem builds the named system, loads pop into it, measures it
+// with fn and stops it. After a successful fn the system's metrics go
+// to Params.MetricsOut when that is set.
+func withSystem(p Params, name string, opts SystemOpts, pop func(api.Service) error, fn func(api.Service) error) error {
+	s, err := build(name, p, opts, pop)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	ns := workload.Build(workload.TreeSpec{
-		Clients: p.Clients, Depth: p.Depth, ObjectsPerClient: p.ObjectsPerClient,
+	defer s.Stop()
+	if err := fn(s); err != nil {
+		return err
+	}
+	if p.MetricsOut != nil {
+		DumpSystem(p.MetricsOut, name, s)
+	}
+	return nil
+}
+
+// run drives fn with workers × per ops, after an untimed round of warm
+// ops per worker when warm > 0. A failed timed op fails the measurement.
+func run(what string, workers, warm, per int, fn bench.OpFunc) (bench.RunResult, error) {
+	if warm > 0 {
+		bench.RunN(workers, warm, fn)
+	}
+	r := bench.RunN(workers, per, fn)
+	if r.Errors > 0 {
+		return r, fmt.Errorf("%s: %d of %d ops failed", what, r.Errors, r.Ops+r.Errors)
+	}
+	return r, nil
+}
+
+// ScalePoint is one namespace size measured by RunScale.
+type ScalePoint struct {
+	Entries       int
+	Populate      time.Duration // wall time of the bulk load
+	BytesPerEntry float64       // live-heap growth from before the build to after the load
+	Result        bench.RunResult
+}
+
+// RunScale builds the named system, bulk-loads a workload.BuildScale(n)
+// namespace into it and measures op ("objstat" or "lookup") over it with
+// Params.Clients × Params.PerClient ops after a warm round: the path
+// behind the scale sweep and mdtest -entries.
+func RunScale(p Params, system string, opts SystemOpts, n int, op string) (ScalePoint, error) {
+	heap0 := bench.Heap()
+	sn := workload.BuildScale(n)
+	pt := ScalePoint{Entries: sn.Entries()}
+	load := func(s api.Service) error {
+		start := time.Now()
+		err := sn.Populate(s)
+		pt.Populate = time.Since(start)
+		pt.BytesPerEntry = float64(bench.Heap().Sub(heap0).HeapAlloc) / float64(pt.Entries)
+		return err
+	}
+	err := withSystem(p, system, opts, load, func(s api.Service) (err error) {
+		fn := sn.StatOp(s)
+		if op == "lookup" {
+			fn = sn.LookupOp(s)
+		}
+		pt.Result, err = run(fmt.Sprintf("%s %d entries", op, n), p.Clients, 2, p.PerClient, fn)
+		return err
 	})
-	if err := ns.Populate(s); err != nil {
-		s.Stop()
-		return nil, nil, err
-	}
-	return s, ns, nil
+	return pt, err
 }

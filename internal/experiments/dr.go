@@ -25,7 +25,7 @@ import (
 // they never became applicable — zero after a full drain). Convergence
 // is verified structurally: the sites' folded row sets must be
 // identical and fsck must pass on the promoted secondary.
-func DR(p Params) error {
+func DR(p Params) ([]Row, error) {
 	s, err := core.NewSites(core.SitesConfig{
 		Site: core.Config{
 			TafDB: tafdb.Config{Shards: 4, Delta: tafdb.DeltaAuto, WALSyncCost: 5 * time.Microsecond},
@@ -34,7 +34,7 @@ func DR(p Params) error {
 		Link: repl.LinkConfig{Interval: 200 * time.Microsecond, BatchMax: 128},
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer s.Stop()
 	s.StartReplication()
@@ -50,7 +50,7 @@ func DR(p Params) error {
 	}
 	for w := 0; w < writers; w++ {
 		if _, err := pri.Mkdir(begin(), fmt.Sprintf("/w%d", w)); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -110,7 +110,7 @@ func DR(p Params) error {
 			break
 		}
 		if time.Since(healed) > 30*time.Second {
-			return fmt.Errorf("dr: replication did not converge: lag=%+v pending=%d", st, w.Pending)
+			return nil, fmt.Errorf("dr: replication did not converge: lag=%+v pending=%d", st, w.Pending)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
@@ -135,8 +135,8 @@ func DR(p Params) error {
 	fmt.Fprintf(p.Out, "convergence: %d row divergences between sites; promoted-site %s\n",
 		divergences, check)
 	if rep.Discarded != 0 || divergences != 0 || !check.OK() {
-		return fmt.Errorf("dr: drained failover not clean: discarded=%d divergences=%d fsck=%s",
+		return nil, fmt.Errorf("dr: drained failover not clean: discarded=%d divergences=%d fsck=%s",
 			rep.Discarded, divergences, check)
 	}
-	return nil
+	return nil, nil
 }

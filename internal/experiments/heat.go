@@ -15,10 +15,10 @@ import (
 // cluster heat plane exists for. The full report goes to
 // Params.HeatOut when set (the CI chaos lane uploads it as an
 // artifact).
-func Heat(p Params) error {
+func Heat(p Params) ([]Row, error) {
 	s, ns, err := BuildPopulated("mantle", p, DefaultMantleOpts())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer s.Stop()
 	m := s.(*core.Mantle)
@@ -44,5 +44,5 @@ func Heat(p Params) error {
 	if p.HeatOut != nil {
 		m.WriteStatus(p.HeatOut)
 	}
-	return nil
+	return nil, nil
 }

@@ -1,31 +1,20 @@
 package experiments
 
 import (
-	"fmt"
-
 	"mantle/internal/api"
 	"mantle/internal/bench"
 	"mantle/internal/types"
 	"mantle/internal/workload"
 )
 
-// forEachSystem builds each comparison system fresh (with its own fabric
-// and populated namespace) and invokes fn.
-func forEachSystem(p Params, names []string, fn func(name string, s api.Service, ns *workload.Namespace) error) error {
-	for _, name := range names {
-		opts := SystemOpts{}
-		if name == "mantle" {
-			opts = DefaultMantleOpts()
-		}
-		s, ns, err := BuildPopulated(name, p, opts)
-		if err != nil {
-			return err
-		}
-		err = fn(name, s, ns)
-		if err == nil && p.MetricsOut != nil {
-			DumpSystem(p.MetricsOut, name, s)
-		}
-		s.Stop()
+// forEachSystem measures each comparison system with fn on a fresh
+// deployment populated with the mdtest namespace.
+func forEachSystem(p Params, fn func(name string, s api.Service, ns *workload.Namespace) error) error {
+	for _, name := range Systems {
+		ns := mdtestTree(p)
+		err := withSystem(p, name, systemOpts(name), ns.Populate, func(s api.Service) error {
+			return fn(name, s, ns)
+		})
 		if err != nil {
 			return err
 		}
@@ -33,230 +22,151 @@ func forEachSystem(p Params, names []string, fn func(name string, s api.Service,
 	return nil
 }
 
-// readOps are the Figure 12/13 operations.
-var readOps = []string{"create", "delete", "objstat", "dirstat"}
-
-// runReadOps runs the four object/directory-read operations on s.
-func runReadOps(p Params, s api.Service, ns *workload.Namespace) map[string]bench.RunResult {
-	out := map[string]bench.RunResult{}
-	out["create"] = bench.RunN(p.Clients, p.PerClient, workload.CreateOp(s, ns, "f12"))
-	out["delete"] = bench.RunN(p.Clients, p.PerClient, workload.DeleteOp(s, ns, "f12"))
-	out["objstat"] = bench.RunN(p.Clients, p.PerClient, workload.ObjStatOp(s, ns))
-	out["dirstat"] = bench.RunN(p.Clients, p.PerClient, workload.DirStatOp(s, ns))
-	return out
-}
-
-// Fig12 reports throughput of create/delete/objstat/dirstat across the
-// four systems (paper Figure 12).
-func Fig12(p Params) error {
-	p = p.WithDefaults()
-	rows := [][]string{}
-	err := forEachSystem(p, Systems, func(name string, s api.Service, ns *workload.Namespace) error {
-		res := runReadOps(p, s, ns)
-		row := []string{name}
-		for _, op := range readOps {
-			r := res[op]
-			if r.Errors > 0 {
-				return fmt.Errorf("%s %s: %d errors", name, op, r.Errors)
+// Fig12 measures create, delete, objstat and dirstat on the four
+// systems: their throughput is Figure 12 and their mean latency per
+// phase (lookup vs execute) Figure 13.
+func Fig12(p Params) ([]Row, error) {
+	var rows []Row
+	err := forEachSystem(p, func(name string, s api.Service, ns *workload.Namespace) error {
+		for _, o := range []struct {
+			op string
+			fn bench.OpFunc
+		}{
+			{"create", workload.CreateOp(s, ns, "f12")},
+			{"delete", workload.DeleteOp(s, ns, "f12")},
+			{"objstat", workload.ObjStatOp(s, ns)},
+			{"dirstat", workload.DirStatOp(s, ns)},
+		} {
+			r, err := run(name+" "+o.op, p.Clients, 0, p.PerClient, o.fn)
+			if err != nil {
+				return err
 			}
-			row = append(row, bench.Kops(r.Throughput))
-		}
-		rows = append(rows, row)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	bench.Table(p.Out, "Figure 12: throughput of object ops and directory read ops",
-		[]string{"system", "create", "delete", "objstat", "dirstat"}, rows)
-	return nil
-}
-
-// Fig13 reports the latency breakdown (lookup vs execute, mean µs) of the
-// Figure 12 operations (paper Figure 13).
-func Fig13(p Params) error {
-	p = p.WithDefaults()
-	rows := [][]string{}
-	err := forEachSystem(p, Systems, func(name string, s api.Service, ns *workload.Namespace) error {
-		res := runReadOps(p, s, ns)
-		for _, op := range readOps {
-			r := res[op]
-			rows = append(rows, append([]string{name, op}, bench.BreakdownRow(r)...))
+			rows = append(rows, Row{"fig12", name, o.op, r.Throughput, OpsPerSec})
+			rows = append(rows, breakdown("fig13", name+" "+o.op, r)...)
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	bench.Table(p.Out, "Figure 13: latency breakdown of object/directory read ops (mean µs)",
-		[]string{"system", "op", "lookup", "loopdetect", "execute", "total"}, rows)
-	return nil
-}
-
-// dirModWorkloads runs mkdir-e, mkdir-s, dirrename-e, dirrename-s.
-func dirModWorkloads(p Params, s api.Service, ns *workload.Namespace) (map[string]bench.RunResult, error) {
-	out := map[string]bench.RunResult{}
-	out["mkdir-e"] = bench.RunN(p.Clients, p.PerClient, workload.MkdirEOp(s, ns, "f14e"))
-	out["mkdir-s"] = bench.RunN(p.Clients, p.PerClient, workload.MkdirSOp(s, ns, "f14s"))
-	// Separate ping-pong directories per rename workload: an odd op count
-	// leaves a ping-pong source under its alternate name.
-	if err := workload.PrepareRenamePingPong(s, ns, p.Clients, "f14e"); err != nil {
-		return nil, err
-	}
-	out["dirrename-e"] = bench.RunN(p.Clients, p.PerClient, workload.RenameEOp(s, ns, "f14e"))
-	if err := workload.PrepareRenamePingPong(s, ns, p.Clients, "f14s"); err != nil {
-		return nil, err
-	}
-	out["dirrename-s"] = bench.RunN(p.Clients, p.PerClient, workload.RenameSOp(s, ns, "f14s"))
-	return out, nil
+	return rows, err
 }
 
 var dirModOps = []string{"mkdir-e", "mkdir-s", "dirrename-e", "dirrename-s"}
 
-// Fig14 reports directory-modification throughput under exclusive ('-e')
-// and shared ('-s') directories (paper Figure 14).
-func Fig14(p Params) error {
-	p = p.WithDefaults()
-	rows := [][]string{}
-	err := forEachSystem(p, Systems, func(name string, s api.Service, ns *workload.Namespace) error {
-		res, err := dirModWorkloads(p, s, ns)
-		if err != nil {
-			return err
-		}
-		row := []string{name}
-		for _, op := range dirModOps {
-			r := res[op]
-			if r.Errors > 0 {
-				return fmt.Errorf("%s %s: %d errors", name, op, r.Errors)
+// dirMods runs mkdir-e, mkdir-s, dirrename-e and dirrename-s on s, keyed
+// by op. round+"e" and round+"s" name each side's directories; each
+// rename workload gets its own ping-pong directories, since an odd op
+// count leaves a source under its alternate name.
+func dirMods(p Params, s api.Service, ns *workload.Namespace, round string) (map[string]bench.RunResult, error) {
+	out := map[string]bench.RunResult{}
+	for _, o := range []struct {
+		op, pingPong string
+		fn           bench.OpFunc
+	}{
+		{"mkdir-e", "", workload.MkdirEOp(s, ns, round+"e")},
+		{"mkdir-s", "", workload.MkdirSOp(s, ns, round+"s")},
+		{"dirrename-e", round + "e", workload.RenameEOp(s, ns, round+"e")},
+		{"dirrename-s", round + "s", workload.RenameSOp(s, ns, round+"s")},
+	} {
+		if o.pingPong != "" {
+			if err := workload.PrepareRenamePingPong(s, ns, p.Clients, o.pingPong); err != nil {
+				return nil, err
 			}
-			row = append(row, bench.Kops(r.Throughput))
 		}
-		rows = append(rows, row)
-		return nil
-	})
-	if err != nil {
-		return err
+		r, err := run(o.op, p.Clients, 0, p.PerClient, o.fn)
+		if err != nil {
+			return nil, err
+		}
+		out[o.op] = r
 	}
-	bench.Table(p.Out, "Figure 14: throughput of directory modification ops",
-		append([]string{"system"}, dirModOps...), rows)
-	return nil
+	return out, nil
 }
 
-// Fig15 reports the lookup/loop-detection/execute breakdown of the
-// Figure 14 operations (paper Figure 15).
-func Fig15(p Params) error {
-	p = p.WithDefaults()
-	rows := [][]string{}
-	err := forEachSystem(p, Systems, func(name string, s api.Service, ns *workload.Namespace) error {
-		res, err := dirModWorkloads(p, s, ns)
+// Fig14 measures directory modifications under exclusive ('-e') and
+// shared ('-s') directories on the four systems: their throughput is
+// Figure 14 and their lookup/loop-detection/execute breakdown Figure 15.
+func Fig14(p Params) ([]Row, error) {
+	var rows []Row
+	err := forEachSystem(p, func(name string, s api.Service, ns *workload.Namespace) error {
+		res, err := dirMods(p, s, ns, "f14")
 		if err != nil {
 			return err
 		}
 		for _, op := range dirModOps {
-			r := res[op]
-			rows = append(rows, append([]string{name, op}, bench.BreakdownRow(r)...))
+			rows = append(rows, Row{"fig14", name, op, res[op].Throughput, OpsPerSec})
+			rows = append(rows, breakdown("fig15", name+" "+op, res[op])...)
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	bench.Table(p.Out, "Figure 15: latency breakdown of directory modification ops (mean µs)",
-		[]string{"system", "op", "lookup", "loopdetect", "execute", "total"}, rows)
-	return nil
+	return rows, err
 }
 
 // Table1 measures the RPC round trips a depth-10 lookup consumes on each
 // system (paper Table 1's #RTTs column).
-func Table1(p Params) error {
-	p = p.WithDefaults()
-	rows := [][]string{}
-	err := forEachSystem(p, Systems, func(name string, s api.Service, ns *workload.Namespace) error {
-		_ = bench.RunN(min(p.Clients, 32), 2, workload.LookupOp(s, ns)) // settle elections/caches
-		res := bench.RunN(min(p.Clients, 32), p.PerClient, workload.LookupOp(s, ns))
-		if res.Errors > 0 {
-			return fmt.Errorf("%s lookup: %d errors", name, res.Errors)
+func Table1(p Params) ([]Row, error) {
+	var rows []Row
+	err := forEachSystem(p, func(name string, s api.Service, ns *workload.Namespace) error {
+		// The warm round settles elections and caches.
+		r, err := run(name+" lookup", min(p.Clients, 32), 2, p.PerClient, workload.LookupOp(s, ns))
+		if err != nil {
+			return err
 		}
-		rows = append(rows, []string{name, fmt.Sprintf("%.1f", res.MeanRTTs())})
+		rows = append(rows, Row{"tab1", name, "RTTs/lookup", r.MeanRTTs(), Count})
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	bench.Table(p.Out, fmt.Sprintf("Table 1: measured #RTTs per lookup (depth %d)", p.Depth),
-		[]string{"system", "RTTs/lookup"}, rows)
-	fmt.Fprintln(p.Out, "note: InfiniFS issues the same RPC count in parallel; Mantle and LocoFS are single-RPC.")
-	return nil
+	return rows, err
 }
 
 // Fig4a reproduces the motivation study's latency breakdown of the
 // legacy DBtable metadata service (paper Figure 4a): the lookup step
 // dominates objstat, dirstat and delete.
-func Fig4a(p Params) error {
-	p = p.WithDefaults()
-	s, ns, err := BuildPopulated("dbtable", p, SystemOpts{})
-	if err != nil {
-		return err
-	}
-	defer s.Stop()
-	rows := [][]string{}
-	measure := func(op string, r bench.RunResult) {
-		total := r.Latency.Mean()
-		lookup := r.MeanPhase(types.PhaseLookup)
-		share := 0.0
-		if total > 0 {
-			share = float64(lookup) / float64(total) * 100
+func Fig4a(p Params) ([]Row, error) {
+	var rows []Row
+	ns := mdtestTree(p)
+	err := withSystem(p, "dbtable", SystemOpts{}, ns.Populate, func(s api.Service) error {
+		for _, o := range []struct {
+			op string
+			fn bench.OpFunc
+		}{
+			{"objstat", workload.ObjStatOp(s, ns)},
+			{"dirstat", workload.DirStatOp(s, ns)},
+			{"create", workload.CreateOp(s, ns, "f4")}, // the objects delete removes
+			{"delete", workload.DeleteOp(s, ns, "f4")},
+		} {
+			r, err := run("fig4a "+o.op, p.Clients, 0, p.PerClient, o.fn)
+			if err != nil {
+				return err
+			}
+			if o.op == "create" {
+				continue
+			}
+			rows = append(rows, breakdown("fig4a", o.op, r)...)
+			share := float64(r.MeanPhase(types.PhaseLookup)) / float64(r.Latency.Mean()) * 100
+			rows = append(rows, Row{"fig4a", o.op, "lookup share", share, Percent})
 		}
-		rows = append(rows, append([]string{op}, append(bench.BreakdownRow(r),
-			fmt.Sprintf("%.1f%%", share))...))
-	}
-	measure("objstat", bench.RunN(p.Clients, p.PerClient, workload.ObjStatOp(s, ns)))
-	measure("dirstat", bench.RunN(p.Clients, p.PerClient, workload.DirStatOp(s, ns)))
-	pre := bench.RunN(p.Clients, p.PerClient, workload.CreateOp(s, ns, "f4"))
-	if pre.Errors > 0 {
-		return fmt.Errorf("fig4a setup creates: %d errors", pre.Errors)
-	}
-	measure("delete", bench.RunN(p.Clients, p.PerClient, workload.DeleteOp(s, ns, "f4")))
-	bench.Table(p.Out, "Figure 4a: latency breakdown of the DBtable-based service (mean µs)",
-		[]string{"op", "lookup", "loopdetect", "execute", "total", "lookup share"}, rows)
-	return nil
+		return nil
+	})
+	return rows, err
 }
 
 // Fig4b reproduces the motivation study's contention collapse (paper
 // Figure 4b): mkdir and dirrename on the legacy DBtable service with no
 // conflicts vs all threads hitting one shared directory.
-func Fig4b(p Params) error {
-	p = p.WithDefaults()
-	s, ns, err := BuildPopulated("dbtable", p, SystemOpts{})
-	if err != nil {
-		return err
-	}
-	defer s.Stop()
-
-	mkE := bench.RunN(p.Clients, p.PerClient, workload.MkdirEOp(s, ns, "f4e"))
-	mkS := bench.RunN(p.Clients, p.PerClient, workload.MkdirSOp(s, ns, "f4s"))
-	if err := workload.PrepareRenamePingPong(s, ns, p.Clients, "f4e"); err != nil {
-		return err
-	}
-	rnE := bench.RunN(p.Clients, p.PerClient, workload.RenameEOp(s, ns, "f4e"))
-	if err := workload.PrepareRenamePingPong(s, ns, p.Clients, "f4s"); err != nil {
-		return err
-	}
-	rnS := bench.RunN(p.Clients, p.PerClient, workload.RenameSOp(s, ns, "f4s"))
-
-	reduction := func(e, s bench.RunResult) string {
-		if e.Throughput == 0 {
-			return "n/a"
+func Fig4b(p Params) ([]Row, error) {
+	var rows []Row
+	ns := mdtestTree(p)
+	err := withSystem(p, "dbtable", SystemOpts{}, ns.Populate, func(s api.Service) error {
+		res, err := dirMods(p, s, ns, "f4")
+		if err != nil {
+			return err
 		}
-		return fmt.Sprintf("%.1f%%", (1-s.Throughput/e.Throughput)*100)
-	}
-	bench.Table(p.Out, "Figure 4b: DBtable directory-update throughput under contention",
-		[]string{"op", "no conflict", "all conflict", "reduction", "retries(all-conflict)"},
-		[][]string{
-			{"mkdir", bench.Kops(mkE.Throughput), bench.Kops(mkS.Throughput),
-				reduction(mkE, mkS), fmt.Sprintf("%d", mkS.Retries)},
-			{"dirrename", bench.Kops(rnE.Throughput), bench.Kops(rnS.Throughput),
-				reduction(rnE, rnS), fmt.Sprintf("%d", rnS.Retries)},
-		})
-	return nil
+		for _, op := range []string{"mkdir", "dirrename"} {
+			e, sh := res[op+"-e"], res[op+"-s"]
+			rows = append(rows,
+				Row{"fig4b", op, "no conflict", e.Throughput, OpsPerSec},
+				Row{"fig4b", op, "all conflict", sh.Throughput, OpsPerSec},
+				Row{"fig4b", op, "reduction", (1 - sh.Throughput/e.Throughput) * 100, Percent},
+				Row{"fig4b", op, "retries(all-conflict)", float64(sh.Retries), Count})
+		}
+		return nil
+	})
+	return rows, err
 }

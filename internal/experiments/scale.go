@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 	"time"
-
-	"mantle/internal/bench"
-	"mantle/internal/netsim"
-	"mantle/internal/workload"
 )
 
 // Scale is the namespace-size flatness sweep at real storage scale — the
@@ -18,63 +14,41 @@ import (
 // entry at each size. Flat p50/p99 across two orders of magnitude of
 // namespace size is the pass condition; bytes/entry is the capacity
 // story (how many entries fit in one metadata node's RAM).
-func Scale(p Params) error {
-	p = p.WithDefaults()
+func Scale(p Params) ([]Row, error) {
 	sizes := []int{100_000, 1_000_000, 10_000_000}
 	if p.Quick {
 		sizes = []int{20_000, 60_000}
 	}
-	var run []int
+	var want []int
 	for _, n := range sizes {
 		if n <= p.ScaleEntries {
-			run = append(run, n)
+			want = append(want, n)
 		}
 	}
-	if len(run) == 0 {
-		run = []int{p.ScaleEntries}
+	if len(want) == 0 {
+		want = []int{p.ScaleEntries}
 	}
 
-	clients := min(p.Clients, 64)
-	rows := [][]string{}
+	p.Clients = min(p.Clients, 64)
+	var rows []Row
 	var p99base time.Duration
-	for _, n := range run {
-		heap0 := bench.Heap()
-		fabric := netsim.NewFabric(netsim.Config{RTT: p.RTT})
-		s, err := NewSystem("mantle", fabric, DefaultMantleOpts())
+	for _, n := range want {
+		pt, err := RunScale(p, "mantle", DefaultMantleOpts(), n, "objstat")
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("scale %d: %w", n, err)
 		}
-		sn := workload.BuildScale(n)
-		popStart := time.Now()
-		if err := sn.Populate(s); err != nil {
-			s.Stop()
-			return fmt.Errorf("scale %d: populate: %w", n, err)
-		}
-		popWall := time.Since(popStart)
-		grown := bench.Heap().Sub(heap0)
-		bytesPerEntry := float64(grown.HeapAlloc) / float64(sn.Entries())
-
-		_ = bench.RunN(clients, 2, sn.StatOp(s)) // warm round
-		res := bench.RunN(clients, p.PerClient, sn.StatOp(s))
-		s.Stop()
-		if res.Errors > 0 {
-			return fmt.Errorf("scale %d: %d errors", n, res.Errors)
-		}
-		p99 := res.Latency.Quantile(0.99)
+		p99 := pt.Result.Latency.Quantile(0.99)
 		if p99base == 0 {
 			p99base = p99
 		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", sn.Entries()),
-			popWall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0f", bytesPerEntry),
-			bench.Kops(res.Throughput),
-			res.Latency.Quantile(0.5).Round(time.Microsecond).String(),
-			p99.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.2fx", ratio(p99, p99base)),
-		})
+		label := fmt.Sprint(pt.Entries)
+		rows = append(rows,
+			Row{"scale", label, "populate", micros(pt.Populate), Micros},
+			Row{"scale", label, "bytes/entry", pt.BytesPerEntry, Bytes},
+			Row{"scale", label, "objstat", pt.Result.Throughput, OpsPerSec},
+			Row{"scale", label, "p50", micros(pt.Result.Latency.Quantile(0.5)), Micros},
+			Row{"scale", label, "p99", micros(p99), Micros},
+			Row{"scale", label, "p99 vs base", ratio(p99, p99base), Ratio})
 	}
-	bench.Table(p.Out, fmt.Sprintf("Scale: objstat flatness vs namespace size (%d clients; p99 normalised to smallest)", clients),
-		[]string{"entries", "populate", "bytes/entry", "objstat", "p50", "p99", "p99 vs base"}, rows)
-	return nil
+	return rows, nil
 }

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"mantle/internal/bench"
+	"mantle/internal/api"
 	"mantle/internal/nsstats"
 	"mantle/internal/workload"
 )
@@ -12,8 +12,7 @@ import (
 // five synthetic namespaces matching the reported shapes — billion-scale
 // entry counts (scaled 1/1000 by default), 8–18% directories, average
 // access depths around 11.
-func Fig3(p Params) error {
-	p = p.WithDefaults()
+func Fig3(p Params) ([]Row, error) {
 	scale := 2000
 	if p.Quick {
 		scale = 50
@@ -35,95 +34,87 @@ func Fig3(p Params) error {
 		{"ns4", scale * 2, 45, 10, 0.60},
 		{"ns5", scale, 85, 11, 0.40},
 	}
-	rows := [][]string{}
+	var rows []Row
 	for _, sp := range specs {
 		ns := workload.Build(workload.TreeSpec{
 			Clients: sp.clients, Depth: sp.depth, ObjectsPerClient: sp.objects,
 			SmallRatio: sp.small, Seed: int64(len(sp.name)),
 		})
 		st := nsstats.Analyze(ns)
-		rows = append(rows, []string{
-			sp.name,
-			fmt.Sprintf("%d", st.Entries),
-			fmt.Sprintf("%.1f%%", st.ObjRatio*100),
-			fmt.Sprintf("%.1f%%", st.DirRatio*100),
-			fmt.Sprintf("%.1f", st.AvgDepth),
-			fmt.Sprintf("%d", st.MedianDepth),
-			fmt.Sprintf("%d", st.MaxDepth),
-		})
+		rows = append(rows,
+			Row{"fig3", sp.name, "entries", float64(st.Entries), Count},
+			Row{"fig3", sp.name, "objects", st.ObjRatio * 100, Percent},
+			Row{"fig3", sp.name, "dirs", st.DirRatio * 100, Percent},
+			Row{"fig3", sp.name, "avg depth", st.AvgDepth, Count},
+			Row{"fig3", sp.name, "median depth", float64(st.MedianDepth), Count},
+			Row{"fig3", sp.name, "max depth", float64(st.MaxDepth), Count})
 	}
-	bench.Table(p.Out, "Figure 3: characteristics of five synthetic namespaces (scaled from the paper's billion-entry traces)",
-		[]string{"namespace", "entries", "objects", "dirs", "avg depth", "median depth", "max depth"}, rows)
-	return nil
+	return rows, nil
 }
 
-// Table2 prints the simulated deployment configuration per system,
+// Table2 echoes the simulated deployment configuration per system,
 // mirroring the paper's Table 2.
-func Table2(p Params) error {
-	p = p.WithDefaults()
-	bench.Table(p.Out, "Table 2: simulated deployment configurations",
-		[]string{"system", "metadata", "model"},
-		[][]string{
-			{"tectonic", fmt.Sprintf("%d DBtable shards", dbShardsTectonic),
-				fmt.Sprintf("%d workers/shard, %v/op", dbWorkers, dbOpCost)},
-			{"infinifs", fmt.Sprintf("1 rename coordinator + %d DBtable shards", dbShards),
-				fmt.Sprintf("%d workers/shard, %v/op, atomic %v", dbWorkers, dbOpCost, dbAtomicCost)},
-			{"locofs", fmt.Sprintf("3-replica directory server + %d object shards", dbShards),
-				fmt.Sprintf("%d dir workers, %v + %v/level, fsync %v (no batch)",
-					locoDirWorkers, locoBaseCost, locoLevelCost, fsyncCost)},
-			{"mantle", fmt.Sprintf("3-replica IndexNode + %d TafDB shards", tafShards),
-				fmt.Sprintf("%d idx workers, %v + %v/level, fsync %v (batch %d)",
-					idxWorkers, idxBaseCost, idxLevelCost, fsyncCost, raftBatch)},
-		})
+func Table2(p Params) ([]Row, error) {
+	fmt.Fprintln(p.Out, "\n== Table 2: simulated deployment configurations ==")
+	fmt.Fprintf(p.Out, "tectonic: %d DBtable shards; %d workers/shard, %v/op\n",
+		dbShardsTectonic, dbWorkers, dbOpCost)
+	fmt.Fprintf(p.Out, "infinifs: 1 rename coordinator + %d DBtable shards; %d workers/shard, %v/op, atomic %v\n",
+		dbShards, dbWorkers, dbOpCost, dbAtomicCost)
+	fmt.Fprintf(p.Out, "locofs: 3-replica directory server + %d object shards; %d dir workers, %v + %v/level, fsync %v (no batch)\n",
+		dbShards, locoDirWorkers, locoBaseCost, locoLevelCost, fsyncCost)
+	fmt.Fprintf(p.Out, "mantle: 3-replica IndexNode + %d TafDB shards; %d idx workers, %v + %v/level, fsync %v (batch %d)\n",
+		tafShards, idxWorkers, idxBaseCost, idxLevelCost, fsyncCost, raftBatch)
 	fmt.Fprintf(p.Out, "fabric RTT: %v; clients: %d; namespace: %d clients x %d objects at depth %d\n",
 		p.RTT, p.Clients, p.Clients, p.ObjectsPerClient, p.Depth)
-	return nil
+	return nil, nil
+}
+
+// table3Specs are the five Cluster-C-like namespaces of Table 3 (scaled):
+// client subtrees, objects per client and the small-object share.
+var table3Specs = []struct {
+	name    string
+	clients int
+	objects int
+	small   float64
+}{
+	{"C1", 120, 26, 0.62},
+	{"C2", 200, 10, 0.29},
+	{"C3", 180, 8, 0.34},
+	{"C4", 100, 8, 0.29},
+	{"C5", 40, 8, 0.28},
 }
 
 // Table3 regenerates the production-namespace characterisation (paper
 // Table 3): five Cluster-C-like namespaces (scaled) with their measured
 // peak lookup and mkdir throughput on Mantle.
-func Table3(p Params) error {
-	p = p.WithDefaults()
-	scale := 1
-	specs := []struct {
-		name    string
-		clients int
-		objects int
-		small   float64
-	}{
-		{"C1", 120 * scale, 26, 0.62},
-		{"C2", 200 * scale, 10, 0.29},
-		{"C3", 180 * scale, 8, 0.34},
-		{"C4", 100 * scale, 8, 0.29},
-		{"C5", 40 * scale, 8, 0.28},
-	}
-	rows := [][]string{}
-	for i, sp := range specs {
-		opts := DefaultMantleOpts()
-		opts.MantleFollowerRead = true
-		pp := p
-		pp.Clients = sp.clients
-		pp.ObjectsPerClient = sp.objects
-		s, ns, err := BuildPopulated("mantle", pp, opts)
-		if err != nil {
-			return err
-		}
-		st := nsstats.Analyze(ns)
-		clients := min(pp.Clients, p.Clients)
-		lookup := bench.RunN(clients, p.PerClient, workload.LookupOp(s, ns))
-		mkdir := bench.RunN(clients, p.PerClient, workload.MkdirEOp(s, ns, fmt.Sprintf("t3-%d", i)))
-		s.Stop()
-		rows = append(rows, []string{
-			sp.name,
-			fmt.Sprintf("%d", st.Objects),
-			fmt.Sprintf("%d", st.Dirs),
-			fmt.Sprintf("%.1f%%", st.SmallRatio*100),
-			bench.Kops(lookup.Throughput),
-			bench.Kops(mkdir.Throughput),
+func Table3(p Params) ([]Row, error) {
+	var rows []Row
+	for i, sp := range table3Specs {
+		ns := workload.Build(workload.TreeSpec{
+			Clients: sp.clients, Depth: p.Depth, ObjectsPerClient: sp.objects, SmallRatio: sp.small,
 		})
+		st := nsstats.Analyze(ns)
+		clients := min(sp.clients, p.Clients)
+		err := withSystem(p, "mantle", DefaultMantleOpts(), ns.Populate, func(s api.Service) error {
+			lookup, err := run(sp.name+" lookup", clients, 0, p.PerClient, workload.LookupOp(s, ns))
+			if err != nil {
+				return err
+			}
+			mkdir, err := run(sp.name+" mkdir", clients, 0, p.PerClient, workload.MkdirEOp(s, ns, fmt.Sprintf("t3-%d", i)))
+			if err != nil {
+				return err
+			}
+			rows = append(rows,
+				Row{"tab3", sp.name, "#objects", float64(st.Objects), Count},
+				Row{"tab3", sp.name, "#dirs", float64(st.Dirs), Count},
+				Row{"tab3", sp.name, "small obj", st.SmallRatio * 100, Percent},
+				Row{"tab3", sp.name, "peak lookup", lookup.Throughput, OpsPerSec},
+				Row{"tab3", sp.name, "peak mkdir", mkdir.Throughput, OpsPerSec})
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	bench.Table(p.Out, "Table 3: Cluster-C-like namespaces (scaled) with measured peak throughput on Mantle",
-		[]string{"name", "#objects", "#dirs", "small obj", "peak lookup", "peak mkdir"}, rows)
-	return nil
+	return rows, nil
 }

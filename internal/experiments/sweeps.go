@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"mantle/internal/api"
 	"mantle/internal/bench"
 	"mantle/internal/core"
-	"mantle/internal/netsim"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
 	"mantle/internal/workload"
@@ -16,9 +16,7 @@ import (
 // Mantle-base (no path cache, no Raft log batching, no delta records, no
 // follower read), optimisations are enabled cumulatively and dirstat,
 // mkdir-e, and dirrename-s throughput is reported normalised to base.
-func Fig16(p Params) error {
-	p = p.WithDefaults()
-	base := SystemOpts{MantleDelta: tafdb.DeltaOff}
+func Fig16(p Params) ([]Row, error) {
 	steps := []struct {
 		label  string
 		mutate func(*SystemOpts)
@@ -29,75 +27,55 @@ func Fig16(p Params) error {
 		{"+delta record", func(o *SystemOpts) { o.MantleDelta = tafdb.DeltaAlways }},
 		{"+follower read", func(o *SystemOpts) { o.MantleFollowerRead = true }},
 	}
-	type meas struct{ dirstat, mkdirE, renameS float64 }
-	var results []meas
-	opts := base
+	var rows []Row
+	base := map[string]float64{}
+	opts := SystemOpts{MantleDelta: tafdb.DeltaOff}
 	per := p.PerClient * 2 // short contended runs are noisy; double up
-	for _, st := range steps {
-		st.mutate(&opts)
-		s, ns, err := BuildPopulated("mantle", p, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", st.label, err)
-		}
-		_ = bench.RunN(p.Clients, 2, workload.DirStatOp(s, ns)) // warm round
-		dirstat := bench.RunN(p.Clients, per, workload.DirStatOp(s, ns))
-		mkdirE := bench.RunN(p.Clients, per, workload.MkdirEOp(s, ns, "f16"))
-		if err := workload.PrepareRenamePingPong(s, ns, p.Clients, "f16"); err != nil {
-			s.Stop()
-			return err
-		}
-		renameS := bench.RunN(p.Clients, per, workload.RenameSOp(s, ns, "f16"))
-		s.Stop()
-		for _, r := range []bench.RunResult{dirstat, mkdirE, renameS} {
-			if r.Errors > 0 {
-				return fmt.Errorf("%s: %d errors", st.label, r.Errors)
-			}
-		}
-		results = append(results, meas{dirstat.Throughput, mkdirE.Throughput, renameS.Throughput})
-	}
-	norm := func(v, base float64) string {
-		if base == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.2fx", v/base)
-	}
-	rows := [][]string{}
 	for i, st := range steps {
-		rows = append(rows, []string{
-			st.label,
-			norm(results[i].dirstat, results[0].dirstat),
-			norm(results[i].mkdirE, results[0].mkdirE),
-			norm(results[i].renameS, results[0].renameS),
+		st.mutate(&opts)
+		ns := mdtestTree(p)
+		err := withSystem(p, "mantle", opts, ns.Populate, func(s api.Service) error {
+			for _, o := range []struct {
+				op, pingPong string
+				warm         int
+				fn           bench.OpFunc
+			}{
+				{"dirstat", "", 2, workload.DirStatOp(s, ns)},
+				{"mkdir-e", "", 0, workload.MkdirEOp(s, ns, "f16")},
+				{"dirrename-s", "f16", 0, workload.RenameSOp(s, ns, "f16")},
+			} {
+				if o.pingPong != "" {
+					if err := workload.PrepareRenamePingPong(s, ns, p.Clients, o.pingPong); err != nil {
+						return err
+					}
+				}
+				r, err := run(o.op, p.Clients, o.warm, per, o.fn)
+				if err != nil {
+					return err
+				}
+				if i == 0 {
+					base[o.op] = r.Throughput
+				}
+				rows = append(rows, Row{"fig16", st.label, o.op, r.Throughput / base[o.op], Ratio})
+			}
+			return nil
 		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", st.label, err)
+		}
 	}
-	bench.Table(p.Out, "Figure 16: effects of individual optimisations (normalised to Mantle-base)",
-		[]string{"config", "dirstat", "mkdir-e", "dirrename-s"}, rows)
-	return nil
+	return rows, nil
 }
 
 // Fig17 sweeps path depth and reports lookup latency per system (paper
 // Figure 17).
-func Fig17(p Params) error {
-	p = p.WithDefaults()
+func Fig17(p Params) ([]Row, error) {
 	depths := []int{1, 2, 4, 6, 8, 10, 12, 14}
 	if p.Quick {
 		depths = []int{1, 4, 10}
 	}
-	header := []string{"system"}
-	for _, d := range depths {
-		header = append(header, fmt.Sprintf("d=%d", d))
-	}
-	rows := [][]string{}
+	var rows []Row
 	for _, name := range Systems {
-		opts := SystemOpts{}
-		if name == "mantle" {
-			opts = DefaultMantleOpts()
-		}
-		fabric := netsim.NewFabric(netsim.Config{RTT: p.RTT})
-		s, err := NewSystem(name, fabric, opts)
-		if err != nil {
-			return err
-		}
 		ns := workload.Build(workload.TreeSpec{Clients: 2, Depth: 4, ObjectsPerClient: 1})
 		// Several chains per depth: a single path would turn one
 		// MetaTable shard into a hotspot and measure queueing, not depth.
@@ -108,35 +86,34 @@ func Fig17(p Params) error {
 				leaves[d] = append(leaves[d], ns.AddChainVariant(d, i))
 			}
 		}
-		if err := ns.Populate(s); err != nil {
-			s.Stop()
-			return err
+		err := withSystem(p, name, systemOpts(name), ns.Populate, func(s api.Service) error {
+			var shallowest time.Duration
+			for _, d := range depths {
+				paths := leaves[d]
+				fn := func(w, seq int) (types.Result, error) {
+					return s.Lookup(s.Caller().Begin(), paths[w%len(paths)])
+				}
+				// The warm round fills caches and queues.
+				r, err := run(fmt.Sprintf("%s depth %d", name, d), p.Clients, 2, p.PerClient, fn)
+				if err != nil {
+					return err
+				}
+				mean := r.Latency.Mean()
+				if d == depths[0] {
+					shallowest = mean
+				}
+				col := fmt.Sprintf("d=%d", d)
+				rows = append(rows,
+					Row{"fig17", name, col, micros(mean), Micros},
+					Row{"fig17", fmt.Sprintf("%s vs d=%d", name, depths[0]), col, ratio(mean, shallowest), Ratio})
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		row := []string{name}
-		var d1 time.Duration
-		for _, d := range depths {
-			paths := leaves[d]
-			fn := func(w, seq int) (types.Result, error) {
-				return s.Lookup(s.Caller().Begin(), paths[w%len(paths)])
-			}
-			_ = bench.RunN(p.Clients, 2, fn) // warm caches and queues
-			res := bench.RunN(p.Clients, p.PerClient, fn)
-			if res.Errors > 0 {
-				s.Stop()
-				return fmt.Errorf("%s depth %d: %d errors", name, d, res.Errors)
-			}
-			mean := res.Latency.Mean()
-			if d == depths[0] {
-				d1 = mean
-			}
-			row = append(row, fmt.Sprintf("%v (%.1fx)", mean.Round(time.Microsecond), ratio(mean, d1)))
-		}
-		s.Stop()
-		rows = append(rows, row)
 	}
-	bench.Table(p.Out, fmt.Sprintf("Figure 17: lookup latency vs path depth (%d clients; xN vs depth %d)",
-		p.Clients, depths[0]), header, rows)
-	return nil
+	return rows, nil
 }
 
 func ratio(a, b time.Duration) float64 {
@@ -151,208 +128,159 @@ func ratio(a, b time.Duration) float64 {
 // The namespace branches near the leaves (as production namespaces do),
 // so the number of cacheable k-truncated prefixes — and the cache's
 // memory — shrinks geometrically as k grows.
-func Fig18(p Params) error {
-	p = p.WithDefaults()
-	rows := [][]string{}
+func Fig18(p Params) ([]Row, error) {
+	var rows []Row
 	var baseLat time.Duration
+	branch := 3
+	if p.Quick {
+		branch = 2
+	}
 	// k=0 means cache disabled (the Mantle-base reference).
 	for _, k := range []int{0, 1, 2, 3, 4, 5} {
 		opts := DefaultMantleOpts()
 		opts.MantleFollowerRead = false
+		label := fmt.Sprintf("k=%d", k)
 		if k == 0 {
 			opts.MantleCache = false
 			opts.MantleK = 3
+			label = "no cache"
 		} else {
 			opts.MantleK = k
-		}
-		fabric := netsim.NewFabric(netsim.Config{RTT: p.RTT})
-		svc, err := NewSystem("mantle", fabric, opts)
-		if err != nil {
-			return err
-		}
-		s := svc
-		branch := 3
-		if p.Quick {
-			branch = 2
 		}
 		ns := workload.Build(workload.TreeSpec{
 			Clients: max(p.Clients/8, 2), Depth: p.Depth, ObjectsPerClient: 1,
 			BranchLevels: 4, BranchFactor: branch,
 		})
-		if err := ns.Populate(s); err != nil {
-			s.Stop()
-			return err
-		}
-		// Warm the cache: production TopDirPathCaches are warm (entries
-		// are static and long-lived, §5.1.1), so the sweep measures the
-		// steady state, not cold misses. One untimed pass touches every
-		// leaf.
-		warm := bench.RunN(min(p.Clients, 64), 1, func(w, seq int) (types.Result, error) {
-			var last types.Result
-			for c := w; c < len(ns.LeafDirs); c += min(p.Clients, 64) {
-				for _, leaf := range ns.LeafDirs[c] {
-					r, err := s.Lookup(s.Caller().Begin(), leaf)
-					if err != nil {
-						return r, err
+		err := withSystem(p, "mantle", opts, ns.Populate, func(s api.Service) error {
+			// Warm the cache: production TopDirPathCaches are warm
+			// (entries are static and long-lived, §5.1.1), so the sweep
+			// measures the steady state, not cold misses. One untimed
+			// pass touches every leaf.
+			warmers := min(p.Clients, 64)
+			_, err := run(label+" warmup", warmers, 0, 1, func(w, seq int) (types.Result, error) {
+				var last types.Result
+				for c := w; c < len(ns.LeafDirs); c += warmers {
+					for _, leaf := range ns.LeafDirs[c] {
+						r, err := s.Lookup(s.Caller().Begin(), leaf)
+						if err != nil {
+							return r, err
+						}
+						last = r
 					}
-					last = r
 				}
+				return last, nil
+			})
+			if err != nil {
+				return err
 			}
-			return last, nil
+			r, err := run(label, p.Clients, 0, p.PerClient, workload.LookupLeafDirOp(s, ns))
+			if err != nil {
+				return err
+			}
+			entries, bytes, hits, misses := s.(*core.Mantle).Index().CacheStats()
+			mean := r.Latency.Mean()
+			if k == 0 {
+				baseLat = mean
+			}
+			hitRate := 0.0
+			if hits+misses > 0 {
+				hitRate = float64(hits) / float64(hits+misses) * 100
+			}
+			rows = append(rows,
+				Row{"fig18", label, "lookup mean", micros(mean), Micros},
+				Row{"fig18", label, "normalised", ratio(mean, baseLat), Ratio},
+				Row{"fig18", label, "cached prefixes", float64(entries), Count},
+				Row{"fig18", label, "cache memory", float64(bytes), Bytes},
+				Row{"fig18", label, "hit rate", hitRate, Percent})
+			return nil
 		})
-		if warm.Errors > 0 {
-			s.Stop()
-			return fmt.Errorf("k=%d warmup: %d errors", k, warm.Errors)
+		if err != nil {
+			return nil, err
 		}
-		res := bench.RunN(p.Clients, p.PerClient, workload.LookupLeafDirOp(s, ns))
-		if res.Errors > 0 {
-			s.Stop()
-			return fmt.Errorf("k=%d: %d errors", k, res.Errors)
-		}
-		m := s.(*core.Mantle)
-		entries, bytes, hits, misses := m.Index().CacheStats()
-		s.Stop()
-		mean := res.Latency.Mean()
-		if k == 0 {
-			baseLat = mean
-		}
-		label := fmt.Sprintf("k=%d", k)
-		if k == 0 {
-			label = "no cache"
-		}
-		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = float64(hits) / float64(hits+misses) * 100
-		}
-		rows = append(rows, []string{
-			label,
-			mean.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.2f", ratio(mean, baseLat)),
-			fmt.Sprintf("%d", entries),
-			fmt.Sprintf("%.1f KiB", float64(bytes)/1024),
-			fmt.Sprintf("%.1f%%", hitRate),
-		})
 	}
-	bench.Table(p.Out, "Figure 18: impact of k in TopDirPathCache (follower read off)",
-		[]string{"config", "lookup mean", "normalised", "cached prefixes", "cache memory", "hit rate"}, rows)
-	return nil
+	return rows, nil
 }
 
 // Fig19a sweeps namespace size at fixed concurrency and reports objstat
 // and create throughput (paper Figure 19a: flat across 1–10 billion
 // entries; here 1×–10× the base population).
-func Fig19a(p Params) error {
-	p = p.WithDefaults()
+func Fig19a(p Params) ([]Row, error) {
 	scales := []int{1, 2, 5, 10}
 	if p.Quick {
 		scales = []int{1, 2}
 	}
-	rows := [][]string{}
+	var rows []Row
 	for _, scale := range scales {
-		opts := DefaultMantleOpts()
-		fabric := netsim.NewFabric(netsim.Config{RTT: p.RTT})
-		s, err := NewSystem("mantle", fabric, opts)
-		if err != nil {
-			return err
-		}
 		ns := workload.Build(workload.TreeSpec{
 			Clients: p.Clients * scale, Depth: p.Depth, ObjectsPerClient: p.ObjectsPerClient,
 		})
-		if err := ns.Populate(s); err != nil {
-			s.Stop()
-			return err
-		}
-		// One untimed warm round settles caches and the allocator before
-		// measuring, so the sweep isolates the namespace-size effect.
-		_ = bench.RunN(p.Clients, 2, workload.ObjStatOp(s, ns))
-		objstat := bench.RunN(p.Clients, p.PerClient, workload.ObjStatOp(s, ns))
-		create := bench.RunN(p.Clients, p.PerClient, workload.CreateOp(s, ns, "f19a"))
-		s.Stop()
-		rows = append(rows, []string{
-			fmt.Sprintf("%dx (%d entries)", scale, ns.Entries()),
-			bench.Kops(objstat.Throughput),
-			bench.Kops(create.Throughput),
+		label := fmt.Sprintf("%dx (%d entries)", scale, ns.Entries())
+		err := withSystem(p, "mantle", DefaultMantleOpts(), ns.Populate, func(s api.Service) error {
+			// The warm round settles caches and the allocator before
+			// measuring, so the sweep isolates the namespace-size effect.
+			objstat, err := run(label+" objstat", p.Clients, 2, p.PerClient, workload.ObjStatOp(s, ns))
+			if err != nil {
+				return err
+			}
+			create, err := run(label+" create", p.Clients, 0, p.PerClient, workload.CreateOp(s, ns, "f19a"))
+			if err != nil {
+				return err
+			}
+			rows = append(rows,
+				Row{"fig19a", label, "objstat", objstat.Throughput, OpsPerSec},
+				Row{"fig19a", label, "create", create.Throughput, OpsPerSec})
+			return nil
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	bench.Table(p.Out, "Figure 19a: throughput vs namespace size (fixed clients)",
-		[]string{"namespace", "objstat", "create"}, rows)
-	return nil
+	return rows, nil
 }
 
 // Fig19b sweeps client concurrency and reports create plus objstat under
 // three read configurations: leader only, +2 followers, +2 learners
 // (paper Figure 19b).
-func Fig19b(p Params) error {
-	p = p.WithDefaults()
+func Fig19b(p Params) ([]Row, error) {
 	clientCounts := []int{p.Clients / 4, p.Clients / 2, p.Clients, p.Clients * 2, p.Clients * 4}
 	if p.Quick {
 		clientCounts = []int{p.Clients, p.Clients * 2}
 	}
+	leaderOnly := DefaultMantleOpts()
+	leaderOnly.MantleFollowerRead = false
+	learners := DefaultMantleOpts()
+	learners.MantleLearners = 2
 	configs := []struct {
 		label string
 		opts  SystemOpts
 	}{
-		{"objstat (leader only)", func() SystemOpts {
-			o := DefaultMantleOpts()
-			o.MantleFollowerRead = false
-			return o
-		}()},
-		{"objstat +followers", func() SystemOpts {
-			o := DefaultMantleOpts()
-			o.MantleFollowerRead = true
-			return o
-		}()},
-		{"objstat +learners", func() SystemOpts {
-			o := DefaultMantleOpts()
-			o.MantleFollowerRead = true
-			o.MantleLearners = 2
-			return o
-		}()},
+		{"create", DefaultMantleOpts()},
+		{"objstat (leader only)", leaderOnly},
+		{"objstat +followers", DefaultMantleOpts()},
+		{"objstat +learners", learners},
 	}
-	header := []string{"workload"}
-	for _, c := range clientCounts {
-		header = append(header, fmt.Sprintf("%d clients", c))
-	}
-	rows := [][]string{}
-
-	// create row (default config).
-	{
-		s, ns, err := BuildPopulated("mantle", p, DefaultMantleOpts())
-		if err != nil {
-			return err
-		}
-		row := []string{"create"}
-		for i, c := range clientCounts {
-			_ = bench.RunN(c, 2, workload.CreateOp(s, ns, fmt.Sprintf("f19bw-%d", i)))
-			res := bench.RunN(c, p.PerClient, workload.CreateOp(s, ns, fmt.Sprintf("f19b-%d", i)))
-			if res.Errors > 0 {
-				s.Stop()
-				return fmt.Errorf("create @%d: %d errors", c, res.Errors)
-			}
-			row = append(row, bench.Kops(res.Throughput))
-		}
-		s.Stop()
-		rows = append(rows, row)
-	}
+	var rows []Row
 	for _, cfg := range configs {
-		s, ns, err := BuildPopulated("mantle", p, cfg.opts)
-		if err != nil {
-			return err
-		}
-		row := []string{cfg.label}
-		for _, c := range clientCounts {
-			_ = bench.RunN(c, 2, workload.ObjStatOp(s, ns)) // warm round
-			res := bench.RunN(c, p.PerClient, workload.ObjStatOp(s, ns))
-			if res.Errors > 0 {
-				s.Stop()
-				return fmt.Errorf("%s @%d: %d errors", cfg.label, c, res.Errors)
+		ns := mdtestTree(p)
+		err := withSystem(p, "mantle", cfg.opts, ns.Populate, func(s api.Service) error {
+			for i, c := range clientCounts {
+				warm, fn := workload.ObjStatOp(s, ns), workload.ObjStatOp(s, ns)
+				if cfg.label == "create" {
+					warm = workload.CreateOp(s, ns, fmt.Sprintf("f19bw-%d", i))
+					fn = workload.CreateOp(s, ns, fmt.Sprintf("f19b-%d", i))
+				}
+				bench.RunN(c, 2, warm)
+				r, err := run(fmt.Sprintf("%s @%d", cfg.label, c), c, 0, p.PerClient, fn)
+				if err != nil {
+					return err
+				}
+				rows = append(rows, Row{"fig19b", cfg.label, fmt.Sprintf("%d clients", c), r.Throughput, OpsPerSec})
 			}
-			row = append(row, bench.Kops(res.Throughput))
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		s.Stop()
-		rows = append(rows, row)
 	}
-	bench.Table(p.Out, "Figure 19b: scalability vs clients (create; objstat with follower/learner read)",
-		header, rows)
-	return nil
+	return rows, nil
 }

@@ -41,7 +41,6 @@ type WAL struct {
 	seq     uint64 // last staged batch number
 	durable uint64 // highest batch number covered by a completed sync
 	syncing bool
-	noGroup bool // group commit disabled: one sync per batch
 
 	syncCost time.Duration
 
@@ -51,20 +50,9 @@ type WAL struct {
 	covered    atomic.Int64 // total batches covered by completed syncs
 }
 
-// NewWAL creates a WAL whose syncs cost syncCost each. Group commit is
-// on; SetGroupCommit(false) reverts to one sync per batch.
+// NewWAL creates a group-committing WAL whose syncs cost syncCost each.
 func NewWAL(syncCost time.Duration) *WAL {
 	return &WAL{syncCost: syncCost}
-}
-
-// SetGroupCommit toggles sync coalescing (on by default). With group
-// commit off every committed batch pays its own physical sync — the
-// unbatched write-path ablation baseline. Toggle before the WAL is
-// shared across goroutines.
-func (w *WAL) SetGroupCommit(on bool) {
-	w.mu.Lock()
-	w.noGroup = !on
-	w.mu.Unlock()
 }
 
 // Commit appends the batch, blocks until it is durable, and returns the
@@ -131,20 +119,13 @@ func (w *WAL) WaitDurable(seq uint64) {
 	w.mu.Unlock()
 }
 
-// leadSyncLocked performs one physical sync as the sync leader. In
-// group-commit mode the sync covers everything staged so far; with
-// group commit off it covers exactly the oldest staged batch. Called
-// with w.mu held; releases it for the duration of the sync.
+// leadSyncLocked performs one physical sync as the sync leader,
+// covering everything staged so far. Called with w.mu held; releases it
+// for the duration of the sync.
 func (w *WAL) leadSyncLocked() {
 	w.syncing = true
-	var batch []stagedBatch
-	if w.noGroup {
-		batch = w.staged[:1:1]
-		w.staged = w.staged[1:]
-	} else {
-		batch = w.staged
-		w.staged = nil
-	}
+	batch := w.staged
+	w.staged = nil
 	top := batch[len(batch)-1].seq
 	w.mu.Unlock()
 

@@ -56,41 +56,6 @@ func TestWALGroupCommitWaiterDurability(t *testing.T) {
 	}
 }
 
-// TestWALNoGroupCommitAccounting pins the ablation baseline: with group
-// commit off every batch pays its own fsync (syncs == batches, no
-// grouped syncs), and waiters still only return once durable.
-func TestWALNoGroupCommitAccounting(t *testing.T) {
-	w := NewWAL(50 * time.Microsecond)
-	w.SetGroupCommit(false)
-	const goroutines, each = 8, 10
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				seq := w.Commit([]Mutation{putMut(uint64(g+1), fmt.Sprintf("n%d", i), uint64(i))})
-				if d := w.DurableSeq(); d < seq {
-					t.Errorf("Commit returned seq %d but DurableSeq = %d", seq, d)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	st := w.Stats()
-	if want := int64(goroutines * each); st.Syncs != want {
-		t.Fatalf("syncs = %d, want %d (one per batch with grouping off)", st.Syncs, want)
-	}
-	if st.GroupSyncs != 0 {
-		t.Fatalf("group syncs = %d with grouping off", st.GroupSyncs)
-	}
-	if st.Covered != st.Syncs {
-		t.Fatalf("covered = %d, syncs = %d; must match 1:1", st.Covered, st.Syncs)
-	}
-}
-
 // TestWALGroupCommitReplayUnderStress crashes a shard whose WAL was fed
 // by concurrent group-committed transactions and checks replay restores
 // exactly the committed rows.

@@ -133,10 +133,6 @@ type Config struct {
 	// the WAL (the simulated-performance experiments model durability
 	// costs in the Raft layer instead).
 	WALSyncCost time.Duration
-	// WALNoGroupCommit disables WAL sync coalescing, so every committed
-	// batch pays its own sync — the unbatched write-path ablation
-	// baseline.
-	WALNoGroupCommit bool
 	// Batch2PC routes cross-shard transactions through a batching 2PC
 	// coordinator: independent transactions with the same participant
 	// set share one prepare round and one commit round.
@@ -232,9 +228,7 @@ func New(cfg Config) *DB {
 	for i := 0; i < cfg.Shards; i++ {
 		shard := storage.NewShard(fmt.Sprintf("tafdb-%d", i))
 		if cfg.WALSyncCost > 0 {
-			w := storage.NewWAL(cfg.WALSyncCost)
-			w.SetGroupCommit(!cfg.WALNoGroupCommit)
-			shard.AttachWAL(w)
+			shard.AttachWAL(storage.NewWAL(cfg.WALSyncCost))
 		}
 		if cfg.Repl != nil {
 			si := i

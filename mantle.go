@@ -71,11 +71,6 @@ type Config struct {
 	// given per-sync latency to every TafDB shard (group commit +
 	// crash recovery by replay).
 	WALSyncCost time.Duration
-	// DisableWriteBatch turns off write-path batching at every layer —
-	// raft log batching and pipelining, WAL group commit, and batched
-	// cross-shard 2PC — the "Mantle-base" side of the Figure 16
-	// ablation. Batching is on by default.
-	DisableWriteBatch bool
 	// Hotspot enables elastic hotspot management on the IndexNode group:
 	// directories whose read heat crosses a threshold are promoted into
 	// a hot-set served by followers and learners at a bounded-staleness
@@ -119,11 +114,10 @@ func coreConfig(cfg Config) (core.Config, error) {
 	return core.Config{
 		ProxyCache: cfg.ProxyCache,
 		TafDB: tafdb.Config{
-			Shards:           cfg.Shards,
-			Delta:            delta,
-			WALSyncCost:      cfg.WALSyncCost,
-			WALNoGroupCommit: cfg.DisableWriteBatch,
-			Batch2PC:         !cfg.DisableWriteBatch,
+			Shards:      cfg.Shards,
+			Delta:       delta,
+			WALSyncCost: cfg.WALSyncCost,
+			Batch2PC:    true,
 		},
 		Index: indexnode.Config{
 			Voters:       cfg.Replicas,
@@ -133,8 +127,8 @@ func coreConfig(cfg Config) (core.Config, error) {
 			FollowerRead: cfg.FollowerRead,
 			Raft: raft.Config{
 				FsyncCost:    cfg.FsyncCost,
-				BatchEnabled: !cfg.DisableWriteBatch,
-				Pipeline:     !cfg.DisableWriteBatch,
+				BatchEnabled: true,
+				Pipeline:     true,
 			},
 			Hotspot:      cfg.Hotspot,
 			HotThreshold: cfg.HotThreshold,

@@ -177,11 +177,6 @@ func TestConfigOptionsObserved(t *testing.T) {
 				t.Error("no cross-shard transaction went through the batching coordinator")
 			}
 		}},
-		{"DisableWriteBatch", Config{DisableWriteBatch: true}, func(t *testing.T, cl *Cluster) {
-			if n := renameStorm(t, cl); n != 0 {
-				t.Errorf("batching coordinator saw %d transactions, want 0", n)
-			}
-		}},
 		{"ProxyCache", Config{ProxyCache: true}, func(t *testing.T, cl *Cluster) {
 			if n := secondStatRTTs(t, cl); n != 1 {
 				t.Errorf("repeated stat = %d RPCs, want 1", n)
