@@ -4,16 +4,27 @@ import (
 	"testing"
 	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/netsim"
 	"mantle/internal/rpc"
 	"mantle/internal/types"
 )
 
 func TestTimerPhases(t *testing.T) {
+	start := clock.Mono()
 	tm := NewTimer()
 	time.Sleep(2 * time.Millisecond)
 	tm.Phase(types.PhaseLookup)
+	// A late wake-up on a loaded host can stretch the 2 ms sleep past the
+	// 4 ms one. Keep the execute phase running until it has outlasted the
+	// whole lookup window, so the attribution check does not depend on
+	// the scheduler.
+	lookupMax := clock.Mono() - start
+	execStart := clock.Mono()
 	time.Sleep(4 * time.Millisecond)
+	for clock.Mono()-execStart <= lookupMax {
+		time.Sleep(time.Millisecond)
+	}
 	tm.Phase(types.PhaseExecute)
 
 	caller := rpc.NewCaller(netsim.NewLocalFabric())

@@ -324,7 +324,7 @@ func (s *Store) RunTxn(op *rpc.Op, build func(attempt int) ([]txn.Piece, error))
 		pieces, err := build(attempt)
 		return txn.Merge(pieces), err
 	}
-	return txn.RunWithRetry(txn.Direct{}, op, s.NewTxnID(), maxRetries, s.cfg.RetryBase, s.cfg.RetryMax, wrapped)
+	return txn.RunWithRetry(txn.Direct{}, op, s.NewTxnID(), maxRetries, s.cfg.RetryBase, s.cfg.RetryMax, nil, wrapped)
 }
 
 // BulkInsert loads rows directly (population).

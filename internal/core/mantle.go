@@ -10,18 +10,23 @@
 //   - every operation begins with a single-RPC lookup on IndexNode
 //     (Figure 7),
 //   - object operations then execute against TafDB with the resolved pid,
-//   - mkdir/rmdir run a TafDB transaction and then replicate the access-
-//     metadata change through IndexNode's Raft log,
+//   - mkdir/rmdir/setperm run a TafDB transaction and replicate the
+//     access-metadata change through IndexNode's Raft log, the two
+//     committing together: the proposal starts once every TafDB
+//     participant has prepared and runs alongside the commit round
+//     (txn.Runner's then),
 //   - cross-directory dirrename runs the Figure 9 protocol: a single
 //     PrepareRename RPC on IndexNode performs path resolution, RemovalList
 //     insertion, lock acquisition, and loop detection; the proxy then
-//     commits the TafDB transaction and the replicated IndexNode rename,
-//     or aborts and retries on conflict. Retries reuse the operation's
-//     UUID, so a crashed proxy's successor re-acquires the same lock
-//     idempotently (§5.3).
+//     commits the TafDB transaction and the replicated IndexNode rename
+//     together (steps 8a/8b), or, when the transaction fails to prepare,
+//     aborts and retries. Retries reuse the operation's UUID, so a
+//     crashed proxy's successor re-acquires the same lock idempotently
+//     (§5.3).
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -487,8 +492,8 @@ func (m *Mantle) readDirPage(kind opKind, op *rpc.Op, dirPath, startAfter string
 	return res, entries, next, err
 }
 
-// Mkdir implements api.Service: TafDB transaction, then the replicated
-// IndexNode access-metadata insert.
+// Mkdir implements api.Service: the TafDB transaction and the replicated
+// IndexNode access-metadata insert, committing together.
 func (m *Mantle) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 	f, op := m.begin(op, opMkdir)
 	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
@@ -497,18 +502,18 @@ func (m *Mantle) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 		return f.done(op, 0, types.Entry{}, err)
 	}
 	id := m.db.NewID()
-	entry, retries, err := m.db.Mkdir(op, lres.ID, name, id, types.PermAll)
-	if err != nil {
-		return f.done(op, retries, types.Entry{}, err)
+	var ierr error
+	entry, retries, err := m.db.Mkdir(op, lres.ID, name, id, types.PermAll, func() {
+		ierr = m.idx.AddDir(op, lres.ID, name, id, types.PermAll, parent)
+	})
+	if errors.Is(ierr, types.ErrUnavailable) {
+		// The IndexNode group cannot commit (no quorum). Now that the
+		// commit round has returned, compensate the TafDB insert so the
+		// failed mkdir leaves no torn state and a post-heal retry starts
+		// clean.
+		_, _ = m.db.Rmdir(op, lres.ID, name, id, nil)
 	}
-	err = m.idx.AddDir(op, lres.ID, name, id, types.PermAll, parent)
-	if errors.Is(err, types.ErrUnavailable) {
-		// The IndexNode group cannot commit (no quorum). Compensate the
-		// already-committed TafDB insert so the failed mkdir leaves no
-		// torn state and a post-heal retry starts clean.
-		_, _ = m.db.Rmdir(op, lres.ID, name, id)
-	}
-	return f.done(op, retries, entry, err)
+	return f.done(op, retries, entry, cmp.Or(err, ierr))
 }
 
 // Rmdir implements api.Service.
@@ -519,13 +524,12 @@ func (m *Mantle) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
 		return f.done(op, 0, types.Entry{}, err)
 	}
 	name := pathutil.Base(dirPath)
-	retries, err := m.db.Rmdir(op, lres.ParentID, name, lres.ID)
-	if err != nil {
-		return f.done(op, retries, types.Entry{}, err)
-	}
-	err = m.idx.RemoveDir(op, lres.ParentID, name, lres.ID, dirPath)
+	var ierr error
+	retries, err := m.db.Rmdir(op, lres.ParentID, name, lres.ID, func() {
+		ierr = m.idx.RemoveDir(op, lres.ParentID, name, lres.ID, dirPath)
+	})
 	m.invalidate(op, dirPath)
-	return f.done(op, retries, types.Entry{}, err)
+	return f.done(op, retries, types.Entry{}, cmp.Or(err, ierr))
 }
 
 // invalidate drops proxy-cache state under path (no-op without the
@@ -547,7 +551,10 @@ const renameRetries = 10000
 // phase is folded into loop detection (PrepareRename resolves both
 // paths), so — matching the paper's breakdown — lookup time is recorded
 // as zero and the PrepareRename RPC is charged to the loop-detection
-// phase.
+// phase. The IndexNode rename is proposed once the TafDB transaction has
+// prepared everywhere (steps 8a/8b); after that point an error is
+// returned as is, never aborted or retried, since the entry may be
+// applied.
 func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, error) {
 	f, op := m.begin(op, opDirRename)
 	dstParent, dstName := pathutil.Dir(dstPath), pathutil.Base(dstPath)
@@ -567,9 +574,15 @@ func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, e
 		f.t.Phase(types.PhaseLoopDetect)
 		f.executing = true
 
-		retries, err := m.db.RenameDir(op, prep.SrcPid, prep.SrcName, prep.DstPid, dstName, prep.SrcID, prep.SrcPerm)
+		var proposed bool
+		var ierr error
+		retries, err := m.db.RenameDir(op, prep.SrcPid, prep.SrcName, prep.DstPid, dstName, prep.SrcID, prep.SrcPerm, func() {
+			proposed = true
+			ierr = m.idx.CommitRename(op, prep, dstName, srcPath, uuid)
+		})
 		totalRetries += retries
-		if err != nil {
+		if !proposed {
+			// The transaction failed to prepare: nothing was proposed.
 			aerr := m.idx.AbortRename(op, prep, srcPath, uuid)
 			f.t.Phase(types.PhaseExecute)
 			if aerr != nil {
@@ -584,28 +597,26 @@ func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, e
 			}
 			return f.done(op, totalRetries, types.Entry{}, err)
 		}
-		err = m.idx.CommitRename(op, prep, dstName, srcPath, uuid)
 		m.invalidate(op, srcPath)
-		return f.done(op, totalRetries, types.Entry{}, err)
+		return f.done(op, totalRetries, types.Entry{}, cmp.Or(err, ierr))
 	}
 }
 
 // SetPerm changes a directory's permission, updating TafDB and the
 // replicated IndexNode entry (which invalidates affected cache ranges on
-// every replica).
+// every replica), committing together.
 func (m *Mantle) SetPerm(op *rpc.Op, dirPath string, perm types.Perm) (types.Result, error) {
 	f, op := m.begin(op, opSetPerm)
 	lres, err := f.enter(op, dirPath, "setperm", dirPath, 0)
 	if err != nil {
 		return f.done(op, 0, types.Entry{}, err)
 	}
-	retries, err := m.db.SetDirPerm(op, lres.ParentID, pathutil.Base(dirPath), lres.ID, perm)
-	if err != nil {
-		return f.done(op, retries, types.Entry{}, err)
-	}
-	err = m.idx.SetPerm(op, lres.ID, perm, dirPath)
+	var ierr error
+	retries, err := m.db.SetDirPerm(op, lres.ParentID, pathutil.Base(dirPath), lres.ID, perm, func() {
+		ierr = m.idx.SetPerm(op, lres.ID, perm, dirPath)
+	})
 	m.invalidate(op, dirPath)
-	return f.done(op, retries, types.Entry{}, err)
+	return f.done(op, retries, types.Entry{}, cmp.Or(err, ierr))
 }
 
 // Populate implements api.Service: bulk-load dirs and objects into TafDB

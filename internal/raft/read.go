@@ -14,17 +14,21 @@ import (
 // to it reflects every write acknowledged before the read began.
 //
 // On the leader the read index is its current commit index, returned
-// without a round of heartbeats. That is linearisable only while the
-// replica really is the leader of the latest term. The fabric can
-// partition (internal/faults), and an isolated leader keeps its role
-// until check-quorum steps it down — up to 2× its election timeout —
-// while the majority side may elect and commit after one timeout, so in
-// that window the minority-side leader answers ReadIndex (its own and
-// its followers') from a commit index that no longer covers the latest
-// acknowledged write. A leader that has not yet committed its own
-// term's no-op may likewise report a commit index below its
-// predecessor's. Both gaps stay open (ROADMAP, linearizability item);
-// nothing below narrows or widens them.
+// without a round of heartbeats, once an entry of the leader's own term
+// has committed (Raft dissertation §6.4 step 1). Before its no-op
+// commits, a fresh leader's commit index may sit below its
+// predecessor's, so until then it refuses ReadIndex — its own and its
+// followers' — with ErrNotLeader, which callers retry; leaderLoop ships
+// the no-op at once, so the refusal lasts one replication round.
+//
+// That is linearisable only while the replica really is the leader of
+// the latest term, and that gap stays open (ROADMAP, leases item). The
+// fabric can partition (internal/faults), and an isolated leader keeps
+// its role until check-quorum steps it down — up to 2× its election
+// timeout — while the majority side may elect and commit after one
+// timeout, so in that window the minority-side leader answers ReadIndex
+// from a commit index that no longer covers the latest acknowledged
+// write.
 //
 // On a follower or learner the read costs exactly one round trip to the
 // leader and, uncontended, nothing else: the calling goroutine asks the
@@ -88,7 +92,8 @@ func (r *Raft) learnLocked(term, verified, commit uint64) {
 // ReadIndex returns an index such that any read of state applied up to it
 // observes every write acknowledged before the call (see the file
 // comment for what the leader path leaves open). On the leader it is the
-// commit index; on a follower or learner it is the leader's commit
+// commit index, refused with ErrNotLeader until the leader's own term has
+// committed an entry; on a follower or learner it is the leader's commit
 // index, fetched by this goroutine or shared with a batch of readers.
 // The caller then waits for local apply to reach it (ConsistentRead).
 func (r *Raft) ReadIndex() (uint64, error) {
@@ -96,7 +101,11 @@ func (r *Raft) ReadIndex() (uint64, error) {
 		return 0, types.ErrStopped
 	}
 	if r.Role() == Leader {
-		return r.CommitIndex(), nil
+		_, commit, ok := r.handleReadIndex()
+		if !ok {
+			return 0, types.ErrNotLeader
+		}
+		return commit, nil
 	}
 
 	r.reads.mu.Lock()
@@ -151,16 +160,19 @@ func (r *Raft) serveReadBatches() {
 	}
 }
 
-// handleReadIndex is the leader side of the ReadIndex RPC: role, term
-// and commit index read under one lock acquisition, so the reply cannot
-// pair one term's commit index with another's term.
+// handleReadIndex is the leader side of the ReadIndex RPC, and the
+// leader's own read index: role, term and commit index read under one
+// lock acquisition, so the reply cannot pair one term's commit index with
+// another's term. ok is false off the leader, and on a leader whose
+// commit index does not yet reach an entry of its own term.
 func (r *Raft) handleReadIndex() (term, commit uint64, ok bool) {
 	if r.stopped() {
 		return 0, 0, false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.term, r.commitIndex, r.role == Leader
+	ok = r.role == Leader && r.entryAtLocked(r.commitIndex).Term == r.term
+	return r.term, r.commitIndex, ok
 }
 
 // queryLeaderCommit issues one RPC to the current leader for its commit

@@ -327,3 +327,57 @@ func TestReadIndexReplyFromOtherTermAdvancesNothing(t *testing.T) {
 		}
 	}
 }
+
+// A freshly elected leader refuses ReadIndex until an entry of its own
+// term commits: before that its commit index may lag its predecessor's
+// (Raft dissertation §6.4 step 1). It then serves without waiting for a
+// heartbeat, because it ships its no-op at once.
+func TestFreshLeaderRefusesReadIndexUntilNoopCommits(t *testing.T) {
+	rs, _ := newTestGroup(t, 3, 0, func(c *Config) {
+		slowHeartbeat(c)
+		c.FsyncCost = time.Microsecond // fsyncs take the disk lock
+	})
+	old, err := WaitLeader(rs, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Propose([]byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	prior := old.CommitIndex()
+	next := rs[0]
+	if next == old {
+		next = rs[1]
+	}
+	if !waitUntil(time.Second, func() bool { return slices.Contains(logCmds(next), "w") }) {
+		t.Fatal("the next leader never received the entry")
+	}
+	// Hold next's disk: elected, it appends its no-op and parks in that
+	// entry's fsync, before any replicator starts, so the no-op cannot
+	// commit.
+	next.disk.Lock()
+	next.mu.Lock()
+	next.startElectionLocked()
+	next.mu.Unlock()
+	if !waitUntil(time.Second, func() bool { return next.Role() == Leader }) {
+		next.disk.Unlock()
+		t.Fatal("next never won its election")
+	}
+	_, err = next.ReadIndex()
+	_, _, ok := next.handleReadIndex()
+	next.disk.Unlock()
+	if !errors.Is(err, types.ErrNotLeader) {
+		t.Fatalf("ReadIndex before the no-op commits: err = %v, want ErrNotLeader", err)
+	}
+	if ok {
+		t.Fatal("handleReadIndex answered a follower before the leader's no-op committed")
+	}
+	var idx uint64
+	const bound = time.Second // half the 2 s heartbeat
+	if !waitUntil(bound, func() bool { idx, err = next.ReadIndex(); return err == nil }) {
+		t.Fatalf("ReadIndex still refused %v after the disk was released: %v", bound, err)
+	}
+	if idx <= prior {
+		t.Fatalf("read index %d does not pass the predecessor's commit index %d", idx, prior)
+	}
+}

@@ -27,8 +27,8 @@ func (r *Raft) leaderLoop(term uint64) {
 	// Append a no-op entry for the new term immediately: a Raft leader
 	// only learns the commit status of previous terms' entries once an
 	// entry of its own term commits, and reads gate on that knowledge
-	// (ReadIndex). The no-op makes the new leader's commit index catch
-	// up with everything already committed.
+	// (handleReadIndex refuses until then). The no-op makes the new
+	// leader's commit index catch up with everything already committed.
 	r.mu.Lock()
 	if r.role == Leader && r.term == term {
 		idx, _ := r.lastLogLocked()
@@ -64,6 +64,9 @@ func (r *Raft) leaderLoop(term uint64) {
 			}
 		}
 	}
+	// Ship the no-op now rather than at the first heartbeat: reads are
+	// refused until it commits (handleReadIndex).
+	kickAll()
 
 	heartbeat := time.NewTicker(r.cfg.HeartbeatInterval)
 	defer heartbeat.Stop()

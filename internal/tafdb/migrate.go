@@ -85,12 +85,18 @@ func (db *DB) flipRouting(pid types.InodeID, dst int) {
 // gatedRunner is the Runner the normal write path uses: it checks the
 // migration write gate with the drain lock held across the transaction
 // round, so a migration that installs a gate afterwards is guaranteed to
-// see either this transaction's effects or none. A gated transaction
-// waits the migration out, then fails with ErrConflict so the retry loop
-// rebuilds its pieces against the post-migration routing.
+// see either this transaction's effects or none. The hold covers the
+// transaction's then, which runs alongside the commit round: a gate
+// install also waits out in-flight IndexNode proposals. A gated
+// transaction waits the migration out, then fails with ErrConflict so
+// the retry loop rebuilds its pieces against the post-migration routing.
 type gatedRunner struct{ db *DB }
 
 func (g gatedRunner) Run(op *rpc.Op, txnID string, pieces []txn.Piece) error {
+	return g.RunThen(op, txnID, pieces, nil)
+}
+
+func (g gatedRunner) RunThen(op *rpc.Op, txnID string, pieces []txn.Piece, then func()) error {
 	db := g.db
 	db.migMu.RLock()
 	if db.stalePieces(pieces) {
@@ -102,7 +108,7 @@ func (g gatedRunner) Run(op *rpc.Op, txnID string, pieces []txn.Piece) error {
 	}
 	ch := db.gateFor(pieces)
 	if ch == nil {
-		err := db.runner.Run(op, txnID, pieces)
+		err := db.runner.RunThen(op, txnID, pieces, then)
 		db.migMu.RUnlock()
 		return err
 	}
@@ -263,7 +269,7 @@ func (db *DB) MigrateDir(op *rpc.Op, dir types.InodeID, dst int) (int, error) {
 	// touch the gated pid by design.
 	var keys []types.Key
 	_, err = txn.RunWithRetry(txn.Direct{}, op, db.newTxnID(), maxRetries,
-		db.cfg.RetryBase, db.cfg.RetryMax, func(int) ([]txn.Piece, error) {
+		db.cfg.RetryBase, db.cfg.RetryMax, nil, func(int) ([]txn.Piece, error) {
 			if pSrc.Shard.Crashed() || pDst.Shard.Crashed() {
 				return nil, fmt.Errorf("tafdb: migrate dir %d: participant shard down: %w",
 					dir, types.ErrUnavailable)

@@ -37,7 +37,7 @@ func rowsOnShard(db *DB, si int, pid types.InodeID) int {
 func TestMigrateDirMovesRowRange(t *testing.T) {
 	db, caller := newMigrationDB(t)
 	dir := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "hot", dir, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "hot", dir, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	const children = 20
@@ -105,7 +105,7 @@ func TestMigrateDirMovesRowRange(t *testing.T) {
 func TestMigrateDirConcurrentWriters(t *testing.T) {
 	db, caller := newMigrationDB(t)
 	dir := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "busy", dir, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "busy", dir, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	const writers, perWriter = 4, 30
@@ -169,7 +169,7 @@ func TestMigrateDirConcurrentWriters(t *testing.T) {
 func TestMigrateDirAbortsOnDestinationCrash(t *testing.T) {
 	db, caller := newMigrationDB(t)
 	dir := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "crashy", dir, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "crashy", dir, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -228,7 +228,7 @@ func TestMigrateDirAbortsOnDestinationCrash(t *testing.T) {
 func TestMigrateDirRejectsBadTargets(t *testing.T) {
 	db, caller := newMigrationDB(t)
 	dir := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "d", dir, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "d", dir, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.MigrateDir(caller.Begin(), dir, db.Shards()); err == nil {
@@ -245,7 +245,7 @@ func TestMigrateDirRejectsBadTargets(t *testing.T) {
 func TestPlanMigrationsFlattensSkew(t *testing.T) {
 	db, caller := newMigrationDB(t)
 	dir := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "hot", dir, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "hot", dir, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Load one directory hard so its home shard dominates the load

@@ -115,7 +115,7 @@ func (db *DB) CreateObject(op *rpc.Op, parent types.InodeID, name string, size i
 		Perm: types.PermAll,
 		Attr: types.Attr{Size: size, MTime: time.Now()},
 	}
-	retries, err := db.runTxn(op, parent, func(int) ([]txn.Piece, error) {
+	retries, err := db.runTxn(op, parent, nil, func(int) ([]txn.Piece, error) {
 		// Resolve routing inside the build so a retry after a directory
 		// migration targets the new home shard.
 		p := db.shardFor(parent)
@@ -137,7 +137,7 @@ func (db *DB) CreateObject(op *rpc.Op, parent types.InodeID, name string, size i
 
 // DeleteObject removes object name from parent.
 func (db *DB) DeleteObject(op *rpc.Op, parent types.InodeID, name string) (int, error) {
-	return db.runTxn(op, parent, func(int) ([]txn.Piece, error) {
+	return db.runTxn(op, parent, nil, func(int) ([]txn.Piece, error) {
 		p := db.shardFor(parent)
 		mut, guard := db.parentAttrMutation(parent, storage.AttrDelta{LinkCount: -1}, time.Now())
 		return []txn.Piece{{
@@ -156,8 +156,10 @@ func (db *DB) DeleteObject(op *rpc.Op, parent types.InodeID, name string) (int, 
 // caller — Mantle's proxy — allocates it so IndexNode can be updated with
 // the same id). The transaction spans the parent's shard (access row +
 // parent attribute update) and the new directory's shard (its primary
-// attribute row), mirroring Figure 2's node3/node4 example.
-func (db *DB) Mkdir(op *rpc.Op, parent types.InodeID, name string, id types.InodeID, perm types.Perm) (types.Entry, int, error) {
+// attribute row), mirroring Figure 2's node3/node4 example. then (may be
+// nil) commits alongside the transaction; see txn.Runner. Rmdir,
+// RenameDir and SetDirPerm take it the same way.
+func (db *DB) Mkdir(op *rpc.Op, parent types.InodeID, name string, id types.InodeID, perm types.Perm, then func()) (types.Entry, int, error) {
 	access := types.Entry{
 		Pid: parent, Name: name, ID: id, Kind: types.KindDir, Perm: perm,
 		Attr: types.Attr{MTime: time.Now()},
@@ -166,7 +168,7 @@ func (db *DB) Mkdir(op *rpc.Op, parent types.InodeID, name string, id types.Inod
 		Pid: id, Name: attrName, ID: id, Kind: types.KindDir, Perm: perm,
 		Attr: types.Attr{MTime: time.Now()},
 	}
-	retries, err := db.runTxn(op, parent, func(int) ([]txn.Piece, error) {
+	retries, err := db.runTxn(op, parent, then, func(int) ([]txn.Piece, error) {
 		pParent := db.shardFor(parent)
 		pDir := db.shardFor(id)
 		mut, guard := db.parentAttrMutation(parent, storage.AttrDelta{LinkCount: 1}, time.Now())
@@ -197,10 +199,10 @@ func (db *DB) Mkdir(op *rpc.Op, parent types.InodeID, name string, id types.Inod
 // child-creating transaction holds a shared lock on the directory's
 // primary attribute row, the exclusive delete serialises against them
 // and the emptiness check cannot miss an in-flight create.
-func (db *DB) Rmdir(op *rpc.Op, parent types.InodeID, name string, dir types.InodeID) (int, error) {
+func (db *DB) Rmdir(op *rpc.Op, parent types.InodeID, name string, dir types.InodeID, then func()) (int, error) {
 	// Fold any outstanding deltas first so the primary row is current.
 	db.compactDir(dir)
-	return db.runTxn(op, parent, func(int) ([]txn.Piece, error) {
+	return db.runTxn(op, parent, then, func(int) ([]txn.Piece, error) {
 		pParent := db.shardFor(parent)
 		pDir := db.shardFor(dir)
 		mut, guard := db.parentAttrMutation(parent, storage.AttrDelta{LinkCount: -1}, time.Now())
@@ -231,7 +233,7 @@ func (db *DB) Rmdir(op *rpc.Op, parent types.InodeID, name string, dir types.Ino
 // Mantle offloads it to IndexNode (§5.2.2); baseline systems implement
 // their own strategies.
 func (db *DB) RenameDir(op *rpc.Op, srcParent types.InodeID, srcName string,
-	dstParent types.InodeID, dstName string, dir types.InodeID, perm types.Perm) (int, error) {
+	dstParent types.InodeID, dstName string, dir types.InodeID, perm types.Perm, then func()) (int, error) {
 
 	access := types.Entry{
 		Pid: dstParent, Name: dstName, ID: dir, Kind: types.KindDir, Perm: perm,
@@ -241,7 +243,7 @@ func (db *DB) RenameDir(op *rpc.Op, srcParent types.InodeID, srcName string,
 	if dstParent != srcParent {
 		contended = dstParent // rename storms typically contend on the shared destination
 	}
-	return db.runTxn(op, contended, func(int) ([]txn.Piece, error) {
+	return db.runTxn(op, contended, then, func(int) ([]txn.Piece, error) {
 		pSrc := db.shardFor(srcParent)
 		pDst := db.shardFor(dstParent)
 		now := time.Now()
@@ -280,8 +282,8 @@ func (db *DB) RenameDir(op *rpc.Op, srcParent types.InodeID, srcName string,
 // or replicated site rebuilds its index from). The two rows may live on
 // different shards, so this is a 2PC when they do. The root directory
 // has no access row; its attribute row alone is updated.
-func (db *DB) SetDirPerm(op *rpc.Op, parent types.InodeID, name string, dir types.InodeID, perm types.Perm) (int, error) {
-	return db.runTxn(op, dir, func(int) ([]txn.Piece, error) {
+func (db *DB) SetDirPerm(op *rpc.Op, parent types.InodeID, name string, dir types.InodeID, perm types.Perm, then func()) (int, error) {
+	return db.runTxn(op, dir, then, func(int) ([]txn.Piece, error) {
 		pDir := db.shardFor(dir)
 		row, ok := pDir.Shard.Get(attrKey(dir))
 		if !ok {

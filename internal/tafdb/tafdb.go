@@ -541,9 +541,10 @@ func compactShardDeltas(s *storage.Shard) int {
 const maxRetries = 10000
 
 // runTxn executes build as a retried transaction, recording contention
-// against contendedDir on each retry. The whole transaction — all
-// retries included — is one txn-commit span and one txnLat observation.
-func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, build func(attempt int) ([]txn.Piece, error)) (int, error) {
+// against contendedDir on each retry; then is handed to txn.RunWithRetry.
+// The whole transaction — all retries included — is one txn-commit span
+// and one txnLat observation.
+func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, then func(), build func(attempt int) ([]txn.Piece, error)) (int, error) {
 	ctx, sp := trace.Start(op.Context(), "txn-commit")
 	op = op.WithContext(ctx)
 	db.dirHeat.Record(contendedDir)
@@ -574,7 +575,7 @@ func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, build func(attempt 
 		sp.SetAttr("2pc", "batched")
 	}
 	retries, err := txn.RunWithRetry(gatedRunner{db}, op, id, maxRetries,
-		db.cfg.RetryBase, db.cfg.RetryMax, wrapped)
+		db.cfg.RetryBase, db.cfg.RetryMax, then, wrapped)
 	if db.cfg.Repl != nil {
 		// Committed stamps were consumed piece by piece; this clears the
 		// stamp of a final failed/aborted attempt. No-op otherwise.

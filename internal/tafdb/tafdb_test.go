@@ -68,7 +68,7 @@ func TestCreateStatDeleteObject(t *testing.T) {
 func TestMkdirRmdir(t *testing.T) {
 	db, caller := testDB(t, DeltaOff)
 	id := db.NewID()
-	d, _, err := db.Mkdir(caller.Begin(), types.RootID, "dir1", id, types.PermAll)
+	d, _, err := db.Mkdir(caller.Begin(), types.RootID, "dir1", id, types.PermAll, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestMkdirRmdir(t *testing.T) {
 	if _, _, err := db.CreateObject(caller.Begin(), id, "o", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Rmdir(caller.Begin(), types.RootID, "dir1", id); !errors.Is(err, types.ErrNotEmpty) {
+	if _, err := db.Rmdir(caller.Begin(), types.RootID, "dir1", id, nil); !errors.Is(err, types.ErrNotEmpty) {
 		t.Fatalf("rmdir non-empty: %v", err)
 	}
 	if _, err := db.DeleteObject(caller.Begin(), id, "o"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Rmdir(caller.Begin(), types.RootID, "dir1", id); err != nil {
+	if _, err := db.Rmdir(caller.Begin(), types.RootID, "dir1", id, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.StatDir(caller.Begin(), id); !errors.Is(err, types.ErrNotFound) {
@@ -103,7 +103,7 @@ func TestMkdirRmdir(t *testing.T) {
 
 func TestMkdirIntoMissingParentFails(t *testing.T) {
 	db, caller := testDB(t, DeltaOff)
-	_, _, err := db.Mkdir(caller.Begin(), types.InodeID(999), "d", db.NewID(), types.PermAll)
+	_, _, err := db.Mkdir(caller.Begin(), types.InodeID(999), "d", db.NewID(), types.PermAll, nil)
 	if !errors.Is(err, types.ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
@@ -112,7 +112,7 @@ func TestMkdirIntoMissingParentFails(t *testing.T) {
 func TestReadDirSkipsInternalRows(t *testing.T) {
 	db, caller := testDB(t, DeltaAlways)
 	id := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "d", id, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "d", id, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -137,7 +137,7 @@ func TestReadDirSkipsInternalRows(t *testing.T) {
 func TestDeltaStatMergesLiveDeltas(t *testing.T) {
 	db, caller := testDB(t, DeltaAlways)
 	id := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "d", id, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "d", id, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
@@ -170,16 +170,16 @@ func TestRenameDir(t *testing.T) {
 	a := db.NewID()
 	b := db.NewID()
 	d := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "a", a, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "a", a, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "b", b, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "b", b, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Mkdir(caller.Begin(), a, "d", d, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), a, "d", d, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RenameDir(caller.Begin(), a, "d", b, "d2", d, types.PermAll); err != nil {
+	if _, err := db.RenameDir(caller.Begin(), a, "d", b, "d2", d, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.GetAccess(caller.Begin(), a, "d"); !errors.Is(err, types.ErrNotFound) {
@@ -195,7 +195,7 @@ func TestRenameDir(t *testing.T) {
 		t.Fatalf("links a=%d b=%d", aAttr.Attr.LinkCount, bAttr.Attr.LinkCount)
 	}
 	// Same-parent rename.
-	if _, err := db.RenameDir(caller.Begin(), b, "d2", b, "d3", d, types.PermAll); err != nil {
+	if _, err := db.RenameDir(caller.Begin(), b, "d2", b, "d3", d, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.GetAccess(caller.Begin(), b, "d3"); err != nil {
@@ -203,10 +203,10 @@ func TestRenameDir(t *testing.T) {
 	}
 	// Destination exists.
 	e2 := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), b, "other", e2, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), b, "other", e2, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RenameDir(caller.Begin(), b, "d3", b, "other", d, types.PermAll); !errors.Is(err, types.ErrExists) {
+	if _, err := db.RenameDir(caller.Begin(), b, "d3", b, "other", d, types.PermAll, nil); !errors.Is(err, types.ErrExists) {
 		t.Fatalf("rename onto existing: %v", err)
 	}
 }
@@ -261,7 +261,7 @@ func contendedMkdirs(t *testing.T, db *DB, goroutines, each int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				name := fmt.Sprintf("d-%d-%d", g, i)
-				if _, _, err := db.Mkdir(caller.Begin(), types.RootID, name, db.NewID(), types.PermAll); err != nil {
+				if _, _, err := db.Mkdir(caller.Begin(), types.RootID, name, db.NewID(), types.PermAll, nil); err != nil {
 					t.Errorf("mkdir %s: %v", name, err)
 					return
 				}
@@ -316,7 +316,7 @@ func TestRmdirRacingCreateNeverOrphans(t *testing.T) {
 			for round := 0; round < 50; round++ {
 				id := db.NewID()
 				name := fmt.Sprintf("d%d", round)
-				if _, _, err := db.Mkdir(caller.Begin(), types.RootID, name, id, types.PermAll); err != nil {
+				if _, _, err := db.Mkdir(caller.Begin(), types.RootID, name, id, types.PermAll, nil); err != nil {
 					t.Fatal(err)
 				}
 				var wg sync.WaitGroup
@@ -328,7 +328,7 @@ func TestRmdirRacingCreateNeverOrphans(t *testing.T) {
 				}()
 				go func() {
 					defer wg.Done()
-					_, rmdirErr = db.Rmdir(caller.Begin(), types.RootID, name, id)
+					_, rmdirErr = db.Rmdir(caller.Begin(), types.RootID, name, id, nil)
 				}()
 				wg.Wait()
 				createOK := createErr == nil
@@ -390,7 +390,7 @@ func TestShardCrashRecoveryEndToEnd(t *testing.T) {
 	var ids []types.InodeID
 	for i := 0; i < 8; i++ {
 		id := db.NewID()
-		if _, _, err := db.Mkdir(caller.Begin(), types.RootID, fmt.Sprintf("d%d", i), id, types.PermAll); err != nil {
+		if _, _, err := db.Mkdir(caller.Begin(), types.RootID, fmt.Sprintf("d%d", i), id, types.PermAll, nil); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
@@ -440,7 +440,7 @@ func TestShardCrashRecoveryEndToEnd(t *testing.T) {
 func TestReadDirIsUnpagedReadDirPage(t *testing.T) {
 	db, caller := testDB(t, DeltaOff)
 	dir := db.NewID()
-	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "big", dir, types.PermAll); err != nil {
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "big", dir, types.PermAll, nil); err != nil {
 		t.Fatal(err)
 	}
 	const children = 2500

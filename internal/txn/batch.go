@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"sort"
 	"strings"
 	"sync"
@@ -11,8 +12,8 @@ import (
 
 // batchGroup accumulates transactions with one participant signature.
 type batchGroup struct {
-	running bool // a leader is executing rounds for this signature
-	pending []*batchTxn
+	running bool        // a leader is executing rounds for this signature
+	pending []*batchTxn // oldest first
 }
 
 // Batcher is a batching 2PC coordinator: independent cross-shard
@@ -25,8 +26,9 @@ type batchGroup struct {
 // Grouping is in-flight-keyed rather than timer-based: the first
 // transaction for a signature executes immediately, and transactions
 // arriving while its rounds are in flight queue up and run as the next
-// batch. An idle write path therefore pays zero added latency, and
-// batching emerges exactly when there is concurrency to amortise.
+// batch, led by the oldest of them. An idle write path therefore pays
+// zero added latency, and batching emerges exactly when there is
+// concurrency to amortise.
 //
 // Transaction outcomes stay independent: a prepare conflict aborts only
 // the conflicting transaction, its batch-mates commit. Single-shard
@@ -68,13 +70,25 @@ func signature(pieces []Piece) string {
 	return strings.Join(ids, "\x00")
 }
 
+// Signals on a waiting transaction's done channel, ahead of its outcome:
+// errLead hands it the lead of the next batch; errPrepared has it run its
+// then while the leader drives the commit round.
+var errLead, errPrepared = errors.New("txn: lead"), errors.New("txn: prepared")
+
 // Run implements Runner.
 func (b *Batcher) Run(op *rpc.Op, txnID string, pieces []Piece) error {
+	return b.RunThen(op, txnID, pieces, nil)
+}
+
+// RunThen implements Runner.
+func (b *Batcher) RunThen(op *rpc.Op, txnID string, pieces []Piece, then func()) error {
 	if len(pieces) < 2 {
-		return Direct{}.Run(op, txnID, pieces)
+		return Direct{}.RunThen(op, txnID, pieces, then)
 	}
 	b.txns.Add(1)
-	t := &batchTxn{op: op, id: txnID, pieces: pieces, done: make(chan error, 1)}
+	// Room for every signal a transaction can receive (errPrepared, then
+	// its outcome) so no sender ever blocks.
+	t := &batchTxn{op: op, id: txnID, pieces: pieces, then: then, done: make(chan error, 2)}
 	key := signature(pieces)
 	b.mu.Lock()
 	g := b.groups[key]
@@ -83,33 +97,56 @@ func (b *Batcher) Run(op *rpc.Op, txnID string, pieces []Piece) error {
 		b.groups[key] = g
 	}
 	g.pending = append(g.pending, t)
-	if g.running {
-		// A leader is mid-round for this signature; it will pick this
-		// transaction up for its next batch.
+	if !g.running {
+		g.running = true
 		b.mu.Unlock()
-		return <-t.done
+		return b.lead(key, g)
 	}
-	g.running = true
-	for len(g.pending) > 0 {
-		batch := g.pending
-		var rest []*batchTxn
-		if len(batch) > b.maxBatch {
-			rest = batch[b.maxBatch:]
-			batch = batch[:b.maxBatch]
-		}
-		g.pending = rest
-		b.mu.Unlock()
-		b.rounds.Add(1)
-		if len(batch) > 1 {
-			b.batched.Add(int64(len(batch)))
-		}
-		for j, err := range rounds(batch) {
-			batch[j].done <- err
-		}
-		b.mu.Lock()
-	}
-	g.running = false
-	delete(b.groups, key)
+	// A leader is mid-round for this signature; this transaction joins a
+	// later batch, or leads it.
 	b.mu.Unlock()
-	return <-t.done
+	for {
+		switch err := <-t.done; err {
+		case errLead:
+			return b.lead(key, g)
+		case errPrepared:
+			t.then()
+		default:
+			return err
+		}
+	}
+}
+
+// lead runs one batch for the signature: the oldest pending transactions,
+// headed by the caller's own (the first arrival, or the one a previous
+// leader handed off to). It then hands the lead to the oldest transaction
+// still pending, as the WAL hands sync leadership to its oldest uncovered
+// waiter, so a caller waits for its own rounds only, never for batches of
+// transactions that arrived after it.
+func (b *Batcher) lead(key string, g *batchGroup) error {
+	b.mu.Lock()
+	batch := g.pending[:min(len(g.pending), b.maxBatch)]
+	g.pending = g.pending[len(batch):]
+	b.mu.Unlock()
+	b.rounds.Add(1)
+	if len(batch) > 1 {
+		b.batched.Add(int64(len(batch)))
+	}
+	errs := rounds(batch)
+	var next *batchTxn
+	b.mu.Lock()
+	if len(g.pending) > 0 {
+		next = g.pending[0] // stays at the head until it leads
+	} else {
+		g.running = false
+		delete(b.groups, key)
+	}
+	b.mu.Unlock()
+	if next != nil {
+		next.done <- errLead
+	}
+	for j, t := range batch[1:] {
+		t.done <- errs[j+1]
+	}
+	return errs[0]
 }

@@ -84,15 +84,32 @@ type Runner interface {
 	// and the error returned (types.ErrConflict means the caller may
 	// retry).
 	Run(op *rpc.Op, txnID string, pieces []Piece) error
+	// RunThen is Run plus then: when non-nil, the work that commits
+	// together with the transaction (Mantle's IndexNode entry, paper Fig 9
+	// step 8a/8b). It runs once the transaction has prepared on every
+	// participant — the decision point — while the transaction's locks
+	// are held: inside the single RPC between prepare and commit, or
+	// alongside the commit round. RunThen returns after both. then never
+	// runs when a prepare fails; an error after it ran is a commit-round
+	// RPC failure, never a retryable conflict.
+	RunThen(op *rpc.Op, txnID string, pieces []Piece, then func()) error
 }
 
 // Direct is the unbatched Runner: one 2PC round pair per transaction.
 type Direct struct{}
 
 // Run implements Runner.
-func (Direct) Run(op *rpc.Op, txnID string, pieces []Piece) error {
+func (d Direct) Run(op *rpc.Op, txnID string, pieces []Piece) error {
+	return d.RunThen(op, txnID, pieces, nil)
+}
+
+// RunThen implements Runner.
+func (Direct) RunThen(op *rpc.Op, txnID string, pieces []Piece, then func()) error {
 	switch len(pieces) {
 	case 0:
+		if then != nil {
+			then()
+		}
 		return nil
 	case 1:
 		p := pieces[0]
@@ -100,11 +117,14 @@ func (Direct) Run(op *rpc.Op, txnID string, pieces []Piece) error {
 			if err := p.P.Shard.Prepare(txnID, p.Guards, p.Muts); err != nil {
 				return err
 			}
+			if then != nil {
+				then()
+			}
 			p.P.Shard.Commit(txnID)
 			return nil
 		})
 	}
-	return rounds([]*batchTxn{{op: op, id: txnID, pieces: pieces}})[0]
+	return rounds([]*batchTxn{{op: op, id: txnID, pieces: pieces, then: then}})[0]
 }
 
 // batchTxn is one transaction in a 2PC round pair.
@@ -112,7 +132,10 @@ type batchTxn struct {
 	op     *rpc.Op
 	id     string
 	pieces []Piece
-	done   chan error // Batcher's completion signal; nil under Direct
+	then   func()
+	// done carries the Batcher's signals to a waiting transaction: errLead,
+	// errPrepared, then its outcome. Nil under Direct.
+	done chan error
 }
 
 // pieceOn returns t's piece landing on participant p. Every transaction
@@ -134,6 +157,11 @@ func pieceOn(t *batchTxn, p *Participant) Piece {
 // everywhere (abort of a transaction that never prepared is a no-op) and
 // its first prepare error, in participant order, is returned in its
 // slot.
+//
+// Between the rounds every transaction that will commit has its then
+// started: batch[0] — the coordinator's own transaction — on this
+// goroutine while the commit RPCs are in flight, each batch-mate on its
+// own waiting goroutine (errPrepared). No goroutine is started for it.
 func rounds(batch []*batchTxn) []error {
 	parts, n := len(batch[0].pieces), len(batch)
 	// errs[i*n+j] is participant i's result for transaction j in the
@@ -149,12 +177,19 @@ func rounds(batch []*batchTxn) []error {
 		return nil
 	}
 
-	round(batch, results, nil)
-	for j := range outcome {
+	round(batch, results, nil, nil)
+	for j, t := range batch {
 		outcome[j] = firstErr(j)
+		if j > 0 && outcome[j] == nil && t.then != nil {
+			t.done <- errPrepared
+		}
 	}
 	clear(results)
-	round(batch, results, outcome)
+	var then func()
+	if outcome[0] == nil {
+		then = batch[0].then
+	}
+	round(batch, results, outcome, then)
 	for j, t := range batch {
 		if outcome[j] == nil {
 			if err := firstErr(j); err != nil {
@@ -169,8 +204,9 @@ func rounds(batch []*batchTxn) []error {
 // the prepare round when outcome is nil, else the round that commits
 // transaction j if outcome[j] is nil and aborts it otherwise. Each
 // participant receives one RPC (through batch[0]'s op, all participants
-// in parallel) carrying every transaction.
-func round(batch []*batchTxn, results, outcome []error) {
+// in parallel) carrying every transaction. meanwhile, when non-nil, runs
+// on the calling goroutine while the RPCs are in flight.
+func round(batch []*batchTxn, results, outcome []error, meanwhile func()) {
 	lead, n := batch[0].op, len(batch)
 	var wg sync.WaitGroup
 	for i, pc := range batch[0].pieces {
@@ -190,6 +226,9 @@ func round(batch []*batchTxn, results, outcome []error) {
 				}
 			}
 		}(pc.P, results[i*n:(i+1)*n])
+	}
+	if meanwhile != nil {
+		meanwhile()
 	}
 	wg.Wait()
 }
@@ -254,9 +293,11 @@ func Backoff(attempt int, base, max time.Duration) {
 // ErrConflict or ErrLocked up to maxRetries times with jittered backoff.
 // build is re-invoked on every attempt so it can re-read state; it
 // returns the transaction pieces or an error that aborts the whole
-// operation. The retry count consumed is returned.
+// operation. then is handed to every attempt's RunThen, so it runs at most
+// once: for the attempt that prepared everywhere, which is never retried.
+// The retry count consumed is returned.
 func RunWithRetry(r Runner, op *rpc.Op, txnID string, maxRetries int, base, maxBackoff time.Duration,
-	build func(attempt int) ([]Piece, error)) (int, error) {
+	then func(), build func(attempt int) ([]Piece, error)) (int, error) {
 
 	var lastErr error
 	for attempt := 0; attempt <= maxRetries; attempt++ {
@@ -264,7 +305,7 @@ func RunWithRetry(r Runner, op *rpc.Op, txnID string, maxRetries int, base, maxB
 		if err != nil {
 			return attempt, err
 		}
-		err = r.Run(op, fmt.Sprintf("%s#%d", txnID, attempt), pieces)
+		err = r.RunThen(op, fmt.Sprintf("%s#%d", txnID, attempt), pieces, then)
 		if err == nil {
 			return attempt, nil
 		}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,7 +110,7 @@ func TestConflictIsRetryable(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := RunWithRetry(Direct{}, op, "t2", 50, time.Microsecond, time.Millisecond,
+		_, err := RunWithRetry(Direct{}, op, "t2", 50, time.Microsecond, time.Millisecond, nil,
 			func(attempt int) ([]Piece, error) {
 				attempts++
 				return []Piece{{P: parts[0], Muts: []storage.Mutation{put(1, "hot", 2)}}}, nil
@@ -136,7 +138,7 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 	defer parts[0].Shard.Abort("holder")
 	op := caller.Begin()
-	retries, err := RunWithRetry(Direct{}, op, "t2", 3, 0, 0, func(int) ([]Piece, error) {
+	retries, err := RunWithRetry(Direct{}, op, "t2", 3, 0, 0, nil, func(int) ([]Piece, error) {
 		return []Piece{{P: parts[0], Muts: []storage.Mutation{put(1, "hot", 2)}}}, nil
 	})
 	if !errors.Is(err, types.ErrRetryExhausted) {
@@ -151,7 +153,7 @@ func TestBuildErrorAborts(t *testing.T) {
 	caller, _ := testRig(1)
 	op := caller.Begin()
 	sentinel := errors.New("boom")
-	_, err := RunWithRetry(Direct{}, op, "t", 5, 0, 0, func(int) ([]Piece, error) {
+	_, err := RunWithRetry(Direct{}, op, "t", 5, 0, 0, nil, func(int) ([]Piece, error) {
 		return nil, sentinel
 	})
 	if !errors.Is(err, sentinel) {
@@ -176,7 +178,7 @@ func TestConcurrentContendedCounter(t *testing.T) {
 			for i := 0; i < each; i++ {
 				op := caller.Begin()
 				_, err := RunWithRetry(Direct{}, op, fmt.Sprintf("c%d-%d", g, i), 10000,
-					time.Microsecond, 100*time.Microsecond,
+					time.Microsecond, 100*time.Microsecond, nil,
 					func(int) ([]Piece, error) {
 						return []Piece{
 							{P: parts[0], Muts: []storage.Mutation{{
@@ -211,10 +213,16 @@ func TestConcurrentContendedCounter(t *testing.T) {
 
 // TestRunnersOneTable drives Direct and Batcher through the same
 // commit / abort / conflict scenarios: both are the one round driver, so
-// outcomes, RPC counts and lock hygiene must agree.
+// outcomes, RPC counts, lock hygiene and when then runs must agree.
 func TestRunnersOneTable(t *testing.T) {
 	dup := put(2, "b", 20)
 	dup.IfAbsent = true
+	holder := func(parts []*Participant) func() {
+		if err := parts[1].Shard.Prepare("holder", nil, []storage.Mutation{put(2, "b", 1)}); err != nil {
+			panic(err)
+		}
+		return func() { parts[1].Shard.Abort("holder") }
+	}
 	scenarios := []struct {
 		name string
 		// setup prepares shard state and returns a cleanup.
@@ -222,6 +230,9 @@ func TestRunnersOneTable(t *testing.T) {
 		second  storage.Mutation // the piece on shard 1
 		wantErr error
 		applied bool // shard 0's row exists afterwards
+		// retried runs through RunWithRetry, cleaning up before the second
+		// attempt: the first attempt conflicts, the second commits.
+		retried bool
 	}{
 		{name: "commit", second: put(2, "b", 20), applied: true},
 		{
@@ -232,16 +243,8 @@ func TestRunnersOneTable(t *testing.T) {
 			},
 			second: dup, wantErr: types.ErrExists,
 		},
-		{
-			name: "conflict",
-			setup: func(parts []*Participant) func() {
-				if err := parts[1].Shard.Prepare("holder", nil, []storage.Mutation{put(2, "b", 1)}); err != nil {
-					panic(err)
-				}
-				return func() { parts[1].Shard.Abort("holder") }
-			},
-			second: put(2, "b", 20), wantErr: types.ErrConflict,
-		},
+		{name: "conflict", setup: holder, second: put(2, "b", 20), wantErr: types.ErrConflict},
+		{name: "conflict-retried", setup: holder, second: put(2, "b", 20), applied: true, retried: true},
 	}
 	runners := map[string]func() Runner{
 		"direct":  func() Runner { return Direct{} },
@@ -255,20 +258,54 @@ func TestRunnersOneTable(t *testing.T) {
 				if sc.setup != nil {
 					cleanup = sc.setup(parts)
 				}
+				keys := []types.Key{{Pid: 1, Name: "a"}, {Pid: 2, Name: "b"}}
+				pieces := func() []Piece {
+					return []Piece{
+						{P: parts[0], Muts: []storage.Mutation{put(1, "a", 10)}},
+						{P: parts[1], Muts: []storage.Mutation{sc.second}},
+					}
+				}
+				thens := 0
+				then := func() {
+					thens++
+					// Every participant has prepared: each still holds the
+					// transaction's locks, or — the commit round being in
+					// flight alongside — has already committed its row
+					// (checked second: a commit applies, then unlocks).
+					for i, k := range keys {
+						if parts[i].Shard.LockedKeys() == 0 {
+							if _, ok := parts[i].Shard.Get(k); !ok {
+								t.Errorf("then ran before participant %d prepared", i)
+							}
+						}
+					}
+				}
 				op := caller.Begin()
-				err := mk().Run(op, "t1", []Piece{
-					{P: parts[0], Muts: []storage.Mutation{put(1, "a", 10)}},
-					{P: parts[1], Muts: []storage.Mutation{sc.second}},
-				})
+				var err error
+				wantRTTs := 4 // one prepare and one commit/abort RPC per participant
+				if sc.retried {
+					_, err = RunWithRetry(mk(), op, "t1", 1, 0, 0, then, func(attempt int) ([]Piece, error) {
+						if attempt == 1 {
+							cleanup()
+						}
+						return pieces(), nil
+					})
+					wantRTTs *= 2
+				} else {
+					err = mk().RunThen(op, "t1", pieces(), then)
+				}
 				if !errors.Is(err, sc.wantErr) {
 					t.Fatalf("err = %v, want %v", err, sc.wantErr)
 				}
-				// One prepare and one commit/abort RPC per participant,
-				// whatever the outcome.
-				if op.RTTs() != 4 {
-					t.Fatalf("RTTs = %d, want 4", op.RTTs())
+				if op.RTTs() != wantRTTs {
+					t.Fatalf("RTTs = %d, want %d", op.RTTs(), wantRTTs)
 				}
-				if _, ok := parts[0].Shard.Get(types.Key{Pid: 1, Name: "a"}); ok != sc.applied {
+				// then runs once for the attempt that prepared everywhere,
+				// before Run returns, and never for one that did not.
+				if want := map[bool]int{true: 1}[sc.applied]; thens != want {
+					t.Fatalf("then ran %d times, want %d", thens, want)
+				}
+				if _, ok := parts[0].Shard.Get(keys[0]); ok != sc.applied {
 					t.Fatalf("shard0 row present = %v, want %v", ok, sc.applied)
 				}
 				cleanup()
@@ -277,6 +314,129 @@ func TestRunnersOneTable(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A single-piece transaction runs then inside its one RPC, between the
+// prepare and the commit: the row is locked and not yet visible, and the
+// RPC count is that of a run without then.
+func TestDirectSinglePieceThenInsideItsRPC(t *testing.T) {
+	caller, parts := testRig(1)
+	key := types.Key{Pid: 1, Name: "a"}
+	run := func(name string, then func()) int {
+		op := caller.Begin()
+		piece := Piece{P: parts[0], Muts: []storage.Mutation{put(1, name, 10)}}
+		if err := (Direct{}).RunThen(op, name, []Piece{piece}, then); err != nil {
+			t.Fatal(err)
+		}
+		return op.RTTs()
+	}
+	without := run("b", nil)
+	ran := false
+	with := run("a", func() {
+		ran = true
+		if parts[0].Shard.LockedKeys() == 0 {
+			t.Error("then ran without the transaction's lock held")
+		}
+		if _, ok := parts[0].Shard.Get(key); ok {
+			t.Error("then ran after the commit")
+		}
+	})
+	if !ran {
+		t.Fatal("then never ran")
+	}
+	if with != without {
+		t.Fatalf("RTTs with then = %d, without = %d", with, without)
+	}
+	if _, ok := parts[0].Shard.Get(key); !ok {
+		t.Fatal("row missing after commit")
+	}
+}
+
+// gate is a netsim fault hook that holds every node execution after the
+// first free ones until released: a participant whose later RPCs park on
+// a channel, not on a timer.
+type gate struct {
+	free    atomic.Int32
+	release chan struct{}
+}
+
+func (g *gate) Edge(string, string) (time.Duration, error) { return 0, nil }
+
+func (g *gate) Down(string) error {
+	if g.free.Add(-1) < 0 {
+		<-g.release
+	}
+	return nil
+}
+
+// A batched-2PC leader returns once its own batch has an outcome, handing
+// the lead to the oldest queued transaction; it does not wait for the
+// rounds of batches that arrived after it.
+func TestBatcherLeaderReturnsBeforeLaterBatches(t *testing.T) {
+	caller, parts := testRig(2)
+	// Shard 1 executes the leader's prepare and commit, then parks
+	// everything after — the follower batch's rounds — on the gate.
+	g := &gate{release: make(chan struct{})}
+	g.free.Store(2)
+	parts[1].Node.SetFaults(g)
+	b := NewBatcher(0)
+	pieces := func(name string) []Piece {
+		return []Piece{
+			{P: parts[0], Muts: []storage.Mutation{put(1, name, 1)}},
+			{P: parts[1], Muts: []storage.Mutation{put(2, name, 1)}},
+		}
+	}
+	key := signature(pieces("x"))
+	queued := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		if grp := b.groups[key]; grp != nil {
+			return len(grp.pending)
+		}
+		return 0
+	}
+
+	follower := make(chan error, 1)
+	leader := make(chan error, 1)
+	go func() {
+		// The leader's then runs inside its rounds: start the follower
+		// there and hold until it has queued behind this batch.
+		leader <- b.RunThen(caller.Begin(), "lead", pieces("lead"), func() {
+			go func() { follower <- b.Run(caller.Begin(), "next", pieces("next")) }()
+			for queued() == 0 {
+				runtime.Gosched()
+			}
+		})
+	}()
+	select {
+	case err := <-leader:
+		if err != nil {
+			t.Fatalf("leader: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		close(g.release)
+		t.Fatal("the leader is still running the rounds of the batch queued behind it")
+	}
+	select {
+	case err := <-follower:
+		t.Fatalf("the queued batch finished (%v) while its participant was gated", err)
+	default:
+	}
+	close(g.release)
+	if err := <-follower; err != nil {
+		t.Fatalf("follower: %v", err)
+	}
+	if _, _, rounds := b.Stats(); rounds != 2 {
+		t.Fatalf("rounds = %d, want 2", rounds)
+	}
+	for _, name := range []string{"lead", "next"} {
+		if _, ok := parts[1].Shard.Get(types.Key{Pid: 2, Name: name}); !ok {
+			t.Fatalf("%s not committed", name)
+		}
+	}
+	if parts[0].Shard.LockedKeys() != 0 || parts[1].Shard.LockedKeys() != 0 {
+		t.Fatal("locks leaked")
 	}
 }
 
