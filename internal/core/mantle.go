@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -408,7 +409,8 @@ func (m *Mantle) Stop() {
 }
 
 func (m *Mantle) newUUID() string {
-	return fmt.Sprintf("mntl-%d", m.uuidSq.Add(1))
+	var b [24]byte
+	return string(strconv.AppendUint(append(b[:0], "mntl-"...), m.uuidSq.Add(1), 10))
 }
 
 // Lookup implements api.Service: a single-RPC path resolution.

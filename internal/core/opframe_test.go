@@ -90,11 +90,11 @@ func TestOpFrameRecordsOnce(t *testing.T) {
 	}
 }
 
-// TestOpFrameAllocs holds the stat_hot path to the two allocations a warm
-// ObjStat made before the op frame (the rpc.Op of Begin and its state):
-// none for the frame, none for TafDB's read helper, and none for the heat
-// sketches — also when the stats go round 2*heatTopK directories, so that
-// every other Record in the proxy's and TafDB's sketch evicts. Head
+// TestOpFrameAllocs holds a warm ObjStat to one allocation, the rpc.Op of
+// Begin (its RTT counter inline): none for the frame, none for the
+// replica's lookup flight, none for TafDB's read helper, and none for the
+// heat sketches — also when the stats go round 2*heatTopK directories, so
+// that every other Record in the proxy's and TafDB's sketch evicts. Head
 // sampling is off so the figure is exact.
 func TestOpFrameAllocs(t *testing.T) {
 	m := newTestMantle(t, func(c *Config) { c.Heat.SampleEvery = -1 })
@@ -117,8 +117,62 @@ func TestOpFrameAllocs(t *testing.T) {
 			}
 			i++
 		})
-		if got > 2 {
-			t.Fatalf("warm ObjStat over %d directories allocates %.2f times, want <= 2", dirs, got)
+		if got > 1 {
+			t.Fatalf("warm ObjStat over %d directories allocates %.2f times, want <= 1", dirs, got)
+		}
+	}
+}
+
+// TestMutationAllocs pins what a warm create, delete, mkdir and dirrename
+// allocate end to end on the default test deployment (no WAL, unbatched
+// 2PC, three IndexNode voters): the transaction, its row locks, the raft
+// commit and every replica's apply included. Head sampling is off so the
+// figures are exact; the race detector adds allocations of its own, so the
+// budgets are checked without it.
+func TestMutationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	m := newTestMantle(t, func(c *Config) { c.Heat.SampleEvery = -1 })
+	for _, dir := range []string{"/c", "/m", "/ra", "/rb", "/ra/x"} {
+		if _, err := m.Mkdir(op(m), dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 400
+	objs := make([]string, runs+1) // AllocsPerRun adds one warm-up call
+	dirs := make([]string, runs+1)
+	for i := range objs {
+		objs[i] = fmt.Sprintf("/c/o%d", i)
+		dirs[i] = fmt.Sprintf("/m/d%d", i)
+	}
+	cases := []struct {
+		name   string
+		budget float64
+		run    func(i int) error
+	}{
+		{"create", 6, func(i int) error { _, err := m.Create(op(m), objs[i], 1); return err }},
+		{"delete", 6, func(i int) error { _, err := m.Delete(op(m), objs[i]); return err }},
+		{"mkdir", 30, func(i int) error { _, err := m.Mkdir(op(m), dirs[i]); return err }},
+		{"dirrename", 46, func(i int) error {
+			src, dst := "/ra/x", "/rb/x"
+			if i%2 == 1 {
+				src, dst = dst, src
+			}
+			_, err := m.DirRename(op(m), src, dst)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		i := 0
+		got := testing.AllocsPerRun(runs, func() {
+			if err := c.run(i); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			i++
+		})
+		if got > c.budget {
+			t.Errorf("warm %s allocates %.0f times, budget %.0f", c.name, got, c.budget)
 		}
 	}
 }

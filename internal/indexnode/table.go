@@ -26,16 +26,16 @@ const tableStripes = 64
 
 type tableStripe struct {
 	mu    sync.RWMutex
-	byKey map[types.Key]*types.AccessEntry
-	byID  map[types.InodeID]*types.AccessEntry
+	byKey map[types.Key]types.AccessEntry
+	byID  map[types.InodeID]types.AccessEntry
 }
 
 // NewIndexTable creates an empty table.
 func NewIndexTable() *IndexTable {
 	t := &IndexTable{}
 	for i := range t.stripes {
-		t.stripes[i].byKey = make(map[types.Key]*types.AccessEntry)
-		t.stripes[i].byID = make(map[types.InodeID]*types.AccessEntry)
+		t.stripes[i].byKey = make(map[types.Key]types.AccessEntry)
+		t.stripes[i].byID = make(map[types.InodeID]types.AccessEntry)
 	}
 	return t
 }
@@ -59,10 +59,7 @@ func (t *IndexTable) Get(pid types.InodeID, name string) (types.AccessEntry, boo
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e, ok := s.byKey[types.Key{Pid: pid, Name: name}]
-	if !ok {
-		return types.AccessEntry{}, false
-	}
-	return *e, true
+	return e, ok
 }
 
 // GetByID returns the access entry for a directory ID (reverse index).
@@ -71,10 +68,7 @@ func (t *IndexTable) GetByID(id types.InodeID) (types.AccessEntry, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e, ok := s.byID[id]
-	if !ok {
-		return types.AccessEntry{}, false
-	}
-	return *e, true
+	return e, ok
 }
 
 // Put inserts or replaces the entry, reporting whether it was new.
@@ -90,14 +84,12 @@ func (t *IndexTable) Put(e types.AccessEntry) bool {
 	if _, exists := fwd.byKey[k]; !exists {
 		fresh = true
 	}
-	cp := e
-	fwd.byKey[k] = &cp
+	fwd.byKey[k] = e
 	fwd.mu.Unlock()
 
 	rev := t.stripeForID(e.ID)
 	rev.mu.Lock()
-	cp2 := e
-	rev.byID[e.ID] = &cp2
+	rev.byID[e.ID] = e
 	rev.mu.Unlock()
 
 	if fresh {
@@ -152,14 +144,16 @@ func (t *IndexTable) SetPerm(id types.InodeID, perm types.Perm) bool {
 		rev.mu.Unlock()
 		return false
 	}
-	pid, name := e.Pid, e.Name
 	e.Perm = perm
+	rev.byID[id] = e
 	rev.mu.Unlock()
 
-	fwd := t.stripeFor(pid)
+	fwd := t.stripeFor(e.Pid)
 	fwd.mu.Lock()
-	if fe, ok := fwd.byKey[types.Key{Pid: pid, Name: name}]; ok {
+	k := types.Key{Pid: e.Pid, Name: e.Name}
+	if fe, ok := fwd.byKey[k]; ok {
 		fe.Perm = perm
+		fwd.byKey[k] = fe
 	}
 	fwd.mu.Unlock()
 	return true
@@ -229,7 +223,7 @@ func (t *IndexTable) ForEach(fn func(e types.AccessEntry) bool) {
 		s := &t.stripes[i]
 		s.mu.RLock()
 		for _, e := range s.byKey {
-			if !fn(*e) {
+			if !fn(e) {
 				s.mu.RUnlock()
 				return
 			}

@@ -229,16 +229,23 @@ func IsAncestor(ancestor, p string, allowEqual bool) bool {
 	return strings.HasPrefix(b, a) && len(b) > len(a) && b[len(a)] == '/'
 }
 
-// LCA returns the least common ancestor of two cleaned paths.
+// LCA returns the least common ancestor of two cleaned paths: a prefix of
+// the cleaned a, found by iterating both paths' components in place.
 func LCA(a, b string) string {
-	ca, cb := Split(a), Split(b)
-	n := len(ca)
-	if len(cb) < n {
-		n = len(cb)
+	a = Clean(a)
+	ra, rb := Rel(a), Rel(b)
+	end := 0 // bytes of ra the common components span
+	for rest := ra; rest != "" && rb != ""; {
+		ca, nextA := NextComponent(rest)
+		cb, nextB := NextComponent(rb)
+		if ca != cb {
+			break
+		}
+		end = len(ra) - len(rest) + len(ca)
+		rest, rb = nextA, nextB
 	}
-	i := 0
-	for i < n && ca[i] == cb[i] {
-		i++
+	if end == 0 {
+		return "/"
 	}
-	return Join(ca[:i]...)
+	return a[:1+end]
 }

@@ -93,13 +93,15 @@ func (t *Tree) remove(n *node, comps []string) bool {
 // is equal to dir — the invalidation range for a modification of dir —
 // and returns the removed paths.
 func (t *Tree) RemoveSubtree(dir string) []string {
-	comps := pathutil.Split(dir)
+	dir = pathutil.Clean(dir)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	parent := t.root
 	n := t.root
 	last := ""
-	for _, c := range comps {
+	for rest := pathutil.Rel(dir); rest != ""; {
+		var c string
+		c, rest = pathutil.NextComponent(rest)
 		child, ok := n.children[c]
 		if !ok {
 			return nil
@@ -107,8 +109,8 @@ func (t *Tree) RemoveSubtree(dir string) []string {
 		parent, n, last = n, child, c
 	}
 	var out []string
-	collect(n, pathutil.Join(comps...), &out)
-	if len(comps) == 0 {
+	collect(n, dir, &out)
+	if n == t.root {
 		// Clearing the whole tree.
 		t.root = newNode()
 		return out

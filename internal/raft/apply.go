@@ -2,6 +2,7 @@ package raft
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"mantle/internal/types"
@@ -33,9 +34,10 @@ func (r *Raft) ProposeTimeout(cmd []byte, d time.Duration) (uint64, error) {
 	}
 	r.mu.Unlock()
 	var timeout <-chan time.Time
+	fired := false
 	if d > 0 {
-		tm := time.NewTimer(d)
-		defer tm.Stop()
+		tm := getTimer(d)
+		defer func() { putTimer(tm, fired) }()
 		timeout = tm.C
 	}
 	p := &proposal{cmd: cmd, done: make(chan proposalResult, 1), enqueued: time.Now()}
@@ -44,6 +46,7 @@ func (r *Raft) ProposeTimeout(cmd []byte, d time.Duration) (uint64, error) {
 	case <-r.stopCh:
 		return 0, types.ErrStopped
 	case <-timeout:
+		fired = true
 		return 0, fmt.Errorf("raft: proposal not accepted within %s: %w", d, types.ErrTimeout)
 	}
 	select {
@@ -52,10 +55,35 @@ func (r *Raft) ProposeTimeout(cmd []byte, d time.Duration) (uint64, error) {
 	case <-r.stopCh:
 		return 0, types.ErrStopped
 	case <-timeout:
+		fired = true
 		// The proposal stays pending; its buffered done channel absorbs a
 		// late completion without leaking a goroutine.
 		return 0, fmt.Errorf("raft: proposal not committed within %s: %w", d, types.ErrTimeout)
 	}
+}
+
+// timerPool recycles proposal timers. A timer goes back stopped with its
+// channel empty, so Reset re-arms it cleanly under both the asynchronous
+// timer channels of go.mod's go 1.22 and the synchronous ones after 1.23.
+var timerPool sync.Pool
+
+func getTimer(d time.Duration) *time.Timer {
+	if tm, ok := timerPool.Get().(*time.Timer); ok {
+		tm.Reset(d)
+		return tm
+	}
+	return time.NewTimer(d)
+}
+
+// putTimer recycles tm; fired reports whether its value was received.
+func putTimer(tm *time.Timer, fired bool) {
+	if !tm.Stop() && !fired {
+		// Expired but not received: an asynchronous channel holds (or is
+		// about to hold) the value. A synchronous one never gets here, as
+		// its Stop drains and reports true.
+		<-tm.C
+	}
+	timerPool.Put(tm)
 }
 
 // applier applies committed entries to the state machine in order and
@@ -105,7 +133,11 @@ func (r *Raft) applyNext() bool {
 	r.applyCond.Broadcast()
 	r.mu.Unlock()
 	r.applyMu.Unlock()
-	if p != nil {
+	if p != nil && p.term != entry.Term {
+		// Another leader's entry landed at the proposal's index: the
+		// proposal was discarded with the log suffix it was appended to.
+		p.done <- proposalResult{err: errNotLeader()}
+	} else if p != nil {
 		now := time.Now()
 		r.metrics.mu.Lock()
 		r.metrics.IngestWait += p.appended.Sub(p.enqueued)

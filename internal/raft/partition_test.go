@@ -115,6 +115,61 @@ func TestIsolatedLeaderStepsDown(t *testing.T) {
 	}
 }
 
+// TestDeposedLeaderFailsDiscardedProposal: a leader cut off from the
+// quorum accepts a proposal it can never commit; the majority's new leader
+// commits its own entries over the same indices. Once the partition heals
+// and the old leader's log is overwritten, the proposal must fail — not
+// be acknowledged as committed because some entry applied at its index.
+func TestDeposedLeaderFailsDiscardedProposal(t *testing.T) {
+	inj := faults.New(4)
+	rs, recs := newPartitionGroup(t, inj)
+	leader, err := WaitLeader(rs, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leader.Propose([]byte("pre")); err != nil {
+		t.Fatal(err)
+	}
+	pid := inj.Partition([]string{leader.ID()}, ids(rs, leader))
+	minority := make(chan error, 1)
+	go func() {
+		_, err := leader.ProposeTimeout([]byte("minority"), 5*time.Second)
+		minority <- err
+	}()
+
+	var majority []*Raft
+	for _, r := range rs {
+		if r != leader {
+			majority = append(majority, r)
+		}
+	}
+	newLeader, err := WaitLeader(majority, 2*time.Second)
+	if err != nil {
+		t.Fatalf("majority did not elect (injector seed %d): %v", inj.Seed(), err)
+	}
+	if _, err := newLeader.Propose([]byte("during")); err != nil {
+		t.Fatalf("majority write failed (injector seed %d): %v", inj.Seed(), err)
+	}
+	inj.Heal(pid)
+
+	if err := <-minority; !errors.Is(err, types.ErrNotLeader) {
+		t.Fatalf("discarded proposal returned %v, want ErrNotLeader (injector seed %d)", err, inj.Seed())
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for i, rec := range recs {
+		for {
+			got := rec.snapshot()
+			if fmt.Sprint(got) == "[pre during]" {
+				break
+			}
+			if len(got) > 2 || time.Now().After(deadline) {
+				t.Fatalf("replica %d applied %v, want [pre during] (injector seed %d)", i, got, inj.Seed())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
 // TestNoQuorumProposalsFailFast: with every voter partitioned from every
 // other, no writes can commit anywhere; bounded proposals must fail with
 // ErrTimeout (or ErrNotLeader once the leader steps down) instead of

@@ -49,7 +49,6 @@ import (
 
 	"mantle/internal/metrics"
 	"mantle/internal/netsim"
-	"mantle/internal/types"
 )
 
 // Role is a replica's current role.
@@ -183,6 +182,7 @@ func (c *Config) withDefaults() Config {
 
 type proposal struct {
 	cmd      []byte
+	term     uint64 // the leader term whose log took the proposal
 	done     chan proposalResult
 	enqueued time.Time
 	appended time.Time
@@ -614,20 +614,11 @@ func (r *Raft) becomeFollowerLocked(term uint64, leader string) {
 	r.leaderID = leader
 	r.electionReset = time.Now()
 	if wasLeader {
-		// Fail queued proposals; the replication loop exits on role
-		// change and drains the channel.
-		r.drainProposals()
-	}
-}
-
-func (r *Raft) drainProposals() {
-	for {
-		select {
-		case p := <-r.proposeCh:
-			p.done <- proposalResult{err: types.ErrNotLeader}
-		default:
-			return
-		}
+		// A deposed leader's unapplied entries may be overwritten by the
+		// next leader's: none of its proposals may be acknowledged as
+		// committed from here on. The replication loop exits on the role
+		// change.
+		r.failPendingLocked()
 	}
 }
 

@@ -80,6 +80,27 @@ func TestElectsSingleLeader(t *testing.T) {
 	}
 }
 
+// The leader recomputes its commit index on every replicator reply and
+// every log sync; the quorum computation allocates nothing.
+func TestQuorumCommitAllocs(t *testing.T) {
+	rs, _ := newTestGroup(t, 3, 0, func(c *Config) { c.ElectionTimeout = time.Second })
+	leader, err := WaitLeader(rs, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := leader.Propose([]byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, term, _ := leader.Status()
+	if n := testing.AllocsPerRun(1000, func() { leader.maybeAdvanceCommit(term) }); n != 0 {
+		t.Fatalf("maybeAdvanceCommit allocates %.1f times", n)
+	}
+	if got := leader.CommitIndex(); got < idx {
+		t.Fatalf("commit index %d below the applied proposal %d", got, idx)
+	}
+}
+
 func TestProposeAppliesEverywhere(t *testing.T) {
 	rs, recs := newTestGroup(t, 3, 0, nil)
 	leader, err := WaitLeader(rs, 2*time.Second)

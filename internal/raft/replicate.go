@@ -1,7 +1,7 @@
 package raft
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -74,7 +74,9 @@ func (r *Raft) leaderLoop(term uint64) {
 	for {
 		select {
 		case <-r.stopCh:
-			r.failPending()
+			r.mu.Lock()
+			r.failPendingLocked()
+			r.mu.Unlock()
 			return
 		case <-heartbeat.C:
 			if !r.stillLeader(term) {
@@ -109,6 +111,7 @@ func (r *Raft) leaderLoop(term uint64) {
 				r.log = append(r.log, e)
 				last = e.Index
 				q.appended = now
+				q.term = term
 				if r.pending == nil {
 					r.pending = make(map[uint64]*proposal)
 				}
@@ -220,17 +223,24 @@ func (r *Raft) stillLeader(term uint64) bool {
 	return r.role == Leader && r.term == term
 }
 
-// failPending rejects all uncommitted proposals (leadership lost or
-// shutdown).
-func (r *Raft) failPending() {
-	r.mu.Lock()
-	pend := r.pending
-	r.pending = nil
-	r.mu.Unlock()
-	for _, p := range pend {
+// failPendingLocked rejects every proposal this leader accepted and has
+// not applied, and every one still queued for it, with ErrNotLeader
+// (leadership lost or shutdown). An accepted entry may yet commit under
+// the next leader; callers retry there, relying on command idempotence.
+// Caller holds r.mu.
+func (r *Raft) failPendingLocked() {
+	for _, p := range r.pending {
 		p.done <- proposalResult{err: errNotLeader()}
 	}
-	r.drainProposals()
+	clear(r.pending)
+	for {
+		select {
+		case p := <-r.proposeCh:
+			p.done <- proposalResult{err: errNotLeader()}
+		default:
+			return
+		}
+	}
 }
 
 // replicateTo drives one peer: whenever kicked (new entries or
@@ -347,7 +357,8 @@ func (r *Raft) maybeAdvanceCommit(term uint64) {
 		r.mu.Unlock()
 		return
 	}
-	matches := make([]uint64, 0, r.voters)
+	var buf [8]uint64 // groups up to 8 voters need no heap
+	matches := buf[:0]
 	if !r.cfg.Learner {
 		// The leader's own vote is its durable index: with pipelined
 		// replication the log tail may be appended but not yet fsynced,
@@ -360,14 +371,15 @@ func (r *Raft) maybeAdvanceCommit(term uint64) {
 		}
 		matches = append(matches, r.matchIndex[id])
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	// matches is descending; the quorum index is the (majority-1)th.
+	// The quorum index is the highest index at least a majority of voters
+	// hold: in ascending order, the majority-th from the top.
 	quorum := r.voters/2 + 1
 	if len(matches) < quorum {
 		r.mu.Unlock()
 		return
 	}
-	n := matches[quorum-1]
+	slices.Sort(matches)
+	n := matches[len(matches)-quorum]
 	if n > r.commitIndex && n >= r.firstIndexLocked() && r.entryAtLocked(n).Term == term {
 		r.commitIndex = n
 		r.kickApplier()

@@ -129,15 +129,23 @@ func TestSnapshotInstallOnLaggingFollower(t *testing.T) {
 		t.Fatal("leader never compacted")
 	}
 	// Simulate a follower that lost its log: wipe it back to genesis and
-	// force the leader to re-replicate from index 1 (now compacted).
+	// force the leader to re-replicate from index 1 (now compacted). The
+	// wipe holds applyMu, as a snapshot install does: the follower's
+	// applier may be between reading an entry and recording it applied,
+	// or between the two halves of a compaction, and must not see the log
+	// vanish under it.
+	follower.applyMu.Lock()
 	follower.mu.Lock()
 	follower.log = []Entry{{}}
 	follower.commitIndex = 0
 	follower.lastApplied = 0
+	follower.durableIndex = 0
+	follower.view = leaderView{}
 	follower.mu.Unlock()
 	followerRec.mu.Lock()
 	followerRec.applied = nil
 	followerRec.mu.Unlock()
+	follower.applyMu.Unlock()
 	leader.mu.Lock()
 	leader.nextIndex[follower.id] = 1
 	leader.matchIndex[follower.id] = 0

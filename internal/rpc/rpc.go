@@ -230,7 +230,7 @@ func (c *Caller) attempts(op *Op, node *netsim.Node, cost time.Duration, opts Ca
 			}
 		}
 		if op != nil {
-			op.state.rtts.Add(1)
+			op.rootOp().rtts.Add(1)
 		}
 		_, sp := trace.Start(ctx, "rpc")
 		sp.SetAttr("dst", node.Name())
@@ -259,12 +259,6 @@ func (c *Caller) attempts(op *Op, node *netsim.Node, cost time.Duration, opts Ca
 	}
 }
 
-// opState is the shared accounting of one metadata operation, common
-// to every context-derived view of the op.
-type opState struct {
-	rtts atomic.Int32
-}
-
 // Op tracks the RPCs issued on behalf of one metadata operation and
 // carries the operation's trace context. It is safe for concurrent use
 // (InfiniFS's speculative resolution issues parallel RPCs within a
@@ -273,13 +267,14 @@ type opState struct {
 // without forking the accounting.
 type Op struct {
 	caller *Caller
-	state  *opState
+	root   *Op // the op whose counters a derived op shares; nil on the root
 	ctx    context.Context
+	rtts   atomic.Int32 // the root op's round trips
 }
 
 // Begin starts tracking a new operation with no trace attached.
 func (c *Caller) Begin() *Op {
-	return &Op{caller: c, state: &opState{}, ctx: context.Background()}
+	return &Op{caller: c, ctx: context.Background()}
 }
 
 // BeginTraced starts tracking a new operation whose RPCs record spans
@@ -288,7 +283,7 @@ func (c *Caller) BeginTraced(ctx context.Context) *Op {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Op{caller: c, state: &opState{}, ctx: ctx}
+	return &Op{caller: c, ctx: ctx}
 }
 
 // Context returns the trace context the op's RPCs record against.
@@ -296,12 +291,24 @@ func (o *Op) Context() context.Context { return o.ctx }
 
 // WithContext returns a derived Op whose RPCs record against ctx —
 // typically a child span started from o.Context() — while sharing the
-// original op's RTT counter.
+// original op's RTT counter. When ctx is o's own context (an untraced op
+// starting a span gets its context back) it returns o itself.
 func (o *Op) WithContext(ctx context.Context) *Op {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Op{caller: o.caller, state: o.state, ctx: ctx}
+	if ctx == o.ctx {
+		return o
+	}
+	return &Op{caller: o.caller, root: o.rootOp(), ctx: ctx}
+}
+
+// rootOp returns the op that owns o's counters.
+func (o *Op) rootOp() *Op {
+	if o.root != nil {
+		return o.root
+	}
+	return o
 }
 
 // Call performs one tracked RPC with the caller's defaults.
@@ -342,4 +349,4 @@ func (o *Op) Parallel(calls []func(op *Op) error) error {
 }
 
 // RTTs returns the number of round trips the operation has issued.
-func (o *Op) RTTs() int { return int(o.state.rtts.Load()) }
+func (o *Op) RTTs() int { return int(o.rootOp().rtts.Load()) }

@@ -20,18 +20,22 @@ import (
 	"sync/atomic"
 )
 
-// call is one in-flight (or completed) leader execution.
+// call is one in-flight leader execution. Calls are recycled: the last
+// of the leader and its joiners to read the result returns the call to
+// its group, so a flight allocates nothing once the group is warm.
 type call[V any] struct {
-	wg  sync.WaitGroup
-	val V
-	err error
+	wg      sync.WaitGroup
+	val     V
+	err     error
+	readers int // leader and joiners yet to read val; under Group.mu
 }
 
 // Group suppresses duplicate concurrent calls per key. The zero value
 // is ready to use.
 type Group[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*call[V]
+	mu   sync.Mutex
+	m    map[K]*call[V]
+	free []*call[V] // recycled calls, under mu
 
 	flights   atomic.Int64 // leader executions
 	coalesced atomic.Int64 // joiners that shared a leader's result
@@ -48,12 +52,23 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared bo
 		g.m = make(map[K]*call[V])
 	}
 	if c, ok := g.m[key]; ok {
+		c.readers++
 		g.mu.Unlock()
 		c.wg.Wait()
 		g.coalesced.Add(1)
-		return c.val, c.err, true
+		v, err = c.val, c.err
+		g.mu.Lock()
+		g.releaseLocked(c)
+		g.mu.Unlock()
+		return v, err, true
 	}
-	c := &call[V]{}
+	var c *call[V]
+	if n := len(g.free); n > 0 {
+		c, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		c = new(call[V])
+	}
+	c.readers = 1
 	c.wg.Add(1)
 	g.m[key] = c
 	g.mu.Unlock()
@@ -72,9 +87,23 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared bo
 		c.val, c.err = fn()
 	}()
 
-	g.forget(key)
+	v, err = c.val, c.err
+	g.mu.Lock()
+	delete(g.m, key)
 	c.wg.Done()
-	return c.val, c.err, false
+	g.releaseLocked(c)
+	g.mu.Unlock()
+	return v, err, false
+}
+
+// releaseLocked drops one reader of c; the last one clears c and returns
+// it to the free list. Called with g.mu held.
+func (g *Group[K, V]) releaseLocked(c *call[V]) {
+	if c.readers--; c.readers == 0 {
+		var zero V
+		c.val, c.err = zero, nil
+		g.free = append(g.free, c)
+	}
 }
 
 func (g *Group[K, V]) forget(key K) {

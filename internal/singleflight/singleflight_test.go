@@ -20,6 +20,16 @@ func TestDoSerial(t *testing.T) {
 	}
 }
 
+// A warm group recycles its call records: a flight allocates nothing.
+func TestDoAllocs(t *testing.T) {
+	var g Group[string, int]
+	fn := func() (int, error) { return 42, nil }
+	g.Do("k", fn)
+	if n := testing.AllocsPerRun(100, func() { g.Do("k", fn) }); n != 0 {
+		t.Fatalf("a warm flight allocates %.0f times", n)
+	}
+}
+
 func TestDoError(t *testing.T) {
 	var g Group[string, int]
 	boom := errors.New("boom")

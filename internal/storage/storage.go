@@ -19,6 +19,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -106,14 +107,18 @@ const (
 	lockExclusive
 )
 
+// rowLock is one locked row. holders lists each holding transaction once,
+// however many times it locked the row; it is almost always one or two
+// IDs, so a scan beats a map. Released locks go back to the shard's free
+// list with their holders array.
 type rowLock struct {
 	mode    lockMode
-	holders map[string]int // txnID -> count
+	holders []string
 }
 
 type txnState struct {
 	muts   []Mutation
-	locked []types.Key // keys this txn holds locks on (dedup'd)
+	locked []types.Key // keys this txn holds locks on, each once
 }
 
 // txnStatePool recycles txnState values across transactions: a shard
@@ -139,12 +144,13 @@ func (st *txnState) release() {
 type Shard struct {
 	id string
 
-	mu      sync.RWMutex
-	rows    *btree.Tree[types.Key, packedRow]
-	locks   map[types.Key]*rowLock
-	txns    map[string]*txnState
-	wal     *WAL
-	crashed bool
+	mu        sync.RWMutex
+	rows      *btree.Tree[types.Key, packedRow]
+	locks     map[types.Key]*rowLock
+	freeLocks []*rowLock // released locks for reuse, under mu
+	txns      map[string]*txnState
+	wal       *WAL
+	crashed   bool
 
 	// repl observes every committed mutation batch in commit order
 	// (SetReplHook). commitSeq numbers batches when no WAL is attached;
@@ -241,29 +247,35 @@ func (s *Shard) ScanChildren(pid types.InodeID, fn func(Row) bool) {
 }
 
 // tryLock acquires a lock on k for txnID in the given mode, no-wait.
-func (s *Shard) tryLock(txnID string, k types.Key, mode lockMode) error {
+// fresh reports whether txnID did not already hold the row.
+func (s *Shard) tryLock(txnID string, k types.Key, mode lockMode) (fresh bool, err error) {
 	l, ok := s.locks[k]
 	if !ok {
-		s.locks[k] = &rowLock{mode: mode, holders: map[string]int{txnID: 1}}
-		return nil
-	}
-	if _, mine := l.holders[txnID]; mine {
-		if mode == lockExclusive && l.mode == lockShared {
-			if len(l.holders) == 1 {
-				l.mode = lockExclusive // upgrade, sole holder
-				l.holders[txnID]++
-				return nil
-			}
-			return fmt.Errorf("shard %s: upgrade on %v: %w", s.id, k, types.ErrConflict)
+		if n := len(s.freeLocks); n > 0 {
+			l = s.freeLocks[n-1]
+			s.freeLocks = s.freeLocks[:n-1]
+		} else {
+			l = &rowLock{}
 		}
-		l.holders[txnID]++
-		return nil
+		l.mode = mode
+		l.holders = append(l.holders, txnID)
+		s.locks[k] = l
+		return true, nil
+	}
+	if slices.Contains(l.holders, txnID) {
+		if mode == lockExclusive && l.mode == lockShared {
+			if len(l.holders) > 1 {
+				return false, fmt.Errorf("shard %s: upgrade on %v: %w", s.id, k, types.ErrConflict)
+			}
+			l.mode = lockExclusive // upgrade, sole holder
+		}
+		return false, nil
 	}
 	if l.mode == lockShared && mode == lockShared {
-		l.holders[txnID] = 1
-		return nil
+		l.holders = append(l.holders, txnID)
+		return true, nil
 	}
-	return fmt.Errorf("shard %s: lock on %v held: %w", s.id, k, types.ErrConflict)
+	return false, fmt.Errorf("shard %s: lock on %v held: %w", s.id, k, types.ErrConflict)
 }
 
 func (s *Shard) unlockAll(txnID string, keys []types.Key) {
@@ -272,12 +284,17 @@ func (s *Shard) unlockAll(txnID string, keys []types.Key) {
 		if !ok {
 			continue
 		}
-		if n, mine := l.holders[txnID]; mine {
-			_ = n
-			delete(l.holders, txnID)
-			if len(l.holders) == 0 {
-				delete(s.locks, k)
-			}
+		i := slices.Index(l.holders, txnID)
+		if i < 0 {
+			continue
+		}
+		last := len(l.holders) - 1
+		l.holders[i] = l.holders[last]
+		l.holders[last] = ""
+		l.holders = l.holders[:last]
+		if last == 0 {
+			delete(s.locks, k)
+			s.freeLocks = append(s.freeLocks, l)
 		}
 	}
 }
@@ -351,11 +368,11 @@ func (s *Shard) Prepare(txnID string, guards []Guard, muts []Mutation) error {
 		return err
 	}
 	lock := func(k types.Key, mode lockMode) error {
-		if err := s.tryLock(txnID, k, mode); err != nil {
-			return err
+		fresh, err := s.tryLock(txnID, k, mode)
+		if fresh {
+			st.locked = append(st.locked, k)
 		}
-		st.locked = append(st.locked, k)
-		return nil
+		return err
 	}
 	for _, m := range muts {
 		if err := lock(m.Key, lockExclusive); err != nil {

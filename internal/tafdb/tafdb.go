@@ -35,6 +35,7 @@ package tafdb
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -284,13 +285,21 @@ func (db *DB) ReserveIDs(max types.InodeID) {
 
 // newTxnID returns a unique transaction identifier.
 func (db *DB) newTxnID() string {
-	return fmt.Sprintf("taf-%d", db.txnSeq.Add(1))
+	var b [24]byte
+	return string(strconv.AppendUint(append(b[:0], "taf-"...), db.txnSeq.Add(1), 10))
 }
 
-// newTS returns a monotonically increasing transaction timestamp used in
-// delta-record keys.
-func (db *DB) newTS() string {
-	return fmt.Sprintf("%016x", db.tsSeq.Add(1))
+// newDeltaName returns a fresh delta-record name: deltaPrefix and a
+// monotonically increasing transaction timestamp, 16 hex digits.
+func (db *DB) newDeltaName() string {
+	var b [len(deltaPrefix) + 16]byte
+	copy(b[:], deltaPrefix)
+	ts := db.tsSeq.Add(1)
+	for i := len(b) - 1; i >= len(deltaPrefix); i-- {
+		b[i] = "0123456789abcdef"[ts&15]
+		ts >>= 4
+	}
+	return string(b[:])
 }
 
 // Retries returns the cumulative transaction retry count — the
@@ -428,7 +437,7 @@ func (db *DB) DeltaActive(dir types.InodeID) bool { return db.deltaModeFor(dir) 
 func (db *DB) parentAttrMutation(dir types.InodeID, delta storage.AttrDelta, now time.Time) (storage.Mutation, storage.Guard) {
 	guard := storage.Guard{Key: attrKey(dir), Kind: storage.GuardExists}
 	if db.deltaModeFor(dir) {
-		name := deltaPrefix + db.newTS()
+		name := db.newDeltaName()
 		return storage.Mutation{
 			Kind: storage.MutPut,
 			Key:  types.Key{Pid: dir, Name: name},
@@ -556,7 +565,7 @@ func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, then func(), build 
 			sp.Annotate("retry", "%d", attempt)
 			if db.cfg.Repl != nil {
 				// The previous attempt aborted; drop its stamp.
-				db.cfg.Repl.ForgetTxn(fmt.Sprintf("%s#%d", id, attempt-1))
+				db.cfg.Repl.ForgetTxn(txn.AttemptID(id, attempt-1))
 			}
 		}
 		pieces, err := build(attempt)
@@ -566,7 +575,7 @@ func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, then func(), build 
 			if db.cfg.Repl != nil && len(pieces) > 1 {
 				// Pre-register the cross-shard group before the 2PC
 				// rounds run, so all pieces share one HLC in the oplog.
-				db.cfg.Repl.StampTxn(fmt.Sprintf("%s#%d", id, attempt), len(pieces))
+				db.cfg.Repl.StampTxn(txn.AttemptID(id, attempt), len(pieces))
 			}
 		}
 		return pieces, err
@@ -579,7 +588,7 @@ func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, then func(), build 
 	if db.cfg.Repl != nil {
 		// Committed stamps were consumed piece by piece; this clears the
 		// stamp of a final failed/aborted attempt. No-op otherwise.
-		db.cfg.Repl.ForgetTxn(fmt.Sprintf("%s#%d", id, retries))
+		db.cfg.Repl.ForgetTxn(txn.AttemptID(id, retries))
 	}
 	db.txnLat.Observe(time.Since(start))
 	sp.End()

@@ -2,12 +2,13 @@ package txn
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"mantle/internal/rpc"
+	"mantle/internal/storage"
 )
 
 // batchGroup accumulates transactions with one participant signature.
@@ -36,7 +37,7 @@ type batchGroup struct {
 // their fsync amortisation happens in the WAL's group commit.
 type Batcher struct {
 	mu       sync.Mutex
-	groups   map[string]*batchGroup
+	groups   map[batchKey]*batchGroup
 	maxBatch int
 
 	txns    atomic.Int64 // cross-shard transactions routed through the batcher
@@ -50,7 +51,7 @@ func NewBatcher(maxBatch int) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = 64
 	}
-	return &Batcher{groups: make(map[string]*batchGroup), maxBatch: maxBatch}
+	return &Batcher{groups: make(map[batchKey]*batchGroup), maxBatch: maxBatch}
 }
 
 // Stats reports the batcher's accounting: cross-shard transactions
@@ -60,14 +61,25 @@ func (b *Batcher) Stats() (txns, batched, rounds int64) {
 	return b.txns.Load(), b.batched.Load(), b.rounds.Load()
 }
 
-// signature is the grouping key: the sorted participant shard IDs.
-func signature(pieces []Piece) string {
-	ids := make([]string, len(pieces))
-	for i, p := range pieces {
-		ids[i] = p.P.Shard.ID()
+// maxBatchWidth is the widest transaction the Batcher groups: TafDB's
+// widest, two shards (mkdir, rmdir, dirrename, setperm). Wider
+// transactions run unbatched.
+const maxBatchWidth = 2
+
+// batchKey is the grouping key: the participant shards in ID order.
+type batchKey [maxBatchWidth]*storage.Shard
+
+// signature returns pieces' grouping key, or false when they are too wide
+// to batch.
+func signature(pieces []Piece) (k batchKey, ok bool) {
+	if len(pieces) > len(k) {
+		return k, false
 	}
-	sort.Strings(ids)
-	return strings.Join(ids, "\x00")
+	for i, p := range pieces {
+		k[i] = p.P.Shard
+	}
+	slices.SortFunc(k[:len(pieces)], func(a, b *storage.Shard) int { return strings.Compare(a.ID(), b.ID()) })
+	return k, true
 }
 
 // Signals on a waiting transaction's done channel, ahead of its outcome:
@@ -82,14 +94,14 @@ func (b *Batcher) Run(op *rpc.Op, txnID string, pieces []Piece) error {
 
 // RunThen implements Runner.
 func (b *Batcher) RunThen(op *rpc.Op, txnID string, pieces []Piece, then func()) error {
-	if len(pieces) < 2 {
+	key, ok := signature(pieces)
+	if len(pieces) < 2 || !ok {
 		return Direct{}.RunThen(op, txnID, pieces, then)
 	}
 	b.txns.Add(1)
 	// Room for every signal a transaction can receive (errPrepared, then
 	// its outcome) so no sender ever blocks.
 	t := &batchTxn{op: op, id: txnID, pieces: pieces, then: then, done: make(chan error, 2)}
-	key := signature(pieces)
 	b.mu.Lock()
 	g := b.groups[key]
 	if g == nil {
@@ -123,7 +135,7 @@ func (b *Batcher) RunThen(op *rpc.Op, txnID string, pieces []Piece, then func())
 // still pending, as the WAL hands sync leadership to its oldest uncovered
 // waiter, so a caller waits for its own rounds only, never for batches of
 // transactions that arrived after it.
-func (b *Batcher) lead(key string, g *batchGroup) error {
+func (b *Batcher) lead(key batchKey, g *batchGroup) error {
 	b.mu.Lock()
 	batch := g.pending[:min(len(g.pending), b.maxBatch)]
 	g.pending = g.pending[len(batch):]

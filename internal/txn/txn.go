@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"sync"
 	"time"
 
@@ -305,7 +306,7 @@ func RunWithRetry(r Runner, op *rpc.Op, txnID string, maxRetries int, base, maxB
 		if err != nil {
 			return attempt, err
 		}
-		err = r.RunThen(op, fmt.Sprintf("%s#%d", txnID, attempt), pieces, then)
+		err = r.RunThen(op, AttemptID(txnID, attempt), pieces, then)
 		if err == nil {
 			return attempt, nil
 		}
@@ -316,6 +317,12 @@ func RunWithRetry(r Runner, op *rpc.Op, txnID string, maxRetries int, base, maxB
 		Backoff(attempt, base, maxBackoff)
 	}
 	return maxRetries, fmt.Errorf("%w: %v", types.ErrRetryExhausted, lastErr)
+}
+
+// AttemptID is the transaction ID RunWithRetry gives attempt number
+// attempt of txnID.
+func AttemptID(txnID string, attempt int) string {
+	return txnID + "#" + strconv.Itoa(attempt)
 }
 
 func retryable(err error) bool {

@@ -387,7 +387,7 @@ func TestBatcherLeaderReturnsBeforeLaterBatches(t *testing.T) {
 			{P: parts[1], Muts: []storage.Mutation{put(2, name, 1)}},
 		}
 	}
-	key := signature(pieces("x"))
+	key, _ := signature(pieces("x"))
 	queued := func() int {
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -437,6 +437,44 @@ func TestBatcherLeaderReturnsBeforeLaterBatches(t *testing.T) {
 	}
 	if parts[0].Shard.LockedKeys() != 0 || parts[1].Shard.LockedKeys() != 0 {
 		t.Fatal("locks leaked")
+	}
+}
+
+// The batch key names a participant set whatever the piece order, is built
+// without allocating, and is refused to a transaction wider than it, which
+// then runs unbatched.
+func TestBatchKeyAllocs(t *testing.T) {
+	caller, parts := testRig(3)
+	on := func(ps ...*Participant) []Piece {
+		pieces := make([]Piece, len(ps))
+		for i, p := range ps {
+			pieces[i] = Piece{P: p, Muts: []storage.Mutation{put(uint64(i+1), "w", 1)}}
+		}
+		return pieces
+	}
+	ab, _ := signature(on(parts[0], parts[1]))
+	ba, _ := signature(on(parts[1], parts[0]))
+	ac, _ := signature(on(parts[0], parts[2]))
+	if ab != ba || ab == ac {
+		t.Fatalf("keys: ab=%v ba=%v ac=%v", ab, ba, ac)
+	}
+	two := on(parts[1], parts[0])
+	if n := testing.AllocsPerRun(100, func() { signature(two) }); n != 0 {
+		t.Fatalf("building the batch key allocates %.0f times", n)
+	}
+	wide := on(parts...)
+	if _, ok := signature(wide); ok {
+		t.Fatal("a three-shard transaction got a batch key")
+	}
+	b := NewBatcher(0)
+	if err := b.Run(caller.Begin(), "wide", wide); err != nil {
+		t.Fatal(err)
+	}
+	if txns, _, _ := b.Stats(); txns != 0 {
+		t.Fatalf("the batcher coordinated %d wide transactions, want 0", txns)
+	}
+	if _, ok := parts[2].Shard.Get(types.Key{Pid: 3, Name: "w"}); !ok {
+		t.Fatal("wide transaction did not commit")
 	}
 }
 
