@@ -79,12 +79,13 @@ func (s *Service) ResolveSequential(op *rpc.Op, dirPath string) (types.Entry, ty
 // parent directory, marks the lookup phase on t and requires need of the
 // path permission.
 func (s *Service) Enter(t *api.Timer, op *rpc.Op, verb, path string, need types.Perm) (parent types.Entry, name string, err error) {
-	parent, perm, err := s.Resolve(op, pathutil.Dir(path))
+	dir, name := pathutil.DirBase(path)
+	parent, perm, err := s.Resolve(op, dir)
 	t.Phase(types.PhaseLookup)
 	if err == nil && !perm.Allows(need) {
 		err = fmt.Errorf("%s %s: %w", verb, path, types.ErrPermission)
 	}
-	return parent, pathutil.Base(path), err
+	return parent, name, err
 }
 
 // Lookup implements api.Service.

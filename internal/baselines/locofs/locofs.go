@@ -193,7 +193,7 @@ func (s *Service) Lookup(op *rpc.Op, dirPath string) (types.Result, error) {
 // update go through the directory node (the cross-component coordination
 // §3.3 calls out), then the object row is inserted in the object store.
 func (s *Service) Create(op *rpc.Op, objPath string, size int64) (types.Result, error) {
-	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
+	dir, name := pathutil.DirBase(objPath)
 	t := api.NewTimer()
 	var parentID types.InodeID
 	err := s.dirCall(op, func(d leader) error {
@@ -229,7 +229,7 @@ func (s *Service) Create(op *rpc.Op, objPath string, size int64) (types.Result, 
 
 // Delete implements api.Service.
 func (s *Service) Delete(op *rpc.Op, objPath string) (types.Result, error) {
-	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
+	dir, name := pathutil.DirBase(objPath)
 	t := api.NewTimer()
 	var parentID types.InodeID
 	err := s.dirCall(op, func(d leader) error {
@@ -276,7 +276,7 @@ func (s *Service) objWrite(op *rpc.Op, parent types.InodeID, delta int64, m stor
 
 // ObjStat implements api.Service.
 func (s *Service) ObjStat(op *rpc.Op, objPath string) (types.Result, error) {
-	dir, name := pathutil.Dir(objPath), pathutil.Base(objPath)
+	dir, name := pathutil.DirBase(objPath)
 	t := api.NewTimer()
 	var parentID types.InodeID
 	err := s.dirCall(op, func(d leader) error {
@@ -336,7 +336,7 @@ func (s *Service) ReadDir(op *rpc.Op, dirPath string) (types.Result, []types.Ent
 // a Raft-replicated mutation — the unbatched log write that throttles
 // LocoFS's directory throughput.
 func (s *Service) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
-	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
+	parent, name := pathutil.DirBase(dirPath)
 	id := s.objStore.NewID()
 	t := api.NewTimer()
 	var entry types.Entry
@@ -365,7 +365,7 @@ func (s *Service) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 
 // Rmdir implements api.Service.
 func (s *Service) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
-	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
+	parent, name := pathutil.DirBase(dirPath)
 	t := api.NewTimer()
 	err := s.dirCall(op, func(d leader) error {
 		pres, err := s.resolve(d, "rmdir", dirPath, parent, types.PermWrite|types.PermLookup)
@@ -395,8 +395,8 @@ func (s *Service) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
 // local to the directory server, then the rename replicates through the
 // unbatched Raft log; same-key updates serialise on the latch.
 func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, error) {
-	srcParent, srcName := pathutil.Dir(srcPath), pathutil.Base(srcPath)
-	dstParent, dstName := pathutil.Dir(dstPath), pathutil.Base(dstPath)
+	srcParent, srcName := pathutil.DirBase(srcPath)
+	dstParent, dstName := pathutil.DirBase(dstPath)
 	t := api.NewTimer()
 	err := s.dirCall(op, func(d leader) error {
 		sres, err := d.rep.Lookup(srcParent)

@@ -103,6 +103,34 @@ func TestHeatPlaneEndToEnd(t *testing.T) {
 	}
 }
 
+// The flight recorder keeps the tail of the sampled ops, not the sampled
+// ops. A sampled op pays for its own spans; at the default SampleEvery
+// = 64 the sampled ops are 1.6 % of all, so measured against the p99 of
+// all ops a quarter of them or more would be captured. A warm loop
+// captures at most 5 % of what it samples, record-breakers included.
+func TestFlightRecorderCapturesTheTail(t *testing.T) {
+	m := newTestMantle(t, nil)
+	if _, err := m.Mkdir(op(m), "/d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create(op(m), "/d/o", 1); err != nil {
+		t.Fatal(err)
+	}
+	const stats = 64 * 1000
+	for i := 0; i < stats; i++ {
+		if _, err := m.ObjStat(op(m), "/d/o"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := m.Status().SlowOps
+	if s.Sampled < 900 {
+		t.Fatalf("sampled %d of %d stats at the default SampleEvery", s.Sampled, stats)
+	}
+	if share := float64(s.Captured) / float64(s.Sampled); share > 0.05 {
+		t.Fatalf("captured %d of %d sampled ops (%.1f %%), want <= 5 %%", s.Captured, s.Sampled, 100*share)
+	}
+}
+
 // Sampling disabled (SampleEvery < 0) must keep the recorder silent
 // while the sketches still run.
 func TestHeatSamplingDisabled(t *testing.T) {

@@ -86,10 +86,12 @@ type HeatConfig struct {
 }
 
 // The heat plane's fixed sizes: tracked keys per heavy-hitter sketch,
-// and the flight-recorder ring capacity.
+// the flight-recorder ring capacity, and the sampled ops an op's
+// recorder threshold waits for before it trusts their own p99.
 const (
 	heatTopK     = 32
 	recorderSize = 64
+	sampledFloor = 16
 )
 
 func (h HeatConfig) withDefaults() HeatConfig {
@@ -139,11 +141,25 @@ type Mantle struct {
 
 // opMetrics bundles one operation's counters and latency histogram.
 // tick drives head-sampling into the flight recorder (one trace every
-// SampleEvery calls of this op).
+// SampleEvery calls of this op); sampled, not exported, holds the
+// durations of the sampled calls alone.
 type opMetrics struct {
 	ops, errors, retries *metrics.Counter
 	latency              *metrics.Latency
 	tick                 atomic.Uint64
+	sampled              metrics.Latency
+}
+
+// threshold is the flight-recorder cut for a sampled call of the op: the
+// op's p99 and, once sampledFloor sampled calls have finished, their own
+// p99, whichever is larger. A sampled call pays for its spans, so against
+// the all-calls p99 alone a quarter or more would count as slow.
+func (om *opMetrics) threshold() time.Duration {
+	t := om.latency.Quantile(0.99)
+	if om.sampled.Count() >= sampledFloor {
+		t = max(t, om.sampled.Quantile(0.99))
+	}
+	return t
 }
 
 var _ api.Service = (*Mantle)(nil)
@@ -312,8 +328,8 @@ func (f *frame) enter(op *rpc.Op, dir, verb, path string, need types.Perm) (inde
 
 // done closes the execute phase and accounts the completed operation. A
 // sampled trace is finished here and offered to the flight recorder
-// against the op's live p99 — tail sampling: only spans of ops slower
-// than their own distribution's tail are retained.
+// against the op's live p99 (opMetrics.threshold) — tail sampling: only
+// spans of ops slower than their own distribution's tail are retained.
 func (f *frame) done(op *rpc.Op, retries int, entry types.Entry, err error) (types.Result, error) {
 	if f.executing {
 		f.t.Phase(types.PhaseExecute)
@@ -334,8 +350,11 @@ func (f *frame) done(op *rpc.Op, retries int, entry types.Entry, err error) (typ
 	if retries > 0 {
 		om.retries.Add(int64(retries))
 	}
-	if f.tr != nil && om.latency.Count() >= f.m.heatCfg.MinCount {
-		f.m.recorder.Offer(opNames[f.kind], f.tr, d, om.latency.Quantile(0.99))
+	if f.tr != nil {
+		om.sampled.Observe(d)
+		if om.latency.Count() >= f.m.heatCfg.MinCount {
+			f.m.recorder.Offer(opNames[f.kind], f.tr, d, om.threshold())
+		}
 	}
 	return res, nil
 }
@@ -428,33 +447,36 @@ func (m *Mantle) Lookup(op *rpc.Op, dirPath string) (types.Result, error) {
 // Create implements api.Service.
 func (m *Mantle) Create(op *rpc.Op, objPath string, size int64) (types.Result, error) {
 	f, op := m.begin(op, opCreate)
-	lres, err := f.enter(op, pathutil.Dir(objPath), "create", objPath, types.PermWrite|types.PermLookup)
+	dir, name := pathutil.DirBase(objPath)
+	lres, err := f.enter(op, dir, "create", objPath, types.PermWrite|types.PermLookup)
 	if err != nil {
 		return f.done(op, 0, types.Entry{}, err)
 	}
-	entry, retries, err := m.db.CreateObject(op, lres.ID, pathutil.Base(objPath), size)
+	entry, retries, err := m.db.CreateObject(op, lres.ID, name, size)
 	return f.done(op, retries, entry, err)
 }
 
 // Delete implements api.Service.
 func (m *Mantle) Delete(op *rpc.Op, objPath string) (types.Result, error) {
 	f, op := m.begin(op, opDelete)
-	lres, err := f.enter(op, pathutil.Dir(objPath), "delete", objPath, types.PermWrite|types.PermLookup)
+	dir, name := pathutil.DirBase(objPath)
+	lres, err := f.enter(op, dir, "delete", objPath, types.PermWrite|types.PermLookup)
 	if err != nil {
 		return f.done(op, 0, types.Entry{}, err)
 	}
-	retries, err := m.db.DeleteObject(op, lres.ID, pathutil.Base(objPath))
+	retries, err := m.db.DeleteObject(op, lres.ID, name)
 	return f.done(op, retries, types.Entry{}, err)
 }
 
 // ObjStat implements api.Service.
 func (m *Mantle) ObjStat(op *rpc.Op, objPath string) (types.Result, error) {
 	f, op := m.begin(op, opObjStat)
-	lres, err := f.enter(op, pathutil.Dir(objPath), "objstat", objPath, types.PermLookup)
+	dir, name := pathutil.DirBase(objPath)
+	lres, err := f.enter(op, dir, "objstat", objPath, types.PermLookup)
 	if err != nil {
 		return f.done(op, 0, types.Entry{}, err)
 	}
-	entry, err := m.db.StatObject(op, lres.ID, pathutil.Base(objPath))
+	entry, err := m.db.StatObject(op, lres.ID, name)
 	return f.done(op, 0, entry, err)
 }
 
@@ -498,7 +520,7 @@ func (m *Mantle) readDirPage(kind opKind, op *rpc.Op, dirPath, startAfter string
 // IndexNode access-metadata insert, committing together.
 func (m *Mantle) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 	f, op := m.begin(op, opMkdir)
-	parent, name := pathutil.Dir(dirPath), pathutil.Base(dirPath)
+	parent, name := pathutil.DirBase(dirPath)
 	lres, err := f.enter(op, parent, "mkdir", dirPath, types.PermWrite)
 	if err != nil {
 		return f.done(op, 0, types.Entry{}, err)
@@ -559,7 +581,7 @@ const renameRetries = 10000
 // applied.
 func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, error) {
 	f, op := m.begin(op, opDirRename)
-	dstParent, dstName := pathutil.Dir(dstPath), pathutil.Base(dstPath)
+	dstParent, dstName := pathutil.DirBase(dstPath)
 	uuid := m.newUUID()
 	var totalRetries int
 	for attempt := 0; ; attempt++ {

@@ -213,6 +213,26 @@ func clampDur(d, lo, hi time.Duration) time.Duration {
 	return d
 }
 
+// PlusZeros returns a copy of l with n more zero-duration samples: how an
+// owner that counts its zero samples instead of observing them exposes
+// the histogram. Like every read of a live histogram, the copy is not
+// atomic with respect to a concurrent Observe.
+func (l *Latency) PlusZeros(n int64) *Latency {
+	c := &Latency{}
+	for i := range c.buckets {
+		c.buckets[i].Store(l.buckets[i].Load())
+	}
+	c.count.Store(l.count.Load() + n)
+	c.sum.Store(l.sum.Load())
+	c.max.Store(l.max.Load())
+	c.min.Store(l.min.Load())
+	if n > 0 {
+		c.buckets[bucketOf(0)].Add(n)
+		c.min.Store(-1) // min 0, in the -(min+1) encoding
+	}
+	return c
+}
+
 // Buckets snapshots the raw bucket counts (boundary tests, exporters).
 func (l *Latency) Buckets() [NumBuckets]int64 {
 	var out [NumBuckets]int64

@@ -24,11 +24,18 @@
 //     hardware. No goroutine ever busy-spins, so the model stays accurate
 //     with thousands of simulated clients on a small host.
 //
-// With RTT and costs set to zero the fabric is free, which unit tests use.
+// A Link is one directed (src, dst) edge resolved once: the names the
+// fault hook sees and the edge's stats. rpc delivers on links cached on
+// the target Node and raft holds one per peer, so a warm delivery is a
+// few atomic adds; Fabric.Deliver(src, dst) resolves one per call.
+//
+// With RTT and costs set to zero the fabric is free, which unit tests use:
+// a zero-latency delivery is counted, not timed.
 package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,25 +139,46 @@ func (f *Fabric) RoundTrip() {
 	_ = f.Deliver("", "")
 }
 
-// Deliver charges one round trip between the named endpoints, consulting
-// the fault hook if one is installed. A lost message still sleeps the
-// round trip — the sender pays at least one RTT discovering the loss —
-// and returns a non-nil error wrapping types.ErrUnreachable.
+// Deliver charges one round trip between the named endpoints: it resolves
+// their link and delivers on it. Callers that send on one edge repeatedly
+// resolve the link once (Link, Node.LinkFrom) instead.
 func (f *Fabric) Deliver(src, dst string) error {
+	return f.Link(src, dst).Deliver()
+}
+
+// Link is one resolved (src, dst) edge of a fabric (see the package
+// comment). Delivering on it probes no map, takes no lock and allocates
+// nothing.
+type Link struct {
+	f        *Fabric
+	src, dst string
+	edge     *EdgeStats
+}
+
+// Link resolves the (src, dst) edge.
+func (f *Fabric) Link(src, dst string) *Link {
+	return &Link{f: f, src: src, dst: dst, edge: f.Edge(src, dst)}
+}
+
+// Deliver charges one round trip on the link, consulting the fault hook if
+// one is installed. A lost message still sleeps the round trip — the
+// sender pays at least one RTT discovering the loss — and returns a
+// non-nil error wrapping types.ErrUnreachable. A zero-latency delivery is
+// only counted: the edge's histogram gets its zero sample when it is read.
+func (l *Link) Deliver() error {
+	f, edge := l.f, l.edge
 	f.rpcs.Add(1)
-	edge := f.Edge(src, dst)
 	edge.Trips.Add(1)
 	var extra time.Duration
 	var ferr error
 	if p := f.faults.Load(); p != nil {
-		extra, ferr = (*p).Edge(src, dst)
+		extra, ferr = (*p).Edge(l.src, l.dst)
 	}
 	if ferr != nil {
 		edge.Losses.Add(1)
 	}
 	d := f.rtt + extra
 	if d <= 0 {
-		edge.Latency.Observe(0)
 		return ferr
 	}
 	if f.jitter > 0 {
@@ -187,6 +215,10 @@ type Node struct {
 	load   atomic.Int64 // EWMA queue delay, ns (the load hint)
 	faults atomic.Pointer[FaultHook]
 	stats  nodeStats
+	// links holds the node's inbound links, one per (fabric, source) it
+	// has been called from — one to three in a deployment. Copy-on-write,
+	// so the warm lookup is an atomic load and a short scan.
+	links atomic.Pointer[[]*Link]
 }
 
 // NewNode creates a node with the given number of CPU worker slots.
@@ -209,6 +241,27 @@ func (n *Node) SetFaults(h FaultHook) {
 		return
 	}
 	n.faults.Store(&h)
+}
+
+// LinkFrom returns the link from src to the node on f, resolving it on
+// first use.
+func (n *Node) LinkFrom(f *Fabric, src string) *Link {
+	for {
+		p := n.links.Load()
+		var links []*Link
+		if p != nil {
+			links = *p
+		}
+		for _, l := range links {
+			if l.f == f && l.src == src {
+				return l
+			}
+		}
+		next := append(slices.Clip(links), f.Link(src, n.name))
+		if n.links.CompareAndSwap(p, &next) {
+			return next[len(next)-1]
+		}
+	}
 }
 
 // Exec runs fn on the node after charging cost of CPU service time

@@ -11,15 +11,26 @@ import (
 // histogram (RTT + jitter + injected extra). One EdgeStats exists per
 // distinct (src, dst) pair seen on the fabric.
 type EdgeStats struct {
-	Trips   atomic.Int64
-	Losses  atomic.Int64
+	Trips  atomic.Int64
+	Losses atomic.Int64
+	// Latency observes the timed deliveries only: a zero-latency one is
+	// counted in Trips, and latency adds it back as a zero sample.
 	Latency metrics.Latency
 }
 
+// latency is the edge's delivery histogram as exposed: Latency plus one
+// zero sample per delivery that was only counted. Count is read before
+// Trips — a timed delivery adds its trip first — so the difference is
+// never negative.
+func (s *EdgeStats) latency() *metrics.Latency {
+	timed := s.Latency.Count()
+	return s.Latency.PlusZeros(s.Trips.Load() - timed)
+}
+
 // edgePair is the registry key for a (src, dst) pair — a struct, not a
-// rendered string, so the per-delivery Edge lookup on the hot path does
-// no concatenation. Unnamed callers (client-originated RPCs) normalise
-// to "client".
+// rendered string, so the Edge lookup of a by-name Deliver does no
+// concatenation. Unnamed callers (client-originated RPCs) normalise to
+// "client".
 type edgePair struct {
 	src, dst string
 }
@@ -35,7 +46,7 @@ func normEdge(src, dst string) edgePair {
 }
 
 // Edge returns (creating if needed) the stats of the (src, dst) edge.
-// The hit path — every delivery after an edge's first — is a shared
+// The hit path — every resolution after an edge's first — is a shared
 // lock and one map probe.
 func (f *Fabric) Edge(src, dst string) *EdgeStats {
 	k := normEdge(src, dst)
@@ -81,7 +92,7 @@ func (f *Fabric) RegisterMetrics(reg *metrics.Registry, nodes ...*Node) {
 			l := e.Label("edge", key)
 			l.Int("edge_trips", s.Trips.Load())
 			l.Int("edge_losses", s.Losses.Load())
-			l.Latency("edge_latency", &s.Latency)
+			l.Latency("edge_latency", s.latency())
 		}
 		for _, n := range nodes {
 			l := e.Label("node", n.name)

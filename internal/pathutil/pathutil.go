@@ -133,24 +133,28 @@ func Depth(p string) int {
 
 // Base returns the final component of the cleaned path, or "" for root.
 func Base(p string) string {
-	p = Clean(p)
-	if p == "/" {
-		return ""
-	}
-	return p[strings.LastIndexByte(p, '/')+1:]
+	_, base := DirBase(p)
+	return base
 }
 
 // Dir returns the parent of the cleaned path. The parent of root is root.
 func Dir(p string) string {
+	dir, _ := DirBase(p)
+	return dir
+}
+
+// DirBase returns (Dir(p), Base(p)) from one cleaning of p: an op that
+// needs both the parent and the name pays for one pass over the path.
+func DirBase(p string) (dir, base string) {
 	p = Clean(p)
 	if p == "/" {
-		return "/"
+		return "/", ""
 	}
 	i := strings.LastIndexByte(p, '/')
 	if i == 0 {
-		return "/"
+		return "/", p[1:]
 	}
-	return p[:i]
+	return p[:i], p[i+1:]
 }
 
 // TruncatePrefix implements the TopDirPathCache k-truncation rule (§5.1.1):
@@ -196,10 +200,13 @@ func TruncateRel(p string, k int) (prefix, suffix string) {
 	if k < 0 {
 		k = 0
 	}
-	n := Depth(p)
+	n := 0 // the components of p, counted without cleaning it again
+	if p != "/" {
+		n = strings.Count(p, "/")
+	}
 	cut := n - k
 	if cut <= 0 {
-		return "/", Rel(p)
+		return "/", p[1:]
 	}
 	if cut == n {
 		return p, ""

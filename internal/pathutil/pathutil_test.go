@@ -86,6 +86,46 @@ func TestBaseDir(t *testing.T) {
 	}
 }
 
+// dirBaseBySplit is the component-wise reference for DirBase: the parent
+// joined from all but the last component, and the last component.
+func dirBaseBySplit(p string) (string, string) {
+	comps := Split(p)
+	if len(comps) == 0 {
+		return "/", ""
+	}
+	return Join(comps[:len(comps)-1]...), comps[len(comps)-1]
+}
+
+func TestDirBase(t *testing.T) {
+	cases := []struct{ in, dir, base string }{
+		{"", "/", ""},
+		{"/", "/", ""},
+		{"//", "/", ""},
+		{".", "/", ""},
+		{"/a", "/", "a"},
+		{"a", "/", "a"},
+		{"/a/", "/", "a"},
+		{"/a/b", "/a", "b"},
+		{"/a/b/c", "/a/b", "c"},
+		{"//a//b///c/", "/a/b", "c"},
+		{"/a/./b", "/a", "b"},
+		{"/a/b/.", "/a", "b"},
+		{"/a/..", "/a", ".."},
+	}
+	for _, c := range cases {
+		dir, base := DirBase(c.in)
+		if dir != c.dir || base != c.base {
+			t.Errorf("DirBase(%q) = (%q, %q), want (%q, %q)", c.in, dir, base, c.dir, c.base)
+		}
+		if dir != Dir(c.in) || base != Base(c.in) {
+			t.Errorf("DirBase(%q) = (%q, %q), Dir/Base = (%q, %q)", c.in, dir, base, Dir(c.in), Base(c.in))
+		}
+		if d, b := dirBaseBySplit(c.in); dir != d || base != b {
+			t.Errorf("DirBase(%q) = (%q, %q), by components (%q, %q)", c.in, dir, base, d, b)
+		}
+	}
+}
+
 func TestTruncatePrefix(t *testing.T) {
 	cases := []struct {
 		in     string
@@ -221,6 +261,17 @@ func FuzzClean(f *testing.F) {
 		// Depth agrees with Split.
 		if Depth(c) != len(Split(c)) {
 			t.Fatalf("Depth(%q)=%d Split len=%d", c, Depth(c), len(Split(c)))
+		}
+		// The one-pass parent-and-name split agrees with Dir, Base and the
+		// components, on the raw input and on its canonical form.
+		for _, q := range []string{p, c} {
+			dir, base := DirBase(q)
+			if dir != Dir(q) || base != Base(q) {
+				t.Fatalf("DirBase(%q) = (%q, %q), Dir/Base = (%q, %q)", q, dir, base, Dir(q), Base(q))
+			}
+			if d, b := dirBaseBySplit(q); dir != d || base != b {
+				t.Fatalf("DirBase(%q) = (%q, %q), by components (%q, %q)", q, dir, base, d, b)
+			}
 		}
 	})
 }

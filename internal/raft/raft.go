@@ -28,9 +28,10 @@
 // delayed, or partitioned. Crash-stop failures (Stop), leader changes,
 // and network partitions are all supported and tested:
 //
-//   - every inter-replica send goes through deliver(), which fails with
-//     types.ErrUnreachable when the edge is cut; the sender treats the
-//     peer like an unresponsive node and retries on the next kick,
+//   - every inter-replica send first delivers on the peer's fabric link,
+//     which fails with types.ErrUnreachable when the edge is cut; the
+//     sender treats the peer like an unresponsive node and retries on the
+//     next kick,
 //   - a leader that cannot contact a quorum of voters within the
 //     check-quorum window (2× its election timeout) steps down, so an
 //     isolated leader stops accepting writes instead of serving a
@@ -205,7 +206,7 @@ type Raft struct {
 	applyMu sync.Mutex
 
 	mu          sync.Mutex
-	peers       map[string]*Raft // all other replicas (voters and learners)
+	peers       map[string]*peer // all other replicas (voters and learners)
 	voters      int              // number of voting members incl. self if voter
 	role        Role             // written only by setRoleLocked
 	term        uint64
@@ -408,7 +409,7 @@ func NewGroup(cfgs []Config) []*Raft {
 		r := &Raft{
 			cfg:        cc,
 			id:         cc.ID,
-			peers:      make(map[string]*Raft),
+			peers:      make(map[string]*peer),
 			voters:     voters,
 			log:        []Entry{{}},
 			nextIndex:  make(map[string]uint64),
@@ -427,7 +428,7 @@ func NewGroup(cfgs []Config) []*Raft {
 	for _, r := range replicas {
 		for _, o := range replicas {
 			if o.id != r.id {
-				r.peers[o.id] = o
+				r.peers[o.id] = &peer{Raft: o, link: r.cfg.Fabric.Link(r.id, o.id)}
 			}
 		}
 	}
@@ -572,8 +573,8 @@ func (r *Raft) startElectionLocked() {
 		if p.IsLearner() {
 			continue
 		}
-		go func(p *Raft) {
-			if r.deliver(p) != nil {
+		go func(p *peer) {
+			if p.link.Deliver() != nil {
 				return // vote request lost in the fabric
 			}
 			granted, replyTerm := p.handleRequestVote(term, r.id, lastIdx, lastTerm)
@@ -643,11 +644,14 @@ func (r *Raft) becomeLeaderLocked() {
 	go r.leaderLoop(term)
 }
 
-// deliver charges one round trip to peer, consulting the fabric's fault
-// hook. A non-nil error means the message (or its reply) was lost; the
-// caller treats the peer as unresponsive.
-func (r *Raft) deliver(p *Raft) error {
-	return r.cfg.Fabric.Deliver(r.id, p.id)
+// peer is another replica of the group as this one reaches it: the replica
+// and the fabric link to it, resolved once in NewGroup. Every message to
+// the peer first charges one round trip with link.Deliver, which consults
+// the fabric's fault hook; a non-nil error means the message (or its
+// reply) was lost, and the sender treats the peer as unresponsive.
+type peer struct {
+	*Raft
+	link *netsim.Link
 }
 
 // touchPeerLocked records a successful exchange with the peer for the

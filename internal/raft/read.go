@@ -185,7 +185,7 @@ func (r *Raft) queryLeaderCommit() readResult {
 	if !ok {
 		return readResult{err: types.ErrNotLeader}
 	}
-	if err := r.deliver(leader); err != nil {
+	if err := leader.link.Deliver(); err != nil {
 		// Leader unreachable (partition or blackhole): surface the fabric
 		// error so callers can distinguish "no leader known" from "leader
 		// cut off" and degrade accordingly.

@@ -246,7 +246,7 @@ func (r *Raft) failPendingLocked() {
 // replicateTo drives one peer: whenever kicked (new entries or
 // heartbeat), it sends AppendEntries from the peer's nextIndex and
 // processes the reply. It exits with the leader term.
-func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done chan struct{}) {
+func (r *Raft) replicateTo(term uint64, p *peer, kick chan struct{}, done chan struct{}) {
 	defer r.wg.Done()
 	for {
 		select {
@@ -262,7 +262,7 @@ func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done cha
 				r.mu.Unlock()
 				return
 			}
-			next := r.nextIndex[peer.id]
+			next := r.nextIndex[p.id]
 			first := r.firstIndexLocked()
 			if next <= first {
 				// The peer needs entries compacted away: install the
@@ -270,10 +270,10 @@ func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done cha
 				snapIdx, snapTerm := first, r.log[0].Term
 				data := r.snapData
 				r.mu.Unlock()
-				if r.deliver(peer) != nil {
+				if p.link.Deliver() != nil {
 					break // message lost; retry on next kick
 				}
-				ok, replyTerm := peer.handleInstallSnapshot(term, r.id, snapIdx, snapTerm, data)
+				ok, replyTerm := p.handleInstallSnapshot(term, r.id, snapIdx, snapTerm, data)
 				r.mu.Lock()
 				if r.role != Leader || r.term != term {
 					r.mu.Unlock()
@@ -285,11 +285,11 @@ func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done cha
 					return
 				}
 				if ok {
-					r.touchPeerLocked(peer.id)
-					if snapIdx > r.matchIndex[peer.id] {
-						r.matchIndex[peer.id] = snapIdx
+					r.touchPeerLocked(p.id)
+					if snapIdx > r.matchIndex[p.id] {
+						r.matchIndex[p.id] = snapIdx
 					}
-					r.nextIndex[peer.id] = r.matchIndex[peer.id] + 1
+					r.nextIndex[p.id] = r.matchIndex[p.id] + 1
 				}
 				r.mu.Unlock()
 				if !ok {
@@ -305,10 +305,10 @@ func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done cha
 			commit := r.commitIndex
 			r.mu.Unlock()
 
-			if r.deliver(peer) != nil {
+			if p.link.Deliver() != nil {
 				break // message lost in the fabric; retry on next kick
 			}
-			ok, replyTerm, conflictHint := peer.handleAppendEntries(
+			ok, replyTerm, conflictHint := p.handleAppendEntries(
 				term, r.id, prev.Index, prev.Term, entries, commit)
 
 			r.mu.Lock()
@@ -326,12 +326,12 @@ func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done cha
 				r.mu.Unlock()
 				break
 			}
-			r.touchPeerLocked(peer.id)
+			r.touchPeerLocked(p.id)
 			if ok {
-				if n := prev.Index + uint64(len(entries)); n > r.matchIndex[peer.id] {
-					r.matchIndex[peer.id] = n
+				if n := prev.Index + uint64(len(entries)); n > r.matchIndex[p.id] {
+					r.matchIndex[p.id] = n
 				}
-				r.nextIndex[peer.id] = r.matchIndex[peer.id] + 1
+				r.nextIndex[p.id] = r.matchIndex[p.id] + 1
 				r.mu.Unlock()
 				r.maybeAdvanceCommit(term)
 				break
@@ -340,9 +340,9 @@ func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done cha
 			// snapshot path above handles hints below the compaction
 			// boundary).
 			if conflictHint > 0 && conflictHint < next {
-				r.nextIndex[peer.id] = conflictHint
+				r.nextIndex[p.id] = conflictHint
 			} else if next > 1 {
-				r.nextIndex[peer.id] = next - 1
+				r.nextIndex[p.id] = next - 1
 			}
 			r.mu.Unlock()
 		}

@@ -119,8 +119,8 @@ type Caller struct {
 	timeouts atomic.Int64
 	drops    atomic.Int64
 
-	// lat, when attached via RegisterMetrics, observes whole-call
-	// latency (all attempts and backoffs included).
+	// lat, when attached via RegisterMetrics, observes the whole-call
+	// latency (all attempts and backoffs included) of traced ops' calls.
 	lat atomic.Pointer[metrics.Latency]
 }
 
@@ -153,9 +153,10 @@ func (c *Caller) Stats() (retries, timeouts, drops int64) {
 }
 
 // RegisterMetrics exposes the caller's fault-handling counters
-// (rpc_retries, rpc_timeouts, rpc_drops) and attaches a whole-call
-// latency histogram as latency_rpc, so chaos-lane runs report retry
-// storms and call tails in the standard metrics dump.
+// (rpc_retries, rpc_timeouts, rpc_drops), counted on every call, and
+// attaches a whole-call latency histogram as latency_rpc, fed by the calls
+// of traced ops (head-sampled ones, in core), so chaos-lane runs report
+// retry storms and call tails in the standard metrics dump.
 func (c *Caller) RegisterMetrics(reg *metrics.Registry) {
 	reg.Collect(func(e *metrics.Emitter) {
 		e.Int("rpc_retries", c.retries.Load())
@@ -185,16 +186,21 @@ func (c *Caller) Do(node *netsim.Node, cost time.Duration, opts CallOpts, fn fun
 
 // do is the shared call path. op, when non-nil, receives one RTT per
 // fabric attempt (a retried call really does cross the network again)
-// and supplies the trace context: each attempt records an "rpc" span
-// and charges one trip plus message bytes to the trace.
+// and supplies the trace context: when it carries a trace, each attempt
+// records an "rpc" span and charges one trip plus message bytes to it,
+// and the whole call is one latency_rpc sample.
 func (c *Caller) do(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts, fn func() error) error {
 	deadline := opts.Deadline
 	if deadline == 0 {
 		deadline = time.Duration(c.deadline.Load())
 	}
-	// One reading on entry serves both latency_rpc and the deadline; a
-	// call with neither reads no clock at all.
-	lat := c.lat.Load()
+	// Only a traced op's call is timed: its rpc spans read the clock
+	// anyway. One reading on entry serves both latency_rpc and the
+	// deadline; an untraced call without a deadline reads no clock at all.
+	var lat *metrics.Latency
+	if op != nil && trace.FromContext(op.ctx) != nil {
+		lat = c.lat.Load()
+	}
 	var start time.Duration
 	if lat != nil || deadline > 0 {
 		start = clock.Mono()
@@ -213,6 +219,7 @@ func (c *Caller) attempts(op *Op, node *netsim.Node, cost time.Duration, opts Ca
 	if op != nil && op.ctx != nil {
 		ctx = op.ctx
 	}
+	link := node.LinkFrom(c.fabric, opts.Src)
 	budget := c.policy.attempts()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -239,7 +246,7 @@ func (c *Caller) attempts(op *Op, node *netsim.Node, cost time.Duration, opts Ca
 		}
 		trace.AddTrips(ctx, 1)
 		trace.AddBytes(ctx, opts.Bytes+MsgOverheadBytes)
-		err := c.fabric.Deliver(opts.Src, node.Name())
+		err := link.Deliver()
 		if err == nil {
 			err = node.Exec(cost, fn)
 			if err == nil || !errors.Is(err, types.ErrUnreachable) {

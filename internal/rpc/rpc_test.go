@@ -380,30 +380,70 @@ func TestRegisterMetricsExposesCountersAndLatency(t *testing.T) {
 	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 64, BaseBackoff: time.Microsecond})
 	reg := metrics.NewRegistry()
 	c.RegisterMetrics(reg)
-	op := c.Begin()
-	for i := 0; i < 16; i++ {
-		if err := op.Call(node, 0, func() error { return nil }); err != nil {
-			t.Fatal(err)
+	lat := reg.Latency("latency_rpc")
+	calls := func(op *Op) {
+		t.Helper()
+		for i := 0; i < 16; i++ {
+			if err := op.Call(node, 0, func() error { return nil }); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+
+	// An untraced op's calls are counted by the fault-path counters but
+	// not timed.
+	calls(c.Begin())
+	retries, _, drops := c.Stats()
+	if retries == 0 || drops == 0 {
+		t.Fatalf("expected retries under 50%% loss, got retries=%d drops=%d (injector seed %d)", retries, drops, inj.Seed())
+	}
+	if n := lat.Count(); n != 0 {
+		t.Fatalf("untraced calls added %d latency_rpc samples, want 0", n)
+	}
+
+	// A traced op's calls are one whole-call sample each, retries included.
+	tr, ctx := trace.New("op")
+	op := c.BeginTraced(ctx)
+	calls(op)
+	tr.Finish()
+	retries2, _, drops2 := c.Stats()
+	if retries2 == retries || op.RTTs() <= 16 {
+		t.Fatalf("traced calls saw no retries: retries %d -> %d, %d attempts (injector seed %d)", retries, retries2, op.RTTs(), inj.Seed())
+	}
+	if n := lat.Count(); n != 16 {
+		t.Fatalf("16 traced calls (%d attempts) added %d latency_rpc samples, want 16", op.RTTs(), n)
+	}
+
 	var buf bytes.Buffer
 	if err := reg.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	retries, _, drops := c.Stats()
-	if retries == 0 || drops == 0 {
-		t.Fatalf("expected retries under 50%% loss, got retries=%d drops=%d", retries, drops)
-	}
 	for _, want := range []string{
-		fmt.Sprintf("rpc_retries %d", retries),
-		fmt.Sprintf("rpc_drops %d", drops),
+		fmt.Sprintf("rpc_retries %d", retries2),
+		fmt.Sprintf("rpc_drops %d", drops2),
 		"rpc_timeouts 0",
 		"latency_rpc_count 16",
 		"latency_rpc_p99_us ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics dump missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// BenchmarkCall is one warm untraced RPC on the zero-latency fabric: what
+// the rpc layer and the fabric cost per message when nothing is modelled.
+func BenchmarkCall(b *testing.B) {
+	c := NewCaller(netsim.NewLocalFabric())
+	c.RegisterMetrics(metrics.NewRegistry())
+	node := netsim.NewNode("srv", 0)
+	op := c.Begin()
+	fn := func() error { return nil }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := op.Do(node, 0, CallOpts{Src: "proxy"}, fn); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
