@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mantle/internal/heat"
 	"mantle/internal/types"
 )
 
@@ -176,5 +177,78 @@ func TestHeatDBDirKeys(t *testing.T) {
 	}
 	if hot[0].Key != res.Entry.ID && hot[0].Key != types.RootID {
 		t.Fatalf("hottest pid = %d, want %d (/d) or root", hot[0].Key, res.Entry.ID)
+	}
+}
+
+// The heat plane rides the sampler: past an op kind's first MinCount
+// ops, only the sampled ones reach a sketch, each with weight
+// SampleEvery, so the proxy's and TafDB's counts of a stat'd directory
+// are the exact floor plus 64 per sampled op past it. With sampling off
+// every op counts once.
+func TestHeatRidesTheSampler(t *testing.T) {
+	const floor, past = 128, 64 * 20
+	var sampledPast int64
+	for tick := uint64(floor + 1); tick <= floor+past; tick++ {
+		if heat.Sampled(tick, 64) {
+			sampledPast++
+		}
+	}
+	for _, c := range []struct {
+		name string
+		cfg  HeatConfig
+		want int64
+	}{
+		{"default", HeatConfig{}, floor + 64*sampledPast},
+		{"unsampled", HeatConfig{SampleEvery: -1}, floor + past},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newTestMantle(t, func(cfg *Config) { cfg.Heat = c.cfg })
+			if _, err := m.Mkdir(op(m), "/d"); err != nil {
+				t.Fatal(err)
+			}
+			var id types.InodeID
+			for i := 0; i < floor+past; i++ {
+				res, err := m.DirStat(op(m), "/d")
+				if err != nil {
+					t.Fatal(err)
+				}
+				id = res.Entry.ID
+			}
+			proxy := map[string]int64{}
+			for _, it := range m.Status().Proxy.HotDirs {
+				proxy[it.Key] = it.Count
+			}
+			db := map[types.InodeID]int64{}
+			for _, it := range m.DB().HotDirs() {
+				db[it.Key] = it.Count
+			}
+			if proxy["/d"] != c.want || db[id] != c.want {
+				t.Fatalf("after %d stats (%d sampled past the floor): proxy counts %d, TafDB %d, want %d",
+					floor+past, sampledPast, proxy["/d"], db[id], c.want)
+			}
+		})
+	}
+}
+
+// One directory is one heat key however the caller spells it: the op
+// cleans the path at entry, before any sketch or cache keys on it.
+func TestHeatOneKeyPerDirectory(t *testing.T) {
+	m := newTestMantle(t, nil)
+	if _, err := m.Mkdir(op(m), "/d"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/d", "/d/", "//d", "/d/."} {
+		if _, err := m.DirStat(op(m), p); err != nil {
+			t.Fatalf("dirstat %q: %v", p, err)
+		}
+	}
+	var dirs []heat.Item[string]
+	for _, it := range m.Status().Proxy.HotDirs {
+		if it.Key != "/" { // the mkdir's parent
+			dirs = append(dirs, it)
+		}
+	}
+	if len(dirs) != 1 || dirs[0].Key != "/d" || dirs[0].Count != 4 {
+		t.Fatalf("proxy hot dirs besides the root = %+v, want one /d with count 4", dirs)
 	}
 }

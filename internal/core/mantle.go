@@ -75,13 +75,18 @@ type Config struct {
 
 // HeatConfig parameterises the proxy's heat plane.
 type HeatConfig struct {
-	// SampleEvery head-samples one in N operations into a trace that is
-	// offered to the slow-op flight recorder on completion, amortising
-	// per-trace allocation cost below one alloc per op (default 64;
-	// negative disables sampling entirely).
+	// SampleEvery head-samples one in N operations (default 64). A
+	// sampled op opens a trace that is offered to the slow-op flight
+	// recorder on completion, amortising per-trace allocation cost below
+	// one alloc per op, and carries heat weight N: every heat sketch it
+	// passes (proxy, IndexNode, TafDB) records it N times, and the other
+	// ops record nothing. Negative disables sampling: no traces, and
+	// every op records with weight 1.
 	SampleEvery int
-	// MinCount is the per-op observation floor before the recorder
-	// trusts the op's p99 as a slowness threshold (default 128).
+	// MinCount is the per-op floor (default 128): an op kind's first
+	// MinCount ops record heat with weight 1, so a fresh or low-rate
+	// proxy shows exact counts, and the recorder trusts the op's p99 as
+	// a slowness threshold once that many have succeeded.
 	MinCount int64
 }
 
@@ -140,9 +145,8 @@ type Mantle struct {
 }
 
 // opMetrics bundles one operation's counters and latency histogram.
-// tick drives head-sampling into the flight recorder (one trace every
-// SampleEvery calls of this op); sampled, not exported, holds the
-// durations of the sampled calls alone.
+// tick numbers the op's calls for the sampling decision (heat.Sampled);
+// sampled, not exported, holds the durations of the sampled calls alone.
 type opMetrics struct {
 	ops, errors, retries *metrics.Counter
 	latency              *metrics.Latency
@@ -291,20 +295,34 @@ type frame struct {
 	executing bool
 }
 
-// begin head-samples one in every SampleEvery calls of this kind into a
-// fresh trace, returning the op re-bound to the trace context, and starts
-// the op's timer. Unsampled calls (and calls already carrying a caller
-// trace) pass through untouched, keeping the hot path allocation-free —
-// which is also why the op travels beside the frame, not in it: the
-// frame's trace outlives the call in the flight recorder, and an op
-// stored next to it would be heap-allocated by every caller.
+// begin makes the op's one sampling decision and starts its timer. Every
+// call advances the kind's tick, and heat.Sampled picks one in
+// SampleEvery ticks. A sampled call gets a fresh trace, unless its
+// caller already traced it, and is returned re-bound to the trace
+// context; it also gets heat weight SampleEvery, and an unsampled call
+// weight 0, except that the kind's first MinCount calls weigh 1. The
+// unsampled path allocates nothing — which is also why the op travels
+// beside the frame, not in it: the frame's trace outlives the call in
+// the flight recorder, and an op stored next to it would be
+// heap-allocated by every caller.
 func (m *Mantle) begin(op *rpc.Op, kind opKind) (frame, *rpc.Op) {
 	f := frame{m: m, kind: kind}
-	every := uint64(m.heatCfg.SampleEvery)
-	if every != 0 && trace.FromContext(op.Context()) == nil && m.ops[kind].tick.Add(1)%every == 0 {
-		var ctx context.Context
-		f.tr, ctx = trace.New(opNames[kind])
-		op = op.WithContext(ctx)
+	if every := uint64(m.heatCfg.SampleEvery); every != 0 {
+		tick := m.ops[kind].tick.Add(1)
+		sampled := heat.Sampled(tick, every)
+		switch {
+		case tick <= uint64(m.heatCfg.MinCount):
+			op.SetHeat(1)
+		case sampled:
+			op.SetHeat(int64(every))
+		default:
+			op.SetHeat(0)
+		}
+		if sampled && trace.FromContext(op.Context()) == nil {
+			var ctx context.Context
+			f.tr, ctx = trace.New(opNames[kind])
+			op = op.WithContext(ctx)
+		}
 	}
 	// The clock starts after sampling: a sampled op that paid for its own
 	// trace inside its latency would look slower than its unsampled peers
@@ -361,7 +379,9 @@ func (f *frame) done(op *rpc.Op, retries int, entry types.Entry, err error) (typ
 
 // lookup resolves dirPath, consulting the optional proxy-side cache
 // before issuing the IndexNode RPC. The whole resolution is one
-// path-resolve span.
+// path-resolve span. dirPath is canonical — ops clean a caller's path at
+// entry — so one directory is one heat key, one cache key and one
+// hot-set probe however the caller spelled it.
 //
 // The miss path is singleflight-coalesced: concurrent misses of the
 // same path in the same invalidation epoch share one IndexNode RPC, so
@@ -374,22 +394,21 @@ func (f *frame) done(op *rpc.Op, retries int, entry types.Entry, err error) (typ
 func (m *Mantle) lookup(op *rpc.Op, dirPath string) (res indexnode.LookupResult, err error) {
 	ctx, sp := trace.Start(op.Context(), "path-resolve")
 	defer sp.End()
-	m.dirHeat.Record(dirPath)
+	m.dirHeat.RecordN(dirPath, op.Heat())
 	if m.pcache == nil {
 		res, err = m.idx.Lookup(op.WithContext(ctx), dirPath)
 	} else {
-		path := pathutil.Clean(dirPath)
-		if res, ok := m.pcache.Get(path); ok {
+		if res, ok := m.pcache.Get(dirPath); ok {
 			sp.SetAttr("cache", "proxy-hit")
 			return res, nil
 		}
 		epoch0 := m.pcache.Epoch()
 		var shared bool
-		res, err, shared = m.pcache.flight.Do(pcFlightKey{path, epoch0}, func() (indexnode.LookupResult, error) {
-			m.missHeat.Record(path)
-			res, err := m.idx.Lookup(op.WithContext(ctx), path)
+		res, err, shared = m.pcache.flight.Do(pcFlightKey{dirPath, epoch0}, func() (indexnode.LookupResult, error) {
+			m.missHeat.RecordN(dirPath, op.Heat())
+			res, err := m.idx.Lookup(op.WithContext(ctx), dirPath)
 			if err == nil {
-				m.pcache.Fill(path, res, epoch0)
+				m.pcache.Fill(dirPath, res, epoch0)
 			}
 			return res, err
 		})
@@ -435,6 +454,7 @@ func (m *Mantle) newUUID() string {
 // Lookup implements api.Service: a single-RPC path resolution.
 func (m *Mantle) Lookup(op *rpc.Op, dirPath string) (types.Result, error) {
 	f, op := m.begin(op, opLookup)
+	dirPath = pathutil.Clean(dirPath)
 	lres, err := f.enter(op, dirPath, "lookup", dirPath, 0)
 	if err != nil {
 		return f.done(op, 0, types.Entry{}, err)
@@ -483,6 +503,7 @@ func (m *Mantle) ObjStat(op *rpc.Op, objPath string) (types.Result, error) {
 // DirStat implements api.Service.
 func (m *Mantle) DirStat(op *rpc.Op, dirPath string) (types.Result, error) {
 	f, op := m.begin(op, opDirStat)
+	dirPath = pathutil.Clean(dirPath)
 	lres, err := f.enter(op, dirPath, "dirstat", dirPath, 0)
 	if err != nil {
 		return f.done(op, 0, types.Entry{}, err)
@@ -506,6 +527,7 @@ func (m *Mantle) ReadDirPage(op *rpc.Op, dirPath, startAfter string, limit int) 
 
 func (m *Mantle) readDirPage(kind opKind, op *rpc.Op, dirPath, startAfter string, limit int) (types.Result, []types.Entry, string, error) {
 	f, op := m.begin(op, kind)
+	dirPath = pathutil.Clean(dirPath)
 	lres, err := f.enter(op, dirPath, "list", dirPath, types.PermLookup|types.PermRead)
 	var entries []types.Entry
 	var next string
@@ -543,6 +565,7 @@ func (m *Mantle) Mkdir(op *rpc.Op, dirPath string) (types.Result, error) {
 // Rmdir implements api.Service.
 func (m *Mantle) Rmdir(op *rpc.Op, dirPath string) (types.Result, error) {
 	f, op := m.begin(op, opRmdir)
+	dirPath = pathutil.Clean(dirPath)
 	lres, err := f.enter(op, dirPath, "rmdir", dirPath, 0)
 	if err != nil {
 		return f.done(op, 0, types.Entry{}, err)
@@ -631,6 +654,7 @@ func (m *Mantle) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, e
 // every replica), committing together.
 func (m *Mantle) SetPerm(op *rpc.Op, dirPath string, perm types.Perm) (types.Result, error) {
 	f, op := m.begin(op, opSetPerm)
+	dirPath = pathutil.Clean(dirPath)
 	lres, err := f.enter(op, dirPath, "setperm", dirPath, 0)
 	if err != nil {
 		return f.done(op, 0, types.Entry{}, err)

@@ -13,15 +13,18 @@
 // item the true frequency lies in [Count-Err, Count], and any key whose
 // true count exceeds the smallest tracked count is guaranteed present.
 //
-// Hot-path cost. A hit (the key is tracked) is a read-locked map probe
-// and one atomic add on the key's slot. A miss takes the write lock; on
-// a full sketch it scans the k contiguous counters for the minimum and
+// Hot-path cost. The metadata path does not record every op: core's op
+// frame makes one hashed sampling decision per op (Sampled) and carries
+// it on the op as a heat weight, so a sketch records 1 op in SampleEvery
+// (default 64) with weight SampleEvery, and the other 63 touch no sketch
+// at all (the IndexNode's promotion sketch, compared with a threshold,
+// still counts every lookup). Counts past the exact floor are estimates
+// in steps of the weight: unbiased, with sampling error on top of Err. A
+// record is one mutex hold: a hit is a map probe and an add; a miss on a
+// full sketch scans the k contiguous counters for the minimum and
 // re-keys that slot in place — one map delete, one map insert, no
 // allocation, no map iteration, and no clock read unless the sketch
-// decays. A stream spread uniformly over more than k keys (a stat mix
-// over 64 directories against k = 32, or a 1 M-entry namespace) misses
-// on most records, so the miss is as much the hot path as the hit: it
-// is O(k) under the write lock, which serialises concurrent recorders.
+// decays.
 package heat
 
 import (
@@ -32,13 +35,11 @@ import (
 	"time"
 )
 
-// cell is one slot of the sketch: a tracked key and its counter. count
-// is atomic so read-locked recorders can bump it concurrently; key and
-// err are written only under the sketch's write lock (insert, evict,
-// fold) and read under either lock.
+// cell is one slot of the sketch: a tracked key, its counter and the
+// counter's error bound, all guarded by the sketch's mutex.
 type cell[K comparable] struct {
 	key   K
-	count atomic.Int64
+	count int64
 	err   int64
 }
 
@@ -53,10 +54,10 @@ type cell[K comparable] struct {
 type TopK[K comparable] struct {
 	k        int
 	halfLife time.Duration // 0 = cumulative (no decay)
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	cells    []cell[K]   // tracked slots; cap k, allocated once, never moved
 	idx      map[K]int32 // key -> its slot in cells
-	lastFold time.Time   // last decay fold (guarded by mu in write mode)
+	lastFold time.Time   // last decay fold
 }
 
 // NewTopK creates a sketch tracking at most k keys (minimum 1).
@@ -85,26 +86,18 @@ func NewTopKDecay[K comparable](k int, halfLife time.Duration) *TopK[K] {
 // Record counts one occurrence of key.
 func (t *TopK[K]) Record(key K) { t.RecordN(key, 1) }
 
-// RecordN counts n occurrences of key. Tracked keys pay a read-locked
-// map probe and one atomic add; untracked keys take the write lock and
-// either occupy a free slot or take over the minimum's slot, inheriting
-// its count as their error bound (the space-saving rule).
+// RecordN counts n occurrences of key: a tracked key's count grows by
+// n; an untracked key either occupies a free slot or takes over the
+// minimum's slot, inheriting its count as its error bound (the
+// space-saving rule).
 func (t *TopK[K]) RecordN(key K, n int64) {
 	if n <= 0 {
 		return
 	}
-	t.mu.RLock()
-	if i, ok := t.idx[key]; ok {
-		t.cells[i].count.Add(n)
-		t.mu.RUnlock()
-		return
-	}
-	t.mu.RUnlock()
-
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.idx[key]; ok { // raced with another inserter
-		t.cells[i].count.Add(n)
+	if i, ok := t.idx[key]; ok {
+		t.cells[i].count += n
 		return
 	}
 	// Fold decay before an eviction decision so the minimum reflects
@@ -118,9 +111,9 @@ func (t *TopK[K]) RecordN(key K, n int64) {
 	} else {
 		// Take over the minimum-count slot; the newcomer inherits its
 		// count as an overestimate bound.
-		slot, inherited = 0, t.cells[0].count.Load()
+		slot, inherited = 0, t.cells[0].count
 		for i := 1; i < len(t.cells); i++ {
-			if v := t.cells[i].count.Load(); v < inherited {
+			if v := t.cells[i].count; v < inherited {
 				slot, inherited = i, v
 			}
 		}
@@ -129,11 +122,9 @@ func (t *TopK[K]) RecordN(key K, n int64) {
 	t.setSlot(slot, key, inherited+n, inherited)
 }
 
-// setSlot makes cells[slot] track key. Caller holds t.mu in write mode.
+// setSlot makes cells[slot] track key. Caller holds t.mu.
 func (t *TopK[K]) setSlot(slot int, key K, count, err int64) {
-	c := &t.cells[slot]
-	c.key, c.err = key, err
-	c.count.Store(count)
+	t.cells[slot] = cell[K]{key: key, count: count, err: err}
 	t.idx[key] = int32(slot)
 }
 
@@ -156,18 +147,15 @@ func (t *TopK[K]) Snapshot() []Item[K] {
 
 // snapshotAt is Snapshot with an injectable clock (deterministic tests).
 func (t *TopK[K]) snapshotAt(now time.Time) []Item[K] {
+	t.mu.Lock()
 	if t.halfLife > 0 {
-		t.mu.Lock()
 		t.foldLocked(now)
-		t.mu.Unlock()
 	}
-	t.mu.RLock()
 	out := make([]Item[K], len(t.cells))
-	for i := range t.cells {
-		c := &t.cells[i]
-		out[i] = Item[K]{Key: c.key, Count: c.count.Load(), Err: c.err}
+	for i, c := range t.cells {
+		out[i] = Item[K]{Key: c.key, Count: c.count, Err: c.err}
 	}
-	t.mu.RUnlock()
+	t.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
 	return out
 }
@@ -175,8 +163,8 @@ func (t *TopK[K]) snapshotAt(now time.Time) []Item[K] {
 // foldLocked applies the decay accumulated since the last fold:
 // every count (and its error bound) is scaled by 2^(-dt/halfLife), and
 // slots that decay below one event are swap-removed so the sketch frees
-// them for current traffic. Caller holds t.mu in write mode on a
-// decaying sketch (halfLife > 0). No-op inside the minFold window.
+// them for current traffic. Caller holds t.mu on a decaying sketch
+// (halfLife > 0). No-op inside the minFold window.
 func (t *TopK[K]) foldLocked(now time.Time) {
 	dt := now.Sub(t.lastFold)
 	if dt < minFold {
@@ -186,10 +174,8 @@ func (t *TopK[K]) foldLocked(now time.Time) {
 	factor := math.Exp2(-dt.Seconds() / t.halfLife.Seconds())
 	for i := 0; i < len(t.cells); {
 		c := &t.cells[i]
-		// Load+store is safe: writers that could race the fold hold the
-		// read lock, which t.mu excludes here.
-		if v := int64(float64(c.count.Load()) * factor); v >= 1 {
-			c.count.Store(v)
+		if v := int64(float64(c.count) * factor); v >= 1 {
+			c.count = v
 			c.err = int64(float64(c.err) * factor)
 			i++
 			continue
@@ -197,7 +183,7 @@ func (t *TopK[K]) foldLocked(now time.Time) {
 		delete(t.idx, c.key)
 		last := len(t.cells) - 1
 		if l := &t.cells[last]; i != last {
-			t.setSlot(i, l.key, l.count.Load(), l.err)
+			t.setSlot(i, l.key, l.count, l.err)
 		}
 		var zero K
 		t.cells[last].key = zero // a vacated slot must not pin a string key
@@ -207,8 +193,8 @@ func (t *TopK[K]) foldLocked(now time.Time) {
 
 // Len returns the number of tracked keys.
 func (t *TopK[K]) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return len(t.cells)
 }
 
@@ -219,6 +205,20 @@ func (t *TopK[K]) Reset() {
 	t.cells = t.cells[:0]
 	clear(t.idx)
 	t.mu.Unlock()
+}
+
+// Sampled reports whether the n-th event of a stream is in its 1-in-every
+// sample (every > 0). It hashes n with splitmix64 rather than testing
+// n%every: a plain stride locks onto any stream whose period shares a
+// factor with every — one hot key alternating with a round-robin of 63
+// cold ones is never sampled at n%64, so half the traffic would vanish
+// from the sketches — while the hash takes an unbiased 1/every of any
+// pattern and stays a pure function of n.
+func Sampled(n, every uint64) bool {
+	n += 0x9E3779B97F4A7C15
+	n = (n ^ n>>30) * 0xBF58476D1CE4E5B9
+	n = (n ^ n>>27) * 0x94D049BB133111EB
+	return (n^n>>31)%every == 0
 }
 
 // Rate tracks an exponentially weighted moving average of an event

@@ -1,6 +1,7 @@
 package heat
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -25,7 +26,7 @@ func checkSlots(t *testing.T, tk *TopK[int]) {
 		if got, ok := tk.idx[c.key]; !ok || int(got) != i {
 			t.Fatalf("slot %d holds key %d, idx says (%d, %v)", i, c.key, got, ok)
 		}
-		if n := c.count.Load(); n < 1 || c.err < 0 || c.err > n {
+		if n := c.count; n < 1 || c.err < 0 || c.err > n {
 			t.Fatalf("slot %d: count %d err %d", i, n, c.err)
 		}
 	}
@@ -183,8 +184,8 @@ func TestTopKRecordAllocs(t *testing.T) {
 
 // BenchmarkTopKRecord puts the three record paths on record: a tracked
 // key, a stream spread over twice the slots (half the records evict),
-// and that stream from every CPU at once — the write-locked miss is the
-// serialisation point on a host with more than one client.
+// and that stream from every CPU at once — the sketch's one mutex is
+// the serialisation point on a host with more than one client.
 func BenchmarkTopKRecord(b *testing.B) {
 	const k = 32
 	fill := func() *TopK[int] {
@@ -222,4 +223,76 @@ func BenchmarkTopKRecord(b *testing.B) {
 			}
 		})
 	})
+}
+
+// TestSampledSketchAccuracy feeds an exact sketch and a sampled one —
+// the n-th record kept when Sampled(n, 64), with weight 64, as the op
+// frame records heat — the same seeded streams: Zipf(1.1) over 1000
+// keys, uniform over 64, and one hot key alternating with a round-robin
+// of 63 cold ones (which a plain n%64 stride never samples). Every key
+// above N/k must be present in both sketches, and its sampled count, like
+// the sampled total, must lie within its error bound plus four standard
+// deviations of the sampling error (64 with probability 1/64 per event:
+// variance 63).
+func TestSampledSketchAccuracy(t *testing.T) {
+	const k, every, n = 32, 64, 1 << 18
+	within := func(got, want, err int64) bool {
+		return math.Abs(float64(got-want)) <= float64(err)+4*math.Sqrt(float64(want)*(every-1))
+	}
+	streams := []struct {
+		name string
+		next func(r *rand.Rand) func(i int) int
+	}{
+		{"zipf", func(r *rand.Rand) func(int) int {
+			z := rand.NewZipf(r, 1.1, 1, 999)
+			return func(int) int { return int(z.Uint64()) }
+		}},
+		{"uniform", func(r *rand.Rand) func(int) int {
+			return func(int) int { return r.Intn(64) }
+		}},
+		{"hot_vs_round_robin", func(*rand.Rand) func(int) int {
+			return func(i int) int {
+				if i%2 == 0 {
+					return 0
+				}
+				return 1 + i/2%63
+			}
+		}},
+	}
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			exact, sampled := NewTopK[int](k), NewTopK[int](k)
+			truth := map[int]int64{}
+			next := st.next(rand.New(rand.NewSource(1)))
+			for i := 0; i < n; i++ {
+				key := next(i)
+				truth[key]++
+				exact.Record(key)
+				if Sampled(uint64(i+1), every) {
+					sampled.RecordN(key, every)
+				}
+			}
+			checkSpaceSaving(t, exact, truth)
+			found, total := map[int]Item[int]{}, int64(0)
+			for _, it := range sampled.Snapshot() {
+				found[it.Key] = it
+				total += it.Count
+			}
+			if !within(total, n, 0) {
+				t.Fatalf("sampled sketch totals %d for %d events", total, n)
+			}
+			for key, c := range truth {
+				if c <= n/k {
+					continue
+				}
+				it, ok := found[key]
+				if !ok {
+					t.Fatalf("key %d (true count %d > N/k = %d) missing from the sampled sketch", key, c, n/k)
+				}
+				if !within(it.Count, c, it.Err) {
+					t.Fatalf("key %d: sampled count %d ± %d, true count %d", key, it.Count, it.Err, c)
+				}
+			}
+		})
+	}
 }

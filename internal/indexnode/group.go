@@ -141,7 +141,8 @@ type Group struct {
 
 	// Heat plane: group-wide op rates, the leader/follower/learner read
 	// mix, and the hot-write-directory sketch (parent paths of mutations
-	// flowing through Raft).
+	// flowing through Raft). The rates and the mix count every op;
+	// writeHeat records each op with its heat weight (rpc.Op.Heat).
 	lookupRate    *heat.Rate
 	proposeRate   *heat.Rate
 	leaderReads   atomic.Int64
@@ -386,6 +387,10 @@ func (g *Group) Lookup(op *rpc.Op, path string) (LookupResult, error) {
 	var scratch [maxReplicas]int
 	hot := false
 	if g.cfg.Hotspot {
+		// Every lookup, not only the sampled ones: promotion compares
+		// these counts with HotThreshold, and 1-in-64 samples would put
+		// ±35 % (one σ) on a directory at the default threshold and flip
+		// its promotion from run to run.
 		g.readHeat.Record(path)
 		if err := g.maybeShed(); err != nil {
 			return res, err
@@ -581,21 +586,21 @@ func (g *Group) KillLeader() bool {
 // AddDir replicates a new directory's access entry (mkdir commit);
 // parentPath feeds the write-heat sketch.
 func (g *Group) AddDir(op *rpc.Op, pid types.InodeID, name string, id types.InodeID, perm types.Perm, parentPath string) error {
-	g.writeHeat.Record(parentPath)
+	g.writeHeat.RecordN(parentPath, op.Heat())
 	return g.propose(op, Cmd{Kind: CmdAddDir, Pid: pid, Name: name, ID: id, Perm: perm})
 }
 
 // RemoveDir replicates a directory removal (rmdir commit); path drives
 // the exact-entry cache invalidation.
 func (g *Group) RemoveDir(op *rpc.Op, pid types.InodeID, name string, id types.InodeID, path string) error {
-	g.writeHeat.Record(pathutil.Dir(path))
+	g.writeHeat.RecordN(pathutil.Dir(path), op.Heat())
 	return g.propose(op, Cmd{Kind: CmdRemoveDir, Pid: pid, Name: name, ID: id, Path: path})
 }
 
 // SetPerm replicates a permission change; path drives subtree cache
 // invalidation on every replica.
 func (g *Group) SetPerm(op *rpc.Op, id types.InodeID, perm types.Perm, path string) error {
-	g.writeHeat.Record(path)
+	g.writeHeat.RecordN(path, op.Heat())
 	return g.propose(op, Cmd{Kind: CmdSetPerm, ID: id, Perm: perm, Path: path})
 }
 
@@ -624,7 +629,7 @@ func (g *Group) PrepareRename(op *rpc.Op, srcPath, dstParentPath, dstName, lockI
 // the entry, clears the lock (leader), and invalidates its cache under
 // the source path.
 func (g *Group) CommitRename(op *rpc.Op, prep RenamePrep, dstName, srcPath, lockID string) error {
-	g.writeHeat.Record(pathutil.Dir(srcPath))
+	g.writeHeat.RecordN(pathutil.Dir(srcPath), op.Heat())
 	return g.propose(op, Cmd{
 		Kind: CmdRename,
 		Pid:  prep.SrcPid, Name: prep.SrcName, ID: prep.SrcID, Perm: prep.SrcPerm,

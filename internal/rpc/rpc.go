@@ -277,11 +277,12 @@ type Op struct {
 	root   *Op // the op whose counters a derived op shares; nil on the root
 	ctx    context.Context
 	rtts   atomic.Int32 // the root op's round trips
+	heat   int64        // the root op's heat weight (Heat)
 }
 
 // Begin starts tracking a new operation with no trace attached.
 func (c *Caller) Begin() *Op {
-	return &Op{caller: c, ctx: context.Background()}
+	return &Op{caller: c, ctx: context.Background(), heat: 1}
 }
 
 // BeginTraced starts tracking a new operation whose RPCs record spans
@@ -290,8 +291,19 @@ func (c *Caller) BeginTraced(ctx context.Context) *Op {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Op{caller: c, ctx: ctx}
+	return &Op{caller: c, ctx: ctx, heat: 1}
 }
+
+// Heat returns the op's heat weight: how many operations every heat
+// sketch the op passes records it as. Begin and BeginTraced set 1, so
+// each op counts exactly; an op frame that samples its ops sets the
+// sampling stride on the sampled ones and 0 on the rest, which then
+// touch no sketch.
+func (o *Op) Heat() int64 { return o.rootOp().heat }
+
+// SetHeat sets the op's heat weight. It is called before the op's
+// first RPC, from the goroutine that began it.
+func (o *Op) SetHeat(w int64) { o.rootOp().heat = w }
 
 // Context returns the trace context the op's RPCs record against.
 func (o *Op) Context() context.Context { return o.ctx }

@@ -41,7 +41,7 @@ func (db *DB) CreateRoot(root types.InodeID) error {
 func (db *DB) read(op *rpc.Op, pid types.InodeID, fn func(s *storage.Shard) error) error {
 	return db.readRetry(pid, func(si int) error {
 		p := db.parts[si]
-		db.noteRead(si, pid)
+		db.noteRead(si, pid, op.Heat())
 		return op.Call(p.Node, db.cfg.OpCost, func() error { return fn(p.Shard) })
 	})
 }

@@ -336,12 +336,14 @@ func (db *DB) shardFor(pid types.InodeID) *txn.Participant {
 	return db.parts[db.shardIdx(pid)]
 }
 
-// noteRead accounts one read served by shard si against directory dir.
-func (db *DB) noteRead(si int, dir types.InodeID) {
+// noteRead accounts one read served by shard si against directory dir:
+// exactly in the shard's load, with the op's heat weight (rpc.Op.Heat)
+// in the directory sketch.
+func (db *DB) noteRead(si int, dir types.InodeID, weight int64) {
 	l := &db.loads[si]
 	l.reads.Add(1)
 	l.rate.Add(1)
-	db.dirHeat.Record(dir)
+	db.dirHeat.RecordN(dir, weight)
 }
 
 // notePieces accounts a successfully built transaction's pieces against
@@ -556,7 +558,7 @@ const maxRetries = 10000
 func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, then func(), build func(attempt int) ([]txn.Piece, error)) (int, error) {
 	ctx, sp := trace.Start(op.Context(), "txn-commit")
 	op = op.WithContext(ctx)
-	db.dirHeat.Record(contendedDir)
+	db.dirHeat.RecordN(contendedDir, op.Heat())
 	start := time.Now()
 	id := db.newTxnID()
 	wrapped := func(attempt int) ([]txn.Piece, error) {
