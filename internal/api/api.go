@@ -11,6 +11,7 @@
 package api
 
 import (
+	"cmp"
 	"time"
 
 	"mantle/internal/clock"
@@ -55,8 +56,7 @@ type Service interface {
 	Stop()
 }
 
-// PopDir describes one directory for bulk population. Parents must
-// precede children.
+// PopDir describes one directory for bulk population, in any order.
 type PopDir struct {
 	Path string
 	ID   types.InodeID
@@ -64,21 +64,39 @@ type PopDir struct {
 	Perm types.Perm
 }
 
-// Access is the directory's access entry: its name is the path's last
-// component, and an unset permission means PermAll.
-func (d PopDir) Access() types.AccessEntry {
-	e := types.AccessEntry{Pid: d.Pid, Name: pathutil.Base(d.Path), ID: d.ID, Perm: d.Perm}
-	if e.Perm == 0 {
-		e.Perm = types.PermAll
-	}
-	return e
-}
-
 // PopObject describes one object for bulk population.
 type PopObject struct {
 	Pid  types.InodeID
 	Name string
 	Size int64
+}
+
+// PopRows converts a population batch into the rows it writes,
+// directories first, and the directories' access entries — the one
+// conversion every system's Populate runs. Every directory ID is reserved
+// in ids before the objects' IDs are allocated from it, so the two never
+// collide. A directory is named by its path's last component and an unset
+// permission means PermAll.
+func PopRows(ids *types.IDAlloc, dirs []PopDir, objects []PopObject) ([]types.Entry, []types.AccessEntry) {
+	rows := make([]types.Entry, 0, len(dirs)+len(objects))
+	access := make([]types.AccessEntry, len(dirs))
+	var maxID types.InodeID
+	for i, d := range dirs {
+		rows = append(rows, types.Entry{
+			Pid: d.Pid, Name: pathutil.Base(d.Path), ID: d.ID, Kind: types.KindDir,
+			Perm: cmp.Or(d.Perm, types.PermAll),
+		})
+		access[i] = rows[i].Access()
+		maxID = max(maxID, d.ID)
+	}
+	ids.ReserveIDs(maxID)
+	for _, o := range objects {
+		rows = append(rows, types.Entry{
+			Pid: o.Pid, Name: o.Name, ID: ids.NewID(), Kind: types.KindObject,
+			Perm: types.PermAll, Attr: types.Attr{Size: o.Size},
+		})
+	}
+	return rows, access
 }
 
 // Timer measures operation phases.

@@ -79,8 +79,8 @@ var rootKey = types.Key{Pid: 0, Name: "/"}
 type Store struct {
 	cfg    Config
 	parts  []*txn.Participant
-	nextID atomic.Uint64
 	txnSeq atomic.Uint64
+	types.IDAlloc
 
 	// Per-row pacers modelling latch/atomic serialisation on hot rows.
 	latchMu sync.Mutex
@@ -96,7 +96,6 @@ func New(cfg Config) *Store {
 		cfg:     cfg,
 		latches: make(map[types.Key]*netsim.Node),
 	}
-	s.nextID.Store(uint64(types.RootID))
 	for i := 0; i < cfg.Shards; i++ {
 		s.parts = append(s.parts, &txn.Participant{
 			Shard: storage.NewShard(fmt.Sprintf("%s-%d", cfg.Name, i)),
@@ -114,19 +113,6 @@ func New(cfg Config) *Store {
 	return s
 }
 
-// NewID allocates an inode ID.
-func (s *Store) NewID() types.InodeID { return types.InodeID(s.nextID.Add(1)) }
-
-// ReserveIDs advances the allocator past max (population).
-func (s *Store) ReserveIDs(max types.InodeID) {
-	for {
-		cur := s.nextID.Load()
-		if cur >= uint64(max) || s.nextID.CompareAndSwap(cur, uint64(max)) {
-			return
-		}
-	}
-}
-
 // NewTxnID returns a unique transaction ID.
 func (s *Store) NewTxnID() string {
 	return fmt.Sprintf("%s-%d", s.cfg.Name, s.txnSeq.Add(1))
@@ -137,9 +123,10 @@ func (s *Store) Retries() int64 { return s.retries.Load() }
 
 // ShardFor maps a pid to its participant.
 func (s *Store) ShardFor(pid types.InodeID) *txn.Participant {
-	h := uint64(pid) * 0x9E3779B97F4A7C15
-	return s.parts[h%uint64(len(s.parts))]
+	return s.parts[s.shardIdx(pid)]
 }
+
+func (s *Store) shardIdx(pid types.InodeID) int { return storage.HashShard(pid, len(s.parts)) }
 
 // GetDirect reads a row without RPC charging (modelling helpers and
 // population checks).
@@ -327,17 +314,14 @@ func (s *Store) RunTxn(op *rpc.Op, build func(attempt int) ([]txn.Piece, error))
 	return txn.RunWithRetry(txn.Direct{}, op, s.NewTxnID(), maxRetries, s.cfg.RetryBase, s.cfg.RetryMax, nil, wrapped)
 }
 
-// BulkInsert loads rows directly (population).
-func (s *Store) BulkInsert(entries []types.Entry) error {
-	for _, e := range entries {
-		p := s.ShardFor(e.Pid)
-		if err := p.Shard.Apply([]storage.Mutation{{
-			Kind: storage.MutPut, Key: types.Key{Pid: e.Pid, Name: e.Name}, Entry: e,
-		}}); err != nil {
-			return err
-		}
+// BulkInsert loads rows through storage.BulkInsert, returning the link
+// counts for the caller to land.
+func (s *Store) BulkInsert(entries []types.Entry) (map[types.InodeID]int64, error) {
+	shards := make([]*storage.Shard, len(s.parts))
+	for i, p := range s.parts {
+		shards[i] = p.Shard
 	}
-	return nil
+	return storage.BulkInsert(shards, s.shardIdx, "", entries)
 }
 
 // ScanChildren lists a directory's children in one charged RPC.

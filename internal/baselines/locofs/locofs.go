@@ -441,24 +441,19 @@ func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, 
 	return t.Done(op, 0, types.Entry{}), err
 }
 
-// Populate implements api.Service.
+// Populate implements api.Service. The side counts move by what landed:
+// a directory gains the subdirectories new to the directory server's
+// table and the object rows new to the object store.
 func (s *Service) Populate(dirs []api.PopDir, objects []api.PopObject) error {
-	access := make([]types.AccessEntry, 0, len(dirs))
-	for _, d := range dirs {
-		access = append(access, d.Access())
-		s.counts.add(d.Pid, 0, 1)
-		s.objStore.ReserveIDs(d.ID)
+	rows, access := api.PopRows(&s.objStore.IDAlloc, dirs, objects)
+	for dir, n := range s.dir.BulkAdd(access) {
+		s.counts.add(dir, 0, n)
 	}
-	s.dir.BulkAdd(access)
-	entries := make([]types.Entry, 0, len(objects))
-	for _, o := range objects {
-		entries = append(entries, types.Entry{
-			Pid: o.Pid, Name: o.Name, ID: s.objStore.NewID(), Kind: types.KindObject,
-			Perm: types.PermAll, Attr: types.Attr{Size: o.Size},
-		})
-		s.counts.add(o.Pid, 1, 0)
+	links, err := s.objStore.BulkInsert(rows[len(dirs):])
+	for dir, n := range links {
+		s.counts.add(dir, n, 0)
 	}
-	return s.objStore.BulkInsert(entries)
+	return err
 }
 
 // dirCount is one directory's bookkeeping beside the replicated tree:

@@ -670,24 +670,7 @@ func (m *Mantle) SetPerm(op *rpc.Op, dirPath string, perm types.Perm) (types.Res
 // Populate implements api.Service: bulk-load dirs and objects into TafDB
 // and the IndexNode replicas.
 func (m *Mantle) Populate(dirs []api.PopDir, objects []api.PopObject) error {
-	entries := make([]types.Entry, 0, len(dirs)+len(objects))
-	access := make([]types.AccessEntry, 0, len(dirs))
-	maxID := uint64(types.RootID)
-	for _, d := range dirs {
-		a := d.Access()
-		entries = append(entries, types.Entry{Pid: a.Pid, Name: a.Name, ID: a.ID, Kind: types.KindDir, Perm: a.Perm})
-		access = append(access, a)
-		if uint64(d.ID) > maxID {
-			maxID = uint64(d.ID)
-		}
-	}
-	m.db.ReserveIDs(types.InodeID(maxID))
-	for _, o := range objects {
-		entries = append(entries, types.Entry{
-			Pid: o.Pid, Name: o.Name, ID: m.db.NewID(), Kind: types.KindObject,
-			Perm: types.PermAll, Attr: types.Attr{Size: o.Size},
-		})
-	}
+	entries, access := api.PopRows(&m.db.IDAlloc, dirs, objects)
 	// The IndexNode replicas load alongside TafDB's shards.
 	indexed := make(chan struct{})
 	go func() {

@@ -333,18 +333,11 @@ func (m *Mantle) RebuildIndex() int {
 	var maxID types.InodeID
 	m.db.ForEachRow(func(row storage.Row) {
 		e := row.Entry
-		if e.ID > maxID {
-			maxID = e.ID
-		}
-		if e.Pid > maxID {
-			maxID = e.Pid
-		}
+		maxID = max(maxID, e.ID, e.Pid)
 		if e.Kind != types.KindDir || (len(e.Name) > 0 && e.Name[0] == 0) {
 			return
 		}
-		entries = append(entries, types.AccessEntry{
-			Pid: e.Pid, Name: e.Name, ID: e.ID, Perm: e.Perm,
-		})
+		entries = append(entries, e.Access())
 	})
 	// Rows that arrived by replication or bulk load carry IDs this
 	// site's allocator never issued; advance it past them so

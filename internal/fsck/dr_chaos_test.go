@@ -14,6 +14,7 @@ import (
 	"mantle/internal/indexnode"
 	"mantle/internal/raft"
 	"mantle/internal/repl"
+	"mantle/internal/storage"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
 )
@@ -314,7 +315,7 @@ func TestScrubOnline(t *testing.T) {
 	if _, err := m.Mkdir(op(m), "/damaged"); err != nil {
 		t.Fatal(err)
 	}
-	m.DB().DeleteRowDirect(types.RootID, "damaged")
+	corrupt(t, m, storage.Mutation{Kind: storage.MutDelete, Key: types.Key{Pid: types.RootID, Name: "damaged"}})
 	rep = Scrub(m, 3)
 	if rep.OK() {
 		t.Fatal("scrub missed persistent damage")

@@ -9,6 +9,7 @@ import (
 	"mantle/internal/indexnode"
 	"mantle/internal/raft"
 	"mantle/internal/rpc"
+	"mantle/internal/storage"
 	"mantle/internal/tafdb"
 	"mantle/internal/types"
 )
@@ -106,6 +107,15 @@ func TestDetectsIndexExtra(t *testing.T) {
 	}
 }
 
+// corrupt applies mut straight to the shard serving its key, bypassing
+// transactions and the index: damage injection.
+func corrupt(t *testing.T, m *core.Mantle, mut storage.Mutation) {
+	t.Helper()
+	if err := m.DB().ApplyToShard(m.DB().ShardOf(mut.Key.Pid), []storage.Mutation{mut}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDetectsLinkCountDrift(t *testing.T) {
 	m := newMantle(t, tafdb.DeltaOff)
 	buildWorkload(t, m)
@@ -114,7 +124,8 @@ func TestDetectsLinkCountDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt: bump the directory's link count without adding a child.
-	m.DB().BumpLink(res.Entry.ID, 3)
+	corrupt(t, m, storage.Mutation{Kind: storage.MutDeltaAttr,
+		Key: types.Key{Pid: res.Entry.ID, Name: attrName}, Delta: storage.AttrDelta{LinkCount: 3}})
 	rep := Check(m)
 	if !hasCheck(rep, "linkcount") {
 		t.Fatalf("expected linkcount, got %v", rep.Issues)
@@ -130,7 +141,7 @@ func TestDetectsOrphanSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.DB().DeleteRowDirect(types.RootID, "a")
+	corrupt(t, m, storage.Mutation{Kind: storage.MutDelete, Key: types.Key{Pid: types.RootID, Name: "a"}})
 	rep := Check(m)
 	if !hasCheck(rep, "orphan") {
 		t.Fatalf("expected orphan, got %v", rep.Issues)

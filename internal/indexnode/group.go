@@ -315,18 +315,20 @@ func (g *Group) Replicas() []*Replica { return g.replicas }
 func (g *Group) Nodes() []*netsim.Node { return g.nodes }
 
 // BulkAdd populates every replica's IndexTable directly (experiment
-// setup; bypasses Raft deterministically on all replicas). The replicas
-// load concurrently.
-func (g *Group) BulkAdd(entries []types.AccessEntry) {
+// setup; bypasses Raft deterministically on all replicas), returning how
+// many new entries each parent gained. The replicas load concurrently.
+func (g *Group) BulkAdd(entries []types.AccessEntry) map[types.InodeID]int64 {
 	var wg sync.WaitGroup
-	for _, rep := range g.replicas {
+	for _, rep := range g.replicas[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rep.BulkAdd(entries)
 		}()
 	}
+	gained := g.replicas[0].BulkAdd(entries)
 	wg.Wait()
+	return gained
 }
 
 // lookupCost computes the CPU charge for a resolution that walked the

@@ -133,12 +133,17 @@ func (r *Replica) Apply(_ uint64, cmd []byte) {
 }
 
 // BulkAdd inserts directory entries directly (population before
-// experiments; bypasses Raft on every replica identically).
-func (r *Replica) BulkAdd(entries []types.AccessEntry) {
+// experiments; bypasses Raft on every replica identically), returning how
+// many new entries each parent gained.
+func (r *Replica) BulkAdd(entries []types.AccessEntry) map[types.InodeID]int64 {
+	gained := map[types.InodeID]int64{}
 	for _, e := range entries {
-		r.table.Load().Put(e)
+		if r.table.Load().Put(e) {
+			gained[e.Pid]++
+		}
 	}
 	r.applySeq.Add(1)
+	return gained
 }
 
 // LookupResult is the outcome of a local path resolution.

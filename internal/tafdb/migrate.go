@@ -52,7 +52,7 @@ func (t *routingTable) shardIdx(db *DB, pid types.InodeID) int {
 			return si
 		}
 	}
-	return db.hashIdx(pid)
+	return storage.HashShard(pid, len(db.parts))
 }
 
 // RoutingEpoch returns the current routing-table epoch; it advances on
@@ -74,7 +74,7 @@ func (db *DB) flipRouting(pid types.InodeID, dst int) {
 	for k, v := range old.overrides {
 		next.overrides[k] = v
 	}
-	if dst == db.hashIdx(pid) {
+	if dst == storage.HashShard(pid, len(db.parts)) {
 		delete(next.overrides, pid)
 	} else {
 		next.overrides[pid] = dst

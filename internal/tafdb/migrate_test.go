@@ -237,7 +237,7 @@ func TestMigrateDirRejectsBadTargets(t *testing.T) {
 	if moved, err := db.MigrateDir(caller.Begin(), dir, db.ShardOf(dir)); err != nil || moved != 0 {
 		t.Fatalf("self-migration = %d, %v", moved, err)
 	}
-	if _, err := db.MigrateDir(caller.Begin(), types.InodeID(99999), (db.hashIdx(99999)+1)%db.Shards()); !errors.Is(err, types.ErrNotFound) {
+	if _, err := db.MigrateDir(caller.Begin(), types.InodeID(99999), (db.ShardOf(99999)+1)%db.Shards()); !errors.Is(err, types.ErrNotFound) {
 		t.Fatalf("migrating a nonexistent dir: %v", err)
 	}
 }

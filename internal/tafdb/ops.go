@@ -1,17 +1,10 @@
 package tafdb
 
 import (
-	"cmp"
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"slices"
-	"strings"
-	"sync"
 	"time"
 
-	"mantle/internal/intern"
 	"mantle/internal/rpc"
 	"mantle/internal/storage"
 	"mantle/internal/txn"
@@ -327,191 +320,17 @@ func (db *DB) SetDirPerm(op *rpc.Op, parent types.InodeID, name string, dir type
 	})
 }
 
-// rowRef names one row of a BulkInsert batch without copying it: ref is
-// the entry's index<<1, plus 1 for a directory's primary attribute row,
-// and pid is the row key's pid.
-type rowRef struct {
-	pid types.InodeID
-	ref uint32
-}
-
-// walChunk bounds the mutations per logged Apply when a WAL shard takes a
-// bulk load: one WAL record and one sync wait per chunk, not per row.
-const walChunk = 256
-
-// BulkInsert loads entries directly into the shards without transactions
-// or RPC charging — the mdtest-style population step used to build
-// billion-scale (scaled-down) namespaces before experiments.
-//
-// One counting pass interns the entries' names in place (population is
-// where nearly every name enters the process, so popular components
-// collapse to one allocation namespace-wide) and sizes every shard's
-// slice of one rowRef array: rows are referenced, never copied, until
-// Shard.BulkLoad rebuilds each B-tree bottom-up at ~97% node occupancy.
-// Each shard sorts and dedupes its own references (the last write of a
-// key wins, as with Apply); up to GOMAXPROCS shards load at once.
-//
-// A directory's link count gains the distinct keys under it that its
-// shard did not already hold: on top of the primary row the batch
-// replaces, or as a bump when the primary row is outside the batch (the
-// bootstrap root, an existing directory). A primary row and its children
-// share the directory's pid, so each count is local to one shard.
-//
-// Shards with a WAL attached refuse the unlogged fast path (a crash would
-// silently lose the rows) and apply the same rows logged, walChunk per
-// Apply. Run it on a quiesced namespace.
+// BulkInsert loads entries through storage.BulkInsert — the mdtest-style
+// population step that builds scaled-down namespaces before experiments.
+// A directory's primary attribute row is its link row, so every link
+// count lands within the load, on the shard of the directory's children.
 func (db *DB) BulkInsert(entries []types.Entry) error {
-	if len(entries) > math.MaxUint32>>1 {
-		return fmt.Errorf("bulk insert: %d entries overflow a 32-bit row reference", len(entries))
+	shards := make([]*storage.Shard, len(db.parts))
+	for i, p := range db.parts {
+		shards[i] = p.Shard
 	}
-	rt := db.routing.Load()
-	// off[si]..off[si+1] is shard si's slice of one reference array.
-	off := make([]int, len(db.parts)+1)
-	for i := range entries {
-		e := &entries[i]
-		e.Name = intern.Intern(e.Name)
-		off[rt.shardIdx(db, e.Pid)+1]++
-		if e.IsDir() {
-			off[rt.shardIdx(db, e.ID)+1]++
-		}
-	}
-	for si := range db.parts {
-		off[si+1] += off[si]
-	}
-	refs := make([]rowRef, off[len(db.parts)])
-	fill := slices.Clone(off[:len(db.parts)])
-	for i := range entries {
-		e := &entries[i]
-		si := rt.shardIdx(db, e.Pid)
-		refs[fill[si]] = rowRef{pid: e.Pid, ref: uint32(i) << 1}
-		fill[si]++
-		if e.IsDir() {
-			si = rt.shardIdx(db, e.ID)
-			refs[fill[si]] = rowRef{pid: e.ID, ref: uint32(i)<<1 | 1}
-			fill[si]++
-		}
-	}
-	errs := make([]error, len(db.parts))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for si, p := range db.parts {
-		if off[si] == off[si+1] {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			errs[si] = loadShard(p.Shard, entries, refs[off[si]:off[si+1]])
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// loadShard sorts, dedupes and loads one shard's share of a BulkInsert
-// batch, then bumps the link counts of its out-of-batch parents.
-func loadShard(s *storage.Shard, entries []types.Entry, refs []rowRef) error {
-	name := func(r rowRef) string {
-		if r.ref&1 != 0 {
-			return attrName
-		}
-		return entries[r.ref>>1].Name
-	}
-	slices.SortFunc(refs, func(a, b rowRef) int {
-		return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.ref, b.ref))
-	})
-	// Name-sort each pid run, ties on input position, so the last of a
-	// run of equal keys is the last write, and keep that one. A primary
-	// row heads its run ("\x00attr" sorts below every name): it gets the
-	// link count of the row it replaces plus the run's children the shard
-	// did not hold; without one, those children bump the parent.
-	byName := func(a, b rowRef) int {
-		return cmp.Or(strings.Compare(name(a), name(b)), cmp.Compare(a.ref, b.ref))
-	}
-	check := s.Len() > 0 // only a non-empty shard can hold a batch key
-	links := map[types.InodeID]int64{}
-	var bumps []storage.Mutation
-	w := 0
-	for lo := 0; lo < len(refs); {
-		pid, hi := refs[lo].pid, lo+1
-		for hi < len(refs) && refs[hi].pid == pid {
-			hi++
-		}
-		run := refs[lo:hi]
-		slices.SortFunc(run, byName)
-		head, n := w, int64(0)
-		for i, r := range run {
-			if i+1 < len(run) && name(run[i+1]) == name(r) {
-				continue
-			}
-			var old storage.Row
-			held := false
-			if check {
-				old, held = s.Get(types.Key{Pid: pid, Name: name(r)})
-			}
-			switch {
-			case r.ref&1 != 0:
-				n += old.Entry.Attr.LinkCount
-			case !held:
-				n++
-			}
-			refs[w] = r
-			w++
-		}
-		if refs[head].ref&1 != 0 {
-			links[pid] = n
-		} else if n > 0 {
-			bumps = append(bumps, storage.Mutation{
-				Kind: storage.MutDeltaAttr, Key: attrKey(pid),
-				Delta: storage.AttrDelta{LinkCount: n},
-			})
-		}
-		lo = hi
-	}
-	refs = refs[:w]
-	row := func(i int) (types.Key, types.Entry) {
-		r := refs[i]
-		e := entries[r.ref>>1]
-		if r.ref&1 != 0 {
-			e.Pid, e.Name, e.Attr.LinkCount = e.ID, attrName, links[e.ID]
-		}
-		return types.Key{Pid: e.Pid, Name: e.Name}, e
-	}
-	if s.BulkLoad(len(refs), row) {
-		if len(bumps) == 0 {
-			return nil
-		}
-		return s.Apply(bumps)
-	}
-	// Logged: the rows, then the bumps, walChunk mutations per Apply (a
-	// fresh slice each, since the replication hook may keep it).
-	total := len(refs) + len(bumps)
-	for lo := 0; lo < total; lo += walChunk {
-		chunk := make([]storage.Mutation, 0, min(walChunk, total-lo))
-		for j := lo; j < lo+cap(chunk); j++ {
-			if j >= len(refs) {
-				chunk = append(chunk, bumps[j-len(refs)])
-				continue
-			}
-			k, e := row(j)
-			chunk = append(chunk, storage.Mutation{Kind: storage.MutPut, Key: k, Entry: e})
-		}
-		if err := s.Apply(chunk); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BumpLink adjusts a directory's link count directly, bypassing
-// transactions — link-count drift injection for fsck tests.
-func (db *DB) BumpLink(dir types.InodeID, delta int64) {
-	p := db.shardFor(dir)
-	_ = p.Shard.Apply([]storage.Mutation{{
-		Kind: storage.MutDeltaAttr, Key: attrKey(dir),
-		Delta: storage.AttrDelta{LinkCount: delta},
-	}})
+	_, err := storage.BulkInsert(shards, db.shardIdx, attrName, entries)
+	return err
 }
 
 // TotalRows returns the number of MetaTable rows across shards
@@ -522,15 +341,6 @@ func (db *DB) TotalRows() int {
 		total += p.Shard.Len()
 	}
 	return total
-}
-
-// DeleteRowDirect removes a MetaTable row bypassing transactions —
-// corruption injection for fsck tests. Never used by the service path.
-func (db *DB) DeleteRowDirect(pid types.InodeID, name string) {
-	p := db.shardFor(pid)
-	_ = p.Shard.Apply([]storage.Mutation{{
-		Kind: storage.MutDelete, Key: types.Key{Pid: pid, Name: name},
-	}})
 }
 
 // ReadDirPage lists up to limit children of dir with names greater than

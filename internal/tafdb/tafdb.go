@@ -195,7 +195,7 @@ type DB struct {
 	migratedRows    atomic.Int64
 	migrationAborts atomic.Int64
 
-	nextID  atomic.Uint64
+	types.IDAlloc
 	txnSeq  atomic.Uint64
 	tsSeq   atomic.Uint64
 	retries atomic.Int64 // cumulative transaction retries (contention metric)
@@ -221,7 +221,6 @@ func New(cfg Config) *DB {
 		conflicts: make(map[types.InodeID]int),
 		stopCh:    make(chan struct{}),
 	}
-	db.nextID.Store(uint64(types.RootID))
 	db.runner = txn.Direct{}
 	if cfg.Batch2PC {
 		db.runner = txn.NewBatcher(0) // the batcher's own bound, 64 per round
@@ -264,25 +263,6 @@ func (db *DB) Stop() {
 	db.wg.Wait()
 }
 
-// NewID allocates a fresh inode ID.
-func (db *DB) NewID() types.InodeID {
-	return types.InodeID(db.nextID.Add(1))
-}
-
-// ReserveIDs advances the allocator past max, so bulk-populated inode IDs
-// never collide with transactionally allocated ones.
-func (db *DB) ReserveIDs(max types.InodeID) {
-	for {
-		cur := db.nextID.Load()
-		if cur >= uint64(max) {
-			return
-		}
-		if db.nextID.CompareAndSwap(cur, uint64(max)) {
-			return
-		}
-	}
-}
-
 // newTxnID returns a unique transaction identifier.
 func (db *DB) newTxnID() string {
 	var b [24]byte
@@ -316,13 +296,6 @@ func (db *DB) Nodes() []*netsim.Node {
 		out[i] = p.Node
 	}
 	return out
-}
-
-// hashIdx is the static pid→shard hash. Fibonacci hashing spreads
-// sequential IDs.
-func (db *DB) hashIdx(pid types.InodeID) int {
-	h := uint64(pid) * 0x9E3779B97F4A7C15
-	return int(h % uint64(len(db.parts)))
 }
 
 // shardIdx maps a pid to its current shard index: the routing table's

@@ -11,8 +11,12 @@ import (
 
 	"mantle/internal/netsim"
 	"mantle/internal/rpc"
+	"mantle/internal/storage"
 	"mantle/internal/types"
 )
+
+// walChunk is the loader's mutations per logged Apply.
+const walChunk = storage.BulkChunk
 
 func testDB(t *testing.T, mode DeltaMode) (*DB, *rpc.Caller) {
 	t.Helper()

@@ -8,6 +8,7 @@ package types
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,6 +21,25 @@ const RootID InodeID = 1
 
 // InvalidID is the zero InodeID, never assigned to an entry.
 const InvalidID InodeID = 0
+
+// IDAlloc allocates inode IDs above RootID; the zero value is ready.
+type IDAlloc struct {
+	n atomic.Uint64 // IDs issued or reserved past RootID
+}
+
+// NewID allocates a fresh inode ID.
+func (a *IDAlloc) NewID() InodeID { return RootID + InodeID(a.n.Add(1)) }
+
+// ReserveIDs advances the allocator past max, so IDs assigned elsewhere
+// (bulk population, replication) never collide with allocated ones.
+func (a *IDAlloc) ReserveIDs(max InodeID) {
+	for {
+		cur := a.n.Load()
+		if max <= RootID+InodeID(cur) || a.n.CompareAndSwap(cur, uint64(max-RootID)) {
+			return
+		}
+	}
+}
 
 // EntryKind discriminates directories from objects in the MetaTable.
 type EntryKind uint8
@@ -86,6 +106,12 @@ type Entry struct {
 
 // IsDir reports whether the entry is a directory.
 func (e *Entry) IsDir() bool { return e.Kind == KindDir }
+
+// Access is the entry's access entry, the row IndexNode keeps of a
+// directory.
+func (e *Entry) Access() AccessEntry {
+	return AccessEntry{Pid: e.Pid, Name: e.Name, ID: e.ID, Perm: e.Perm}
+}
 
 // AccessEntry is the slice of directory metadata that IndexNode
 // consolidates (the "red" metadata in Figure 5): roughly 80 bytes per
