@@ -30,12 +30,13 @@ test-race:
 # the path cache's fill-vs-invalidate ordering (radix.Cache and its three
 # users: TopDirPathCache, the proxy cache, InfiniFS's AM-Cache), and the
 # heat sketches every lookup may record into (heat.TopK under its one
-# mutex, fed by the sampled ops), twenty times under the race detector:
-# the inline-round / queued-round hand-off, the published-snapshot
-# hand-off and the epoch-guarded fill have to hold under many schedules,
-# not one.
+# mutex, fed by the sampled ops), and the lookup failure contract (a hot
+# lookup falling through to Group.Call, the per-attempt replica re-pick),
+# twenty times under the race detector: the inline-round / queued-round
+# hand-off, the published-snapshot hand-off, the epoch-guarded fill and
+# the fall-through have to hold under many schedules, not one.
 test-readpath:
-	$(GO) test -race -count=20 -run 'ReadIndex|FollowerRead|BoundedStale|ReadAfterWrite|Invalidator|RacingRename|AbortRename|LookupDuringModification|Cache|ProxyCache|AMCache|Fill|InvalidationStress|TopK|HeatRidesTheSampler' ./internal/raft/ ./internal/indexnode/ ./internal/radix/ ./internal/core/ ./internal/baselines/infinifs/ ./internal/heat/
+	$(GO) test -race -count=20 -run 'ReadIndex|FollowerRead|BoundedStale|ReadAfterWrite|Invalidator|RacingRename|AbortRename|LookupDuringModification|Cache|ProxyCache|AMCache|Fill|InvalidationStress|TopK|HeatRidesTheSampler|LookupFailureContract' ./internal/raft/ ./internal/indexnode/ ./internal/radix/ ./internal/core/ ./internal/baselines/infinifs/ ./internal/heat/
 
 # The front door under the race detector, five times: one dispatcher
 # (Cluster.exec) is shared by every TCP connection's goroutine and the
@@ -64,7 +65,7 @@ loc:
 # lowered it. A PR that shrinks the tree lowers LOC_CEILING to its own
 # result; one that has to grow it raises the ceiling on purpose, in the
 # diff, where a reviewer sees it.
-LOC_CEILING = 20751
+LOC_CEILING = 20729
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

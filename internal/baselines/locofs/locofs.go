@@ -146,7 +146,7 @@ func (s *Service) resolve(d leader, verb, path, dir string, need types.Perm) (in
 // finds leadership moved (ErrNotLeader from propose included) is retried
 // there.
 func (s *Service) dirCall(op *rpc.Op, fn func(d leader) error) error {
-	return s.dir.Call(op, "call", indexnode.AnyLeader, 0, func(i int, _ time.Time) error {
+	return s.dir.Call(op, "call", indexnode.AnyLeader, 0, func(i int, _ time.Duration) error {
 		return fn(leader{s.dir.Replicas()[i], s.dir.Nodes()[i], s.dir.Rafts()[i]})
 	})
 }

@@ -1,7 +1,6 @@
 package indexnode
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"mantle/internal/types"
@@ -45,22 +44,17 @@ type Cmd struct {
 // encoded once per proposal and once per retry attempt on the write hot
 // path).
 func (c Cmd) Encode() []byte {
-	size := 1 + 3*8 + 2 + 4*4 + len(c.Name) + len(c.DstName) + len(c.Path) + len(c.LockID)
-	out := make([]byte, 0, size)
-	out = append(out, byte(c.Kind))
-	out = binary.LittleEndian.AppendUint64(out, uint64(c.Pid))
-	out = binary.LittleEndian.AppendUint64(out, uint64(c.ID))
-	out = binary.LittleEndian.AppendUint64(out, uint64(c.DstPid))
-	out = binary.LittleEndian.AppendUint16(out, uint16(c.Perm))
-	appendStr := func(s string) {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(s)))
-		out = append(out, s...)
-	}
-	appendStr(c.Name)
-	appendStr(c.DstName)
-	appendStr(c.Path)
-	appendStr(c.LockID)
-	return out
+	w := wire.NewWriter(1 + 3*8 + 2 + 4*4 + len(c.Name) + len(c.DstName) + len(c.Path) + len(c.LockID))
+	w.Byte(byte(c.Kind))
+	w.U64(uint64(c.Pid))
+	w.U64(uint64(c.ID))
+	w.U64(uint64(c.DstPid))
+	w.U16(uint16(c.Perm))
+	w.String32(c.Name)
+	w.String32(c.DstName)
+	w.String32(c.Path)
+	w.String32(c.LockID)
+	return w.Bytes()
 }
 
 // DecodeCmd parses an encoded command.

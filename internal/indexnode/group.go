@@ -350,9 +350,9 @@ func (g *Group) chargeFor(res LookupResult) time.Duration {
 
 // pickReadTarget returns the replica index to serve the next lookup, or
 // -1 when no replica is eligible. Under FollowerRead the default is
-// round-robin over all replicas; with the hotspot tier on, routing is
-// power-of-two-choices on the piggybacked load hints instead, so a
-// replica with a deep queue stops attracting new reads.
+// round-robin over the running replicas; with the hotspot tier on,
+// routing is power-of-two-choices on the piggybacked load hints instead,
+// so a replica with a deep queue stops attracting new reads.
 func (g *Group) pickReadTarget(scratch []int) int {
 	if !g.cfg.FollowerRead {
 		return g.leaderIndex()
@@ -366,7 +366,13 @@ func (g *Group) pickReadTarget(scratch []int) int {
 		}
 		return g.pickLoadAware(cands)
 	}
-	return int(g.rr.Add(1) % uint64(len(g.replicas)))
+	n := uint64(len(g.replicas))
+	for range n {
+		if i := int(g.rr.Add(1) % n); !g.rafts[i].Stopped() {
+			return i
+		}
+	}
+	return -1
 }
 
 // Lookup resolves an absolute directory path in a single proxy RPC
@@ -375,19 +381,14 @@ func (g *Group) pickReadTarget(scratch []int) int {
 // aggregated path permission, and whether the serving replica hit its
 // TopDirPathCache.
 //
-// When the serving replica cannot obtain a consistent read point — no
-// leader, or the leader unreachable across a partition — and
+// A hot-set path first gets one bounded-stale attempt (hotLookup); every
+// other lookup, and a hot one that found no read point, is a Call on
+// readTarget. When the serving replica cannot obtain a consistent read
+// point — no leader, or the leader unreachable across a partition — and
 // DegradedReads is on, the replica falls back to its local (possibly
 // stale) state so lookups keep serving while writes are unavailable.
-// Failed attempts are retried for RetryWindow, measured from the first
-// failure (Call measures its window from entry).
 func (g *Group) Lookup(op *rpc.Op, path string) (LookupResult, error) {
 	g.lookupRate.Add(1)
-	var res LookupResult
-	var lastErr error
-	opts := g.callOpts()
-	var scratch [maxReplicas]int
-	hot := false
 	if g.cfg.Hotspot {
 		// Every lookup, not only the sampled ones: promotion compares
 		// these counts with HotThreshold, and 1-in-64 samples would put
@@ -395,160 +396,136 @@ func (g *Group) Lookup(op *rpc.Op, path string) (LookupResult, error) {
 		// its promotion from run to run.
 		g.readHeat.Record(path)
 		if err := g.maybeShed(); err != nil {
-			return res, err
+			return LookupResult{}, err
 		}
-		hot = g.isHot(path)
+		if g.isHot(path) {
+			if res, ok, err := g.hotLookup(op, path); ok {
+				return res, err
+			}
+		}
 	}
-	// Set when the first failed attempt comes back around: a lookup that
-	// succeeds first time reads no clock for its retry window.
-	var deadline time.Duration // a clock.Mono reading
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if now := clock.Mono(); deadline == 0 {
-				deadline = now + g.cfg.RetryWindow
-			} else if now >= deadline {
-				break
-			}
-		}
-		if hot {
-			// Hot-set path: a non-leader replica serves at the bounded
-			// staleness read point — one RPC, no leader round trip. A
-			// read-point failure (no fresh leader contact, replica churn)
-			// falls back to the consistent path for the rest of the op.
-			cands := g.hotCandidates(scratch[:0])
-			if len(cands) == 0 {
-				hot = false
-				g.staleFalls.Add(1)
-				continue
-			}
-			idx := g.pickLoadAware(cands)
-			rep, rf, node := g.replicas[idx], g.rafts[idx], g.nodes[idx]
+	var res LookupResult
+	err := g.Call(op, "lookup", readTarget, 0, func(i int, _ time.Duration) error {
+		rep, rf, node := g.replicas[i], g.rafts[i], g.nodes[i]
+		// ConsistentRead on the leader is local (its own commit index +
+		// apply wait) and protects reads right after a leadership
+		// change, when a new leader may not yet have applied everything
+		// committed by its predecessor.
+		err := rf.ConsistentRead(func() error {
 			var lerr error
-			var herr error
-			callErr := op.Do(node, 0, opts, func() error {
-				herr = rf.BoundedStaleRead(g.hotMaxStale(), func() error {
-					res, lerr = rep.Lookup(path)
-					node.Charge(g.chargeFor(res))
-					return nil
-				})
-				return nil
-			})
-			if callErr != nil || herr != nil {
-				hot = false
-				g.staleFalls.Add(1)
-				continue
-			}
-			g.noteLoadHint(idx)
-			if lerr != nil {
-				return res, lerr
-			}
-			g.noteRead(idx, rf)
-			g.hotReads.Add(1)
-			return res, nil
-		}
-		idx := g.pickReadTarget(scratch[:])
-		if idx < 0 {
-			time.Sleep(5 * time.Millisecond)
-			lastErr = types.ErrNotLeader
-			continue
-		}
-		rep, rf, node := g.replicas[idx], g.rafts[idx], g.nodes[idx]
-		if rf.Stopped() {
-			lastErr = types.ErrStopped
-			continue
-		}
-		var err error
-		callErr := op.Do(node, 0, opts, func() error {
-			serve := func() error {
-				var lerr error
-				res, lerr = rep.Lookup(path)
-				node.Charge(g.chargeFor(res))
-				return lerr
-			}
-			// ConsistentRead on the leader is local (its own commit
-			// index + apply wait) and protects reads right after a
-			// leadership change, when a new leader may not yet have
-			// applied everything committed by its predecessor.
-			err = rf.ConsistentRead(serve)
-			if err != nil && g.cfg.DegradedReads && retryable(err) {
-				// Graceful degradation: serve from local state, stale at
-				// worst by the unreplicated suffix of the log.
-				if sres, serr := rep.Lookup(path); serr == nil {
-					node.Charge(g.chargeFor(sres))
-					g.fallbacks.Add(1)
-					res, err = sres, nil
-				}
-			}
-			return nil
+			res, lerr = rep.Lookup(path)
+			node.Charge(g.chargeFor(res))
+			return lerr
 		})
-		if callErr != nil {
-			if retryable(callErr) {
-				lastErr = callErr
-				continue
+		if err != nil && g.cfg.DegradedReads && retryable(err) {
+			// Graceful degradation: serve from local state, stale at
+			// worst by the unreplicated suffix of the log.
+			if sres, serr := rep.Lookup(path); serr == nil {
+				node.Charge(g.chargeFor(sres))
+				g.fallbacks.Add(1)
+				res, err = sres, nil
 			}
-			return res, callErr
 		}
 		if err == nil {
-			g.noteLoadHint(idx)
-			g.noteRead(idx, rf)
-			return res, nil
+			g.noteLoadHint(i)
+			g.noteRead(i, rf)
 		}
-		if retryable(err) {
-			lastErr = err
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		return res, err
+		return err
+	})
+	if errors.Is(err, types.ErrUnavailable) {
+		err = fmt.Errorf("%s: %w", path, err)
 	}
-	return res, fmt.Errorf("indexnode lookup %s: %w: %w", path, types.ErrUnavailable, lastErr)
+	return res, err
 }
 
-// AnyLeader, as Call's target, means whichever replica leads when an
-// attempt starts.
-const AnyLeader = -1
-
-// Call runs fn as one proxy RPC per attempt on replica target — or, with
-// AnyLeader, on the current leader — and owns what the write-side calls
-// (and LocoFS's directory-server calls) share: the retry window, the
-// back-off while no leader is elected, the retryable classification
-// (leadership churn, crash-stop and fabric loss are retried; application
-// errors return at once) and the ErrUnavailable wrap when the window
-// closes. fn learns the replica index it runs on and the window's
-// deadline.
-func (g *Group) Call(op *rpc.Op, what string, target int, cost time.Duration, fn func(i int, deadline time.Time) error) error {
-	var lastErr error
-	opts := g.callOpts()
-	deadline := time.Now().Add(g.cfg.RetryWindow)
-	for attempt := 0; attempt == 0 || time.Now().Before(deadline); attempt++ {
-		i := target
-		if i == AnyLeader {
-			if i = g.leaderIndex(); i < 0 {
-				time.Sleep(5 * time.Millisecond)
-				lastErr = types.ErrNotLeader
-				continue
-			}
-		}
-		var err error
-		callErr := op.Do(g.nodes[i], cost, opts, func() error {
-			err = fn(i, deadline)
+// hotLookup is a hot-set path's one bounded-stale attempt: a non-leader
+// replica serves at the bounded staleness read point — one RPC, no
+// leader round trip. ok is false when no read point could be had (no
+// running non-leader, no fresh leader contact, replica churn); the
+// lookup then takes the consistent path.
+func (g *Group) hotLookup(op *rpc.Op, path string) (res LookupResult, ok bool, err error) {
+	var scratch [maxReplicas]int
+	cands := g.hotCandidates(scratch[:0])
+	if len(cands) == 0 {
+		g.staleFalls.Add(1)
+		return res, false, nil
+	}
+	idx := g.pickLoadAware(cands)
+	rep, rf, node := g.replicas[idx], g.rafts[idx], g.nodes[idx]
+	var herr error
+	if callErr := op.Do(node, 0, g.callOpts(), func() error {
+		herr = rf.BoundedStaleRead(g.hotMaxStale(), func() error {
+			res, err = rep.Lookup(path)
+			node.Charge(g.chargeFor(res))
 			return nil
 		})
-		if callErr != nil {
-			if retryable(callErr) {
-				lastErr = callErr
-				continue
+		return nil
+	}); callErr != nil || herr != nil {
+		g.staleFalls.Add(1)
+		return res, false, nil
+	}
+	g.noteLoadHint(idx)
+	if err == nil {
+		g.noteRead(idx, rf)
+		g.hotReads.Add(1)
+	}
+	return res, true, err
+}
+
+// Call's targets besides a replica index: AnyLeader is whichever replica
+// leads when an attempt starts (exported for LocoFS's directory server);
+// readTarget is whichever pickReadTarget names — the leader, or under
+// FollowerRead any running replica.
+const (
+	AnyLeader  = -1
+	readTarget = -2
+)
+
+// Call runs fn as one proxy RPC per attempt on replica target, or on the
+// replica AnyLeader or readTarget names when the attempt starts. It is
+// the group's one retry loop, shared by lookups, the write-side calls
+// and LocoFS's directory-server calls: leadership churn, crash-stop and
+// fabric loss are retried after a short back-off (also taken while no
+// replica is eligible, as during an election); application errors
+// return at once. The retry window opens at the first failure, so a call
+// that succeeds first time reads no clock, and when it closes the last
+// failure is wrapped in ErrUnavailable. fn learns the replica index it
+// runs on and the time left in the window (all of it before a failure).
+func (g *Group) Call(op *rpc.Op, what string, target int, cost time.Duration, fn func(i int, left time.Duration) error) error {
+	opts := g.callOpts()
+	var scratch [maxReplicas]int
+	left := g.cfg.RetryWindow
+	var deadline time.Duration // a clock.Mono reading, set at the first failure
+	for {
+		i := target
+		switch target {
+		case AnyLeader:
+			i = g.leaderIndex()
+		case readTarget:
+			i = g.pickReadTarget(scratch[:])
+		}
+		err := types.ErrNotLeader // no eligible replica: wait out the election
+		if i >= 0 {
+			var ferr error
+			if err = op.Do(g.nodes[i], cost, opts, func() error {
+				ferr = fn(i, left)
+				return nil
+			}); err == nil {
+				err = ferr
 			}
-			return callErr
 		}
 		if err == nil || !retryable(err) {
 			return err
 		}
-		// Leadership moved (or the old leader crashed or was cut off):
-		// find the new leader and retry.
-		lastErr = err
+		now := clock.Mono()
+		if deadline == 0 {
+			deadline = now + g.cfg.RetryWindow
+		}
+		if left = deadline - now; left <= 0 {
+			return fmt.Errorf("%s %s: %w: %w", g.cfg.Name, what, types.ErrUnavailable, err)
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return fmt.Errorf("%s %s: %w: %w", g.cfg.Name, what, types.ErrUnavailable, lastErr)
 }
 
 // propose submits a command through the current leader with retry across
@@ -563,12 +540,9 @@ func (g *Group) propose(op *rpc.Op, c Cmd) error {
 	sp.Annotate("cmd", "%d", c.Kind)
 	defer sp.End()
 	payload := c.Encode()
-	return g.Call(op.WithContext(ctx), "propose", AnyLeader, g.cfg.WriteCost, func(li int, deadline time.Time) error {
-		remaining := time.Until(deadline)
-		if remaining < 10*time.Millisecond {
-			remaining = 10 * time.Millisecond // first attempt always gets a slice
-		}
-		_, err := g.rafts[li].ProposeTimeout(payload, remaining)
+	return g.Call(op.WithContext(ctx), "propose", AnyLeader, g.cfg.WriteCost, func(li int, left time.Duration) error {
+		// Every attempt, the last included, gets at least a slice.
+		_, err := g.rafts[li].ProposeTimeout(payload, max(left, 10*time.Millisecond))
 		return err
 	})
 }
@@ -611,7 +585,7 @@ func (g *Group) SetPerm(op *rpc.Op, id types.InodeID, perm types.Perm, path stri
 // window; application errors (lock conflicts, loops) return immediately.
 func (g *Group) PrepareRename(op *rpc.Op, srcPath, dstParentPath, dstName, lockID string) (RenamePrep, error) {
 	var prep RenamePrep
-	err := g.Call(op, "prepare rename", AnyLeader, 0, func(li int, _ time.Time) error {
+	err := g.Call(op, "prepare rename", AnyLeader, 0, func(li int, _ time.Duration) error {
 		rep, node := g.replicas[li], g.nodes[li]
 		var err error
 		if cerr := g.rafts[li].ConsistentRead(func() error {
@@ -648,7 +622,7 @@ func (g *Group) AbortRename(op *rpc.Op, prep RenamePrep, srcPath, lockID string)
 	if g.rafts[prep.Replica].Stopped() {
 		return nil
 	}
-	return g.Call(op, "abort rename", prep.Replica, g.cfg.WriteCost, func(i int, _ time.Time) error {
+	return g.Call(op, "abort rename", prep.Replica, g.cfg.WriteCost, func(i int, _ time.Duration) error {
 		g.replicas[i].AbortRename(prep.SrcID, srcPath, lockID)
 		return nil
 	})

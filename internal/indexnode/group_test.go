@@ -3,6 +3,7 @@ package indexnode
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -438,4 +439,76 @@ func TestGroupReadWriteRaceStress(t *testing.T) {
 	if err != nil || res.ID != 100 {
 		t.Fatalf("final lookup = %+v err=%v", res, err)
 	}
+}
+
+// TestGroupLookupFailureContract pins what a lookup promises when replicas
+// fail. With every replica blackholed, it keeps retrying for the whole
+// RetryWindow and then fails with ErrUnavailable, naming the path — from
+// the leader alone, under FollowerRead, and for a hot-set path, whose one
+// bounded-stale attempt falls through to the same loop. With one
+// follower stopped under FollowerRead, every lookup is served by the
+// rest and the stopped replica is never sent an RPC.
+func TestGroupLookupFailureContract(t *testing.T) {
+	const window = 150 * time.Millisecond
+	const slack = time.Second // scheduler stalls under -race on a loaded host
+	for _, tc := range []struct {
+		name                 string
+		followerRead, hotset bool
+	}{{"leader", false, false}, {"followerRead", true, false}, {"hot", true, true}} {
+		t.Run("all blackholed/"+tc.name, func(t *testing.T) {
+			fabric := netsim.NewLocalFabric()
+			inj := faults.New(34)
+			inj.Attach(fabric)
+			g, _ := newTestGroup(t, func(c *Config) {
+				c.Fabric = fabric
+				c.FollowerRead = tc.followerRead
+				c.Hotspot = tc.hotset
+				c.HotPromoteInterval = time.Hour // the hot-set is set by hand below
+				c.RetryWindow = window
+			})
+			caller := rpc.NewCaller(fabric)
+			if err := g.AddDir(caller.Begin(), types.RootID, "a", 2, types.PermAll, ""); err != nil {
+				t.Fatal(err)
+			}
+			if tc.hotset {
+				g.hotSet.Store(&hotSet{paths: map[string]struct{}{"/a": {}}})
+			}
+			for _, id := range g.MemberIDs() {
+				inj.Blackhole(id)
+			}
+			start := time.Now()
+			_, err := g.Lookup(caller.Begin(), "/a")
+			elapsed := time.Since(start)
+			if !errors.Is(err, types.ErrUnavailable) || !strings.Contains(err.Error(), "/a") {
+				t.Fatalf("lookup with every replica blackholed: %v, want ErrUnavailable naming /a (injector seed %d)", err, inj.Seed())
+			}
+			if elapsed < window || elapsed > window+slack {
+				t.Fatalf("lookup failed after %v, want within [%v, %v] (injector seed %d)", elapsed, window, window+slack, inj.Seed())
+			}
+			var want int64 // one bounded-stale attempt per hot lookup
+			if tc.hotset {
+				want = 1
+			}
+			if n := g.staleFalls.Load(); n != want {
+				t.Fatalf("stale fallbacks = %d, want %d", n, want)
+			}
+		})
+	}
+	t.Run("stopped follower", func(t *testing.T) {
+		g, caller := newTestGroup(t, func(c *Config) { c.FollowerRead = true })
+		if err := g.AddDir(caller.Begin(), types.RootID, "a", 2, types.PermAll, ""); err != nil {
+			t.Fatal(err)
+		}
+		stopped := (g.leaderIndex() + 1) % len(g.rafts)
+		g.rafts[stopped].Stop()
+		before := g.nodes[stopped].Ops()
+		for i := 0; i < 64; i++ {
+			if res, err := g.Lookup(caller.Begin(), "/a"); err != nil || res.ID != 2 {
+				t.Fatalf("lookup %d with a follower stopped: %+v, %v", i, res, err)
+			}
+		}
+		if after := g.nodes[stopped].Ops(); after != before {
+			t.Fatalf("stopped replica ran %d requests during the lookups, want 0", after-before)
+		}
+	})
 }

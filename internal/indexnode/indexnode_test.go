@@ -59,6 +59,18 @@ func TestCmdDecodeTruncated(t *testing.T) {
 	}
 }
 
+// TestCmdEncodeAllocs: the encoder sizes its output exactly, so a command
+// costs one allocation and the buffer never grows.
+func TestCmdEncodeAllocs(t *testing.T) {
+	c := Cmd{Kind: CmdRename, Pid: 1, Name: "a", ID: 2, DstPid: 3, DstName: "b", Path: "/x/a", LockID: "uuid-1"}
+	if n := testing.AllocsPerRun(100, func() { _ = c.Encode() }); n != 1 {
+		t.Fatalf("Cmd.Encode: %v allocs, want 1", n)
+	}
+	if enc := c.Encode(); len(enc) != cap(enc) {
+		t.Fatalf("Cmd.Encode: len %d, cap %d", len(enc), cap(enc))
+	}
+}
+
 func TestIndexTableBasics(t *testing.T) {
 	tab := NewIndexTable()
 	e := types.AccessEntry{Pid: types.RootID, Name: "a", ID: 2, Perm: types.PermAll}

@@ -1,7 +1,6 @@
 package indexnode
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -426,17 +425,16 @@ func (r *Replica) AbortRename(srcID types.InodeID, srcPath, lockID string) {
 // rebuild on demand and locks are leader-volatile by design (§5.3).
 func (r *Replica) Snapshot() []byte {
 	table := r.table.Load()
-	le := binary.LittleEndian
-	out := le.AppendUint64(nil, uint64(table.Len()))
+	var w wire.Writer
+	w.U64(uint64(table.Len()))
 	table.ForEach(func(e types.AccessEntry) bool {
-		out = le.AppendUint64(out, uint64(e.Pid))
-		out = le.AppendUint64(out, uint64(e.ID))
-		out = le.AppendUint16(out, uint16(e.Perm))
-		out = le.AppendUint32(out, uint32(len(e.Name)))
-		out = append(out, e.Name...)
+		w.U64(uint64(e.Pid))
+		w.U64(uint64(e.ID))
+		w.U16(uint16(e.Perm))
+		w.String32(e.Name)
 		return true
 	})
-	return out
+	return w.Bytes()
 }
 
 // Restore replaces the replica's state from a snapshot (raft.Snapshotter)

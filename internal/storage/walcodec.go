@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"mantle/internal/types"
@@ -38,8 +37,8 @@ const (
 	mutFlagMustExist = 1 << 1
 )
 
-// appendMutation encodes m onto buf.
-func appendMutation(buf []byte, m *Mutation) []byte {
+// appendMutation encodes m onto w.
+func appendMutation(w *wire.Writer, m *Mutation) {
 	var flags byte
 	if m.IfAbsent {
 		flags |= mutFlagIfAbsent
@@ -47,46 +46,49 @@ func appendMutation(buf []byte, m *Mutation) []byte {
 	if m.MustExist {
 		flags |= mutFlagMustExist
 	}
-	buf = append(buf, byte(m.Kind), flags, byte(m.WantKind))
-	buf = binary.AppendUvarint(buf, uint64(m.Key.Pid))
-	buf = binary.AppendUvarint(buf, uint64(len(m.Key.Name)))
-	buf = append(buf, m.Key.Name...)
+	w.Byte(byte(m.Kind))
+	w.Byte(flags)
+	w.Byte(byte(m.WantKind))
+	w.Uvarint(uint64(m.Key.Pid))
+	w.String(m.Key.Name)
 	switch m.Kind {
 	case MutPut:
-		buf = binary.AppendUvarint(buf, uint64(m.Entry.ID))
-		buf = append(buf, byte(m.Entry.Kind))
-		buf = binary.AppendUvarint(buf, uint64(m.Entry.Perm))
-		buf = binary.AppendVarint(buf, m.Entry.Attr.Size)
-		buf = binary.AppendVarint(buf, m.Entry.Attr.LinkCount)
-		buf = binary.AppendVarint(buf, packTime(m.Entry.Attr.MTime))
-		buf = binary.AppendUvarint(buf, uint64(m.Entry.Attr.Owner))
+		w.Uvarint(uint64(m.Entry.ID))
+		w.Byte(byte(m.Entry.Kind))
+		w.Uvarint(uint64(m.Entry.Perm))
+		w.Varint(m.Entry.Attr.Size)
+		w.Varint(m.Entry.Attr.LinkCount)
+		w.Varint(packTime(m.Entry.Attr.MTime))
+		w.Uvarint(uint64(m.Entry.Attr.Owner))
 	case MutDeltaAttr:
-		buf = binary.AppendVarint(buf, m.Delta.LinkCount)
-		buf = binary.AppendVarint(buf, m.Delta.Size)
+		w.Varint(m.Delta.LinkCount)
+		w.Varint(m.Delta.Size)
 	}
-	return buf
 }
+
+// maxCountLen is the longest uvarint a batch's mutation count takes.
+const maxCountLen = 5
 
 // encodeBatch packs a mutation batch into one record.
 func encodeBatch(muts []Mutation) []byte {
 	// Size estimate: fixed fields rarely exceed ~24 bytes plus the name.
-	size := binary.MaxVarintLen32
+	size := maxCountLen
 	for i := range muts {
 		size += 40 + len(muts[i].Key.Name)
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(muts)))
+	w := wire.NewWriter(size)
+	w.Uvarint(uint64(len(muts)))
 	for i := range muts {
-		buf = appendMutation(buf, &muts[i])
+		appendMutation(&w, &muts[i])
 	}
-	return buf
+	return w.Bytes()
 }
 
 // BatchBytes estimates the wire size of a mutation batch using the WAL
 // record layout — the replication plane's lag-bytes accounting, without
 // paying for an actual encode.
 func BatchBytes(muts []Mutation) int {
-	size := binary.MaxVarintLen32
+	size := maxCountLen
 	for i := range muts {
 		size += 24 + len(muts[i].Key.Name)
 	}

@@ -30,7 +30,7 @@ import (
 //             migration aborts with the source untouched.
 //  4. Flip:   swap the routing table (epoch++, override pid→dst).
 //             Reads that raced the flip retry once against the new
-//             routing (see readRetry in ops.go).
+//             routing (see DB.read in ops.go).
 //  5. GC:     delete the source copies (WAL-logged, so a later source
 //             crash cannot resurrect them) and lift the gate.
 //
@@ -399,20 +399,6 @@ func (db *DB) PlanMigrations(max int) []MigrationPlan {
 	}
 	sort.Slice(plans, func(i, j int) bool { return plans[i].Heat > plans[j].Heat })
 	return plans
-}
-
-// readRetry runs fn against pid's current home shard and retries once if
-// a migration flipped the routing mid-read: the first attempt may have
-// scanned the old home after its rows were garbage-collected.
-func (db *DB) readRetry(pid types.InodeID, fn func(si int) error) error {
-	for attempt := 0; ; attempt++ {
-		epoch := db.routing.Load().epoch
-		err := fn(db.shardIdx(pid))
-		if attempt == 0 && db.routing.Load().epoch != epoch {
-			continue
-		}
-		return err
-	}
 }
 
 // migrationDrainTimeout bounds how long a gated transaction parks

@@ -32,11 +32,20 @@ func (db *DB) CreateRoot(root types.InodeID) error {
 // may run twice when a migration flips the routing mid-read, so it
 // overwrites (never accumulates into) what it returns through.
 func (db *DB) read(op *rpc.Op, pid types.InodeID, fn func(s *storage.Shard) error) error {
-	return db.readRetry(pid, func(si int) error {
+	for attempt := 0; ; attempt++ {
+		// Retry once if a migration flipped the routing mid-read: the
+		// first attempt may have scanned the old home after its rows were
+		// garbage-collected.
+		epoch := db.routing.Load().epoch
+		si := db.shardIdx(pid)
 		p := db.parts[si]
 		db.noteRead(si, pid, op.Heat())
-		return op.Call(p.Node, db.cfg.OpCost, func() error { return fn(p.Shard) })
-	})
+		err := op.Call(p.Node, db.cfg.OpCost, func() error { return fn(p.Shard) })
+		if attempt == 0 && db.routing.Load().epoch != epoch {
+			continue
+		}
+		return err
+	}
 }
 
 // GetAccess reads the access row (pid, name): the id/kind/permission of

@@ -14,6 +14,14 @@ import (
 // Writer appends fields to one reused buffer.
 type Writer struct{ b []byte }
 
+// NewWriter returns a Writer whose buffer starts with capacity n: an
+// encoder that sizes its message up front allocates once.
+func NewWriter(n int) Writer { return Writer{b: make([]byte, 0, n)} }
+
+// Bytes returns what has been appended: the message, for an encoder that
+// does not frame.
+func (w *Writer) Bytes() []byte { return w.b }
+
 // BeginFrame empties the buffer and reserves the frame's length prefix.
 func (w *Writer) BeginFrame() { w.b = append(w.b[:0], 0, 0, 0, 0) }
 
@@ -24,7 +32,10 @@ func (w *Writer) Frame() []byte {
 	return w.b
 }
 
+// Byte, U16 and U64 append fixed-width little-endian values.
 func (w *Writer) Byte(v byte)      { w.b = append(w.b, v) }
+func (w *Writer) U16(v uint16)     { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
+func (w *Writer) U64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *Writer) Uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
 func (w *Writer) Varint(v int64)   { w.b = binary.AppendVarint(w.b, v) }
 
@@ -36,9 +47,13 @@ func (w *Writer) Bool(v bool) {
 	w.b = append(w.b, b)
 }
 
-// String appends a uvarint length and the bytes.
+// String appends a uvarint length and the bytes; String32 a fixed-width
+// little-endian u32 length and the bytes.
 func (w *Writer) String(s string) {
 	w.b = append(binary.AppendUvarint(w.b, uint64(len(s))), s...)
+}
+func (w *Writer) String32(s string) {
+	w.b = append(binary.LittleEndian.AppendUint32(w.b, uint32(len(s))), s...)
 }
 
 // ReadFrame reads one frame from br and returns its body, in buf when

@@ -40,10 +40,17 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Fixed-width reads, as Cmd and the snapshot lay them out.
+	// Fixed-width fields, as Cmd and the snapshot lay them out.
 	b := binary.LittleEndian.AppendUint64(nil, 0xfeedfacecafebeef)
 	b = binary.LittleEndian.AppendUint16(b, 0xabcd)
 	b = append(binary.LittleEndian.AppendUint32(b, 3), "abc"...)
+	fw := NewWriter(len(b))
+	fw.U64(0xfeedfacecafebeef)
+	fw.U16(0xabcd)
+	fw.String32("abc")
+	if !bytes.Equal(fw.Bytes(), b) || cap(fw.Bytes()) != len(b) {
+		t.Fatalf("fixed-width writes = %x (cap %d), want %x", fw.Bytes(), cap(fw.Bytes()), b)
+	}
 	r := NewReader(b)
 	if r.U64() != 0xfeedfacecafebeef || r.U16() != 0xabcd || r.String32() != "abc" || r.Err() != nil || r.Len() != 0 {
 		t.Fatalf("fixed-width fields did not round-trip: %v", r.Err())
