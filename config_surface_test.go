@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,6 +20,10 @@ import (
 // assignment target — from a package other than the one declaring the
 // struct, or from a _test.go, examples/ or benchmark/ file. A field only
 // its own package's defaulting touches is a constant with extra steps.
+//
+// The options only tests set from outside their package — no deployment
+// does — must equal testOnlyOptions, so a new one is a deliberate diff
+// (DESIGN.md §13 gives each entry's reason).
 func TestEveryOptionIsSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole tree from source (~12s)")
@@ -100,7 +105,9 @@ func TestEveryOptionIsSet(t *testing.T) {
 	// _test package separately) and collect the fields some outside
 	// caller or test sets. Type errors are ignored: the build and vet
 	// lanes own those, and a partial Info still records every field use.
-	set := map[string]bool{}
+	// set: some outside caller or test sets the field; deployed: some
+	// non-test file outside its package does.
+	set, deployed := map[string]bool{}, map[string]bool{}
 	conf := types.Config{
 		Importer: importer.ForCompiler(fset, "source", nil),
 		Error:    func(error) {},
@@ -123,8 +130,12 @@ func TestEveryOptionIsSet(t *testing.T) {
 				if !ok {
 					return
 				}
-				if opt.dir != dir || strings.HasSuffix(fset.File(id.Pos()).Name(), "_test.go") {
+				isTest := strings.HasSuffix(fset.File(id.Pos()).Name(), "_test.go")
+				if opt.dir != dir || isTest {
 					set[key] = true
+				}
+				if opt.dir != dir && !isTest {
+					deployed[key] = true
 				}
 			}
 			target := func(e ast.Expr) {
@@ -152,15 +163,35 @@ func TestEveryOptionIsSet(t *testing.T) {
 		}
 	}
 
-	var unset []string
+	var unset, testOnly []string
 	for key, opt := range options {
-		if !set[key] {
+		switch {
+		case !set[key]:
 			unset = append(unset, opt.name)
+		case !deployed[key]:
+			testOnly = append(testOnly, opt.name)
 		}
 	}
 	sort.Strings(unset)
 	for _, name := range unset {
 		t.Errorf("%s: no caller outside its package and no test sets it; make it a constant", name)
 	}
-	t.Logf("%d options checked, %d unset", len(options), len(unset))
+	sort.Strings(testOnly)
+	if !slices.Equal(testOnly, testOnlyOptions) {
+		t.Errorf("options only tests set = %q, want testOnlyOptions = %q", testOnly, testOnlyOptions)
+	}
+	t.Logf("%d options checked, %d unset, %d set only by tests", len(options), len(unset), len(testOnly))
+}
+
+// testOnlyOptions lists, sorted, the options no deployment sets and
+// tests do.
+var testOnlyOptions = []string{
+	"core.Config.Heat",
+	"core.HeatConfig.MinCount",
+	"core.HeatConfig.SampleEvery",
+	"indexnode.Config.DegradedReads",
+	"indexnode.Config.HotPromoteInterval",
+	"indexnode.Config.RetryWindow",
+	"indexnode.Config.ShedThreshold",
+	"rpc.CallOpts.Deadline",
 }

@@ -134,7 +134,7 @@ func TestListIsUnpagedListPage(t *testing.T) {
 // RemoteClient sees the same failure flattened to "internal".
 func TestLocalErrorsKeepTheCoreChain(t *testing.T) {
 	m, err := core.New(core.Config{Index: indexnode.Config{
-		Voters: 1, RetryWindow: 50 * time.Millisecond, CallTimeout: 20 * time.Millisecond,
+		Voters: 1, RetryWindow: 50 * time.Millisecond,
 	}})
 	if err != nil {
 		t.Fatal(err)

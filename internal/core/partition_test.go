@@ -52,7 +52,6 @@ func TestPartitionDegradedReadsAndFailFastWrites(t *testing.T) {
 				HeartbeatInterval: 10 * time.Millisecond,
 			},
 			RetryWindow: 400 * time.Millisecond,
-			CallTimeout: 100 * time.Millisecond,
 		},
 	}
 	m, err := New(cfg)
@@ -60,9 +59,6 @@ func TestPartitionDegradedReadsAndFailFastWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	// NewGroup installed the injector's Down hook on the replica nodes it
-	// created; re-assert via Attach for the nodes that now exist.
-	inj.Attach(fabric, m.Index().Nodes()...)
 
 	// Healthy phase: build a small tree.
 	if _, err := m.Mkdir(op(m), "/srv"); err != nil {
@@ -218,14 +214,12 @@ func TestPartitionedWritesDoNotDuplicateAfterHeal(t *testing.T) {
 				HeartbeatInterval: 10 * time.Millisecond,
 			},
 			RetryWindow: 300 * time.Millisecond,
-			CallTimeout: 100 * time.Millisecond,
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	inj.Attach(fabric, m.Index().Nodes()...)
 
 	if _, err := m.Mkdir(op(m), "/a"); err != nil {
 		t.Fatal(err)

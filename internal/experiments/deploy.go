@@ -128,7 +128,6 @@ const (
 	locoLatchCost  = 1200 * time.Microsecond
 
 	fsyncCost = 400 * time.Microsecond
-	raftBatch = 256
 
 	retryBase = 200 * time.Microsecond
 	retryMax  = 20 * time.Millisecond
@@ -196,7 +195,7 @@ func NewSystem(name string, fabric *netsim.Fabric, opts SystemOpts) (api.Service
 				LookupBaseCost: idxBaseCost, LookupLevelCost: idxLevelCost,
 				WriteCost: idxWriteCost,
 				Raft: raft.Config{
-					FsyncCost: fsyncCost, BatchEnabled: opts.MantleBatch, MaxBatch: raftBatch,
+					FsyncCost: fsyncCost, BatchEnabled: opts.MantleBatch,
 					// "+raftlogbatch" is batching plus pipelined
 					// replication — the two halves of the paper's log
 					// batching optimisation.

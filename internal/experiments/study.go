@@ -5,6 +5,7 @@ import (
 
 	"mantle/internal/api"
 	"mantle/internal/nsstats"
+	"mantle/internal/raft"
 	"mantle/internal/workload"
 )
 
@@ -63,7 +64,7 @@ func Table2(p Params) ([]Row, error) {
 	fmt.Fprintf(p.Out, "locofs: 3-replica directory server + %d object shards; %d dir workers, %v + %v/level, fsync %v (no batch)\n",
 		dbShards, locoDirWorkers, locoBaseCost, locoLevelCost, fsyncCost)
 	fmt.Fprintf(p.Out, "mantle: 3-replica IndexNode + %d TafDB shards; %d idx workers, %v + %v/level, fsync %v (batch %d)\n",
-		tafShards, idxWorkers, idxBaseCost, idxLevelCost, fsyncCost, raftBatch)
+		tafShards, idxWorkers, idxBaseCost, idxLevelCost, fsyncCost, raft.MaxBatch)
 	fmt.Fprintf(p.Out, "fabric RTT: %v; clients: %d; namespace: %d clients x %d objects at depth %d\n",
 		p.RTT, p.Clients, p.Clients, p.ObjectsPerClient, p.Depth)
 	return nil, nil

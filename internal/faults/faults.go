@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault-injection fabric for netsim
 // clusters. An Injector implements netsim.FaultHook: once attached to a
-// Fabric (and optionally to Nodes), every simulated message delivery and
-// node execution consults it, so tests can lose, delay, and partition
+// Fabric, every simulated message delivery consults it, so tests can
+// lose, delay, and partition
 // traffic that the crash-stop failure model cannot express — the §6.5
 // availability scenarios (leader failover, follower reads relieving a
 // dead leader) plus the network splits the paper's testbed never sees.
@@ -17,8 +17,8 @@
 //     lost with probability p (DropAll sets a fabric-wide floor).
 //   - DelayEdge(src, dst, d): messages on the edge incur d of extra
 //     latency on top of the fabric RTT.
-//   - Blackhole(node): the node is unreachable in both directions and
-//     refuses local execution (netsim.Node.Exec) until Restored.
+//   - Blackhole(node): the node is unreachable in both directions until
+//     Restored, so no request reaches it to execute.
 //   - Partition(a, b): symmetric partition — every message between a
 //     member of set a and a member of set b is lost until Heal/HealAll.
 //
@@ -105,15 +105,9 @@ func New(seed int64) *Injector {
 // messages include it so CI runs reproduce locally.
 func (i *Injector) Seed() int64 { return i.seed }
 
-// Attach installs the injector on the fabric and on any nodes given, so
-// deliveries (Fabric.RoundTrip/Deliver) and executions (Node.Exec) both
-// consult it.
-func (i *Injector) Attach(f *netsim.Fabric, nodes ...*netsim.Node) {
-	f.SetFaults(i)
-	for _, n := range nodes {
-		n.SetFaults(i)
-	}
-}
+// Attach installs the injector on the fabric, so every delivery
+// (Fabric.RoundTrip/Deliver, Link.Deliver) consults it.
+func (i *Injector) Attach(f *netsim.Fabric) { f.SetFaults(i) }
 
 // DropEdge loses each message on the directed edge src→dst with
 // probability p (clamped to [0,1]). p = 0 removes the rule.
@@ -148,7 +142,7 @@ func (i *Injector) DelayEdge(src, dst string, d time.Duration) {
 }
 
 // Blackhole makes the named node unreachable: every message to or from
-// it is lost and Node.Exec refuses work, until Restore.
+// it is lost, until Restore.
 func (i *Injector) Blackhole(node string) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -277,16 +271,4 @@ func (i *Injector) Edge(src, dst string) (time.Duration, error) {
 		i.delayed.Add(1)
 	}
 	return delay, nil
-}
-
-// Down implements netsim.FaultHook: a blackholed node refuses local
-// execution.
-func (i *Injector) Down(node string) error {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.blackholed[node] {
-		return fmt.Errorf("faults: node %s blackholed (seed %d): %w",
-			node, i.seed, types.ErrUnreachable)
-	}
-	return nil
 }

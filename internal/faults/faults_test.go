@@ -51,15 +51,15 @@ func TestLossErrorsCarrySeedAndUnreachable(t *testing.T) {
 	if !strings.Contains(err.Error(), "seed 1234") {
 		t.Fatalf("error does not name the seed: %v", err)
 	}
-	if err := inj.Down("n1"); !errors.Is(err, types.ErrUnreachable) {
-		t.Fatalf("Down = %v", err)
+	if _, err := inj.Edge("n1", "n0"); !errors.Is(err, types.ErrUnreachable) {
+		t.Fatalf("blackhole outbound err = %v", err)
 	}
 	inj.Restore("n1")
 	if _, err := inj.Edge("n0", "n1"); err != nil {
 		t.Fatalf("post-restore edge: %v", err)
 	}
-	if err := inj.Down("n1"); err != nil {
-		t.Fatalf("post-restore Down: %v", err)
+	if _, err := inj.Edge("n1", "n0"); err != nil {
+		t.Fatalf("post-restore outbound edge: %v", err)
 	}
 }
 
@@ -118,20 +118,22 @@ func TestDelayEdgeAddsLatency(t *testing.T) {
 
 func TestAttachGovernsFabricAndNodes(t *testing.T) {
 	fabric := netsim.NewFabric(netsim.Config{})
-	node := netsim.NewNode("srv", 0)
 	inj := New(0)
-	inj.Attach(fabric, node)
+	inj.Attach(fabric)
 	inj.Blackhole("srv")
+	// A blackholed node is cut in both directions: nothing reaches it,
+	// and nothing it sends arrives.
 	if err := fabric.Deliver("proxy", "srv"); !errors.Is(err, types.ErrUnreachable) {
 		t.Fatalf("fabric delivered to blackholed node: %v", err)
 	}
-	ran := false
-	if err := node.Exec(0, func() error { ran = true; return nil }); !errors.Is(err, types.ErrUnreachable) {
-		t.Fatalf("blackholed node executed (ran=%v): %v", ran, err)
+	if err := fabric.Deliver("srv", "proxy"); !errors.Is(err, types.ErrUnreachable) {
+		t.Fatalf("fabric delivered from blackholed node: %v", err)
 	}
 	inj.Restore("srv")
-	if err := node.Exec(0, func() error { return nil }); err != nil {
-		t.Fatalf("restored node refused: %v", err)
+	for _, e := range [][2]string{{"proxy", "srv"}, {"srv", "proxy"}} {
+		if err := fabric.Deliver(e[0], e[1]); err != nil {
+			t.Fatalf("restored edge %v refused: %v", e, err)
+		}
 	}
 	// Dropped deliveries still count a fabric round trip: the sender
 	// waits out the loss.
@@ -167,7 +169,7 @@ func TestScheduleRunsRule(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("scheduled rule never ran")
 	}
-	if err := inj.Down("late"); !errors.Is(err, types.ErrUnreachable) {
+	if _, err := inj.Edge("", "late"); !errors.Is(err, types.ErrUnreachable) {
 		t.Fatal("scheduled blackhole not installed")
 	}
 }

@@ -53,9 +53,6 @@ type Config struct {
 	// elections (and partitions) before failing with ErrUnavailable.
 	// Default 5s; partition tests shrink it to fail fast.
 	RetryWindow time.Duration
-	// CallTimeout is the per-RPC deadline applied to proxy→replica calls
-	// (0 = the rpc caller's default).
-	CallTimeout time.Duration
 	// Hotspot enables elastic hot-entry replication (DESIGN.md §9):
 	// directories crossing HotThreshold in the group's decaying
 	// read-heat sketch are promoted into a hot-set served by non-leader
@@ -213,11 +210,6 @@ func (g *Group) noteRead(idx int, rf *raft.Raft) {
 	}
 }
 
-// callOpts returns the per-RPC options for proxy→replica calls.
-func (g *Group) callOpts() rpc.CallOpts {
-	return rpc.CallOpts{Src: proxySrc, Deadline: g.cfg.CallTimeout}
-}
-
 // retryable reports whether err is worth another attempt at a different
 // replica (or the same one after re-election): leadership churn,
 // crash-stop, or fabric-level loss — but never application errors.
@@ -250,11 +242,6 @@ func NewGroup(cfg Config) (*Group, error) {
 	for i := 0; i < n; i++ {
 		rep := NewReplica(cfg.K, cfg.CacheEnabled)
 		node := netsim.NewNode(fmt.Sprintf("%s-%d", cfg.Name, i), cfg.Workers)
-		if h := cfg.Fabric.Faults(); h != nil {
-			// A fault injector installed before deployment also governs
-			// replica-local execution (blackholed nodes refuse work).
-			node.SetFaults(h)
-		}
 		g.replicas = append(g.replicas, rep)
 		g.nodes = append(g.nodes, node)
 		rc := cfg.Raft
@@ -453,7 +440,7 @@ func (g *Group) hotLookup(op *rpc.Op, path string) (res LookupResult, ok bool, e
 	idx := g.pickLoadAware(cands)
 	rep, rf, node := g.replicas[idx], g.rafts[idx], g.nodes[idx]
 	var herr error
-	if callErr := op.Do(node, 0, g.callOpts(), func() error {
+	if callErr := op.Do(node, 0, rpc.CallOpts{Src: proxySrc}, func() error {
 		herr = rf.BoundedStaleRead(g.hotMaxStale(), func() error {
 			res, err = rep.Lookup(path)
 			node.Charge(g.chargeFor(res))
@@ -492,7 +479,6 @@ const (
 // failure is wrapped in ErrUnavailable. fn learns the replica index it
 // runs on and the time left in the window (all of it before a failure).
 func (g *Group) Call(op *rpc.Op, what string, target int, cost time.Duration, fn func(i int, left time.Duration) error) error {
-	opts := g.callOpts()
 	var scratch [maxReplicas]int
 	left := g.cfg.RetryWindow
 	var deadline time.Duration // a clock.Mono reading, set at the first failure
@@ -507,7 +493,7 @@ func (g *Group) Call(op *rpc.Op, what string, target int, cost time.Duration, fn
 		err := types.ErrNotLeader // no eligible replica: wait out the election
 		if i >= 0 {
 			var ferr error
-			if err = op.Do(g.nodes[i], cost, opts, func() error {
+			if err = op.Do(g.nodes[i], cost, rpc.CallOpts{Src: proxySrc}, func() error {
 				ferr = fn(i, left)
 				return nil
 			}); err == nil {

@@ -512,3 +512,61 @@ func TestGroupLookupFailureContract(t *testing.T) {
 		}
 	})
 }
+
+// TestGroupTiedHintsRotateReads: with Workers 0 every load hint is 0, so
+// the power-of-two router sees ties on every pick and must still spread
+// reads over every eligible replica — the hot set's bounded-stale reads
+// over both followers, and pickReadTarget's reads over every voter and
+// learner.
+func TestGroupTiedHintsRotateReads(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		learners int
+		hotset   bool
+	}{{"hot set, 3 voters", 0, true}, {"read target, 3 voters + 1 learner", 1, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, caller := newTestGroup(t, func(c *Config) {
+				c.Learners = tc.learners
+				c.FollowerRead = true
+				c.Hotspot = true
+				c.HotPromoteInterval = time.Hour // the hot set is set by hand below
+			})
+			if err := g.AddDir(caller.Begin(), types.RootID, "a", 2, types.PermAll, ""); err != nil {
+				t.Fatal(err)
+			}
+			li := g.leaderIndex()
+			if tc.hotset {
+				// A bounded-stale read serves a follower's own state: wait
+				// until both have applied /a.
+				commit := g.rafts[li].CommitIndex()
+				deadline := time.Now().Add(5 * time.Second)
+				for _, rf := range g.rafts {
+					for rf.AppliedIndex() < commit {
+						if time.Now().After(deadline) {
+							t.Fatalf("replica applied %d of %d entries", rf.AppliedIndex(), commit)
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
+				g.hotSet.Store(&hotSet{paths: map[string]struct{}{"/a": {}}})
+			}
+			before := make([]int64, len(g.nodes))
+			for i, n := range g.nodes {
+				before[i] = n.Ops()
+			}
+			for i := 0; i < 64; i++ {
+				if res, err := g.Lookup(caller.Begin(), "/a"); err != nil || res.ID != 2 {
+					t.Fatalf("lookup %d: %+v, %v", i, res, err)
+				}
+			}
+			for i, n := range g.nodes {
+				if tc.hotset && i == li {
+					continue // hot-set reads go to non-leaders only
+				}
+				if n.Ops() == before[i] {
+					t.Errorf("replica %d (leader %d) served none of 64 tied-hint reads", i, li)
+				}
+			}
+		})
+	}
+}

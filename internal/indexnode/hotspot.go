@@ -147,23 +147,19 @@ func (g *Group) LoadHint() time.Duration {
 }
 
 // pickTwo returns two distinct candidate positions from a candidate
-// count using the group's round-robin counter (deterministic fairness,
-// no RNG on the hot path).
+// count using one tick of the group's round-robin counter
+// (deterministic fairness, no RNG on the hot path): the tick's position
+// and the next one, so the first pick rotates over every candidate.
 func (g *Group) pickTwo(n int) (int, int) {
 	a := int(g.rr.Add(1) % uint64(n))
-	if n == 1 {
-		return a, a
-	}
-	b := int(g.rr.Add(1) % uint64(n))
-	if b == a {
-		b = (b + 1) % n
-	}
-	return a, b
+	return a, (a + 1) % n
 }
 
 // pickLoadAware chooses among the candidate replica indices with
 // power-of-two-choices on the piggybacked load hints: sample two,
-// take the less loaded. Falls back to plain rotation when hints tie.
+// take the less loaded. When hints tie — always with Workers 0, and on
+// any replica that is not saturated — the first pick wins, so the
+// choice rotates over every candidate.
 func (g *Group) pickLoadAware(cands []int) int {
 	if len(cands) == 0 {
 		return -1

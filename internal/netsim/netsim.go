@@ -13,8 +13,7 @@
 //
 // netsim models exactly those two things:
 //
-//   - Fabric.RoundTrip sleeps one configured RTT (with optional jitter),
-//     charged once per RPC.
+//   - Fabric.RoundTrip sleeps one configured RTT, charged once per RPC.
 //   - Node.Exec charges a per-request CPU service time against a fluid
 //     queue with the node's aggregate service rate Workers/serviceTime:
 //     each request is assigned the next available position on the node's
@@ -34,7 +33,6 @@
 package netsim
 
 import (
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,18 +43,14 @@ import (
 type Config struct {
 	// RTT is the network round-trip time charged per RPC.
 	RTT time.Duration
-	// Jitter is the fraction of RTT applied as uniform random jitter
-	// (+/- RTT*Jitter/2). Zero disables jitter.
-	Jitter float64
-	// Seed seeds the jitter source. Zero means a fixed default seed so
-	// runs are reproducible.
-	Seed int64
 }
 
 // FaultHook lets a fault injector intercept the fabric's message
-// deliveries and node executions (see internal/faults). The hook is
-// consulted only when installed, so fault-free runs pay a single atomic
-// load per RPC. Implementations must be safe for concurrent use.
+// deliveries (see internal/faults). It is the one place a message is
+// lost: a node that is down is unreachable on every edge, so nothing
+// reaches it to execute. The hook is consulted only when installed, so
+// fault-free runs pay a single atomic load per RPC. Implementations must
+// be safe for concurrent use.
 type FaultHook interface {
 	// Edge is consulted once per message round trip between the named
 	// endpoints ("" for callers that do not name themselves). It returns
@@ -65,20 +59,11 @@ type FaultHook interface {
 	// blackholed) — the delivery still charges its round trip, modelling
 	// the sender waiting out the loss.
 	Edge(src, dst string) (extra time.Duration, err error)
-	// Down reports (with a non-nil error) that the named node is
-	// blackholed; Node.Exec consults it so a dead node never executes
-	// work.
-	Down(node string) error
 }
 
 // Fabric is the shared network. It is safe for concurrent use.
 type Fabric struct {
 	rtt    time.Duration
-	jitter float64
-	seed   int64
-
-	mu     sync.Mutex
-	rng    *rand.Rand
 	rpcs   atomic.Int64
 	faults atomic.Pointer[FaultHook]
 
@@ -90,30 +75,14 @@ type Fabric struct {
 
 // NewFabric builds a fabric from cfg.
 func NewFabric(cfg Config) *Fabric {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	return &Fabric{
-		rtt:    cfg.RTT,
-		jitter: cfg.Jitter,
-		seed:   seed,
-		rng:    rand.New(rand.NewSource(seed)),
-	}
+	return &Fabric{rtt: cfg.RTT}
 }
 
 // NewLocalFabric returns a zero-latency fabric, used by unit tests and by
 // callers that only want RPC counting.
 func NewLocalFabric() *Fabric { return NewFabric(Config{}) }
 
-// Seed returns the effective jitter seed (the configured seed, or the
-// fixed default when none was set). Tests include it in failure output
-// so a CI run's timing behaviour reproduces locally.
-func (f *Fabric) Seed() int64 { return f.seed }
-
 // SetFaults installs (or, with nil, removes) the fabric's fault hook.
-// Node executions consult their own hook — see Node.SetFaults or
-// faults.Injector.Attach.
 func (f *Fabric) SetFaults(h FaultHook) {
 	if h == nil {
 		f.faults.Store(nil)
@@ -131,7 +100,7 @@ func (f *Fabric) Faults() FaultHook {
 }
 
 // RoundTrip charges one network round trip: it sleeps the configured RTT
-// (plus jitter) and increments the fabric-wide RPC counter. With RTT zero
+// and increments the fabric-wide RPC counter. With RTT zero
 // it only counts. Messages sent this way carry no endpoint names, so
 // edge-scoped fault rules do not apply to them (fabric-wide rules do);
 // fault-aware callers use Deliver.
@@ -181,12 +150,6 @@ func (l *Link) Deliver() error {
 	if d <= 0 {
 		return ferr
 	}
-	if f.jitter > 0 {
-		f.mu.Lock()
-		frac := (f.rng.Float64() - 0.5) * f.jitter
-		f.mu.Unlock()
-		d += time.Duration(float64(f.rtt) * frac)
-	}
 	edge.Latency.Observe(d)
 	time.Sleep(d)
 	return ferr
@@ -210,11 +173,10 @@ type Node struct {
 	mu   sync.Mutex
 	next time.Time // next free position on the service timeline
 
-	busy   atomic.Int64 // cumulative modelled CPU time, ns
-	ops    atomic.Int64
-	load   atomic.Int64 // EWMA queue delay, ns (the load hint)
-	faults atomic.Pointer[FaultHook]
-	stats  nodeStats
+	busy  atomic.Int64 // cumulative modelled CPU time, ns
+	ops   atomic.Int64
+	load  atomic.Int64 // EWMA queue delay, ns (the load hint)
+	stats nodeStats
 	// links holds the node's inbound links, one per (fabric, source) it
 	// has been called from — one to three in a deployment. Copy-on-write,
 	// so the warm lookup is an atomic load and a short scan.
@@ -232,16 +194,6 @@ func (n *Node) Name() string { return n.name }
 
 // Workers returns the node's configured parallelism.
 func (n *Node) Workers() int { return n.workers }
-
-// SetFaults installs (or, with nil, removes) the node's fault hook; a
-// blackholed node then refuses Exec.
-func (n *Node) SetFaults(h FaultHook) {
-	if h == nil {
-		n.faults.Store(nil)
-		return
-	}
-	n.faults.Store(&h)
-}
 
 // LinkFrom returns the link from src to the node on f, resolving it on
 // first use.
@@ -267,14 +219,8 @@ func (n *Node) LinkFrom(f *Fabric, src string) *Link {
 // Exec runs fn on the node after charging cost of CPU service time
 // against the node's capacity. fn itself should be cheap real work (map
 // and tree operations); the modelled cost dominates. The error from fn is
-// returned unchanged. A node blackholed by an installed fault hook
-// refuses execution with an error wrapping types.ErrUnreachable.
+// returned unchanged.
 func (n *Node) Exec(cost time.Duration, fn func() error) error {
-	if p := n.faults.Load(); p != nil {
-		if err := (*p).Down(n.name); err != nil {
-			return err
-		}
-	}
 	n.Charge(cost)
 	return fn()
 }

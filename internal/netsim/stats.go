@@ -8,7 +8,7 @@ import (
 
 // EdgeStats accumulates per-edge delivery accounting: round trips
 // charged, messages lost to injected faults, and the delivery-latency
-// histogram (RTT + jitter + injected extra). One EdgeStats exists per
+// histogram (RTT + injected extra). One EdgeStats exists per
 // distinct (src, dst) pair seen on the fabric.
 type EdgeStats struct {
 	Trips  atomic.Int64

@@ -21,7 +21,6 @@ func TestFollowerCrashMidBatchAtomic(t *testing.T) {
 	rs, recs := newTestGroup(t, 3, 0, func(c *Config) {
 		c.BatchEnabled = true
 		c.Pipeline = true
-		c.MaxBatch = 64
 		c.FsyncCost = 100 * time.Microsecond
 	})
 	leader, err := WaitLeader(rs, 2*time.Second)
@@ -118,7 +117,6 @@ func TestQuorumLossFailsWholeBatch(t *testing.T) {
 	rs, recs := newTestGroup(t, 3, 0, func(c *Config) {
 		c.BatchEnabled = true
 		c.Pipeline = true
-		c.MaxBatch = 64
 		c.FsyncCost = 100 * time.Microsecond
 	})
 	leader, err := WaitLeader(rs, 2*time.Second)

@@ -131,8 +131,6 @@ type Config struct {
 	// replicates (and fsyncs) one proposal at a time — the Mantle-base
 	// configuration of the Figure 16 ablation.
 	BatchEnabled bool
-	// MaxBatch bounds the number of proposals folded into one append.
-	MaxBatch int
 	// Pipeline lets the leader stream AppendEntries to followers while
 	// its own log sync is still in flight. Appended entries are handed
 	// to a background sync stage that coalesces consecutive appends
@@ -160,9 +158,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.HeartbeatInterval <= 0 {
 		out.HeartbeatInterval = out.ElectionTimeout / 5
-	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 256
 	}
 	if out.Fabric == nil {
 		out.Fabric = netsim.NewLocalFabric()

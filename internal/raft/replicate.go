@@ -137,8 +137,12 @@ func (r *Raft) leaderLoop(term uint64) {
 	}
 }
 
-// maxBatchBytes bounds the command bytes folded into one append.
-const maxBatchBytes = 1 << 20
+// MaxBatch bounds the number of proposals folded into one append, and
+// maxBatchBytes their command bytes.
+const (
+	MaxBatch      = 256
+	maxBatchBytes = 1 << 20
+)
 
 // collectBatch gathers the leader's next proposal batch behind the
 // count/byte window and reports why it was closed. The batch closes as
@@ -152,7 +156,7 @@ func (r *Raft) collectBatch(first *proposal) (batch []*proposal, bytes int, reas
 		return batch, bytes, flushIdle
 	}
 	for {
-		if len(batch) >= r.cfg.MaxBatch {
+		if len(batch) >= MaxBatch {
 			return batch, bytes, flushCount
 		}
 		if bytes >= maxBatchBytes {

@@ -337,7 +337,7 @@ func TestLinkShipsAndSurvivesBlackhole(t *testing.T) {
 	fab := netsim.NewFabric(netsim.Config{RTT: 0})
 	node := netsim.NewNode("site-b", 0)
 	inj := faults.New(7)
-	inj.Attach(fab, node)
+	inj.Attach(fab)
 
 	src := NewSource(1, 2)
 	sk := newSink()

@@ -96,8 +96,7 @@ type CallOpts struct {
 	// (proxies use "proxy"; "" matches only fabric-wide rules).
 	Src string
 	// Deadline bounds the call's total wall time across retries. Zero
-	// uses the caller's default; the caller default zero means no
-	// deadline.
+	// means no deadline.
 	Deadline time.Duration
 	// Bytes is the approximate payload size of the call, charged (plus
 	// MsgOverheadBytes) to the trace's byte accounting per attempt.
@@ -109,8 +108,6 @@ type CallOpts struct {
 type Caller struct {
 	fabric *netsim.Fabric
 	policy RetryPolicy
-	// deadline is the default per-call deadline (0 = none).
-	deadline atomic.Int64
 
 	jmu sync.Mutex
 	rng *rand.Rand
@@ -124,14 +121,16 @@ type Caller struct {
 	lat atomic.Pointer[metrics.Latency]
 }
 
+// backoffSeed seeds every caller's backoff jitter, so retry timing is
+// reproducible run to run.
+const backoffSeed = 42
+
 // NewCaller builds a caller over fabric with the default retry policy.
-// Backoff jitter derives from the fabric's seed, so retry timing is as
-// reproducible as the fabric itself.
 func NewCaller(fabric *netsim.Fabric) *Caller {
 	return &Caller{
 		fabric: fabric,
 		policy: DefaultRetryPolicy(),
-		rng:    rand.New(rand.NewSource(fabric.Seed())),
+		rng:    rand.New(rand.NewSource(backoffSeed)),
 	}
 }
 
@@ -141,9 +140,6 @@ func (c *Caller) Fabric() *netsim.Fabric { return c.fabric }
 // SetRetryPolicy replaces the caller's default retry policy. Not safe to
 // race with in-flight calls; configure at setup.
 func (c *Caller) SetRetryPolicy(p RetryPolicy) { c.policy = p }
-
-// SetDeadline sets the default per-call deadline (0 disables).
-func (c *Caller) SetDeadline(d time.Duration) { c.deadline.Store(int64(d)) }
 
 // Stats returns cumulative fault-handling counters: fabric-level retries
 // performed, calls that exceeded their deadline, and message losses
@@ -190,10 +186,6 @@ func (c *Caller) Do(node *netsim.Node, cost time.Duration, opts CallOpts, fn fun
 // records an "rpc" span and charges one trip plus message bytes to it,
 // and the whole call is one latency_rpc sample.
 func (c *Caller) do(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts, fn func() error) error {
-	deadline := opts.Deadline
-	if deadline == 0 {
-		deadline = time.Duration(c.deadline.Load())
-	}
 	// Only a traced op's call is timed: its rpc spans read the clock
 	// anyway. One reading on entry serves both latency_rpc and the
 	// deadline; an untraced call without a deadline reads no clock at all.
@@ -202,19 +194,19 @@ func (c *Caller) do(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts
 		lat = c.lat.Load()
 	}
 	var start time.Duration
-	if lat != nil || deadline > 0 {
+	if lat != nil || opts.Deadline > 0 {
 		start = clock.Mono()
 	}
-	err := c.attempts(op, node, cost, opts, fn, deadline, start)
+	err := c.attempts(op, node, cost, opts, fn, start)
 	if lat != nil {
 		lat.Observe(clock.Mono() - start)
 	}
 	return err
 }
 
-// attempts is do's retry loop. start is the clock.Mono reading deadline
-// counts from.
-func (c *Caller) attempts(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts, fn func() error, deadline, start time.Duration) error {
+// attempts is do's retry loop. start is the clock.Mono reading
+// opts.Deadline counts from.
+func (c *Caller) attempts(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts, fn func() error, start time.Duration) error {
 	ctx := context.Background()
 	if op != nil && op.ctx != nil {
 		ctx = op.ctx
@@ -230,7 +222,7 @@ func (c *Caller) attempts(op *Op, node *netsim.Node, cost time.Duration, opts Ca
 			}
 			// Checked before a retry only: before the first attempt no
 			// time has passed.
-			if deadline > 0 && clock.Mono()-start >= deadline {
+			if opts.Deadline > 0 && clock.Mono()-start >= opts.Deadline {
 				c.timeouts.Add(1)
 				return fmt.Errorf("rpc to %s: %w after %d attempt(s) (last: %v)",
 					node.Name(), types.ErrTimeout, attempt-1, lastErr)

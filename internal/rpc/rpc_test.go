@@ -106,8 +106,6 @@ func (h *flakyHook) Edge(src, dst string) (time.Duration, error) {
 	return 0, nil
 }
 
-func (h *flakyHook) Down(string) error { return nil }
-
 // leakCheck fails the test if the goroutine count has not returned to
 // (near) its starting level by test end — the before/after bound the
 // fault-injection suite uses to prove no RPC path strands a goroutine.
@@ -229,7 +227,7 @@ func TestParallelUnderFaultsFirstErrorAndRTTs(t *testing.T) {
 	}
 	// RTT accounting when some calls fail: 3 delivered + 2 lost attempts.
 	if op.RTTs() != 5 {
-		t.Fatalf("RTTs = %d, want 5 (fabric seed %d)", op.RTTs(), fabric.Seed())
+		t.Fatalf("RTTs = %d, want 5", op.RTTs())
 	}
 }
 
@@ -240,7 +238,6 @@ func TestParallelWithTimeoutsLeaksNoGoroutines(t *testing.T) {
 	fabric.SetFaults(hook)
 	c := NewCaller(fabric)
 	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 1 << 20, BaseBackoff: 500 * time.Microsecond, MaxBackoff: 500 * time.Microsecond})
-	c.SetDeadline(10 * time.Millisecond)
 	ok := netsim.NewNode("ok", 0)
 	dead := netsim.NewNode("dead", 0)
 
@@ -253,12 +250,12 @@ func TestParallelWithTimeoutsLeaksNoGoroutines(t *testing.T) {
 				node = dead
 			}
 			calls[i] = func(o *Op) error {
-				return o.Call(node, 0, func() error { return nil })
+				return o.Do(node, 0, CallOpts{Deadline: 10 * time.Millisecond}, func() error { return nil })
 			}
 		}
 		err := op.Parallel(calls)
 		if !errors.Is(err, types.ErrTimeout) {
-			t.Fatalf("round %d err = %v (fabric seed %d)", round, err, fabric.Seed())
+			t.Fatalf("round %d err = %v", round, err)
 		}
 		// Timed-out calls still charged their attempted round trips; the
 		// 8 successes charge exactly one each.
@@ -273,7 +270,7 @@ func TestParallelIntegratesWithInjector(t *testing.T) {
 	fabric := netsim.NewLocalFabric()
 	inj := faults.New(77)
 	node := netsim.NewNode("srv", 0)
-	inj.Attach(fabric, node)
+	inj.Attach(fabric)
 	inj.DropEdge("", "srv", 0.5)
 	c := NewCaller(fabric)
 	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 64, BaseBackoff: time.Microsecond})
@@ -374,7 +371,7 @@ func TestRegisterMetricsExposesCountersAndLatency(t *testing.T) {
 	fabric := netsim.NewLocalFabric()
 	inj := faults.New(7)
 	node := netsim.NewNode("srv", 0)
-	inj.Attach(fabric, node)
+	inj.Attach(fabric)
 	inj.DropEdge("", "srv", 0.5)
 	c := NewCaller(fabric)
 	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 64, BaseBackoff: time.Microsecond})

@@ -201,8 +201,10 @@ type DB struct {
 	retries atomic.Int64 // cumulative transaction retries (contention metric)
 	txnLat  metrics.Latency
 
-	// deltaDirs tracks directories with delta mode active and their
-	// conflict scores (for DeltaAuto activation).
+	// deltaOn registers the directories the compactor folds: under
+	// DeltaAuto those with delta mode active, under DeltaAlways those
+	// that have taken a delta record. conflicts holds DeltaAuto's
+	// activation scores.
 	deltaMu   sync.Mutex
 	deltaOn   map[types.InodeID]bool
 	conflicts map[types.InodeID]int
@@ -412,6 +414,11 @@ func (db *DB) DeltaActive(dir types.InodeID) bool { return db.deltaModeFor(dir) 
 func (db *DB) parentAttrMutation(dir types.InodeID, delta storage.AttrDelta, now time.Time) (storage.Mutation, storage.Guard) {
 	guard := storage.Guard{Key: attrKey(dir), Kind: storage.GuardExists}
 	if db.deltaModeFor(dir) {
+		if db.cfg.Delta == DeltaAlways {
+			db.deltaMu.Lock()
+			db.deltaOn[dir] = true
+			db.deltaMu.Unlock()
+		}
 		name := db.newDeltaName()
 		return storage.Mutation{
 			Kind: storage.MutPut,
@@ -455,8 +462,8 @@ func (db *DB) compactLoop() {
 	}
 }
 
-// CompactAll folds outstanding delta records for every delta-active
-// directory, returning the number of deltas folded. Also invoked
+// CompactAll folds outstanding delta records for every directory in the
+// delta registry, returning the number of deltas folded. Also invoked
 // synchronously by tests and by rmdir preflight.
 func (db *DB) CompactAll() int {
 	var dirs []types.InodeID
@@ -466,13 +473,6 @@ func (db *DB) CompactAll() int {
 	}
 	db.deltaMu.Unlock()
 	total := 0
-	if db.cfg.Delta == DeltaAlways {
-		// No registry: compact by scanning every shard for delta rows.
-		for _, p := range db.parts {
-			total += compactShardDeltas(p.Shard)
-		}
-		return total
-	}
 	for _, d := range dirs {
 		total += db.compactDir(d)
 	}
@@ -496,29 +496,6 @@ func foldDelta(primary *types.Entry, delta types.Entry) {
 	if delta.Attr.MTime.After(primary.Attr.MTime) {
 		primary.Attr.MTime = delta.Attr.MTime
 	}
-}
-
-// compactShardDeltas compacts every delta row found on a shard (used in
-// DeltaAlways mode, which keeps no per-directory registry).
-func compactShardDeltas(s *storage.Shard) int {
-	// Collect the pids that have delta rows, then compact each.
-	seen := map[types.InodeID]bool{}
-	s.Scan(types.Key{}, types.Key{Pid: ^types.InodeID(0), Name: "\xff"}, func(r storage.Row) bool {
-		if len(r.Entry.Name) > len(deltaPrefix) && r.Entry.Name[:len(deltaPrefix)] == deltaPrefix {
-			seen[r.Entry.Pid] = true
-		}
-		return true
-	})
-	total := 0
-	for pid := range seen {
-		total += s.CompactRange(
-			attrKey(pid),
-			types.Key{Pid: pid, Name: deltaPrefix},
-			types.Key{Pid: pid, Name: childrenLo},
-			foldDelta,
-		)
-	}
-	return total
 }
 
 // maxRetries bounds transaction retries per operation.

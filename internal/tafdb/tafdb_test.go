@@ -158,8 +158,13 @@ func TestDeltaStatMergesLiveDeltas(t *testing.T) {
 	if attr.Attr.LinkCount != 7 || attr.Attr.Size != 700 {
 		t.Fatalf("merged attr = %+v", attr.Attr)
 	}
-	// After compaction the answer is identical.
+	// After compaction the answer is identical, and every delta row has
+	// been folded away.
 	db.CompactAll()
+	db.shardFor(id).Shard.Scan(types.Key{Pid: id, Name: deltaPrefix}, types.Key{Pid: id, Name: childrenLo}, func(r storage.Row) bool {
+		t.Errorf("delta row %q survived CompactAll", r.Entry.Name)
+		return true
+	})
 	attr2, err := db.StatDir(caller.Begin(), id)
 	if err != nil {
 		t.Fatal(err)

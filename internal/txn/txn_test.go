@@ -353,21 +353,20 @@ func TestDirectSinglePieceThenInsideItsRPC(t *testing.T) {
 	}
 }
 
-// gate is a netsim fault hook that holds every node execution after the
-// first free ones until released: a participant whose later RPCs park on
-// a channel, not on a timer.
+// gate is a netsim fault hook that holds every delivery to node after
+// the first free ones until released: a participant whose later RPCs
+// park on a channel, not on a timer.
 type gate struct {
+	node    string
 	free    atomic.Int32
 	release chan struct{}
 }
 
-func (g *gate) Edge(string, string) (time.Duration, error) { return 0, nil }
-
-func (g *gate) Down(string) error {
-	if g.free.Add(-1) < 0 {
+func (g *gate) Edge(_, dst string) (time.Duration, error) {
+	if dst == g.node && g.free.Add(-1) < 0 {
 		<-g.release
 	}
-	return nil
+	return 0, nil
 }
 
 // A batched-2PC leader returns once its own batch has an outcome, handing
@@ -377,9 +376,9 @@ func TestBatcherLeaderReturnsBeforeLaterBatches(t *testing.T) {
 	caller, parts := testRig(2)
 	// Shard 1 executes the leader's prepare and commit, then parks
 	// everything after — the follower batch's rounds — on the gate.
-	g := &gate{release: make(chan struct{})}
+	g := &gate{node: parts[1].Node.Name(), release: make(chan struct{})}
 	g.free.Store(2)
-	parts[1].Node.SetFaults(g)
+	caller.Fabric().SetFaults(g)
 	b := NewBatcher(0)
 	pieces := func(name string) []Piece {
 		return []Piece{
