@@ -15,7 +15,10 @@ import (
 	"time"
 
 	"mantle/internal/faults"
+	"mantle/internal/indexnode"
+	"mantle/internal/metrics"
 	"mantle/internal/netsim"
+	"mantle/internal/tafdb"
 	"mantle/internal/types"
 )
 
@@ -183,5 +186,63 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 		if _, ok := exposed[name]; !ok {
 			t.Errorf("%s is in DESIGN.md's table but no deployment exposes it", name)
 		}
+	}
+}
+
+// A failover between the primary's role check and the standby's
+// rendering must not leak the replication family under standby_: one
+// scrape reads the site role once. The flip is deterministic — a
+// collector that runs inside the included standby registry, ahead of
+// the Sites collector, promotes the secondary mid-scrape.
+func TestStandbyScrapeReadsRoleOnce(t *testing.T) {
+	sites, err := NewSites(SitesConfig{Site: Config{TafDB: tafdb.Config{Shards: 2}, Index: indexnode.Config{Voters: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sites.Stop)
+	sites.Primary.stats, sites.Secondary.stats = metrics.NewRegistry(), metrics.NewRegistry()
+	sites.Secondary.stats.Collect(func(*metrics.Emitter) { sites.Failover() })
+	sites.registerMetrics()
+	var b bytes.Buffer
+	if err := sites.Primary.Metrics().Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !sites.Promoted() {
+		t.Fatal("the scrape did not fail over")
+	}
+	if !regexp.MustCompile(`(?m)^repl_`).MatchString(b.String()) {
+		t.Fatalf("the primary's scrape lost its own repl_ family:\n%s", b.String())
+	}
+	if strings.Contains(b.String(), "standby_repl_") {
+		t.Fatalf("a failover mid-scrape leaked the standby's repl_ family:\n%s", b.String())
+	}
+}
+
+// The raft logs' sync accounting is on /metrics from the same
+// storage.WALStats type as TafDB's wal_*: with FsyncCost > 0 writes sync
+// every replica's log, and the counts balance as the WAL's do.
+func TestRaftWALMetrics(t *testing.T) {
+	m := newTestMantle(t, func(c *Config) { c.Index.Raft.FsyncCost = 50 * time.Microsecond })
+	oneOfEach(t, m)
+	var b bytes.Buffer
+	if err := m.Metrics().Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "raft_wal_") {
+			got[name], _ = strconv.ParseFloat(v, 64)
+		}
+	}
+	for _, name := range []string{"raft_wal_syncs", "raft_wal_syncs_solo", "raft_wal_syncs_group", "raft_wal_records_covered", "raft_wal_group_fanin"} {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s missing from /metrics", name)
+		}
+	}
+	if got["raft_wal_syncs"] == 0 || got["raft_wal_syncs"] != got["raft_wal_syncs_solo"]+got["raft_wal_syncs_group"] {
+		t.Errorf("raft WAL syncs %v do not balance solo + group", got)
+	}
+	if got["raft_wal_records_covered"] < got["raft_wal_syncs"] || got["raft_wal_group_fanin"] < 1 {
+		t.Errorf("raft WAL covered fewer records than syncs: %v", got)
 	}
 }

@@ -261,6 +261,8 @@ func (s *Sites) Stop() {
 // site serving traffic: the primary until Failover, whose exposition also
 // carries the standby's whole registry under a standby_ prefix, and the
 // promoted secondary after it (the demoted primary is nobody's standby).
+// A scrape reads the role once: the secondary rendered as the primary's
+// standby never emits the family, even if a failover lands mid-scrape.
 func (s *Sites) registerMetrics() {
 	s.Primary.Metrics().Collect(func(e *metrics.Emitter) {
 		if !s.Promoted() {
@@ -269,7 +271,7 @@ func (s *Sites) registerMetrics() {
 		}
 	})
 	s.Secondary.Metrics().Collect(func(e *metrics.Emitter) {
-		if s.Promoted() {
+		if !e.Included() && s.Promoted() {
 			s.collectRepl(e)
 		}
 	})

@@ -14,6 +14,7 @@ import (
 	"mantle/internal/pathutil"
 	"mantle/internal/raft"
 	"mantle/internal/rpc"
+	"mantle/internal/storage"
 	"mantle/internal/trace"
 	"mantle/internal/types"
 )
@@ -303,17 +304,21 @@ func (g *Group) Nodes() []*netsim.Node { return g.nodes }
 
 // BulkAdd populates every replica's IndexTable directly (experiment
 // setup; bypasses Raft deterministically on all replicas), returning how
-// many new entries each parent gained. The replicas load concurrently.
+// many new entries each parent gained. The replicas load concurrently,
+// and each checkpoints its raft log, so a replica that restarts does not
+// lose what bypassed the log.
 func (g *Group) BulkAdd(entries []types.AccessEntry) map[types.InodeID]int64 {
 	var wg sync.WaitGroup
-	for _, rep := range g.replicas[1:] {
+	for i, rep := range g.replicas[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rep.BulkAdd(entries)
+			g.rafts[i+1].Checkpoint()
 		}()
 	}
 	gained := g.replicas[0].BulkAdd(entries)
+	g.rafts[0].Checkpoint()
 	wg.Wait()
 	return gained
 }
@@ -657,6 +662,16 @@ func (g *Group) RaftBatchStats() raft.BatchStats {
 	return out
 }
 
+// RaftWALStats sums the sync accounting of the replicas' raft logs (zero
+// when FsyncCost is 0).
+func (g *Group) RaftWALStats() storage.WALStats {
+	var out storage.WALStats
+	for _, r := range g.rafts {
+		out.Add(r.WALStats())
+	}
+	return out
+}
+
 // RegisterMetrics exposes the group on reg: the TopDirPathCache and
 // degraded-read counters, the raft log-batching family (one BatchStats
 // snapshot, so raft_batch_occupancy is the proposals/appends printed
@@ -678,6 +693,12 @@ func (g *Group) RegisterMetrics(reg *metrics.Registry) {
 		e.Int("raft_flush_count", b.FlushCount)
 		e.Int("raft_flush_bytes", b.FlushBytes)
 		e.Ratio("raft_batch_occupancy", b.Proposals, b.Appends)
+		w := g.RaftWALStats()
+		e.Int("raft_wal_syncs", w.Syncs)
+		e.Int("raft_wal_syncs_solo", w.SoloSyncs)
+		e.Int("raft_wal_syncs_group", w.GroupSyncs)
+		e.Int("raft_wal_records_covered", w.Covered)
+		e.Ratio("raft_wal_group_fanin", w.Covered, w.Syncs)
 		e.Int("hotspot_promotions", g.promotions.Load())
 		e.Int("hotspot_demotions", g.demotions.Load())
 		e.Int("hotspot_hot_reads", g.hotReads.Load())

@@ -26,6 +26,13 @@ func newTestGroup(t *testing.T, mutate func(*Config)) (*Group, *rpc.Caller) {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.Stop)
+	// The raft invariant hook, before the group stops.
+	chk := raft.NewChecker(g.Rafts())
+	t.Cleanup(func() {
+		if err := chk.Check(); err != nil {
+			t.Error(err)
+		}
+	})
 	return g, rpc.NewCaller(netsim.NewLocalFabric())
 }
 

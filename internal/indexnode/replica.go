@@ -438,17 +438,18 @@ func (r *Replica) Snapshot() []byte {
 }
 
 // Restore replaces the replica's state from a snapshot (raft.Snapshotter)
-// and drops all cached resolution state. A snapshot that does not decode
-// exactly — short, over-counted, or with bytes left over — is, like a
-// corrupt command in Apply, unrecoverable state divergence: installing
-// the readable part would silently drop directories.
+// and drops all cached resolution state; empty data is the empty table
+// of a replica restarting with no snapshot. A snapshot that does not
+// decode exactly — short, over-counted, or with bytes left over — is,
+// like a corrupt command in Apply, unrecoverable state divergence:
+// installing the readable part would silently drop directories.
 func (r *Replica) Restore(data []byte) {
 	corrupt := func(off int, what string) {
 		panic(fmt.Sprintf("indexnode: restore: %s at offset %d of %d", what, off, len(data)))
 	}
 	rd := wire.NewReader(data)
 	n := rd.U64()
-	if rd.Err() != nil {
+	if rd.Err() != nil && len(data) > 0 {
 		corrupt(0, "truncated entry count")
 	}
 	table := NewIndexTable()
@@ -472,4 +473,9 @@ func (r *Replica) Restore(data []byte) {
 	r.table.Store(table)
 	r.applySeq.Add(1)
 	r.cache.InvalidateSubtree("/")
+	// Rename locks are leader-volatile: a replica restarting from its log
+	// must not come back holding its previous life's.
+	r.lockMu.Lock()
+	clear(r.locks)
+	r.lockMu.Unlock()
 }

@@ -336,14 +336,20 @@ type snapshot struct {
 
 // Emitter receives the samples of one collection pass.
 type Emitter struct {
-	label string
-	out   *snapshot
+	label    string
+	out      *snapshot
+	included bool
 }
 
 // Label returns an emitter whose samples carry key="value".
 func (e *Emitter) Label(key, value string) *Emitter {
-	return &Emitter{label: key + "=" + strconv.Quote(value), out: e.out}
+	return &Emitter{label: key + "=" + strconv.Quote(value), out: e.out, included: e.included}
 }
+
+// Included reports whether the pass renders its registry through another
+// one's Include: a collector there is seen as the standby the including
+// collector decided it is, and need not decide again.
+func (e *Emitter) Included() bool { return e.included }
 
 func (e *Emitter) scalar(name, value string) {
 	e.out.scalars = append(e.out.scalars, series{name, e.label}.render("", "")+" "+value)
@@ -373,7 +379,7 @@ func (e *Emitter) Latency(name string, l *Latency) {
 // Include emits everything r exposes with prefix prepended to each metric
 // name: a second registry (a standby site's) seen through this one.
 func (e *Emitter) Include(prefix string, r *Registry) {
-	s := r.snapshot()
+	s := r.snapshot(true)
 	for _, line := range s.scalars {
 		e.out.scalars = append(e.out.scalars, prefix+line)
 	}
@@ -386,9 +392,9 @@ func (e *Emitter) Include(prefix string, r *Registry) {
 // snapshot is the one collection pass behind both renderers. Collectors
 // are copied under the registry lock but invoked outside it, so one may
 // safely read other metrics (or another registry) without deadlocking.
-func (r *Registry) snapshot() snapshot {
+func (r *Registry) snapshot(included bool) snapshot {
 	var s snapshot
-	e := &Emitter{out: &s}
+	e := &Emitter{out: &s, included: included}
 	r.mu.Lock()
 	for name, c := range r.counters {
 		e.Int(name, c.Value())
@@ -454,7 +460,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // write is the shared frame of the two renderers, which differ only in
 // how a histogram is printed.
 func (r *Registry) write(w io.Writer, hist func(*bufio.Writer, histogram)) error {
-	s := r.snapshot()
+	s := r.snapshot(false)
 	b := bufio.NewWriter(w)
 	for _, line := range s.scalars {
 		b.WriteString(line)

@@ -41,9 +41,10 @@ func (r *Raft) ProposeTimeout(cmd []byte, d time.Duration) (uint64, error) {
 		timeout = tm.C
 	}
 	p := &proposal{cmd: cmd, done: make(chan proposalResult, 1), enqueued: time.Now()}
+	stop := r.life.Load().stop
 	select {
 	case r.proposeCh <- p:
-	case <-r.stopCh:
+	case <-stop:
 		return 0, types.ErrStopped
 	case <-timeout:
 		fired = true
@@ -52,7 +53,7 @@ func (r *Raft) ProposeTimeout(cmd []byte, d time.Duration) (uint64, error) {
 	select {
 	case res := <-p.done:
 		return res.index, res.err
-	case <-r.stopCh:
+	case <-stop:
 		return 0, types.ErrStopped
 	case <-timeout:
 		fired = true
@@ -88,11 +89,11 @@ func putTimer(tm *time.Timer, fired bool) {
 
 // applier applies committed entries to the state machine in order and
 // completes pending proposals on the leader.
-func (r *Raft) applier() {
-	defer r.wg.Done()
+func (r *Raft) applier(l *life) {
+	defer l.wg.Done()
 	for {
 		select {
-		case <-r.stopCh:
+		case <-l.stop:
 			return
 		case <-r.applyCh:
 		}
@@ -152,13 +153,29 @@ func (r *Raft) applyNext() bool {
 }
 
 // maybeCompact snapshots the state machine and truncates the applied log
-// prefix once it exceeds the configured threshold. The snapshot is taken
-// under applyMu, so it races neither Apply nor a snapshot install's
-// Restore, and lastApplied cannot move while it is cut.
+// prefix once it exceeds the configured threshold.
 func (r *Raft) maybeCompact() {
-	if r.cfg.SnapshotThreshold <= 0 {
-		return
+	if r.cfg.SnapshotThreshold > 0 {
+		r.compact(uint64(r.cfg.SnapshotThreshold))
 	}
+}
+
+// Checkpoint makes the state machine's current state durable as a
+// snapshot, for state loaded beside the log (IndexNode bulk population)
+// that a Restart must not lose. A no-op without a log.
+func (r *Raft) Checkpoint() {
+	if r.wal != nil {
+		r.compact(0)
+	}
+}
+
+// compact snapshots the state machine at lastApplied, once at least
+// threshold entries have been applied past the previous snapshot, and
+// drops the log prefix the snapshot covers — from the WAL too, once the
+// snapshot's record is durable. The snapshot is taken under applyMu, so it races
+// neither Apply nor a snapshot install's Restore, and lastApplied cannot
+// move while it is cut.
+func (r *Raft) compact(threshold uint64) {
 	sm, ok := r.cfg.SM.(Snapshotter)
 	if !ok {
 		return
@@ -166,7 +183,7 @@ func (r *Raft) maybeCompact() {
 	r.applyMu.Lock()
 	r.mu.Lock()
 	applied := r.lastApplied
-	if applied-r.firstIndexLocked() < uint64(r.cfg.SnapshotThreshold) {
+	if applied-r.firstIndexLocked() < threshold {
 		r.mu.Unlock()
 		r.applyMu.Unlock()
 		return
@@ -184,9 +201,14 @@ func (r *Raft) maybeCompact() {
 	newLog = append(newLog, suffix...)
 	r.log = newLog
 	r.snapData = data
+	r.stageSnapshotLocked()
+	last, _ := r.lastLogLocked()
+	epoch, seq := r.epoch, r.lastStaged
 	r.mu.Unlock()
 	r.applyMu.Unlock()
-	r.fsync() // persisting the snapshot costs a disk sync
+	if r.persist(epoch, seq, last) {
+		r.trimWAL(seq)
+	}
 }
 
 // waitApplied blocks until the replica has applied at least index. It

@@ -17,7 +17,15 @@ import (
 // other follower alive the leader re-replicates whole batches to the
 // quorum, every in-flight proposal commits, and the two survivors apply
 // an identical sequence with no holes and no duplicates.
-func TestFollowerCrashMidBatchAtomic(t *testing.T) {
+func TestFollowerCrashMidBatchAtomic(t *testing.T) { crashMidBatch(t, false) }
+
+// TestFollowerCrashMidBatchAtomicRestart is the same storm with the
+// crashed follower restarted from its log while the storm still runs:
+// it rejoins, and all three replicas apply the identical sequence, every
+// proposal exactly once.
+func TestFollowerCrashMidBatchAtomicRestart(t *testing.T) { crashMidBatch(t, true) }
+
+func crashMidBatch(t *testing.T, restart bool) {
 	rs, recs := newTestGroup(t, 3, 0, func(c *Config) {
 		c.BatchEnabled = true
 		c.Pipeline = true
@@ -36,7 +44,13 @@ func TestFollowerCrashMidBatchAtomic(t *testing.T) {
 		time.Sleep(3 * time.Millisecond)
 		for _, r := range rs {
 			if r != leader {
-				r.Stop()
+				r.Crash()
+				if restart {
+					time.Sleep(2 * time.Millisecond)
+					if err := r.Restart(); err != nil {
+						t.Error(err)
+					}
+				}
 				break
 			}
 		}
@@ -69,6 +83,10 @@ func TestFollowerCrashMidBatchAtomic(t *testing.T) {
 			want[fmt.Sprintf("c%d-%d", g, i)] = true
 		}
 	}
+	live := 2
+	if restart {
+		live = 3
+	}
 	var survivors [][]string
 	deadline := time.Now().Add(3 * time.Second)
 	for {
@@ -78,7 +96,7 @@ func TestFollowerCrashMidBatchAtomic(t *testing.T) {
 				survivors = append(survivors, recs[i].snapshot())
 			}
 		}
-		done := len(survivors) == 2
+		done := len(survivors) == live
 		for _, ap := range survivors {
 			if len(ap) < len(want) {
 				done = false
@@ -89,8 +107,8 @@ func TestFollowerCrashMidBatchAtomic(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if len(survivors) != 2 {
-		t.Fatalf("survivors = %d, want 2", len(survivors))
+	if len(survivors) != live {
+		t.Fatalf("survivors = %d, want %d", len(survivors), live)
 	}
 	for si, ap := range survivors {
 		seen := map[string]int{}
@@ -104,8 +122,10 @@ func TestFollowerCrashMidBatchAtomic(t *testing.T) {
 			}
 		}
 	}
-	if fmt.Sprint(survivors[0]) != fmt.Sprint(survivors[1]) {
-		t.Fatal("survivors applied different sequences")
+	for _, ap := range survivors[1:] {
+		if fmt.Sprint(survivors[0]) != fmt.Sprint(ap) {
+			t.Fatal("survivors applied different sequences")
+		}
 	}
 }
 

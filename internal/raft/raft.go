@@ -13,20 +13,26 @@
 //     index over the log prefix that leader has verified, and the reader
 //     waits until the local applyIndex catches up (read.go),
 //   - proposal batching: the leader groups queued proposals into one log
-//     append and one fsync per batch ("+raftlogbatch" in Figure 16),
+//     append and one log record per batch ("+raftlogbatch" in Figure 16),
 //     bounded by a count/byte window (MaxBatch, maxBatchBytes),
 //   - pipelined replication (Config.Pipeline): the leader streams
 //     AppendEntries as soon as entries are appended in memory and
-//     fsyncs them in a background sync stage; the commit rule counts
-//     the leader's durable index, so quorum durability is preserved, and
-//   - a simulated fsync cost per log sync, serialised per node, which is
-//     the disk bottleneck that batching amortises (§5.2.3).
+//     waits for their record to be durable in a background sync stage;
+//     the commit rule counts the leader's durable index, so quorum
+//     durability is preserved, and
+//   - a durable log (persist.go): with FsyncCost > 0 each replica writes
+//     its entries, term and vote, and snapshots as records to its own
+//     storage.WAL, whose group commit is the one sync model of the tree
+//     and the disk bottleneck that batching amortises (§5.2.3). A
+//     replica acknowledges only what that log holds, and can Crash and
+//     Restart from it. FsyncCost == 0 means no log and no restart.
 //
 // Networking runs over internal/netsim: every inter-replica RPC charges
 // one fabric round trip and consults the fabric's fault hook (see
 // internal/faults), so messages between replicas can be dropped,
-// delayed, or partitioned. Crash-stop failures (Stop), leader changes,
-// and network partitions are all supported and tested:
+// delayed, or partitioned. Crash-stop failures (Crash, and Restart from
+// the log), leader changes, and network partitions are all supported
+// and tested:
 //
 //   - every inter-replica send first delivers on the peer's fabric link,
 //     which fails with types.ErrUnreachable when the edge is cut; the
@@ -50,6 +56,7 @@ import (
 
 	"mantle/internal/metrics"
 	"mantle/internal/netsim"
+	"mantle/internal/storage"
 )
 
 // Role is a replica's current role.
@@ -105,7 +112,8 @@ type Snapshotter interface {
 	// Snapshot serialises the full state-machine state. It is invoked
 	// from the apply goroutine, so it never races Apply.
 	Snapshot() []byte
-	// Restore replaces the state-machine state from a snapshot.
+	// Restore replaces the state-machine state from a snapshot; nil
+	// data is the empty initial state (a Restart with no snapshot).
 	Restore(data []byte)
 }
 
@@ -124,19 +132,22 @@ type Config struct {
 	ElectionTimeout time.Duration
 	// HeartbeatInterval is the leader's idle heartbeat period.
 	HeartbeatInterval time.Duration
-	// FsyncCost is the simulated disk-sync latency charged once per log
-	// sync. Zero disables the disk model.
+	// FsyncCost is the simulated disk-sync latency of the replica's log
+	// (a storage.WAL), charged once per group-committed sync. Zero
+	// disables the disk model: no log is kept and the replica cannot
+	// Restart.
 	FsyncCost time.Duration
 	// BatchEnabled turns on proposal batching. When off, the leader
 	// replicates (and fsyncs) one proposal at a time — the Mantle-base
 	// configuration of the Figure 16 ablation.
 	BatchEnabled bool
 	// Pipeline lets the leader stream AppendEntries to followers while
-	// its own log sync is still in flight. Appended entries are handed
-	// to a background sync stage that coalesces consecutive appends
-	// into one fsync, and the commit rule counts the leader's durable
-	// index (not its last appended index), so an entry still commits
-	// only once a quorum has it on disk.
+	// its own log sync is still in flight. A background sync stage waits
+	// for each appended batch's record to be durable (the WAL's group
+	// commit folds appends staged during one sync into the next), and
+	// the commit rule counts the leader's durable index (not its last
+	// appended index), so an entry still commits only once a quorum has
+	// it on disk.
 	Pipeline bool
 	// SnapshotThreshold triggers log compaction once this many applied
 	// entries accumulate past the previous snapshot. Zero disables
@@ -211,12 +222,19 @@ type Raft struct {
 	commitIndex uint64
 	lastApplied uint64
 	// durableIndex is the highest log index covered by a completed
-	// fsync on this replica. Followers advance it synchronously (they
-	// fsync before acking AppendEntries); a pipelined leader advances
-	// it from syncLoop, and maybeAdvanceCommit uses it as the leader's
-	// own acknowledgement so an entry commits only once a quorum has it
-	// durable.
+	// sync of this replica's WAL. Followers advance it before acking
+	// AppendEntries; a pipelined leader advances it from syncStage, and
+	// maybeAdvanceCommit uses it as the leader's own acknowledgement so
+	// an entry commits only once a quorum has it durable.
 	durableIndex uint64
+	// wal is the replica's log on disk (nil when FsyncCost is 0), and
+	// lastStaged the sequence number of the last record staged to it.
+	// epoch moves whenever the log a staged record extended goes away —
+	// a crash, a truncation, a snapshot install — so a sync that
+	// completes afterwards advances nothing (persist).
+	wal        *storage.WAL
+	lastStaged uint64
+	epoch      uint64
 	// Leader volatile state.
 	nextIndex  map[string]uint64
 	matchIndex map[string]uint64
@@ -229,10 +247,8 @@ type Raft struct {
 
 	applyCh   chan struct{} // kicks the applier
 	proposeCh chan *proposal
-	syncCh    chan struct{} // kicks the pipelined leader sync stage
-	stopCh    chan struct{}
-	stopOnce  sync.Once
-	wg        sync.WaitGroup
+	// life is the current incarnation; Restart installs a fresh one.
+	life atomic.Pointer[life]
 
 	// applyCond broadcasts when lastApplied advances (waitApplied).
 	applyCond *sync.Cond
@@ -252,9 +268,6 @@ type Raft struct {
 	// exchange, and when that exchange was received.
 	staleCommit  uint64
 	staleContact time.Time
-
-	// disk serialises simulated fsyncs.
-	disk sync.Mutex
 
 	// snapData is the latest snapshot (log prefix up to log[0].Index).
 	snapData []byte
@@ -286,10 +299,11 @@ func (r *Raft) LogLen() int {
 	return len(r.log) - 1
 }
 
-// Metrics counts internals for the ablation analysis and tests.
+// Metrics counts internals for the ablation analysis and tests. Syncs
+// are the replica's WAL syncs (zero without a log).
 type Metrics struct {
 	mu        sync.Mutex
-	Syncs     int64 // simulated fsyncs performed
+	wal       *storage.WAL
 	Appends   int64 // log append batches
 	Proposals int64 // proposals accepted
 	Elections int64 // elections started
@@ -352,7 +366,7 @@ func (m *Metrics) Batch() BatchStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return BatchStats{
-		Syncs:      m.Syncs,
+		Syncs:      m.syncs(),
 		Appends:    m.Appends,
 		Proposals:  m.Proposals,
 		BatchBytes: m.BatchBytes,
@@ -372,9 +386,8 @@ func (m *Metrics) StageWaits() (ingest, commit time.Duration) {
 	return m.IngestWait / time.Duration(m.Proposals), m.CommitWait / time.Duration(m.Proposals)
 }
 
-func (m *Metrics) add(syncs, appends, proposals, elections int64) {
+func (m *Metrics) add(appends, proposals, elections int64) {
 	m.mu.Lock()
-	m.Syncs += syncs
 	m.Appends += appends
 	m.Proposals += proposals
 	m.Elections += elections
@@ -385,7 +398,14 @@ func (m *Metrics) add(syncs, appends, proposals, elections int64) {
 func (m *Metrics) Snapshot() (syncs, appends, proposals, elections int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.Syncs, m.Appends, m.Proposals, m.Elections
+	return m.syncs(), m.Appends, m.Proposals, m.Elections
+}
+
+func (m *Metrics) syncs() int64 {
+	if m.wal == nil {
+		return 0
+	}
+	return m.wal.Syncs()
 }
 
 // NewGroup constructs and starts a Raft group from the given configs.
@@ -411,9 +431,12 @@ func NewGroup(cfgs []Config) []*Raft {
 			matchIndex: make(map[string]uint64),
 			applyCh:    make(chan struct{}, 1),
 			proposeCh:  make(chan *proposal, 4096),
-			syncCh:     make(chan struct{}, 1),
-			stopCh:     make(chan struct{}),
 		}
+		if cc.FsyncCost > 0 {
+			r.wal = storage.NewWAL(cc.FsyncCost)
+			r.metrics.wal = r.wal
+		}
+		r.life.Store(&life{stop: make(chan struct{})})
 		if cc.Learner {
 			r.setRoleLocked(LearnerRole) // r is not shared yet
 		}
@@ -428,7 +451,7 @@ func NewGroup(cfgs []Config) []*Raft {
 		}
 	}
 	for _, r := range replicas {
-		r.start()
+		r.start(r.life.Load())
 	}
 	// Bootstrap kickstart: a fresh group has no leader, so waiting out a
 	// full randomised election timeout (which deployments set generously
@@ -446,29 +469,30 @@ func NewGroup(cfgs []Config) []*Raft {
 	return replicas
 }
 
-func (r *Raft) start() {
+// life is one incarnation of a replica, from NewGroup or Restart to
+// Crash: the stop signal its goroutines and waiters select on, and the
+// goroutines Crash waits for. Restart installs a fresh one rather than
+// reopening this one, so a lock-free reader never sees it reassigned.
+type life struct {
+	stop chan struct{}
+	wg   sync.WaitGroup
+}
+
+func (r *Raft) start(l *life) {
 	r.mu.Lock()
 	r.electionReset = time.Now()
 	r.mu.Unlock()
-	r.wg.Add(2)
-	go r.electionLoop()
-	go r.applier()
+	l.wg.Add(2)
+	go r.electionLoop(l)
+	go r.applier(l)
 }
 
-// Stop shuts the replica down (crash-stop). Safe to call twice.
-func (r *Raft) Stop() {
-	r.stopOnce.Do(func() {
-		close(r.stopCh)
-		r.mu.Lock()
-		r.applyCond.Broadcast()
-		r.mu.Unlock()
-	})
-	r.wg.Wait()
-}
+// Stop shuts the replica down: a Crash, under its shutdown name.
+func (r *Raft) Stop() { r.Crash() }
 
 func (r *Raft) stopped() bool {
 	select {
-	case <-r.stopCh:
+	case <-r.life.Load().stop:
 		return true
 	default:
 		return false
@@ -529,8 +553,8 @@ func (r *Raft) AppliedIndex() uint64 {
 }
 
 // electionLoop ticks the randomised election timer on voters.
-func (r *Raft) electionLoop() {
-	defer r.wg.Done()
+func (r *Raft) electionLoop(l *life) {
+	defer l.wg.Done()
 	if r.cfg.Learner {
 		return // learners never campaign
 	}
@@ -538,29 +562,30 @@ func (r *Raft) electionLoop() {
 		timeout := r.cfg.ElectionTimeout +
 			time.Duration(rand.Int64N(int64(r.cfg.ElectionTimeout)))
 		select {
-		case <-r.stopCh:
+		case <-l.stop:
 			return
 		case <-time.After(timeout / 4):
 		}
 		r.mu.Lock()
-		if r.role != Leader && time.Since(r.electionReset) >= timeout {
+		if !r.stopped() && r.role != Leader && time.Since(r.electionReset) >= timeout {
 			r.startElectionLocked()
 		}
 		r.mu.Unlock()
 	}
 }
 
-// startElectionLocked transitions to candidate and solicits votes.
-// Caller holds r.mu.
+// startElectionLocked transitions to candidate and solicits votes once
+// the new term and the self-vote are durable. Caller holds r.mu.
 func (r *Raft) startElectionLocked() {
 	r.setRoleLocked(Candidate)
 	r.term++
 	r.votedFor = r.id
+	r.saveStateLocked()
 	r.leaderID = ""
 	r.electionReset = time.Now()
-	term := r.term
+	term, epoch, seq := r.term, r.epoch, r.lastStaged
 	lastIdx, lastTerm := r.lastLogLocked()
-	r.metrics.add(0, 0, 0, 1)
+	r.metrics.add(0, 0, 1)
 
 	votes := 1 // self
 	var voteMu sync.Mutex
@@ -569,12 +594,18 @@ func (r *Raft) startElectionLocked() {
 			continue
 		}
 		go func(p *peer) {
+			if !r.persist(epoch, seq, 0) {
+				return // crashed before the vote reached the disk
+			}
 			if p.link.Deliver() != nil {
 				return // vote request lost in the fabric
 			}
 			granted, replyTerm := p.handleRequestVote(term, r.id, lastIdx, lastTerm)
 			r.mu.Lock()
 			defer r.mu.Unlock()
+			if r.epoch != epoch {
+				return
+			}
 			if replyTerm > r.term {
 				r.becomeFollowerLocked(replyTerm, "")
 				return
@@ -605,8 +636,11 @@ func (r *Raft) becomeFollowerLocked(term uint64, leader string) {
 	} else {
 		r.setRoleLocked(Follower)
 	}
-	r.term = term
-	r.votedFor = ""
+	if term > r.term {
+		r.term = term
+		r.votedFor = "" // a vote binds only its own term
+		r.saveStateLocked()
+	}
 	r.leaderID = leader
 	r.electionReset = time.Now()
 	if wasLeader {
@@ -634,9 +668,9 @@ func (r *Raft) becomeLeaderLocked() {
 		r.matchIndex[id] = 0
 		r.lastContact[id] = now
 	}
-	term := r.term
-	r.wg.Add(1)
-	go r.leaderLoop(term)
+	term, l := r.term, r.life.Load()
+	l.wg.Add(1)
+	go r.leaderLoop(l, term)
 }
 
 // peer is another replica of the group as this one reaches it: the replica
@@ -681,27 +715,34 @@ func (r *Raft) quorumReachable() bool {
 	return reachable >= r.voters/2+1
 }
 
-// handleRequestVote is the RequestVote RPC handler.
+// handleRequestVote is the RequestVote RPC handler. A term it adopts
+// and a vote it grants are durable before it replies; replyTerm 0
+// signals a stopped replica.
 func (r *Raft) handleRequestVote(term uint64, candidate string, lastIdx, lastTerm uint64) (granted bool, replyTerm uint64) {
+	r.mu.Lock()
 	if r.stopped() {
+		r.mu.Unlock()
 		return false, 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if term > r.term {
 		r.becomeFollowerLocked(term, "")
 	}
-	if term < r.term {
-		return false, r.term
-	}
 	myLastIdx, myLastTerm := r.lastLogLocked()
 	upToDate := lastTerm > myLastTerm || (lastTerm == myLastTerm && lastIdx >= myLastIdx)
-	if (r.votedFor == "" || r.votedFor == candidate) && upToDate && !r.cfg.Learner {
-		r.votedFor = candidate
+	if term == r.term && (r.votedFor == "" || r.votedFor == candidate) && upToDate && !r.cfg.Learner {
+		if r.votedFor == "" {
+			r.votedFor = candidate
+			r.saveStateLocked()
+		}
 		r.electionReset = time.Now()
-		return true, r.term
+		granted = true
 	}
-	return false, r.term
+	epoch, seq, replyTerm := r.epoch, r.lastStaged, r.term
+	r.mu.Unlock()
+	if !r.persist(epoch, seq, 0) {
+		return false, 0
+	}
+	return granted, replyTerm
 }
 
 func (r *Raft) lastLogLocked() (index, term uint64) {

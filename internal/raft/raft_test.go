@@ -1,6 +1,8 @@
 package raft
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,11 +14,35 @@ import (
 	"mantle/internal/types"
 )
 
-// recorder is a test state machine that records applied commands.
+// recorder is a test state machine that records applied commands. Its
+// snapshot is the applied sequence, so a restarted replica's recorder
+// holds exactly what the replica has applied since its snapshot, on top
+// of what the snapshot covers.
 type recorder struct {
 	mu      sync.Mutex
 	applied []string
 	indices []uint64
+}
+
+func (r *recorder) Snapshot() []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(r.applied); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+func (r *recorder) Restore(data []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.applied, r.indices = nil, nil
+	if len(data) > 0 {
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&r.applied); err != nil {
+			panic(err)
+		}
+	}
 }
 
 func (r *recorder) Apply(index uint64, cmd []byte) {
@@ -58,7 +84,42 @@ func newTestGroup(t *testing.T, voters, learners int, mutate func(*Config)) ([]*
 			r.Stop()
 		}
 	})
+	checkAtEnd(t, rs, recs)
 	return rs, recs
+}
+
+// appliedSeq is a test state machine whose applied sequence the
+// invariant hook can read.
+type appliedSeq interface{ snapshot() []string }
+
+// checkAtEnd runs the group-level invariant hook when the test ends,
+// before the group stops.
+func checkAtEnd[S appliedSeq](t *testing.T, rs []*Raft, sms []S) *Checker {
+	chk := NewChecker(rs)
+	t.Cleanup(func() { checkGroup(t, chk, sms) })
+	return chk
+}
+
+// checkGroup is the invariant hook: the Checker's log-agreement and
+// commit-index checks, and every replica's applied sequence a prefix of
+// the longest one.
+func checkGroup[S appliedSeq](t *testing.T, chk *Checker, sms []S) {
+	t.Helper()
+	if err := chk.Check(); err != nil {
+		t.Error(err)
+	}
+	var longest []string
+	seqs := make([][]string, len(sms))
+	for i, sm := range sms {
+		if seqs[i] = sm.snapshot(); len(seqs[i]) > len(longest) {
+			longest = seqs[i]
+		}
+	}
+	for i, seq := range seqs {
+		if !isPrefix(seq, longest) {
+			t.Errorf("replica %d applied %v, not a prefix of %v", i, seq, longest)
+		}
+	}
 }
 
 func TestElectsSingleLeader(t *testing.T) {
@@ -339,10 +400,11 @@ func TestReadIndexOnFollowerSeesWrites(t *testing.T) {
 
 func TestReadIndexBatching(t *testing.T) {
 	fabric := netsim.NewFabric(netsim.Config{RTT: time.Millisecond})
+	recs := []*recorder{{}, {}, {}}
 	cfgs := []Config{
-		{ID: "a", Fabric: fabric, ElectionTimeout: 50 * time.Millisecond, SM: &recorder{}},
-		{ID: "b", Fabric: fabric, ElectionTimeout: 50 * time.Millisecond, SM: &recorder{}},
-		{ID: "c", Fabric: fabric, ElectionTimeout: 50 * time.Millisecond, SM: &recorder{}},
+		{ID: "a", Fabric: fabric, ElectionTimeout: 50 * time.Millisecond, SM: recs[0]},
+		{ID: "b", Fabric: fabric, ElectionTimeout: 50 * time.Millisecond, SM: recs[1]},
+		{ID: "c", Fabric: fabric, ElectionTimeout: 50 * time.Millisecond, SM: recs[2]},
 	}
 	rs := NewGroup(cfgs)
 	defer func() {
@@ -387,6 +449,7 @@ func TestReadIndexBatching(t *testing.T) {
 	if used >= 48 {
 		t.Fatalf("64 concurrent follower reads used %d RPCs; batching ineffective", used)
 	}
+	checkGroup(t, NewChecker(rs), recs)
 }
 
 func TestApplyIndicesAreSequential(t *testing.T) {

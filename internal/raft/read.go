@@ -132,7 +132,7 @@ func (r *Raft) ReadIndex() (uint64, error) {
 	select {
 	case res := <-ch:
 		return res.idx, res.err
-	case <-r.stopCh:
+	case <-r.life.Load().stop:
 		return 0, types.ErrStopped
 	}
 }

@@ -335,7 +335,7 @@ func TestReadIndexReplyFromOtherTermAdvancesNothing(t *testing.T) {
 func TestFreshLeaderRefusesReadIndexUntilNoopCommits(t *testing.T) {
 	rs, _ := newTestGroup(t, 3, 0, func(c *Config) {
 		slowHeartbeat(c)
-		c.FsyncCost = time.Microsecond // fsyncs take the disk lock
+		c.FsyncCost = 200 * time.Millisecond // the no-op's sync is the window
 	})
 	old, err := WaitLeader(rs, 2*time.Second)
 	if err != nil {
@@ -352,20 +352,16 @@ func TestFreshLeaderRefusesReadIndexUntilNoopCommits(t *testing.T) {
 	if !waitUntil(time.Second, func() bool { return slices.Contains(logCmds(next), "w") }) {
 		t.Fatal("the next leader never received the entry")
 	}
-	// Hold next's disk: elected, it appends its no-op and parks in that
-	// entry's fsync, before any replicator starts, so the no-op cannot
-	// commit.
-	next.disk.Lock()
+	// Elected, next appends its no-op and parks in that entry's 200 ms
+	// sync before it ships it to anyone, so the no-op cannot commit.
 	next.mu.Lock()
 	next.startElectionLocked()
 	next.mu.Unlock()
 	if !waitUntil(time.Second, func() bool { return next.Role() == Leader }) {
-		next.disk.Unlock()
 		t.Fatal("next never won its election")
 	}
 	_, err = next.ReadIndex()
 	_, _, ok := next.handleReadIndex()
-	next.disk.Unlock()
 	if !errors.Is(err, types.ErrNotLeader) {
 		t.Fatalf("ReadIndex before the no-op commits: err = %v, want ErrNotLeader", err)
 	}
@@ -375,7 +371,7 @@ func TestFreshLeaderRefusesReadIndexUntilNoopCommits(t *testing.T) {
 	var idx uint64
 	const bound = time.Second // half the 2 s heartbeat
 	if !waitUntil(bound, func() bool { idx, err = next.ReadIndex(); return err == nil }) {
-		t.Fatalf("ReadIndex still refused %v after the disk was released: %v", bound, err)
+		t.Fatalf("ReadIndex still refused %v after the no-op's sync: %v", bound, err)
 	}
 	if idx <= prior {
 		t.Fatalf("read index %d does not pass the predecessor's commit index %d", idx, prior)

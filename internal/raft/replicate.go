@@ -1,45 +1,16 @@
 package raft
 
 import (
+	"fmt"
 	"slices"
 	"time"
 )
 
-// fsync simulates one durable log sync: syncs on a node serialise on the
-// replica's disk and each costs FsyncCost. This is the bottleneck that
-// proposal batching amortises (§5.2.3).
-func (r *Raft) fsync() {
-	r.metrics.add(1, 0, 0, 0)
-	if r.cfg.FsyncCost <= 0 {
-		return
-	}
-	r.disk.Lock()
-	time.Sleep(r.cfg.FsyncCost)
-	r.disk.Unlock()
-}
-
 // leaderLoop ingests proposals for the given term, appends them to the
 // log (batched when enabled), and coordinates per-peer replicators. It
 // exits when leadership or the term is lost.
-func (r *Raft) leaderLoop(term uint64) {
-	defer r.wg.Done()
-
-	// Append a no-op entry for the new term immediately: a Raft leader
-	// only learns the commit status of previous terms' entries once an
-	// entry of its own term commits, and reads gate on that knowledge
-	// (handleReadIndex refuses until then). The no-op makes the new
-	// leader's commit index catch up with everything already committed.
-	r.mu.Lock()
-	if r.role == Leader && r.term == term {
-		idx, _ := r.lastLogLocked()
-		r.log = append(r.log, Entry{Term: term, Index: idx + 1})
-		r.metrics.add(0, 1, 0, 0)
-	}
-	noop, _ := r.lastLogLocked()
-	r.mu.Unlock()
-	r.fsync()
-	r.advanceDurable(noop)
-	r.maybeAdvanceCommit(term)
+func (r *Raft) leaderLoop(l *life, term uint64) {
+	defer l.wg.Done()
 
 	// Per-peer replicators.
 	type kicker chan struct{}
@@ -49,12 +20,14 @@ func (r *Raft) leaderLoop(term uint64) {
 	for id, p := range r.peers {
 		k := make(kicker, 1)
 		kicks[id] = k
-		r.wg.Add(1)
-		go r.replicateTo(term, p, k, done)
+		l.wg.Add(1)
+		go r.replicateTo(l, term, p, k, done)
 	}
-	if r.cfg.Pipeline {
-		r.wg.Add(1)
-		go r.syncLoop(term, done)
+	var staged chan syncPoint
+	if r.cfg.Pipeline && r.wal != nil {
+		staged = make(chan syncPoint, 64)
+		l.wg.Add(1)
+		go r.syncStage(l, term, staged, done)
 	}
 	kickAll := func() {
 		for _, k := range kicks {
@@ -64,16 +37,46 @@ func (r *Raft) leaderLoop(term uint64) {
 			}
 		}
 	}
-	// Ship the no-op now rather than at the first heartbeat: reads are
-	// refused until it commits (handleReadIndex).
-	kickAll()
+	// flush replicates an appended batch and counts it toward commit once
+	// its record is durable here.
+	flush := func(sp syncPoint) {
+		if staged != nil {
+			// Stream AppendEntries right away; the sync stage waits for
+			// the batch's record and commit advances from there.
+			kickAll()
+			select {
+			case staged <- sp:
+			case <-l.stop:
+			}
+			return
+		}
+		r.persist(sp.epoch, sp.seq, sp.last)
+		r.maybeAdvanceCommit(term) // single-voter groups commit locally
+		kickAll()
+	}
+
+	// Append a no-op entry for the new term immediately: a Raft leader
+	// only learns the commit status of previous terms' entries once an
+	// entry of its own term commits, and reads gate on that knowledge
+	// (handleReadIndex refuses until then). The no-op makes the new
+	// leader's commit index catch up with everything already committed,
+	// and ships now rather than at the first heartbeat.
+	r.mu.Lock()
+	if r.role == Leader && r.term == term {
+		idx, _ := r.lastLogLocked()
+		r.appendLocked(Entry{Term: term, Index: idx + 1})
+		r.metrics.add(1, 0, 0)
+	}
+	sp := r.syncPointLocked()
+	r.mu.Unlock()
+	flush(sp)
 
 	heartbeat := time.NewTicker(r.cfg.HeartbeatInterval)
 	defer heartbeat.Stop()
 
 	for {
 		select {
-		case <-r.stopCh:
+		case <-l.stop:
 			r.mu.Lock()
 			r.failPendingLocked()
 			r.mu.Unlock()
@@ -104,35 +107,22 @@ func (r *Raft) leaderLoop(term uint64) {
 				return
 			}
 			now := time.Now()
-			var last uint64
-			for _, q := range batch {
-				idx, _ := r.lastLogLocked()
-				e := Entry{Term: term, Index: idx + 1, Cmd: q.cmd}
-				r.log = append(r.log, e)
-				last = e.Index
+			first, _ := r.lastLogLocked()
+			first++
+			for i, q := range batch {
+				r.log = append(r.log, Entry{Term: term, Index: first + uint64(i), Cmd: q.cmd})
 				q.appended = now
 				q.term = term
 				if r.pending == nil {
 					r.pending = make(map[uint64]*proposal)
 				}
-				r.pending[e.Index] = q
+				r.pending[first+uint64(i)] = q
 			}
+			r.stageEntriesLocked(r.log[len(r.log)-len(batch):])
+			sp := r.syncPointLocked()
 			r.metrics.noteAppend(int64(len(batch)), int64(bytes), reason)
 			r.mu.Unlock()
-			if r.cfg.Pipeline {
-				// Stream AppendEntries right away; the sync stage makes
-				// the batch durable and commit advances from there.
-				kickAll()
-				select {
-				case r.syncCh <- struct{}{}:
-				default:
-				}
-			} else {
-				r.fsync()
-				r.advanceDurable(last)
-				r.maybeAdvanceCommit(term) // single-voter groups commit locally
-				kickAll()
-			}
+			flush(sp)
 		}
 	}
 }
@@ -172,50 +162,33 @@ func (r *Raft) collectBatch(first *proposal) (batch []*proposal, bytes int, reas
 	}
 }
 
-// advanceDurable raises durableIndex to idx (never past the current log
-// end, which a follower's log truncation could have moved back).
-func (r *Raft) advanceDurable(idx uint64) {
-	r.mu.Lock()
-	if last, _ := r.lastLogLocked(); idx > last {
-		idx = last
-	}
-	if idx > r.durableIndex {
-		r.durableIndex = idx
-	}
-	r.mu.Unlock()
+// syncPoint is one appended batch the leader waits on: its WAL record,
+// and the log end it makes durable.
+type syncPoint struct{ epoch, seq, last uint64 }
+
+// syncPointLocked is the sync point of everything appended so far.
+func (r *Raft) syncPointLocked() syncPoint {
+	last, _ := r.lastLogLocked()
+	return syncPoint{epoch: r.epoch, seq: r.lastStaged, last: last}
 }
 
-// syncLoop is the pipelined leader's log-sync stage: replicators stream
+// syncStage is the pipelined leader's log-sync stage: replicators stream
 // entries to followers as soon as they are appended in memory, while
-// this loop makes them durable in the background. Appends that arrive
-// while one fsync is in flight coalesce into a single follow-up sync
-// (leader-side group commit), and durableIndex — the leader's own
-// acknowledgement in the commit rule — only advances once the covering
-// fsync completes.
-func (r *Raft) syncLoop(term uint64, done chan struct{}) {
-	defer r.wg.Done()
+// this stage waits for each batch's record to be durable and only then
+// counts the batch toward commit — durableIndex is the leader's own
+// acknowledgement in the commit rule. Batches staged while one sync is
+// in flight are covered by the WAL's next group sync, so their waits
+// here are short or nothing.
+func (r *Raft) syncStage(l *life, term uint64, staged <-chan syncPoint, done chan struct{}) {
+	defer l.wg.Done()
 	for {
 		select {
-		case <-r.stopCh:
+		case <-l.stop:
 			return
 		case <-done:
 			return
-		case <-r.syncCh:
-		}
-		for {
-			r.mu.Lock()
-			if r.role != Leader || r.term != term {
-				r.mu.Unlock()
-				return
-			}
-			last, _ := r.lastLogLocked()
-			if r.durableIndex >= last {
-				r.mu.Unlock()
-				break
-			}
-			r.mu.Unlock()
-			r.fsync()
-			r.advanceDurable(last)
+		case p := <-staged:
+			r.persist(p.epoch, p.seq, p.last)
 			r.maybeAdvanceCommit(term)
 		}
 	}
@@ -250,11 +223,11 @@ func (r *Raft) failPendingLocked() {
 // replicateTo drives one peer: whenever kicked (new entries or
 // heartbeat), it sends AppendEntries from the peer's nextIndex and
 // processes the reply. It exits with the leader term.
-func (r *Raft) replicateTo(term uint64, p *peer, kick chan struct{}, done chan struct{}) {
-	defer r.wg.Done()
+func (r *Raft) replicateTo(l *life, term uint64, p *peer, kick chan struct{}, done chan struct{}) {
+	defer l.wg.Done()
 	for {
 		select {
-		case <-r.stopCh:
+		case <-l.stop:
 			return
 		case <-done:
 			return
@@ -392,17 +365,37 @@ func (r *Raft) maybeAdvanceCommit(term uint64) {
 }
 
 // handleAppendEntries is the AppendEntries RPC handler (also heartbeat).
-// replyTerm 0 signals a stopped replica.
+// It replies only once everything it staged — entries, and a term the
+// message raised — is durable, so an ok reply always means the entries
+// are on this replica's disk, whether or not the leader pipelines its
+// own sync. replyTerm 0 signals a stopped replica.
 func (r *Raft) handleAppendEntries(term uint64, leader string, prevIdx, prevTerm uint64,
 	entries []Entry, leaderCommit uint64) (ok bool, replyTerm uint64, conflictHint uint64) {
 
+	r.mu.Lock()
 	if r.stopped() {
+		r.mu.Unlock()
 		return false, 0, 0
 	}
-	r.mu.Lock()
+	ok, conflictHint = r.appendEntriesLocked(term, leader, prevIdx, prevTerm, entries, leaderCommit)
+	var durable uint64
+	if ok {
+		durable, _ = r.lastLogLocked()
+	}
+	epoch, seq, replyTerm := r.epoch, r.lastStaged, r.term
+	r.mu.Unlock()
+	if !r.persist(epoch, seq, durable) {
+		return false, 0, 0
+	}
+	return ok, replyTerm, conflictHint
+}
+
+// appendEntriesLocked is handleAppendEntries' decision under r.mu.
+func (r *Raft) appendEntriesLocked(term uint64, leader string, prevIdx, prevTerm uint64,
+	entries []Entry, leaderCommit uint64) (ok bool, conflictHint uint64) {
+
 	if term < r.term {
-		defer r.mu.Unlock()
-		return false, r.term, 0
+		return false, 0
 	}
 	if term > r.term || r.role == Candidate || (r.role == Leader && term >= r.term) {
 		r.becomeFollowerLocked(term, leader)
@@ -423,16 +416,14 @@ func (r *Raft) handleAppendEntries(term uint64, leader string, prevIdx, prevTerm
 	lastIdx, _ := r.lastLogLocked()
 	first := r.firstIndexLocked()
 	if prevIdx > lastIdx {
-		defer r.mu.Unlock()
-		return false, r.term, lastIdx + 1
+		return false, lastIdx + 1
 	}
 	if prevIdx < first {
 		// The prefix up to first is covered by our snapshot (committed
 		// state), so it cannot conflict: skip entries at or below it.
 		skip := first - prevIdx
 		if uint64(len(entries)) <= skip {
-			defer r.mu.Unlock()
-			return true, r.term, 0
+			return true, 0
 		}
 		entries = entries[skip:]
 		prevIdx = first
@@ -445,44 +436,37 @@ func (r *Raft) handleAppendEntries(term uint64, leader string, prevIdx, prevTerm
 		for hint > first+1 && r.entryAtLocked(hint-1).Term == conflictTerm {
 			hint--
 		}
-		defer r.mu.Unlock()
-		return false, r.term, hint
+		return false, hint
 	}
-	// Append new entries, truncating conflicts.
-	appended := false
+	// Append the entries past the matching prefix, truncating a
+	// conflicting suffix first.
 	for i, e := range entries {
 		at := prevIdx + 1 + uint64(i)
 		if at <= lastIdx {
 			if r.entryAtLocked(at).Term == e.Term {
 				continue
 			}
+			if at <= r.commitIndex {
+				panic(fmt.Sprintf("raft: %s truncating committed entry %d (commit index %d)", r.id, at, r.commitIndex))
+			}
 			r.log = r.log[:at-first]
-			lastIdx = at - 1
+			r.durableIndex = min(r.durableIndex, at-1)
+			r.epoch++
 		}
-		r.log = append(r.log, e)
-		lastIdx = e.Index
-		appended = true
+		r.appendLocked(entries[i:]...)
+		break
 	}
 	// Commit what this leader has reported committed — here or in an
 	// earlier ReadIndex reply that ran ahead of these entries — within
 	// the prefix it has verified.
 	r.learnLocked(term, verified, leaderCommit)
-	newLast := lastIdx
-	curTerm := r.term
-	r.mu.Unlock()
-	if appended {
-		// Followers sync before acking: an ok reply always implies the
-		// appended entries are durable, whether or not the leader
-		// pipelines its own sync.
-		r.fsync()
-		r.advanceDurable(newLast)
-	}
-	return true, curTerm, 0
+	return true, 0
 }
 
 // handleInstallSnapshot is the InstallSnapshot RPC handler: a follower
 // that lags behind the leader's compacted log replaces its state machine
-// with the leader's snapshot.
+// with the leader's snapshot, and its log — in memory and in its WAL —
+// with the snapshot's record.
 func (r *Raft) handleInstallSnapshot(term uint64, leader string, snapIdx, snapTerm uint64, data []byte) (ok bool, replyTerm uint64) {
 	if r.stopped() {
 		return false, 0
@@ -490,6 +474,10 @@ func (r *Raft) handleInstallSnapshot(term uint64, leader string, snapIdx, snapTe
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
 	r.mu.Lock()
+	if r.stopped() {
+		r.mu.Unlock()
+		return false, 0
+	}
 	if term < r.term {
 		defer r.mu.Unlock()
 		return false, r.term
@@ -503,24 +491,28 @@ func (r *Raft) handleInstallSnapshot(term uint64, leader string, snapIdx, snapTe
 		r.staleCommit = snapIdx
 	}
 	r.staleContact = time.Now()
-	if snapIdx <= r.lastApplied {
-		// Already past this snapshot.
-		defer r.mu.Unlock()
-		return true, r.term
-	}
 	sm, _ := r.cfg.SM.(Snapshotter)
-	if sm == nil {
-		// Cannot restore: reject so the leader keeps its log long enough
-		// (NewGroup validation prevents this configuration).
-		defer r.mu.Unlock()
-		return false, r.term
+	if snapIdx <= r.commitIndex || sm == nil {
+		// Already holds this committed prefix — or cannot restore, and
+		// refuses so the leader keeps its log long enough (NewGroup
+		// validation prevents that configuration).
+		epoch, seq, replyTerm := r.epoch, r.lastStaged, r.term
+		r.mu.Unlock()
+		if !r.persist(epoch, seq, 0) {
+			return false, 0
+		}
+		return sm != nil, replyTerm
 	}
 	r.log = []Entry{{Term: snapTerm, Index: snapIdx}}
 	r.snapData = data
 	r.commitIndex = snapIdx
 	r.lastApplied = snapIdx
+	r.durableIndex = min(r.durableIndex, snapIdx)
+	r.epoch++
+	r.stageSnapshotLocked()
 	// The log is now exactly the leader's committed prefix up to snapIdx.
 	r.view = leaderView{term: r.term, verified: snapIdx, commit: snapIdx}
+	epoch, seq, replyTerm := r.epoch, r.lastStaged, r.term
 	r.mu.Unlock()
 	// Still under applyMu: the applier cannot apply a pre-snapshot entry
 	// onto the restored state or rewind lastApplied behind the new log.
@@ -528,7 +520,9 @@ func (r *Raft) handleInstallSnapshot(term uint64, leader string, snapIdx, snapTe
 	r.mu.Lock()
 	r.applyCond.Broadcast()
 	r.mu.Unlock()
-	r.fsync()
-	r.advanceDurable(snapIdx)
-	return true, r.term
+	if !r.persist(epoch, seq, snapIdx) {
+		return false, 0
+	}
+	r.trimWAL(seq)
+	return true, replyTerm
 }

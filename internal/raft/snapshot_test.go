@@ -60,6 +60,7 @@ func newSnapGroup(t *testing.T, voters int, threshold int) ([]*Raft, []*snapReco
 			r.Stop()
 		}
 	})
+	checkAtEnd(t, rs, recs)
 	return rs, recs
 }
 

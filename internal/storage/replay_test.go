@@ -86,7 +86,7 @@ func TestCrashReplayDeterminism(t *testing.T) {
 // them gap-free, and WAL replay yields the identical batch sequence —
 // including under concurrent committers racing the group-commit window.
 func TestCommitOrderMatchesHookOrder(t *testing.T) {
-	s, w := walShard(t, 20*time.Microsecond)
+	s, _ := walShard(t, 20*time.Microsecond)
 	var mu sync.Mutex
 	type batch struct {
 		seq  uint64
@@ -134,7 +134,7 @@ func TestCommitOrderMatchesHookOrder(t *testing.T) {
 		}
 	}
 	replayed := 0
-	w.ReplayBatches(func(seq uint64, muts []Mutation) {
+	s.ReplayBatches(func(seq uint64, muts []Mutation) {
 		replayed++
 		want, ok := seen[seq]
 		if !ok {

@@ -437,7 +437,9 @@ func (s *Shard) Commit(txnID string) {
 func (s *Shard) noteCommitLocked(txnID string, muts []Mutation) uint64 {
 	var seq uint64
 	if s.wal != nil {
-		seq = s.wal.Stage(muts)
+		if len(muts) > 0 {
+			seq = s.wal.Stage(encodeBatch(muts))
+		}
 	} else {
 		s.commitSeq++
 		seq = s.commitSeq

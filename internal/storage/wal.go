@@ -2,52 +2,53 @@ package storage
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mantle/internal/types"
 )
 
-// WAL is a shard's write-ahead log: every committed mutation batch is
-// appended and synced before it is applied to the in-memory B-tree, so a
-// crashed shard rebuilds its exact contents by replay. Syncs use group
-// commit — concurrent committers piggyback on one in-flight sync — which
-// is the same amortisation the paper's Raft log batching exploits
-// (§5.2.3), here at the storage layer.
-//
-// The log lives in memory (the simulated cluster has no real disks); the
-// durability *cost* is modelled by SyncCost and the crash/recovery
-// *logic* is real and tested: Shard.Crash discards the B-tree and
-// RecoverShard replays the WAL.
-type stagedBatch struct {
+// stagedRecord is a record appended but not yet covered by a sync.
+type stagedRecord struct {
 	seq uint64
-	rec []byte // packed batch (walcodec.go)
+	rec []byte
 }
 
 // walWaiter is one parked committer: its channel is closed when its
-// batch becomes durable, or to hand it sync leadership for the next
+// record becomes durable, or to hand it sync leadership for the next
 // group.
 type walWaiter struct {
 	seq uint64
 	ch  chan struct{}
 }
 
+// WAL is a write-ahead log of byte records with group commit, the one
+// disk model of the tree: a TafDB shard logs each committed mutation
+// batch (encoded by the Shard, walcodec.go) and a raft replica its
+// entries, term and vote, and snapshots. A record is staged, then made
+// durable by a sync; concurrent committers piggyback on one in-flight
+// sync, which is the amortisation the paper's Raft log batching exploits
+// (§5.2.3), for shards and raft logs alike.
+//
+// The log lives in memory (the simulated cluster has no real disks); the
+// durability *cost* is modelled by the sync cost and the crash/recovery
+// *logic* is real and tested: Crash drops what no completed sync covered,
+// and the owner rebuilds from Replay (Shard.Recover, raft's Restart).
 type WAL struct {
 	mu      sync.Mutex
-	records [][]byte      // durable prefix, packed batches (walcodec.go)
-	staged  []stagedBatch // appended but not yet synced
-	waiters []walWaiter   // committers parked behind an in-flight sync
+	records [][]byte       // durable records; records[i] has sequence base+i+1
+	base    uint64         // sequence numbers trimmed off the front
+	staged  []stagedRecord // appended but not yet synced
+	spare   []stagedRecord // the last synced group's slice, reused for staging
+	waiters []walWaiter    // committers parked behind an in-flight sync
 
-	seq     uint64 // last staged batch number
-	durable uint64 // highest batch number covered by a completed sync
+	seq     uint64 // last staged record number
+	durable uint64 // highest record number covered by a completed sync
 	syncing bool
+	gen     uint64 // bumped by Crash: a sync or wait begun before it is void
 
 	syncCost time.Duration
 
-	syncCount  atomic.Int64
-	soloSyncs  atomic.Int64 // syncs that covered exactly one batch
-	groupSyncs atomic.Int64 // syncs that covered more than one batch
-	covered    atomic.Int64 // total batches covered by completed syncs
+	stats WALStats
 }
 
 // NewWAL creates a group-committing WAL whose syncs cost syncCost each.
@@ -55,57 +56,47 @@ func NewWAL(syncCost time.Duration) *WAL {
 	return &WAL{syncCost: syncCost}
 }
 
-// Commit appends the batch, blocks until it is durable, and returns the
-// batch's sequence number (DurableSeq has reached it by then). It is
-// Stage followed by WaitDurable; callers that must fix the log position
-// under their own lock (Shard.Commit orders the log identically to the
-// oplog) use the two halves directly.
-//
-// The batch is encoded into one packed record before staging (fixed
-// header + varlen name per mutation, see walcodec.go): the log retains
-// ~20 bytes per mutation instead of a 120+-byte Mutation struct, which
-// keeps the in-memory log from dominating the namespace's resident
-// footprint at scale. The caller keeps ownership of muts; it is read
-// during this call only.
-func (w *WAL) Commit(muts []Mutation) uint64 {
-	seq := w.Stage(muts)
+// Commit appends rec, blocks until it is durable, and returns its
+// sequence number (DurableSeq has reached it by then). It is Stage
+// followed by WaitDurable; callers that must fix the log position under
+// their own lock (Shard.Commit orders the log identically to the oplog,
+// raft orders it with its in-memory log) use the two halves directly.
+// The WAL keeps rec; the caller must not modify it afterwards.
+func (w *WAL) Commit(rec []byte) uint64 {
+	seq := w.Stage(rec)
 	w.WaitDurable(seq)
 	return seq
 }
 
-// Stage appends the batch to the log and assigns its sequence number
-// without waiting for durability. Replay order is Stage order: the
-// caller serialises Stage with whatever lock defines its commit order
-// (the shard mutex), which is exactly what keeps WAL replay and oplog
-// emission in agreement.
-func (w *WAL) Stage(muts []Mutation) uint64 {
-	if len(muts) == 0 {
-		return 0
-	}
-	rec := encodeBatch(muts)
+// Stage appends rec to the log and assigns its sequence number without
+// waiting for durability. Replay order is Stage order: the caller
+// serialises Stage with whatever lock defines its commit order.
+func (w *WAL) Stage(rec []byte) uint64 {
 	w.mu.Lock()
 	w.seq++
 	mySeq := w.seq
-	w.staged = append(w.staged, stagedBatch{seq: mySeq, rec: rec})
+	w.staged = append(w.staged, stagedRecord{seq: mySeq, rec: rec})
 	w.mu.Unlock()
 	return mySeq
 }
 
-// WaitDurable blocks until the batch with the given sequence number is
+// WaitDurable blocks until the record with the given sequence number is
 // covered by a completed sync. Concurrent callers group-commit:
-// whichever caller performs the physical sync covers every batch staged
+// whichever caller performs the physical sync covers every record staged
 // before the sync started, and the others park on a waiter list that is
-// notified per-batch as the durable horizon passes their sequence
-// number.
+// notified per-record as the durable horizon passes their sequence
+// number. A Crash releases every waiter, durable or not, and a wait for
+// a record it lost returns at once.
 func (w *WAL) WaitDurable(seq uint64) {
 	if seq == 0 {
 		return
 	}
 	w.mu.Lock()
-	for w.durable < seq {
+	gen := w.gen
+	for w.durable < seq && seq <= w.seq && w.gen == gen {
 		if w.syncing {
 			// A sync that cannot cover us (it started before we staged)
-			// is in flight; park until our batch is durable or we are
+			// is in flight; park until our record is durable or we are
 			// handed sync leadership, then re-check.
 			ch := make(chan struct{})
 			w.waiters = append(w.waiters, walWaiter{seq: seq, ch: ch})
@@ -124,30 +115,33 @@ func (w *WAL) WaitDurable(seq uint64) {
 // for the duration of the sync.
 func (w *WAL) leadSyncLocked() {
 	w.syncing = true
-	batch := w.staged
-	w.staged = nil
+	batch, gen := w.staged, w.gen
+	w.staged = w.spare[:0]
+	w.spare = nil
 	top := batch[len(batch)-1].seq
 	w.mu.Unlock()
 
 	if w.syncCost > 0 {
 		time.Sleep(w.syncCost)
 	}
-	w.syncCount.Add(1)
-	if len(batch) > 1 {
-		w.groupSyncs.Add(1)
-	} else {
-		w.soloSyncs.Add(1)
-	}
-	w.covered.Add(int64(len(batch)))
 
 	w.mu.Lock()
-	for _, b := range batch {
-		w.records = append(w.records, b.rec)
+	w.stats.Syncs++
+	if len(batch) > 1 {
+		w.stats.GroupSyncs++
+	} else {
+		w.stats.SoloSyncs++
 	}
+	w.stats.Covered += int64(len(batch))
 	w.syncing = false
-	if top > w.durable {
+	if gen == w.gen { // a Crash during the sync lost the group
+		for _, b := range batch {
+			w.records = append(w.records, b.rec)
+		}
 		w.durable = top
 	}
+	clear(batch)
+	w.spare = batch[:0]
 	// Wake every waiter the sync covered. Uncovered waiters stay
 	// parked, except the oldest, which is handed sync leadership so the
 	// next group forms without a thundering herd.
@@ -167,11 +161,40 @@ func (w *WAL) leadSyncLocked() {
 	w.waiters = keep
 }
 
+// Crash loses every record no completed sync covered — those staged and
+// those under a sync still in flight — and releases every parked waiter.
+// Sequence numbers resume after the durable prefix.
+func (w *WAL) Crash() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.gen++
+	clear(w.staged)
+	w.staged = w.staged[:0]
+	w.seq = w.durable
+	for _, wt := range w.waiters {
+		close(wt.ch)
+	}
+	clear(w.waiters)
+	w.waiters = w.waiters[:0]
+}
+
+// Trim drops the durable records before seq: the owner has made a later
+// record (a snapshot) stand for them.
+func (w *WAL) Trim(seq uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if seq <= w.base+1 || seq > w.durable {
+		return
+	}
+	w.records = append([][]byte(nil), w.records[seq-1-w.base:]...)
+	w.base = seq - 1
+}
+
 // Syncs returns the number of physical syncs performed (group-commit
 // effectiveness metric).
-func (w *WAL) Syncs() int64 { return w.syncCount.Load() }
+func (w *WAL) Syncs() int64 { return w.Stats().Syncs }
 
-// DurableSeq returns the highest batch sequence number covered by a
+// DurableSeq returns the highest record sequence number covered by a
 // completed sync.
 func (w *WAL) DurableSeq() uint64 {
 	w.mu.Lock()
@@ -180,7 +203,7 @@ func (w *WAL) DurableSeq() uint64 {
 }
 
 // WALStats is a snapshot of a WAL's sync accounting. Syncs always
-// equals SoloSyncs+GroupSyncs, and Covered counts the batches those
+// equals SoloSyncs+GroupSyncs, and Covered counts the records those
 // syncs made durable — the group-commit fan-in is Covered/Syncs.
 type WALStats struct {
 	Syncs      int64
@@ -191,12 +214,9 @@ type WALStats struct {
 
 // Stats snapshots the sync accounting.
 func (w *WAL) Stats() WALStats {
-	return WALStats{
-		Syncs:      w.syncCount.Load(),
-		SoloSyncs:  w.soloSyncs.Load(),
-		GroupSyncs: w.groupSyncs.Load(),
-		Covered:    w.covered.Load(),
-	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.stats
 }
 
 // Add accumulates o into s (cross-shard aggregation).
@@ -207,43 +227,27 @@ func (s *WALStats) Add(o WALStats) {
 	s.Covered += o.Covered
 }
 
-// Batches returns the number of durable mutation batches.
+// Batches returns the number of durable records held.
 func (w *WAL) Batches() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.records)
 }
 
-// Replay invokes apply for every durable mutation in commit order.
-func (w *WAL) Replay(apply func(Mutation)) {
-	w.ReplayBatches(func(_ uint64, muts []Mutation) {
-		for _, m := range muts {
-			apply(m)
-		}
-	})
-}
-
-// ReplayBatches invokes apply once per durable batch in commit order,
-// with the batch's sequence number. Durable records are stored in
-// sequence order with no gaps, so record i holds batch i+1 — the
-// property fsck.VerifyOplog cross-checks against the replication oplog.
-func (w *WAL) ReplayBatches(apply func(seq uint64, muts []Mutation)) {
+// Replay invokes fn for every durable record in sequence order. Records
+// are numbered with no gaps, so a log that was never trimmed starts at
+// sequence 1 — the property fsck.VerifyOplog cross-checks a shard's
+// batches against the replication oplog by.
+func (w *WAL) Replay(fn func(seq uint64, rec []byte)) {
 	w.mu.Lock()
-	records := w.records
+	records, base := w.records, w.base
 	w.mu.Unlock()
-	scratch := make([]Mutation, 0, 8)
 	for i, rec := range records {
-		scratch = scratch[:0]
-		if err := decodeBatch(rec, func(m Mutation) { scratch = append(scratch, m) }); err != nil {
-			// Records are produced by this process's encodeBatch; a decode
-			// failure is a codec bug, not a runtime condition.
-			panic(err)
-		}
-		apply(uint64(i)+1, scratch)
+		fn(base+uint64(i)+1, rec)
 	}
 }
 
-// StagedSeq returns the highest batch sequence number assigned so far
+// StagedSeq returns the highest record sequence number assigned so far
 // (staged, not necessarily durable).
 func (w *WAL) StagedSeq() uint64 {
 	w.mu.Lock()
@@ -290,12 +294,38 @@ func (s *Shard) Recover() int {
 	}
 	s.rows = newRowTree()
 	n := 0
-	s.wal.Replay(func(m Mutation) {
-		s.applyLocked(m)
-		n++
+	s.replay(s.wal, func(_ uint64, muts []Mutation) {
+		for _, m := range muts {
+			s.applyLocked(m)
+		}
+		n += len(muts)
 	})
 	s.crashed = false
 	return n
+}
+
+// ReplayBatches invokes apply once per durable batch of the shard's WAL
+// in commit order, with the batch's sequence number (a no-op without a
+// WAL). muts is reused between calls.
+func (s *Shard) ReplayBatches(apply func(seq uint64, muts []Mutation)) {
+	if w := s.WAL(); w != nil {
+		s.replay(w, apply)
+	}
+}
+
+// replay decodes w's records into mutation batches; the caller holds
+// the shard mutex or has read w under it.
+func (s *Shard) replay(w *WAL, apply func(seq uint64, muts []Mutation)) {
+	scratch := make([]Mutation, 0, 8)
+	w.Replay(func(seq uint64, rec []byte) {
+		scratch = scratch[:0]
+		if err := decodeBatch(rec, func(m Mutation) { scratch = append(scratch, m) }); err != nil {
+			// Records are produced by this process's encodeBatch; a decode
+			// failure is a codec bug, not a runtime condition.
+			panic(err)
+		}
+		apply(seq, scratch)
+	})
 }
 
 // Crashed reports whether the shard is in the crashed state.

@@ -25,7 +25,7 @@ func TestWALGroupCommitWaiterDurability(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				seq := w.Commit([]Mutation{putMut(uint64(g+1), fmt.Sprintf("k%d", i), uint64(i))})
+				seq := w.Commit(encodeBatch([]Mutation{putMut(uint64(g+1), fmt.Sprintf("k%d", i), uint64(i))}))
 				if d := w.DurableSeq(); d < seq {
 					t.Errorf("Commit returned seq %d but DurableSeq = %d", seq, d)
 					return

@@ -171,3 +171,61 @@ func TestRecoverWithoutWAL(t *testing.T) {
 		t.Fatalf("recover without WAL replayed %d", n)
 	}
 }
+
+// TestWALCrashKeepsOnlySynced: a crash keeps exactly what a completed
+// sync covered. A staged record is lost, so is a group whose sync is in
+// flight, and every committer parked behind that sync is released;
+// numbering resumes after the durable prefix.
+func TestWALCrashKeepsOnlySynced(t *testing.T) {
+	w := NewWAL(20 * time.Millisecond)
+	kept := w.Commit([]byte("kept"))
+	inFlight := w.Stage([]byte("in-flight"))
+	done := make(chan struct{})
+	go func() {
+		w.WaitDurable(inFlight) // leads the 20 ms sync
+		close(done)
+	}()
+	time.Sleep(5 * time.Millisecond)
+	parked := w.Stage([]byte("parked"))
+	released := make(chan struct{})
+	go func() {
+		w.WaitDurable(parked) // parks behind the in-flight sync
+		close(released)
+	}()
+	time.Sleep(2 * time.Millisecond)
+	w.Crash()
+	<-released
+	<-done
+	if d := w.DurableSeq(); d != kept {
+		t.Fatalf("durable = %d after the crash, want %d", d, kept)
+	}
+	var got []string
+	w.Replay(func(seq uint64, rec []byte) { got = append(got, fmt.Sprintf("%d:%s", seq, rec)) })
+	if fmt.Sprint(got) != "[1:kept]" {
+		t.Fatalf("replay after crash = %v, want [1:kept]", got)
+	}
+	if next := w.Commit([]byte("next")); next != kept+1 {
+		t.Fatalf("first record after the crash got seq %d, want %d", next, kept+1)
+	}
+	if st := w.Stats(); st.Syncs != st.SoloSyncs+st.GroupSyncs {
+		t.Fatalf("stats unbalanced after a crash: %+v", st)
+	}
+}
+
+// TestWALTrim drops the durable prefix before a record and keeps the
+// numbering of what remains.
+func TestWALTrim(t *testing.T) {
+	w := NewWAL(0)
+	for i := 0; i < 5; i++ {
+		w.Commit([]byte{byte('a' + i)})
+	}
+	w.Stage([]byte("staged"))
+	w.Trim(7) // not durable: nothing to stand for the prefix yet
+	w.Trim(4)
+	w.Trim(2) // already trimmed
+	var got []string
+	w.Replay(func(seq uint64, rec []byte) { got = append(got, fmt.Sprintf("%d:%s", seq, rec)) })
+	if fmt.Sprint(got) != "[4:d 5:e]" || w.Batches() != 2 {
+		t.Fatalf("after Trim(4) replay = %v (%d records), want [4:d 5:e]", got, w.Batches())
+	}
+}

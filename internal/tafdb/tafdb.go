@@ -633,9 +633,7 @@ func (db *DB) ApplyToShard(i int, muts []storage.Mutation) error {
 // durable ground truth fsck cross-checks the replication oplog against.
 // A no-op when the WAL is disabled.
 func (db *DB) ReplayShard(i int, fn func(seq uint64, muts []storage.Mutation)) {
-	if w := db.parts[i%len(db.parts)].Shard.WAL(); w != nil {
-		w.ReplayBatches(fn)
-	}
+	db.parts[i%len(db.parts)].Shard.ReplayBatches(fn)
 }
 
 // ForEachRow visits every MetaTable row on every shard (diagnostics,

@@ -56,6 +56,11 @@ func (w *Writer) String32(s string) {
 	w.b = append(binary.LittleEndian.AppendUint32(w.b, uint32(len(s))), s...)
 }
 
+// Blob appends b as String would a string, without converting it.
+func (w *Writer) Blob(b []byte) {
+	w.b = append(binary.AppendUvarint(w.b, uint64(len(b))), b...)
+}
+
 // ReadFrame reads one frame from br and returns its body, in buf when
 // that is big enough. A stream that ends between frames is io.EOF, one
 // that ends inside a frame io.ErrUnexpectedEOF; a length over limit is
