@@ -295,8 +295,7 @@ func (s *Store) ApplyAtomic(op *rpc.Op, pid types.InodeID, muts []storage.Mutati
 		if err != nil {
 			return err
 		}
-		p.Shard.Commit(txnID)
-		return nil
+		return p.Shard.Commit(txnID)
 	})
 }
 

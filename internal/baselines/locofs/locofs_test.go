@@ -9,7 +9,9 @@ import (
 
 	"mantle/internal/api"
 	"mantle/internal/conformance"
+	"mantle/internal/faults"
 	"mantle/internal/indexnode"
+	"mantle/internal/raft"
 	"mantle/internal/rpc"
 	"mantle/internal/types"
 )
@@ -120,7 +122,13 @@ func TestReplicasConvergeAndSurviveLeaderStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.dir.KillLeader()
+	inj := faults.New(1)
+	inj.Attach(s.Caller().Fabric())
+	l, err := raft.WaitLeader(s.dir.Rafts(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Crash(l)
 	after, err := s.Lookup(begin(), "/x/y/b2/c")
 	if err != nil {
 		t.Fatalf("lookup after leader stop: %v", err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mantle/internal/faults"
 	"mantle/internal/indexnode"
 	"mantle/internal/raft"
 	"mantle/internal/tafdb"
@@ -41,6 +42,8 @@ func TestChaosLeaderKillsUnderLoad(t *testing.T) {
 		}
 	}
 	m := newTestMantle(t, cfg)
+	inj := faults.New(1)
+	inj.Attach(m.Caller().Fabric())
 	if _, err := m.Mkdir(op(m), "/chaos"); err != nil {
 		t.Fatal(err)
 	}
@@ -86,17 +89,12 @@ func TestChaosLeaderKillsUnderLoad(t *testing.T) {
 	// re-election to finish first.
 	for kill := 0; kill < 2; kill++ {
 		time.Sleep(300 * time.Millisecond)
-		killed := false
-		for attempt := 0; attempt < 400; attempt++ {
-			if m.Index().KillLeader() {
-				killed = true
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if !killed {
+		l, err := raft.WaitLeader(m.Index().Rafts(), 2*time.Second)
+		if err != nil {
 			t.Error("no leader elected to kill")
+			continue
 		}
+		inj.Crash(l)
 	}
 	time.Sleep(500 * time.Millisecond)
 	stop.Store(true)
@@ -137,11 +135,13 @@ func TestChaosLeaderKillsUnderLoad(t *testing.T) {
 }
 
 // TestTafDBShardCrashDuringReads verifies reads fail cleanly while a
-// shard is down and succeed after recovery.
+// shard is down — unreachable, not empty — and succeed after restart.
 func TestTafDBShardCrashDuringReads(t *testing.T) {
 	m := newTestMantle(t, func(c *Config) {
 		c.TafDB = tafdb.Config{Shards: 4, WALSyncCost: time.Microsecond}
 	})
+	inj := faults.New(1)
+	inj.Attach(m.Caller().Fabric())
 	if _, err := m.Mkdir(op(m), "/d"); err != nil {
 		t.Fatal(err)
 	}
@@ -150,20 +150,23 @@ func TestTafDBShardCrashDuringReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash every shard: all object stats must now fail with NotFound
-	// (rows gone), none should panic or hang.
+	// Crash every shard: all object stats must now fail as unreachable
+	// (the shard is down, not empty), none should panic or hang.
 	for i := 0; i < 4; i++ {
-		m.DB().CrashShard(i)
+		inj.Crash(m.DB().Shard(i))
 	}
-	if _, err := m.ObjStat(op(m), "/d/o0"); !errors.Is(err, types.ErrNotFound) {
+	_, err := m.ObjStat(op(m), "/d/o0")
+	if !errors.Is(err, types.ErrUnreachable) || errors.Is(err, types.ErrNotFound) {
 		t.Fatalf("stat on crashed shard: %v", err)
 	}
 	for i := 0; i < 4; i++ {
-		m.DB().RecoverShard(i)
+		if err := inj.Restart(m.DB().Shard(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 20; i++ {
 		if _, err := m.ObjStat(op(m), fmt.Sprintf("/d/o%d", i)); err != nil {
-			t.Fatalf("stat after recovery: %v", err)
+			t.Fatalf("stat after restart: %v", err)
 		}
 	}
 }

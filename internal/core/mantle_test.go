@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"mantle/internal/api"
+	"mantle/internal/faults"
 	"mantle/internal/indexnode"
 	"mantle/internal/raft"
 	"mantle/internal/rpc"
@@ -315,9 +317,13 @@ func TestIndexNodeLeaderFailover(t *testing.T) {
 	if _, err := m.Mkdir(op(m), "/before"); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Index().KillLeader() {
-		t.Fatal("no leader to kill")
+	inj := faults.New(1)
+	inj.Attach(m.Caller().Fabric())
+	l, err := raft.WaitLeader(m.Index().Rafts(), time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
+	inj.Crash(l)
 	// Operations continue after re-election: writes retry to the new
 	// leader; lookups keep resolving.
 	if _, err := m.Mkdir(op(m), "/after"); err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"mantle/internal/api"
 	"mantle/internal/core"
+	"mantle/internal/faults"
 	"mantle/internal/indexnode"
 	"mantle/internal/raft"
 	"mantle/internal/tafdb"
@@ -31,6 +32,8 @@ func TestIndexNodeRestartUnderMkdirs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Stop)
+	inj := faults.New(1)
+	inj.Attach(m.Caller().Fabric())
 	acked := []string{"/pop", "/pop/a", "/pop/a/b"}
 	if err := m.Populate([]api.PopDir{
 		{Path: "/pop", ID: 1000, Pid: types.RootID},
@@ -80,9 +83,9 @@ func TestIndexNodeRestartUnderMkdirs(t *testing.T) {
 				break
 			}
 		}
-		victim.Crash()
+		inj.Crash(victim)
 		time.Sleep(30 * time.Millisecond)
-		if err := victim.Restart(); err != nil {
+		if err := inj.Restart(victim); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -165,7 +165,7 @@ func (s *Sites) Bootstrap() (int, error) {
 	const chunk = 1024
 	total := 0
 	for si := 0; si < s.shards; si++ {
-		rows, seq := s.Primary.DB().SnapshotShard(si)
+		rows, seq := s.Primary.DB().Shard(si).SnapshotRows()
 		muts := make([]storage.Mutation, 0, chunk)
 		flush := func() error {
 			if len(muts) == 0 {

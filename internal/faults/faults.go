@@ -21,6 +21,8 @@
 //     Restored, so no request reaches it to execute.
 //   - Partition(a, b): symmetric partition — every message between a
 //     member of set a and a member of set b is lost until Heal/HealAll.
+//   - Crash(p)/Restart(p): p is down, blackholed, until it restarts from
+//     its log — the one crash verb for raft replicas and storage shards.
 //
 // Rules may be installed and removed while traffic is in flight; the
 // injector is safe for concurrent use.
@@ -154,6 +156,31 @@ func (i *Injector) Restore(node string) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	delete(i.blackholed, node)
+}
+
+// Crashable is a process named by its fabric node's ID: a raft replica
+// or a storage shard.
+type Crashable interface {
+	ID() string
+	Crash()
+	Restart() error
+}
+
+// Crash takes p down: its node is blackholed first, so no request
+// reaches it to execute, then p crashes.
+func (i *Injector) Crash(p Crashable) {
+	i.Blackhole(p.ID())
+	p.Crash()
+}
+
+// Restart rebuilds p from its log and lifts the blackhole only if that
+// succeeds; a process that cannot restart stays down.
+func (i *Injector) Restart(p Crashable) error {
+	err := p.Restart()
+	if err == nil {
+		i.Restore(p.ID())
+	}
+	return err
 }
 
 // Partition installs a symmetric partition between node sets a and b and

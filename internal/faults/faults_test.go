@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mantle/internal/netsim"
+	"mantle/internal/rpc"
 	"mantle/internal/types"
 )
 
@@ -171,5 +172,58 @@ func TestScheduleRunsRule(t *testing.T) {
 	}
 	if _, err := inj.Edge("", "late"); !errors.Is(err, types.ErrUnreachable) {
 		t.Fatal("scheduled blackhole not installed")
+	}
+}
+
+// fakeProc is a Crashable whose restart can be made to fail.
+type fakeProc struct {
+	id         string
+	up         bool
+	restartErr error
+}
+
+func (p *fakeProc) ID() string { return p.id }
+func (p *fakeProc) Crash()     { p.up = false }
+func (p *fakeProc) Restart() error {
+	if p.restartErr != nil {
+		return p.restartErr
+	}
+	p.up = true
+	return nil
+}
+
+// TestCrashIsDownAtTheFabricEdge: after Crash a call to the process's
+// node is lost at the edge and never executes; a failed Restart leaves
+// it blackholed, a successful one lifts the blackhole.
+func TestCrashIsDownAtTheFabricEdge(t *testing.T) {
+	fabric := netsim.NewLocalFabric()
+	inj := New(5)
+	inj.Attach(fabric)
+	node := netsim.NewNode("shard-0", 0)
+	caller := rpc.NewCaller(fabric)
+	p := &fakeProc{id: node.Name(), up: true}
+	executed := 0
+	call := func() error { return caller.Call(node, 0, func() error { executed++; return nil }) }
+
+	inj.Crash(p)
+	if p.up {
+		t.Fatal("Crash did not crash the process")
+	}
+	if err := call(); !errors.Is(err, types.ErrUnreachable) || executed != 0 {
+		t.Fatalf("call to a crashed process = %v, executed %d times", err, executed)
+	}
+	p.restartErr = errors.New("no log")
+	if err := inj.Restart(p); err == nil {
+		t.Fatal("failed restart reported success")
+	}
+	if err := call(); !errors.Is(err, types.ErrUnreachable) || executed != 0 {
+		t.Fatalf("call after a failed restart = %v, executed %d times", err, executed)
+	}
+	p.restartErr = nil
+	if err := inj.Restart(p); err != nil || !p.up {
+		t.Fatalf("restart = %v (up=%v)", err, p.up)
+	}
+	if err := call(); err != nil || executed != 1 {
+		t.Fatalf("call after restart = %v, executed %d times", err, executed)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mantle/internal/core"
+	"mantle/internal/faults"
 	"mantle/internal/indexnode"
 	"mantle/internal/raft"
 	"mantle/internal/tafdb"
@@ -47,6 +48,8 @@ func TestMigrationUnderChaos(t *testing.T) {
 	}
 	dir := res.Entry.ID
 	db := m.DB()
+	inj := faults.New(1)
+	inj.Attach(m.Caller().Fabric())
 
 	const writers = 4
 	var created atomic.Int64
@@ -84,14 +87,16 @@ func TestMigrationUnderChaos(t *testing.T) {
 			db.SetMigrationHook(func(stage string) {
 				if stage == "copied" && !crashed {
 					crashed = true
-					db.CrashShard(dst)
+					inj.Crash(db.Shard(dst))
 				}
 			})
 			if _, err := db.MigrateDir(m.Caller().Begin(), dir, dst); !errors.Is(err, types.ErrUnavailable) {
 				t.Fatalf("hop %d: migration with crashed destination = %v, want ErrUnavailable", hop, err)
 			}
 			db.SetMigrationHook(nil)
-			db.RecoverShard(dst)
+			if err := inj.Restart(db.Shard(dst)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if _, err := db.MigrateDir(m.Caller().Begin(), dir, dst); err != nil {
 			t.Fatalf("hop %d: migrate to shard %d: %v", hop, dst, err)

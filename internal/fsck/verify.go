@@ -31,7 +31,7 @@ func VerifyOplog(db *tafdb.DB, src *repl.Source) []Issue {
 			bySeq[r.Seq] = r
 		}
 		walSeqs := 0
-		db.ReplayShard(si, func(seq uint64, muts []storage.Mutation) {
+		db.Shard(si).ReplayBatches(func(seq uint64, muts []storage.Mutation) {
 			walSeqs++
 			if seq <= base {
 				return // GC'd from the oplog; nothing to compare

@@ -538,18 +538,6 @@ func (g *Group) propose(op *rpc.Op, c Cmd) error {
 	})
 }
 
-// KillLeader crash-stops the current leader replica (failure injection;
-// returns false if no leader). The remaining voters elect a new leader
-// and service continues.
-func (g *Group) KillLeader() bool {
-	li := g.leaderIndex()
-	if li < 0 {
-		return false
-	}
-	g.rafts[li].Stop()
-	return true
-}
-
 // AddDir replicates a new directory's access entry (mkdir commit);
 // parentPath feeds the write-heat sketch.
 func (g *Group) AddDir(op *rpc.Op, pid types.InodeID, name string, id types.InodeID, perm types.Perm, parentPath string) error {

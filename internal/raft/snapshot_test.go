@@ -262,6 +262,11 @@ func TestSnapshotInstallDoesNotRaceApplier(t *testing.T) {
 			r.Stop()
 		}
 	})
+	recs := make([]appliedSeq, len(sms))
+	for i, sm := range sms {
+		recs[i] = sm.(appliedSeq)
+	}
+	checkAtEnd(t, rs, recs)
 	leader, err := WaitLeader(rs, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)

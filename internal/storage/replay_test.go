@@ -63,17 +63,21 @@ func TestCrashReplayDeterminism(t *testing.T) {
 	}
 
 	s.Crash()
-	n := s.Recover()
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	s.ReplayBatches(func(_ uint64, muts []Mutation) { n += len(muts) })
 	if int64(n) != committedMuts.Load() {
-		t.Fatalf("recover replayed %d mutations, committed %d", n, committedMuts.Load())
+		t.Fatalf("restart replayed %d mutations, committed %d", n, committedMuts.Load())
 	}
 	if got := dumpRows(s); !equalRows(got, before) {
 		t.Fatalf("recovered state diverges:\n got %d rows\nwant %d rows", len(got), len(before))
 	}
 	// Determinism: replaying the same log again reproduces the same state.
 	s.Crash()
-	if n2 := s.Recover(); n2 != n {
-		t.Fatalf("second recover replayed %d, first %d", n2, n)
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
 	}
 	if got := dumpRows(s); !equalRows(got, before) {
 		t.Fatal("second recover diverges from first")

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"mantle/internal/btree"
 	"mantle/internal/types"
@@ -150,18 +149,17 @@ type Shard struct {
 	freeLocks []*rowLock // released locks for reuse, under mu
 	txns      map[string]*txnState
 	wal       *WAL
-	crashed   bool
 
 	// repl observes every committed mutation batch in commit order
 	// (SetReplHook). commitSeq numbers batches when no WAL is attached;
 	// with a WAL, the WAL's staged sequence is the batch number, so the
 	// oplog and the log agree by construction. pendingSync counts
-	// commits that have been assigned a sequence but not yet applied
-	// (parked on WAL durability); SnapshotRows drains it so a snapshot's
-	// sequence covers exactly the rows it contains.
+	// commits parked on WAL durability, sequenced but not applied;
+	// SnapshotRows and Restart wait on drained until none is.
 	repl        ReplHook
 	commitSeq   uint64
 	pendingSync int
+	drained     sync.Cond
 }
 
 // ReplHook observes committed mutation batches in commit order: seq is
@@ -192,12 +190,10 @@ var rowCursorPool = sync.Pool{
 
 // NewShard creates an empty shard with the given identifier.
 func NewShard(id string) *Shard {
-	return &Shard{
-		id:    id,
-		rows:  newRowTree(),
-		locks: make(map[types.Key]*rowLock),
-		txns:  make(map[string]*txnState),
-	}
+	s := &Shard{id: id}
+	s.drained.L = &s.mu
+	s.Crash() // what a crash leaves: no rows, transactions or locks
+	return s
 }
 
 // ID returns the shard identifier.
@@ -397,17 +393,18 @@ func (s *Shard) Prepare(txnID string, guards []Guard, muts []Mutation) error {
 }
 
 // Commit applies the staged mutations of txnID and releases its locks.
-// Committing an unknown transaction is a no-op (idempotent recovery).
+// Committing a transaction the shard does not know (never prepared, or
+// forgotten by a crash) applies nothing and fails with ErrUnavailable.
 // With a WAL attached, the mutations are logged and synced before they
 // become visible; the transaction's row locks stay held across the sync,
 // so conflicting transactions cannot observe or interleave with an
 // un-logged commit.
-func (s *Shard) Commit(txnID string) {
+func (s *Shard) Commit(txnID string) error {
 	s.mu.Lock()
 	st, ok := s.txns[txnID]
 	if !ok {
 		s.mu.Unlock()
-		return
+		return fmt.Errorf("shard %s: commit of unknown txn %s: %w", s.id, txnID, types.ErrUnavailable)
 	}
 	delete(s.txns, txnID) // claim the commit (idempotence under races)
 	// Assign the batch sequence and emit to the oplog under s.mu, so
@@ -422,6 +419,7 @@ func (s *Shard) Commit(txnID string) {
 		wal.WaitDurable(seq)
 		s.mu.Lock()
 		s.pendingSync--
+		s.drained.Broadcast() // SnapshotRows and Restart recheck pendingSync
 	}
 	for _, m := range st.muts {
 		s.applyLocked(m)
@@ -429,6 +427,7 @@ func (s *Shard) Commit(txnID string) {
 	s.unlockAll(txnID, st.locked)
 	s.mu.Unlock()
 	st.release()
+	return nil
 }
 
 // noteCommitLocked assigns the next batch sequence (the WAL staged
@@ -450,7 +449,7 @@ func (s *Shard) noteCommitLocked(txnID string, muts []Mutation) uint64 {
 	return seq
 }
 
-// Abort releases txnID's locks without applying anything.
+// Abort releases txnID's locks without applying anything (unknown: no-op).
 func (s *Shard) Abort(txnID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -631,19 +630,14 @@ func (s *Shard) LockedKeys() int {
 // from the cut and fed the oplog from seq+1 converges exactly).
 //
 // Commits parked on WAL durability have a sequence assigned but no rows
-// applied yet; the cut spins until that window is empty, so it never
-// claims a sequence whose rows it is missing. Under a sustained commit
-// storm this can briefly retry — acceptable for an ops-path operation.
+// applied yet; the cut waits until that window is empty, so it never
+// claims a sequence whose rows it is missing.
 func (s *Shard) SnapshotRows() ([]Row, uint64) {
-	for {
-		s.mu.Lock()
-		if s.pendingSync == 0 {
-			break
-		}
-		s.mu.Unlock()
-		time.Sleep(20 * time.Microsecond)
-	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
+	for s.pendingSync > 0 {
+		s.drained.Wait()
+	}
 	var seq uint64
 	if s.wal != nil {
 		seq = s.wal.StagedSeq()

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -32,7 +33,7 @@ type walWaiter struct {
 // The log lives in memory (the simulated cluster has no real disks); the
 // durability *cost* is modelled by the sync cost and the crash/recovery
 // *logic* is real and tested: Crash drops what no completed sync covered,
-// and the owner rebuilds from Replay (Shard.Recover, raft's Restart).
+// and the owner rebuilds from Replay (Shard.Restart, raft's Restart).
 type WAL struct {
 	mu      sync.Mutex
 	records [][]byte       // durable records; records[i] has sequence base+i+1
@@ -271,37 +272,36 @@ func (s *Shard) WAL() *WAL {
 	return s.wal
 }
 
-// Crash simulates a crash-stop: the in-memory B-tree and all volatile
-// transaction state are discarded. The WAL survives. In-flight prepared
-// transactions are lost (their locks with them), matching a real
-// crash-recovery semantics where only committed state is durable.
+// Crash simulates a crash-stop: the rows, prepared transactions and
+// locks are discarded; the WAL survives. Refusing requests is the
+// fabric edge's job (faults.Injector.Crash blackholes the node first).
 func (s *Shard) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rows = newRowTree()
-	s.locks = make(map[types.Key]*rowLock)
-	s.txns = make(map[string]*txnState)
-	s.crashed = true
+	s.rows, s.locks, s.txns = newRowTree(), make(map[types.Key]*rowLock), make(map[string]*txnState)
 }
 
-// Recover rebuilds the shard's contents by replaying its WAL. Returns
-// the number of mutations replayed.
-func (s *Shard) Recover() int {
+// Restart rebuilds the shard from its WAL alone, with no transactions
+// or locks. It first waits until no commit is parked on a sync (it would
+// apply its rows again over the rebuild) and every staged record, a
+// relaxed Apply's included, is durable. Without a WAL it fails.
+func (s *Shard) Restart() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
-		return 0
+		return fmt.Errorf("shard %s: no log to restart from (no WAL attached)", s.id)
 	}
-	s.rows = newRowTree()
-	n := 0
+	for s.pendingSync > 0 {
+		s.drained.Wait()
+	}
+	s.wal.WaitDurable(s.wal.StagedSeq())
+	s.rows, s.locks, s.txns = newRowTree(), make(map[types.Key]*rowLock), make(map[string]*txnState)
 	s.replay(s.wal, func(_ uint64, muts []Mutation) {
 		for _, m := range muts {
 			s.applyLocked(m)
 		}
-		n += len(muts)
 	})
-	s.crashed = false
-	return n
+	return nil
 }
 
 // ReplayBatches invokes apply once per durable batch of the shard's WAL
@@ -326,11 +326,4 @@ func (s *Shard) replay(w *WAL, apply func(seq uint64, muts []Mutation)) {
 		}
 		apply(seq, scratch)
 	})
-}
-
-// Crashed reports whether the shard is in the crashed state.
-func (s *Shard) Crashed() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.crashed
 }

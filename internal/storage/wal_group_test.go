@@ -85,7 +85,9 @@ func TestWALGroupCommitReplayUnderStress(t *testing.T) {
 	}
 	before := dumpRows(s)
 	s.Crash()
-	s.Recover()
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
+	}
 	if fmt.Sprint(before) != fmt.Sprint(dumpRows(s)) {
 		t.Fatal("group-committed state does not replay exactly")
 	}

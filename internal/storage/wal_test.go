@@ -56,15 +56,11 @@ func TestWALCrashRecovery(t *testing.T) {
 
 	before := dumpRows(s)
 	s.Crash()
-	if !s.Crashed() {
-		t.Fatal("not crashed")
-	}
 	if s.Len() != 0 {
 		t.Fatal("crash kept rows")
 	}
-	n := s.Recover()
-	if n == 0 {
-		t.Fatal("nothing replayed")
+	if err := s.Restart(); err != nil || s.Len() != len(before) {
+		t.Fatalf("restart replayed %d rows of %d: %v", s.Len(), len(before), err)
 	}
 	after := dumpRows(s)
 	if fmt.Sprint(before) != fmt.Sprint(after) {
@@ -117,7 +113,9 @@ func TestWALGroupCommit(t *testing.T) {
 	// Recovery still exact.
 	before := dumpRows(s)
 	s.Crash()
-	s.Recover()
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
+	}
 	if fmt.Sprint(before) != fmt.Sprint(dumpRows(s)) {
 		t.Fatal("group-committed state does not replay")
 	}
@@ -152,7 +150,9 @@ func TestWALRandomizedRecoveryModel(t *testing.T) {
 		}
 	}
 	s.Crash()
-	s.Recover()
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
+	}
 	if s.Len() != len(model) {
 		t.Fatalf("recovered %d rows, model has %d", s.Len(), len(model))
 	}
@@ -167,8 +167,11 @@ func TestWALRandomizedRecoveryModel(t *testing.T) {
 func TestRecoverWithoutWAL(t *testing.T) {
 	s := NewShard("plain")
 	_ = s.Apply([]Mutation{putMut(1, "a", 1)})
-	if n := s.Recover(); n != 0 {
-		t.Fatalf("recover without WAL replayed %d", n)
+	if err := s.Restart(); err == nil {
+		t.Fatal("restart without WAL succeeded")
+	}
+	if _, ok := s.Get(key(1, "a")); !ok || s.Len() != 1 {
+		t.Fatalf("a refused restart changed the rows: %d", s.Len())
 	}
 }
 

@@ -262,40 +262,59 @@ func (db *DB) MigrateDir(op *rpc.Op, dir types.InodeID, dst int) (int, error) {
 	// moves instead of a delta trail.
 	db.compactDir(dir)
 
+	// Each shard access is an RPC to its node, so a down shard refuses
+	// it. scan visits dir's rows on p; drop deletes the moved keys on p,
+	// best-effort: a down p keeps them until a later copy to it.
+	lo, hi := types.Key{Pid: dir}, types.Key{Pid: dir + 1}
+	scan := func(p *txn.Participant, fn func(k types.Key, r storage.Row)) error {
+		return op.Call(p.Node, db.cfg.OpCost, func() error {
+			p.Shard.Scan(lo, hi, func(r storage.Row) bool {
+				fn(types.Key{Pid: dir, Name: r.Entry.Name}, r)
+				return true
+			})
+			return nil
+		})
+	}
+	var keys []types.Key
+	drop := func(p *txn.Participant) {
+		muts := make([]storage.Mutation, 0, len(keys))
+		for _, k := range keys {
+			muts = append(muts, storage.Mutation{Kind: storage.MutDelete, Key: k})
+		}
+		_ = op.Call(p.Node, db.cfg.OpCost, func() error { return p.Shard.Apply(muts) })
+	}
+
 	// Copy: one atomic 2PC. The gate drained every writer, so the scan
 	// is stable; the version guards make the copy abort-and-rescan if
 	// that assumption is ever violated rather than move torn data. Runs
 	// unbatched (txn.Direct) and ungated — the migration's own pieces
-	// touch the gated pid by design.
-	var keys []types.Key
+	// touch the gated pid by design. The destination piece first deletes
+	// whatever the range already holds there.
 	_, err = txn.RunWithRetry(txn.Direct{}, op, db.newTxnID(), maxRetries,
 		db.cfg.RetryBase, db.cfg.RetryMax, nil, func(int) ([]txn.Piece, error) {
-			if pSrc.Shard.Crashed() || pDst.Shard.Crashed() {
-				return nil, fmt.Errorf("tafdb: migrate dir %d: participant shard down: %w",
-					dir, types.ErrUnavailable)
-			}
 			keys = keys[:0]
 			var guards []storage.Guard
-			var puts []storage.Mutation
-			pSrc.Shard.Scan(
-				types.Key{Pid: dir, Name: ""},
-				types.Key{Pid: dir + 1, Name: ""},
-				func(r storage.Row) bool {
-					k := types.Key{Pid: dir, Name: r.Entry.Name}
+			var muts []storage.Mutation
+			err := scan(pDst, func(k types.Key, _ storage.Row) {
+				muts = append(muts, storage.Mutation{Kind: storage.MutDelete, Key: k})
+			})
+			if err == nil {
+				err = scan(pSrc, func(k types.Key, r storage.Row) {
 					keys = append(keys, k)
-					guards = append(guards, storage.Guard{
-						Key: k, Kind: storage.GuardVersion, Version: r.Version,
-					})
-					puts = append(puts, storage.Mutation{Kind: storage.MutPut, Key: k, Entry: r.Entry})
-					return true
+					guards = append(guards, storage.Guard{Key: k, Kind: storage.GuardVersion, Version: r.Version})
+					muts = append(muts, storage.Mutation{Kind: storage.MutPut, Key: k, Entry: r.Entry})
 				})
-			if len(puts) == 0 {
+			}
+			if err != nil {
+				return nil, err
+			}
+			if len(keys) == 0 {
 				return nil, fmt.Errorf("tafdb: migrate dir %d: no rows on shard %d: %w",
 					dir, src, types.ErrNotFound)
 			}
 			return []txn.Piece{
 				{P: pSrc, Guards: guards},
-				{P: pDst, Muts: puts},
+				{P: pDst, Muts: muts},
 			}, nil
 		})
 	if err != nil {
@@ -304,21 +323,18 @@ func (db *DB) MigrateDir(op *rpc.Op, dir types.InodeID, dst int) (int, error) {
 	}
 	db.hook("copied")
 
-	// Verify: flip only after every row is confirmed on the destination.
-	// A destination crash between prepare and commit silently loses the
-	// staged writes while the source-side commit (guards only) succeeds;
-	// without this check the flip would publish an empty home.
-	for _, k := range keys {
-		if _, ok := pDst.Shard.Get(k); !ok {
-			undo := make([]storage.Mutation, 0, len(keys))
-			for _, k2 := range keys {
-				undo = append(undo, storage.Mutation{Kind: storage.MutDelete, Key: k2})
-			}
-			_ = pDst.Shard.Apply(undo) // best-effort: deletes of absent rows are no-ops
-			db.migrationAborts.Add(1)
-			return 0, fmt.Errorf("tafdb: migrate dir %d: copy verification failed on shard %d: %w",
-				dir, dst, types.ErrUnavailable)
-		}
+	// Verify: flip only after every row is confirmed on the destination,
+	// so a destination that went down after the copy aborts the
+	// migration instead of becoming a home nobody can reach.
+	n := 0
+	if err = scan(pDst, func(types.Key, storage.Row) { n++ }); err == nil && n != len(keys) {
+		err = fmt.Errorf("%d of %d rows", n, len(keys))
+	}
+	if err != nil {
+		drop(pDst)
+		db.migrationAborts.Add(1)
+		return 0, fmt.Errorf("tafdb: migrate dir %d: copy verification failed on shard %d (%v): %w",
+			dir, dst, err, types.ErrUnavailable)
 	}
 
 	// Commit point.
@@ -327,11 +343,7 @@ func (db *DB) MigrateDir(op *rpc.Op, dir types.InodeID, dst int) (int, error) {
 
 	// GC the source rows. Nothing routes to them anymore; the deletes
 	// are WAL-logged so a source crash cannot resurrect them.
-	gc := make([]storage.Mutation, 0, len(keys))
-	for _, k := range keys {
-		gc = append(gc, storage.Mutation{Kind: storage.MutDelete, Key: k})
-	}
-	_ = pSrc.Shard.Apply(gc)
+	drop(pSrc)
 
 	db.migrations.Add(1)
 	db.migratedRows.Add(int64(len(keys)))

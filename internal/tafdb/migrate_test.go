@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mantle/internal/faults"
 	"mantle/internal/netsim"
 	"mantle/internal/rpc"
 	"mantle/internal/storage"
@@ -168,6 +169,8 @@ func TestMigrateDirConcurrentWriters(t *testing.T) {
 // succeeds.
 func TestMigrateDirAbortsOnDestinationCrash(t *testing.T) {
 	db, caller := newMigrationDB(t)
+	inj := faults.New(1)
+	inj.Attach(caller.Fabric())
 	dir := db.NewID()
 	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "crashy", dir, types.PermAll, nil); err != nil {
 		t.Fatal(err)
@@ -188,7 +191,7 @@ func TestMigrateDirAbortsOnDestinationCrash(t *testing.T) {
 	db.SetMigrationHook(func(stage string) {
 		if stage == "copied" && !crashed {
 			crashed = true
-			db.CrashShard(dst)
+			inj.Crash(db.Shard(dst))
 		}
 	})
 	if _, err := db.MigrateDir(caller.Begin(), dir, dst); err == nil {
@@ -211,8 +214,10 @@ func TestMigrateDirAbortsOnDestinationCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recover the destination; the retried migration completes.
-	db.RecoverShard(dst)
+	// Restart the destination; the retried migration completes.
+	if err := inj.Restart(db.Shard(dst)); err != nil {
+		t.Fatal(err)
+	}
 	moved, err := db.MigrateDir(caller.Begin(), dir, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +227,52 @@ func TestMigrateDirAbortsOnDestinationCrash(t *testing.T) {
 	}
 	if n := rowsOnShard(db, src, dir); n != 0 {
 		t.Fatalf("retried migration left %d rows on source", n)
+	}
+}
+
+// A destination that is down when a copy is verified keeps the copy: the
+// undo cannot reach it. The retried migration must delete that stale
+// copy, so a row deleted at the source in between does not come back.
+func TestMigrateDirRetryDropsStaleCopy(t *testing.T) {
+	db, caller := newMigrationDB(t)
+	inj := faults.New(1)
+	inj.Attach(caller.Fabric())
+	dir := db.NewID()
+	if _, _, err := db.Mkdir(caller.Begin(), types.RootID, "stale", dir, types.PermAll, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, _, err := db.CreateObject(caller.Begin(), dir, fmt.Sprintf("o%d", i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := (db.ShardOf(dir) + 1) % db.Shards()
+	db.SetMigrationHook(func(stage string) {
+		if stage == "copied" {
+			inj.Crash(db.Shard(dst))
+		}
+	})
+	if _, err := db.MigrateDir(caller.Begin(), dir, dst); !errors.Is(err, types.ErrUnavailable) {
+		t.Fatalf("migration to a crashed destination = %v, want ErrUnavailable", err)
+	}
+	db.SetMigrationHook(nil)
+	if err := inj.Restart(db.Shard(dst)); err != nil {
+		t.Fatal(err)
+	}
+	if n := rowsOnShard(db, dst, dir); n != 5 {
+		t.Fatalf("restarted destination holds %d rows of the aborted copy, want 5", n)
+	}
+	if _, err := db.DeleteObject(caller.Begin(), dir, "o0"); err != nil {
+		t.Fatal(err)
+	}
+	if moved, err := db.MigrateDir(caller.Begin(), dir, dst); err != nil || moved != 4 {
+		t.Fatalf("retried migration moved %d rows: %v", moved, err)
+	}
+	if n := rowsOnShard(db, dst, dir); n != 4 {
+		t.Fatalf("destination holds %d rows, want 4", n)
+	}
+	if _, err := db.GetAccess(caller.Begin(), dir, "o0"); !errors.Is(err, types.ErrNotFound) {
+		t.Fatalf("deleted o0 after the migration: %v", err)
 	}
 }
 

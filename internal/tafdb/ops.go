@@ -48,19 +48,23 @@ func (db *DB) read(op *rpc.Op, pid types.InodeID, fn func(s *storage.Shard) erro
 	}
 }
 
+// getRow reads the row under k from pid's shard: one RPC.
+func (db *DB) getRow(op *rpc.Op, pid types.InodeID, k types.Key) (row storage.Row, err error) {
+	err = db.read(op, pid, func(s *storage.Shard) error {
+		var ok bool
+		if row, ok = s.Get(k); !ok {
+			return fmt.Errorf("get %d/%s: %w", k.Pid, k.Name, types.ErrNotFound)
+		}
+		return nil
+	})
+	return row, err
+}
+
 // GetAccess reads the access row (pid, name): the id/kind/permission of
 // the named child. One RPC to the owning shard.
 func (db *DB) GetAccess(op *rpc.Op, pid types.InodeID, name string) (types.Entry, error) {
-	var out types.Entry
-	err := db.read(op, pid, func(s *storage.Shard) error {
-		row, ok := s.Get(types.Key{Pid: pid, Name: name})
-		if !ok {
-			return fmt.Errorf("get %d/%s: %w", pid, name, types.ErrNotFound)
-		}
-		out = row.Entry
-		return nil
-	})
-	return out, err
+	row, err := db.getRow(op, pid, types.Key{Pid: pid, Name: name})
+	return row.Entry, err
 }
 
 // StatObject returns the full metadata of object (pid, name).
@@ -287,9 +291,9 @@ func (db *DB) RenameDir(op *rpc.Op, srcParent types.InodeID, srcName string,
 func (db *DB) SetDirPerm(op *rpc.Op, parent types.InodeID, name string, dir types.InodeID, perm types.Perm, then func()) (int, error) {
 	return db.runTxn(op, dir, then, func(int) ([]txn.Piece, error) {
 		pDir := db.shardFor(dir)
-		row, ok := pDir.Shard.Get(attrKey(dir))
-		if !ok {
-			return nil, fmt.Errorf("setperm %d: %w", dir, types.ErrNotFound)
+		row, err := db.getRow(op, dir, attrKey(dir))
+		if err != nil {
+			return nil, err
 		}
 		attrEntry := row.Entry
 		attrEntry.Perm = perm
@@ -308,9 +312,9 @@ func (db *DB) SetDirPerm(op *rpc.Op, parent types.InodeID, name string, dir type
 		}
 		pAcc := db.shardFor(parent)
 		accKey := types.Key{Pid: parent, Name: name}
-		accRow, ok := pAcc.Shard.Get(accKey)
-		if !ok {
-			return nil, fmt.Errorf("setperm %d/%s: %w", parent, name, types.ErrNotFound)
+		accRow, err := db.getRow(op, parent, accKey)
+		if err != nil {
+			return nil, err
 		}
 		if accRow.Entry.Kind != types.KindDir {
 			return nil, fmt.Errorf("setperm %d/%s: %w", parent, name, types.ErrNotDir)

@@ -600,23 +600,9 @@ func (db *DB) RegisterMetrics(reg *metrics.Registry) {
 	})
 }
 
-// CrashShard crash-stops shard i (failure injection): its in-memory
-// state is discarded; only WAL-logged commits survive.
-func (db *DB) CrashShard(i int) {
-	db.parts[i%len(db.parts)].Shard.Crash()
-}
-
-// RecoverShard replays shard i's WAL, returning mutations replayed.
-func (db *DB) RecoverShard(i int) int {
-	return db.parts[i%len(db.parts)].Shard.Recover()
-}
-
-// SnapshotShard captures a consistent cut of shard i: every row plus
-// the commit sequence the cut covers. Replication resumes from seq+1
-// after the rows are loaded on the secondary (snapshot bootstrap).
-func (db *DB) SnapshotShard(i int) ([]storage.Row, uint64) {
-	return db.parts[i%len(db.parts)].Shard.SnapshotRows()
-}
+// Shard returns shard i's store, for crash injection, snapshot cuts and
+// WAL replay; requests go through the shard's node instead.
+func (db *DB) Shard(i int) *storage.Shard { return db.parts[i].Shard }
 
 // ApplyToShard lands a replicated mutation batch directly on shard i's
 // store, bypassing routing and transactions — the secondary-site apply
@@ -627,13 +613,6 @@ func (db *DB) ApplyToShard(i int, muts []storage.Mutation) error {
 	return p.Node.Exec(p.Cost, func() error {
 		return p.Shard.Apply(muts)
 	})
-}
-
-// ReplayShard iterates shard i's WAL batches in commit order — the
-// durable ground truth fsck cross-checks the replication oplog against.
-// A no-op when the WAL is disabled.
-func (db *DB) ReplayShard(i int, fn func(seq uint64, muts []storage.Mutation)) {
-	db.parts[i%len(db.parts)].Shard.ReplayBatches(fn)
 }
 
 // ForEachRow visits every MetaTable row on every shard (diagnostics,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mantle/internal/faults"
 	"mantle/internal/netsim"
 	"mantle/internal/rpc"
 	"mantle/internal/storage"
@@ -394,7 +395,10 @@ func TestShardCrashRecoveryEndToEnd(t *testing.T) {
 	if err := db.CreateRoot(types.RootID); err != nil {
 		t.Fatal(err)
 	}
-	caller := rpc.NewCaller(netsim.NewLocalFabric())
+	fabric := netsim.NewLocalFabric()
+	inj := faults.New(1)
+	inj.Attach(fabric)
+	caller := rpc.NewCaller(fabric)
 	// Transactional workload across shards.
 	var ids []types.InodeID
 	for i := 0; i < 8; i++ {
@@ -409,20 +413,18 @@ func TestShardCrashRecoveryEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	// Crash and recover every shard; all metadata must survive.
+	// Crash and restart every shard; all metadata must survive.
 	rowsBefore := db.TotalRows()
 	for i := 0; i < db.Shards(); i++ {
-		db.CrashShard(i)
+		inj.Crash(db.Shard(i))
 	}
 	if db.TotalRows() != 0 {
 		t.Fatal("crash kept rows")
 	}
-	replayed := 0
 	for i := 0; i < db.Shards(); i++ {
-		replayed += db.RecoverShard(i)
-	}
-	if replayed == 0 {
-		t.Fatal("nothing replayed")
+		if err := inj.Restart(db.Shard(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if db.TotalRows() != rowsBefore {
 		t.Fatalf("rows after recovery = %d, want %d", db.TotalRows(), rowsBefore)

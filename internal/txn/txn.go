@@ -91,8 +91,9 @@ type Runner interface {
 	// participant — the decision point — while the transaction's locks
 	// are held: inside the single RPC between prepare and commit, or
 	// alongside the commit round. RunThen returns after both. then never
-	// runs when a prepare fails; an error after it ran is a commit-round
-	// RPC failure, never a retryable conflict.
+	// runs when a prepare fails; an error after it ran is a failed commit
+	// round (the RPC, or a participant a crash made forget the
+	// transaction), never a retryable conflict.
 	RunThen(op *rpc.Op, txnID string, pieces []Piece, then func()) error
 }
 
@@ -121,8 +122,7 @@ func (Direct) RunThen(op *rpc.Op, txnID string, pieces []Piece, then func()) err
 			if then != nil {
 				then()
 			}
-			p.P.Shard.Commit(txnID)
-			return nil
+			return p.P.Shard.Commit(txnID)
 		})
 	}
 	return rounds([]*batchTxn{{op: op, id: txnID, pieces: pieces, then: then}})[0]
@@ -265,7 +265,7 @@ func step(p *Participant, t *batchTxn, outcome []error, j int) error {
 		pc := pieceOn(t, p)
 		return p.Shard.Prepare(t.id, pc.Guards, pc.Muts)
 	case outcome[j] == nil:
-		p.Shard.Commit(t.id)
+		return p.Shard.Commit(t.id)
 	default:
 		p.Shard.Abort(t.id)
 	}

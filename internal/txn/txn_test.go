@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mantle/internal/faults"
 	"mantle/internal/netsim"
 	"mantle/internal/rpc"
 	"mantle/internal/storage"
@@ -372,6 +373,50 @@ func (g *gate) Edge(_, dst string) (time.Duration, error) {
 // A batched-2PC leader returns once its own batch has an outcome, handing
 // the lead to the oldest queued transaction; it does not wait for the
 // rounds of batches that arrived after it.
+// TestCommitOfForgottenPrepareFails: a participant whose shard forgot
+// the transaction between the rounds (a crash took its prepare) fails
+// the commit, and every runner reports that as ErrUnavailable, not as a
+// success with the piece never applied. A single piece forgets inside
+// its one RPC; for two, a delay on shard 0's edge holds each round open
+// while shard 1, already prepared, forgets before its commit arrives.
+func TestCommitOfForgottenPrepareFails(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		r      Runner
+		shards int
+	}{{"direct-1", Direct{}, 1}, {"direct-2", Direct{}, 2}, {"batcher-2", NewBatcher(0), 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			caller, parts := testRig(tc.shards)
+			var pieces []Piece
+			for i, p := range parts {
+				pieces = append(pieces, Piece{P: p, Muts: []storage.Mutation{put(1, fmt.Sprintf("k%d", i), 1)}})
+			}
+			last := parts[len(parts)-1].Shard
+			var then func()
+			if tc.shards == 1 {
+				then = last.Crash
+			} else {
+				inj := faults.New(1)
+				inj.Attach(caller.Fabric())
+				inj.DelayEdge("", parts[0].Node.Name(), 50*time.Millisecond)
+				go func() {
+					for last.LockedKeys() == 0 {
+						time.Sleep(100 * time.Microsecond)
+					}
+					last.Crash()
+				}()
+			}
+			err := tc.r.RunThen(caller.Begin(), "t1", pieces, then)
+			if !errors.Is(err, types.ErrUnavailable) || retryable(err) {
+				t.Fatalf("commit of a forgotten prepare = %v, want ErrUnavailable", err)
+			}
+			if _, ok := last.Get(types.Key{Pid: 1, Name: fmt.Sprintf("k%d", tc.shards-1)}); ok {
+				t.Fatal("the forgotten piece was applied")
+			}
+		})
+	}
+}
+
 func TestBatcherLeaderReturnsBeforeLaterBatches(t *testing.T) {
 	caller, parts := testRig(2)
 	// Shard 1 executes the leader's prepare and commit, then parks
