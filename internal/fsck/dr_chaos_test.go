@@ -2,9 +2,12 @@ package fsck
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,6 +181,114 @@ func TestDRSiteFailoverChaos(t *testing.T) {
 	if _, err := s.Secondary.Lookup(op(s.Secondary), "/after-failover"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDRUnderShardCrashes runs writers against a two-site deployment
+// while one primary shard goes through crash/restart cycles through the
+// injector. A shard publishes a batch to the oplog only once its WAL
+// has made it durable, and a crash drops the unsynced suffix, so the
+// oplog still matches the durable log; every acknowledged create and
+// delete holds on the primary; and once the link drains, both sites
+// agree and fsck is clean on each.
+func TestDRUnderShardCrashes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos test skipped in -short")
+	}
+	s := newSites(t, 2, 50*time.Microsecond)
+	s.StartReplication()
+	pri := s.Primary
+	inj := faults.New(38)
+	inj.Attach(pri.Caller().Fabric())
+
+	const writers, perWriter, cycles = 4, 400, 60
+	for w := 0; w < writers; w++ {
+		if _, err := pri.Mkdir(op(pri), fmt.Sprintf("/c%d", w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Per writer: acknowledged creates, acknowledged deletes, and
+	// deletes whose outcome is unknown (they failed, maybe after landing).
+	created := make([][]string, writers)
+	deleted := make([][]string, writers)
+	unsure := make([]map[string]bool, writers)
+	var failed atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		unsure[w] = map[string]bool{}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; len(created[w]) < perWriter; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n := len(created[w]); i%4 == 3 && n > 0 {
+					victim := created[w][n-1]
+					if unsure[w][victim] || slices.Contains(deleted[w], victim) {
+						continue
+					}
+					if _, err := pri.Delete(op(pri), victim); err != nil {
+						failed.Add(1)
+						unsure[w][victim] = true
+					} else {
+						deleted[w] = append(deleted[w], victim)
+					}
+					continue
+				}
+				p := fmt.Sprintf("/c%d/o%d", w, i)
+				if _, err := pri.Create(op(pri), p, int64(i)); err != nil {
+					failed.Add(1)
+				} else {
+					created[w] = append(created[w], p)
+				}
+			}
+		}(w)
+	}
+	shard := pri.DB().Shard(0)
+	for c := 0; c < cycles; c++ {
+		time.Sleep(time.Millisecond)
+		inj.Crash(shard)
+		time.Sleep(300 * time.Microsecond)
+		if err := inj.Restart(shard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if failed.Load() == 0 {
+		t.Fatal("no op failed: the crashes did not meet the load")
+	}
+
+	if issues := VerifyOplog(pri.DB(), s.Source()); len(issues) != 0 {
+		t.Fatalf("oplog/WAL divergence after shard crashes: %v", issues[:min(len(issues), 10)])
+	}
+	for w := range created {
+		for _, p := range created[w] {
+			_, err := pri.ObjStat(op(pri), p)
+			switch {
+			case slices.Contains(deleted[w], p):
+				if !errors.Is(err, types.ErrNotFound) {
+					t.Errorf("acknowledged delete of %s: stat = %v, want ErrNotFound", p, err)
+				}
+			case !unsure[w][p] && err != nil:
+				t.Errorf("acknowledged create %s lost: %v", p, err)
+			}
+		}
+	}
+	waitConverged(t, s, 10*time.Second)
+	s.Failover()
+	if issues := CompareSites(pri, s.Secondary); len(issues) != 0 {
+		t.Fatalf("sites diverged after shard crashes: %v", issues[:min(len(issues), 10)])
+	}
+	for name, m := range map[string]*core.Mantle{"primary": pri, "secondary": s.Secondary} {
+		if r := Check(m); !r.OK() {
+			t.Fatalf("fsck on the %s: %s\n%v", name, r, r.Issues[:min(len(r.Issues), 10)])
+		}
+	}
+	t.Logf("%d ops failed across %d crash cycles", failed.Load(), cycles)
 }
 
 // TestDRSnapshotBootstrap populates the primary with >100K entries via

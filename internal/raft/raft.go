@@ -628,7 +628,9 @@ func (r *Raft) startElectionLocked() {
 	}
 }
 
-// becomeFollowerLocked steps down into term with the given leader.
+// becomeFollowerLocked steps down into term with the given leader. Only
+// a deposed leader restarts its election timer here: a refused vote
+// request must not (Raft §5.2; leader contact and a granted vote do).
 func (r *Raft) becomeFollowerLocked(term uint64, leader string) {
 	wasLeader := r.role == Leader
 	if r.cfg.Learner {
@@ -642,8 +644,8 @@ func (r *Raft) becomeFollowerLocked(term uint64, leader string) {
 		r.saveStateLocked()
 	}
 	r.leaderID = leader
-	r.electionReset = time.Now()
 	if wasLeader {
+		r.electionReset = time.Now()
 		// A deposed leader's unapplied entries may be overwritten by the
 		// next leader's: none of its proposals may be acknowledged as
 		// committed from here on. The replication loop exits on the role

@@ -57,44 +57,110 @@ func TestRestartForgetsPrepares(t *testing.T) {
 	}
 }
 
-// TestRestartWaitsForParkedCommit: a commit parked on its WAL sync when
-// the shard crashes finishes before Restart rebuilds, so its delta
-// lands exactly once and Restart returns only after it.
-func TestRestartWaitsForParkedCommit(t *testing.T) {
-	s, _ := walShard(t, 30*time.Millisecond)
+// TestCrashVoidsParkedCommit: a crash keeps exactly the synced records,
+// as raft's does. A commit parked on its WAL sync when the shard crashes
+// fails with ErrUnavailable, leaves no lock, and is absent after a
+// Restart that does not wait for it; a commit whose record was durable
+// before the crash, but not yet applied, returns nil and is applied
+// exactly once after Restart.
+func TestCrashVoidsParkedCommit(t *testing.T) {
 	ctr := key(1, "ctr")
-	if err := s.Prepare("seed", nil, []Mutation{putMut(1, "ctr", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Commit("seed"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Prepare("inc", nil, []Mutation{{Kind: MutDeltaAttr, Key: ctr, Delta: AttrDelta{LinkCount: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	committed := make(chan error, 1)
-	go func() { committed <- s.Commit("inc") }()
-	parked := func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.pendingSync > 0
-	}
-	for !parked() {
-		time.Sleep(100 * time.Microsecond)
-	}
-	s.Crash()
-	if err := s.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-committed:
-		if err != nil {
-			t.Fatalf("parked commit: %v", err)
+	inc := []Mutation{{Kind: MutDeltaAttr, Key: ctr, Delta: AttrDelta{LinkCount: 1}}}
+	setup := func(t *testing.T) (*Shard, *WAL, <-chan error) {
+		s, w := walShard(t, 30*time.Millisecond)
+		if err := s.Prepare("seed", nil, []Mutation{putMut(1, "ctr", 1)}); err != nil {
+			t.Fatal(err)
 		}
-	default:
-		t.Fatal("Restart returned while a commit was still parked")
+		if err := s.Commit("seed"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Prepare("inc", nil, inc); err != nil {
+			t.Fatal(err)
+		}
+		committed := make(chan error, 1)
+		go func() { committed <- s.Commit("inc") }()
+		// Commit claims the txn and stages its record in one hold of the
+		// shard mutex, then parks on the sync.
+		for {
+			s.mu.Lock()
+			_, prepared := s.txns["inc"]
+			s.mu.Unlock()
+			if !prepared {
+				return s, w, committed
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
-	if r, ok := s.Get(ctr); !ok || r.Entry.Attr.LinkCount != 1 {
-		t.Fatalf("counter after restart = %+v (ok=%v), want link count 1", r.Entry.Attr, ok)
+	links := func(t *testing.T, s *Shard) int64 {
+		t.Helper()
+		r, ok := s.Get(ctr)
+		if !ok {
+			t.Fatal("counter row lost")
+		}
+		return r.Entry.Attr.LinkCount
 	}
+
+	t.Run("parked", func(t *testing.T) {
+		s, _, committed := setup(t)
+		s.Crash()
+		if err := s.Restart(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-committed:
+			t.Fatalf("Restart waited for the parked commit (it returned %v)", err)
+		default:
+		}
+		if got := links(t, s); got != 0 {
+			t.Fatalf("counter after restart = %d, want 0: the unsynced commit survived", got)
+		}
+		if err := <-committed; !errors.Is(err, types.ErrUnavailable) {
+			t.Fatalf("parked commit = %v, want ErrUnavailable", err)
+		}
+		if s.LockedKeys() != 0 {
+			t.Fatalf("%d locks left after the voided commit", s.LockedKeys())
+		}
+		// Its sync has finished by now; the record must not have become
+		// durable behind the crash.
+		s.Crash()
+		if err := s.Restart(); err != nil {
+			t.Fatal(err)
+		}
+		if got := links(t, s); got != 0 {
+			t.Fatalf("voided commit's record replayed: counter = %d", got)
+		}
+	})
+
+	t.Run("durable", func(t *testing.T) {
+		s, w, committed := setup(t)
+		published := 0
+		s.SetReplHook(func(seq uint64, txnID string, _ []Mutation) {
+			if txnID == "inc" {
+				published++
+			}
+		})
+		// Hold the shard mutex across the sync, so the record is durable
+		// but its committer cannot drain it before the crash.
+		s.mu.Lock()
+		for seq := s.queue[0].seq; w.DurableSeq() < seq; {
+			time.Sleep(100 * time.Microsecond)
+		}
+		s.crashLocked()
+		s.mu.Unlock()
+		if err := <-committed; err != nil {
+			t.Fatalf("durable commit = %v, want nil", err)
+		}
+		if err := s.Restart(); err != nil {
+			t.Fatal(err)
+		}
+		if got := links(t, s); got != 1 {
+			t.Fatalf("counter after restart = %d, want 1", got)
+		}
+		if published != 1 {
+			t.Fatalf("durable commit published %d times, want 1", published)
+		}
+		if s.LockedKeys() != 0 {
+			t.Fatalf("%d locks left after restart", s.LockedKeys())
+		}
+	})
 }

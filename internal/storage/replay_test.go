@@ -58,8 +58,8 @@ func TestCrashReplayDeterminism(t *testing.T) {
 
 	before := dumpRows(s)
 	durable := w.DurableSeq()
-	if staged := w.StagedSeq(); staged != durable {
-		t.Fatalf("quiesced shard has staged=%d durable=%d", staged, durable)
+	if _, applied := s.SnapshotRows(); applied != durable {
+		t.Fatalf("quiesced shard has applied=%d durable=%d", applied, durable)
 	}
 
 	s.Crash()

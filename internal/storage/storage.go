@@ -12,9 +12,9 @@
 //     distributed-transaction coordinator in internal/txn, and
 //   - ordered range scans for readdir and delta-record processing.
 //
-// A Shard performs no I/O; durability costs are modelled where they
-// matter for the paper's evaluation (the IndexNode Raft log, see
-// internal/raft).
+// With a WAL attached (wal.go), a batch is applied, unlocked and
+// published only once a sync has made its record durable, in log order;
+// a crash keeps exactly the synced records, as a raft replica's does.
 package storage
 
 import (
@@ -115,9 +115,16 @@ type rowLock struct {
 	holders []string
 }
 
+// txnState is a prepared transaction and, once staged, a queued batch:
+// seq is its log position, relaxed marks an Apply (rows applied at
+// staging, no locks) and err is the outcome its caller returns.
 type txnState struct {
-	muts   []Mutation
-	locked []types.Key // keys this txn holds locks on, each once
+	id      string
+	muts    []Mutation
+	locked  []types.Key // keys this txn holds locks on, each once
+	seq     uint64
+	relaxed bool
+	err     error
 }
 
 // txnStatePool recycles txnState values across transactions: a shard
@@ -126,8 +133,7 @@ type txnState struct {
 var txnStatePool = sync.Pool{New: func() any { return &txnState{} }}
 
 func (st *txnState) release() {
-	st.muts = nil
-	st.locked = st.locked[:0]
+	*st = txnState{locked: st.locked[:0]}
 	txnStatePool.Put(st)
 }
 
@@ -150,23 +156,20 @@ type Shard struct {
 	txns      map[string]*txnState
 	wal       *WAL
 
-	// repl observes every committed mutation batch in commit order
-	// (SetReplHook). commitSeq numbers batches when no WAL is attached;
-	// with a WAL, the WAL's staged sequence is the batch number, so the
-	// oplog and the log agree by construction. pendingSync counts
-	// commits parked on WAL durability, sequenced but not applied;
-	// SnapshotRows and Restart wait on drained until none is.
-	repl        ReplHook
-	commitSeq   uint64
-	pendingSync int
-	drained     sync.Cond
+	// queue holds the staged batches not yet drained, in sequence
+	// order; applied is the last one drained. Without a WAL, staged
+	// numbers the batches and each is durable at once.
+	queue   []*txnState
+	applied uint64
+	staged  uint64
+	repl    ReplHook
 }
 
-// ReplHook observes committed mutation batches in commit order: seq is
-// the shard-local batch number (identical to the WAL batch sequence
-// when a WAL is attached) and txnID is the committing transaction's id,
-// or "" for relaxed applies. The hook runs under the shard mutex and
-// must not call back into the shard.
+// ReplHook observes committed mutation batches once they are durable,
+// in sequence order with no gaps: seq is the shard-local batch number
+// (the WAL record's when a WAL is attached) and txnID is the committing
+// transaction's id, or "" for relaxed applies. The hook runs under the
+// shard mutex and must not call back into the shard.
 type ReplHook func(seq uint64, txnID string, muts []Mutation)
 
 // SetReplHook installs the replication hook. Install before the shard
@@ -191,7 +194,6 @@ var rowCursorPool = sync.Pool{
 // NewShard creates an empty shard with the given identifier.
 func NewShard(id string) *Shard {
 	s := &Shard{id: id}
-	s.drained.L = &s.mu
 	s.Crash() // what a crash leaves: no rows, transactions or locks
 	return s
 }
@@ -398,7 +400,7 @@ func (s *Shard) Prepare(txnID string, guards []Guard, muts []Mutation) error {
 // With a WAL attached, the mutations are logged and synced before they
 // become visible; the transaction's row locks stay held across the sync,
 // so conflicting transactions cannot observe or interleave with an
-// un-logged commit.
+// un-logged commit. A crash before the sync voids it (ErrUnavailable).
 func (s *Shard) Commit(txnID string) error {
 	s.mu.Lock()
 	st, ok := s.txns[txnID]
@@ -407,46 +409,54 @@ func (s *Shard) Commit(txnID string) error {
 		return fmt.Errorf("shard %s: commit of unknown txn %s: %w", s.id, txnID, types.ErrUnavailable)
 	}
 	delete(s.txns, txnID) // claim the commit (idempotence under races)
-	// Assign the batch sequence and emit to the oplog under s.mu, so
-	// commit order, WAL order, and oplog order are one order: both the
-	// WAL staged position and the hook call happen inside the same
-	// critical section.
-	seq := s.noteCommitLocked(txnID, st.muts)
-	if s.wal != nil {
-		wal := s.wal
-		s.pendingSync++
-		s.mu.Unlock()
-		wal.WaitDurable(seq)
-		s.mu.Lock()
-		s.pendingSync--
-		s.drained.Broadcast() // SnapshotRows and Restart recheck pendingSync
-	}
-	for _, m := range st.muts {
-		s.applyLocked(m)
-	}
-	s.unlockAll(txnID, st.locked)
-	s.mu.Unlock()
-	st.release()
-	return nil
+	st.id = txnID
+	return s.stageLocked(st)
 }
 
-// noteCommitLocked assigns the next batch sequence (the WAL staged
-// sequence when a WAL is attached) and feeds the replication hook.
-// Called with s.mu held exclusively.
-func (s *Shard) noteCommitLocked(txnID string, muts []Mutation) uint64 {
-	var seq uint64
-	if s.wal != nil {
-		if len(muts) > 0 {
-			seq = s.wal.Stage(encodeBatch(muts))
-		}
+// stageLocked gives st the next log position and queues it, then
+// returns its outcome once it is drained or a crash has voided it.
+// Staging under s.mu makes commit, log and oplog order one order.
+// Called with s.mu held exclusively; returns with it released.
+func (s *Shard) stageLocked(st *txnState) error {
+	s.queue = append(s.queue, st)
+	if wal := s.wal; wal == nil {
+		s.staged++
+		st.seq = s.staged
 	} else {
-		s.commitSeq++
-		seq = s.commitSeq
+		st.seq = wal.Stage(encodeBatch(st.muts))
+		s.mu.Unlock()
+		wal.WaitDurable(st.seq)
+		s.mu.Lock()
 	}
-	if s.repl != nil {
-		s.repl(seq, txnID, muts)
+	s.drainLocked()
+	err := st.err
+	s.mu.Unlock()
+	st.release()
+	return err
+}
+
+// drainLocked applies, unlocks and publishes every queued batch that is
+// durable, in sequence order. Called with s.mu held exclusively.
+func (s *Shard) drainLocked() {
+	durable := s.staged
+	if s.wal != nil {
+		durable = s.wal.DurableSeq()
 	}
-	return seq
+	n := 0
+	for ; n < len(s.queue) && s.queue[n].seq <= durable; n++ {
+		st := s.queue[n]
+		if !st.relaxed {
+			for _, m := range st.muts {
+				s.applyLocked(m)
+			}
+			s.unlockAll(st.id, st.locked)
+		}
+		if s.repl != nil {
+			s.repl(st.seq, st.id, st.muts)
+		}
+		s.applied = st.seq
+	}
+	s.queue = slices.Delete(s.queue, 0, n)
 }
 
 // Abort releases txnID's locks without applying anything (unknown: no-op).
@@ -487,6 +497,8 @@ func (s *Shard) applyLocked(m Mutation) {
 // distributed transactions): mutations on the same row serialise on the
 // shard latch. Preconditions (IfAbsent/MustExist) are still checked; the
 // first violation aborts the batch and returns the error.
+// Rows change at staging, before the sync, so later relaxed checks see
+// them; the batch is then logged and published like a commit.
 func (s *Shard) Apply(muts []Mutation) error {
 	s.mu.Lock()
 	for _, m := range muts {
@@ -495,22 +507,12 @@ func (s *Shard) Apply(muts []Mutation) error {
 			return err
 		}
 	}
-	// Stage into the WAL (and the oplog) before applying, all under the
-	// shard mutex: the log order of racing relaxed writers is their
-	// apply order, so replay reproduces the exact in-memory state and
-	// the oplog never diverges from the WAL. Relaxed applies become
-	// visible before the sync completes — the weakened durability the
-	// relaxed mode already accepts.
-	seq := s.noteCommitLocked("", muts)
 	for _, m := range muts {
 		s.applyLocked(m)
 	}
-	wal := s.wal
-	s.mu.Unlock()
-	if wal != nil {
-		wal.WaitDurable(seq)
-	}
-	return nil
+	st := txnStatePool.Get().(*txnState)
+	st.muts, st.relaxed = muts, true
+	return s.stageLocked(st)
 }
 
 // BulkLoad rebuilds the shard's row tree from n entries delivered in
@@ -627,23 +629,13 @@ func (s *Shard) LockedKeys() int {
 // SnapshotRows captures a consistent cut of the shard: every committed
 // row, plus the batch sequence number the cut covers — the snapshot-
 // bootstrap source for a new replication secondary (a secondary loaded
-// from the cut and fed the oplog from seq+1 converges exactly).
-//
-// Commits parked on WAL durability have a sequence assigned but no rows
-// applied yet; the cut waits until that window is empty, so it never
-// claims a sequence whose rows it is missing.
+// from the cut and fed the oplog from seq+1 converges exactly). The
+// applied batches are a log prefix, so nothing is waited for. A queued
+// relaxed batch is in the rows but not the cut; the primary's are puts
+// and deletes, which land the same when the oplog brings them again.
 func (s *Shard) SnapshotRows() ([]Row, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.pendingSync > 0 {
-		s.drained.Wait()
-	}
-	var seq uint64
-	if s.wal != nil {
-		seq = s.wal.StagedSeq()
-	} else {
-		seq = s.commitSeq
-	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	rows := make([]Row, 0, s.rows.Len())
 	c := rowCursorPool.Get().(*btree.Cursor[types.Key, packedRow])
 	for c.SeekFirst(s.rows); c.Valid(); c.Next() {
@@ -651,5 +643,5 @@ func (s *Shard) SnapshotRows() ([]Row, uint64) {
 	}
 	c.Reset()
 	rowCursorPool.Put(c)
-	return rows, seq
+	return rows, s.applied
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -248,14 +249,6 @@ func (w *WAL) Replay(fn func(seq uint64, rec []byte)) {
 	}
 }
 
-// StagedSeq returns the highest record sequence number assigned so far
-// (staged, not necessarily durable).
-func (w *WAL) StagedSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
 // AttachWAL enables write-ahead logging on the shard: every committed
 // transaction and relaxed apply is logged before mutating the B-tree.
 func (s *Shard) AttachWAL(w *WAL) {
@@ -272,34 +265,44 @@ func (s *Shard) WAL() *WAL {
 	return s.wal
 }
 
-// Crash simulates a crash-stop: the rows, prepared transactions and
-// locks are discarded; the WAL survives. Refusing requests is the
-// fabric edge's job (faults.Injector.Crash blackholes the node first).
+// Crash simulates a crash-stop, as raft's Crash does: the WAL loses its
+// unsynced records; the rows, prepared transactions and locks go. A
+// queued batch already durable is drained (Restart replays it), a later
+// one fails with ErrUnavailable. Refusing requests is the fabric edge's
+// job (faults.Injector.Crash blackholes the node first).
 func (s *Shard) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.crashLocked()
+}
+
+func (s *Shard) crashLocked() {
+	if s.wal != nil {
+		s.wal.Crash()
+	}
+	s.drainLocked()
+	for _, st := range s.queue {
+		st.err = fmt.Errorf("shard %s: crashed before batch %d was durable: %w", s.id, st.seq, types.ErrUnavailable)
+	}
+	s.queue = slices.Delete(s.queue, 0, len(s.queue))
 	s.rows, s.locks, s.txns = newRowTree(), make(map[types.Key]*rowLock), make(map[string]*txnState)
 }
 
 // Restart rebuilds the shard from its WAL alone, with no transactions
-// or locks. It first waits until no commit is parked on a sync (it would
-// apply its rows again over the rebuild) and every staged record, a
-// relaxed Apply's included, is durable. Without a WAL it fails.
+// or locks, after completing the crash: a batch staged while the shard
+// was down survives only if already durable. Without a WAL it fails.
 func (s *Shard) Restart() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
 		return fmt.Errorf("shard %s: no log to restart from (no WAL attached)", s.id)
 	}
-	for s.pendingSync > 0 {
-		s.drained.Wait()
-	}
-	s.wal.WaitDurable(s.wal.StagedSeq())
-	s.rows, s.locks, s.txns = newRowTree(), make(map[types.Key]*rowLock), make(map[string]*txnState)
-	s.replay(s.wal, func(_ uint64, muts []Mutation) {
+	s.crashLocked()
+	s.replay(s.wal, func(seq uint64, muts []Mutation) {
 		for _, m := range muts {
 			s.applyLocked(m)
 		}
+		s.applied = seq
 	})
 	return nil
 }

@@ -101,10 +101,11 @@ const (
 
 // ReplSink receives every committed mutation batch for asynchronous
 // site-to-site replication (internal/repl.Source satisfies it). Commit
-// is invoked under the shard mutex in commit order; implementations
-// must be fast and must never call back into the DB. StampTxn/ForgetTxn
-// bracket cross-shard transactions so all pieces of one 2PC share a
-// single timestamp and are recognisable as an atomic group downstream.
+// is invoked under the shard mutex in commit order, once the batch is
+// durable; implementations must be fast and must never call back into
+// the DB. StampTxn/ForgetTxn bracket cross-shard transactions so all
+// pieces of one 2PC share a single timestamp and are recognisable as an
+// atomic group downstream.
 type ReplSink interface {
 	StampTxn(txnID string, pieces int)
 	ForgetTxn(txnID string)

@@ -74,9 +74,9 @@ type Config struct {
 	// Hotspot enables elastic hotspot management on the IndexNode group:
 	// directories whose read heat crosses a threshold are promoted into
 	// a hot-set served by followers and learners at a bounded-staleness
-	// read point, reads route to the least-loaded replica via
-	// piggybacked load hints, and requests are shed with ErrOverloaded
-	// once every replica saturates. Implies FollowerRead machinery for
+	// read point, and reads route to the least-loaded replica via
+	// piggybacked load hints. Nothing is shed: once every replica
+	// saturates, requests queue. Implies FollowerRead machinery for
 	// the hot paths; consistent ReadIndex reads continue to serve
 	// everything else.
 	Hotspot bool
