@@ -25,7 +25,9 @@ test-race:
 	$(GO) test -race -short -count=1 ./...
 
 # The follower read path (raft ReadIndex rounds, reply-driven commit
-# advance, bounded-staleness reads, indexnode follower lookups), the
+# advance, leader leases and read grants — a cut-off leader's read, the
+# warm holder's read, a silent holder's commit delay — and indexnode
+# follower lookups), the
 # RemovalList's wait-free read against rename prepare/commit/abort, and
 # the path cache's fill-vs-invalidate ordering (radix.Cache and its three
 # users: TopDirPathCache, the proxy cache, InfiniFS's AM-Cache), and the
@@ -36,7 +38,7 @@ test-race:
 # hand-off, the published-snapshot hand-off, the epoch-guarded fill and
 # the fall-through have to hold under many schedules, not one.
 test-readpath:
-	$(GO) test -race -count=20 -run 'ReadIndex|FollowerRead|BoundedStale|ReadAfterWrite|Invalidator|RacingRename|AbortRename|LookupDuringModification|Cache|ProxyCache|AMCache|Fill|InvalidationStress|TopK|HeatRidesTheSampler|LookupFailureContract|TiedHintsRotateReads' ./internal/raft/ ./internal/indexnode/ ./internal/radix/ ./internal/core/ ./internal/baselines/infinifs/ ./internal/heat/
+	$(GO) test -race -count=20 -run 'ReadIndex|FollowerRead|Lease|MinorityLeader|ReadAfterWrite|Invalidator|RacingRename|AbortRename|LookupDuringModification|Cache|ProxyCache|AMCache|Fill|InvalidationStress|TopK|HeatRidesTheSampler|LookupFailureContract|TiedHintsRotateReads' ./internal/raft/ ./internal/indexnode/ ./internal/radix/ ./internal/core/ ./internal/baselines/infinifs/ ./internal/heat/
 
 # The front door under the race detector, five times: one dispatcher
 # (Cluster.exec) is shared by every TCP connection's goroutine and the
@@ -65,7 +67,7 @@ loc:
 # lowered it. A PR that shrinks the tree lowers LOC_CEILING to its own
 # result; one that has to grow it raises the ceiling on purpose, in the
 # diff, where a reviewer sees it.
-LOC_CEILING = 21053
+LOC_CEILING = 21314
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -65,7 +65,7 @@ func main() {
 		rtt       = flag.Duration("rtt", 0, "simulated per-RPC round trip")
 		rpcAddr   = flag.String("rpc-addr", "", "optional binary-protocol listen address (mantle.Dial clients)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
-		hotspot   = flag.Bool("hotspot", false, "elastic hotspot management: promote hot directories to bounded-stale replica reads, load-aware routing (saturated replicas queue requests; none are shed)")
+		hotspot   = flag.Bool("hotspot", false, "elastic hotspot management: promote hot directories to follower and learner lease reads, load-aware routing (saturated replicas queue requests; none are shed)")
 		hotThresh = flag.Int64("hot-threshold", 0, "decayed read count that promotes a directory (0 = production default; lower it for small deployments)")
 		drOn      = flag.Bool("dr", false, "host a second, asynchronously replicated site for disaster recovery (see /admin/failover)")
 		wanRTT    = flag.Duration("wan-rtt", 0, "inter-site round trip for the -dr replication link")

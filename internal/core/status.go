@@ -83,8 +83,8 @@ func (m *Mantle) WriteStatus(w io.Writer) {
 		s.Index.LeaderReads, s.Index.FollowerReads, s.Index.LearnerReads, s.Index.FallbackReads)
 	writeHotDirs(w, "hot write dirs", s.Index.HotWriteDirs)
 	if h := s.Index.Hotspot; h.Enabled {
-		fmt.Fprintf(w, "hotspot: %d hot paths, %d promotions, %d demotions, %d hot reads, %d stale fallbacks, %d sheds\n",
-			len(h.HotSet), h.Promotions, h.Demotions, h.HotReads, h.StaleFalls, h.Sheds)
+		fmt.Fprintf(w, "hotspot: %d hot paths, %d promotions, %d demotions, %d hot reads, %d fallbacks, %d sheds\n",
+			len(h.HotSet), h.Promotions, h.Demotions, h.HotReads, h.Fallbacks, h.Sheds)
 		for _, p := range h.HotSet {
 			fmt.Fprintf(w, "  hot %s\n", p)
 		}

@@ -57,7 +57,7 @@ type Config struct {
 	// Hotspot enables elastic hot-entry replication (DESIGN.md §9):
 	// directories crossing HotThreshold in the group's decaying
 	// read-heat sketch are promoted into a hot-set served by non-leader
-	// replicas at a bounded-staleness read point, with load-aware
+	// replicas inside their raft read grants, with load-aware
 	// (power-of-two-choices) routing on piggybacked load hints.
 	Hotspot bool
 	// HotPromoteInterval is the promotion loop's cadence (default 100ms).
@@ -157,7 +157,7 @@ type Group struct {
 	promotions atomic.Int64
 	demotions  atomic.Int64
 	hotReads   atomic.Int64
-	staleFalls atomic.Int64
+	hotFalls   atomic.Int64
 	sheds      atomic.Int64
 	hotStop    chan struct{}
 	hotOnce    sync.Once
@@ -373,8 +373,8 @@ func (g *Group) pickReadTarget(scratch []int) int {
 // aggregated path permission, and whether the serving replica hit its
 // TopDirPathCache.
 //
-// A hot-set path first gets one bounded-stale attempt (hotLookup); every
-// other lookup, and a hot one that found no read point, is a Call on
+// A hot-set path first gets one attempt on a non-leader (hotLookup); every
+// other lookup, and a hot one that attempt could not serve, is a Call on
 // readTarget. When the serving replica cannot obtain a consistent read
 // point — no leader, or the leader unreachable across a partition — and
 // DegradedReads is on, the replica falls back to its local (possibly
@@ -430,30 +430,30 @@ func (g *Group) Lookup(op *rpc.Op, path string) (LookupResult, error) {
 	return res, err
 }
 
-// hotLookup is a hot-set path's one bounded-stale attempt: a non-leader
-// replica serves at the bounded staleness read point — one RPC, no
-// leader round trip. ok is false when no read point could be had (no
-// running non-leader, no fresh leader contact, replica churn); the
-// lookup then takes the consistent path.
+// hotLookup is a hot-set path's one attempt on a non-leader replica: a
+// ConsistentRead there, which inside the replica's read grant costs no
+// leader round trip. ok is false when it could not be served (no running
+// non-leader, no grant and no reachable leader, replica churn); the
+// lookup then takes the consistent path through Call.
 func (g *Group) hotLookup(op *rpc.Op, path string) (res LookupResult, ok bool, err error) {
 	var scratch [maxReplicas]int
 	cands := g.hotCandidates(scratch[:0])
 	if len(cands) == 0 {
-		g.staleFalls.Add(1)
+		g.hotFalls.Add(1)
 		return res, false, nil
 	}
 	idx := g.pickLoadAware(cands)
 	rep, rf, node := g.replicas[idx], g.rafts[idx], g.nodes[idx]
 	var herr error
 	if callErr := op.Do(node, 0, rpc.CallOpts{Src: proxySrc}, func() error {
-		herr = rf.BoundedStaleRead(g.hotMaxStale(), func() error {
+		herr = rf.ConsistentRead(func() error {
 			res, err = rep.Lookup(path)
 			node.Charge(g.chargeFor(res))
 			return nil
 		})
 		return nil
 	}); callErr != nil || herr != nil {
-		g.staleFalls.Add(1)
+		g.hotFalls.Add(1)
 		return res, false, nil
 	}
 	g.noteLoadHint(idx)
@@ -663,7 +663,8 @@ func (g *Group) RaftWALStats() storage.WALStats {
 // RegisterMetrics exposes the group on reg: the TopDirPathCache and
 // degraded-read counters, the raft log-batching family (one BatchStats
 // snapshot, so raft_batch_occupancy is the proposals/appends printed
-// beside it), the hot-set tier's counters, and the propose histogram.
+// beside it), the replicas' lease reads and ReadIndex rounds, the
+// hot-set tier's counters, and the propose histogram.
 func (g *Group) RegisterMetrics(reg *metrics.Registry) {
 	reg.AttachLatency("latency_raft_propose", g.proposeLat)
 	reg.Collect(func(e *metrics.Emitter) {
@@ -681,6 +682,13 @@ func (g *Group) RegisterMetrics(reg *metrics.Registry) {
 		e.Int("raft_flush_count", b.FlushCount)
 		e.Int("raft_flush_bytes", b.FlushBytes)
 		e.Ratio("raft_batch_occupancy", b.Proposals, b.Appends)
+		var leased, rounds int64
+		for _, r := range g.rafts {
+			l, n := r.MetricsRef().Reads()
+			leased, rounds = leased+l, rounds+n
+		}
+		e.Int("raft_lease_reads", leased)
+		e.Int("raft_read_index_rounds", rounds)
 		w := g.RaftWALStats()
 		e.Int("raft_wal_syncs", w.Syncs)
 		e.Int("raft_wal_syncs_solo", w.SoloSyncs)
@@ -690,7 +698,7 @@ func (g *Group) RegisterMetrics(reg *metrics.Registry) {
 		e.Int("hotspot_promotions", g.promotions.Load())
 		e.Int("hotspot_demotions", g.demotions.Load())
 		e.Int("hotspot_hot_reads", g.hotReads.Load())
-		e.Int("hotspot_stale_fallbacks", g.staleFalls.Load())
+		e.Int("hotspot_fallbacks", g.hotFalls.Load())
 		e.Int("hotspot_sheds", g.sheds.Load())
 	})
 }

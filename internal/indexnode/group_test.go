@@ -452,7 +452,7 @@ func TestGroupReadWriteRaceStress(t *testing.T) {
 // fail. With every replica blackholed, it keeps retrying for the whole
 // RetryWindow and then fails with ErrUnavailable, naming the path — from
 // the leader alone, under FollowerRead, and for a hot-set path, whose one
-// bounded-stale attempt falls through to the same loop. With one
+// non-leader attempt falls through to the same loop. With one
 // follower stopped under FollowerRead, every lookup is served by the
 // rest and the stopped replica is never sent an RPC.
 func TestGroupLookupFailureContract(t *testing.T) {
@@ -492,12 +492,12 @@ func TestGroupLookupFailureContract(t *testing.T) {
 			if elapsed < window || elapsed > window+slack {
 				t.Fatalf("lookup failed after %v, want within [%v, %v] (injector seed %d)", elapsed, window, window+slack, inj.Seed())
 			}
-			var want int64 // one bounded-stale attempt per hot lookup
+			var want int64 // one non-leader attempt per hot lookup
 			if tc.hotset {
 				want = 1
 			}
-			if n := g.staleFalls.Load(); n != want {
-				t.Fatalf("stale fallbacks = %d, want %d", n, want)
+			if n := g.hotFalls.Load(); n != want {
+				t.Fatalf("hot fallbacks = %d, want %d", n, want)
 			}
 		})
 	}

@@ -9,7 +9,7 @@ import (
 // This file is the group's elastic hot-entry replication tier (DESIGN.md
 // §9): a decaying read-heat sketch feeds a promotion loop that maintains
 // a small hot-set of directory paths; lookups of hot paths are served by
-// non-leader replicas at a bounded-staleness read point (no leader round
+// non-leader replicas inside their raft read grants (no leader round
 // trip), so the leader's read CPU stops scaling with skew. The same
 // machinery tracks per-replica load hints — sampled from each reply, the
 // in-process equivalent of the Load field piggybacked on wire replies —
@@ -70,11 +70,6 @@ func (g *Group) startHotspotLoop() {
 
 // hotSetMax bounds the promoted set.
 const hotSetMax = 32
-
-// hotMaxStale is the staleness bound for hot-set reads: a hot read
-// reflects every write committed at the leader as of now−hotMaxStale.
-// Four heartbeats, so healthy heartbeats always satisfy the bound.
-func (g *Group) hotMaxStale() time.Duration { return 4 * g.cfg.Raft.HeartbeatInterval }
 
 // refreshHotSet recomputes the hot-set from the current sketch state.
 func (g *Group) refreshHotSet() {
@@ -173,7 +168,7 @@ func (g *Group) pickLoadAware(cands []int) int {
 }
 
 // hotCandidates returns the running non-leader replica indices — the
-// targets eligible to serve hot-set reads at the bounded-stale point.
+// targets eligible to serve hot-set reads.
 // scratch avoids a per-lookup allocation.
 func (g *Group) hotCandidates(scratch []int) []int {
 	li := g.leaderIndex()
@@ -228,7 +223,7 @@ type HotspotStats struct {
 	Promotions int64    `json:"promotions"`
 	Demotions  int64    `json:"demotions"`
 	HotReads   int64    `json:"hot_reads"`
-	StaleFalls int64    `json:"stale_fallbacks"`
+	Fallbacks  int64    `json:"fallbacks"`
 	Sheds      int64    `json:"sheds"`
 	// LoadHints is the per-replica piggybacked queue-delay estimate in
 	// microseconds (router input).
@@ -243,7 +238,7 @@ func (g *Group) Hotspot() HotspotStats {
 		Promotions: g.promotions.Load(),
 		Demotions:  g.demotions.Load(),
 		HotReads:   g.hotReads.Load(),
-		StaleFalls: g.staleFalls.Load(),
+		Fallbacks:  g.hotFalls.Load(),
 		Sheds:      g.sheds.Load(),
 	}
 	if g.cfg.Hotspot {

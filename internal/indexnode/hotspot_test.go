@@ -165,37 +165,35 @@ func TestHotspotReadMixAccounting(t *testing.T) {
 	}
 }
 
-// Bounded-staleness hot reads must never return a write older than the
-// promise: a value committed more than hotMaxStale ago is always
-// visible, even while the path is being served from the hot-set.
-func TestHotspotStalenessPromise(t *testing.T) {
-	g, caller := newHotspotGroup(t, nil)
+// A hot read after an acknowledged write sees the write: the hot path is
+// a follower's or learner's ConsistentRead inside its read grant, and
+// the leader commits nothing a grant holder has not acked. There is no
+// wait between the write and the reads.
+func TestHotspotReadAfterWrite(t *testing.T) {
+	g, caller := newHotspotGroup(t, func(c *Config) {
+		c.HotPromoteInterval = time.Hour // the hot set is set by hand below
+	})
 	if err := g.AddDir(caller.Begin(), types.RootID, "hot", 2, types.PermAll, ""); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for !g.isHot("/hot") {
-		if _, err := g.Lookup(caller.Begin(), "/hot"); err != nil {
+	const gens = 20
+	lookups := int64(gens * len(g.rafts))
+	for i := 0; i < gens; i++ {
+		id := types.InodeID(100 + i)
+		path := fmt.Sprintf("/hot/gen%d", i)
+		if err := g.AddDir(caller.Begin(), 2, path[len("/hot/"):], id, types.PermAll, "/hot"); err != nil {
 			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("/hot never promoted")
+		g.hotSet.Store(&hotSet{paths: map[string]struct{}{path: {}}})
+		for j := 0; j < len(g.rafts); j++ { // the hot reads rotate over every non-leader
+			res, err := g.Lookup(caller.Begin(), path)
+			if err != nil || res.ID != id {
+				t.Fatalf("%s: read after the acknowledged write: %+v err=%v (stats %+v)", path, res, err, g.Hotspot())
+			}
 		}
 	}
-	for i := 0; i < 20; i++ {
-		// Commit a child under the hot dir, age it past the staleness
-		// bound, then require every hot-path read to see it.
-		id := types.InodeID(100 + i)
-		name := fmt.Sprintf("gen%d", i)
-		if err := g.AddDir(caller.Begin(), 2, name, id, types.PermAll, "/hot"); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(g.hotMaxStale())
-		res, err := g.Lookup(caller.Begin(), "/hot/"+name)
-		if err != nil || res.ID != id {
-			t.Fatalf("gen %d: hot read missed a write older than the bound: %+v err=%v (stats %+v)",
-				i, res, err, g.Hotspot())
-		}
+	if h := g.Hotspot(); h.HotReads != lookups || h.Fallbacks != 0 {
+		t.Fatalf("%d hot reads and %d fallbacks, want %d and 0", h.HotReads, h.Fallbacks, lookups)
 	}
 }
 

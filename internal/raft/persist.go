@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/storage"
 	"mantle/internal/wire"
 )
@@ -153,6 +153,7 @@ func (r *Raft) Crash() {
 		r.epoch++
 		r.failPendingLocked()
 		r.applyCond.Broadcast()
+		r.leaseCond.Broadcast()
 	}
 	r.mu.Unlock()
 	if r.wal != nil {
@@ -175,9 +176,12 @@ func (r *Raft) resetLocked() {
 	clear(r.nextIndex)
 	clear(r.matchIndex)
 	clear(r.pending)
-	r.lastContact = nil
 	r.view = leaderView{}
-	r.staleCommit, r.staleContact = 0, time.Time{}
+	r.stickyUntil, r.contactAt, r.readAt, r.leaseEnd = 0, 0, 0, 0
+	r.grant, r.kicks = readGrant{}, nil
+	for _, p := range r.peers {
+		p.heard, p.acked, p.granted, p.wantsGrant = 0, 0, 0, false
+	}
 	if r.cfg.Learner {
 		r.setRoleLocked(LearnerRole)
 	} else {
@@ -214,6 +218,9 @@ func (r *Raft) Restart() error {
 	r.commitIndex = r.firstIndexLocked()
 	r.lastApplied = r.commitIndex
 	r.durableIndex, _ = r.lastLogLocked()
+	// The crash forgot what leases this replica took part in: it stays
+	// out of elections for as long as any of them can have run.
+	r.stickyUntil = clock.Mono() + r.cfg.ElectionTimeout
 	l := &life{stop: make(chan struct{})}
 	r.life.Store(l)
 	r.mu.Unlock()

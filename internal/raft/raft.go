@@ -6,12 +6,15 @@
 //   - log replication to voting followers and non-voting learners
 //     (read replicas, as added in §5.1.3 to scale lookups),
 //   - a state machine apply loop on every replica,
-//   - ReadIndex-based consistent reads on followers and learners: the
-//     reader queries the leader for its commitIndex on its own goroutine
-//     (readers that arrive meanwhile are batched into one later RPC, as
-//     the paper describes), the reply advances the replica's own commit
-//     index over the log prefix that leader has verified, and the reader
-//     waits until the local applyIndex catches up (read.go),
+//   - consistent reads on every replica (read.go): inside a lease with
+//     no leader trip — the leader's own lease, or a read grant it gives a
+//     follower or learner that is serving reads — and otherwise by a
+//     ReadIndex round, in which the reader queries the leader for its
+//     commitIndex on its own goroutine (readers that arrive meanwhile are
+//     batched into one later RPC, as the paper describes), the reply
+//     advances the replica's own commit index over the log prefix that
+//     leader has verified, and the reader waits until the local
+//     applyIndex catches up,
 //   - proposal batching: the leader groups queued proposals into one log
 //     append and one log record per batch ("+raftlogbatch" in Figure 16),
 //     bounded by a count/byte window (MaxBatch, maxBatchBytes),
@@ -49,11 +52,13 @@ package raft
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/metrics"
 	"mantle/internal/netsim"
 	"mantle/internal/storage"
@@ -239,11 +244,9 @@ type Raft struct {
 	nextIndex  map[string]uint64
 	matchIndex map[string]uint64
 	pending    map[uint64]*proposal // index -> waiting proposal
-	// lastContact records the last successful exchange with each peer
-	// while leader; the check-quorum rule reads it to detect isolation.
-	lastContact map[string]time.Time
-
-	electionReset time.Time
+	// electionReset is when the election timer last restarted (a
+	// clock.Mono reading).
+	electionReset time.Duration
 
 	applyCh   chan struct{} // kicks the applier
 	proposeCh chan *proposal
@@ -263,11 +266,21 @@ type Raft struct {
 	// replica's log and reported committed (follower side; see read.go).
 	view leaderView
 
-	// Bounded-staleness read point (BoundedStaleRead): the highest
-	// leader commit index advertised by an AppendEntries/heartbeat
-	// exchange, and when that exchange was received.
-	staleCommit  uint64
-	staleContact time.Time
+	// Leases (read.go), as clock.Mono readings. Before stickyUntil the
+	// replica neither grants a vote in a higher term nor campaigns.
+	// contactAt is when the current term's leader was last heard from,
+	// readAt the last read that wanted a lease here. leaseEnd is the
+	// leader lease, kept past a step-down so the ex-leader still stays
+	// out of elections; grant is the read grant this replica holds.
+	stickyUntil time.Duration
+	contactAt   time.Duration
+	readAt      time.Duration
+	leaseEnd    time.Duration
+	grant       readGrant
+	// kicks wakes the current term's replicators (leaderLoop), and
+	// leaseCond waits for leaseEnd to move (confirmLocked).
+	kicks     []chan struct{}
+	leaseCond *sync.Cond
 
 	// snapData is the latest snapshot (log prefix up to log[0].Index).
 	snapData []byte
@@ -321,6 +334,16 @@ type Metrics struct {
 	// until log append, and append-to-apply completion.
 	IngestWait time.Duration
 	CommitWait time.Duration
+
+	// Reads served inside a lease with no leader trip, and ReadIndex
+	// rounds: a follower's or learner's query to the leader, or a
+	// leader's confirming heartbeat round.
+	leaseReads, readRounds atomic.Int64
+}
+
+// Reads returns the lease-served read and ReadIndex round counts.
+func (m *Metrics) Reads() (lease, rounds int64) {
+	return m.leaseReads.Load(), m.readRounds.Load()
 }
 
 // flushReason classifies why the leader closed a proposal batch.
@@ -441,6 +464,7 @@ func NewGroup(cfgs []Config) []*Raft {
 			r.setRoleLocked(LearnerRole) // r is not shared yet
 		}
 		r.applyCond = sync.NewCond(&r.mu)
+		r.leaseCond = sync.NewCond(&r.mu)
 		replicas[i] = r
 	}
 	for _, r := range replicas {
@@ -480,7 +504,7 @@ type life struct {
 
 func (r *Raft) start(l *life) {
 	r.mu.Lock()
-	r.electionReset = time.Now()
+	r.electionReset = clock.Mono()
 	r.mu.Unlock()
 	l.wg.Add(2)
 	go r.electionLoop(l)
@@ -567,7 +591,7 @@ func (r *Raft) electionLoop(l *life) {
 		case <-time.After(timeout / 4):
 		}
 		r.mu.Lock()
-		if !r.stopped() && r.role != Leader && time.Since(r.electionReset) >= timeout {
+		if !r.stopped() && r.role != Leader && clock.Mono()-r.electionReset >= timeout {
 			r.startElectionLocked()
 		}
 		r.mu.Unlock()
@@ -575,14 +599,19 @@ func (r *Raft) electionLoop(l *life) {
 }
 
 // startElectionLocked transitions to candidate and solicits votes once
-// the new term and the self-vote are durable. Caller holds r.mu.
+// the new term and the self-vote are durable. A replica inside a lease
+// does not campaign: its own vote counts like any other. Caller holds
+// r.mu.
 func (r *Raft) startElectionLocked() {
+	if r.stickyLocked() {
+		return
+	}
 	r.setRoleLocked(Candidate)
 	r.term++
 	r.votedFor = r.id
 	r.saveStateLocked()
 	r.leaderID = ""
-	r.electionReset = time.Now()
+	r.electionReset = clock.Mono()
 	term, epoch, seq := r.term, r.epoch, r.lastStaged
 	lastIdx, lastTerm := r.lastLogLocked()
 	r.metrics.add(0, 0, 1)
@@ -645,7 +674,8 @@ func (r *Raft) becomeFollowerLocked(term uint64, leader string) {
 	}
 	r.leaderID = leader
 	if wasLeader {
-		r.electionReset = time.Now()
+		r.electionReset = clock.Mono()
+		r.leaseCond.Broadcast() // a read confirming leadership gives up
 		// A deposed leader's unapplied entries may be overwritten by the
 		// next leader's: none of its proposals may be acknowledged as
 		// committed from here on. The replication loop exits on the role
@@ -663,12 +693,17 @@ func (r *Raft) becomeLeaderLocked() {
 	r.setRoleLocked(Leader)
 	r.leaderID = r.id
 	lastIdx, _ := r.lastLogLocked()
-	r.lastContact = make(map[string]time.Time, len(r.peers))
-	now := time.Now()
-	for id := range r.peers {
+	now := clock.Mono()
+	for id, p := range r.peers {
 		r.nextIndex[id] = lastIdx + 1
 		r.matchIndex[id] = 0
-		r.lastContact[id] = now
+		// Acks of an earlier term renew nothing; grants it gave stay in
+		// the commit rule until they expire.
+		p.heard, p.acked, p.wantsGrant = now, 0, false
+	}
+	r.leaseEnd = 0
+	if r.voters == 1 {
+		r.leaseEnd = math.MaxInt64 // no other voter can elect anyone
 	}
 	term, l := r.term, r.life.Load()
 	l.wg.Add(1)
@@ -683,14 +718,13 @@ func (r *Raft) becomeLeaderLocked() {
 type peer struct {
 	*Raft
 	link *netsim.Link
-}
-
-// touchPeerLocked records a successful exchange with the peer for the
-// check-quorum rule. Caller holds r.mu.
-func (r *Raft) touchPeerLocked(id string) {
-	if r.lastContact != nil {
-		r.lastContact[id] = time.Now()
-	}
+	// The leader's state for the peer, under the leader's mu, as
+	// clock.Mono readings: the send time of the latest message the peer
+	// answered (the check-quorum rule reads it to detect isolation) and
+	// of the latest lease-renewing one it acked, the expiry of the last
+	// read grant offered it, and whether its last reply asked for one.
+	heard, acked, granted time.Duration
+	wantsGrant            bool
 }
 
 // quorumReachable reports whether the leader has heard from a quorum of
@@ -705,12 +739,10 @@ func (r *Raft) quorumReachable() bool {
 		return true
 	}
 	window := 2 * r.cfg.ElectionTimeout
+	now := clock.Mono()
 	reachable := 1 // self
-	for id, p := range r.peers {
-		if p.IsLearner() {
-			continue
-		}
-		if time.Since(r.lastContact[id]) <= window {
+	for _, p := range r.peers {
+		if !p.IsLearner() && now-p.heard <= window {
 			reachable++
 		}
 	}
@@ -726,6 +758,13 @@ func (r *Raft) handleRequestVote(term uint64, candidate string, lastIdx, lastTer
 		r.mu.Unlock()
 		return false, 0
 	}
+	if term > r.term && r.stickyLocked() {
+		// Inside a lease: no vote in a higher term while a lease of this
+		// one may be live, so the request is ignored, term and all.
+		replyTerm = r.term
+		r.mu.Unlock()
+		return false, replyTerm
+	}
 	if term > r.term {
 		r.becomeFollowerLocked(term, "")
 	}
@@ -736,7 +775,7 @@ func (r *Raft) handleRequestVote(term uint64, candidate string, lastIdx, lastTer
 			r.votedFor = candidate
 			r.saveStateLocked()
 		}
-		r.electionReset = time.Now()
+		r.electionReset = clock.Mono()
 		granted = true
 	}
 	epoch, seq, replyTerm := r.epoch, r.lastStaged, r.term

@@ -1,45 +1,65 @@
 package raft
 
 import (
-	"fmt"
+	"errors"
+	"slices"
 	"sync"
 	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/types"
 )
 
 // Consistent reads (§5.1.3).
 //
 // A read is served at a read index: an index such that state applied up
-// to it reflects every write acknowledged before the read began.
+// to it reflects every write acknowledged before the read began. Inside
+// a lease that index costs no message; outside one, a ReadIndex round.
 //
-// On the leader the read index is its current commit index, returned
-// without a round of heartbeats, once an entry of the leader's own term
-// has committed (Raft dissertation §6.4 step 1). Before its no-op
-// commits, a fresh leader's commit index may sit below its
-// predecessor's, so until then it refuses ReadIndex — its own and its
-// followers' — with ErrNotLeader, which callers retry; leaderLoop ships
-// the no-op at once, so the refusal lasts one replication round.
+// Leader lease. The leader records, per voter, the send time of the
+// latest lease-renewing message that voter acked; a voter's ReadIndex
+// query counts as an ack of the last message it had from the leader. The
+// lease ends leaseLen (an election timeout less a drift bound of a
+// tenth) after the quorum-th newest of those times, the leader counting
+// as one. Replicas read one process clock (clock.Mono), so the bound is
+// margin, not measured skew. Messages renew only while a read wanted a
+// lease within the last one (readAt), so a group nobody reads from holds
+// none. Inside the lease the leader's read index is its commit index,
+// once an entry of its own term has committed (Raft dissertation §6.4
+// step 1; before that it refuses with ErrNotLeader, and it ships its
+// no-op at once). Outside it the leader confirms with one heartbeat
+// round (confirmLocked), which also renews the lease.
 //
-// That is linearisable only while the replica really is the leader of
-// the latest term, and that gap stays open (ROADMAP, leases item). The
-// fabric can partition (internal/faults), and an isolated leader keeps
-// its role until check-quorum steps it down — up to 2× its election
-// timeout — while the majority side may elect and commit after one
-// timeout, so in that window the minority-side leader answers ReadIndex
-// from a commit index that no longer covers the latest acknowledged
-// write.
+// Stickiness makes the lease sound: a voter that acked a renewing
+// message or sent a query neither votes in a higher term, nor adopts
+// it, nor campaigns for an election timeout after that message arrived;
+// a leader, and one a higher-term reply deposed, until its lease ends; a
+// restarted replica for an election timeout, as it may have forgotten a
+// lease. Every election quorum meets the lease's quorum in a sticky
+// voter, so no higher term has a leader while a lease of term T may be
+// live.
 //
-// On a follower or learner the read costs exactly one round trip to the
-// leader and, uncontended, nothing else: the calling goroutine asks the
-// leader for its (term, commitIndex) itself. Readers that arrive while
-// that query is in flight queue behind it and share one later query —
-// the paper's "queries for the commitIndex are batched". The reply also
-// advances the follower: within one term the leader's log is
-// append-only and the follower has matched a prefix of it (leaderView),
-// so everything the leader reports committed inside that prefix is
-// committed here too, and the reader need not wait for the next
-// heartbeat to be told so.
+// Read grants. A follower or learner that has served a ConsistentRead
+// within the last lease asks for a grant on its replies; inside its
+// lease the leader gives one, expiring no later than the lease and
+// carrying its commit index, on its next message or on the ReadIndex
+// reply itself. Until a grant expires the leader commits nothing the
+// holder has not acked, and pushes each commit at once
+// (maybeAdvanceCommit). So a holder's read index is the larger of the
+// grant's commit index and the prefix it has verified against that
+// leader (leaderView): a write acknowledged before the read began is in
+// one or the other. The read waits for apply to reach it; if the grant
+// runs out first, it takes a ReadIndex round.
+//
+// ReadIndex round. A follower or learner asks the leader for its (term,
+// commitIndex) on the calling goroutine: uncontended, one round trip and
+// nothing else. Readers that arrive while that query is in flight queue
+// behind it and share one later query — the paper's "queries for the
+// commitIndex are batched". The reply also advances the follower: within
+// one term the leader's log is append-only and the follower has matched
+// a prefix of it (leaderView), so what the leader reports committed
+// inside that prefix is committed here too, with no wait for the next
+// heartbeat.
 
 var readWaitTimeout = 5 * time.Second
 
@@ -90,12 +110,12 @@ func (r *Raft) learnLocked(term, verified, commit uint64) {
 }
 
 // ReadIndex returns an index such that any read of state applied up to it
-// observes every write acknowledged before the call (see the file
-// comment for what the leader path leaves open). On the leader it is the
-// commit index, refused with ErrNotLeader until the leader's own term has
-// committed an entry; on a follower or learner it is the leader's commit
-// index, fetched by this goroutine or shared with a batch of readers.
-// The caller then waits for local apply to reach it (ConsistentRead).
+// observes every write acknowledged before the call. On the leader it is
+// the commit index, refused with ErrNotLeader until the leader's own term
+// has committed an entry and confirmed by a heartbeat round outside the
+// lease; on a follower or learner it is the leader's commit index,
+// fetched by this goroutine or shared with a batch of readers. The caller
+// then waits for local apply to reach it (ConsistentRead).
 func (r *Raft) ReadIndex() (uint64, error) {
 	if r.stopped() {
 		return 0, types.ErrStopped
@@ -160,26 +180,185 @@ func (r *Raft) serveReadBatches() {
 	}
 }
 
-// handleReadIndex is the leader side of the ReadIndex RPC, and the
-// leader's own read index: role, term and commit index read under one
-// lock acquisition, so the reply cannot pair one term's commit index with
-// another's term. ok is false off the leader, and on a leader whose
-// commit index does not yet reach an entry of its own term.
+// handleReadIndex is the leader's own read index (serveReadIndex).
 func (r *Raft) handleReadIndex() (term, commit uint64, ok bool) {
+	term, commit, _, ok = r.serveReadIndex(nil, readQuery{})
+	return term, commit, ok
+}
+
+// readQuery is a follower's or learner's ReadIndex request: its term,
+// when it last heard from the leader (a voter is sticky from then), and
+// whether it asks for a read grant.
+type readQuery struct {
+	term       uint64
+	contact    time.Duration
+	wantsGrant bool
+}
+
+// serveReadIndex is the leader side of a ReadIndex round, for the query q
+// from peer p, or for the leader's own read when p is nil. Role, term and
+// commit index are read under one lock acquisition, so the reply cannot
+// pair one term's commit index with another's term. ok is false off the
+// leader, on a leader whose commit index does not yet reach an entry of
+// its own term, and on one whose confirming round failed; grant is the
+// read grant p asked for, zero if none.
+func (r *Raft) serveReadIndex(p *peer, q readQuery) (term, commit uint64, grant time.Duration, ok bool) {
 	if r.stopped() {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ok = r.role == Leader && r.entryAtLocked(r.commitIndex).Term == r.term
-	return r.term, r.commitIndex, ok
+	if r.role != Leader || r.entryAtLocked(r.commitIndex).Term != r.term {
+		return r.term, r.commitIndex, 0, false
+	}
+	now := clock.Mono()
+	r.readAt = now
+	if p != nil && !p.IsLearner() && q.term == r.term {
+		r.noteAckLocked(p, q.contact)
+	}
+	if now >= r.leaseEnd && !r.confirmLocked(now) {
+		return r.term, r.commitIndex, 0, false
+	}
+	if p != nil && q.wantsGrant {
+		grant = r.grantLocked(p, clock.Mono())
+	}
+	return r.term, r.commitIndex, grant, true
+}
+
+// confirmLocked is a leader read outside the lease: one heartbeat round,
+// marked as renewing, which holds once a quorum of voters has acked a
+// message sent at or after start — so it also makes the lease live. It
+// fails when leadership ends or after an election timeout. Caller holds
+// r.mu, which is released while it waits.
+func (r *Raft) confirmLocked(start time.Duration) bool {
+	r.metrics.readRounds.Add(1)
+	term, d := r.term, r.cfg.ElectionTimeout
+	kick(r.kicks)
+	wake := time.AfterFunc(d, func() {
+		r.mu.Lock()
+		r.leaseCond.Broadcast()
+		r.mu.Unlock()
+	})
+	defer wake.Stop()
+	for r.leaseEnd < start+r.leaseLen() {
+		if r.role != Leader || r.term != term || r.stopped() || clock.Mono()-start >= d {
+			return false
+		}
+		r.leaseCond.Wait()
+	}
+	return true
+}
+
+// leaseLen is how long a lease runs past the send time of the message
+// that renewed it: an election timeout less a drift bound.
+func (r *Raft) leaseLen() time.Duration {
+	return r.cfg.ElectionTimeout - r.cfg.ElectionTimeout/10
+}
+
+// stickyLocked reports whether the replica must stay out of elections:
+// neither vote in a higher term nor campaign. Caller holds r.mu.
+func (r *Raft) stickyLocked() bool {
+	now := clock.Mono()
+	return now < r.stickyUntil || now < r.leaseEnd
+}
+
+// leaseOffer is what a leader's AppendEntries carries for leases: whether
+// it renews the leader lease, and the expiry of a read grant for a
+// replica that asked for one (zero: none).
+type leaseOffer struct {
+	renew bool
+	grant time.Duration
+}
+
+// leaseOfferLocked is the offer for a message to p sent at now. A grant
+// request buys one grant: a peer that stops replying — cut off, crashed —
+// stops being granted, so it holds up commits for one lease at most.
+// Caller holds r.mu.
+func (r *Raft) leaseOfferLocked(p *peer, now time.Duration) leaseOffer {
+	o := leaseOffer{renew: r.readAt != 0 && now-r.readAt < r.leaseLen()}
+	if p.wantsGrant {
+		p.wantsGrant = false
+		o.grant = r.grantLocked(p, now)
+	}
+	return o
+}
+
+// grantLocked gives p a read grant: only inside the leader lease, never
+// past its end, and counted in the commit rule from before it is sent,
+// whether or not it arrives. Zero means none. Caller holds r.mu.
+func (r *Raft) grantLocked(p *peer, now time.Duration) time.Duration {
+	until := min(r.leaseEnd, now+r.leaseLen())
+	if now >= until {
+		return 0
+	}
+	p.granted = max(p.granted, until)
+	return until
+}
+
+// noteReplyLocked folds a reply of the leader's term into the lease: a
+// renewing message's ack renews the lease, and a replica asking for a
+// grant is reading, so the lease stays wanted. Caller holds r.mu.
+func (r *Raft) noteReplyLocked(p *peer, offer leaseOffer, sent time.Duration, wantsGrant bool) {
+	p.wantsGrant = wantsGrant
+	if wantsGrant {
+		r.readAt = max(r.readAt, sent)
+	}
+	if offer.renew && !p.IsLearner() {
+		r.noteAckLocked(p, sent)
+	}
+}
+
+// noteAckLocked records that voter p acked a renewing message sent at
+// sent, and moves the lease end: the quorum-th newest ack, counting the
+// leader's own as now, plus leaseLen. Caller holds r.mu.
+func (r *Raft) noteAckLocked(p *peer, sent time.Duration) {
+	if sent <= p.acked {
+		return
+	}
+	p.acked = sent
+	var buf [8]time.Duration // groups up to 9 voters need no heap
+	acks := buf[:0]
+	for _, q := range r.peers {
+		if !q.IsLearner() {
+			acks = append(acks, q.acked)
+		}
+	}
+	slices.Sort(acks)
+	if t := acks[len(acks)-r.voters/2]; t > 0 && t+r.leaseLen() > r.leaseEnd {
+		r.leaseEnd = t + r.leaseLen()
+		r.leaseCond.Broadcast()
+	}
+}
+
+// readGrant is a read grant this replica holds from the leader of term:
+// until its expiry that leader commits nothing this replica has not
+// acked, and it had committed commit when it gave the grant.
+type readGrant struct {
+	term, commit uint64
+	until        time.Duration
+}
+
+// wantsGrantLocked reports whether the replica has served a consistent
+// read within the last lease, and so asks for a grant. Caller holds r.mu.
+func (r *Raft) wantsGrantLocked(now time.Duration) bool {
+	return r.role != Leader && r.readAt != 0 && now-r.readAt < r.leaseLen()
 }
 
 // queryLeaderCommit issues one RPC to the current leader for its commit
-// index and folds the reply into this replica's view of that leader.
+// index and folds the reply — and a read grant, if it carries one — into
+// this replica's view of that leader.
 func (r *Raft) queryLeaderCommit() readResult {
+	r.metrics.readRounds.Add(1)
 	r.mu.Lock()
 	leaderID := r.leaderID
+	q := readQuery{term: r.term, contact: r.contactAt, wantsGrant: r.wantsGrantLocked(clock.Mono())}
+	if !r.cfg.Learner && leaderID != "" {
+		// The leader counts the query as an ack of its last message here,
+		// as if that message had renewed the lease: stay out of elections
+		// for as long as it would have kept this voter out. Still in that
+		// leader's term, the voter has voted in no later one since.
+		r.stickyUntil = max(r.stickyUntil, r.contactAt+r.cfg.ElectionTimeout)
+	}
 	r.mu.Unlock()
 	leader, ok := r.peers[leaderID]
 	if !ok {
@@ -191,65 +370,73 @@ func (r *Raft) queryLeaderCommit() readResult {
 		// cut off" and degrade accordingly.
 		return readResult{err: err}
 	}
-	term, commit, ok := leader.handleReadIndex()
+	term, commit, grant, ok := leader.serveReadIndex(leader.peers[r.id], q)
 	if !ok {
 		return readResult{err: types.ErrNotLeader}
 	}
 	r.mu.Lock()
 	r.learnLocked(term, 0, commit)
+	if grant > 0 && term == r.term {
+		r.grant = readGrant{term: term, commit: commit, until: grant}
+	}
 	r.mu.Unlock()
 	return readResult{idx: commit}
 }
 
+// leaseIndex is the read index inside a lease, with no message: on the
+// leader its commit index, once its own term has committed an entry; on a
+// grant holder the larger of the grant's commit index and the prefix it
+// has verified. until is when the lease or grant ends; ok is false
+// outside one, and applied reports that the replica has applied the
+// index already. It also marks the replica as reading, so a leader's
+// messages renew the lease and a holder's replies ask for a grant.
+func (r *Raft) leaseIndex() (idx uint64, until time.Duration, ok, applied bool) {
+	now := clock.Mono()
+	r.mu.Lock()
+	r.readAt = now
+	if r.role == Leader {
+		idx, until = r.commitIndex, r.leaseEnd
+		ok = r.entryAtLocked(idx).Term == r.term
+	} else {
+		idx, until = r.grant.commit, r.grant.until
+		ok = r.grant.term == r.term
+		if r.view.term == r.grant.term {
+			idx = max(idx, r.view.verified)
+		}
+	}
+	ok = ok && now < until && !r.stopped()
+	applied = ok && r.lastApplied >= idx
+	r.mu.Unlock()
+	if ok {
+		r.metrics.leaseReads.Add(1)
+	}
+	return idx, until, ok, applied
+}
+
 // ConsistentRead performs fn once the replica is read-consistent: it
-// obtains a ReadIndex and waits for local apply to reach it. Works on the
-// leader, followers, and learners.
+// obtains a read index — inside the leader lease or a read grant when
+// the replica holds a live one, else by ReadIndex — and waits for local
+// apply to reach it. Works on the leader, followers, and learners.
 func (r *Raft) ConsistentRead(fn func() error) error {
+	idx, until, ok, applied := r.leaseIndex()
+	if applied {
+		return fn()
+	}
+	if ok {
+		err := r.waitApplied(idx, min(until-clock.Mono(), readWaitTimeout))
+		if err == nil {
+			return fn()
+		}
+		if !errors.Is(err, types.ErrTimeout) {
+			return err
+		}
+		// The lease ran out before its read index applied (a holder's
+		// leader stopped pushing commits): take a ReadIndex round.
+	}
 	idx, err := r.ReadIndex()
 	if err != nil {
 		return err
 	}
-	if err := r.waitApplied(idx, readWaitTimeout); err != nil {
-		return err
-	}
-	return fn()
-}
-
-// ErrStale reports that a bounded-staleness read could not be served
-// locally because the replica's last leader contact is older than the
-// caller's staleness bound (partitioned or lagging replica). Callers
-// fall back to a linearisable ConsistentRead.
-var ErrStale = fmt.Errorf("raft: leader contact exceeds staleness bound: %w", types.ErrUnavailable)
-
-// BoundedStaleRead performs fn at a bounded-staleness read point with no
-// leader round trip: the replica uses the leader commit index advertised
-// by the most recent AppendEntries/heartbeat exchange as its read index,
-// provided that exchange happened within maxStale. After local apply
-// catches up to that index, fn observes every write that was committed
-// at the leader as of (now − maxStale) — the staleness promise — because
-// the leader advertises its commit index on every exchange and exchanges
-// are at most a heartbeat interval apart (configure maxStale comfortably
-// above HeartbeatInterval).
-//
-// On the leader it degenerates to a local consistent read. On a replica
-// without fresh leader contact it fails with ErrStale instead of serving
-// data of unknown age.
-func (r *Raft) BoundedStaleRead(maxStale time.Duration, fn func() error) error {
-	if r.stopped() {
-		return types.ErrStopped
-	}
-	r.mu.Lock()
-	var idx uint64
-	if r.role == Leader {
-		idx = r.commitIndex
-	} else {
-		if r.staleContact.IsZero() || time.Since(r.staleContact) > maxStale {
-			r.mu.Unlock()
-			return ErrStale
-		}
-		idx = r.staleCommit
-	}
-	r.mu.Unlock()
 	if err := r.waitApplied(idx, readWaitTimeout); err != nil {
 		return err
 	}

@@ -2,8 +2,11 @@ package raft
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
+
+	"mantle/internal/clock"
 )
 
 // leaderLoop ingests proposals for the given term, appends them to the
@@ -13,29 +16,25 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 	defer l.wg.Done()
 
 	// Per-peer replicators.
-	type kicker chan struct{}
-	kicks := make(map[string]kicker, len(r.peers))
+	kicks := make([]chan struct{}, 0, len(r.peers))
 	done := make(chan struct{})
 	defer close(done)
-	for id, p := range r.peers {
-		k := make(kicker, 1)
-		kicks[id] = k
+	for _, p := range r.peers {
+		k := make(chan struct{}, 1)
+		kicks = append(kicks, k)
 		l.wg.Add(1)
 		go r.replicateTo(l, term, p, k, done)
 	}
+	r.mu.Lock()
+	if r.role == Leader && r.term == term {
+		r.kicks = kicks // a later term's loop may have set its own
+	}
+	r.mu.Unlock()
 	var staged chan syncPoint
 	if r.cfg.Pipeline && r.wal != nil {
 		staged = make(chan syncPoint, 64)
 		l.wg.Add(1)
 		go r.syncStage(l, term, staged, done)
-	}
-	kickAll := func() {
-		for _, k := range kicks {
-			select {
-			case k <- struct{}{}:
-			default:
-			}
-		}
 	}
 	// flush replicates an appended batch and counts it toward commit once
 	// its record is durable here.
@@ -43,7 +42,7 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 		if staged != nil {
 			// Stream AppendEntries right away; the sync stage waits for
 			// the batch's record and commit advances from there.
-			kickAll()
+			kick(kicks)
 			select {
 			case staged <- sp:
 			case <-l.stop:
@@ -52,7 +51,7 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 		}
 		r.persist(sp.epoch, sp.seq, sp.last)
 		r.maybeAdvanceCommit(term) // single-voter groups commit locally
-		kickAll()
+		kick(kicks)
 	}
 
 	// Append a no-op entry for the new term immediately: a Raft leader
@@ -95,7 +94,7 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 				r.mu.Unlock()
 				return
 			}
-			kickAll()
+			kick(kicks)
 		case p := <-r.proposeCh:
 			batch, bytes, reason := r.collectBatch(p)
 			r.mu.Lock()
@@ -123,6 +122,16 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 			r.metrics.noteAppend(int64(len(batch)), int64(bytes), reason)
 			r.mu.Unlock()
 			flush(sp)
+		}
+	}
+}
+
+// kick wakes every replicator in ks that is not already due to send.
+func kick(ks []chan struct{}) {
+	for _, k := range ks {
+		select {
+		case k <- struct{}{}:
+		default:
 		}
 	}
 }
@@ -246,6 +255,7 @@ func (r *Raft) replicateTo(l *life, term uint64, p *peer, kick chan struct{}, do
 				// snapshot, then resume appending after it.
 				snapIdx, snapTerm := first, r.log[0].Term
 				data := r.snapData
+				sent := clock.Mono()
 				r.mu.Unlock()
 				if p.link.Deliver() != nil {
 					break // message lost; retry on next kick
@@ -262,7 +272,7 @@ func (r *Raft) replicateTo(l *life, term uint64, p *peer, kick chan struct{}, do
 					return
 				}
 				if ok {
-					r.touchPeerLocked(p.id)
+					p.heard = sent
 					if snapIdx > r.matchIndex[p.id] {
 						r.matchIndex[p.id] = snapIdx
 					}
@@ -280,13 +290,15 @@ func (r *Raft) replicateTo(l *life, term uint64, p *peer, kick chan struct{}, do
 			prev := r.entryAtLocked(next - 1)
 			entries := append([]Entry(nil), r.log[next-first:]...)
 			commit := r.commitIndex
+			sent := clock.Mono()
+			offer := r.leaseOfferLocked(p, sent)
 			r.mu.Unlock()
 
 			if p.link.Deliver() != nil {
 				break // message lost in the fabric; retry on next kick
 			}
-			ok, replyTerm, conflictHint := p.handleAppendEntries(
-				term, r.id, prev.Index, prev.Term, entries, commit)
+			ok, replyTerm, conflictHint, wantsGrant := p.handleAppendEntries(
+				term, r.id, prev.Index, prev.Term, entries, commit, offer)
 
 			r.mu.Lock()
 			if r.role != Leader || r.term != term {
@@ -303,7 +315,8 @@ func (r *Raft) replicateTo(l *life, term uint64, p *peer, kick chan struct{}, do
 				r.mu.Unlock()
 				break
 			}
-			r.touchPeerLocked(p.id)
+			p.heard = sent
+			r.noteReplyLocked(p, offer, sent, wantsGrant)
 			if ok {
 				if n := prev.Index + uint64(len(entries)); n > r.matchIndex[p.id] {
 					r.matchIndex[p.id] = n
@@ -326,8 +339,11 @@ func (r *Raft) replicateTo(l *life, term uint64, p *peer, kick chan struct{}, do
 	}
 }
 
-// maybeAdvanceCommit recomputes the commit index from voter match
-// indices.
+// maybeAdvanceCommit recomputes the commit index: the highest index a
+// quorum of voters holds durable and every live read grant's holder has
+// acked, so a holder's verified prefix covers every commit made while
+// its grant runs (read.go). While a grant is live, an advance is pushed
+// to the replicas at once instead of at the next heartbeat.
 func (r *Raft) maybeAdvanceCommit(term uint64) {
 	r.mu.Lock()
 	if r.role != Leader || r.term != term {
@@ -342,11 +358,18 @@ func (r *Raft) maybeAdvanceCommit(term uint64) {
 		// and those entries must not count toward quorum.
 		matches = append(matches, r.durableIndex)
 	}
+	var now time.Duration          // read only once some grant has been given
+	held := uint64(math.MaxUint64) // the lowest match of a live grant's holder
 	for id, p := range r.peers {
-		if p.IsLearner() {
-			continue
+		if p.granted != 0 && now == 0 {
+			now = clock.Mono()
 		}
-		matches = append(matches, r.matchIndex[id])
+		if p.granted > now {
+			held = min(held, r.matchIndex[id])
+		}
+		if !p.IsLearner() {
+			matches = append(matches, r.matchIndex[id])
+		}
 	}
 	// The quorum index is the highest index at least a majority of voters
 	// hold: in ascending order, the majority-th from the top.
@@ -356,10 +379,13 @@ func (r *Raft) maybeAdvanceCommit(term uint64) {
 		return
 	}
 	slices.Sort(matches)
-	n := matches[len(matches)-quorum]
+	n := min(matches[len(matches)-quorum], held)
 	if n > r.commitIndex && n >= r.firstIndexLocked() && r.entryAtLocked(n).Term == term {
 		r.commitIndex = n
 		r.kickApplier()
+		if held != math.MaxUint64 {
+			kick(r.kicks)
+		}
 	}
 	r.mu.Unlock()
 }
@@ -368,31 +394,33 @@ func (r *Raft) maybeAdvanceCommit(term uint64) {
 // It replies only once everything it staged — entries, and a term the
 // message raised — is durable, so an ok reply always means the entries
 // are on this replica's disk, whether or not the leader pipelines its
-// own sync. replyTerm 0 signals a stopped replica.
+// own sync. replyTerm 0 signals a stopped replica; wantsGrant asks for
+// a read grant (read.go).
 func (r *Raft) handleAppendEntries(term uint64, leader string, prevIdx, prevTerm uint64,
-	entries []Entry, leaderCommit uint64) (ok bool, replyTerm uint64, conflictHint uint64) {
+	entries []Entry, leaderCommit uint64, offer leaseOffer) (ok bool, replyTerm, conflictHint uint64, wantsGrant bool) {
 
 	r.mu.Lock()
 	if r.stopped() {
 		r.mu.Unlock()
-		return false, 0, 0
+		return false, 0, 0, false
 	}
-	ok, conflictHint = r.appendEntriesLocked(term, leader, prevIdx, prevTerm, entries, leaderCommit)
+	ok, conflictHint = r.appendEntriesLocked(term, leader, prevIdx, prevTerm, entries, leaderCommit, offer)
 	var durable uint64
 	if ok {
 		durable, _ = r.lastLogLocked()
 	}
+	wantsGrant = r.wantsGrantLocked(clock.Mono())
 	epoch, seq, replyTerm := r.epoch, r.lastStaged, r.term
 	r.mu.Unlock()
 	if !r.persist(epoch, seq, durable) {
-		return false, 0, 0
+		return false, 0, 0, false
 	}
-	return ok, replyTerm, conflictHint
+	return ok, replyTerm, conflictHint, wantsGrant
 }
 
 // appendEntriesLocked is handleAppendEntries' decision under r.mu.
 func (r *Raft) appendEntriesLocked(term uint64, leader string, prevIdx, prevTerm uint64,
-	entries []Entry, leaderCommit uint64) (ok bool, conflictHint uint64) {
+	entries []Entry, leaderCommit uint64, offer leaseOffer) (ok bool, conflictHint uint64) {
 
 	if term < r.term {
 		return false, 0
@@ -401,14 +429,11 @@ func (r *Raft) appendEntriesLocked(term uint64, leader string, prevIdx, prevTerm
 		r.becomeFollowerLocked(term, leader)
 	}
 	r.leaderID = leader
-	r.electionReset = time.Now()
-	// Record the advertised leader commit as the bounded-staleness read
-	// point: the leader had committed leaderCommit as of this exchange,
-	// whatever the state of our log below.
-	if leaderCommit > r.staleCommit {
-		r.staleCommit = leaderCommit
+	r.contactAt = clock.Mono()
+	r.electionReset = r.contactAt
+	if offer.renew {
+		r.stickyUntil = max(r.stickyUntil, r.contactAt+r.cfg.ElectionTimeout)
 	}
-	r.staleContact = time.Now()
 
 	// Once the consistency check below passes, the log matches the
 	// leader's through the last entry of this message.
@@ -460,6 +485,9 @@ func (r *Raft) appendEntriesLocked(term uint64, leader string, prevIdx, prevTerm
 	// earlier ReadIndex reply that ran ahead of these entries — within
 	// the prefix it has verified.
 	r.learnLocked(term, verified, leaderCommit)
+	if offer.grant > 0 {
+		r.grant = readGrant{term: term, commit: leaderCommit, until: offer.grant}
+	}
 	return true, 0
 }
 
@@ -486,11 +514,8 @@ func (r *Raft) handleInstallSnapshot(term uint64, leader string, snapIdx, snapTe
 		r.becomeFollowerLocked(term, leader)
 	}
 	r.leaderID = leader
-	r.electionReset = time.Now()
-	if snapIdx > r.staleCommit {
-		r.staleCommit = snapIdx
-	}
-	r.staleContact = time.Now()
+	r.contactAt = clock.Mono()
+	r.electionReset = r.contactAt
 	sm, _ := r.cfg.SM.(Snapshotter)
 	if snapIdx <= r.commitIndex || sm == nil {
 		// Already holds this committed prefix — or cannot restore, and

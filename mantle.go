@@ -73,8 +73,8 @@ type Config struct {
 	WALSyncCost time.Duration
 	// Hotspot enables elastic hotspot management on the IndexNode group:
 	// directories whose read heat crosses a threshold are promoted into
-	// a hot-set served by followers and learners at a bounded-staleness
-	// read point, and reads route to the least-loaded replica via
+	// a hot-set served by followers and learners inside their raft
+	// read grants, and reads route to the least-loaded replica via
 	// piggybacked load hints. Nothing is shed: once every replica
 	// saturates, requests queue. Implies FollowerRead machinery for
 	// the hot paths; consistent ReadIndex reads continue to serve
