@@ -52,10 +52,13 @@ type bulkRef struct {
 // One counting pass interns the entries' names in place (population is
 // where nearly every name enters the process) and sizes every shard's
 // slice of one reference array: rows are referenced, never copied, until
-// Shard.BulkLoad rebuilds each B-tree bottom-up. Each shard sorts and
-// dedupes its own references; up to GOMAXPROCS shards load at once. A
-// shard with a WAL attached applies the same rows logged, BulkChunk
-// mutations per Apply. Run it on a quiesced namespace.
+// Shard.BulkLoad rebuilds each B-tree bottom-up. Each shard orders and
+// dedupes its own references: a stable radix pass groups them by pid,
+// then each pid's run is name-sorted, in one linear walk when it is in
+// name order already, as the workload generators emit it (BuildScale's
+// byte-ordered name tables, Build's zero-padded f%06d / x%06d). Up to
+// GOMAXPROCS shards load at once; one with a WAL attached applies the
+// rows logged, BulkChunk mutations per Apply. Quiesce the namespace.
 func BulkInsert(shards []*Shard, shardOf func(types.InodeID) int, linkName string, entries []types.Entry) (map[types.InodeID]int64, error) {
 	if len(entries) > math.MaxUint32>>1 {
 		return nil, fmt.Errorf("bulk insert: %d entries overflow a 32-bit row reference", len(entries))
@@ -110,7 +113,37 @@ func BulkInsert(shards []*Shard, shardOf func(types.InodeID) int, linkName strin
 	return out, errors.Join(errs...)
 }
 
-// bulkInsert sorts, dedupes and loads one shard's share of a BulkInsert
+// byPid orders refs, which are not empty, by pid and keeps each pid's
+// refs in input order: a stable LSD radix sort with one counting scatter
+// per pid byte, skipping a byte that puts every ref in one bucket. buf,
+// as long as refs, is the scatter target; the result is refs or buf.
+func byPid(refs, buf []bulkRef) []bulkRef {
+	var hist [8][256]int
+	for _, r := range refs {
+		for b := range hist {
+			hist[b][byte(r.pid>>(8*b))]++
+		}
+	}
+	for b := range hist {
+		h := &hist[b]
+		if h[byte(refs[0].pid>>(8*b))] == len(refs) {
+			continue
+		}
+		at := 0
+		for d, n := range h {
+			h[d], at = at, at+n
+		}
+		for _, r := range refs {
+			d := byte(r.pid >> (8 * b))
+			buf[h[d]] = r
+			h[d]++
+		}
+		refs, buf = buf, refs
+	}
+	return refs
+}
+
+// bulkInsert orders, dedupes and loads one shard's share of a BulkInsert
 // batch, returning the link counts it did not land.
 func (s *Shard) bulkInsert(entries []types.Entry, refs []bulkRef, linkName string) (map[types.InodeID]int64, error) {
 	name := func(r bulkRef) string {
@@ -119,11 +152,11 @@ func (s *Shard) bulkInsert(entries []types.Entry, refs []bulkRef, linkName strin
 		}
 		return entries[r.ref>>1].Name
 	}
-	slices.SortFunc(refs, func(a, b bulkRef) int {
-		return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.ref, b.ref))
-	})
-	// Name-sort each pid run, ties on input position, so the last of a
-	// run of equal keys is the last write, and keep that one.
+	// refs were filled in input order, and the stable pid pass keeps
+	// each pid run so. The name sort (one linear walk for a run already
+	// in order) breaks ties on input position, so the last of a run of
+	// equal keys is the last write, and that one is kept.
+	refs = byPid(refs, make([]bulkRef, len(refs)))
 	byName := func(a, b bulkRef) int {
 		return cmp.Or(strings.Compare(name(a), name(b)), cmp.Compare(a.ref, b.ref))
 	}

@@ -2,7 +2,9 @@ package tafdb
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,50 +58,68 @@ func TestBulkInsertWALChunks(t *testing.T) {
 
 // BenchmarkBulkInsert loads a BuildScale-shaped namespace (groups of 64
 // directories of 64 objects under one top directory) into a fresh
-// 8-shard DB per iteration, reporting the cost per entry.
+// 8-shard DB per iteration, reporting the cost per entry. "ordered"
+// emits each directory's children in byte order, as the generators do,
+// so each name run is already in order; "shuffled" loads the same
+// entries in a random order, so every run takes a full sort.
 func BenchmarkBulkInsert(b *testing.B) {
 	const groups = 25 // ~100K entries
 	top := types.InodeID(1 << 20)
 	entries := []types.Entry{{Pid: types.RootID, Name: "s", ID: top, Kind: types.KindDir, Perm: types.PermAll}}
 	next := top + 1
-	var objNames [64]string
-	for k := range objNames {
-		objNames[k] = fmt.Sprintf("o%d", k)
+	names := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		slices.Sort(out)
+		return out
 	}
-	for g := 0; g < groups; g++ {
+	groupNames, dirNames, objNames := names("g", groups), names("d", 64), names("o", 64)
+	for _, gname := range groupNames {
 		gid := next
 		next++
-		entries = append(entries, types.Entry{Pid: top, Name: fmt.Sprintf("g%d", g), ID: gid, Kind: types.KindDir, Perm: types.PermAll})
-		for d := 0; d < 64; d++ {
+		entries = append(entries, types.Entry{Pid: top, Name: gname, ID: gid, Kind: types.KindDir, Perm: types.PermAll})
+		for _, dname := range dirNames {
 			did := next
 			next++
-			entries = append(entries, types.Entry{Pid: gid, Name: fmt.Sprintf("d%d", d), ID: did, Kind: types.KindDir, Perm: types.PermAll})
+			entries = append(entries, types.Entry{Pid: gid, Name: dname, ID: did, Kind: types.KindDir, Perm: types.PermAll})
 			for _, name := range objNames {
 				entries = append(entries, types.Entry{Pid: did, Name: name, ID: next, Kind: types.KindObject, Perm: types.PermAll, Attr: types.Attr{Size: 64 << 10}})
 				next++
 			}
 		}
 	}
-	var elapsed time.Duration
-	var alloc uint64
-	var ms runtime.MemStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db := New(Config{Shards: 8})
-		if err := db.CreateRoot(types.RootID); err != nil {
-			b.Fatal(err)
-		}
-		runtime.ReadMemStats(&ms)
-		alloc0, t0 := ms.TotalAlloc, time.Now()
-		if err := db.BulkInsert(entries); err != nil {
-			b.Fatal(err)
-		}
-		elapsed += time.Since(t0)
-		runtime.ReadMemStats(&ms)
-		alloc += ms.TotalAlloc - alloc0
-		db.Stop()
+	shuffled := slices.Clone(entries)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for _, bc := range []struct {
+		name    string
+		entries []types.Entry
+	}{{"ordered", entries}, {"shuffled", shuffled}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var elapsed time.Duration
+			var alloc uint64
+			var ms runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				db := New(Config{Shards: 8})
+				if err := db.CreateRoot(types.RootID); err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				alloc0, t0 := ms.TotalAlloc, time.Now()
+				if err := db.BulkInsert(bc.entries); err != nil {
+					b.Fatal(err)
+				}
+				elapsed += time.Since(t0)
+				runtime.ReadMemStats(&ms)
+				alloc += ms.TotalAlloc - alloc0
+				db.Stop()
+			}
+			n := float64(b.N) * float64(len(bc.entries))
+			b.ReportMetric(float64(elapsed.Nanoseconds())/n, "ns/entry")
+			b.ReportMetric(float64(alloc)/n, "B/entry")
+		})
 	}
-	n := float64(b.N) * float64(len(entries))
-	b.ReportMetric(float64(elapsed.Nanoseconds())/n, "ns/entry")
-	b.ReportMetric(float64(alloc)/n, "B/entry")
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"mantle/internal/api"
 	"mantle/internal/bench"
@@ -23,9 +24,9 @@ type ScaleNamespace struct {
 	Groups, DirsPerGroup, ObjectsPerDir int
 	BaseID                              types.InodeID
 
-	groupNames []string // "g0".."g<G-1>"
-	dirNames   []string // "d0".."d<D-1>"
-	objNames   []string // "o0".."o<F-1>"
+	groupNames []string // "g0".."g<G-1>" in byte order (nameTable)
+	dirNames   []string // "d0".."d<D-1>", likewise
+	objNames   []string // "o0".."o<F-1>", likewise
 }
 
 // BuildScale shapes a namespace of at least n total entries (dirs +
@@ -48,11 +49,15 @@ func BuildScale(n int) *ScaleNamespace {
 	return sn
 }
 
+// nameTable returns prefix+"0" … prefix+"<n-1>" in byte order (d0, d1,
+// d10, …), so Populate emits each directory's children as one sorted
+// run, which the bulk loader's name sort finishes in one linear walk.
 func nameTable(prefix string, n int) []string {
 	out := make([]string, n)
 	for i := range out {
 		out[i] = fmt.Sprintf("%s%d", prefix, i)
 	}
+	slices.Sort(out)
 	return out
 }
 
