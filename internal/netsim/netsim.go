@@ -78,6 +78,9 @@ func NewFabric(cfg Config) *Fabric {
 	return &Fabric{rtt: cfg.RTT}
 }
 
+// RTT returns the round trip the fabric charges per RPC.
+func (f *Fabric) RTT() time.Duration { return f.rtt }
+
 // NewLocalFabric returns a zero-latency fabric, used by unit tests and by
 // callers that only want RPC counting.
 func NewLocalFabric() *Fabric { return NewFabric(Config{}) }

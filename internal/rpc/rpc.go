@@ -327,6 +327,17 @@ func (o *Op) Call(node *netsim.Node, cost time.Duration, fn func() error) error 
 	return o.caller.do(o, node, cost, CallOpts{}, fn)
 }
 
+// Parks reports whether a call to node through o can park its goroutine:
+// the fabric sleeps a round trip, a fault hook may delay, drop or hold
+// the message, or node models its CPU and may queue the call. A call
+// that cannot park runs fn at once on the calling goroutine, so a caller
+// issuing several such calls loses nothing by making them one after
+// another.
+func (o *Op) Parks(node *netsim.Node) bool {
+	f := o.caller.fabric
+	return f.RTT() > 0 || f.Faults() != nil || node.Workers() > 0
+}
+
 // Do performs one tracked RPC with explicit options. Every fabric
 // attempt — including retried and lost ones — counts as one RTT: the
 // wire was crossed (or waited out) each time.

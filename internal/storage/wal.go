@@ -58,6 +58,10 @@ func NewWAL(syncCost time.Duration) *WAL {
 	return &WAL{syncCost: syncCost}
 }
 
+// SyncCost returns what one sync costs: a commit that waits on a sync
+// parks its goroutine for that long.
+func (w *WAL) SyncCost() time.Duration { return w.syncCost }
+
 // Commit appends rec, blocks until it is durable, and returns its
 // sequence number (DurableSeq has reached it by then). It is Stage
 // followed by WaitDurable; callers that must fix the log position under

@@ -12,6 +12,8 @@ import (
 )
 
 // batchGroup accumulates transactions with one participant signature.
+// A group outlives its idle spells, so its pending slice is reused: there
+// is at most one per shard pair of TafDB's fixed shard set.
 type batchGroup struct {
 	running bool        // a leader is executing rounds for this signature
 	pending []*batchTxn // oldest first
@@ -99,9 +101,8 @@ func (b *Batcher) RunThen(op *rpc.Op, txnID string, pieces []Piece, then func())
 		return Direct{}.RunThen(op, txnID, pieces, then)
 	}
 	b.txns.Add(1)
-	// Room for every signal a transaction can receive (errPrepared, then
-	// its outcome) so no sender ever blocks.
-	t := &batchTxn{op: op, id: txnID, pieces: pieces, then: then, done: make(chan error, 2)}
+	t := newTxn(op, txnID, pieces, then)
+	defer t.recycle() // after t's last signal: its outcome, or its lead's
 	b.mu.Lock()
 	g := b.groups[key]
 	if g == nil {
@@ -112,7 +113,7 @@ func (b *Batcher) RunThen(op *rpc.Op, txnID string, pieces []Piece, then func())
 	if !g.running {
 		g.running = true
 		b.mu.Unlock()
-		return b.lead(key, g)
+		return b.lead(g, t)
 	}
 	// A leader is mid-round for this signature; this transaction joins a
 	// later batch, or leads it.
@@ -120,7 +121,7 @@ func (b *Batcher) RunThen(op *rpc.Op, txnID string, pieces []Piece, then func())
 	for {
 		switch err := <-t.done; err {
 		case errLead:
-			return b.lead(key, g)
+			return b.lead(g, t)
 		case errPrepared:
 			t.then()
 		default:
@@ -130,19 +131,23 @@ func (b *Batcher) RunThen(op *rpc.Op, txnID string, pieces []Piece, then func())
 }
 
 // lead runs one batch for the signature: the oldest pending transactions,
-// headed by the caller's own (the first arrival, or the one a previous
+// headed by t, the caller's own (the first arrival, or the one a previous
 // leader handed off to). It then hands the lead to the oldest transaction
 // still pending, as the WAL hands sync leadership to its oldest uncovered
 // waiter, so a caller waits for its own rounds only, never for batches of
 // transactions that arrived after it.
-func (b *Batcher) lead(key batchKey, g *batchGroup) error {
+func (b *Batcher) lead(g *batchGroup, t *batchTxn) error {
 	b.mu.Lock()
-	batch := g.pending[:min(len(g.pending), b.maxBatch)]
-	g.pending = g.pending[len(batch):]
+	n := min(len(g.pending), b.maxBatch)
+	batch := append(t.batch, g.pending[:n]...)
+	t.batch = batch
+	rest := copy(g.pending, g.pending[n:])
+	clear(g.pending[rest:])
+	g.pending = g.pending[:rest]
 	b.mu.Unlock()
 	b.rounds.Add(1)
-	if len(batch) > 1 {
-		b.batched.Add(int64(len(batch)))
+	if n > 1 {
+		b.batched.Add(int64(n))
 	}
 	errs := rounds(batch)
 	var next *batchTxn
@@ -151,14 +156,13 @@ func (b *Batcher) lead(key batchKey, g *batchGroup) error {
 		next = g.pending[0] // stays at the head until it leads
 	} else {
 		g.running = false
-		delete(b.groups, key)
 	}
 	b.mu.Unlock()
 	if next != nil {
 		next.done <- errLead
 	}
-	for j, t := range batch[1:] {
-		t.done <- errs[j+1]
+	for j, m := range batch[1:] {
+		m.done <- errs[j+1]
 	}
 	return errs[0]
 }

@@ -2,10 +2,14 @@
 // shards — the mechanism the DBtable-based services (and TafDB) use for
 // directory mutations that span shards (§2.3 of the paper).
 //
-// The coordinator is proxy-side: it prepares all participants in
-// parallel (one RPC round trip per shard), then commits in parallel
-// (another round trip). A prepare failure aborts every prepared
-// participant. Under the storage layer's no-wait row locking a
+// The coordinator is proxy-side: it prepares all participants (one RPC
+// round trip per shard), then commits them (another round trip). A
+// participant whose RPC can wait — a fabric round trip, a fault hook, a
+// node's CPU queue, or in the commit round a WAL sync — gets a goroutine
+// of its own, so a round costs one wait, not one per participant; the
+// rest step one after another on the coordinator's goroutine, which
+// costs them nothing since they never wait. A prepare failure aborts
+// every prepared participant. Under the storage layer's no-wait row locking a
 // transaction that touches a contended row fails with types.ErrConflict
 // and is retried by the caller with backoff — the abort/retry storm of
 // Figure 4b.
@@ -20,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -89,11 +94,13 @@ type Runner interface {
 	// together with the transaction (Mantle's IndexNode entry, paper Fig 9
 	// step 8a/8b). It runs once the transaction has prepared on every
 	// participant — the decision point — while the transaction's locks
-	// are held: inside the single RPC between prepare and commit, or
-	// alongside the commit round. RunThen returns after both. then never
-	// runs when a prepare fails; an error after it ran is a failed commit
-	// round (the RPC, or a participant a crash made forget the
-	// transaction), never a retryable conflict.
+	// are held: inside the single RPC between prepare and commit, or on
+	// the coordinator's goroutine while the commit round's waiting RPCs
+	// are in flight and before its others are sent (a batch-mate's, on
+	// its own goroutine alongside the commit round). RunThen returns
+	// after both. then never runs when a prepare fails; an error after it
+	// ran is a failed commit round (the RPC, or a participant a crash
+	// made forget the transaction), never a retryable conflict.
 	RunThen(op *rpc.Op, txnID string, pieces []Piece, then func()) error
 }
 
@@ -125,18 +132,51 @@ func (Direct) RunThen(op *rpc.Op, txnID string, pieces []Piece, then func()) err
 			return p.P.Shard.Commit(txnID)
 		})
 	}
-	return rounds([]*batchTxn{{op: op, id: txnID, pieces: pieces, then: then}})[0]
+	t := newTxn(op, txnID, pieces, then)
+	defer t.recycle()
+	t.batch = append(t.batch, t)
+	return rounds(t.batch)[0]
 }
 
-// batchTxn is one transaction in a 2PC round pair.
+// batchTxn is one transaction in a 2PC round pair. It is pooled (newTxn,
+// recycle): a warm coordinator allocates none.
 type batchTxn struct {
 	op     *rpc.Op
 	id     string
 	pieces []Piece
 	then   func()
 	// done carries the Batcher's signals to a waiting transaction: errLead,
-	// errPrepared, then its outcome. Nil under Direct.
+	// errPrepared, then its outcome. Unused under Direct.
 	done chan error
+	// batch, errs and wg are the scratch of the rounds this transaction
+	// leads: the batch it heads, the round results and the round's
+	// parked RPCs.
+	batch []*batchTxn
+	errs  []error
+	wg    sync.WaitGroup
+}
+
+var txnPool = sync.Pool{New: func() any {
+	// Room for every signal a transaction can receive (errPrepared, then
+	// its outcome) so no sender ever blocks.
+	return &batchTxn{done: make(chan error, 2)}
+}}
+
+// newTxn takes a transaction from the pool.
+func newTxn(op *rpc.Op, id string, pieces []Piece, then func()) *batchTxn {
+	t := txnPool.Get().(*batchTxn)
+	t.op, t.id, t.pieces, t.then = op, id, pieces, then
+	return t
+}
+
+// recycle returns t to the pool. Its caller has received t's last signal,
+// so done is empty, and no batch it led or joined still reads it.
+func (t *batchTxn) recycle() {
+	clear(t.batch)
+	clear(t.errs)
+	t.op, t.id, t.pieces, t.then = nil, "", nil, nil
+	t.batch, t.errs = t.batch[:0], t.errs[:0]
+	txnPool.Put(t)
 }
 
 // pieceOn returns t's piece landing on participant p. Every transaction
@@ -157,17 +197,21 @@ func pieceOn(t *batchTxn, p *Participant) Piece {
 // commits iff every participant prepared it, otherwise it is aborted
 // everywhere (abort of a transaction that never prepared is a no-op) and
 // its first prepare error, in participant order, is returned in its
-// slot.
+// slot. The returned slice is batch[0]'s scratch, valid until it is
+// recycled.
 //
 // Between the rounds every transaction that will commit has its then
 // started: batch[0] — the coordinator's own transaction — on this
-// goroutine while the commit RPCs are in flight, each batch-mate on its
-// own waiting goroutine (errPrepared). No goroutine is started for it.
+// goroutine as the commit round's meanwhile, each batch-mate on its own
+// waiting goroutine (errPrepared). No goroutine is started for it.
 func rounds(batch []*batchTxn) []error {
-	parts, n := len(batch[0].pieces), len(batch)
+	lead := batch[0]
+	parts, n := len(lead.pieces), len(batch)
 	// errs[i*n+j] is participant i's result for transaction j in the
 	// current round; the extra last row is the outcome per transaction.
-	errs := make([]error, (parts+1)*n)
+	lead.errs = slices.Grow(lead.errs[:0], (parts+1)*n)[:(parts+1)*n]
+	errs := lead.errs
+	clear(errs)
 	results, outcome := errs[:parts*n], errs[parts*n:]
 	firstErr := func(j int) error {
 		for ; j < len(results); j += n {
@@ -188,7 +232,7 @@ func rounds(batch []*batchTxn) []error {
 	clear(results)
 	var then func()
 	if outcome[0] == nil {
-		then = batch[0].then
+		then = lead.then
 	}
 	round(batch, results, outcome, then)
 	for j, t := range batch {
@@ -204,58 +248,92 @@ func rounds(batch []*batchTxn) []error {
 // round issues one round of RPCs — the only place 2PC traffic is sent:
 // the prepare round when outcome is nil, else the round that commits
 // transaction j if outcome[j] is nil and aborts it otherwise. Each
-// participant receives one RPC (through batch[0]'s op, all participants
-// in parallel) carrying every transaction. meanwhile, when non-nil, runs
-// on the calling goroutine while the RPCs are in flight.
+// participant receives one RPC (through batch[0]'s op) carrying every
+// transaction. The RPCs that can park (parks) are sent first, each on a
+// goroutine of its own; then meanwhile, when non-nil, runs on the
+// calling goroutine, while every participant still holds the round's
+// transactions; then the others are made one after another on the
+// calling goroutine. So a round costs one wait however many
+// participants wait, and one that cannot wait starts no goroutine and
+// allocates nothing.
 func round(batch []*batchTxn, results, outcome []error, meanwhile func()) {
-	lead, n := batch[0].op, len(batch)
-	var wg sync.WaitGroup
+	lead, n, wg := batch[0].op, len(batch), &batch[0].wg
+	var inline uint64 // bit i: participant i (i < 64) steps on this goroutine
 	for i, pc := range batch[0].pieces {
+		if i < 64 && !parks(lead, pc.P, outcome != nil) {
+			inline |= 1 << i
+			continue
+		}
 		wg.Add(1)
 		go func(p *Participant, row []error) {
 			defer wg.Done()
-			rpcErr := lead.Call(p.Node, p.Cost, func() error {
-				runOn(p, batch, outcome, row)
-				return nil
-			})
-			if rpcErr != nil {
-				// The RPC itself failed (fabric fault): the round's
-				// result is unknown on this participant, so every
-				// transaction fails here and aborts or reports it.
-				for j := range row {
-					row[j] = rpcErr
-				}
-			}
+			call(lead, p, batch, outcome, row)
 		}(pc.P, results[i*n:(i+1)*n])
 	}
 	if meanwhile != nil {
 		meanwhile()
 	}
+	for i, pc := range batch[0].pieces {
+		if inline&(1<<i) != 0 {
+			call(lead, pc.P, batch, outcome, results[i*n:(i+1)*n])
+		}
+	}
 	wg.Wait()
 }
 
+// parks reports whether participant p's step of a round can park: its
+// RPC can (rpc.Op.Parks), or — committing — its WAL charges a sync.
+func parks(op *rpc.Op, p *Participant, commit bool) bool {
+	return op.Parks(p.Node) || commit && syncs(p.Shard)
+}
+
+// syncs reports whether a commit on s waits out a WAL sync.
+func syncs(s *storage.Shard) bool {
+	w := s.WAL()
+	return w != nil && w.SyncCost() > 0
+}
+
+// call is participant p's one RPC of the round, issued through lead. When
+// the RPC itself fails (fabric fault) the round's result is unknown on p,
+// so every transaction fails there and aborts or reports it.
+func call(lead *rpc.Op, p *Participant, batch []*batchTxn, outcome, row []error) {
+	err := lead.Call(p.Node, p.Cost, func() error {
+		runOn(p, batch, outcome, row)
+		return nil
+	})
+	if err != nil {
+		for j := range row {
+			row[j] = err
+		}
+	}
+}
+
 // runOn executes every transaction's step of the round on p, inside the
-// participant's one RPC. A lone transaction (Direct) just runs; in a
-// batch the first runs on the RPC's goroutine and each batch-mate on its
-// own — so WAL group commit coalesces the batch onto few syncs —
-// charging its own CPU service time on the node: the saving is round
-// trips and fsyncs, not CPU.
+// participant's one RPC, each batch-mate charging its own CPU service
+// time on the node: the saving is round trips and fsyncs, not CPU. The
+// steps run one after another, except the commits on a WAL that charges
+// for its syncs: there each batch-mate commits on its own goroutine, so
+// the WAL's group commit coalesces the batch onto few syncs.
 func runOn(p *Participant, batch []*batchTxn, outcome, row []error) {
-	if len(batch) == 1 {
+	if len(batch) > 1 && outcome != nil && syncs(p.Shard) {
+		var mates sync.WaitGroup
+		for j := 1; j < len(batch); j++ {
+			mates.Add(1)
+			go func(j int) {
+				defer mates.Done()
+				p.Node.Charge(p.Cost)
+				row[j] = step(p, batch[j], outcome, j)
+			}(j)
+		}
 		row[0] = step(p, batch[0], outcome, 0)
+		mates.Wait()
 		return
 	}
-	var mates sync.WaitGroup
-	for j := 1; j < len(batch); j++ {
-		mates.Add(1)
-		go func(j int) {
-			defer mates.Done()
-			p.Node.Charge(p.Cost)
-			row[j] = step(p, batch[j], outcome, j)
-		}(j)
-	}
 	row[0] = step(p, batch[0], outcome, 0)
-	mates.Wait()
+	for j := 1; j < len(batch); j++ {
+		p.Node.Charge(p.Cost)
+		row[j] = step(p, batch[j], outcome, j)
+	}
 }
 
 // step is transaction t's (batch slot j's) share of a round on p.

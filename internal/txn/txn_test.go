@@ -18,15 +18,33 @@ import (
 )
 
 func testRig(nShards int) (*rpc.Caller, []*Participant) {
-	fabric := netsim.NewLocalFabric()
+	return waitingRig(nShards, 0, 0)
+}
+
+// waitingRig is testRig on a fabric with round trip rtt, each shard
+// logging to a WAL whose syncs cost syncCost when it is positive.
+func waitingRig(nShards int, rtt, syncCost time.Duration) (*rpc.Caller, []*Participant) {
+	fabric := netsim.NewFabric(netsim.Config{RTT: rtt})
 	parts := make([]*Participant, nShards)
 	for i := range parts {
 		parts[i] = &Participant{
 			Shard: storage.NewShard(fmt.Sprintf("s%d", i)),
 			Node:  netsim.NewNode(fmt.Sprintf("n%d", i), 0),
 		}
+		if syncCost > 0 {
+			parts[i].Shard.AttachWAL(storage.NewWAL(syncCost))
+		}
 	}
 	return rpc.NewCaller(fabric), parts
+}
+
+// twoPieces is a two-shard transaction putting name on each of parts[0]
+// and parts[1], under pids 1 and 2.
+func twoPieces(parts []*Participant, name string) []Piece {
+	return []Piece{
+		{P: parts[0], Muts: []storage.Mutation{put(1, name, 1)}},
+		{P: parts[1], Muts: []storage.Mutation{put(2, name, 1)}},
+	}
 }
 
 func put(pid uint64, name string, id uint64) storage.Mutation {
@@ -247,10 +265,6 @@ func TestRunnersOneTable(t *testing.T) {
 		{name: "conflict", setup: holder, second: put(2, "b", 20), wantErr: types.ErrConflict},
 		{name: "conflict-retried", setup: holder, second: put(2, "b", 20), applied: true, retried: true},
 	}
-	runners := map[string]func() Runner{
-		"direct":  func() Runner { return Direct{} },
-		"batcher": func() Runner { return NewBatcher(0) },
-	}
 	for rname, mk := range runners {
 		for _, sc := range scenarios {
 			t.Run(rname+"/"+sc.name, func(t *testing.T) {
@@ -354,9 +368,9 @@ func TestDirectSinglePieceThenInsideItsRPC(t *testing.T) {
 	}
 }
 
-// gate is a netsim fault hook that holds every delivery to node after
-// the first free ones until released: a participant whose later RPCs
-// park on a channel, not on a timer.
+// gate is a netsim fault hook that holds every delivery to node ("" for
+// every node) after the first free ones until released: a participant
+// whose later RPCs park on a channel, not on a timer.
 type gate struct {
 	node    string
 	free    atomic.Int32
@@ -364,7 +378,7 @@ type gate struct {
 }
 
 func (g *gate) Edge(_, dst string) (time.Duration, error) {
-	if dst == g.node && g.free.Add(-1) < 0 {
+	if (g.node == "" || dst == g.node) && g.free.Add(-1) < 0 {
 		<-g.release
 	}
 	return 0, nil
@@ -585,5 +599,158 @@ func TestMerge(t *testing.T) {
 	Merge([]Piece{{P: a, Muts: shared}, {P: a, Muts: []storage.Mutation{m("y")}}})
 	if spare := shared[:2][1]; spare.Key.Name != "" {
 		t.Fatalf("Merge scribbled on the builder's spare capacity: %+v", spare)
+	}
+}
+
+// runners builds a fresh instance of each Runner.
+var runners = map[string]func() Runner{
+	"direct":  func() Runner { return Direct{} },
+	"batcher": func() Runner { return NewBatcher(0) },
+}
+
+// then is the work that commits with the transaction, so it runs while
+// every participant holds the transaction's locks and before any shows
+// the commit: on a free rig, whose participants are stepped on the
+// coordinator's goroutine, and on one whose commit RPCs park (a gate holds
+// them until then has run).
+func TestThenRunsBeforeAnyCommit(t *testing.T) {
+	for rname, mk := range runners {
+		for _, parking := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/parking=%v", rname, parking), func(t *testing.T) {
+				caller, parts := testRig(2)
+				var g *gate
+				if parking {
+					// The two prepares pass; the commits wait for then.
+					g = &gate{node: "", release: make(chan struct{})}
+					g.free.Store(2)
+					caller.Fabric().SetFaults(g)
+				}
+				ran := false
+				then := func() {
+					ran = true
+					for i, p := range parts {
+						if p.Shard.LockedKeys() == 0 {
+							t.Errorf("then ran after participant %d released its locks", i)
+						}
+						if _, ok := p.Shard.Get(types.Key{Pid: types.InodeID(i + 1), Name: "a"}); ok {
+							t.Errorf("then ran after participant %d committed", i)
+						}
+					}
+					if g != nil {
+						close(g.release)
+					}
+				}
+				done := make(chan error, 1)
+				go func() { done <- mk().RunThen(caller.Begin(), "t1", twoPieces(parts, "a"), then) }()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("the commit round waited for then, which waits for the commit round")
+				}
+				if !ran {
+					t.Fatal("then never ran")
+				}
+				for i, p := range parts {
+					if _, ok := p.Shard.Get(types.Key{Pid: types.InodeID(i + 1), Name: "a"}); !ok {
+						t.Fatalf("participant %d did not commit", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// A round's waits overlap: with a fabric round trip r the two rounds of a
+// two-shard transaction cost about 2r (4r stepped one participant after
+// another), and with both WALs charging s per sync the commit round costs
+// about one s (2s one after another).
+func TestRoundsOverlapTheirWaits(t *testing.T) {
+	const r, s = 20 * time.Millisecond, 40 * time.Millisecond
+	for rname, mk := range runners {
+		for _, tc := range []struct {
+			name          string
+			rtt, syncCost time.Duration
+			under         time.Duration
+		}{{"rtt", r, 0, 3 * r}, {"wal-sync", 0, s, s * 3 / 2}} {
+			t.Run(rname+"/"+tc.name, func(t *testing.T) {
+				caller, parts := waitingRig(2, tc.rtt, tc.syncCost)
+				start := time.Now()
+				if err := mk().Run(caller.Begin(), "t1", twoPieces(parts, "a")); err != nil {
+					t.Fatal(err)
+				}
+				if took := time.Since(start); took >= tc.under {
+					t.Fatalf("two-shard transaction took %v, want under %v", took, tc.under)
+				}
+			})
+		}
+	}
+}
+
+// Batch-mates committing on a WAL that charges for its syncs commit side by
+// side, so the WAL's group commit covers the batch with a few syncs rather
+// than one per transaction.
+func TestBatchMatesShareSyncs(t *testing.T) {
+	const mates = 8
+	caller, parts := waitingRig(2, 0, 5*time.Millisecond)
+	b := NewBatcher(0)
+	key, _ := signature(twoPieces(parts, "x"))
+	queued := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.groups[key].pending)
+	}
+	errs := make(chan error, mates)
+	// The leader's then queues the mates behind its batch, so they run as
+	// the next batch, together.
+	err := b.RunThen(caller.Begin(), "lead", twoPieces(parts, "lead"), func() {
+		for i := 0; i < mates; i++ {
+			go func() { errs <- b.Run(caller.Begin(), fmt.Sprint("m", i), twoPieces(parts, fmt.Sprint("m", i))) }()
+		}
+		for queued() < mates {
+			runtime.Gosched()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < mates; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, rounds := b.Stats(); rounds != 2 {
+		t.Fatalf("rounds = %d, want 2 (the leader's batch, then the mates')", rounds)
+	}
+	for i, p := range parts {
+		// One sync for the leader; one or two for the mates' batch, as the
+		// first commit to stage may start a sync before the others stage.
+		if syncs := p.Shard.WAL().Syncs(); syncs > 1+mates/2 {
+			t.Errorf("shard %d: %d syncs for %d commits, want at most %d", i, syncs, 1+mates, 1+mates/2)
+		}
+	}
+}
+
+// A two-shard transaction on a free rig allocates nothing in the round
+// driver, unbatched or through an uncontended Batcher: the transaction
+// record is pooled and no participant gets a goroutine, closure or
+// WaitGroup. The budgets are what core's mutations and the benchmark see.
+func TestRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	for rname, mk := range runners {
+		caller, parts := testRig(2)
+		r, op, pieces, then := mk(), caller.Begin(), twoPieces(parts, "a"), func() {}
+		got := testing.AllocsPerRun(500, func() {
+			if err := r.RunThen(op, "t1", pieces, then); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: a free two-shard RunThen allocates %.1f times, want 0", rname, got)
+		}
 	}
 }
