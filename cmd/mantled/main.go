@@ -139,8 +139,6 @@ func main() {
 //	                               are intersected away)
 //	POST /admin/rebuild-index      rebuild the IndexNode table from
 //	                               TafDB rows on the active site
-//	POST /admin/oplog/gc           trim replication oplogs past the
-//	                               acknowledged watermark (-dr only)
 //	POST /admin/failover           promote the secondary (-dr only);
 //	                               the gateway reroutes to it
 func (s *server) routes() *http.ServeMux {
@@ -200,13 +198,6 @@ func (s *server) routes() *http.ServeMux {
 	})
 	mux.HandleFunc("POST /admin/rebuild-index", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"entries": s.active().Core().RebuildIndex()})
-	})
-	mux.HandleFunc("POST /admin/oplog/gc", func(w http.ResponseWriter, r *http.Request) {
-		if s.dr == nil {
-			http.Error(w, "oplog gc requires -dr", http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"trimmed": s.dr.GCOplog()})
 	})
 	mux.HandleFunc("POST /admin/failover", func(w http.ResponseWriter, r *http.Request) {
 		if s.dr == nil {

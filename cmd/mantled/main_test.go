@@ -271,10 +271,9 @@ func TestGatewayPagination(t *testing.T) {
 
 // TestGatewayDR drives the disaster-recovery surface end to end: writes
 // land on the primary, replication lag and conflict counters show on
-// /metrics, /admin/scrub comes back clean, /admin/oplog/gc trims the
-// shipped backlog, and /admin/failover promotes the secondary — after
-// which the same /ns/ gateway serves reads of the replicated namespace
-// and accepts new writes.
+// /metrics, /admin/scrub comes back clean, and /admin/failover promotes
+// the secondary — after which the same /ns/ gateway serves reads of the
+// replicated namespace and accepts new writes.
 func TestGatewayDR(t *testing.T) {
 	ts, dr := newDRGateway(t)
 	for i := 0; i < 8; i++ {
@@ -294,9 +293,6 @@ func TestGatewayDR(t *testing.T) {
 	}
 
 	waitDrained(t, dr) // before promoting
-	if resp, payload := do(t, "POST", ts.URL+"/admin/oplog/gc", ""); resp.StatusCode != 200 {
-		t.Fatalf("oplog gc: %d %v", resp.StatusCode, payload)
-	}
 	resp, payload := do(t, "POST", ts.URL+"/admin/failover", "")
 	if resp.StatusCode != 200 {
 		t.Fatalf("failover: %d %v", resp.StatusCode, payload)

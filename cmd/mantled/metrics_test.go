@@ -36,8 +36,6 @@ func TestAdminRoutes(t *testing.T) {
 		{"POST", "/admin/scrub?rounds=1", 200},
 		{"GET", "/admin/rebuild-index", 405},
 		{"POST", "/admin/rebuild-index", 200},
-		{"GET", "/admin/oplog/gc", 405},
-		{"POST", "/admin/oplog/gc", 400},
 		{"GET", "/admin/failover", 405},
 		{"POST", "/admin/failover", 400},
 	} {

@@ -11,14 +11,15 @@ import (
 // DRConfig parameterises the replication plane of a two-site
 // deployment.
 type DRConfig struct {
-	// WANRTT is the inter-site round trip charged per shipped oplog
-	// batch (0 = in-process speed).
+	// WANRTT is the inter-site round trip charged per shipped batch of
+	// log records (0 = in-process speed).
 	WANRTT time.Duration
 }
 
 // DR is a two-site disaster-recovery deployment: a primary cluster
-// serving all traffic and a passive secondary receiving the primary's
-// HLC-stamped oplog over an asynchronous WAN link. See DESIGN.md §11.
+// serving all traffic and a passive secondary receiving the primary
+// shards' HLC-stamped WAL records over an asynchronous WAN link. See
+// DESIGN.md §11.
 type DR struct {
 	sites     *core.Sites
 	primary   *Cluster
@@ -76,12 +77,7 @@ func (d *DR) Sites() *core.Sites { return d.sites }
 // rows so it serves reads and writes immediately. Idempotent.
 func (d *DR) Failover() core.FailoverReport { return d.sites.Failover() }
 
-// GCOplog trims the primary's replication oplogs up to the link's
-// acknowledged watermark, returning records dropped.
-func (d *DR) GCOplog() int { return d.sites.GCOplog() }
-
-// ReplStatus reports link lag, oplog retention, and the secondary's
-// applied watermarks.
+// ReplStatus reports link lag and the secondary's applied watermarks.
 func (d *DR) ReplStatus() map[string]core.ReplStatus {
 	return map[string]core.ReplStatus{
 		"primary":   d.sites.ReplStatus("primary"),

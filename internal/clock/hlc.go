@@ -3,10 +3,10 @@
 // Distributed Databases"). A Timestamp combines a physical wall reading
 // with a logical counter, so timestamps are causally consistent (a
 // receive always exceeds the send) while staying close to physical
-// time even across sites with skewed clocks. The replication plane
-// (internal/repl) stamps every oplog record with an HLC and resolves
-// cross-site conflicts last-writer-wins on it, with the site id as the
-// deterministic tie-break.
+// time even across sites with skewed clocks. A replicated primary's
+// storage shards stamp every WAL record with an HLC, and the replication
+// plane (internal/repl) resolves cross-site conflicts last-writer-wins
+// on it, with the site id as the deterministic tie-break.
 package clock
 
 import (

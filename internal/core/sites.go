@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/indexnode"
 	"mantle/internal/metrics"
 	"mantle/internal/netsim"
@@ -27,18 +28,18 @@ type SitesConfig struct {
 	// WANRTT is the inter-site round trip charged per shipped batch.
 	WANRTT time.Duration
 	// Link is the replication link's configuration; callers set its
-	// tuning (Interval, BatchMax), NewSites fills the endpoints (Source,
+	// tuning (Interval, BatchMax), NewSites fills the endpoints (Logs,
 	// Offer, Fabric, Node, SrcName).
 	Link repl.LinkConfig
 }
 
 // Sites is a primary/secondary pair joined by an asynchronous
-// replication link. The primary's every committed mutation batch enters
-// a per-shard HLC-stamped oplog (repl.Source, wired as the primary
-// TafDB's ReplSink); a repl.Link ships the backlog across the WAN
-// fabric to the secondary's repl.Applier, which applies it in commit
-// order with cross-shard transactions grouped atomically and conflicts
-// resolved last-writer-wins.
+// replication link. Each primary TafDB shard logs its every committed
+// mutation batch to its WAL, stamped from the primary's site clock; a
+// repl.Link ships each shard's durable records across the WAN fabric to
+// the secondary's repl.Applier, which applies them in commit order with
+// cross-shard transactions grouped atomically and conflicts resolved
+// last-writer-wins.
 type Sites struct {
 	// Primary serves all client traffic until failover.
 	Primary *Mantle
@@ -48,7 +49,6 @@ type Sites struct {
 	// partition or blackhole the replication stream.
 	WAN *netsim.Fabric
 
-	src          *repl.Source
 	app          *repl.Applier
 	replEndpoint *netsim.Node
 	linkCfg      repl.LinkConfig
@@ -70,17 +70,16 @@ const (
 // primary) and/or StartReplication.
 func NewSites(cfg SitesConfig) (*Sites, error) {
 	if cfg.Site.TafDB.Shards <= 0 {
-		// Both sites must agree on the shard count (oplog records carry
-		// shard indexes), so pin the default here rather than letting
-		// each DB resolve it independently.
+		// Both sites must agree on the shard count (shipped records
+		// carry shard indexes), so pin the default here rather than
+		// letting each DB resolve it independently.
 		cfg.Site.TafDB.Shards = 4
 	}
 	s := &Sites{shards: cfg.Site.TafDB.Shards}
 
 	priCfg := cfg.Site
 	priCfg.Fabric = netsim.NewFabric(netsim.Config{RTT: cfg.RTT})
-	s.src = repl.NewSource(1, s.shards)
-	priCfg.TafDB.Repl = s.src
+	priCfg.TafDB.Clock = clock.New(1)
 	primary, err := New(priCfg)
 	if err != nil {
 		return nil, err
@@ -89,7 +88,7 @@ func NewSites(cfg SitesConfig) (*Sites, error) {
 
 	secCfg := cfg.Site
 	secCfg.Fabric = netsim.NewFabric(netsim.Config{RTT: cfg.RTT})
-	secCfg.TafDB.Repl = nil
+	secCfg.TafDB.Clock = nil
 	secondary, err := New(secCfg)
 	if err != nil {
 		primary.Stop()
@@ -103,7 +102,10 @@ func NewSites(cfg SitesConfig) (*Sites, error) {
 	s.WAN = netsim.NewFabric(netsim.Config{RTT: cfg.WANRTT})
 	s.replEndpoint = netsim.NewNode(SecondaryReplName, 0)
 	s.linkCfg = cfg.Link
-	s.linkCfg.Source = s.src
+	s.linkCfg.Logs = make([]*storage.WAL, s.shards)
+	for i := range s.linkCfg.Logs {
+		s.linkCfg.Logs[i] = primary.DB().Shard(i).WAL()
+	}
 	s.linkCfg.Offer = s.app.Offer
 	s.linkCfg.Fabric = s.WAN
 	s.linkCfg.Node = s.replEndpoint
@@ -111,9 +113,6 @@ func NewSites(cfg SitesConfig) (*Sites, error) {
 	s.registerMetrics()
 	return s, nil
 }
-
-// Source exposes the primary-side oplog feed (tests, fsck).
-func (s *Sites) Source() *repl.Source { return s.src }
 
 // Applier exposes the secondary-side apply state (tests, fsck).
 func (s *Sites) Applier() *repl.Applier { return s.app }
@@ -152,8 +151,8 @@ func (s *Sites) StopReplication() {
 }
 
 // Bootstrap loads the secondary from a consistent snapshot of every
-// primary shard — the join path for a new or GC-gapped secondary whose
-// cursor predates the oplog's trim horizon. Each shard's cut covers a
+// primary shard — the join path for a new secondary, or one whose
+// cursor fell below a shard log's trimmed base. Each shard's cut covers a
 // commit sequence; rows are bulk-applied to the secondary in chunks and
 // the applier's cursor advances past the cut, so a subsequently started
 // link replays only the suffix. The secondary's index is rebuilt from
@@ -195,17 +194,6 @@ func (s *Sites) Bootstrap() (int, error) {
 	}
 	s.Secondary.RebuildIndex()
 	return total, nil
-}
-
-// GCOplog trims the primary's oplogs up to the link's acknowledged
-// watermark, returning records dropped. A stopped link means no safe
-// horizon, so nothing is trimmed.
-func (s *Sites) GCOplog() int {
-	link := s.Link()
-	if link == nil {
-		return 0
-	}
-	return s.src.GC(link.Acked())
 }
 
 // FailoverReport summarises a promotion.
@@ -278,13 +266,10 @@ func (s *Sites) registerMetrics() {
 }
 
 // collectRepl emits the repl_* family from one ReplStatus snapshot: the
-// source/link view (oplog size, shipped counts, lag) and the applier view
-// (applied watermarks, conflicts, discards).
+// link view (shipped counts, lag) and the applier view (applied
+// watermarks, conflicts, discards).
 func (s *Sites) collectRepl(e *metrics.Emitter) {
 	st := s.ReplStatus("")
-	e.Int("repl_oplog_records", int64(st.Oplog.Records))
-	e.Int("repl_oplog_bytes", st.Oplog.Bytes)
-	e.Int("repl_oplog_trimmed", st.Oplog.Trimmed)
 	e.Int("repl_shipped", st.Lag.Shipped)
 	e.Int("repl_shipped_bytes", st.Lag.ShippedBytes)
 	e.Int("repl_ship_failures", st.Lag.Failures)
@@ -308,10 +293,9 @@ func (s *Sites) LinkStats() repl.LinkStats {
 
 // ReplStatus is the replication section of /status.
 type ReplStatus struct {
-	Role       string           `json:"role"` // primary | secondary | promoted
-	Lag        repl.LinkStats   `json:"lag"`
-	Oplog      repl.SourceStats `json:"oplog"`
-	Watermarks repl.Watermarks  `json:"watermarks"`
+	Role       string          `json:"role"` // primary | secondary | promoted
+	Lag        repl.LinkStats  `json:"lag"`
+	Watermarks repl.Watermarks `json:"watermarks"`
 }
 
 // ReplStatus snapshots the replication plane for /status.
@@ -319,7 +303,6 @@ func (s *Sites) ReplStatus(role string) ReplStatus {
 	return ReplStatus{
 		Role:       role,
 		Lag:        s.LinkStats(),
-		Oplog:      s.src.Stats(),
 		Watermarks: s.app.Watermarks(),
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 // DR measures the disaster-recovery story end to end: a two-site
 // deployment takes a write storm on the primary while the WAN link is
-// blackholed mid-storm, then heals; the run reports the oplog backlog
+// blackholed mid-storm, then heals; the run reports the log backlog
 // at heal time, the time to converge (lag and pending transactions both
 // zero), and the loss window at failover (records discarded because
 // they never became applicable — zero after a full drain). Convergence
@@ -115,7 +115,6 @@ func DR(p Params) ([]Row, error) {
 		time.Sleep(200 * time.Microsecond)
 	}
 	converge := time.Since(healed)
-	trimmed := s.GCOplog()
 
 	promoteStart := time.Now()
 	rep := s.Failover()
@@ -127,7 +126,6 @@ func DR(p Params) ([]Row, error) {
 	w := rep.Watermarks
 	fmt.Fprintf(p.Out, "time-to-converge after heal: %v (%d records, %d mutations applied)\n",
 		converge.Round(time.Microsecond), w.Applied, w.Muts)
-	fmt.Fprintf(p.Out, "oplog gc at watermark: %d records trimmed\n", trimmed)
 	fmt.Fprintf(p.Out, "failover: promoted in %v, index rebuilt with %d entries\n",
 		promote.Round(time.Microsecond), rep.IndexEntries)
 	fmt.Fprintf(p.Out, "loss window: %d records discarded, %d LWW conflicts\n",

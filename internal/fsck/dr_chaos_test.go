@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mantle/internal/api"
+	"mantle/internal/clock"
 	"mantle/internal/core"
 	"mantle/internal/faults"
 	"mantle/internal/indexnode"
@@ -24,9 +25,14 @@ import (
 
 func newSites(t *testing.T, shards int, walCost time.Duration) *core.Sites {
 	t.Helper()
+	return newSitesOf(t, tafdb.Config{Shards: shards, Delta: tafdb.DeltaAuto, WALSyncCost: walCost})
+}
+
+func newSitesOf(t *testing.T, db tafdb.Config) *core.Sites {
+	t.Helper()
 	s, err := core.NewSites(core.SitesConfig{
 		Site: core.Config{
-			TafDB: tafdb.Config{Shards: shards, Delta: tafdb.DeltaAuto, WALSyncCost: walCost},
+			TafDB: db,
 			Index: indexnode.Config{Voters: 3, K: 2, CacheEnabled: true, Raft: raft.Config{BatchEnabled: true}},
 		},
 		Link: repl.LinkConfig{Interval: 200 * time.Microsecond, BatchMax: 64},
@@ -62,8 +68,7 @@ func waitConverged(t *testing.T, s *core.Sites, d time.Duration) {
 // secondary is blackholed mid-storm; after the storm stops the link
 // heals, replication drains, the secondary is promoted, and the two
 // sites must hold byte-identical logical namespaces — zero lost or
-// duplicated rows — with the oplog matching the durable WAL and fsck
-// clean on the promoted site.
+// duplicated rows — with fsck clean on the promoted site.
 func TestDRSiteFailoverChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test skipped in -short")
@@ -119,8 +124,8 @@ func TestDRSiteFailoverChaos(t *testing.T) {
 	}
 
 	time.Sleep(20 * time.Millisecond)
-	// Sever the WAN mid-storm: the primary keeps committing, the oplog
-	// backlog becomes replication lag.
+	// Sever the WAN mid-storm: the primary keeps committing, the logs'
+	// unshipped records become replication lag.
 	inj.Blackhole(core.SecondaryReplName)
 	time.Sleep(20 * time.Millisecond)
 	if st := s.Link().Stats(); st.LagEntries == 0 {
@@ -136,7 +141,7 @@ func TestDRSiteFailoverChaos(t *testing.T) {
 	if err := pri.Metrics().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"repl_lag_entries", "repl_lag_bytes", "repl_oplog_records", "repl_shipped",
+	for _, name := range []string{"repl_lag_entries", "repl_lag_bytes", "repl_shipped",
 		"repl_conflicts", "repl_applied", "repl_pending_txns", "standby_tafdb_rows"} {
 		if !strings.Contains(buf.String(), "\n"+name+" ") {
 			t.Fatalf("primary /metrics missing %s", name)
@@ -146,11 +151,6 @@ func TestDRSiteFailoverChaos(t *testing.T) {
 	// Heal and drain: every committed record reaches the secondary.
 	inj.Restore(core.SecondaryReplName)
 	waitConverged(t, s, 10*time.Second)
-
-	// The oplog must agree with the durable WAL on every shard.
-	if issues := VerifyOplog(pri.DB(), s.Source()); len(issues) != 0 {
-		t.Fatalf("oplog/WAL divergence: %v", issues)
-	}
 
 	rep := s.Failover()
 	if rep.Discarded != 0 {
@@ -185,10 +185,9 @@ func TestDRSiteFailoverChaos(t *testing.T) {
 
 // TestDRUnderShardCrashes runs writers against a two-site deployment
 // while one primary shard goes through crash/restart cycles through the
-// injector. A shard publishes a batch to the oplog only once its WAL
-// has made it durable, and a crash drops the unsynced suffix, so the
-// oplog still matches the durable log; every acknowledged create and
-// delete holds on the primary; and once the link drains, both sites
+// injector. The link ships only what a shard's WAL has made durable,
+// and a crash drops the unsynced suffix, so every acknowledged create
+// and delete holds on the primary; once the link drains, both sites
 // agree and fsck is clean on each.
 func TestDRUnderShardCrashes(t *testing.T) {
 	if testing.Short() {
@@ -262,9 +261,6 @@ func TestDRUnderShardCrashes(t *testing.T) {
 		t.Fatal("no op failed: the crashes did not meet the load")
 	}
 
-	if issues := VerifyOplog(pri.DB(), s.Source()); len(issues) != 0 {
-		t.Fatalf("oplog/WAL divergence after shard crashes: %v", issues[:min(len(issues), 10)])
-	}
 	for w := range created {
 		for _, p := range created[w] {
 			_, err := pri.ObjStat(op(pri), p)
@@ -291,11 +287,11 @@ func TestDRUnderShardCrashes(t *testing.T) {
 	t.Logf("%d ops failed across %d crash cycles", failed.Load(), cycles)
 }
 
-// TestDRSnapshotBootstrap populates the primary with >100K entries via
-// the bulk loader (which bypasses the oplog — exactly the state a new
-// secondary cannot reach by log catch-up), bootstraps the secondary
-// from shard snapshots, replicates a live write tail, and verifies
-// fsck-clean convergence.
+// TestDRSnapshotBootstrap populates the primary with >100K entries
+// (through the logged fallback of Populate: a DR primary always has a
+// WAL, which BulkLoad refuses), bootstraps the secondary from shard
+// snapshots rather than catching it up from the logs, replicates a live
+// write tail, and verifies fsck-clean convergence.
 func TestDRSnapshotBootstrap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap test skipped in -short")
@@ -362,31 +358,148 @@ func TestDRSnapshotBootstrap(t *testing.T) {
 	}
 }
 
-// TestVerifyOplogFlagsSeededDivergence seeds an oplog record that never
-// committed and checks the verifier reports it.
-func TestVerifyOplogFlagsSeededDivergence(t *testing.T) {
-	s := newSites(t, 2, 2*time.Microsecond)
+// walkLogs decodes every durable record of each primary shard's WAL, in
+// log order, handing fn the shard, sequence, header and mutations.
+func walkLogs(t *testing.T, db *tafdb.DB, fn func(si int, seq uint64, h storage.RecordHeader, muts []storage.Mutation)) {
+	t.Helper()
+	for si := 0; si < db.Shards(); si++ {
+		recs, ok := db.Shard(si).WAL().ReadFrom(1, 0)
+		if !ok {
+			t.Fatalf("shard %d: log trimmed", si)
+		}
+		for i, rec := range recs {
+			var muts []storage.Mutation
+			h, err := storage.DecodeRecord(rec, func(m storage.Mutation) { muts = append(muts, m) })
+			if err != nil {
+				t.Fatalf("shard %d record %d: %v", si, i+1, err)
+			}
+			fn(si, uint64(i+1), h, muts)
+		}
+	}
+}
+
+// TestDRShardLogsStampInOrder checks the one-log invariant the link
+// ships by, after a storm of cross-shard mkdirs and directory renames:
+// along each primary shard's WAL the HLC strictly increases — a shard
+// stamps each record from the one site clock at staging, under the mutex
+// that fixes its sequence number — and every record of one multi-piece
+// transaction carries the same piece count, one record per piece. So
+// per-key last-writer-wins order holds on the secondary without a stamp
+// shared by a transaction's pieces.
+func TestDRShardLogsStampInOrder(t *testing.T) {
+	s := newSites(t, 4, 5*time.Microsecond)
 	pri := s.Primary
-	for i := 0; i < 8; i++ {
-		if _, err := pri.Mkdir(op(pri), fmt.Sprintf("/v%d", i)); err != nil {
-			t.Fatal(err)
+	const writers, rounds = 4, 40
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				d := fmt.Sprintf("/s%d-%d", w, i)
+				_, _ = pri.Mkdir(op(pri), d)
+				_, _ = pri.Create(op(pri), d+"/o", 1)
+				_, _ = pri.Mkdir(op(pri), d+"/sub")
+				_, _ = pri.DirRename(op(pri), d+"/sub", fmt.Sprintf("/r%d-%d", w, i))
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	type txnRecords struct{ pieces, records int }
+	txns := map[string]*txnRecords{}
+	prev := make([]clock.Timestamp, pri.DB().Shards())
+	walkLogs(t, pri.DB(), func(si int, seq uint64, h storage.RecordHeader, _ []storage.Mutation) {
+		if !prev[si].Less(h.HLC) {
+			t.Fatalf("shard %d seq %d: HLC %v does not exceed its predecessor's %v", si, seq, h.HLC, prev[si])
+		}
+		prev[si] = h.HLC
+		if h.Pieces <= 1 {
+			return
+		}
+		tr := txns[h.TxnID]
+		if tr == nil {
+			tr = &txnRecords{pieces: h.Pieces}
+			txns[h.TxnID] = tr
+		}
+		if h.Pieces != tr.pieces {
+			t.Fatalf("txn %s: shard %d seq %d says %d pieces, another piece %d", h.TxnID, si, seq, h.Pieces, tr.pieces)
+		}
+		tr.records++
+	})
+	if len(txns) == 0 {
+		t.Fatal("the storm logged no multi-piece transaction")
+	}
+	for id, tr := range txns {
+		if tr.records != tr.pieces {
+			t.Fatalf("txn %s: %d records logged for %d pieces", id, tr.records, tr.pieces)
 		}
 	}
-	if issues := VerifyOplog(pri.DB(), s.Source()); len(issues) != 0 {
-		t.Fatalf("clean deployment flagged: %v", issues)
-	}
-	// Seed a record the WAL never committed.
-	log := s.Source().Log(0)
-	log.Append(repl.Record{Shard: 0, Seq: log.Tip() + 1, Pieces: 1})
-	issues := VerifyOplog(pri.DB(), s.Source())
-	found := false
-	for _, is := range issues {
-		if is.Check == "oplog-extra" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("seeded phantom record not flagged: %v", issues)
+}
+
+// TestDRMigrationReplicates migrates a populated directory on a DR
+// primary that batches its 2PC, keeps writing, and checks that the
+// secondary converges. The migration's source piece only guards the
+// moved rows, so its record is an empty batch; it must still carry the
+// transaction ID and piece count, or the Applier never completes the
+// migration's transaction.
+func TestDRMigrationReplicates(t *testing.T) {
+	for _, wal := range []time.Duration{0, 20 * time.Microsecond} {
+		t.Run(fmt.Sprint("wal=", wal), func(t *testing.T) {
+			s := newSitesOf(t, tafdb.Config{Shards: 4, Delta: tafdb.DeltaAuto, WALSyncCost: wal, Batch2PC: true})
+			s.StartReplication()
+			pri := s.Primary
+			if _, err := pri.Mkdir(op(pri), "/hot"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				if _, err := pri.Create(op(pri), fmt.Sprintf("/hot/o%02d", i), int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := pri.Lookup(op(pri), "/hot")
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := pri.DB()
+			dir := res.Entry.ID
+			src := db.ShardOf(dir)
+			if n, err := db.MigrateDir(op(pri), dir, (src+1)%db.Shards()); err != nil || n < 20 {
+				t.Fatalf("migrate: %d rows, %v", n, err)
+			}
+			for i := 0; i < 10; i++ {
+				if _, err := pri.Create(op(pri), fmt.Sprintf("/hot/after%02d", i), 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := pri.Mkdir(op(pri), fmt.Sprintf("/cold%02d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			guardOnly := 0
+			walkLogs(t, db, func(si int, _ uint64, h storage.RecordHeader, muts []storage.Mutation) {
+				if si == src && len(muts) == 0 && h.TxnID != "" && h.Pieces == 2 {
+					guardOnly++
+				}
+			})
+			if guardOnly != 1 {
+				t.Fatalf("source shard logged %d guard-only migration pieces, want 1", guardOnly)
+			}
+
+			waitConverged(t, s, 10*time.Second)
+			rep := s.Failover()
+			if w := rep.Watermarks; w.Pending != 0 || rep.Discarded != 0 || w.Conflicts != 0 {
+				t.Fatalf("failover after the migration: pending %d, discarded %d, conflicts %d",
+					w.Pending, rep.Discarded, w.Conflicts)
+			}
+			if issues := CompareSites(pri, s.Secondary); len(issues) != 0 {
+				t.Fatalf("sites diverged after the migration: %v", issues[:min(len(issues), 10)])
+			}
+			for name, m := range map[string]*core.Mantle{"primary": pri, "secondary": s.Secondary} {
+				if r := Check(m); !r.OK() {
+					t.Fatalf("fsck on the %s: %s\n%v", name, r, r.Issues[:min(len(r.Issues), 10)])
+				}
+			}
+		})
 	}
 }
 

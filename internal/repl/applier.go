@@ -27,10 +27,10 @@ import (
 //     on two shards, so strict per-shard order for every piece can
 //     deadlock). A jump is allowed only over records touching disjoint
 //     keys, so per-key apply order always matches the primary's commit
-//     order; on a key conflict the transaction waits — deadlock-free,
-//     because the conflicting jumped record always carries a lower HLC.
-//     The exported watermark stays the contiguous frontier — the
-//     sequence below which everything has applied.
+//     order; on a key conflict the transaction waits — deadlock-free by
+//     2PC order (txnUnobstructedLocked). The exported watermark stays
+//     the contiguous frontier — the sequence below which everything has
+//     applied.
 //
 // Precondition flags (IfAbsent/MustExist/WantKind) are stripped before
 // applying, so re-delivered batches and LWW-filtered interleavings
@@ -189,9 +189,16 @@ func (a *Applier) drainLocked() error {
 // piece's keys. Per-key apply order must match the primary's per-shard
 // commit order, or an absolute row write and a commutative attribute
 // delta interleave differently on the two sites (double-counting or
-// losing an increment). Waiting on a conflict cannot deadlock: the
-// primary's per-key locks serialized the jumped record first, so its
-// HLC is strictly lower — wait edges always point down the HLC order.
+// losing an increment). Waiting on a conflict cannot deadlock. If pt's
+// piece on shard S waits for a jumped record of transaction U, the two
+// write a common key there, so the primary's exclusive row locks
+// serialized them: U committed on S before pt prepared on S. Every
+// transaction prepares on all its shards before it commits on any, so
+// U's first commit precedes pt's. Wait edges point strictly back in
+// commit time, and a cycle of two — pt before U on one shard, U before
+// pt on another — would need
+// U.prepare(S') < U.commit(S) < pt.prepare(S) < pt.commit(S') < U.prepare(S'),
+// which no 2PC history has. The argument rests on no shared timestamp.
 func (a *Applier) txnUnobstructedLocked(home int, pt *pendingTxn) bool {
 	for _, piece := range pt.recs {
 		if piece.Shard == home {
@@ -350,7 +357,7 @@ func (a *Applier) Watermarks() Watermarks {
 }
 
 // AppliedSeqs returns each shard's contiguous applied sequence (the
-// bootstrap/GC watermark vector).
+// link's starting cursor).
 func (a *Applier) AppliedSeqs() []uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

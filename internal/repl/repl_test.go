@@ -19,8 +19,7 @@ func putRec(shard int, seq uint64, ts clock.Timestamp, pid uint64, name string, 
 		Key:   types.Key{Pid: types.InodeID(pid), Name: name},
 		Entry: types.Entry{Pid: types.InodeID(pid), Name: name, ID: types.InodeID(id), Kind: types.KindObject},
 	}
-	return Record{Shard: shard, Seq: seq, HLC: ts, Pieces: 1,
-		Muts: []storage.Mutation{m}, Bytes: storage.BatchBytes([]storage.Mutation{m})}
+	return Record{Shard: shard, Seq: seq, HLC: ts, Pieces: 1, Muts: []storage.Mutation{m}}
 }
 
 // sink collects applied batches per shard for assertion.
@@ -53,38 +52,6 @@ func (s *sink) values(shard int) []uint64 {
 		out = append(out, uint64(m.Entry.ID))
 	}
 	return out
-}
-
-func TestOplogReadTrim(t *testing.T) {
-	var l Oplog
-	clk := clock.New(1)
-	for seq := uint64(1); seq <= 10; seq++ {
-		l.Append(putRec(0, seq, clk.Now(), 1, fmt.Sprintf("n%d", seq), seq))
-	}
-	recs, ok := l.ReadFrom(1, 4)
-	if !ok || len(recs) != 4 || recs[0].Seq != 1 || recs[3].Seq != 4 {
-		t.Fatalf("ReadFrom(1,4) = %d recs ok=%v", len(recs), ok)
-	}
-	if n := l.Trim(6); n != 6 {
-		t.Fatalf("Trim(6) dropped %d", n)
-	}
-	if _, ok := l.ReadFrom(3, 0); ok {
-		t.Fatal("ReadFrom below base must report a gap")
-	}
-	recs, ok = l.ReadFrom(7, 0)
-	if !ok || len(recs) != 4 || recs[0].Seq != 7 {
-		t.Fatalf("ReadFrom(7) after trim = %d recs ok=%v", len(recs), ok)
-	}
-	if l.Tip() != 10 || l.Base() != 6 || l.Len() != 4 {
-		t.Fatalf("tip=%d base=%d len=%d", l.Tip(), l.Base(), l.Len())
-	}
-	// Trimming past the tip clamps.
-	if n := l.Trim(100); n != 4 {
-		t.Fatalf("Trim(100) dropped %d", n)
-	}
-	if l.Bytes() != 0 {
-		t.Fatalf("empty oplog retains %d bytes", l.Bytes())
-	}
 }
 
 func TestApplierOrderAndDedup(t *testing.T) {
@@ -301,36 +268,17 @@ func TestApplierFinalizeDiscards(t *testing.T) {
 	}
 }
 
-func TestSourceTxnStamping(t *testing.T) {
-	s := NewSource(1, 2)
-	s.StampTxn("t#0", 2)
-	s.Commit(0, 1, "t#0", []storage.Mutation{{Kind: storage.MutPut, Key: types.Key{Pid: 1, Name: "a"}}})
-	s.Commit(1, 1, "t#0", []storage.Mutation{{Kind: storage.MutPut, Key: types.Key{Pid: 2, Name: "b"}}})
-	r0, _ := s.Log(0).ReadFrom(1, 0)
-	r1, _ := s.Log(1).ReadFrom(1, 0)
-	if len(r0) != 1 || len(r1) != 1 {
-		t.Fatal("missing oplog records")
+// loggedShards builds n primary shards that log with a zero-cost WAL
+// and stamp from one site clock, returning them and their logs.
+func loggedShards(n int) ([]*storage.Shard, []*storage.WAL) {
+	clk := clock.New(1)
+	shards, logs := make([]*storage.Shard, n), make([]*storage.WAL, n)
+	for i := range shards {
+		shards[i], logs[i] = storage.NewShard(fmt.Sprintf("p%d", i)), storage.NewWAL(0)
+		shards[i].AttachWAL(logs[i])
+		shards[i].SetClock(clk)
 	}
-	if r0[0].HLC != r1[0].HLC {
-		t.Fatalf("txn pieces carry different HLCs: %v vs %v", r0[0].HLC, r1[0].HLC)
-	}
-	if r0[0].Pieces != 2 || r1[0].Pieces != 2 {
-		t.Fatal("piece count not propagated")
-	}
-	// The stamp is consumed after all pieces commit.
-	s.Commit(0, 2, "t#0", nil)
-	r0, _ = s.Log(0).ReadFrom(2, 0)
-	if r0[0].Pieces != 1 {
-		t.Fatal("consumed stamp reused")
-	}
-	// ForgetTxn clears an aborted attempt's stamp.
-	s.StampTxn("dead#0", 3)
-	s.ForgetTxn("dead#0")
-	s.Commit(0, 3, "dead#0", nil)
-	r0, _ = s.Log(0).ReadFrom(3, 0)
-	if r0[0].Pieces != 1 {
-		t.Fatal("forgotten stamp still applied")
-	}
+	return shards, logs
 }
 
 func TestLinkShipsAndSurvivesBlackhole(t *testing.T) {
@@ -339,12 +287,12 @@ func TestLinkShipsAndSurvivesBlackhole(t *testing.T) {
 	inj := faults.New(7)
 	inj.Attach(fab)
 
-	src := NewSource(1, 2)
+	shards, logs := loggedShards(2)
 	sk := newSink()
 	app := NewApplier(2, 2, sk.apply)
 
 	link := StartLink(LinkConfig{
-		Source:   src,
+		Logs:     logs,
 		Offer:    app.Offer,
 		Fabric:   fab,
 		Node:     node,
@@ -354,18 +302,19 @@ func TestLinkShipsAndSurvivesBlackhole(t *testing.T) {
 	})
 	defer link.Stop()
 
-	commit := func(shard int, seq uint64, name string) {
-		src.Commit(shard, seq, "", []storage.Mutation{{
+	var seq [2]uint64
+	commit := func(shard int, name string) {
+		seq[shard]++
+		if err := shards[shard].Apply([]storage.Mutation{{
 			Kind:  storage.MutPut,
 			Key:   types.Key{Pid: 1, Name: name},
-			Entry: types.Entry{Pid: 1, Name: name, ID: types.InodeID(seq), Kind: types.KindObject},
-		}})
+			Entry: types.Entry{Pid: 1, Name: name, ID: types.InodeID(seq[shard]), Kind: types.KindObject},
+		}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var seq [2]uint64
 	for i := 0; i < 40; i++ {
-		sh := i % 2
-		seq[sh]++
-		commit(sh, seq[sh], fmt.Sprintf("pre%03d", i))
+		commit(i%2, fmt.Sprintf("pre%03d", i))
 	}
 	waitFor(t, time.Second, func() bool {
 		w := app.Watermarks()
@@ -375,17 +324,22 @@ func TestLinkShipsAndSurvivesBlackhole(t *testing.T) {
 	// Blackhole the secondary endpoint: commits accumulate as lag.
 	inj.Blackhole("site-b")
 	for i := 0; i < 20; i++ {
-		sh := i % 2
-		seq[sh]++
-		commit(sh, seq[sh], fmt.Sprintf("dark%03d", i))
+		commit(i%2, fmt.Sprintf("dark%03d", i))
 	}
-	time.Sleep(5 * time.Millisecond)
+	waitFor(t, time.Second, func() bool { return link.Stats().Failures > 0 })
 	st := link.Stats()
-	if st.LagEntries == 0 {
-		t.Fatal("no lag while blackholed")
+	if st.LagEntries != 20 {
+		t.Fatalf("lag %d entries while blackholed, want 20", st.LagEntries)
 	}
-	if st.Failures == 0 {
-		t.Fatal("no failures recorded while blackholed")
+	var want int64
+	for si, wal := range logs {
+		recs, _ := wal.ReadFrom(seq[si]-9, 0)
+		for _, r := range recs {
+			want += int64(len(r))
+		}
+	}
+	if st.LagBytes != want {
+		t.Fatalf("lag %d bytes, want the %d bytes of the unacknowledged records", st.LagBytes, want)
 	}
 
 	// Heal: the link catches up from its acknowledged cursor.
@@ -397,38 +351,36 @@ func TestLinkShipsAndSurvivesBlackhole(t *testing.T) {
 	if w := app.Watermarks(); w.Conflicts != 0 {
 		t.Fatalf("conflicts on a single-writer stream: %d", w.Conflicts)
 	}
-	if st := link.Stats(); st.LagEntries != 0 {
-		t.Fatalf("lag %d after convergence", st.LagEntries)
+	if st := link.Stats(); st.LagEntries != 0 || st.LagBytes != 0 || st.Gapped {
+		t.Fatalf("after convergence: %+v", st)
 	}
-
-	// GC past the acknowledged watermark, then verify the link reports
-	// no gap (cursor is ahead of the trim horizon).
-	if n := src.GC(link.Acked()); n == 0 {
-		t.Fatal("GC trimmed nothing")
-	}
-	time.Sleep(2 * time.Millisecond)
-	if st := link.Stats(); st.Gapped {
-		t.Fatal("GC at the acked watermark must not gap the link")
+	if n := sk.count(0) + sk.count(1); n != 60 {
+		t.Fatalf("secondary applied %d mutations, want 60", n)
 	}
 }
 
 func TestLinkGapAfterOverTrim(t *testing.T) {
 	fab := netsim.NewFabric(netsim.Config{})
 	node := netsim.NewNode("b", 0)
-	src := NewSource(1, 1)
-	for seq := uint64(1); seq <= 5; seq++ {
-		src.Commit(0, seq, "", nil)
+	shards, logs := loggedShards(1)
+	for i := 0; i < 5; i++ {
+		if err := shards[0].Apply(nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Trim beyond any subscriber cursor before the link starts.
-	src.Log(0).Trim(5)
+	logs[0].Trim(5)
 	sk := newSink()
 	app := NewApplier(2, 1, sk.apply)
 	link := StartLink(LinkConfig{
-		Source: src, Offer: app.Offer, Fabric: fab, Node: node,
+		Logs: logs, Offer: app.Offer, Fabric: fab, Node: node,
 		SrcName: "a", Interval: 100 * time.Microsecond,
 	})
 	defer link.Stop()
 	waitFor(t, time.Second, func() bool { return link.Stats().Gapped })
+	if st := link.Stats(); st.LagEntries != 5 || st.Shipped != 0 {
+		t.Fatalf("gapped link: %+v, want 5 entries behind and nothing shipped", st)
+	}
 }
 
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {

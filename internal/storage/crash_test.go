@@ -66,7 +66,10 @@ func TestRestartForgetsPrepares(t *testing.T) {
 func TestCrashVoidsParkedCommit(t *testing.T) {
 	ctr := key(1, "ctr")
 	inc := []Mutation{{Kind: MutDeltaAttr, Key: ctr, Delta: AttrDelta{LinkCount: 1}}}
-	setup := func(t *testing.T) (*Shard, *WAL, <-chan error) {
+	// setup returns once "inc" is staged and parked on its sync; with
+	// hold it returns holding the shard mutex, so the committer cannot
+	// drain the record however long its sync has been done.
+	setup := func(t *testing.T, hold bool) (*Shard, *WAL, <-chan error) {
 		s, w := walShard(t, 30*time.Millisecond)
 		if err := s.Prepare("seed", nil, []Mutation{putMut(1, "ctr", 1)}); err != nil {
 			t.Fatal(err)
@@ -84,10 +87,13 @@ func TestCrashVoidsParkedCommit(t *testing.T) {
 		for {
 			s.mu.Lock()
 			_, prepared := s.txns["inc"]
-			s.mu.Unlock()
 			if !prepared {
+				if !hold {
+					s.mu.Unlock()
+				}
 				return s, w, committed
 			}
+			s.mu.Unlock()
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
@@ -101,7 +107,7 @@ func TestCrashVoidsParkedCommit(t *testing.T) {
 	}
 
 	t.Run("parked", func(t *testing.T) {
-		s, _, committed := setup(t)
+		s, _, committed := setup(t, false)
 		s.Crash()
 		if err := s.Restart(); err != nil {
 			t.Fatal(err)
@@ -132,16 +138,9 @@ func TestCrashVoidsParkedCommit(t *testing.T) {
 	})
 
 	t.Run("durable", func(t *testing.T) {
-		s, w, committed := setup(t)
-		published := 0
-		s.SetReplHook(func(seq uint64, txnID string, _ []Mutation) {
-			if txnID == "inc" {
-				published++
-			}
-		})
 		// Hold the shard mutex across the sync, so the record is durable
 		// but its committer cannot drain it before the crash.
-		s.mu.Lock()
+		s, w, committed := setup(t, true)
 		for seq := s.queue[0].seq; w.DurableSeq() < seq; {
 			time.Sleep(100 * time.Microsecond)
 		}
@@ -156,8 +155,14 @@ func TestCrashVoidsParkedCommit(t *testing.T) {
 		if got := links(t, s); got != 1 {
 			t.Fatalf("counter after restart = %d, want 1", got)
 		}
+		published := 0
+		for _, r := range logged(t, w) {
+			if r.h.TxnID == "inc" {
+				published++
+			}
+		}
 		if published != 1 {
-			t.Fatalf("durable commit published %d times, want 1", published)
+			t.Fatalf("durable commit logged %d times, want 1", published)
 		}
 		if s.LockedKeys() != 0 {
 			t.Fatalf("%d locks left after restart", s.LockedKeys())

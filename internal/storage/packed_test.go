@@ -10,7 +10,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/types"
+	"mantle/internal/wire"
 )
 
 // entryEqual compares entries with time.Time compared by instant (the
@@ -86,8 +88,18 @@ func TestPackedRoundTripEdges(t *testing.T) {
 	}
 }
 
-// TestWALCodecRoundTripQuick: encodeBatch followed by decodeBatch
-// reproduces every mutation, across all kinds and flag combinations.
+// encodeBatch packs a bare mutation batch: a record's body, after its
+// header.
+func encodeBatch(muts []Mutation) []byte {
+	w := wire.NewWriter(0)
+	appendBatch(&w, muts)
+	return w.Bytes()
+}
+
+// TestWALCodecRoundTripQuick: encodeRecord followed by DecodeRecord
+// reproduces the header and every mutation, across all kinds and flag
+// combinations and the three kinds of header a shard writes; a record
+// cut anywhere short of its end is an error, not a panic.
 func TestWALCodecRoundTripQuick(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	names := []string{"", "a", "\x00attr", "\x00attr\x00123", strings.Repeat("x", 200)}
@@ -109,15 +121,36 @@ func TestWALCodecRoundTripQuick(t *testing.T) {
 		}
 		return m
 	}
+	hlc := clock.Timestamp{Wall: 1700000000123456789, Logical: 7, Site: 1}
+	headers := []RecordHeader{
+		{Pieces: 1},                              // a relaxed apply on a shard without a site clock
+		{TxnID: "taf-42#3", HLC: hlc, Pieces: 3}, // one piece of a multi-piece commit
+	}
+	// The empty batch: a migration's guard-only source piece.
+	empty := RecordHeader{TxnID: "taf-9#0", HLC: hlc, Pieces: 2}
+	rec := encodeRecord(empty, nil)
+	if h, err := DecodeRecord(rec, func(m Mutation) { t.Fatalf("empty batch decoded %+v", m) }); err != nil || h != empty {
+		t.Fatalf("empty batch: header %+v, %v; want %+v", h, err, empty)
+	}
+	for n := range rec {
+		if _, err := DecodeRecord(rec[:n], func(Mutation) {}); err == nil {
+			t.Fatalf("a record truncated to %d of %d bytes decoded", n, len(rec))
+		}
+	}
 	for round := 0; round < 500; round++ {
 		in := make([]Mutation, 1+r.Intn(8))
 		for i := range in {
 			in[i] = arbitraryMut()
 		}
-		rec := encodeBatch(in)
+		hin := headers[round%len(headers)]
+		rec := encodeRecord(hin, in)
 		var out []Mutation
-		if err := decodeBatch(rec, func(m Mutation) { out = append(out, m) }); err != nil {
+		h, err := DecodeRecord(rec, func(m Mutation) { out = append(out, m) })
+		if err != nil {
 			t.Fatalf("round %d: decode: %v", round, err)
+		}
+		if h != hin {
+			t.Fatalf("round %d: header %+v, want %+v", round, h, hin)
 		}
 		if len(out) != len(in) {
 			t.Fatalf("round %d: %d mutations decoded, want %d", round, len(out), len(in))

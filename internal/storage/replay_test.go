@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mantle/internal/clock"
 )
 
 // TestCrashReplayDeterminism drives concurrent transactional commits
@@ -14,9 +16,8 @@ import (
 // shard, and verifies that Recover (a) replays exactly the durable
 // mutation count, (b) reproduces the pre-crash contents byte for byte,
 // and (c) is deterministic — a second crash/recover cycle lands on the
-// same state. This is the regression net under the oplog hook in the
-// commit path: the hook moved the WAL staging point under the shard
-// mutex, and replay must still be commit-ordered.
+// same state. The shard stages its WAL records under its mutex, and
+// replay must still be commit-ordered.
 func TestCrashReplayDeterminism(t *testing.T) {
 	const (
 		writers = 8
@@ -67,7 +68,9 @@ func TestCrashReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	s.ReplayBatches(func(_ uint64, muts []Mutation) { n += len(muts) })
+	for _, r := range logged(t, w) {
+		n += len(r.muts)
+	}
 	if int64(n) != committedMuts.Load() {
 		t.Fatalf("restart replayed %d mutations, committed %d", n, committedMuts.Load())
 	}
@@ -84,78 +87,61 @@ func TestCrashReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestCommitOrderMatchesHookOrder verifies the ordering contract the
-// replication oplog depends on: the sequence numbers handed to the
-// repl hook are exactly the WAL batch sequence numbers, the hook sees
-// them gap-free, and WAL replay yields the identical batch sequence —
-// including under concurrent committers racing the group-commit window.
-func TestCommitOrderMatchesHookOrder(t *testing.T) {
-	s, _ := walShard(t, 20*time.Microsecond)
-	var mu sync.Mutex
-	type batch struct {
-		seq  uint64
-		muts []Mutation
-	}
-	var hooked []batch
-	s.SetReplHook(func(seq uint64, _ string, muts []Mutation) {
-		cp := make([]Mutation, len(muts))
-		copy(cp, muts)
-		mu.Lock()
-		hooked = append(hooked, batch{seq, cp})
-		mu.Unlock()
-	})
-
+// TestCommitOrderIsLogOrder verifies the ordering contract a site link
+// reads the log by: under concurrent committers racing the group-commit
+// window, the durable records are gap-free from 1, each commit appears
+// once with its transaction's header and mutations, every committer's
+// records follow its program order, and the HLC stamped at staging
+// strictly increases along the log.
+func TestCommitOrderIsLogOrder(t *testing.T) {
+	s, w := walShard(t, 20*time.Microsecond)
+	s.SetClock(clock.New(1))
+	const goroutines, each = 6, 50
 	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
+			for i := 0; i < each; i++ {
 				txn := fmt.Sprintf("h%d-%d", g, i)
 				muts := []Mutation{putMut(uint64(10+g), fmt.Sprintf("r%03d", i), uint64(i))}
 				if err := s.Prepare(txn, nil, muts); err != nil {
 					t.Error(err)
 					return
 				}
-				s.Commit(txn)
+				if err := s.Commit(txn); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	mu.Lock()
-	defer mu.Unlock()
-	seen := make(map[uint64][]Mutation, len(hooked))
-	for _, b := range hooked {
-		if _, dup := seen[b.seq]; dup {
-			t.Fatalf("hook saw seq %d twice", b.seq)
-		}
-		seen[b.seq] = b.muts
+	recs := logged(t, w)
+	if len(recs) != goroutines*each {
+		t.Fatalf("log holds %d records, want %d", len(recs), goroutines*each)
 	}
-	for seq := uint64(1); seq <= uint64(len(hooked)); seq++ {
-		if _, ok := seen[seq]; !ok {
-			t.Fatalf("hook sequence has a gap at %d", seq)
+	next := make([]int, goroutines) // each committer's next expected i
+	for n, r := range recs {
+		if r.seq != uint64(n+1) {
+			t.Fatalf("record %d has seq %d: the log has a gap", n, r.seq)
 		}
-	}
-	replayed := 0
-	s.ReplayBatches(func(seq uint64, muts []Mutation) {
-		replayed++
-		want, ok := seen[seq]
-		if !ok {
-			t.Fatalf("WAL batch %d never reached the hook", seq)
+		if n > 0 && !recs[n-1].h.HLC.Less(r.h.HLC) {
+			t.Fatalf("seq %d: HLC %v does not exceed its predecessor's %v", r.seq, r.h.HLC, recs[n-1].h.HLC)
 		}
-		if len(want) != len(muts) {
-			t.Fatalf("batch %d: WAL has %d muts, hook saw %d", seq, len(muts), len(want))
+		var g, i int
+		if _, err := fmt.Sscanf(r.h.TxnID, "h%d-%d", &g, &i); err != nil || r.h.Pieces != 1 {
+			t.Fatalf("seq %d: header %+v", r.seq, r.h)
 		}
-		for i := range muts {
-			if muts[i].Key != want[i].Key || muts[i].Kind != want[i].Kind {
-				t.Fatalf("batch %d mutation %d: WAL %v/%v vs hook %v/%v",
-					seq, i, muts[i].Kind, muts[i].Key, want[i].Kind, want[i].Key)
-			}
+		if i != next[g] {
+			t.Fatalf("seq %d: %s logged out of its committer's order (want i=%d)", r.seq, r.h.TxnID, next[g])
 		}
-	})
-	if replayed != len(hooked) {
-		t.Fatalf("WAL replayed %d batches, hook saw %d", replayed, len(hooked))
+		next[g]++
+		want := key(uint64(10+g), fmt.Sprintf("r%03d", i))
+		if len(r.muts) != 1 || r.muts[0].Key != want {
+			t.Fatalf("seq %d (%s): mutations %v, want one on %v", r.seq, r.h.TxnID, r.muts, want)
+		}
 	}
 }
 

@@ -12,9 +12,9 @@
 //     distributed-transaction coordinator in internal/txn, and
 //   - ordered range scans for readdir and delta-record processing.
 //
-// With a WAL attached (wal.go), a batch is applied, unlocked and
-// published only once a sync has made its record durable, in log order;
-// a crash keeps exactly the synced records, as a raft replica's does.
+// With a WAL attached (wal.go), a batch is applied and unlocked only
+// once a sync has made its record durable, in log order; a crash keeps
+// exactly the synced records, as a raft replica's does.
 package storage
 
 import (
@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"mantle/internal/btree"
+	"mantle/internal/clock"
 	"mantle/internal/types"
 )
 
@@ -116,10 +117,12 @@ type rowLock struct {
 }
 
 // txnState is a prepared transaction and, once staged, a queued batch:
-// seq is its log position, relaxed marks an Apply (rows applied at
-// staging, no locks) and err is the outcome its caller returns.
+// pieces is how many shards the transaction spans, seq its log
+// position, relaxed marks an Apply (rows applied at staging, no locks)
+// and err is the outcome its caller returns.
 type txnState struct {
 	id      string
+	pieces  int
 	muts    []Mutation
 	locked  []types.Key // keys this txn holds locks on, each once
 	seq     uint64
@@ -162,21 +165,16 @@ type Shard struct {
 	queue   []*txnState
 	applied uint64
 	staged  uint64
-	repl    ReplHook
+	// clk stamps each WAL record's header at staging (nil: zero HLC).
+	clk *clock.Clock
 }
 
-// ReplHook observes committed mutation batches once they are durable,
-// in sequence order with no gaps: seq is the shard-local batch number
-// (the WAL record's when a WAL is attached) and txnID is the committing
-// transaction's id, or "" for relaxed applies. The hook runs under the
-// shard mutex and must not call back into the shard.
-type ReplHook func(seq uint64, txnID string, muts []Mutation)
-
-// SetReplHook installs the replication hook. Install before the shard
-// takes traffic.
-func (s *Shard) SetReplHook(h ReplHook) {
+// SetClock hands the shard its site's clock: every WAL record staged
+// from now on carries a reading of it. Set before the shard takes
+// traffic.
+func (s *Shard) SetClock(c *clock.Clock) {
 	s.mu.Lock()
-	s.repl = h
+	s.clk = c
 	s.mu.Unlock()
 }
 
@@ -351,15 +349,23 @@ func (s *Shard) checkMutation(m Mutation) error {
 // validate guards and mutation preconditions. On any failure all locks
 // taken by this call are released and the error returned; the
 // transaction is then aborted by the coordinator. On success the shard
-// stages the mutations until Commit or Abort.
+// stages the mutations until Commit or Abort. The transaction touches
+// this shard only; PreparePiece prepares one piece of a wider one.
 func (s *Shard) Prepare(txnID string, guards []Guard, muts []Mutation) error {
+	return s.PreparePiece(txnID, 1, guards, muts)
+}
+
+// PreparePiece is Prepare for one of the pieces of a transaction that
+// spans that many shards; the count goes into the commit's WAL record,
+// so the pieces can be regrouped from the shards' logs.
+func (s *Shard) PreparePiece(txnID string, pieces int, guards []Guard, muts []Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.txns[txnID]; dup {
 		return fmt.Errorf("shard %s: txn %s already prepared", s.id, txnID)
 	}
 	st := txnStatePool.Get().(*txnState)
-	st.muts = muts
+	st.id, st.pieces, st.muts = txnID, pieces, muts
 	fail := func(err error) error {
 		s.unlockAll(txnID, st.locked)
 		st.release()
@@ -409,13 +415,13 @@ func (s *Shard) Commit(txnID string) error {
 		return fmt.Errorf("shard %s: commit of unknown txn %s: %w", s.id, txnID, types.ErrUnavailable)
 	}
 	delete(s.txns, txnID) // claim the commit (idempotence under races)
-	st.id = txnID
 	return s.stageLocked(st)
 }
 
 // stageLocked gives st the next log position and queues it, then
 // returns its outcome once it is drained or a crash has voided it.
-// Staging under s.mu makes commit, log and oplog order one order.
+// Staging under s.mu makes commit order and log order one order, and
+// the clock reading taken here strictly increases along the log.
 // Called with s.mu held exclusively; returns with it released.
 func (s *Shard) stageLocked(st *txnState) error {
 	s.queue = append(s.queue, st)
@@ -423,7 +429,11 @@ func (s *Shard) stageLocked(st *txnState) error {
 		s.staged++
 		st.seq = s.staged
 	} else {
-		st.seq = wal.Stage(encodeBatch(st.muts))
+		h := RecordHeader{TxnID: st.id, Pieces: st.pieces}
+		if s.clk != nil {
+			h.HLC = s.clk.Now()
+		}
+		st.seq = wal.Stage(encodeRecord(h, st.muts))
 		s.mu.Unlock()
 		wal.WaitDurable(st.seq)
 		s.mu.Lock()
@@ -435,8 +445,8 @@ func (s *Shard) stageLocked(st *txnState) error {
 	return err
 }
 
-// drainLocked applies, unlocks and publishes every queued batch that is
-// durable, in sequence order. Called with s.mu held exclusively.
+// drainLocked applies and unlocks every queued batch that is durable,
+// in sequence order. Called with s.mu held exclusively.
 func (s *Shard) drainLocked() {
 	durable := s.staged
 	if s.wal != nil {
@@ -450,9 +460,6 @@ func (s *Shard) drainLocked() {
 				s.applyLocked(m)
 			}
 			s.unlockAll(st.id, st.locked)
-		}
-		if s.repl != nil {
-			s.repl(st.seq, st.id, st.muts)
 		}
 		s.applied = st.seq
 	}
@@ -498,7 +505,7 @@ func (s *Shard) applyLocked(m Mutation) {
 // shard latch. Preconditions (IfAbsent/MustExist) are still checked; the
 // first violation aborts the batch and returns the error.
 // Rows change at staging, before the sync, so later relaxed checks see
-// them; the batch is then logged and published like a commit.
+// them; the batch is then logged like a commit.
 func (s *Shard) Apply(muts []Mutation) error {
 	s.mu.Lock()
 	for _, m := range muts {
@@ -511,7 +518,7 @@ func (s *Shard) Apply(muts []Mutation) error {
 		s.applyLocked(m)
 	}
 	st := txnStatePool.Get().(*txnState)
-	st.muts, st.relaxed = muts, true
+	st.pieces, st.muts, st.relaxed = 1, muts, true
 	return s.stageLocked(st)
 }
 
@@ -629,10 +636,11 @@ func (s *Shard) LockedKeys() int {
 // SnapshotRows captures a consistent cut of the shard: every committed
 // row, plus the batch sequence number the cut covers — the snapshot-
 // bootstrap source for a new replication secondary (a secondary loaded
-// from the cut and fed the oplog from seq+1 converges exactly). The
-// applied batches are a log prefix, so nothing is waited for. A queued
-// relaxed batch is in the rows but not the cut; the primary's are puts
-// and deletes, which land the same when the oplog brings them again.
+// from the cut and fed the shard's WAL records from seq+1 converges
+// exactly). The applied batches are a log prefix, so nothing is waited
+// for. A queued relaxed batch is in the rows but not the cut; the
+// primary's are puts and deletes, which land the same when the link
+// ships its record.
 func (s *Shard) SnapshotRows() ([]Row, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

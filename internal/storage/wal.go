@@ -65,8 +65,9 @@ func (w *WAL) SyncCost() time.Duration { return w.syncCost }
 // Commit appends rec, blocks until it is durable, and returns its
 // sequence number (DurableSeq has reached it by then). It is Stage
 // followed by WaitDurable; callers that must fix the log position under
-// their own lock (Shard.Commit orders the log identically to the oplog,
-// raft orders it with its in-memory log) use the two halves directly.
+// their own lock (Shard.Commit orders the log with its commits and
+// stamps the record there, raft orders it with its in-memory log) use
+// the two halves directly.
 // The WAL keeps rec; the caller must not modify it afterwards.
 func (w *WAL) Commit(rec []byte) uint64 {
 	seq := w.Stage(rec)
@@ -242,8 +243,7 @@ func (w *WAL) Batches() int {
 
 // Replay invokes fn for every durable record in sequence order. Records
 // are numbered with no gaps, so a log that was never trimmed starts at
-// sequence 1 — the property fsck.VerifyOplog cross-checks a shard's
-// batches against the replication oplog by.
+// sequence 1.
 func (w *WAL) Replay(fn func(seq uint64, rec []byte)) {
 	w.mu.Lock()
 	records, base := w.records, w.base
@@ -251,6 +251,31 @@ func (w *WAL) Replay(fn func(seq uint64, rec []byte)) {
 	for i, rec := range records {
 		fn(base+uint64(i)+1, rec)
 	}
+}
+
+// ReadFrom returns up to max durable records (all of them when max <= 0)
+// starting at sequence seq, in order: a staged record is returned only
+// once a sync covers it, and a crash's dropped suffix never was. The
+// second result is false when seq lies below the trimmed base — a
+// reader that far behind cannot catch up from the log. The records are
+// the log's own; the caller must not modify them.
+func (w *WAL) ReadFrom(seq uint64, max int) ([][]byte, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if seq <= w.base {
+		return nil, false
+	}
+	i := seq - w.base - 1
+	if i >= uint64(len(w.records)) {
+		return nil, true
+	}
+	end := uint64(len(w.records))
+	if max > 0 && i+uint64(max) < end {
+		end = i + uint64(max)
+	}
+	// Durable records are never rewritten and appends land past end, so
+	// the capped sub-slice stays valid without a copy.
+	return w.records[i:end:end], true
 }
 
 // AttachWAL enables write-ahead logging on the shard: every committed
@@ -302,35 +327,13 @@ func (s *Shard) Restart() error {
 		return fmt.Errorf("shard %s: no log to restart from (no WAL attached)", s.id)
 	}
 	s.crashLocked()
-	s.replay(s.wal, func(seq uint64, muts []Mutation) {
-		for _, m := range muts {
-			s.applyLocked(m)
+	s.wal.Replay(func(seq uint64, rec []byte) {
+		if _, err := DecodeRecord(rec, s.applyLocked); err != nil {
+			// Records are produced by this process's encodeRecord; a
+			// decode failure is a codec bug, not a runtime condition.
+			panic(err)
 		}
 		s.applied = seq
 	})
 	return nil
-}
-
-// ReplayBatches invokes apply once per durable batch of the shard's WAL
-// in commit order, with the batch's sequence number (a no-op without a
-// WAL). muts is reused between calls.
-func (s *Shard) ReplayBatches(apply func(seq uint64, muts []Mutation)) {
-	if w := s.WAL(); w != nil {
-		s.replay(w, apply)
-	}
-}
-
-// replay decodes w's records into mutation batches; the caller holds
-// the shard mutex or has read w under it.
-func (s *Shard) replay(w *WAL, apply func(seq uint64, muts []Mutation)) {
-	scratch := make([]Mutation, 0, 8)
-	w.Replay(func(seq uint64, rec []byte) {
-		scratch = scratch[:0]
-		if err := decodeBatch(rec, func(m Mutation) { scratch = append(scratch, m) }); err != nil {
-			// Records are produced by this process's encodeBatch; a decode
-			// failure is a codec bug, not a runtime condition.
-			panic(err)
-		}
-		apply(seq, scratch)
-	})
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,22 +181,22 @@ func TestRecoverWithoutWAL(t *testing.T) {
 // flight, and every committer parked behind that sync is released;
 // numbering resumes after the durable prefix.
 func TestWALCrashKeepsOnlySynced(t *testing.T) {
-	w := NewWAL(20 * time.Millisecond)
+	w := NewWAL(100 * time.Millisecond)
 	kept := w.Commit([]byte("kept"))
 	inFlight := w.Stage([]byte("in-flight"))
 	done := make(chan struct{})
 	go func() {
-		w.WaitDurable(inFlight) // leads the 20 ms sync
+		w.WaitDurable(inFlight) // leads the 100 ms sync
 		close(done)
 	}()
-	time.Sleep(5 * time.Millisecond)
+	waitWAL(w, func() bool { return w.syncing })
 	parked := w.Stage([]byte("parked"))
 	released := make(chan struct{})
 	go func() {
 		w.WaitDurable(parked) // parks behind the in-flight sync
 		close(released)
 	}()
-	time.Sleep(2 * time.Millisecond)
+	waitWAL(w, func() bool { return len(w.waiters) == 1 })
 	w.Crash()
 	<-released
 	<-done
@@ -212,6 +213,110 @@ func TestWALCrashKeepsOnlySynced(t *testing.T) {
 	}
 	if st := w.Stats(); st.Syncs != st.SoloSyncs+st.GroupSyncs {
 		t.Fatalf("stats unbalanced after a crash: %+v", st)
+	}
+}
+
+// waitWAL polls until cond, read under w's mutex, holds: a state to
+// reach without sleeping a guessed time against the sync cost.
+func waitWAL(w *WAL, cond func() bool) {
+	for {
+		w.mu.Lock()
+		ok := cond()
+		w.mu.Unlock()
+		if ok {
+			return
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// loggedRecord is one durable WAL record of a shard, decoded.
+type loggedRecord struct {
+	seq  uint64
+	h    RecordHeader
+	muts []Mutation
+}
+
+// logged decodes every durable record of w in sequence order.
+func logged(t *testing.T, w *WAL) []loggedRecord {
+	t.Helper()
+	var out []loggedRecord
+	w.Replay(func(seq uint64, rec []byte) {
+		r := loggedRecord{seq: seq}
+		var err error
+		if r.h, err = DecodeRecord(rec, func(m Mutation) { r.muts = append(r.muts, m) }); err != nil {
+			t.Fatalf("record %d: %v", seq, err)
+		}
+		out = append(out, r)
+	})
+	return out
+}
+
+// TestWALReadFrom pins what a site link reads: durable records only, in
+// order and at most max of them; a crash's dropped suffix never shows,
+// and its sequence numbers serve the records staged after it; a read
+// below the trimmed base reports the gap.
+func TestWALReadFrom(t *testing.T) {
+	w := NewWAL(100 * time.Millisecond)
+	for i := 0; i < 5; i++ {
+		w.Stage([]byte{byte('a' + i)})
+	}
+	w.WaitDurable(5) // one sync covers all five
+	read := func(seq uint64, max int) (string, bool) {
+		recs, ok := w.ReadFrom(seq, max)
+		var b strings.Builder
+		for _, r := range recs {
+			b.Write(r)
+		}
+		return b.String(), ok
+	}
+	for _, c := range []struct {
+		seq  uint64
+		max  int
+		want string
+	}{{1, 2, "ab"}, {1, 0, "abcde"}, {4, 9, "de"}, {5, 1, "e"}, {6, 0, ""}} {
+		if got, ok := read(c.seq, c.max); got != c.want || !ok {
+			t.Fatalf("ReadFrom(%d, %d) = %q, %v; want %q", c.seq, c.max, got, ok, c.want)
+		}
+	}
+
+	// A staged record, and one whose sync is in flight, are not read.
+	f := w.Stage([]byte("f"))
+	if got, _ := read(f, 0); got != "" {
+		t.Fatalf("staged record read before its sync: %q", got)
+	}
+	synced := make(chan struct{})
+	go func() {
+		w.WaitDurable(f)
+		close(synced)
+	}()
+	waitWAL(w, func() bool { return w.syncing })
+	if got, _ := read(f, 0); got != "" {
+		t.Fatalf("record read while its sync is in flight: %q", got)
+	}
+	<-synced
+	if got, _ := read(f, 0); got != "f" {
+		t.Fatalf("synced record = %q, want f", got)
+	}
+
+	// A crash drops the unsynced record; its number serves the next one.
+	lost := w.Stage([]byte("lost"))
+	w.Crash()
+	if g := w.Commit([]byte("g")); g != lost {
+		t.Fatalf("first record after the crash got seq %d, want the dropped %d", g, lost)
+	}
+	if got, ok := read(lost, 0); got != "g" || !ok {
+		t.Fatalf("ReadFrom(%d) after the crash = %q, %v; want g", lost, got, ok)
+	}
+
+	w.Trim(4) // records 1..3 go
+	for _, seq := range []uint64{1, 3} {
+		if recs, ok := w.ReadFrom(seq, 0); ok || recs != nil {
+			t.Fatalf("ReadFrom(%d) below the trimmed base = %q, %v; want a gap", seq, recs, ok)
+		}
+	}
+	if got, ok := read(4, 0); got != "defg" || !ok {
+		t.Fatalf("ReadFrom(4) after the trim = %q, %v; want defg", got, ok)
 	}
 }
 

@@ -3,11 +3,13 @@ package storage
 import (
 	"fmt"
 
+	"mantle/internal/clock"
 	"mantle/internal/types"
 	"mantle/internal/wire"
 )
 
-// WAL record codec: mutation batches are stored as packed bytes — a
+// WAL record codec: a shard logs each committed batch as one packed
+// record — a header naming the commit, then the mutations as a
 // per-mutation fixed header followed by the varlen row name — instead of
 // retained []Mutation slices. A Mutation is 120+ bytes of Go structs
 // (two string headers, a time.Time, padding) per logged write; the
@@ -17,7 +19,13 @@ import (
 // the life of the shard, its encoding is as much a part of the
 // namespace's resident footprint as the B-tree itself.
 //
-// Layout per batch: uvarint mutation count, then per mutation:
+// Layout per record: the header (RecordHeader)
+//
+//	txnID     uvarint length + bytes ("" for a relaxed apply)
+//	hlc       wall varint, logical varint, site uvarint
+//	pieces    uvarint
+//
+// then the batch: uvarint mutation count, then per mutation:
 //
 //	kind      byte    (MutKind)
 //	flags     byte    (bit0 IfAbsent, bit1 MustExist)
@@ -31,6 +39,27 @@ import (
 // Entry.Pid/Name are not encoded for MutPut: entries mirror their row
 // key (the same invariant the packed B-tree rows rely on), so decode
 // reconstructs them from the key columns.
+
+// RecordHeader heads every shard WAL record. The shard writes it at
+// staging, under the mutex that fixes the record's sequence number, so
+// the log is the replication stream as it stands: a site link ships the
+// durable records and the secondary groups a transaction's pieces by
+// TxnID and Pieces.
+type RecordHeader struct {
+	// TxnID is the committing transaction ("" for a relaxed apply).
+	TxnID string
+	// HLC is the site clock's reading at staging (zero when the shard
+	// has no clock): strictly increasing along the log, it orders the
+	// record's writes for last-writer-wins on the secondary.
+	HLC clock.Timestamp
+	// Pieces is how many shards the transaction spans (1 when it is a
+	// relaxed apply or touches one shard).
+	Pieces int
+}
+
+// maxHeaderLen bounds a header's fixed fields: the txnID length, the
+// three HLC varints and the piece count.
+const maxHeaderLen = 5 + 10 + 5 + 3 + 5
 
 const (
 	mutFlagIfAbsent  = 1 << 0
@@ -69,34 +98,49 @@ func appendMutation(w *wire.Writer, m *Mutation) {
 // maxCountLen is the longest uvarint a batch's mutation count takes.
 const maxCountLen = 5
 
-// encodeBatch packs a mutation batch into one record.
-func encodeBatch(muts []Mutation) []byte {
+// encodeRecord packs a header and a mutation batch into one record.
+func encodeRecord(h RecordHeader, muts []Mutation) []byte {
 	// Size estimate: fixed fields rarely exceed ~24 bytes plus the name.
-	size := maxCountLen
+	size := maxHeaderLen + len(h.TxnID) + maxCountLen
 	for i := range muts {
 		size += 40 + len(muts[i].Key.Name)
 	}
 	w := wire.NewWriter(size)
-	w.Uvarint(uint64(len(muts)))
-	for i := range muts {
-		appendMutation(&w, &muts[i])
-	}
+	w.String(h.TxnID)
+	w.Varint(h.HLC.Wall)
+	w.Varint(int64(h.HLC.Logical))
+	w.Uvarint(uint64(h.HLC.Site))
+	w.Uvarint(uint64(h.Pieces))
+	appendBatch(&w, muts)
 	return w.Bytes()
 }
 
-// BatchBytes estimates the wire size of a mutation batch using the WAL
-// record layout — the replication plane's lag-bytes accounting, without
-// paying for an actual encode.
-func BatchBytes(muts []Mutation) int {
-	size := maxCountLen
+// appendBatch encodes a mutation batch onto w.
+func appendBatch(w *wire.Writer, muts []Mutation) {
+	w.Uvarint(uint64(len(muts)))
 	for i := range muts {
-		size += 24 + len(muts[i].Key.Name)
+		appendMutation(w, &muts[i])
 	}
-	return size
 }
 
-// decodeBatch walks a packed record, invoking apply for each mutation in
-// order. Records are produced by encodeBatch within the same process, so
+// DecodeRecord reads a shard WAL record: it returns the header and
+// invokes apply for each mutation in order. A malformed or truncated
+// record is an error, never a panic.
+func DecodeRecord(rec []byte, apply func(Mutation)) (RecordHeader, error) {
+	r := wire.NewReader(rec)
+	h := RecordHeader{TxnID: r.String()}
+	h.HLC.Wall = r.Varint()
+	h.HLC.Logical = int32(r.Varint())
+	h.HLC.Site = uint16(r.Uvarint())
+	h.Pieces = int(r.Uvarint())
+	if err := r.Err(); err != nil {
+		return h, fmt.Errorf("wal record header: %w", err)
+	}
+	return h, decodeBatch(rec[r.Offset():], apply)
+}
+
+// decodeBatch walks a packed batch, invoking apply for each mutation in
+// order. Records are produced by encodeRecord within the same process, so
 // malformed input is a programming error, reported as one.
 func decodeBatch(rec []byte, apply func(Mutation)) error {
 	r := wire.NewReader(rec)

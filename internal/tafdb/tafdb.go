@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/heat"
 	"mantle/internal/metrics"
 	"mantle/internal/netsim"
@@ -99,19 +100,6 @@ const (
 	DeltaAlways
 )
 
-// ReplSink receives every committed mutation batch for asynchronous
-// site-to-site replication (internal/repl.Source satisfies it). Commit
-// is invoked under the shard mutex in commit order, once the batch is
-// durable; implementations must be fast and must never call back into
-// the DB. StampTxn/ForgetTxn bracket cross-shard transactions so all
-// pieces of one 2PC share a single timestamp and are recognisable as an
-// atomic group downstream.
-type ReplSink interface {
-	StampTxn(txnID string, pieces int)
-	ForgetTxn(txnID string)
-	Commit(shard int, seq uint64, txnID string, muts []storage.Mutation)
-}
-
 // Config parameterises a DB.
 type Config struct {
 	// Shards is the number of storage shards (the paper deploys 18 TafDB
@@ -132,16 +120,18 @@ type Config struct {
 	// WALSyncCost, when positive, attaches a write-ahead log to every
 	// shard: committed transactions are logged (group commit) before
 	// they apply, and crashed shards recover by replay. Zero disables
-	// the WAL (the simulated-performance experiments model durability
-	// costs in the Raft layer instead).
+	// the WAL unless Clock is set (the simulated-performance experiments
+	// model durability costs in the Raft layer instead).
 	WALSyncCost time.Duration
 	// Batch2PC routes cross-shard transactions through a batching 2PC
 	// coordinator: independent transactions with the same participant
 	// set share one prepare round and one commit round.
 	Batch2PC bool
-	// Repl, when non-nil, receives every committed mutation batch — the
-	// feed for asynchronous site replication.
-	Repl ReplSink
+	// Clock, when non-nil, is the site clock of a replicated primary:
+	// every shard logs (with a zero-cost WAL when WALSyncCost is zero)
+	// and stamps each WAL record with a reading of it at staging, so a
+	// site link can ship the shards' logs as they stand (internal/repl).
+	Clock *clock.Clock
 	// RetryBase/RetryMax shape the retry backoff.
 	RetryBase, RetryMax time.Duration
 }
@@ -230,14 +220,9 @@ func New(cfg Config) *DB {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		shard := storage.NewShard(fmt.Sprintf("tafdb-%d", i))
-		if cfg.WALSyncCost > 0 {
+		if cfg.WALSyncCost > 0 || cfg.Clock != nil {
 			shard.AttachWAL(storage.NewWAL(cfg.WALSyncCost))
-		}
-		if cfg.Repl != nil {
-			si := i
-			shard.SetReplHook(func(seq uint64, txnID string, muts []storage.Mutation) {
-				cfg.Repl.Commit(si, seq, txnID, muts)
-			})
+			shard.SetClock(cfg.Clock)
 		}
 		db.parts = append(db.parts, &txn.Participant{
 			Shard: shard,
@@ -511,38 +496,23 @@ func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, then func(), build 
 	op = op.WithContext(ctx)
 	db.dirHeat.RecordN(contendedDir, op.Heat())
 	start := time.Now()
-	id := db.newTxnID()
 	wrapped := func(attempt int) ([]txn.Piece, error) {
 		if attempt > 0 {
 			db.noteConflict(contendedDir)
 			sp.Annotate("retry", "%d", attempt)
-			if db.cfg.Repl != nil {
-				// The previous attempt aborted; drop its stamp.
-				db.cfg.Repl.ForgetTxn(txn.AttemptID(id, attempt-1))
-			}
 		}
 		pieces, err := build(attempt)
 		if err == nil {
 			pieces = txn.Merge(pieces)
 			db.notePieces(pieces)
-			if db.cfg.Repl != nil && len(pieces) > 1 {
-				// Pre-register the cross-shard group before the 2PC
-				// rounds run, so all pieces share one HLC in the oplog.
-				db.cfg.Repl.StampTxn(txn.AttemptID(id, attempt), len(pieces))
-			}
 		}
 		return pieces, err
 	}
 	if db.cfg.Batch2PC {
 		sp.SetAttr("2pc", "batched")
 	}
-	retries, err := txn.RunWithRetry(gatedRunner{db}, op, id, maxRetries,
+	retries, err := txn.RunWithRetry(gatedRunner{db}, op, db.newTxnID(), maxRetries,
 		db.cfg.RetryBase, db.cfg.RetryMax, then, wrapped)
-	if db.cfg.Repl != nil {
-		// Committed stamps were consumed piece by piece; this clears the
-		// stamp of a final failed/aborted attempt. No-op otherwise.
-		db.cfg.Repl.ForgetTxn(txn.AttemptID(id, retries))
-	}
 	db.txnLat.Observe(time.Since(start))
 	sp.End()
 	return retries, err

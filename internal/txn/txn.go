@@ -341,7 +341,7 @@ func step(p *Participant, t *batchTxn, outcome []error, j int) error {
 	switch {
 	case outcome == nil:
 		pc := pieceOn(t, p)
-		return p.Shard.Prepare(t.id, pc.Guards, pc.Muts)
+		return p.Shard.PreparePiece(t.id, len(t.pieces), pc.Guards, pc.Muts)
 	case outcome[j] == nil:
 		return p.Shard.Commit(t.id)
 	default:
