@@ -67,7 +67,7 @@ loc:
 # lowered it. A PR that shrinks the tree lowers LOC_CEILING to its own
 # result; one that has to grow it raises the ceiling on purpose, in the
 # diff, where a reviewer sees it.
-LOC_CEILING = 21133
+LOC_CEILING = 21322
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

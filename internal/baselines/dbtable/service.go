@@ -69,7 +69,7 @@ func (s *Service) Populate(dirs []api.PopDir, objects []api.PopObject) error {
 // ResolveSequential is the Resolve of the level-by-level systems: the
 // Store's multi-RPC traversal under a path-resolve span.
 func (s *Service) ResolveSequential(op *rpc.Op, dirPath string) (types.Entry, types.Perm, error) {
-	ctx, sp := trace.Start(op.Context(), "path-resolve")
+	ctx, sp := trace.Start(op.Context(), trace.PathResolve)
 	sp.SetAttr("mode", "sequential")
 	defer sp.End()
 	return s.Store.ResolvePath(op.WithContext(ctx), dirPath)

@@ -86,7 +86,7 @@ func New(cfg Config) *Service {
 // the resolution began (radix.Cache), so a rename that lands while the
 // queries are in flight cannot leave its stale result behind.
 func (s *Service) resolve(op *rpc.Op, dirPath string) (types.Entry, types.Perm, error) {
-	ctx, sp := trace.Start(op.Context(), "path-resolve")
+	ctx, sp := trace.Start(op.Context(), trace.PathResolve)
 	sp.SetAttr("mode", "parallel")
 	defer sp.End()
 	if s.amCache == nil {

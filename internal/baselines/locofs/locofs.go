@@ -181,7 +181,7 @@ func (s *Service) statDir(op *rpc.Op, verb, dirPath string) (types.Entry, error)
 // directory server.
 func (s *Service) Lookup(op *rpc.Op, dirPath string) (types.Result, error) {
 	t := api.NewTimer()
-	ctx, sp := trace.Start(op.Context(), "path-resolve")
+	ctx, sp := trace.Start(op.Context(), trace.PathResolve)
 	sp.SetAttr("mode", "dir-server-local")
 	out, err := s.statDir(op.WithContext(ctx), "lookup", dirPath)
 	sp.End()

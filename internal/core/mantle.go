@@ -77,11 +77,12 @@ type Config struct {
 type HeatConfig struct {
 	// SampleEvery head-samples one in N operations (default 64). A
 	// sampled op opens a trace that is offered to the slow-op flight
-	// recorder on completion, amortising per-trace allocation cost below
-	// one alloc per op, and carries heat weight N: every heat sketch it
-	// passes (proxy, IndexNode, TafDB) records it N times, and the other
-	// ops record nothing. Negative disables sampling: no traces, and
-	// every op records with weight 1.
+	// recorder on completion. It costs two allocations, the trace (its
+	// spans live in one slab) and the op rebound to it, so 2/N per op.
+	// The op carries heat weight N: every heat sketch it passes (proxy,
+	// IndexNode, TafDB) records it N times, and the other ops record
+	// nothing. Negative disables sampling: no traces, and every op
+	// records with weight 1.
 	SampleEvery int
 	// MinCount is the per-op floor (default 128): an op kind's first
 	// MinCount ops record heat with weight 1, so a fresh or low-rate
@@ -392,7 +393,7 @@ func (f *frame) done(op *rpc.Op, retries int, entry types.Entry, err error) (typ
 // (non-overlapping) lookup never coalesces, so the paper's
 // one-RPC-per-lookup trip accounting (Table 1) is unchanged.
 func (m *Mantle) lookup(op *rpc.Op, dirPath string) (res indexnode.LookupResult, err error) {
-	ctx, sp := trace.Start(op.Context(), "path-resolve")
+	ctx, sp := trace.Start(op.Context(), trace.PathResolve)
 	defer sp.End()
 	m.dirHeat.RecordN(dirPath, op.Heat())
 	if m.pcache == nil {
@@ -421,7 +422,7 @@ func (m *Mantle) lookup(op *rpc.Op, dirPath string) (res indexnode.LookupResult,
 		if res.Hit {
 			sp.SetAttr("cache", "topdir-hit")
 		}
-		sp.Annotate("levels", "%d", res.Levels)
+		sp.SetInt("levels", int64(res.Levels))
 	}
 	return res, err
 }
@@ -585,7 +586,7 @@ func (m *Mantle) invalidate(op *rpc.Op, path string) {
 	if m.pcache == nil {
 		return
 	}
-	_, sp := trace.Start(op.Context(), "cache-invalidate")
+	_, sp := trace.Start(op.Context(), trace.CacheInvalidate)
 	sp.SetAttr("path", path)
 	m.pcache.InvalidateSubtree(pathutil.Clean(path))
 	sp.End()

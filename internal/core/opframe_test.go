@@ -123,6 +123,40 @@ func TestOpFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestSampledOpAllocs is TestOpFrameAllocs with every op head-sampled
+// into a trace: a warm ObjStat allocates the rpc.Op of Begin, the op
+// rebound to the trace and the Trace, whose slab holds every span; a
+// warm ReadDirPage adds its result slice.
+func TestSampledOpAllocs(t *testing.T) {
+	m := newTestMantle(t, func(c *Config) { c.Heat.SampleEvery, c.Heat.MinCount = 1, 1 })
+	if _, err := m.Mkdir(op(m), "/d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create(op(m), "/d/o", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func() error
+	}{
+		{"ObjStat", 3, func() error { _, err := m.ObjStat(op(m), "/d/o"); return err }},
+		{"ReadDirPage", 4, func() error { _, _, _, err := m.ReadDirPage(op(m), "/d", "", 10); return err }},
+	} {
+		got := testing.AllocsPerRun(2000, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.budget {
+			t.Errorf("sampled warm %s allocates %.2f times, want <= %.0f", c.name, got, c.budget)
+		}
+	}
+	if n := m.recorder.Sampled(); n < 4000 {
+		t.Fatalf("recorder was offered %d ops, want every one sampled", n)
+	}
+}
+
 // TestMutationAllocs pins what a warm create, delete, mkdir and dirrename
 // allocate end to end on the default test deployment (no WAL, three
 // IndexNode voters), with unbatched 2PC and with the batched 2PC that

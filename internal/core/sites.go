@@ -211,8 +211,9 @@ type FailoverReport struct {
 // Failover promotes the secondary: the link stops, the applier is
 // finalized (buffered records that never became applicable are
 // discarded, freezing a transaction-atomic prefix of each shard's
-// stream), and the secondary's index is rebuilt from its TafDB rows so
-// lookups reflect the replicated namespace. The secondary then serves
+// stream), and the secondary's TafDB routing and index are rebuilt from
+// its rows, so migrated directories and lookups reflect the replicated
+// namespace. The secondary then serves
 // reads and writes as an ordinary Mantle. Idempotent.
 func (s *Sites) Failover() FailoverReport {
 	s.StopReplication()
@@ -226,6 +227,7 @@ func (s *Sites) Failover() FailoverReport {
 		Watermarks: s.app.Watermarks(),
 	}
 	if !already {
+		s.Secondary.DB().RebuildRouting()
 		rep.IndexEntries = s.Secondary.RebuildIndex()
 	}
 	return rep

@@ -499,6 +499,19 @@ func TestDRMigrationReplicates(t *testing.T) {
 					t.Fatalf("fsck on the %s: %s\n%v", name, r, r.Issues[:min(len(r.Issues), 10)])
 				}
 			}
+			// Check and CompareSites walk rows, not routing: the promoted
+			// secondary must also find the migrated directory through the
+			// op path, on the shard its rows were replicated to.
+			sec := s.Secondary
+			if _, err := sec.ObjStat(op(sec), "/hot/o01"); err != nil {
+				t.Fatalf("promoted secondary: objstat /hot/o01: %v", err)
+			}
+			if _, err := sec.DirStat(op(sec), "/hot"); err != nil {
+				t.Fatalf("promoted secondary: dirstat /hot: %v", err)
+			}
+			if _, ents, err := sec.ReadDir(op(sec), "/hot"); err != nil || len(ents) != 30 {
+				t.Fatalf("promoted secondary: readdir /hot = %d entries, %v; want 30", len(ents), err)
+			}
 		})
 	}
 }

@@ -527,8 +527,8 @@ func (g *Group) Call(op *rpc.Op, what string, target int, cost time.Duration, fn
 // never commit.
 func (g *Group) propose(op *rpc.Op, c Cmd) error {
 	g.proposeRate.Add(1)
-	ctx, sp := trace.Start(op.Context(), "raft-propose")
-	sp.Annotate("cmd", "%d", c.Kind)
+	ctx, sp := trace.Start(op.Context(), trace.RaftPropose)
+	sp.SetInt("cmd", int64(c.Kind))
 	defer sp.End()
 	payload := c.Encode()
 	return g.Call(op.WithContext(ctx), "propose", AnyLeader, g.cfg.WriteCost, func(li int, left time.Duration) error {

@@ -186,33 +186,34 @@ func (c *Caller) Do(node *netsim.Node, cost time.Duration, opts CallOpts, fn fun
 // records an "rpc" span and charges one trip plus message bytes to it,
 // and the whole call is one latency_rpc sample.
 func (c *Caller) do(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts, fn func() error) error {
-	// Only a traced op's call is timed: its rpc spans read the clock
-	// anyway. One reading on entry serves both latency_rpc and the
-	// deadline; an untraced call without a deadline reads no clock at all.
-	var lat *metrics.Latency
+	// Only a traced op's call is timed: the reading on entry starts the
+	// first rpc span, latency_rpc's sample and the deadline, and the one
+	// that ends the last span ends the sample. An untraced call without a
+	// deadline reads no clock at all.
+	var traced context.Context
 	if op != nil && trace.FromContext(op.ctx) != nil {
-		lat = c.lat.Load()
+		traced = op.ctx
 	}
 	var start time.Duration
-	if lat != nil || opts.Deadline > 0 {
+	if traced != nil || opts.Deadline > 0 {
 		start = clock.Mono()
 	}
-	err := c.attempts(op, node, cost, opts, fn, start)
-	if lat != nil {
-		lat.Observe(clock.Mono() - start)
+	end, err := c.attempts(op, traced, node, cost, opts, fn, start)
+	if traced != nil {
+		if lat := c.lat.Load(); lat != nil {
+			lat.Observe(end - start)
+		}
 	}
 	return err
 }
 
-// attempts is do's retry loop. start is the clock.Mono reading
-// opts.Deadline counts from.
-func (c *Caller) attempts(op *Op, node *netsim.Node, cost time.Duration, opts CallOpts, fn func() error, start time.Duration) error {
-	ctx := context.Background()
-	if op != nil && op.ctx != nil {
-		ctx = op.ctx
-	}
+// attempts is do's retry loop. traced is the op's trace context, nil for
+// an untraced call. start is the clock.Mono reading opts.Deadline counts
+// from; a traced call returns the reading its last attempt ended at.
+func (c *Caller) attempts(op *Op, traced context.Context, node *netsim.Node, cost time.Duration, opts CallOpts, fn func() error, start time.Duration) (time.Duration, error) {
 	link := node.LinkFrom(c.fabric, opts.Src)
 	budget := c.policy.attempts()
+	now := start
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if attempt > 1 {
@@ -222,40 +223,56 @@ func (c *Caller) attempts(op *Op, node *netsim.Node, cost time.Duration, opts Ca
 			}
 			// Checked before a retry only: before the first attempt no
 			// time has passed.
-			if opts.Deadline > 0 && clock.Mono()-start >= opts.Deadline {
+			if traced != nil || opts.Deadline > 0 {
+				now = clock.Mono()
+			}
+			if opts.Deadline > 0 && now-start >= opts.Deadline {
 				c.timeouts.Add(1)
-				return fmt.Errorf("rpc to %s: %w after %d attempt(s) (last: %v)",
+				return now, fmt.Errorf("rpc to %s: %w after %d attempt(s) (last: %v)",
 					node.Name(), types.ErrTimeout, attempt-1, lastErr)
 			}
 		}
 		if op != nil {
 			op.rootOp().rtts.Add(1)
 		}
-		_, sp := trace.Start(ctx, "rpc")
-		sp.SetAttr("dst", node.Name())
-		if attempt > 1 {
-			sp.Annotate("attempt", "%d", attempt)
+		var sp *trace.Span
+		if traced != nil {
+			_, sp = trace.StartAt(traced, trace.RPC, now)
+			sp.SetAttr("dst", node.Name())
+			if attempt > 1 {
+				sp.SetInt("attempt", int64(attempt))
+			}
+			trace.AddTrips(traced, 1)
+			trace.AddBytes(traced, opts.Bytes+MsgOverheadBytes)
 		}
-		trace.AddTrips(ctx, 1)
-		trace.AddBytes(ctx, opts.Bytes+MsgOverheadBytes)
 		err := link.Deliver()
 		if err == nil {
 			err = node.Exec(cost, fn)
 			if err == nil || !errors.Is(err, types.ErrUnreachable) {
 				// Success, or an application error: never retried.
-				sp.End()
-				return err
+				return endSpan(sp), err
 			}
 		}
 		sp.Annotate("err", "%v", err)
-		sp.End()
+		now = endSpan(sp)
 		c.drops.Add(1)
 		lastErr = err
 		if attempt >= budget {
-			return fmt.Errorf("rpc to %s: attempts exhausted (%d): %w",
+			return now, fmt.Errorf("rpc to %s: attempts exhausted (%d): %w",
 				node.Name(), budget, lastErr)
 		}
 	}
+}
+
+// endSpan ends a traced attempt's span and returns the clock.Mono
+// reading it ended at; an untraced attempt (nil sp) reads no clock.
+func endSpan(sp *trace.Span) time.Duration {
+	if sp == nil {
+		return 0
+	}
+	now := clock.Mono()
+	sp.EndAt(now)
+	return now
 }
 
 // Op tracks the RPCs issued on behalf of one metadata operation and

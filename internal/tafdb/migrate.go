@@ -82,6 +82,33 @@ func (db *DB) flipRouting(pid types.InodeID, dst int) {
 	db.routing.Store(next)
 }
 
+// RebuildRouting rebuilds the routing table from where each pid's rows
+// live: a pid with rows away from its hash home is overridden to that
+// shard. A pid with rows on both its home and another shard was cut
+// between a migration's copy and its GC; the other shard wins, because
+// every write after the flip went there. Overrides are site-local, so a
+// promoted DR secondary, whose shards hold the primary's rows by shard
+// index, calls this before serving. Not for a site that may be
+// migrating: a copied but unflipped pid would be flipped early. Returns
+// the number of overrides.
+func (db *DB) RebuildRouting() int {
+	next := &routingTable{epoch: db.routing.Load().epoch + 1, overrides: map[types.InodeID]int{}}
+	for si, p := range db.parts {
+		last := ^types.InodeID(0)
+		p.Shard.Scan(types.Key{}, types.Key{Pid: ^types.InodeID(0), Name: "\xff"}, func(r storage.Row) bool {
+			if pid := r.Entry.Pid; pid != last {
+				last = pid
+				if si != storage.HashShard(pid, len(db.parts)) {
+					next.overrides[pid] = si
+				}
+			}
+			return true
+		})
+	}
+	db.routing.Store(next)
+	return len(next.overrides)
+}
+
 // gatedRunner is the Runner the normal write path uses: it checks the
 // migration write gate with the drain lock held across the transaction
 // round, so a migration that installs a gate afterwards is guaranteed to

@@ -101,6 +101,48 @@ func TestMigrateDirMovesRowRange(t *testing.T) {
 	}
 }
 
+// A site that holds a migrated directory's rows without the flip (a
+// promoted DR secondary) rebuilds its routing from the rows. With rows
+// on both the hash home and the destination — a cut between the copy
+// and the GC — the destination wins.
+func TestRebuildRoutingFromRows(t *testing.T) {
+	db, caller := newMigrationDB(t)
+	dir, cold := db.NewID(), db.NewID()
+	for _, d := range []struct {
+		name string
+		id   types.InodeID
+	}{{"hot", dir}, {"cold", cold}} {
+		if _, _, err := db.Mkdir(caller.Begin(), types.RootID, d.name, d.id, types.PermAll, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := db.CreateObject(caller.Begin(), d.id, "o", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	home := db.ShardOf(dir)
+	dst := (home + 1) % db.Shards()
+	if _, err := db.MigrateDir(caller.Begin(), dir, dst); err != nil {
+		t.Fatal(err)
+	}
+	stale := types.Entry{Pid: dir, Name: "stale", Kind: types.KindObject}
+	if err := db.ApplyToShard(home, []storage.Mutation{{Kind: storage.MutPut, Key: types.Key{Pid: dir, Name: "stale"}, Entry: stale}}); err != nil {
+		t.Fatal(err)
+	}
+	db.routing.Store(&routingTable{})
+	if db.ShardOf(dir) != home {
+		t.Fatal("routing reset kept the override")
+	}
+	if n := db.RebuildRouting(); n != 1 {
+		t.Fatalf("rebuilt %d overrides, want 1", n)
+	}
+	if db.ShardOf(dir) != dst || db.ShardOf(cold) != storage.HashShard(cold, db.Shards()) {
+		t.Fatalf("routing: hot on %d (want %d), cold on %d", db.ShardOf(dir), dst, db.ShardOf(cold))
+	}
+	if _, err := db.GetAccess(caller.Begin(), dir, "o"); err != nil {
+		t.Fatalf("migrated row unreachable after the rebuild: %v", err)
+	}
+}
+
 // Writers racing a migration never lose an entry: the gate parks them
 // during the copy window and their retry lands on the new home.
 func TestMigrateDirConcurrentWriters(t *testing.T) {

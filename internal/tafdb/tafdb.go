@@ -492,14 +492,14 @@ const maxRetries = 10000
 // The whole transaction — all retries included — is one txn-commit span
 // and one txnLat observation.
 func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, then func(), build func(attempt int) ([]txn.Piece, error)) (int, error) {
-	ctx, sp := trace.Start(op.Context(), "txn-commit")
-	op = op.WithContext(ctx)
 	db.dirHeat.RecordN(contendedDir, op.Heat())
-	start := time.Now()
+	start := clock.Mono()
+	ctx, sp := trace.StartAt(op.Context(), trace.TxnCommit, start)
+	op = op.WithContext(ctx)
 	wrapped := func(attempt int) ([]txn.Piece, error) {
 		if attempt > 0 {
 			db.noteConflict(contendedDir)
-			sp.Annotate("retry", "%d", attempt)
+			sp.SetInt("retry", int64(attempt))
 		}
 		pieces, err := build(attempt)
 		if err == nil {
@@ -513,8 +513,9 @@ func (db *DB) runTxn(op *rpc.Op, contendedDir types.InodeID, then func(), build 
 	}
 	retries, err := txn.RunWithRetry(gatedRunner{db}, op, db.newTxnID(), maxRetries,
 		db.cfg.RetryBase, db.cfg.RetryMax, then, wrapped)
-	db.txnLat.Observe(time.Since(start))
-	sp.End()
+	end := clock.Mono()
+	db.txnLat.Observe(end - start)
+	sp.EndAt(end)
 	return retries, err
 }
 

@@ -9,8 +9,10 @@ import (
 )
 
 // FlightRecord is one captured slow operation: the rendered span tree
-// plus the numbers that made it interesting. The tree is rendered at
-// capture time so the record holds no live span pointers.
+// plus the numbers that made it interesting. The recorder keeps the
+// trace and renders the tree when a snapshot is taken, so a capture
+// costs the op no allocation; traces are never recycled, so a kept one
+// stays valid.
 type FlightRecord struct {
 	Op        string        `json:"op"`
 	When      time.Time     `json:"when"`
@@ -22,6 +24,8 @@ type FlightRecord struct {
 	Trips  int64  `json:"trips"`
 	Bytes  int64  `json:"bytes"`
 	Tree   string `json:"tree"`
+
+	tr *Trace
 }
 
 // FlightRecorder tail-samples slow operations into a fixed-size ring:
@@ -84,7 +88,7 @@ func (f *FlightRecorder) Offer(op string, tr *Trace, dur, threshold time.Duratio
 		Record:    record,
 		Trips:     tr.Trips(),
 		Bytes:     tr.Bytes(),
-		Tree:      tr.Tree(),
+		tr:        tr,
 	}
 	f.captured.Add(1)
 	f.mu.Lock()
@@ -104,13 +108,17 @@ func (f *FlightRecorder) Sampled() int64 { return f.sampled.Load() }
 // ones since displaced from the ring).
 func (f *FlightRecorder) Captured() int64 { return f.captured.Load() }
 
-// Snapshot returns the retained records, newest first.
+// Snapshot returns the retained records, newest first, with their trees
+// rendered.
 func (f *FlightRecorder) Snapshot() []FlightRecord {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]FlightRecord, 0, f.n)
 	for i := 1; i <= f.n; i++ {
 		out = append(out, f.ring[(f.next-i+len(f.ring))%len(f.ring)])
+	}
+	f.mu.Unlock()
+	for i := range out {
+		out[i].Tree = out[i].tr.Tree()
 	}
 	return out
 }
