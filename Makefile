@@ -67,7 +67,11 @@ loc:
 # lowered it. A PR that shrinks the tree lowers LOC_CEILING to its own
 # result; one that has to grow it raises the ceiling on purpose, in the
 # diff, where a reviewer sees it.
-LOC_CEILING = 21322
+# Raised from 21322 by the streamed population: the loader's two pulls
+# of a row source, its compact per-shard rows and load-local name table,
+# api.PopSource and its row adapters, the IndexTable's presized bulk put,
+# and the DR applier landing a shard's run of records in one apply.
+LOC_CEILING = 21574
 loc-check:
 	@n=$$($(MAKE) -s loc); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

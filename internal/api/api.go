@@ -48,8 +48,10 @@ type Service interface {
 	// ReadDir lists a directory.
 	ReadDir(op *rpc.Op, dirPath string) (types.Result, []types.Entry, error)
 
-	// Populate bulk-loads a namespace before experiments, bypassing the
-	// transactional path deterministically.
+	// PopulateFrom bulk-loads a namespace before experiments, bypassing
+	// the transactional path deterministically.
+	PopulateFrom(src PopSource) error
+	// Populate is PopulateFrom(SlicePop(dirs, objects)).
 	Populate(dirs []PopDir, objects []PopObject) error
 
 	// Stop shuts the system down.
@@ -71,32 +73,67 @@ type PopObject struct {
 	Size int64
 }
 
-// PopRows converts a population batch into the rows it writes,
-// directories first, and the directories' access entries — the one
-// conversion every system's Populate runs. Every directory ID is reserved
-// in ids before the objects' IDs are allocated from it, so the two never
-// collide. A directory is named by its path's last component and an unset
-// permission means PermAll.
-func PopRows(ids *types.IDAlloc, dirs []PopDir, objects []PopObject) ([]types.Entry, []types.AccessEntry) {
-	rows := make([]types.Entry, 0, len(dirs)+len(objects))
-	access := make([]types.AccessEntry, len(dirs))
-	var maxID types.InodeID
-	for i, d := range dirs {
-		rows = append(rows, types.Entry{
+// PopSource is a population batch: its directories, in any order, and
+// its objects as a stream. Objects yields the same objects in the same
+// order on every call, since the bulk loader pulls it twice and never
+// holds the batch whole; nil means none.
+type PopSource struct {
+	Dirs    []PopDir
+	Objects func(yield func(PopObject) bool)
+}
+
+// SlicePop is the PopSource of two slices.
+func SlicePop(dirs []PopDir, objects []PopObject) PopSource {
+	return PopSource{Dirs: dirs, Objects: func(yield func(PopObject) bool) {
+		for _, o := range objects {
+			if !yield(o) {
+				return
+			}
+		}
+	}}
+}
+
+// Rows yields the rows the batch writes, directories first: the row
+// source every system's Populate hands its bulk loader. A directory is
+// named by its path's last component and an unset permission means
+// PermAll; an object row leaves its ID zero, for the loader to allocate
+// after it has reserved every directory's ID.
+func (src PopSource) Rows(yield func(*types.Entry) bool) {
+	var e types.Entry
+	for _, d := range src.Dirs {
+		e = types.Entry{
 			Pid: d.Pid, Name: pathutil.Base(d.Path), ID: d.ID, Kind: types.KindDir,
 			Perm: cmp.Or(d.Perm, types.PermAll),
-		})
-		access[i] = rows[i].Access()
-		maxID = max(maxID, d.ID)
+		}
+		if !yield(&e) {
+			return
+		}
 	}
-	ids.ReserveIDs(maxID)
-	for _, o := range objects {
-		rows = append(rows, types.Entry{
-			Pid: o.Pid, Name: o.Name, ID: ids.NewID(), Kind: types.KindObject,
-			Perm: types.PermAll, Attr: types.Attr{Size: o.Size},
-		})
+	src.ObjectRows(yield)
+}
+
+// ObjectRows yields the objects' rows alone, as Rows does.
+func (src PopSource) ObjectRows(yield func(*types.Entry) bool) {
+	if src.Objects == nil {
+		return
 	}
-	return rows, access
+	e := &types.Entry{Kind: types.KindObject, Perm: types.PermAll}
+	src.Objects(func(o PopObject) bool {
+		e.Pid, e.Name, e.Attr.Size = o.Pid, o.Name, o.Size
+		return yield(e)
+	})
+}
+
+// Access returns the directories' access entries, the rows IndexNode
+// keeps.
+func (src PopSource) Access() []types.AccessEntry {
+	access := make([]types.AccessEntry, len(src.Dirs))
+	for i, d := range src.Dirs {
+		access[i] = types.AccessEntry{
+			Pid: d.Pid, Name: pathutil.Base(d.Path), ID: d.ID, Perm: cmp.Or(d.Perm, types.PermAll),
+		}
+	}
+	return access
 }
 
 // Timer measures operation phases.

@@ -313,14 +313,15 @@ func (s *Store) RunTxn(op *rpc.Op, build func(attempt int) ([]txn.Piece, error))
 	return txn.RunWithRetry(txn.Direct{}, op, s.NewTxnID(), maxRetries, s.cfg.RetryBase, s.cfg.RetryMax, nil, wrapped)
 }
 
-// BulkInsert loads rows through storage.BulkInsert, returning the link
-// counts for the caller to land.
-func (s *Store) BulkInsert(entries []types.Entry) (map[types.InodeID]int64, error) {
+// BulkInsertFrom loads rows through storage.BulkInsert, allocating
+// object IDs from the store's allocator, and returns the link counts for
+// the caller to land.
+func (s *Store) BulkInsertFrom(rows storage.Rows) (map[types.InodeID]int64, error) {
 	shards := make([]*storage.Shard, len(s.parts))
 	for i, p := range s.parts {
 		shards[i] = p.Shard
 	}
-	return storage.BulkInsert(shards, s.shardIdx, "", entries)
+	return storage.BulkInsert(shards, s.shardIdx, "", &s.IDAlloc, rows)
 }
 
 // ScanChildren lists a directory's children in one charged RPC.

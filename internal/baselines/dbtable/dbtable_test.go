@@ -29,7 +29,7 @@ func seed(t *testing.T, s *Store) (types.InodeID, types.InodeID) {
 		{Path: "/a/b", ID: b, Pid: a},
 	}
 	objs := []api.PopObject{{Pid: b, Name: "o", Size: 42}}
-	if err := Populate(s, dirs, objs); err != nil {
+	if err := Populate(s, api.SlicePop(dirs, objs)); err != nil {
 		t.Fatal(err)
 	}
 	return a, b

@@ -2,6 +2,7 @@ package dbtable
 
 import (
 	"mantle/internal/api"
+	"mantle/internal/pathutil"
 	"mantle/internal/storage"
 	"mantle/internal/types"
 )
@@ -10,9 +11,8 @@ import (
 // count on the directory's own row in its parent's shard, the root's on
 // its synthetic row. A directory outside the batch is found with one pass
 // over the store, run only when the batch counts one.
-func Populate(s *Store, dirs []api.PopDir, objects []api.PopObject) error {
-	entries, _ := api.PopRows(&s.IDAlloc, dirs, objects)
-	counts, err := s.BulkInsert(entries)
+func Populate(s *Store, src api.PopSource) error {
+	counts, err := s.BulkInsertFrom(src.Rows)
 	if err != nil {
 		return err
 	}
@@ -20,9 +20,9 @@ func Populate(s *Store, dirs []api.PopDir, objects []api.PopObject) error {
 	if _, ok := counts[types.RootID]; ok {
 		home[types.RootID] = rootKey
 	}
-	for _, e := range entries[:len(dirs)] {
-		if _, ok := counts[e.ID]; ok {
-			home[e.ID] = types.Key{Pid: e.Pid, Name: e.Name}
+	for _, d := range src.Dirs {
+		if _, ok := counts[d.ID]; ok {
+			home[d.ID] = types.Key{Pid: d.Pid, Name: pathutil.Base(d.Path)}
 		}
 	}
 	for _, p := range s.parts {

@@ -24,6 +24,24 @@ func allRows(s *Store) []storage.Row {
 	return rows
 }
 
+// popRows is the rows src writes, with the IDs the bulk loader gives
+// them: every directory's ID reserved, then one allocated per object in
+// order.
+func popRows(ids *types.IDAlloc, src api.PopSource) []types.Entry {
+	var rows []types.Entry
+	src.Rows(func(e *types.Entry) bool {
+		rows = append(rows, *e)
+		ids.ReserveIDs(e.ID)
+		return true
+	})
+	for i := range rows {
+		if rows[i].ID == types.InvalidID {
+			rows[i].ID = ids.NewID()
+		}
+	}
+	return rows
+}
+
 // applyPerRow is the reference Populate is held to: the deduplicated
 // stream — the last write of each key — one Apply per row, a row that
 // replaces a held one deleting it first (a fresh row, version 1) and a
@@ -128,11 +146,10 @@ func TestPopulateSequencesMatchPerRowApply(t *testing.T) {
 						Size: rng.Int64N(100),
 					})
 				}
-				if err := Populate(bulk, dirs, objs); err != nil {
+				if err := Populate(bulk, api.SlicePop(dirs, objs)); err != nil {
 					t.Fatal(err)
 				}
-				rows, _ := api.PopRows(&ref.IDAlloc, dirs, objs)
-				applyPerRow(t, ref, rows)
+				applyPerRow(t, ref, popRows(&ref.IDAlloc, api.SlicePop(dirs, objs)))
 				for k := range in {
 					exists[k] = exists[k] || in[k]
 				}
@@ -194,7 +211,7 @@ func BenchmarkBulkInsert(b *testing.B) {
 		s := New(Config{Shards: 8})
 		runtime.ReadMemStats(&ms)
 		alloc0, t0 := ms.TotalAlloc, time.Now()
-		if err := Populate(s, dirs, objs); err != nil {
+		if err := Populate(s, api.SlicePop(dirs, objs)); err != nil {
 			b.Fatal(err)
 		}
 		elapsed += time.Since(t0)

@@ -61,9 +61,12 @@ func (s *Service) Caller() *rpc.Caller { return s.caller }
 // Stop implements api.Service.
 func (s *Service) Stop() {}
 
+// PopulateFrom implements api.Service.
+func (s *Service) PopulateFrom(src api.PopSource) error { return Populate(s.Store, src) }
+
 // Populate implements api.Service.
 func (s *Service) Populate(dirs []api.PopDir, objects []api.PopObject) error {
-	return Populate(s.Store, dirs, objects)
+	return s.PopulateFrom(api.SlicePop(dirs, objects))
 }
 
 // ResolveSequential is the Resolve of the level-by-level systems: the

@@ -441,19 +441,28 @@ func (s *Service) DirRename(op *rpc.Op, srcPath, dstPath string) (types.Result, 
 	return t.Done(op, 0, types.Entry{}), err
 }
 
-// Populate implements api.Service. The side counts move by what landed:
-// a directory gains the subdirectories new to the directory server's
-// table and the object rows new to the object store.
-func (s *Service) Populate(dirs []api.PopDir, objects []api.PopObject) error {
-	rows, access := api.PopRows(&s.objStore.IDAlloc, dirs, objects)
-	for dir, n := range s.dir.BulkAdd(access) {
+// PopulateFrom implements api.Service. The side counts move by what
+// landed: a directory gains the subdirectories new to the directory
+// server's table and the object rows new to the object store. The object
+// store reserves the directories' IDs, which it never holds, so its
+// objects' IDs do not collide with them.
+func (s *Service) PopulateFrom(src api.PopSource) error {
+	for _, d := range src.Dirs {
+		s.objStore.ReserveIDs(d.ID)
+	}
+	for dir, n := range s.dir.BulkAdd(src.Access()) {
 		s.counts.add(dir, 0, n)
 	}
-	links, err := s.objStore.BulkInsert(rows[len(dirs):])
+	links, err := s.objStore.BulkInsertFrom(src.ObjectRows)
 	for dir, n := range links {
 		s.counts.add(dir, n, 0)
 	}
 	return err
+}
+
+// Populate implements api.Service.
+func (s *Service) Populate(dirs []api.PopDir, objects []api.PopObject) error {
+	return s.PopulateFrom(api.SlicePop(dirs, objects))
 }
 
 // dirCount is one directory's bookkeeping beside the replicated tree:

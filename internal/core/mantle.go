@@ -668,17 +668,21 @@ func (m *Mantle) SetPerm(op *rpc.Op, dirPath string, perm types.Perm) (types.Res
 	return f.done(op, retries, types.Entry{}, cmp.Or(err, ierr))
 }
 
-// Populate implements api.Service: bulk-load dirs and objects into TafDB
+// PopulateFrom implements api.Service: bulk-load a namespace into TafDB
 // and the IndexNode replicas.
-func (m *Mantle) Populate(dirs []api.PopDir, objects []api.PopObject) error {
-	entries, access := api.PopRows(&m.db.IDAlloc, dirs, objects)
+func (m *Mantle) PopulateFrom(src api.PopSource) error {
 	// The IndexNode replicas load alongside TafDB's shards.
 	indexed := make(chan struct{})
 	go func() {
-		m.idx.BulkAdd(access)
+		m.idx.BulkAdd(src.Access())
 		close(indexed)
 	}()
-	err := m.db.BulkInsert(entries)
+	err := m.db.BulkInsertFrom(src.Rows)
 	<-indexed
 	return err
+}
+
+// Populate implements api.Service.
+func (m *Mantle) Populate(dirs []api.PopDir, objects []api.PopObject) error {
+	return m.PopulateFrom(api.SlicePop(dirs, objects))
 }

@@ -135,12 +135,7 @@ func (r *Replica) Apply(_ uint64, cmd []byte) {
 // experiments; bypasses Raft on every replica identically), returning how
 // many new entries each parent gained.
 func (r *Replica) BulkAdd(entries []types.AccessEntry) map[types.InodeID]int64 {
-	gained := map[types.InodeID]int64{}
-	for _, e := range entries {
-		if r.table.Load().Put(e) {
-			gained[e.Pid]++
-		}
-	}
+	gained := r.table.Load().bulkPut(entries)
 	r.applySeq.Add(1)
 	return gained
 }

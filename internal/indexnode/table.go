@@ -41,8 +41,11 @@ func NewIndexTable() *IndexTable {
 }
 
 func (t *IndexTable) stripeFor(pid types.InodeID) *tableStripe {
-	h := uint64(pid) * 0x9E3779B97F4A7C15
-	return &t.stripes[h%tableStripes]
+	return &t.stripes[stripeIdx(pid)]
+}
+
+func stripeIdx(pid types.InodeID) uint64 {
+	return uint64(pid) * 0x9E3779B97F4A7C15 % tableStripes
 }
 
 // stripeForID locates the stripe holding the reverse-index entry for id.
@@ -51,6 +54,36 @@ func (t *IndexTable) stripeFor(pid types.InodeID) *tableStripe {
 // differ, so each entry is stored in both stripes' maps.
 func (t *IndexTable) stripeForID(id types.InodeID) *tableStripe {
 	return t.stripeFor(id)
+}
+
+// bulkPut is Put over a batch, in order, so the last entry of a key
+// wins. It first makes each empty stripe's maps at the size the batch
+// gives them, rather than growing them from empty. It returns how many
+// new entries each parent gained.
+func (t *IndexTable) bulkPut(entries []types.AccessEntry) map[types.InodeID]int64 {
+	var fwd, rev [tableStripes]int
+	for i := range entries {
+		fwd[stripeIdx(entries[i].Pid)]++
+		rev[stripeIdx(entries[i].ID)]++
+	}
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.Lock()
+		if len(s.byKey) == 0 && fwd[i] > 0 {
+			s.byKey = make(map[types.Key]types.AccessEntry, fwd[i])
+		}
+		if len(s.byID) == 0 && rev[i] > 0 {
+			s.byID = make(map[types.InodeID]types.AccessEntry, rev[i])
+		}
+		s.mu.Unlock()
+	}
+	gained := map[types.InodeID]int64{}
+	for _, e := range entries {
+		if t.Put(e) {
+			gained[e.Pid]++
+		}
+	}
+	return gained
 }
 
 // Get returns the access entry for (pid, name).

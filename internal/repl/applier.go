@@ -141,7 +141,9 @@ func (a *Applier) Offer(recs []Record) error {
 // sequence order and stops at the first gap, incomplete transaction, or
 // key-obstructed transaction; applying a complete transaction lands its
 // sibling pieces on their shards out of order (marked done and absorbed
-// when the frontier catches up).
+// when the frontier catches up). A run of single-piece records at a
+// frontier lands with one apply: one WAL record and one sync on a
+// durable secondary, not one per record.
 func (a *Applier) drainLocked() error {
 	for progress := true; progress; {
 		progress = false
@@ -164,7 +166,7 @@ func (a *Applier) drainLocked() error {
 						break
 					}
 					for _, piece := range pt.recs {
-						if err := a.applyRecordLocked(piece); err != nil {
+						if err := a.applyLocked(piece.Shard, []Record{piece}); err != nil {
 							return err
 						}
 					}
@@ -172,7 +174,15 @@ func (a *Applier) drainLocked() error {
 					progress = true
 					continue
 				}
-				if err := a.applyRecordLocked(r); err != nil {
+				run := []Record{r}
+				for next := seq + 1; ; next++ {
+					r, ok := sh.buf[next]
+					if !ok || r.Pieces > 1 {
+						break
+					}
+					run = append(run, r)
+				}
+				if err := a.applyLocked(si, run); err != nil {
 					return err
 				}
 				progress = true
@@ -233,50 +243,79 @@ func (a *Applier) txnUnobstructedLocked(home int, pt *pendingTxn) bool {
 	return true
 }
 
-// applyRecordLocked LWW-filters one record and lands it on its shard,
-// advancing the frontier (or marking the slot done when the record
-// applied ahead of a gap) and the applied watermarks.
-func (a *Applier) applyRecordLocked(r Record) error {
-	sh := a.shards[r.Shard]
-	kept := make([]storage.Mutation, 0, len(r.Muts))
-	for _, m := range r.Muts {
-		if m.Kind == storage.MutDeltaAttr {
-			// Commutative increment: exactly-once, order-free.
+// stamp is one LWW sidecar write, with what it replaced.
+type stamp struct {
+	key  types.Key
+	prev clock.Timestamp
+	had  bool
+}
+
+// applyLocked LWW-filters recs, contiguous records of shard si in
+// sequence order, and lands what survives with one apply. Each record is
+// filtered against the stamps of the writes before it, so the batch
+// filters as the records would one by one. The sidecar keeps a stamp
+// only once its write has applied: a failed apply takes back the batch's
+// stamps and moves nothing, and the link's re-offer lands the records
+// again. Once the apply succeeds, each record advances the frontier (or
+// marks its slot done when it applied ahead of a gap) and the applied
+// watermarks, in sequence order.
+func (a *Applier) applyLocked(si int, recs []Record) error {
+	sh := a.shards[si]
+	var kept []storage.Mutation
+	var stamps []stamp
+	var skipped int64
+	for _, r := range recs {
+		for _, m := range r.Muts {
+			if m.Kind == storage.MutDeltaAttr {
+				// Commutative increment: exactly-once, order-free.
+				m.MustExist = false
+				kept = append(kept, m)
+				continue
+			}
+			prev, had := sh.vers[m.Key]
+			if had && !prev.Less(r.HLC) {
+				skipped++
+				continue
+			}
+			stamps = append(stamps, stamp{key: m.Key, prev: prev, had: had})
+			sh.vers[m.Key] = r.HLC
+			m.IfAbsent = false
 			m.MustExist = false
+			m.WantKind = 0
 			kept = append(kept, m)
-			continue
 		}
-		if prev, ok := sh.vers[m.Key]; ok && !prev.Less(r.HLC) {
-			a.conflicts++
-			continue
-		}
-		sh.vers[m.Key] = r.HLC
-		m.IfAbsent = false
-		m.MustExist = false
-		m.WantKind = 0
-		kept = append(kept, m)
 	}
 	if len(kept) > 0 {
-		if err := a.apply(r.Shard, kept); err != nil {
+		if err := a.apply(si, kept); err != nil {
+			for i := len(stamps) - 1; i >= 0; i-- {
+				if st := stamps[i]; st.had {
+					sh.vers[st.key] = st.prev
+				} else {
+					delete(sh.vers, st.key)
+				}
+			}
 			return err
 		}
 	}
-	delete(sh.buf, r.Seq)
-	if r.Seq == sh.nextSeq {
-		sh.nextSeq++
-		for sh.done[sh.nextSeq] {
-			delete(sh.done, sh.nextSeq)
-			sh.nextSeq++
-		}
-	} else {
-		sh.done[r.Seq] = true
-	}
-	if sh.appliedHLC.Less(r.HLC) {
-		sh.appliedHLC = r.HLC
-	}
-	a.clk.Observe(r.HLC)
-	a.applied++
+	a.conflicts += skipped
 	a.muts += int64(len(kept))
+	for _, r := range recs {
+		delete(sh.buf, r.Seq)
+		if r.Seq == sh.nextSeq {
+			sh.nextSeq++
+			for sh.done[sh.nextSeq] {
+				delete(sh.done, sh.nextSeq)
+				sh.nextSeq++
+			}
+		} else {
+			sh.done[r.Seq] = true
+		}
+		if sh.appliedHLC.Less(r.HLC) {
+			sh.appliedHLC = r.HLC
+		}
+		a.clk.Observe(r.HLC)
+		a.applied++
+	}
 	return nil
 }
 

@@ -119,6 +119,65 @@ func TestApplierLWWConflict(t *testing.T) {
 	}
 }
 
+// TestApplierFailedApplyKeepsRecord: a record whose apply fails (a down
+// secondary shard) leaves no LWW stamp, so the link's re-offer lands it
+// rather than skipping its write as a conflict with itself.
+func TestApplierFailedApplyKeepsRecord(t *testing.T) {
+	sk := newSink()
+	calls := 0
+	a := NewApplier(2, 1, func(shard int, muts []storage.Mutation) error {
+		if calls++; calls == 1 {
+			return types.ErrUnavailable
+		}
+		return sk.apply(shard, muts)
+	})
+	r := putRec(0, 1, clock.New(1).Now(), 1, "x", 10)
+	if err := a.Offer([]Record{r}); err == nil {
+		t.Fatal("the first offer's failed apply was not reported")
+	}
+	if err := a.Offer([]Record{r}); err != nil {
+		t.Fatal(err)
+	}
+	w := a.Watermarks()
+	if sk.count(0) != 1 || w.Muts != 1 || w.Conflicts != 0 || w.Shards[0].AppliedSeq != 1 {
+		t.Fatalf("after re-offer: %d muts landed, watermarks %+v; want 1 mut, 0 conflicts, seq 1", sk.count(0), w)
+	}
+}
+
+// TestApplierRunOneSync: single-piece records of one shard offered
+// together land with one apply, so a secondary shard with a WAL pays one
+// sync for the run, and the run filters as the records would one by one.
+func TestApplierRunOneSync(t *testing.T) {
+	sh := storage.NewShard("sec-0")
+	wal := storage.NewWAL(0)
+	sh.AttachWAL(wal)
+	a := NewApplier(2, 1, func(_ int, muts []storage.Mutation) error { return sh.Apply(muts) })
+	clk := clock.New(1)
+	const n = 50
+	var recs []Record
+	for i := 0; i < n; i++ {
+		recs = append(recs, putRec(0, uint64(i+1), clk.Now(), 1, fmt.Sprintf("o%d", i), uint64(100+i)))
+	}
+	// A stale rewrite of o0 inside the run is skipped against the
+	// run's own earlier stamp.
+	stale := putRec(0, n+1, recs[0].HLC, 1, "o0", 999)
+	recs = append(recs, stale)
+	before := wal.Syncs()
+	if err := a.Offer(recs); err != nil {
+		t.Fatal(err)
+	}
+	if syncs := wal.Syncs() - before; syncs != 1 {
+		t.Fatalf("%d records cost %d WAL syncs, want 1", len(recs), syncs)
+	}
+	w := a.Watermarks()
+	if w.Applied != n+1 || w.Muts != n || w.Conflicts != 1 || w.Shards[0].AppliedSeq != n+1 {
+		t.Fatalf("watermarks %+v", w)
+	}
+	if row, ok := sh.Get(types.Key{Pid: 1, Name: "o0"}); !ok || row.Entry.ID != 100 {
+		t.Fatalf("o0 = %+v (present %v), want ID 100", row.Entry, ok)
+	}
+}
+
 func TestApplierAtomicTxn(t *testing.T) {
 	sk := newSink()
 	a := NewApplier(2, 2, sk.apply)

@@ -209,7 +209,7 @@ func TestBulkInsertOrderIndependent(t *testing.T) {
 				}
 				in := keepWriteOrder(entries, load.idx)
 				want, wantCounts := bulkModel(shardRows(t, shards, shardOf), tc.linkName, tc.logged, in)
-				counts, err := BulkInsert(shards, shardOf, tc.linkName, in)
+				counts, err := BulkInsert(shards, shardOf, tc.linkName, new(types.IDAlloc), Entries(in))
 				if err != nil {
 					t.Fatalf("%s: %v", load.name, err)
 				}
@@ -257,4 +257,36 @@ func shardRows(t *testing.T, shards []*Shard, shardOf func(types.InodeID) int) m
 		}
 	}
 	return out
+}
+
+// TestBulkInsertUnstableSource: a row source that yields other rows on
+// its second pull fails the load, which then leaves the shards as they
+// were, rather than indexing past a shard's share.
+func TestBulkInsertUnstableSource(t *testing.T) {
+	for _, extra := range []int{1, -1} {
+		pulls := 0
+		rows := func(yield func(*types.Entry) bool) {
+			pulls++
+			n := 10
+			if pulls == 2 {
+				n += extra
+			}
+			for i := 0; i < n; i++ {
+				e := types.Entry{Pid: 7, Name: fmt.Sprintf("o%d", i), ID: types.InodeID(100 + i), Kind: types.KindObject}
+				if !yield(&e) {
+					return
+				}
+			}
+		}
+		shards := []*Shard{NewShard("0"), NewShard("1")}
+		shardOf := func(pid types.InodeID) int { return HashShard(pid, len(shards)) }
+		if _, err := BulkInsert(shards, shardOf, "", new(types.IDAlloc), rows); err == nil {
+			t.Fatalf("%+d rows on the second pull: no error", extra)
+		}
+		for i, s := range shards {
+			if s.Len() != 0 {
+				t.Fatalf("%+d rows on the second pull: shard %d holds %d rows", extra, i, s.Len())
+			}
+		}
+	}
 }

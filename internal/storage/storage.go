@@ -534,6 +534,14 @@ func (s *Shard) Apply(muts []Mutation) error {
 // log would not cover the loaded rows, so a crash would silently lose
 // them) — the caller falls back to the logged Apply path.
 func (s *Shard) BulkLoad(n int, next func(i int) (types.Key, types.Entry)) bool {
+	return s.load(n, func(i int) (types.Key, packedRow) {
+		k, e := next(i)
+		return k, pack(e, 1)
+	})
+}
+
+// load is BulkLoad on rows already in their stored form.
+func (s *Shard) load(n int, next func(i int) (types.Key, packedRow)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil {
@@ -556,7 +564,7 @@ func (s *Shard) BulkLoad(n int, next func(i int) (types.Key, types.Entry)) bool 
 	ld := s.rows.NewLoader()
 	oi := 0
 	for i := 0; i < n; i++ {
-		k, e := next(i)
+		k, p := next(i)
 		for oi < len(old) && old[oi].k.Less(k) {
 			ld.Add(old[oi].k, old[oi].p)
 			oi++
@@ -564,7 +572,7 @@ func (s *Shard) BulkLoad(n int, next func(i int) (types.Key, types.Entry)) bool 
 		if oi < len(old) && !k.Less(old[oi].k) {
 			oi++ // collision: the streamed row replaces the old one
 		}
-		ld.Add(k, pack(e, 1))
+		ld.Add(k, p)
 	}
 	for ; oi < len(old); oi++ {
 		ld.Add(old[oi].k, old[oi].p)

@@ -333,16 +333,22 @@ func (db *DB) SetDirPerm(op *rpc.Op, parent types.InodeID, name string, dir type
 	})
 }
 
-// BulkInsert loads entries through storage.BulkInsert — the mdtest-style
-// population step that builds scaled-down namespaces before experiments.
-// A directory's primary attribute row is its link row, so every link
-// count lands within the load, on the shard of the directory's children.
+// BulkInsert is BulkInsertFrom of a slice.
 func (db *DB) BulkInsert(entries []types.Entry) error {
+	return db.BulkInsertFrom(storage.Entries(entries))
+}
+
+// BulkInsertFrom loads rows through storage.BulkInsert — the
+// mdtest-style population step that builds scaled-down namespaces before
+// experiments — allocating object IDs from the DB's allocator. A
+// directory's primary attribute row is its link row, so every link count
+// lands within the load, on the shard of the directory's children.
+func (db *DB) BulkInsertFrom(rows storage.Rows) error {
 	shards := make([]*storage.Shard, len(db.parts))
 	for i, p := range db.parts {
 		shards[i] = p.Shard
 	}
-	_, err := storage.BulkInsert(shards, db.shardIdx, attrName, entries)
+	_, err := storage.BulkInsert(shards, db.shardIdx, attrName, &db.IDAlloc, rows)
 	return err
 }
 

@@ -30,6 +30,11 @@ type IDAlloc struct {
 // NewID allocates a fresh inode ID.
 func (a *IDAlloc) NewID() InodeID { return RootID + InodeID(a.n.Add(1)) }
 
+// NewIDs allocates n consecutive fresh inode IDs and returns the first.
+func (a *IDAlloc) NewIDs(n int) InodeID {
+	return RootID + InodeID(a.n.Add(uint64(n))) - InodeID(n) + 1
+}
+
 // ReserveIDs advances the allocator past max, so IDs assigned elsewhere
 // (bulk population, replication) never collide with allocated ones.
 func (a *IDAlloc) ReserveIDs(max InodeID) {

@@ -95,10 +95,11 @@ func (sn *ScaleNamespace) ObjPath(i int) string {
 	return sn.DirPath(g, d) + "/" + sn.objNames[k]
 }
 
-// Populate bulk-loads the namespace in one Populate call, so the
+// Populate bulk-loads the namespace in one PopulateFrom call, so the
 // service's bulk-load fast path (per-shard sorted B-tree rebuild) sees
-// the whole population at once. Object names come from the shared name
-// table — no per-object string is allocated here.
+// the whole population at once. The directories are a slice; the objects
+// are generated from the shape on each pull, with names from the shared
+// name table — no per-object value is stored or string allocated here.
 func (sn *ScaleNamespace) Populate(s api.Service) error {
 	dirs := make([]api.PopDir, 0, 1+sn.Groups+sn.Groups*sn.DirsPerGroup)
 	dirs = append(dirs, api.PopDir{
@@ -118,18 +119,21 @@ func (sn *ScaleNamespace) Populate(s api.Service) error {
 			})
 		}
 	}
-	objects := make([]api.PopObject, 0, sn.Objects())
+	return s.PopulateFrom(api.PopSource{Dirs: dirs, Objects: sn.objects})
+}
+
+// objects yields every object, dir-major, each directory's in name order.
+func (sn *ScaleNamespace) objects(yield func(api.PopObject) bool) {
 	for g := 0; g < sn.Groups; g++ {
 		for d := 0; d < sn.DirsPerGroup; d++ {
 			pid := sn.dirID(g, d)
-			for k := 0; k < sn.ObjectsPerDir; k++ {
-				objects = append(objects, api.PopObject{
-					Pid: pid, Name: sn.objNames[k], Size: 64 << 10,
-				})
+			for _, name := range sn.objNames {
+				if !yield(api.PopObject{Pid: pid, Name: name, Size: 64 << 10}) {
+					return
+				}
 			}
 		}
 	}
-	return s.Populate(dirs, objects)
 }
 
 // StatOp stats objects in a deterministic worker-striped order touching
