@@ -646,6 +646,7 @@ func (g *Group) RaftBatchStats() raft.BatchStats {
 		out.FlushIdle += s.FlushIdle
 		out.FlushCount += s.FlushCount
 		out.FlushBytes += s.FlushBytes
+		out.FlushInline += s.FlushInline
 	}
 	return out
 }
@@ -681,6 +682,7 @@ func (g *Group) RegisterMetrics(reg *metrics.Registry) {
 		e.Int("raft_flush_idle", b.FlushIdle)
 		e.Int("raft_flush_count", b.FlushCount)
 		e.Int("raft_flush_bytes", b.FlushBytes)
+		e.Int("raft_flush_inline", b.FlushInline)
 		e.Ratio("raft_batch_occupancy", b.Proposals, b.Appends)
 		var leased, rounds int64
 		for _, r := range g.rafts {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"mantle/internal/clock"
 	"mantle/internal/types"
 )
 
@@ -26,13 +27,25 @@ func (r *Raft) Propose(cmd []byte) (uint64, error) {
 // instead of hanging. An abandoned entry may still commit later; callers
 // that retry rely on command idempotence, as they already do across
 // leader changes.
+//
+// Where no step of the round can park (inlineLocked), the proposer runs
+// the round itself (proposeInline); otherwise leaderLoop batches the
+// proposal with others queued behind a log sync or a round trip.
 func (r *Raft) ProposeTimeout(cmd []byte, d time.Duration) (uint64, error) {
 	r.mu.Lock()
 	if r.role != Leader {
 		r.mu.Unlock()
 		return 0, types.ErrNotLeader
 	}
-	r.mu.Unlock()
+	var p *proposal
+	if r.inlineLocked() {
+		idx, parked, err := r.proposeInline(cmd)
+		if p = parked; p == nil {
+			return idx, err
+		}
+	} else {
+		r.mu.Unlock()
+	}
 	var timeout <-chan time.Time
 	fired := false
 	if d > 0 {
@@ -40,15 +53,17 @@ func (r *Raft) ProposeTimeout(cmd []byte, d time.Duration) (uint64, error) {
 		defer func() { putTimer(tm, fired) }()
 		timeout = tm.C
 	}
-	p := &proposal{cmd: cmd, done: make(chan proposalResult, 1), enqueued: time.Now()}
 	stop := r.life.Load().stop
-	select {
-	case r.proposeCh <- p:
-	case <-stop:
-		return 0, types.ErrStopped
-	case <-timeout:
-		fired = true
-		return 0, fmt.Errorf("raft: proposal not accepted within %s: %w", d, types.ErrTimeout)
+	if p == nil {
+		p = &proposal{cmd: cmd, done: make(chan proposalResult, 1), enqueued: clock.Mono()}
+		select {
+		case r.proposeCh <- p:
+		case <-stop:
+			return 0, types.ErrStopped
+		case <-timeout:
+			fired = true
+			return 0, fmt.Errorf("raft: proposal not accepted within %s: %w", d, types.ErrTimeout)
+		}
 	}
 	select {
 	case res := <-p.done:
@@ -61,6 +76,91 @@ func (r *Raft) ProposeTimeout(cmd []byte, d time.Duration) (uint64, error) {
 		// late completion without leaking a goroutine.
 		return 0, fmt.Errorf("raft: proposal not committed within %s: %w", d, types.ErrTimeout)
 	}
+}
+
+// inlineLocked reports whether a proposal may run its whole round on the
+// proposer's goroutine: no step of it can park — the replica keeps no
+// log to sync, and the fabric charges no round trip and has no fault
+// hook to delay or drop a message — and nothing is ahead of it: not the
+// term's no-op (leaderLoop's first round, done once an entry of the
+// term has committed), not a proposal queued for leaderLoop, not another
+// in-line round. Batching pays only where there is a wait to amortise
+// (§5.1); elsewhere its hand-offs are the whole cost. Caller holds r.mu.
+func (r *Raft) inlineLocked() bool {
+	f := r.cfg.Fabric
+	return r.wal == nil && f.RTT() == 0 && f.Faults() == nil && !r.stopped() &&
+		r.entryAtLocked(r.commitIndex).Term == r.term && len(r.proposeCh) == 0 && !r.inlining.Load()
+}
+
+// proposeInline runs a proposal's round on the calling goroutine: it
+// appends the entry, sends each peer whose nextIndex is the entry one
+// AppendEntries, advances commit and applies through the entry. A peer
+// that lags is kicked to its replicator instead, so no catch-up or
+// snapshot install runs here. An entry the round did not commit is
+// registered in r.pending and returned as parked, to be waited for like
+// a queued one. Called with r.mu held; releases it.
+func (r *Raft) proposeInline(cmd []byte) (idx uint64, parked *proposal, err error) {
+	start := clock.Mono()
+	r.inlining.Store(true) // under r.mu, which inlineLocked read it under
+	defer r.inlining.Store(false)
+	term := r.term
+	idx, _ = r.lastLogLocked()
+	idx++
+	r.log = append(r.log, Entry{Term: term, Index: idx, Cmd: cmd})
+	r.durableIndex = idx // no log to sync: appended is durable
+	r.mu.Unlock()
+	r.metrics.noteAppend(1, int64(len(cmd)), flushInline)
+	for _, p := range r.peers {
+		if r.sendOnce(term, p, idx) == sendAgain {
+			r.mu.Lock()
+			kick(p.kick)
+			r.mu.Unlock()
+		}
+	}
+
+	r.mu.Lock()
+	moved := r.advanceCommitLocked(term)
+	switch {
+	case r.role != Leader || r.term != term:
+		r.mu.Unlock()
+		return 0, nil, types.ErrNotLeader
+	case r.commitIndex < idx:
+		// A quorum did not ack in the round (followers crashed, or
+		// lagging): wait for the replicators, as a queued proposal does.
+		parked = &proposal{cmd: cmd, term: term, done: make(chan proposalResult, 1), enqueued: start, appended: start}
+		if r.pending == nil {
+			r.pending = make(map[uint64]*proposal)
+		}
+		r.pending[idx] = parked
+		if moved {
+			r.kickApplier()
+		}
+		r.mu.Unlock()
+		return 0, parked, nil
+	}
+	if r.commitIndex > idx {
+		r.kickApplier() // entries after this one committed with it
+	}
+	r.mu.Unlock()
+	// The entry is committed. Apply through it here, not on the applier:
+	// waking it costs more than the apply. The applier may still be
+	// applying beside this goroutine; applyMu orders the two, and
+	// applyNext's 0 means all that is committed has applied — unless a
+	// crash reset the log.
+	for i := r.applyNext(); i != 0 && i < idx; i = r.applyNext() {
+	}
+	if r.stopped() {
+		return 0, nil, types.ErrStopped
+	}
+	r.maybeCompact()
+	wait := clock.Mono() - start
+	r.metrics.mu.Lock()
+	r.metrics.CommitWait += wait
+	r.metrics.mu.Unlock()
+	if r.cfg.ProposeLatency != nil {
+		r.cfg.ProposeLatency.Observe(wait)
+	}
+	return idx, nil, nil
 }
 
 // timerPool recycles proposal timers. A timer goes back stopped with its
@@ -97,23 +197,24 @@ func (r *Raft) applier(l *life) {
 			return
 		case <-r.applyCh:
 		}
-		for r.applyNext() {
+		for r.applyNext() > 0 {
 			r.maybeCompact()
 		}
 	}
 }
 
 // applyNext applies the next committed entry, if any, and completes its
-// pending proposal on the leader. It holds applyMu from reading the
-// entry to advancing lastApplied, so lastApplied only ever moves
-// forward by one here and a snapshot install waits its turn.
-func (r *Raft) applyNext() bool {
+// pending proposal on the leader. It returns the entry's index, or 0
+// when nothing is committed past lastApplied. It holds applyMu from
+// reading the entry to advancing lastApplied, so lastApplied only ever
+// moves forward by one here and a snapshot install waits its turn.
+func (r *Raft) applyNext() uint64 {
 	r.applyMu.Lock()
 	r.mu.Lock()
 	if r.lastApplied >= r.commitIndex {
 		r.mu.Unlock()
 		r.applyMu.Unlock()
-		return false
+		return 0
 	}
 	idx := r.lastApplied + 1
 	entry := r.entryAtLocked(idx)
@@ -139,17 +240,17 @@ func (r *Raft) applyNext() bool {
 		// proposal was discarded with the log suffix it was appended to.
 		p.done <- proposalResult{err: errNotLeader()}
 	} else if p != nil {
-		now := time.Now()
+		now := clock.Mono()
 		r.metrics.mu.Lock()
-		r.metrics.IngestWait += p.appended.Sub(p.enqueued)
-		r.metrics.CommitWait += now.Sub(p.appended)
+		r.metrics.IngestWait += p.appended - p.enqueued
+		r.metrics.CommitWait += now - p.appended
 		r.metrics.mu.Unlock()
 		if r.cfg.ProposeLatency != nil {
-			r.cfg.ProposeLatency.Observe(now.Sub(p.enqueued))
+			r.cfg.ProposeLatency.Observe(now - p.enqueued)
 		}
 		p.done <- proposalResult{index: idx}
 	}
-	return true
+	return idx
 }
 
 // maybeCompact snapshots the state machine and truncates the applied log

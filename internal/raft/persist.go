@@ -180,7 +180,7 @@ func (r *Raft) resetLocked() {
 	r.stickyUntil, r.contactAt, r.readAt, r.leaseEnd = 0, 0, 0, 0
 	r.grant, r.kicks = readGrant{}, nil
 	for _, p := range r.peers {
-		p.heard, p.acked, p.granted, p.wantsGrant = 0, 0, 0, false
+		p.heard, p.acked, p.granted, p.wantsGrant, p.kick = 0, 0, 0, false, nil
 	}
 	if r.cfg.Learner {
 		r.setRoleLocked(LearnerRole)

@@ -18,6 +18,13 @@
 //   - proposal batching: the leader groups queued proposals into one log
 //     append and one log record per batch ("+raftlogbatch" in Figure 16),
 //     bounded by a count/byte window (MaxBatch, maxBatchBytes),
+//   - in-line proposals (apply.go): where no step of a round can park —
+//     no log to sync, no fabric round trip, no fault hook — and nothing
+//     is queued ahead, the proposer appends its entry, sends each
+//     caught-up peer one AppendEntries, advances commit and applies on
+//     its own goroutine, with none of batching's hand-offs; a peer that
+//     lags is left to its replicator, and an entry the round did not
+//     commit waits like a queued one,
 //   - pipelined replication (Config.Pipeline): the leader streams
 //     AppendEntries as soon as entries are appended in memory and
 //     waits for their record to be durable in a background sync stage;
@@ -193,11 +200,11 @@ func (c *Config) withDefaults() Config {
 }
 
 type proposal struct {
-	cmd      []byte
-	term     uint64 // the leader term whose log took the proposal
-	done     chan proposalResult
-	enqueued time.Time
-	appended time.Time
+	cmd  []byte
+	term uint64 // the leader term whose log took the proposal
+	done chan proposalResult
+	// When the proposal was queued and appended (clock.Mono readings).
+	enqueued, appended time.Duration
 }
 
 type proposalResult struct {
@@ -244,6 +251,9 @@ type Raft struct {
 	nextIndex  map[string]uint64
 	matchIndex map[string]uint64
 	pending    map[uint64]*proposal // index -> waiting proposal
+	// inlining is set, under mu, while a proposal's round runs on its
+	// proposer's goroutine (proposeInline), its apply included.
+	inlining atomic.Bool
 	// electionReset is when the election timer last restarted (a
 	// clock.Mono reading).
 	electionReset time.Duration
@@ -325,10 +335,11 @@ type Metrics struct {
 	// each leader batch was closed (batch occupancy = Proposals /
 	// Appends; flush counters sum to the leader's Appends minus no-op
 	// barriers).
-	BatchBytes int64
-	FlushIdle  int64 // ingest queue drained
-	FlushCount int64 // MaxBatch proposals reached
-	FlushBytes int64 // maxBatchBytes reached
+	BatchBytes  int64
+	FlushIdle   int64 // ingest queue drained
+	FlushCount  int64 // MaxBatch proposals reached
+	FlushBytes  int64 // maxBatchBytes reached
+	FlushInline int64 // one proposal, on its proposer's goroutine
 
 	// Cumulative proposal-stage wall time (observability): queue wait
 	// until log append, and append-to-apply completion.
@@ -353,6 +364,7 @@ const (
 	flushIdle flushReason = iota
 	flushCount
 	flushBytes
+	flushInline
 )
 
 // noteAppend records one leader batch append: its proposal count, its
@@ -367,6 +379,8 @@ func (m *Metrics) noteAppend(proposals, bytes int64, reason flushReason) {
 		m.FlushCount++
 	case flushBytes:
 		m.FlushBytes++
+	case flushInline:
+		m.FlushInline++
 	default:
 		m.FlushIdle++
 	}
@@ -375,13 +389,14 @@ func (m *Metrics) noteAppend(proposals, bytes int64, reason flushReason) {
 
 // BatchStats is a snapshot of the write-batching counters.
 type BatchStats struct {
-	Syncs      int64
-	Appends    int64
-	Proposals  int64
-	BatchBytes int64
-	FlushIdle  int64
-	FlushCount int64
-	FlushBytes int64
+	Syncs       int64
+	Appends     int64
+	Proposals   int64
+	BatchBytes  int64
+	FlushIdle   int64
+	FlushCount  int64
+	FlushBytes  int64
+	FlushInline int64
 }
 
 // Batch snapshots the batching counters.
@@ -389,13 +404,14 @@ func (m *Metrics) Batch() BatchStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return BatchStats{
-		Syncs:      m.syncs(),
-		Appends:    m.Appends,
-		Proposals:  m.Proposals,
-		BatchBytes: m.BatchBytes,
-		FlushIdle:  m.FlushIdle,
-		FlushCount: m.FlushCount,
-		FlushBytes: m.FlushBytes,
+		Syncs:       m.syncs(),
+		Appends:     m.Appends,
+		Proposals:   m.Proposals,
+		BatchBytes:  m.BatchBytes,
+		FlushIdle:   m.FlushIdle,
+		FlushCount:  m.FlushCount,
+		FlushBytes:  m.FlushBytes,
+		FlushInline: m.FlushInline,
 	}
 }
 
@@ -722,9 +738,11 @@ type peer struct {
 	// clock.Mono readings: the send time of the latest message the peer
 	// answered (the check-quorum rule reads it to detect isolation) and
 	// of the latest lease-renewing one it acked, the expiry of the last
-	// read grant offered it, and whether its last reply asked for one.
+	// read grant offered it, and whether its last reply asked for one;
+	// and kick, which wakes the peer's replicator (leaderLoop).
 	heard, acked, granted time.Duration
 	wantsGrant            bool
+	kick                  chan struct{}
 }
 
 // quorumReachable reports whether the leader has heard from a quorum of

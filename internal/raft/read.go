@@ -233,7 +233,7 @@ func (r *Raft) serveReadIndex(p *peer, q readQuery) (term, commit uint64, grant 
 func (r *Raft) confirmLocked(start time.Duration) bool {
 	r.metrics.readRounds.Add(1)
 	term, d := r.term, r.cfg.ElectionTimeout
-	kick(r.kicks)
+	kick(r.kicks...)
 	wake := time.AfterFunc(d, func() {
 		r.mu.Lock()
 		r.leaseCond.Broadcast()

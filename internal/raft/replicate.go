@@ -19,15 +19,19 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 	kicks := make([]chan struct{}, 0, len(r.peers))
 	done := make(chan struct{})
 	defer close(done)
+	r.mu.Lock()
+	current := r.role == Leader && r.term == term // a later term's loop may have set its own kicks
 	for _, p := range r.peers {
 		k := make(chan struct{}, 1)
 		kicks = append(kicks, k)
+		if current {
+			p.kick = k
+		}
 		l.wg.Add(1)
 		go r.replicateTo(l, term, p, k, done)
 	}
-	r.mu.Lock()
-	if r.role == Leader && r.term == term {
-		r.kicks = kicks // a later term's loop may have set its own
+	if current {
+		r.kicks = kicks
 	}
 	r.mu.Unlock()
 	var staged chan syncPoint
@@ -42,7 +46,7 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 		if staged != nil {
 			// Stream AppendEntries right away; the sync stage waits for
 			// the batch's record and commit advances from there.
-			kick(kicks)
+			kick(kicks...)
 			select {
 			case staged <- sp:
 			case <-l.stop:
@@ -51,7 +55,7 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 		}
 		r.persist(sp.epoch, sp.seq, sp.last)
 		r.maybeAdvanceCommit(term) // single-voter groups commit locally
-		kick(kicks)
+		kick(kicks...)
 	}
 
 	// Append a no-op entry for the new term immediately: a Raft leader
@@ -94,7 +98,7 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 				r.mu.Unlock()
 				return
 			}
-			kick(kicks)
+			kick(kicks...)
 		case p := <-r.proposeCh:
 			batch, bytes, reason := r.collectBatch(p)
 			r.mu.Lock()
@@ -105,7 +109,7 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 				}
 				return
 			}
-			now := time.Now()
+			now := clock.Mono()
 			first, _ := r.lastLogLocked()
 			first++
 			for i, q := range batch {
@@ -127,7 +131,7 @@ func (r *Raft) leaderLoop(l *life, term uint64) {
 }
 
 // kick wakes every replicator in ks that is not already due to send.
-func kick(ks []chan struct{}) {
+func kick(ks ...chan struct{}) {
 	for _, k := range ks {
 		select {
 		case k <- struct{}{}:
@@ -230,8 +234,9 @@ func (r *Raft) failPendingLocked() {
 }
 
 // replicateTo drives one peer: whenever kicked (new entries or
-// heartbeat), it sends AppendEntries from the peer's nextIndex and
-// processes the reply. It exits with the leader term.
+// heartbeat), it sends from the peer's nextIndex until the peer holds
+// the log, the message is lost or the peer is stopped. It exits with
+// the leader term.
 func (r *Raft) replicateTo(l *life, term uint64, p *peer, kick chan struct{}, done chan struct{}) {
 	defer l.wg.Done()
 	for {
@@ -242,101 +247,120 @@ func (r *Raft) replicateTo(l *life, term uint64, p *peer, kick chan struct{}, do
 			return
 		case <-kick:
 		}
-		for {
-			r.mu.Lock()
-			if r.role != Leader || r.term != term {
-				r.mu.Unlock()
-				return
-			}
-			next := r.nextIndex[p.id]
-			first := r.firstIndexLocked()
-			if next <= first {
-				// The peer needs entries compacted away: install the
-				// snapshot, then resume appending after it.
-				snapIdx, snapTerm := first, r.log[0].Term
-				data := r.snapData
-				sent := clock.Mono()
-				r.mu.Unlock()
-				if p.link.Deliver() != nil {
-					break // message lost; retry on next kick
-				}
-				ok, replyTerm := p.handleInstallSnapshot(term, r.id, snapIdx, snapTerm, data)
-				r.mu.Lock()
-				if r.role != Leader || r.term != term {
-					r.mu.Unlock()
-					return
-				}
-				if replyTerm > r.term {
-					r.becomeFollowerLocked(replyTerm, "")
-					r.mu.Unlock()
-					return
-				}
-				if ok {
-					p.heard = sent
-					if snapIdx > r.matchIndex[p.id] {
-						r.matchIndex[p.id] = snapIdx
-					}
-					r.nextIndex[p.id] = r.matchIndex[p.id] + 1
-				}
-				r.mu.Unlock()
-				if !ok {
-					break // peer stopped; retry on next kick
-				}
-				continue
-			}
-			if next == 0 {
-				next = 1
-			}
-			prev := r.entryAtLocked(next - 1)
-			entries := append([]Entry(nil), r.log[next-first:]...)
-			commit := r.commitIndex
-			sent := clock.Mono()
-			offer := r.leaseOfferLocked(p, sent)
-			r.mu.Unlock()
-
-			if p.link.Deliver() != nil {
-				break // message lost in the fabric; retry on next kick
-			}
-			ok, replyTerm, conflictHint, wantsGrant := p.handleAppendEntries(
-				term, r.id, prev.Index, prev.Term, entries, commit, offer)
-
-			r.mu.Lock()
-			if r.role != Leader || r.term != term {
-				r.mu.Unlock()
-				return
-			}
-			if replyTerm > r.term {
-				r.becomeFollowerLocked(replyTerm, "")
-				r.mu.Unlock()
-				return
-			}
-			if replyTerm == 0 {
-				// Peer stopped; retry on the next kick.
-				r.mu.Unlock()
-				break
-			}
-			p.heard = sent
-			r.noteReplyLocked(p, offer, sent, wantsGrant)
-			if ok {
-				if n := prev.Index + uint64(len(entries)); n > r.matchIndex[p.id] {
-					r.matchIndex[p.id] = n
-				}
-				r.nextIndex[p.id] = r.matchIndex[p.id] + 1
-				r.mu.Unlock()
-				r.maybeAdvanceCommit(term)
-				break
-			}
-			// Log inconsistency: back off nextIndex and retry (the
-			// snapshot path above handles hints below the compaction
-			// boundary).
-			if conflictHint > 0 && conflictHint < next {
-				r.nextIndex[p.id] = conflictHint
-			} else if next > 1 {
-				r.nextIndex[p.id] = next - 1
-			}
-			r.mu.Unlock()
+		res := r.sendOnce(term, p, 0)
+		for res == sendAgain {
+			res = r.sendOnce(term, p, 0)
+		}
+		switch res {
+		case sendOver:
+			return
+		case sendAcked:
+			r.maybeAdvanceCommit(term)
 		}
 	}
+}
+
+// sendResult is what one send to a peer came to.
+type sendResult uint8
+
+const (
+	sendAcked sendResult = iota // the peer holds the log through what was sent
+	sendLost                    // lost, or the peer is stopped: wait for a kick
+	sendAgain                   // nextIndex moved, or a snapshot landed: send again
+	sendOver                    // the leader's term is over
+)
+
+// sendOnce sends p one message of term from its nextIndex: AppendEntries,
+// or the snapshot when the entries it needs are compacted away. It folds
+// the reply into the leader's state, and never holds r.mu across the
+// peer's handler. With at > 0 it sends only if the peer's nextIndex is
+// at, and otherwise reports sendAgain unsent: a proposer sending in line
+// leaves a lagging peer to its replicator, so it never catches one up.
+func (r *Raft) sendOnce(term uint64, p *peer, at uint64) sendResult {
+	r.mu.Lock()
+	if r.role != Leader || r.term != term {
+		r.mu.Unlock()
+		return sendOver
+	}
+	next := r.nextIndex[p.id]
+	if at > 0 && next != at {
+		r.mu.Unlock()
+		return sendAgain
+	}
+	first := r.firstIndexLocked()
+	if next <= first {
+		// The peer needs entries compacted away: install the snapshot,
+		// then resume appending after it.
+		snapIdx, snapTerm := first, r.log[0].Term
+		data := r.snapData
+		sent := clock.Mono()
+		r.mu.Unlock()
+		if p.link.Deliver() != nil {
+			return sendLost
+		}
+		ok, replyTerm := p.handleInstallSnapshot(term, r.id, snapIdx, snapTerm, data)
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		switch {
+		case r.role != Leader || r.term != term:
+			return sendOver
+		case replyTerm > r.term:
+			r.becomeFollowerLocked(replyTerm, "")
+			return sendOver
+		case !ok:
+			return sendLost
+		}
+		p.heard = max(p.heard, sent)
+		r.matchIndex[p.id] = max(r.matchIndex[p.id], snapIdx)
+		r.nextIndex[p.id] = r.matchIndex[p.id] + 1
+		return sendAgain
+	}
+	if next == 0 {
+		next = 1
+	}
+	prev := r.entryAtLocked(next - 1)
+	// The entries are copied: a deposed leader truncating its log would
+	// rewrite the array under a message still in flight. One entry, the
+	// common case, is copied to the stack.
+	var one [1]Entry
+	entries := append(one[:0], r.log[next-first:]...)
+	commit := r.commitIndex
+	sent := clock.Mono()
+	offer := r.leaseOfferLocked(p, sent)
+	r.mu.Unlock()
+
+	if p.link.Deliver() != nil {
+		return sendLost
+	}
+	ok, replyTerm, conflictHint, wantsGrant := p.handleAppendEntries(
+		term, r.id, prev.Index, prev.Term, entries, commit, offer)
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch {
+	case r.role != Leader || r.term != term:
+		return sendOver
+	case replyTerm > r.term:
+		r.becomeFollowerLocked(replyTerm, "")
+		return sendOver
+	case replyTerm == 0:
+		return sendLost // the peer is stopped
+	}
+	p.heard = max(p.heard, sent)
+	r.noteReplyLocked(p, offer, sent, wantsGrant)
+	if ok {
+		r.matchIndex[p.id] = max(r.matchIndex[p.id], prev.Index+uint64(len(entries)))
+		r.nextIndex[p.id] = r.matchIndex[p.id] + 1
+		return sendAcked
+	}
+	// Log inconsistency: back off nextIndex (below the compaction
+	// boundary, the snapshot branch above takes over).
+	if conflictHint > 0 && conflictHint < next {
+		r.nextIndex[p.id] = conflictHint
+	} else if next > 1 {
+		r.nextIndex[p.id] = next - 1
+	}
+	return sendAgain
 }
 
 // maybeAdvanceCommit recomputes the commit index: the highest index a
@@ -346,9 +370,18 @@ func (r *Raft) replicateTo(l *life, term uint64, p *peer, kick chan struct{}, do
 // to the replicas at once instead of at the next heartbeat.
 func (r *Raft) maybeAdvanceCommit(term uint64) {
 	r.mu.Lock()
+	if r.advanceCommitLocked(term) {
+		r.kickApplier()
+	}
+	r.mu.Unlock()
+}
+
+// advanceCommitLocked is maybeAdvanceCommit under r.mu, less the wake of
+// the applier: it reports whether the commit index moved, and leaves
+// the applying to the caller.
+func (r *Raft) advanceCommitLocked(term uint64) bool {
 	if r.role != Leader || r.term != term {
-		r.mu.Unlock()
-		return
+		return false
 	}
 	var buf [8]uint64 // groups up to 8 voters need no heap
 	matches := buf[:0]
@@ -375,19 +408,18 @@ func (r *Raft) maybeAdvanceCommit(term uint64) {
 	// hold: in ascending order, the majority-th from the top.
 	quorum := r.voters/2 + 1
 	if len(matches) < quorum {
-		r.mu.Unlock()
-		return
+		return false
 	}
 	slices.Sort(matches)
 	n := min(matches[len(matches)-quorum], held)
-	if n > r.commitIndex && n >= r.firstIndexLocked() && r.entryAtLocked(n).Term == term {
-		r.commitIndex = n
-		r.kickApplier()
-		if held != math.MaxUint64 {
-			kick(r.kicks)
-		}
+	if n <= r.commitIndex || n < r.firstIndexLocked() || r.entryAtLocked(n).Term != term {
+		return false
 	}
-	r.mu.Unlock()
+	r.commitIndex = n
+	if held != math.MaxUint64 {
+		kick(r.kicks...)
+	}
+	return true
 }
 
 // handleAppendEntries is the AppendEntries RPC handler (also heartbeat).

@@ -165,10 +165,14 @@ func (a *Applier) drainLocked() error {
 					if pt == nil || len(pt.recs) < pt.need || !a.txnUnobstructedLocked(si, pt) {
 						break
 					}
-					for _, piece := range pt.recs {
-						if err := a.applyLocked(piece.Shard, []Record{piece}); err != nil {
+					for len(pt.recs) > 0 {
+						if err := a.applyLocked(pt.recs[0].Shard, pt.recs[:1]); err != nil {
 							return err
 						}
+						// A landed piece leaves the transaction, so the
+						// re-drain after a sibling's failed apply cannot
+						// land it (and its link-count delta) again.
+						pt.recs, pt.need = pt.recs[1:], pt.need-1
 					}
 					delete(a.pending, r.TxnID)
 					progress = true

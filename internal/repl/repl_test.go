@@ -209,6 +209,48 @@ func TestApplierAtomicTxn(t *testing.T) {
 	}
 }
 
+// TestApplierTornTxnReofferAppliesOnce: a two-piece transaction whose
+// second piece fails to apply after the first has landed is re-offered
+// by the link. Only the failed piece lands again: the first piece's
+// link-count delta, which no LWW stamp guards, counts once, and no
+// applied mark is left stranded above a frontier.
+func TestApplierTornTxnReofferAppliesOnce(t *testing.T) {
+	sk := newSink()
+	failed := false
+	a := NewApplier(2, 2, func(shard int, muts []storage.Mutation) error {
+		if shard == 1 && !failed {
+			failed = true
+			return types.ErrUnavailable
+		}
+		return sk.apply(shard, muts)
+	})
+	ts := clock.New(1).Now()
+	delta := Record{Shard: 0, Seq: 1, HLC: ts, TxnID: "txn-1#0", Pieces: 2, Muts: []storage.Mutation{{
+		Kind: storage.MutDeltaAttr, Key: types.Key{Pid: 1, Name: "/"}, Delta: storage.AttrDelta{LinkCount: 1},
+	}}}
+	put := putRec(1, 1, ts, 1, "dir", 10)
+	put.TxnID, put.Pieces = "txn-1#0", 2
+	recs := []Record{delta, put}
+	if err := a.Offer(recs); err == nil {
+		t.Fatal("the first offer's failed apply was not reported")
+	}
+	if err := a.Offer(recs); err != nil {
+		t.Fatal(err)
+	}
+	if n := sk.count(0); n != 1 {
+		t.Fatalf("the link-count delta landed %d times, want once", n)
+	}
+	w := a.Watermarks()
+	if sk.count(1) != 1 || w.Applied != 2 || w.Pending != 0 {
+		t.Fatalf("after re-offer: %d puts landed, watermarks %+v; want 1 put, Applied 2, Pending 0", sk.count(1), w)
+	}
+	for _, m := range w.Shards {
+		if m.AppliedSeq != 1 || m.Ahead != 0 || m.Buffered != 0 {
+			t.Fatalf("shard %d: %+v, want applied seq 1, nothing ahead or buffered", m.Shard, m)
+		}
+	}
+}
+
 func TestApplierTxnBehindSingleton(t *testing.T) {
 	// A complete txn whose sibling piece sits past a not-yet-arrived
 	// record must wait (the gap's keys are unknown); once the singleton
